@@ -6,8 +6,8 @@
 //! installs it with `#[global_allocator]`, brackets each phase of a run
 //! with [`measure`], and records the per-phase [`PhaseCounts`] deltas —
 //! `crates/bench/benches/alloc.rs` writes them into `BENCH_alloc.json`,
-//! which `cargo xtask audit` ratchets against
-//! `crates/xtask/alloc-budget.toml`.
+//! which `cargo run -p xtask -- audit` ratchets against the
+//! `[alloc-budget]` section of `crates/xtask/xtask.toml`.
 //!
 //! The probe is deliberately dependency-free: it must be linkable from
 //! any bench without dragging the engine in, and its own bookkeeping
@@ -20,6 +20,8 @@
 //! the measured region to run on the bracketing thread with no
 //! concurrent allocator traffic; the alloc bench guarantees that by
 //! forcing scoring parallelism to one.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -11,8 +11,8 @@
 //! - **calibrate**: threshold calibration over the training scores;
 //! - **score**: the reused-[`ScoreBuffer`] scoring hot path, which must
 //!   perform **zero** heap operations once warm — asserted here, and
-//!   ratcheted by `cargo xtask audit` against
-//!   `crates/xtask/alloc-budget.toml`.
+//!   ratcheted by `cargo run -p xtask -- audit` against the
+//!   `[alloc-budget]` section of `crates/xtask/xtask.toml`.
 //!
 //! Prints the JSON recorded in `BENCH_alloc.json`; set `SEGUGIO_BENCH_OUT`
 //! to also write it to a file and `SEGUGIO_BENCH_SCALE=ci` for the reduced
@@ -33,7 +33,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// The tracker's default deployment FP budget (`TrackerConfig::default`).
 const TARGET_FPR: f64 = 0.005;
 
-/// Parses the `[phases]` section of `alloc-budget.toml` (same tiny TOML
+/// Parses the `[alloc-budget]` section of `xtask.toml` (same tiny TOML
 /// subset as the xtask side; the bench must not depend on xtask).
 fn parse_budget(text: &str) -> BTreeMap<String, u64> {
     let mut phases = BTreeMap::new();
@@ -44,7 +44,7 @@ fn parse_budget(text: &str) -> BTreeMap<String, u64> {
             continue;
         }
         if let Some(section) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_phases = section.trim() == "phases";
+            in_phases = section.trim() == "alloc-budget";
             continue;
         }
         if !in_phases {
@@ -178,7 +178,7 @@ fn main() {
     // --- Enforce the checked-in budget when present (the audit re-checks
     //     this against the recorded JSON; failing here gives the developer
     //     the context while the run is still on screen). ---
-    let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../xtask/alloc-budget.toml");
+    let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../xtask/xtask.toml");
     if let Ok(text) = std::fs::read_to_string(&budget_path) {
         let budget = parse_budget(&text);
         for (name, c) in &phases {

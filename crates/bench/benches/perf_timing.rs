@@ -1,6 +1,7 @@
 //! E11: regenerates the Section IV-G performance table and benchmarks the
-//! pipeline phases across network scales (throughput ablation), plus the
-//! serial-vs-parallel comparison behind `BENCH_parallel.json`.
+//! pipeline phases across network scales (throughput ablation), plus a
+//! serial-vs-parallel comparison (the tracked number is the benchmark's
+//! `core.parallel_speedup`; see `benchmark/README.md`).
 
 use std::time::Instant;
 
@@ -42,8 +43,8 @@ fn phase_times(scenario: &Scenario, config: &SegugioConfig, runs: usize) -> (f64
     (build, train, score)
 }
 
-/// Serial (`Some(1)`) vs auto (`None`) pipeline comparison; prints the
-/// JSON recorded in `BENCH_parallel.json`.
+/// Serial (`Some(1)`) vs auto (`None`) pipeline comparison, printed as
+/// JSON.
 fn bench_parallel(scale_config: &SegugioConfig) {
     let machines = 10_000usize;
     let cfg = IspConfig {

@@ -133,7 +133,8 @@ impl IncrementalEngine {
         self.touched = self
             .rolling
             .advance(input.pdns, window, |d| input.seed_label(d));
-        // segugio-lint: allow(H2, the snapshot owns its abuse index while the rolling copy keeps advancing — one O(index) copy per day)
+        // The snapshot owns its abuse index while the rolling copy keeps
+        // advancing: one O(index) copy per day.
         finish_snapshot(unpruned, self.rolling.index().clone(), input, config)
     }
 
@@ -271,7 +272,8 @@ impl IncrementalEngine {
             );
         }
         self.prev = Some(PrevDay {
-            // segugio-lint: allow(H2, the cache must own yesterday's pruned graph to diff tomorrow's against — one O(graph) copy per day)
+            // The cache owns yesterday's pruned graph to diff tomorrow's
+            // against: one O(graph) copy per day.
             pruned: graph.clone(),
             cache,
         });

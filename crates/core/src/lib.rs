@@ -62,6 +62,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library code returns typed errors; a panic site needs a reasoned
+// `#[expect(clippy::…, reason = "…")]`, which fails the build once stale.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::undocumented_unsafe_blocks
+)]
 pub mod checkpoint;
 pub mod config;
 pub mod error;

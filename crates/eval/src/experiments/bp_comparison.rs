@@ -77,7 +77,10 @@ impl fmt::Display for BpReport {
 }
 
 /// Runs the three systems on one ISP1 cross-day pair.
-#[allow(clippy::disallowed_methods)] // score_ms is a reported measurement, not part of the result
+#[expect(
+    clippy::disallowed_methods,
+    reason = "score_ms is a reported measurement, not part of the deterministic result"
+)]
 pub fn run(scale: &Scale) -> BpReport {
     let w = scale.warmup;
     let scenario = Scenario::run(scale.isp1.clone(), w, &[w, w + 13]);
@@ -101,7 +104,6 @@ pub fn run(scale: &Scale) -> BpReport {
     let model = Segugio::train(&train_snap, activity, &scale.config)
         .expect("training day seeds both classes");
     let mut buf = ScoreBuffer::new();
-    // segugio-lint: allow(D2, score_ms is a reported measurement, not part of the deterministic result)
     let t = Instant::now();
     model.score_where_with(&test_snap, activity, |l| l == Label::Unknown, &mut buf);
     let seg_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -114,7 +116,6 @@ pub fn run(scale: &Scale) -> BpReport {
 
     // --- Loopy BP ---
     let bp = BeliefPropagation::new(BeliefConfig::default());
-    // segugio-lint: allow(D2, score_ms is a reported measurement, not part of the deterministic result)
     let t = Instant::now();
     let bp_scores: BTreeMap<DomainId, f32> =
         bp.score_unknown(&test_snap.graph).into_iter().collect();
@@ -122,7 +123,6 @@ pub fn run(scale: &Scale) -> BpReport {
     cases.push(case_from("Loopy BP", &bp_scores, &split, bp_ms));
 
     // --- Co-occurrence ---
-    // segugio-lint: allow(D2, score_ms is a reported measurement, not part of the deterministic result)
     let t = Instant::now();
     let co: BTreeMap<DomainId, f32> = cooccurrence_scores(&test_snap.graph).into_iter().collect();
     let co_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -98,7 +98,10 @@ impl fmt::Display for PerformanceReport {
 }
 
 /// Times the pipeline across `n_days` consecutive days of ISP1.
-#[allow(clippy::disallowed_methods)] // reporting wall-clock timings is this experiment's purpose
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reporting wall-clock timings is this experiment's purpose; they never feed the detector"
+)]
 pub fn run(scale: &Scale, n_days: u32) -> PerformanceReport {
     let w = scale.warmup;
     let days: Vec<u32> = (w..w + n_days).collect();
@@ -109,18 +112,15 @@ pub fn run(scale: &Scale, n_days: u32) -> PerformanceReport {
     // measures steady-state scoring, not buffer growth.
     let mut buf = ScoreBuffer::new();
     for &day in &days {
-        // segugio-lint: allow(D2, this experiment reports wall-clock timings; they never feed the detector)
         let t0 = Instant::now();
         let snap = scenario.snapshot(day, &scale.config, bl, None);
         let snapshot_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // segugio-lint: allow(D2, this experiment reports wall-clock timings; they never feed the detector)
         let t1 = Instant::now();
         let model = Segugio::train(&snap, scenario.isp().activity(), &scale.config)
             .expect("training day seeds both classes");
         let train_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-        // segugio-lint: allow(D2, this experiment reports wall-clock timings; they never feed the detector)
         let t2 = Instant::now();
         model.score_unknown_with(&snap, scenario.isp().activity(), &mut buf);
         let classify_ms = t2.elapsed().as_secs_f64() * 1e3;

@@ -1,13 +1,9 @@
-//! End-to-end exit-code contract for the `segugio` binary and the xtask
-//! static-analysis CLI.
+//! End-to-end exit-code contract for the `segugio` binary.
 //!
 //! The CLI documents a table mapping failure kinds to distinct exit codes
 //! (0 success, 2 usage, 3 I/O, 4 ingest, 5 model parse, 6 data,
 //! 7 checkpoint). Deployment scripts branch on these, so each row is
 //! pinned here by driving the real binary with `CARGO_BIN_EXE_segugio`.
-//! The xtask contract (0 clean, 1 violations, 2 usage, 3 I/O) is pinned
-//! in-process through `xtask::run` for the call-graph reachability rules
-//! R1/H4/D3, via both `lint --strict` and `audit`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -220,91 +216,5 @@ fn track_checkpoints_then_resumes_cleanly() {
     assert!(
         stdout.contains("tracked 0 day(s)"),
         "no day is replayed after a clean resume: {stdout}"
-    );
-}
-
-// --- xtask static-analysis exit codes ---------------------------------------
-
-/// Runs the xtask CLI in-process and returns its exit code.
-fn xtask_run(args: &[&str]) -> i32 {
-    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    xtask::run(&args)
-}
-
-/// Committed fixture tree under the xtask crate that fires one
-/// reachability rule.
-fn callgraph_fixture(name: &str) -> String {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../xtask/tests/fixtures/callgraph")
-        .join(name)
-        .to_str()
-        .unwrap()
-        .to_owned()
-}
-
-#[test]
-fn xtask_reachability_violations_exit_1_via_lint_strict_and_audit() {
-    for (tree, rule) in [("r1", "R1"), ("h4", "H4"), ("d3", "D3")] {
-        let root = callgraph_fixture(tree);
-        assert_eq!(
-            xtask_run(&["lint", "--strict", "--rules", rule, "--root", &root]),
-            1,
-            "{tree}: {rule} violation under lint --strict"
-        );
-        assert_eq!(
-            xtask_run(&["audit", "--rules", rule, "--root", &root]),
-            1,
-            "{tree}: {rule} violation under audit"
-        );
-    }
-}
-
-#[test]
-fn xtask_clean_reachability_rules_exit_0() {
-    // Each fixture fires exactly one rule; the other call-graph rules are
-    // clean on it, so enabling only a non-firing rule must exit 0.
-    for (tree, clean_rule) in [("r1", "D3"), ("h4", "R1"), ("d3", "H4")] {
-        let root = callgraph_fixture(tree);
-        assert_eq!(
-            xtask_run(&["lint", "--strict", "--rules", clean_rule, "--root", &root]),
-            0,
-            "{tree}: {clean_rule} is clean under lint --strict"
-        );
-        assert_eq!(
-            xtask_run(&["audit", "--rules", clean_rule, "--root", &root]),
-            0,
-            "{tree}: {clean_rule} is clean under audit"
-        );
-    }
-}
-
-#[test]
-fn xtask_usage_errors_exit_2() {
-    assert_eq!(xtask_run(&["lint", "--no-such-flag"]), 2);
-    assert_eq!(xtask_run(&["audit", "--rules", "R9"]), 2);
-    assert_eq!(xtask_run(&["frobnicate"]), 2);
-    assert_eq!(xtask_run(&[]), 2);
-}
-
-#[test]
-fn xtask_io_errors_exit_3() {
-    let scratch = ScratchDir::new("xtask-io");
-    let missing = scratch.file("no-such-tree");
-    let missing = missing.to_str().unwrap();
-    assert_eq!(
-        xtask_run(&["lint", "--strict", "--rules", "R1", "--root", missing]),
-        3,
-        "missing root is an I/O error"
-    );
-    assert_eq!(
-        xtask_run(&["audit", "--rules", "R1", "--root", missing]),
-        3,
-        "missing root is an I/O error for audit too"
-    );
-    let root = callgraph_fixture("r1");
-    assert_eq!(
-        xtask_run(&["audit", "--root", &root, "--diff", missing]),
-        3,
-        "unreadable --diff baseline is an I/O error"
     );
 }

@@ -88,7 +88,6 @@ impl DeltaBuilder {
     /// from-scratch graph.
     pub fn new(initial: &BehaviorGraph) -> Self {
         DeltaBuilder {
-            // segugio-lint: allow(H4, one-time constructor copy — runs once per tracker lifetime, not per day)
             prev: initial.clone(),
             scratch: DeltaScratch::default(),
         }
@@ -370,7 +369,6 @@ impl DeltaBuilder {
             }
             ip_off.push(ip_pool.len() as u32);
         }
-        // segugio-lint: allow(H3, the e2ld column moves into the returned graph — one exact-size output allocation)
         let domain_e2ld: Vec<E2ldId> = domains_next.iter().map(|&d| e2ld_of(d)).collect();
 
         let n_m = machines_next.len();
@@ -394,7 +392,8 @@ impl DeltaBuilder {
         if let Err(violation) = graph.validate() {
             unreachable!("delta builder produced an invalid graph: {violation}");
         }
-        // segugio-lint: allow(H2, the builder must retain today's graph to diff tomorrow against while the caller owns the return — one O(graph) copy per day)
+        // The builder keeps today's graph to diff tomorrow against while the
+        // caller owns the return: one O(graph) copy per day.
         self.prev = graph.clone();
         graph
     }

@@ -218,7 +218,6 @@ impl BehaviorGraph {
             .collect();
         let removed = probing.iter().filter(|&&p| p).count();
         if removed == 0 {
-            // segugio-lint: allow(H4, by-value return contract: the no-probing-clients early exit must still hand back an owned graph)
             return (self.clone(), 0);
         }
         let keep_machine: Vec<bool> = probing.iter().map(|&p| !p).collect();

@@ -180,7 +180,6 @@ impl EdgeRuns {
             Ok(()) => self.current.clear(),
             Err(_) => {
                 let full = std::mem::take(&mut self.current);
-                // segugio-lint: allow(H4, amortized: seal() runs once per filled run, not per push)
                 self.current = Vec::with_capacity(full.capacity());
                 self.resident.push(full);
             }
@@ -192,7 +191,6 @@ impl EdgeRuns {
         if self.spill.is_none() {
             self.spill = Some(Spill {
                 file: create_scratch_file()?,
-                // segugio-lint: allow(H4, empty Vec::new is lazy; the spill file itself is created once)
                 runs: Vec::new(),
                 bytes: 0,
             });
@@ -203,7 +201,6 @@ impl EdgeRuns {
             return Err(io::Error::other("spill state vanished"));
         };
         spill.file.seek(SeekFrom::Start(spill.bytes))?;
-        // segugio-lint: allow(H4, amortized: one staging buffer per spill, and spills happen once per filled run)
         let mut buf = Vec::with_capacity(PAIR_BYTES * REFILL_PAIRS.min(self.current.len()));
         for chunk in self.current.chunks(REFILL_PAIRS) {
             buf.clear();
@@ -323,13 +320,14 @@ impl Default for EdgeRuns {
 }
 
 impl Clone for EdgeRuns {
+    #[expect(
+        clippy::panic,
+        reason = "Clone cannot surface io errors; failing to copy the scratch file means the scratch disk died mid-operation"
+    )]
     fn clone(&self) -> Self {
         match self.try_clone() {
             Ok(copy) => copy,
-            Err(err) => {
-                // segugio-lint: allow(C1, Clone cannot surface io errors; failing to copy the scratch file means the scratch disk died mid-operation)
-                panic!("cloning spilled edge runs: {err}")
-            }
+            Err(err) => panic!("cloning spilled edge runs: {err}"),
         }
     }
 }
@@ -372,7 +370,6 @@ fn create_scratch_file() -> io::Result<File> {
     let mut last_err = io::Error::other("no scratch-file attempt made");
     for _ in 0..16 {
         let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-        // segugio-lint: allow(H4, cold path: at most one scratch file per spill state, 16 bounded retries)
         let path = dir.join(format!("segugio-edge-runs-{pid}-{seq}.bin"));
         match OpenOptions::new()
             .read(true)
@@ -421,7 +418,6 @@ impl<'a> MergeSource<'a> {
             file,
             next_offset: run.offset,
             remaining: run.pairs,
-            // segugio-lint: allow(H4, empty Vec::new is lazy; the refill path sizes it once on first use)
             buf: Vec::new(),
             pos: 0,
         }

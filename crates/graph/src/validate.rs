@@ -46,11 +46,9 @@ impl BehaviorGraph {
         check_len("domain_e2ld", self.domain_e2ld.len(), n_d)?;
         check_len("ip_off", self.ip_off.len(), n_d + 1)?;
         if self.ip_off.first() != Some(&0) {
-            // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
             return Err("ip_off must start at 0".to_owned());
         }
         if self.ip_off.windows(2).any(|w| w[0] > w[1]) {
-            // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
             return Err("ip_off offsets decrease".to_owned());
         }
         if self.ip_off.last().map(|&o| o as usize) != Some(self.ip_pool.len()) {
@@ -89,7 +87,6 @@ impl BehaviorGraph {
                 let d_lo = self.d_off[di as usize] as usize;
                 let d_hi = self.d_off[di as usize + 1] as usize;
                 if self.d_adj[d_lo..d_hi].binary_search(&u32_from(mi)).is_err() {
-                    // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
                     return Err(format!(
                         "edge asymmetry: machine {mi} -> domain {di} has no reverse edge"
                     ));
@@ -107,7 +104,6 @@ impl BehaviorGraph {
                 .count();
             let cached = self.machine_malware_degree[mi] as usize;
             if cached != actual {
-                // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
                 return Err(format!(
                     "machine {mi}: cached malware degree {cached} != actual {actual}"
                 ));
@@ -138,7 +134,6 @@ fn check_strictly_ascending<T: Ord + Copy + std::fmt::Debug>(
 ) -> Result<(), String> {
     for w in xs.windows(2) {
         if w[0] >= w[1] {
-            // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
             return Err(format!(
                 "{name} not strictly ascending: {:?} then {:?}",
                 w[0], w[1]
@@ -181,13 +176,11 @@ fn check_csr(
         let hi = off[node + 1] as usize;
         let list = &adj[lo..hi];
         if let Some(&bad) = list.iter().find(|&&x| x as usize >= n_other) {
-            // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
             return Err(format!(
                 "{name}: node {node} has out-of-bounds neighbor {bad} (only {n_other} exist)"
             ));
         }
         if list.windows(2).any(|w| w[0] >= w[1]) {
-            // segugio-lint: allow(H4, error path: allocates only when the graph is corrupt, never on a clean day)
             return Err(format!(
                 "{name}: node {node} adjacency not strictly ascending"
             ));

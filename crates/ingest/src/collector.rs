@@ -192,7 +192,10 @@ impl LogCollector {
             return id;
         }
         let next = u32::try_from(self.machines.len());
-        // segugio-lint: allow(C1, exhausting the 32-bit machine-id space cannot be recovered mid-ingest) segugio-lint: allow(R1, same invariant transitively: ingest() aborting is the only sane response)
+        #[expect(
+            clippy::expect_used,
+            reason = "exhausting the 32-bit machine-id space cannot be recovered mid-ingest; aborting is the only sane response"
+        )]
         let id = MachineId(next.expect("more than u32::MAX client machines"));
         self.machines.push(client.to_owned());
         self.machine_ids.insert(client.to_owned(), id);

@@ -47,6 +47,21 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library code returns typed errors; a panic site needs a reasoned
+// `#[expect(clippy::…, reason = "…")]`, which fails the build once stale.
+// Parsers read attacker-shaped input, so lossy `as` casts are denied too.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss
+)]
 
 pub mod collector;
 pub mod error;

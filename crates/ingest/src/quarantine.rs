@@ -53,12 +53,15 @@ impl IngestStats {
     }
 
     /// Fraction of considered lines that errored; `0.0` on an empty file.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "line counts stay far below 2^52 so the f64 casts are exact"
+    )]
     pub fn error_rate(&self) -> f64 {
         let considered = self.considered();
         if considered == 0 {
             return 0.0;
         }
-        // segugio-lint: allow(C2, line counts stay far below 2^52 so the f64 casts are exact)
         self.errors() as f64 / considered as f64
     }
 
@@ -102,11 +105,14 @@ impl Default for QuarantinePolicy {
 
 impl QuarantinePolicy {
     /// Whether raw counts exceed the policy.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "line counts stay far below 2^52 so the f64 casts are exact"
+    )]
     pub fn exceeded_counts(&self, errors: u64, considered: u64) -> bool {
         if errors < self.min_errors || considered == 0 {
             return false;
         }
-        // segugio-lint: allow(C2, line counts stay far below 2^52 so the f64 casts are exact)
         (errors as f64 / considered as f64) > self.max_error_rate
     }
 

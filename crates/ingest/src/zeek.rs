@@ -236,9 +236,14 @@ impl ZeekReader {
             Some(a) => get(a).split(',').filter_map(parse_ipv4).collect(),
             None => Vec::new(),
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "truncation toward zero is the intended day bucketing and the range is checked above"
+        )]
+        let day = Day(days as u32);
         LineOutcome::Record(LogRecord {
-            // segugio-lint: allow(C2, truncation toward zero is the intended day bucketing and the range is checked above)
-            day: Day(days as u32),
+            day,
             client: client.to_owned(),
             qname,
             ips,

@@ -21,6 +21,16 @@
 //! Everything is deterministic given a seed.
 
 #![warn(missing_docs)]
+// Library code returns typed errors; a panic site needs a reasoned
+// `#[expect(clippy::…, reason = "…")]`, which fails the build once stale.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::undocumented_unsafe_blocks
+)]
 pub mod boosting;
 pub mod dataset;
 pub mod eval;

@@ -62,12 +62,17 @@ impl DomainName {
                 ));
             }
         }
-        let offset = psl::e2ld_offset(&lower);
+        Ok(DomainName::from_validated(lower.into_boxed_str()))
+    }
+
+    /// Wraps an already-validated lowercase name, locating its e2LD.
+    fn from_validated(name: Box<str>) -> Self {
+        let offset = psl::e2ld_offset(&name);
         debug_assert!(offset <= u16::MAX as usize);
-        Ok(DomainName {
-            name: lower.into_boxed_str(),
+        DomainName {
+            name,
             e2ld_offset: offset as u16,
-        })
+        }
     }
 
     /// The full name as a string slice.
@@ -112,8 +117,8 @@ impl DomainName {
     /// ```
     pub fn parent(&self) -> Option<DomainName> {
         let (_, rest) = self.name.split_once('.')?;
-        // Re-parsing recomputes the e2LD offset for the shorter name.
-        Some(DomainName::parse(rest).expect("suffix of a valid name is valid"))
+        // A suffix of a valid name is valid; only the e2LD moves.
+        Some(DomainName::from_validated(rest.into()))
     }
 
     /// Whether `self` is a (strict or equal) subdomain of `ancestor`.

@@ -213,7 +213,6 @@ impl RollingAbuseIndex {
         let (label, first) = {
             let state = self.domains.entry(dom).or_insert_with(|| DomainState {
                 label: label_of(dom),
-                // segugio-lint: allow(H4, empty BTreeMap::new is lazy and runs once per first-seen domain)
                 ips: BTreeMap::new(),
             });
             let count = state.ips.entry(ip).or_insert(0);

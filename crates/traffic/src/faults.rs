@@ -12,7 +12,8 @@
 //! per-day RNG streams derived with SplitMix64 — so a chaos run is
 //! bit-for-bit replayable from its seed alone, regardless of how many days
 //! are processed or in what order the injector's methods are called. The
-//! module deliberately uses no entropy or clock source (xtask rule D2).
+//! module deliberately uses no entropy or clock source (the root
+//! `clippy.toml` `disallowed-methods` list).
 //!
 //! # Example
 //!

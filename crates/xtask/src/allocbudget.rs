@@ -1,12 +1,12 @@
 //! The runtime allocation-budget ratchet.
 //!
-//! The static H rules bound *where* allocation happens; this module bounds
-//! *how much*. The counting-allocator bench (`crates/bench/benches/alloc.rs`,
+//! Hot-path allocation discipline is enforced by measurement, not by
+//! syntax. The counting-allocator bench (`crates/bench/benches/alloc.rs`,
 //! built on `segugio-alloc-probe`) runs a steady-state warm ISP day and
 //! writes per-phase allocation counts to `BENCH_alloc.json` at the
-//! workspace root; `crates/xtask/alloc-budget.toml` is the checked-in
-//! ceiling for each phase. Like the lint baseline, the budget may only
-//! shrink:
+//! workspace root; the `[alloc-budget]` section of
+//! `crates/xtask/xtask.toml` is the checked-in ceiling for each phase. The
+//! budget may only shrink:
 //!
 //! * a measured phase **over** its budget is drift (the audit fails),
 //! * a measured phase **absent** from the budget is drift (every warm-day
@@ -21,6 +21,8 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+
+use crate::config;
 
 /// Per-phase allocation counts as measured by the counting allocator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,67 +44,39 @@ pub struct Budget {
     pub phases: BTreeMap<String, u64>,
 }
 
-/// Parses the `alloc-budget.toml` format: a single `[phases]` section
-/// holding `"phase" = count` entries (the same tiny TOML subset as the
-/// layering DAG and the ratchet baseline).
+/// Parses the `[alloc-budget]` section of `xtask.toml`: `"phase" = count`
+/// entries. `Ok(None)` when the section is absent.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed input.
-pub fn parse(text: &str) -> Result<Budget, String> {
+pub fn parse(text: &str) -> Result<Option<Budget>, String> {
+    let Some(entries) = config::section(text, "alloc-budget")? else {
+        return Ok(None);
+    };
     let mut budget = Budget::default();
-    let mut in_phases = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_phases = section.trim() == "phases";
-            continue;
-        }
-        if !in_phases {
-            return Err(format!(
-                "line {}: entry outside the [phases] section",
-                idx + 1
-            ));
-        }
-        let Some((name, value)) = line.split_once('=') else {
-            return Err(format!("line {}: expected `\"phase\" = count`", idx + 1));
-        };
-        let phase = name
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("line {}: phase name must be double-quoted", idx + 1))?;
-        let count: u64 = value
-            .trim()
+    for entry in entries {
+        let phase = config::unquote(entry.key, entry.line, "phase name")?;
+        let count: u64 = entry
+            .value
             .parse()
-            .map_err(|_| format!("line {}: count must be a non-negative integer", idx + 1))?;
+            .map_err(|_| format!("line {}: count must be a non-negative integer", entry.line))?;
         if budget.phases.insert(phase.to_owned(), count).is_some() {
-            return Err(format!("line {}: duplicate phase `{phase}`", idx + 1));
+            return Err(format!("line {}: duplicate phase `{phase}`", entry.line));
         }
     }
-    Ok(budget)
+    Ok(Some(budget))
 }
 
-/// Loads `<root>/crates/xtask/alloc-budget.toml`. Returns `Ok(None)` when
-/// the file does not exist — trees without a budget (synthetic test trees)
-/// skip the allocation check.
+/// Loads the `[alloc-budget]` section of `<root>/crates/xtask/xtask.toml`.
+/// Returns `Ok(None)` when the file or the section does not exist — trees
+/// without a budget (synthetic test trees) skip the allocation check.
 ///
 /// # Errors
 ///
 /// Returns a message when the file exists but cannot be read or parsed.
 pub fn load(root: &Path) -> Result<Option<Budget>, String> {
-    let path = root.join("crates/xtask/alloc-budget.toml");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&text)
-        .map(Some)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    config::load(root, parse)
 }
 
 /// The measurement written by the counting-allocator bench.
@@ -253,11 +227,6 @@ impl AllocState {
     pub fn is_clean(&self) -> bool {
         self.drift.is_clean()
     }
-
-    /// Whether both the budget and a measurement were present.
-    pub fn checked(&self) -> bool {
-        self.budget.is_some() && self.measured.is_some()
-    }
 }
 
 /// Evaluates the allocation-budget state for a tree.
@@ -283,9 +252,13 @@ pub fn evaluate(root: &Path) -> Result<AllocState, String> {
 mod tests {
     use super::*;
 
+    fn budget(text: &str) -> Budget {
+        parse(text).unwrap().unwrap()
+    }
+
     #[test]
     fn parse_round_trips_the_budget() {
-        let b = parse("# warm-day ceilings\n[phases]\n\"score\" = 0\n\"train\" = 1200\n").unwrap();
+        let b = budget("# warm-day ceilings\n[alloc-budget]\n\"score\" = 0\n\"train\" = 1200\n");
         assert_eq!(b.phases.get("score"), Some(&0));
         assert_eq!(b.phases.get("train"), Some(&1200));
     }
@@ -293,10 +266,16 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_budgets() {
         assert!(parse("\"score\" = 0").is_err(), "entry before section");
-        assert!(parse("[phases]\nscore = 0").is_err(), "unquoted phase");
-        assert!(parse("[phases]\n\"score\" = many").is_err(), "non-integer");
         assert!(
-            parse("[phases]\n\"score\" = 0\n\"score\" = 1").is_err(),
+            parse("[alloc-budget]\nscore = 0").is_err(),
+            "unquoted phase"
+        );
+        assert!(
+            parse("[alloc-budget]\n\"score\" = many").is_err(),
+            "non-integer"
+        );
+        assert!(
+            parse("[alloc-budget]\n\"score\" = 0\n\"score\" = 1").is_err(),
             "duplicate phase"
         );
     }
@@ -319,7 +298,7 @@ mod tests {
 
     #[test]
     fn compare_finds_over_stale_and_unbudgeted() {
-        let budget = parse("[phases]\n\"score\" = 0\n\"gone\" = 5\n\"train\" = 10\n").unwrap();
+        let budget = budget("[alloc-budget]\n\"score\" = 0\n\"gone\" = 5\n\"train\" = 10\n");
         let measured = parse_measured(
             r#"{"machines": 1, "phases": {
                 "score": {"allocs": 3, "frees": 0, "bytes": 1, "peak_bytes": 1},
@@ -336,7 +315,7 @@ mod tests {
 
     #[test]
     fn exact_budget_match_is_clean() {
-        let budget = parse("[phases]\n\"score\" = 0\n").unwrap();
+        let budget = budget("[alloc-budget]\n\"score\" = 0\n");
         let measured = parse_measured(
             r#"{"machines": 1, "phases": {"score": {"allocs": 0, "frees": 0, "bytes": 0, "peak_bytes": 0}}}"#,
         )

@@ -3,9 +3,9 @@
 //! `cargo run -p xtask -- audit --json` emits one JSON document describing
 //! the full static-analysis state of the tree: per-rule violation and
 //! suppression counts, every finding, every suppression (with whether it
-//! is live or stale), and the drift against the ratchet baseline. CI
-//! uploads it as an artifact on every run so lint state is diffable across
-//! commits without re-running anything.
+//! is live or stale), and the allocation-budget state. CI uploads it as an
+//! artifact on every run so lint state is diffable across commits without
+//! re-running anything.
 //!
 //! The output is **deterministic**: objects are emitted in fixed key
 //! order, arrays in the linter's sorted order, and nothing (no timestamps,
@@ -17,33 +17,12 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::allocbudget::AllocState;
-use crate::baseline::{Counts, Ratchet};
 use crate::{rules, LintReport};
 
-/// The current audit schema id. v4 added the `callgraph` section and the
-/// `missing` baseline array.
-pub const SCHEMA: &str = "segugio-audit/4";
-
-/// Extracts the `schema` field from a rendered audit report.
-pub fn schema_of(json: &str) -> Option<&str> {
-    let needle = "\"schema\": \"";
-    let pos = json.find(needle)? + needle.len();
-    let rest = &json[pos..];
-    rest.split('"').next()
-}
-
-/// Extracts the call-graph `unresolved_ratio` from a rendered audit
-/// report (`None` for pre-v4 reports or lint passes without the
-/// reachability rules).
-pub fn unresolved_ratio_of(json: &str) -> Option<f64> {
-    let needle = "\"unresolved_ratio\": ";
-    let rest = &json[json.find(needle)? + needle.len()..];
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
-}
+/// The current audit schema id. v5 dropped the `baseline` and `callgraph`
+/// sections and the per-rule `baselined` count along with the machinery
+/// they reported on.
+pub const SCHEMA: &str = "segugio-audit/5";
 
 /// Escapes a string for a JSON string literal.
 fn escape(s: &str) -> String {
@@ -64,35 +43,9 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Sums a rule's entries in a `(rule, file) -> count` map.
-fn rule_total(counts: &Counts, rule: &str) -> usize {
-    counts
-        .iter()
-        .filter(|((r, _), _)| r == rule)
-        .map(|(_, &n)| n)
-        .sum()
-}
-
 /// Renders the full audit JSON document.
-#[allow(clippy::too_many_arguments)] // mirrors run_audit state
-pub fn render_json(
-    report: &LintReport,
-    base: &Counts,
-    ratchet: &Ratchet,
-    missing: &[(String, String, usize)],
-    enabled: &BTreeSet<String>,
-    alloc: &AllocState,
-    ceiling: Option<f64>,
-) -> String {
-    let cg_clean = match (&report.callgraph, ceiling) {
-        (Some(cg), Some(c)) => cg.unresolved_ratio() <= c,
-        _ => true,
-    };
-    let clean = ratchet.is_clean()
-        && ratchet.stale.is_empty()
-        && missing.is_empty()
-        && alloc.is_clean()
-        && cg_clean;
+pub fn render_json(report: &LintReport, enabled: &BTreeSet<String>, alloc: &AllocState) -> String {
+    let clean = report.violations.is_empty() && alloc.is_clean();
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
@@ -110,8 +63,7 @@ pub fn render_json(
             out.push_str(",\n");
         }
         first = false;
-        let current = rule_total(&report.counts, rule);
-        let baselined = rule_total(base, rule);
+        let current = report.count(rule);
         let used = report
             .suppressions
             .iter()
@@ -124,7 +76,7 @@ pub fn render_json(
             .count();
         let _ = write!(
             out,
-            "    \"{rule}\": {{\"violations\": {current}, \"baselined\": {baselined}, \"suppressions_used\": {used}, \"suppressions_stale\": {stale}}}"
+            "    \"{rule}\": {{\"violations\": {current}, \"suppressions_used\": {used}, \"suppressions_stale\": {stale}}}"
         );
     }
     out.push_str("\n  },\n");
@@ -167,55 +119,7 @@ pub fn render_json(
         out.push_str("\n  ],\n");
     }
 
-    // Baseline drift: growth fails the ratchet, staleness should shrink
-    // it, and entries naming deleted files must be removed.
-    out.push_str("  \"baseline\": {\n    \"grown\": [");
-    render_drift(&mut out, &ratchet.grown);
-    out.push_str("],\n    \"stale\": [");
-    render_drift(&mut out, &ratchet.stale);
-    out.push_str("],\n    \"missing\": [");
-    for (i, (rule, file, n)) in missing.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(
-            out,
-            "{sep}{{\"rule\": \"{rule}\", \"file\": \"{}\", \"baselined\": {n}}}",
-            escape(file)
-        );
-    }
-    out.push_str("]\n  },\n");
-
-    // Call-graph resolution stats: present when any reachability rule ran.
-    out.push_str("  \"callgraph\": {\n");
-    match &report.callgraph {
-        Some(cg) => {
-            out.push_str("    \"present\": true,\n");
-            let _ = writeln!(out, "    \"nodes\": {},", cg.nodes);
-            let _ = writeln!(out, "    \"edges\": {},", cg.edges);
-            let _ = writeln!(
-                out,
-                "    \"calls\": {{\"total\": {}, \"resolved\": {}, \"external\": {}, \"unresolved\": {}}},",
-                cg.calls_total, cg.calls_resolved, cg.calls_external, cg.calls_unresolved
-            );
-            let _ = writeln!(
-                out,
-                "    \"unresolved_ratio\": {:.4},",
-                cg.unresolved_ratio()
-            );
-            let _ = writeln!(
-                out,
-                "    \"ceiling\": {},",
-                ceiling.map_or("null".to_owned(), |c| format!("{c}"))
-            );
-            let _ = writeln!(out, "    \"clean\": {cg_clean}");
-        }
-        None => {
-            out.push_str("    \"present\": false,\n");
-            out.push_str("    \"clean\": true\n");
-        }
-    }
-    out.push_str("  },\n");
-
-    // Allocation-budget state: the runtime counterpart of the H rules.
+    // Allocation-budget state: what the warm day measured against its ceilings.
     render_alloc(&mut out, alloc);
     out.push_str("}\n");
     out
@@ -278,83 +182,56 @@ fn render_alloc(out: &mut String, alloc: &AllocState) {
     out.push_str("]\n  }\n");
 }
 
-fn render_drift(out: &mut String, entries: &[(String, String, usize, usize)]) {
-    for (i, (rule, file, baselined, current)) in entries.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(
-            out,
-            "{sep}{{\"rule\": \"{rule}\", \"file\": \"{}\", \"baselined\": {baselined}, \"current\": {current}}}",
-            escape(file)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::Violation;
     use crate::Suppression;
 
-    fn tiny_report() -> LintReport {
+    fn enabled() -> BTreeSet<String> {
+        rules::ALL_RULES.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn empty_report() -> LintReport {
         LintReport {
+            files_scanned: 0,
+            violations: Vec::new(),
+            suppressions: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn json_is_deterministic_and_escaped() {
+        let report = LintReport {
             files_scanned: 2,
             violations: vec![Violation {
                 file: "crates/core/src/lib.rs".to_owned(),
                 line: 3,
-                rule: "D2",
+                rule: "P1",
                 message: "uses \"quotes\" and\nnewline".to_owned(),
             }],
-            counts: [(("D2".to_owned(), "crates/core/src/lib.rs".to_owned()), 1)]
-                .into_iter()
-                .collect(),
             suppressions: vec![Suppression {
                 file: "crates/core/src/lib.rs".to_owned(),
                 line: 9,
                 rule: "D1".to_owned(),
                 used: true,
             }],
-            callgraph: None,
-        }
-    }
-
-    #[test]
-    fn json_is_deterministic_and_escaped() {
-        let report = tiny_report();
-        let base = Counts::new();
-        let ratchet = crate::baseline::compare(&base, &report.counts);
-        let enabled: BTreeSet<String> = rules::ALL_RULES.iter().map(|s| s.to_string()).collect();
+        };
         let alloc = AllocState::default();
-        let a = render_json(&report, &base, &ratchet, &[], &enabled, &alloc, None);
-        let b = render_json(&report, &base, &ratchet, &[], &enabled, &alloc, None);
+        let a = render_json(&report, &enabled(), &alloc);
+        let b = render_json(&report, &enabled(), &alloc);
         assert_eq!(a, b, "byte-identical across runs");
-        assert!(a.contains("\"schema\": \"segugio-audit/4\""), "{a}");
+        assert!(a.contains("\"schema\": \"segugio-audit/5\""), "{a}");
         assert!(a.contains("\\\"quotes\\\""), "{a}");
         assert!(a.contains("\\n"), "{a}");
         assert!(a.contains("\"clean\": false"));
+        assert!(a.contains("\"P1\": {\"violations\": 1,"), "{a}");
         assert!(a.contains("\"suppressions_used\": 1"));
     }
 
     #[test]
     fn empty_report_renders_empty_arrays() {
-        let report = LintReport {
-            files_scanned: 0,
-            violations: Vec::new(),
-            counts: Counts::new(),
-            suppressions: Vec::new(),
-            callgraph: None,
-        };
-        let base = Counts::new();
-        let ratchet = crate::baseline::compare(&base, &report.counts);
-        let enabled: BTreeSet<String> = rules::ALL_RULES.iter().map(|s| s.to_string()).collect();
-        let json = render_json(
-            &report,
-            &base,
-            &ratchet,
-            &[],
-            &enabled,
-            &AllocState::default(),
-            None,
-        );
+        let json = render_json(&empty_report(), &enabled(), &AllocState::default());
         assert!(json.contains("\"violations\": [],"), "{json}");
         assert!(json.contains("\"clean\": true"), "{json}");
         assert!(json.contains("\"budget_present\": false"), "{json}");
@@ -362,17 +239,9 @@ mod tests {
 
     #[test]
     fn alloc_drift_marks_the_report_unclean() {
-        let report = LintReport {
-            files_scanned: 0,
-            violations: Vec::new(),
-            counts: Counts::new(),
-            suppressions: Vec::new(),
-            callgraph: None,
-        };
-        let base = Counts::new();
-        let ratchet = crate::baseline::compare(&base, &report.counts);
-        let enabled: BTreeSet<String> = rules::ALL_RULES.iter().map(|s| s.to_string()).collect();
-        let budget = crate::allocbudget::parse("[phases]\n\"score\" = 0\n").unwrap();
+        let budget = crate::allocbudget::parse("[alloc-budget]\n\"score\" = 0\n")
+            .unwrap()
+            .unwrap();
         let measured = crate::allocbudget::parse_measured(
             r#"{"machines": 1, "phases": {"score": {"allocs": 9, "frees": 0, "bytes": 1, "peak_bytes": 1}}}"#,
         )
@@ -383,7 +252,7 @@ mod tests {
             measured: Some(measured),
             drift,
         };
-        let json = render_json(&report, &base, &ratchet, &[], &enabled, &alloc, None);
+        let json = render_json(&empty_report(), &enabled(), &alloc);
         assert!(json.contains("\"clean\": false"), "{json}");
         assert!(
             json.contains("{\"phase\": \"score\", \"budget\": 0, \"measured\": 9}"),

@@ -2,8 +2,8 @@
 //!
 //! The workspace is layered: parsing and data-model crates at the bottom,
 //! the detection engine above them, evaluation and benchmarking on top.
-//! The allowed dependency DAG is checked in as `crates/xtask/layering.toml`
-//! and enforced from two directions:
+//! The allowed dependency DAG is checked in as the `[layering]` section of
+//! `crates/xtask/xtask.toml` and enforced from two directions:
 //!
 //! 1. **Manifest edges** — every `segugio-*` entry in a crate's
 //!    `[dependencies]` section must be an allowed edge
@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
+use crate::config;
 use crate::rules::{FileClass, Violation};
 use crate::scan::ScannedFile;
 
@@ -44,71 +45,42 @@ impl Layering {
     }
 }
 
-/// Parses the `layering.toml` format: a single `[layers]` section holding
-/// `name = "dep dep …"` entries (the same deliberately tiny TOML subset as
-/// the ratchet baseline — no external dependency).
+/// Parses the `[layering]` section of `xtask.toml`: `name = "dep dep …"`
+/// entries. `Ok(None)` when the section is absent.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed input.
-pub fn parse(text: &str) -> Result<Layering, String> {
+pub fn parse(text: &str) -> Result<Option<Layering>, String> {
+    let Some(entries) = config::section(text, "layering")? else {
+        return Ok(None);
+    };
     let mut layering = Layering::default();
-    let mut in_layers = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    for entry in entries {
+        if entry.key.is_empty() {
+            return Err(format!("line {}: empty crate name", entry.line));
         }
-        if let Some(section) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_layers = section.trim() == "layers";
-            continue;
-        }
-        if !in_layers {
-            return Err(format!(
-                "line {}: entry outside the [layers] section",
-                idx + 1
-            ));
-        }
-        let Some((name, value)) = line.split_once('=') else {
-            return Err(format!(
-                "line {}: expected `crate = \"dep dep …\"`",
-                idx + 1
-            ));
-        };
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!("line {}: empty crate name", idx + 1));
-        }
-        let deps = value
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("line {}: dep list must be double-quoted", idx + 1))?;
+        let deps = config::unquote(entry.value, entry.line, "dep list")?;
         let set: BTreeSet<String> = deps.split_whitespace().map(str::to_owned).collect();
-        if layering.allowed.insert(name.to_owned(), set).is_some() {
-            return Err(format!("line {}: duplicate crate `{name}`", idx + 1));
+        if layering.allowed.insert(entry.key.to_owned(), set).is_some() {
+            return Err(format!(
+                "line {}: duplicate crate `{}`",
+                entry.line, entry.key
+            ));
         }
     }
-    Ok(layering)
+    Ok(Some(layering))
 }
 
-/// Loads `<root>/crates/xtask/layering.toml`. Returns `Ok(None)` when the
-/// file does not exist — trees without a DAG (synthetic test trees) simply
-/// skip A1.
+/// Loads the `[layering]` section of `<root>/crates/xtask/xtask.toml`.
+/// Returns `Ok(None)` when the file or the section does not exist — trees
+/// without a DAG (synthetic test trees) simply skip A1.
 ///
 /// # Errors
 ///
 /// Returns a message when the file exists but cannot be read or parsed.
 pub fn load(root: &Path) -> Result<Option<Layering>, String> {
-    let path = root.join("crates/xtask/layering.toml");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&text)
-        .map(Some)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    config::load(root, parse)
 }
 
 /// The crate short name owning a workspace-relative source path, for paths
@@ -152,7 +124,7 @@ pub fn check_manifests(root: &Path, layering: &Layering) -> Result<Vec<Violation
                 line: 1,
                 rule: "A1",
                 message: format!(
-                    "crate `{name}` is not declared in crates/xtask/layering.toml; add it to the [layers] DAG"
+                    "crate `{name}` is not declared in crates/xtask/xtask.toml; add it to the [layering] DAG"
                 ),
             });
             continue;
@@ -196,9 +168,7 @@ pub fn check_manifests(root: &Path, layering: &Layering) -> Result<Vec<Violation
 /// Checks one scanned source file's `segugio_*` path mentions against the
 /// DAG. Only non-test code under `crates/<name>/src/` is in scope; one
 /// violation is reported per (file, dep) at its first mention. Allow
-/// comments that suppress an edge are recorded in `used` (A1 runs at tree
-/// level, so its W1 accounting happens in [`crate::lint_tree`], not in
-/// `lint_file_full`).
+/// comments that suppress an edge are recorded in `used` for W1.
 pub fn check_source(
     class: &FileClass,
     scanned: &ScannedFile,
@@ -238,7 +208,7 @@ pub fn check_source(
             line: tok.line,
             rule: "A1",
             message: format!(
-                "`segugio_{dep}` used from crate `{krate}`: edge absent from the layering DAG (crates/xtask/layering.toml)"
+                "`segugio_{dep}` used from crate `{krate}`: edge absent from the layering DAG (crates/xtask/xtask.toml)"
             ),
         });
     }
@@ -251,12 +221,12 @@ mod tests {
     use crate::scan::scan;
 
     fn dag(text: &str) -> Layering {
-        parse(text).unwrap()
+        parse(text).unwrap().unwrap()
     }
 
     #[test]
     fn parse_round_trips_the_adjacency() {
-        let l = dag("[layers]\nmodel = \"\"\ngraph = \"model\"\ncore = \"model graph\"\n");
+        let l = dag("[layering]\nmodel = \"\"\ngraph = \"model\"\ncore = \"model graph\"\n");
         assert!(l.permits("graph", "model"));
         assert!(!l.permits("graph", "core"));
         assert!(l.declares("model"));
@@ -266,9 +236,9 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         assert!(parse("model = \"\"").is_err(), "entry before section");
-        assert!(parse("[layers]\nmodel = bare").is_err(), "unquoted list");
+        assert!(parse("[layering]\nmodel = bare").is_err(), "unquoted list");
         assert!(
-            parse("[layers]\nmodel = \"\"\nmodel = \"\"").is_err(),
+            parse("[layering]\nmodel = \"\"\nmodel = \"\"").is_err(),
             "duplicate crate"
         );
     }
@@ -285,7 +255,7 @@ mod tests {
 
     #[test]
     fn source_mentions_outside_the_dag_are_flagged() {
-        let l = dag("[layers]\ngraph = \"model\"\n");
+        let l = dag("[layering]\ngraph = \"model\"\n");
         let src = "use segugio_model::Day;\nuse segugio_eval::Report;\n";
         let mut out = Vec::new();
         let mut used = BTreeSet::new();
@@ -305,7 +275,7 @@ mod tests {
 
     #[test]
     fn allow_comments_suppress_and_are_recorded_as_used() {
-        let l = dag("[layers]\ngraph = \"model\"\n");
+        let l = dag("[layering]\ngraph = \"model\"\n");
         let src = "// segugio-lint: allow(A1, transitional edge, tracked in the migration issue)\nuse segugio_eval::Report;\n";
         let mut out = Vec::new();
         let mut used = BTreeSet::new();
@@ -322,7 +292,7 @@ mod tests {
 
     #[test]
     fn plain_identifiers_are_not_dependency_edges() {
-        let l = dag("[layers]\ngraph = \"model\"\n");
+        let l = dag("[layering]\ngraph = \"model\"\n");
         let src = "struct S { segugio_eval: f64 }\nfn f(s: &S) -> f64 { s.segugio_eval }\n";
         let mut out = Vec::new();
         check_source(
@@ -337,7 +307,7 @@ mod tests {
 
     #[test]
     fn test_code_may_reach_across_layers() {
-        let l = dag("[layers]\ngraph = \"model\"\n");
+        let l = dag("[layering]\ngraph = \"model\"\n");
         let src = "#[cfg(test)]\nmod tests {\n    use segugio_eval::Report;\n}\n";
         let mut out = Vec::new();
         check_source(

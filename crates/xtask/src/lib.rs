@@ -2,19 +2,17 @@
 //!
 //! Two tasks share one static-analysis engine:
 //!
-//! * `lint` — enforce the repo's determinism, concurrency, layering,
-//!   hot-path allocation (see [`hotpath`]), atomic-persistence (see
-//!   [`persistence`]), unsafe-hygiene (see [`rules`]), and call-graph
-//!   reachability invariants (see [`callgraph`] and [`reach`]) against a
-//!   checked-in ratchet baseline (see [`baseline`]).
-//! * `audit` — emit the same pass as a deterministic machine-readable
+//! * `lint` — enforce the invariants no compiler-integrated gate covers:
+//!   hash-order determinism and parallel-closure discipline (see
+//!   [`rules`]), crate layering (see [`layering`]), atomic persistence
+//!   (see [`persistence`]), and the hygiene of the suppressions themselves.
+//! * `audit` — emit the same pass, plus the runtime allocation-budget
+//!   ratchet (see [`allocbudget`]), as a deterministic machine-readable
 //!   report (see [`audit`]), uploaded as a CI artifact on every run.
 //!
 //! ```text
-//! cargo run -p xtask -- lint  [--list] [--strict] [--update-baseline]
-//!                             [--rules D1,D2,…] [--root DIR] [--baseline FILE]
-//! cargo run -p xtask -- audit [--json] [--out FILE] [--diff OLD.json]
-//!                             [--rules D1,D2,…] [--root DIR] [--baseline FILE]
+//! cargo run -p xtask -- lint  [--list] [--rules D1,P1,…] [--root DIR]
+//! cargo run -p xtask -- audit [--json] [--out FILE] [--rules D1,P1,…] [--root DIR]
 //! ```
 //!
 //! Both tasks share one exit-code table (pinned by integration test):
@@ -22,12 +20,9 @@
 
 pub mod allocbudget;
 pub mod audit;
-pub mod baseline;
-pub mod callgraph;
-pub mod hotpath;
+pub mod config;
 pub mod layering;
 pub mod persistence;
-pub mod reach;
 pub mod rules;
 pub mod scan;
 pub mod workspace;
@@ -36,16 +31,16 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::Counts;
-use rules::Violation;
+pub use rules::Suppression;
+use rules::{TreeChecks, Violation};
 
-/// Exit code: no findings beyond the baseline.
+/// Exit code: no findings.
 pub const EXIT_CLEAN: i32 = 0;
-/// Exit code: findings beyond the baseline (or stale entries in strict mode).
+/// Exit code: lint findings or (audit) allocation-budget drift.
 pub const EXIT_VIOLATIONS: i32 = 1;
 /// Exit code: unknown task, flag, or malformed value.
 pub const EXIT_USAGE: i32 = 2;
-/// Exit code: unreadable tree/baseline or unwritable output.
+/// Exit code: unreadable tree/config or unwritable output.
 pub const EXIT_IO: i32 = 3;
 
 const USAGE: &str = "\
@@ -55,68 +50,54 @@ USAGE:
     cargo run -p xtask -- <TASK> [OPTIONS]
 
 TASKS:
-    lint     enforce the determinism/concurrency/layering/hot-path and
-             call-graph reachability rules against the ratchet baseline
-             (lint-baseline.toml)
-    audit    emit the same pass as a deterministic JSON report
-             (segugio-audit/4, including the allocation-budget and
-             call-graph sections)
+    lint     enforce the determinism/concurrency/layering/persistence rules
+             (D1 P1 P2 A1 S1 W1; configured by crates/xtask/xtask.toml)
+    audit    emit the same pass, plus the allocation-budget ratchet, as a
+             deterministic JSON report (segugio-audit/5)
     help     print this message
 
 COMMON OPTIONS (lint and audit):
     --root DIR         workspace root to scan (default: this workspace)
-    --baseline FILE    ratchet baseline path, relative to the root
-                       (default: lint-baseline.toml)
     --rules A,B,…      enable only the named rules (default: all)
 
 LINT OPTIONS:
-    --list             print every violation, not just those beyond the baseline
-    --strict           treat stale baseline entries as errors (CI mode)
-    --update-baseline  rewrite the baseline from the current tree
+    --list             print every violation, not just the per-rule counts
 
 AUDIT OPTIONS:
     --json             print the JSON report to stdout
     --out FILE         also write the JSON report to FILE
-    --diff OLD.json    print per-rule count deltas against an older
-                       audit report (CI artifact comparison)
 
 EXIT CODES (shared by lint and audit):
-    0    clean — no findings beyond the baseline
-    1    violations — findings beyond the baseline or baseline entries
-         naming deleted files; for audit (always strict) and
-         `lint --strict`, stale baseline entries too, and for audit any
-         allocation-budget drift (alloc-budget.toml vs BENCH_alloc.json)
-         or an unresolved-call ratio above callgraph-ceiling.toml
+    0    clean — no findings
+    1    violations — any lint finding; for audit also any
+         allocation-budget drift ([alloc-budget] vs BENCH_alloc.json)
     2    usage — unknown task, flag, or malformed value
-    3    io — unreadable tree or baseline, or unwritable output
+    3    io — unreadable tree or config, or unwritable output
 ";
 
-/// Parsed `lint` subcommand options.
+/// Options shared by `lint` and `audit`, plus each task's own flags.
 #[derive(Debug, Clone)]
-pub struct LintOptions {
+pub struct Options {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Baseline file path (relative to `root` unless absolute).
-    pub baseline: PathBuf,
     /// Enabled rules.
     pub rules: BTreeSet<String>,
-    /// Rewrite the baseline instead of checking against it.
-    pub update_baseline: bool,
-    /// Treat stale baseline entries as errors.
-    pub strict: bool,
-    /// Print every violation, not just the ones beyond the baseline.
+    /// `lint`: print every violation, not just the per-rule counts.
     pub list: bool,
+    /// `audit`: print the JSON report to stdout.
+    pub json: bool,
+    /// `audit`: also write the JSON report to this path.
+    pub out: Option<PathBuf>,
 }
 
-impl Default for LintOptions {
+impl Default for Options {
     fn default() -> Self {
-        LintOptions {
+        Options {
             root: workspace::workspace_root(),
-            baseline: PathBuf::from("lint-baseline.toml"),
             rules: rules::ALL_RULES.iter().map(|s| s.to_string()).collect(),
-            update_baseline: false,
-            strict: false,
             list: false,
+            json: false,
+            out: None,
         }
     }
 }
@@ -139,146 +120,33 @@ fn parse_rules(list: &str) -> Result<BTreeSet<String>, String> {
     Ok(selected)
 }
 
-fn resolve(root: &Path, path: &Path) -> PathBuf {
-    if path.is_absolute() {
-        path.to_path_buf()
-    } else {
-        root.join(path)
-    }
-}
-
-impl LintOptions {
-    /// Parses `lint` subcommand arguments.
+impl Options {
+    /// Parses the arguments of `task` (`"lint"` or `"audit"`).
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags or malformed values.
-    pub fn parse(args: &[String]) -> Result<LintOptions, String> {
-        let mut opts = LintOptions::default();
+    /// Returns a usage message on flags the task does not take or
+    /// malformed values.
+    pub fn parse(task: &str, args: &[String]) -> Result<Options, String> {
+        let mut opts = Options::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--update-baseline" => opts.update_baseline = true,
-                "--strict" => opts.strict = true,
-                "--list" => opts.list = true,
-                "--root" => {
-                    opts.root =
-                        PathBuf::from(it.next().ok_or_else(|| "--root needs a value".to_owned())?);
-                }
-                "--baseline" => {
-                    opts.baseline = PathBuf::from(
-                        it.next()
-                            .ok_or_else(|| "--baseline needs a value".to_owned())?,
-                    );
-                }
-                "--rules" => {
-                    opts.rules = parse_rules(
-                        it.next()
-                            .ok_or_else(|| "--rules needs a value".to_owned())?,
-                    )?;
-                }
-                other => return Err(format!("unknown lint flag `{other}`")),
+            let mut value = || {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{arg} needs a value"))
+            };
+            match (task, arg.as_str()) {
+                (_, "--root") => opts.root = PathBuf::from(value()?),
+                (_, "--rules") => opts.rules = parse_rules(&value()?)?,
+                ("lint", "--list") => opts.list = true,
+                ("audit", "--json") => opts.json = true,
+                ("audit", "--out") => opts.out = Some(PathBuf::from(value()?)),
+                (_, other) => return Err(format!("unknown {task} flag `{other}`")),
             }
         }
         Ok(opts)
     }
-
-    fn baseline_path(&self) -> PathBuf {
-        resolve(&self.root, &self.baseline)
-    }
-}
-
-/// Parsed `audit` subcommand options.
-#[derive(Debug, Clone)]
-pub struct AuditOptions {
-    /// Workspace root to scan.
-    pub root: PathBuf,
-    /// Baseline file path (relative to `root` unless absolute).
-    pub baseline: PathBuf,
-    /// Enabled rules.
-    pub rules: BTreeSet<String>,
-    /// Print the JSON report to stdout.
-    pub json: bool,
-    /// Also write the JSON report to this path.
-    pub out: Option<PathBuf>,
-    /// Print per-rule count deltas against this older audit report.
-    pub diff: Option<PathBuf>,
-}
-
-impl Default for AuditOptions {
-    fn default() -> Self {
-        AuditOptions {
-            root: workspace::workspace_root(),
-            baseline: PathBuf::from("lint-baseline.toml"),
-            rules: rules::ALL_RULES.iter().map(|s| s.to_string()).collect(),
-            json: false,
-            out: None,
-            diff: None,
-        }
-    }
-}
-
-impl AuditOptions {
-    /// Parses `audit` subcommand arguments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on unknown flags or malformed values.
-    pub fn parse(args: &[String]) -> Result<AuditOptions, String> {
-        let mut opts = AuditOptions::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--json" => opts.json = true,
-                "--out" => {
-                    opts.out = Some(PathBuf::from(
-                        it.next().ok_or_else(|| "--out needs a value".to_owned())?,
-                    ));
-                }
-                "--diff" => {
-                    opts.diff = Some(PathBuf::from(
-                        it.next().ok_or_else(|| "--diff needs a value".to_owned())?,
-                    ));
-                }
-                "--root" => {
-                    opts.root =
-                        PathBuf::from(it.next().ok_or_else(|| "--root needs a value".to_owned())?);
-                }
-                "--baseline" => {
-                    opts.baseline = PathBuf::from(
-                        it.next()
-                            .ok_or_else(|| "--baseline needs a value".to_owned())?,
-                    );
-                }
-                "--rules" => {
-                    opts.rules = parse_rules(
-                        it.next()
-                            .ok_or_else(|| "--rules needs a value".to_owned())?,
-                    )?;
-                }
-                other => return Err(format!("unknown audit flag `{other}`")),
-            }
-        }
-        Ok(opts)
-    }
-
-    fn baseline_path(&self) -> PathBuf {
-        resolve(&self.root, &self.baseline)
-    }
-}
-
-/// One `segugio-lint: allow(…)` comment in non-test code, and whether it
-/// suppressed anything in this pass.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Suppression {
-    /// Workspace-relative file holding the comment.
-    pub file: String,
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// The rule it names.
-    pub rule: String,
-    /// Whether it suppressed at least one finding (stale when `false`).
-    pub used: bool,
 }
 
 /// The full result of a lint pass over a tree.
@@ -288,194 +156,56 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Every (unsuppressed) violation found, sorted.
     pub violations: Vec<Violation>,
-    /// Aggregated counts per (rule, file).
-    pub counts: Counts,
-    /// Every allow-comment site in non-test code, with usage state.
+    /// Every judged allow-comment site in non-test code, with usage state.
     pub suppressions: Vec<Suppression>,
-    /// Call-graph resolution stats, when any reachability rule ran.
-    pub callgraph: Option<callgraph::Stats>,
+}
+
+impl LintReport {
+    /// Number of violations of `rule`.
+    pub fn count(&self, rule: &str) -> usize {
+        self.violations.iter().filter(|v| v.rule == rule).count()
+    }
 }
 
 /// Lints every workspace source file under `root` with the given rules.
 ///
-/// When A1 is enabled and `crates/xtask/layering.toml` exists, manifest
-/// and source dependency edges are checked against the layering DAG;
-/// trees without the file (synthetic test trees) skip A1 silently.
+/// A1 and S1 run only when their section of `crates/xtask/xtask.toml`
+/// exists; trees without it (synthetic test trees) skip them silently.
 ///
 /// # Errors
 ///
-/// Returns an I/O error message if the tree or the layering DAG cannot
-/// be read.
+/// Returns an I/O error message if the tree or the config cannot be read.
 pub fn lint_tree(root: &Path, enabled: &BTreeSet<String>) -> Result<LintReport, String> {
-    let layering = if enabled.contains("A1") {
-        layering::load(root)?
-    } else {
-        None
+    let checks = TreeChecks {
+        layering: layering::load(root)?.filter(|_| enabled.contains("A1")),
+        persistence: persistence::load(root)?.filter(|_| enabled.contains("S1")),
     };
-    let h_enabled = ["H1", "H2", "H3", "H4"]
-        .iter()
-        .any(|r| enabled.contains(*r));
-    let hot = if h_enabled {
-        hotpath::load(root)?
-    } else {
-        None
-    };
-    let persist = if enabled.contains("S1") {
-        persistence::load(root)?
-    } else {
-        None
-    };
-    let cg_enabled = ["R1", "D3"].iter().any(|r| enabled.contains(*r))
-        || (enabled.contains("H4") && hot.is_some());
     let files = workspace::rust_files(root)?;
     let mut violations = Vec::new();
     let mut suppressions = Vec::new();
-    if let Some(dag) = &layering {
+    if let Some(dag) = &checks.layering {
         violations.extend(layering::check_manifests(root, dag)?);
     }
-
-    // Pass 1: scan every file once; the token streams feed both the
-    // per-file rules and the whole-workspace call graph.
-    let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let src =
             fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
-        sources.push(callgraph::SourceFile {
-            class: rules::classify(rel),
-            scanned: scan::scan(&src),
-        });
-    }
-
-    // Pass 2: per-file rules and the tree-level config-driven checks,
-    // with one used-allow set per file.
-    let mut used_sets: Vec<BTreeSet<(u32, String)>> = Vec::with_capacity(sources.len());
-    for source in &sources {
-        let (class, scanned) = (&source.class, &source.scanned);
-        let lint = rules::lint_file_full(class, scanned, enabled);
-        let mut used = lint.used_allows;
+        let lint =
+            rules::lint_file_full(&rules::classify(rel), &scan::scan(&src), enabled, &checks);
         violations.extend(lint.violations);
-        if let Some(dag) = &layering {
-            layering::check_source(class, scanned, dag, &mut violations, &mut used);
-        }
-        if let Some(hot) = &hot {
-            hotpath::check_source(class, scanned, hot, enabled, &mut violations, &mut used);
-        }
-        if let Some(persist) = &persist {
-            persistence::check_source(class, scanned, persist, enabled, &mut violations, &mut used);
-        }
-        used_sets.push(used);
-    }
-
-    // Pass 3: the call-graph reachability rules (R1 / H4 / D3).
-    let cg_stats = if cg_enabled {
-        let graph = callgraph::build(&sources);
-        if enabled.contains("R1") {
-            reach::check_r1(&sources, &graph, &mut violations, &mut used_sets);
-        }
-        if enabled.contains("H4") {
-            if let Some(hot) = &hot {
-                reach::check_h4(&sources, &graph, hot, &mut violations, &mut used_sets);
-            }
-        }
-        if enabled.contains("D3") {
-            reach::check_d3(&sources, &graph, &mut violations, &mut used_sets);
-        }
-        Some(graph.stats)
-    } else {
-        None
-    };
-
-    // Pass 4: record allow sites now that every rule (including the
-    // reachability families) has claimed its suppressions.
-    for (source, used) in sources.iter().zip(&used_sets) {
-        collect_suppressions(
-            &source.class,
-            &source.scanned,
-            enabled,
-            used,
-            layering.is_some(),
-            hot.is_some(),
-            persist.is_some(),
-            cg_enabled,
-            &mut suppressions,
-            &mut violations,
-        );
+        suppressions.extend(lint.suppressions);
     }
     violations.sort();
-    violations.dedup();
     suppressions.sort();
-    let counts = baseline::count_violations(&violations);
     Ok(LintReport {
         files_scanned: files.len(),
         violations,
-        counts,
         suppressions,
-        callgraph: cg_stats,
     })
-}
-
-/// Records every allow-comment site in non-test code with its usage state,
-/// and performs the tree-level W1 accounting that `rule_w1` defers for A1,
-/// S1, the H family, and the reachability rules (their suppressions are
-/// only visible after the tree-level check passes run).
-#[allow(clippy::too_many_arguments)] // internal helper mirroring lint_tree state
-fn collect_suppressions(
-    class: &rules::FileClass,
-    scanned: &scan::ScannedFile,
-    enabled: &BTreeSet<String>,
-    used: &BTreeSet<(u32, String)>,
-    layering_active: bool,
-    hotpath_active: bool,
-    persist_active: bool,
-    cg_active: bool,
-    suppressions: &mut Vec<Suppression>,
-    violations: &mut Vec<Violation>,
-) {
-    if class.is_test {
-        return;
-    }
-    for (&line, rule_names) in &scanned.allows {
-        if scanned.is_test_line(line) {
-            continue;
-        }
-        for rule in rule_names {
-            if !rules::ALL_RULES.contains(&rule.as_str()) || !enabled.contains(rule) {
-                continue;
-            }
-            let is_used = used.contains(&(line, rule.clone()));
-            suppressions.push(Suppression {
-                file: class.path.clone(),
-                line,
-                rule: rule.clone(),
-                used: is_used,
-            });
-            let tree_level = (rule == "A1" && layering_active)
-                || (matches!(rule.as_str(), "H1" | "H2" | "H3") && hotpath_active)
-                || (rule == "S1" && persist_active)
-                || (matches!(rule.as_str(), "R1" | "D3") && cg_active)
-                || (rule == "H4" && cg_active && hotpath_active);
-            if tree_level && enabled.contains("W1") && !is_used {
-                let what = match rule.as_str() {
-                    "A1" => "layering",
-                    "S1" => "persistence",
-                    "R1" => "panic-reachability",
-                    "D3" => "determinism-taint",
-                    _ => "hot-path",
-                };
-                violations.push(Violation {
-                    file: class.path.clone(),
-                    line,
-                    rule: "W1",
-                    message: format!("unused suppression: `allow({rule})` matches no {what} finding on this or the next line; delete the stale comment"),
-                });
-            }
-        }
-    }
 }
 
 /// Runs the `lint` subcommand end to end, printing to stdout.
 /// Returns the process exit code.
-pub fn run_lint(opts: &LintOptions) -> i32 {
+pub fn run_lint(opts: &Options) -> i32 {
     let report = match lint_tree(&opts.root, &opts.rules) {
         Ok(r) => r,
         Err(e) => {
@@ -483,140 +213,37 @@ pub fn run_lint(opts: &LintOptions) -> i32 {
             return EXIT_IO;
         }
     };
-    let baseline_path = opts.baseline_path();
-
-    if opts.update_baseline {
-        let text = baseline::serialize(&report.counts);
-        if let Err(e) = fs::write(&baseline_path, text) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return EXIT_IO;
-        }
-        println!(
-            "wrote {} ({} grandfathered violations)",
-            baseline_path.display(),
-            report.violations.len()
-        );
-        print_summary(&report, None, &opts.rules);
-        return EXIT_CLEAN;
-    }
-
-    let base = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {}: {e}", baseline_path.display());
-                return EXIT_IO;
-            }
-        },
-        Err(_) => {
-            // No baseline yet: everything current is "new".
-            Counts::new()
-        }
-    };
-    let ratchet = baseline::compare(&base, &report.counts);
-    let missing = baseline::missing_entries(&base, &opts.root);
-    print_summary(&report, Some(&base), &opts.rules);
-
+    print_summary(&report, &opts.rules);
     if opts.list {
         for v in &report.violations {
             println!("{}:{}: {} {}", v.file, v.line, v.rule, v.message);
         }
     }
-
-    let mut failed = false;
-    if !missing.is_empty() {
-        failed = true;
-        println!("\nbaseline entries naming deleted files:");
-        for (rule, file, n) in &missing {
-            println!("  {rule} {file}: baselined {n}, but the file no longer exists");
-        }
-        println!("run `cargo run -p xtask -- lint --update-baseline` to drop the dead entries.");
-    }
-    if !ratchet.is_clean() {
-        failed = true;
-        println!("\nviolations beyond the baseline:");
-        println!("--- {}", opts.baseline.display());
-        println!("+++ working tree");
-        for (rule, file, base_n, cur) in &ratchet.grown {
-            println!("+ {rule} {file}: {cur} violations (baseline {base_n})");
-            for v in report
-                .violations
-                .iter()
-                .filter(|v| v.rule == rule && &v.file == file)
-            {
-                println!("    {}:{}: {}", v.file, v.line, v.message);
-            }
-        }
-        println!(
-            "\nfix the sites above, add `// segugio-lint: allow(RULE, reason)` where the\n\
-             pattern is genuinely safe, or (for pre-existing debt only) re-baseline with\n\
-             `cargo run -p xtask -- lint --update-baseline`."
-        );
-    }
-    if !ratchet.stale.is_empty() {
-        println!("\nstale baseline entries (violations fixed — tighten the ratchet):");
-        for (rule, file, base_n, cur) in &ratchet.stale {
-            println!("  {rule} {file}: baseline {base_n}, now {cur}");
-        }
-        println!("run `cargo run -p xtask -- lint --update-baseline` to shrink the baseline.");
-        if opts.strict {
-            failed = true;
-        }
-    }
-    if failed {
-        EXIT_VIOLATIONS
-    } else {
-        println!("\nOK: no violations beyond {}", baseline_path.display());
+    if report.violations.is_empty() {
+        println!("\nOK: no violations");
         EXIT_CLEAN
+    } else {
+        println!(
+            "\n{} violations (`--list` prints each site): fix them, or add\n\
+             `// segugio-lint: allow(RULE, reason)` where the pattern is genuinely safe.",
+            report.violations.len()
+        );
+        EXIT_VIOLATIONS
     }
 }
 
-/// Runs the `audit` subcommand end to end. Always strict: stale baseline
-/// entries fail the audit just like growth. Returns the process exit code.
-pub fn run_audit(opts: &AuditOptions) -> i32 {
-    let report = match lint_tree(&opts.root, &opts.rules) {
-        Ok(r) => r,
+/// Runs the `audit` subcommand end to end. Returns the process exit code.
+pub fn run_audit(opts: &Options) -> i32 {
+    let (report, alloc) = match lint_tree(&opts.root, &opts.rules)
+        .and_then(|report| allocbudget::evaluate(&opts.root).map(|alloc| (report, alloc)))
+    {
+        Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: {e}");
             return EXIT_IO;
         }
     };
-    let baseline_path = opts.baseline_path();
-    let base = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {}: {e}", baseline_path.display());
-                return EXIT_IO;
-            }
-        },
-        Err(_) => Counts::new(),
-    };
-    let ratchet = baseline::compare(&base, &report.counts);
-    let missing = baseline::missing_entries(&base, &opts.root);
-    let alloc = match allocbudget::evaluate(&opts.root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return EXIT_IO;
-        }
-    };
-    let ceiling = match callgraph::load_ceiling(&opts.root) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return EXIT_IO;
-        }
-    };
-    let json = audit::render_json(
-        &report,
-        &base,
-        &ratchet,
-        &missing,
-        &opts.rules,
-        &alloc,
-        ceiling,
-    );
+    let json = audit::render_json(&report, &opts.rules, &alloc);
 
     if let Some(out_path) = &opts.out {
         if let Err(e) = fs::write(out_path, &json) {
@@ -624,38 +251,16 @@ pub fn run_audit(opts: &AuditOptions) -> i32 {
             return EXIT_IO;
         }
     }
-    if let Some(diff_path) = &opts.diff {
-        let old = match fs::read_to_string(diff_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", diff_path.display());
-                return EXIT_IO;
-            }
-        };
-        print_diff(&old, &json, &opts.rules);
-    }
     if opts.json {
         print!("{json}");
     } else {
-        print_summary(&report, Some(&base), &opts.rules);
+        print_summary(&report, &opts.rules);
         let stale = report.suppressions.iter().filter(|s| !s.used).count();
         println!(
             "  suppressions: {} total, {} stale",
             report.suppressions.len(),
             stale
         );
-        if let Some(cg) = &report.callgraph {
-            println!(
-                "  call graph: {} nodes, {} edges, unresolved ratio {:.4}{}",
-                cg.nodes,
-                cg.edges,
-                cg.unresolved_ratio(),
-                match ceiling {
-                    Some(c) => format!(" (ceiling {c})"),
-                    None => String::new(),
-                }
-            );
-        }
         match (&alloc.budget, &alloc.measured) {
             (Some(b), Some(_)) => {
                 println!(
@@ -679,120 +284,30 @@ pub fn run_audit(opts: &AuditOptions) -> i32 {
             println!("wrote {}", out_path.display());
         }
     }
-    let cg_clean = match (&report.callgraph, ceiling) {
-        (Some(cg), Some(c)) => cg.unresolved_ratio() <= c,
-        _ => true,
-    };
-    if ratchet.is_clean()
-        && ratchet.stale.is_empty()
-        && missing.is_empty()
-        && alloc.is_clean()
-        && cg_clean
-    {
+    if report.violations.is_empty() && alloc.is_clean() {
         EXIT_CLEAN
     } else {
         EXIT_VIOLATIONS
     }
 }
 
-/// Extracts `"<rule>": {"violations": N` counts from a rendered audit
-/// report, for `--diff` (string-level scan — the reports are emitted by
-/// [`audit::render_json`], whose shape is pinned by test).
-fn rule_counts_from_json(json: &str, rules: &BTreeSet<String>) -> Vec<(String, Option<usize>)> {
-    let mut out = Vec::new();
-    for rule in rules {
-        let needle = format!("\"{rule}\": {{\"violations\": ");
-        let count = json.find(&needle).and_then(|pos| {
-            let rest = &json[pos + needle.len()..];
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().ok()
-        });
-        out.push((rule.clone(), count));
-    }
-    out
-}
-
-/// Prints per-rule violation-count deltas between an older audit report
-/// and the current one (satellite of the call-graph analyzer: CI compares
-/// uploaded artifacts across PRs).
-fn print_diff(old_json: &str, new_json: &str, enabled: &BTreeSet<String>) {
-    let old_schema = audit::schema_of(old_json).unwrap_or("unknown");
-    println!(
-        "audit diff (old report: {old_schema}, new report: {})",
-        audit::SCHEMA
-    );
-    println!("  {:<6} {:>8} {:>8} {:>8}", "rule", "old", "new", "delta");
-    let old_counts = rule_counts_from_json(old_json, enabled);
-    let new_counts = rule_counts_from_json(new_json, enabled);
-    let mut old_total = 0usize;
-    let mut new_total = 0usize;
-    for ((rule, old), (_, new)) in old_counts.iter().zip(&new_counts) {
-        let (o, n) = (old.unwrap_or(0), new.unwrap_or(0));
-        old_total += o;
-        new_total += n;
-        let delta = n as i64 - o as i64;
-        let old_s = match old {
-            Some(o) => o.to_string(),
-            None => "-".to_owned(),
-        };
-        println!("  {:<6} {:>8} {:>8} {:>+8}", rule, old_s, n, delta);
-    }
-    println!(
-        "  {:<6} {:>8} {:>8} {:>+8}",
-        "total",
-        old_total,
-        new_total,
-        new_total as i64 - old_total as i64
-    );
-    let old_ratio = audit::unresolved_ratio_of(old_json);
-    let new_ratio = audit::unresolved_ratio_of(new_json);
-    if let (Some(o), Some(n)) = (old_ratio, new_ratio) {
-        println!("  unresolved-call ratio: {o:.4} -> {n:.4}");
-    }
-}
-
 /// Prints the per-rule violation summary table.
-fn print_summary(report: &LintReport, base: Option<&Counts>, enabled: &BTreeSet<String>) {
+fn print_summary(report: &LintReport, enabled: &BTreeSet<String>) {
     println!("segugio-lint: scanned {} files", report.files_scanned);
-    println!(
-        "  {:<6} {:>10} {:>10} {:>6}",
-        "rule", "violations", "baselined", "new"
-    );
+    println!("  {:<6} {:>10}", "rule", "violations");
     for rule in rules::ALL_RULES {
-        if !enabled.contains(*rule) {
-            continue;
+        if enabled.contains(*rule) {
+            println!("  {:<6} {:>10}", rule, report.count(rule));
         }
-        let cur: usize = report
-            .counts
-            .iter()
-            .filter(|((r, _), _)| r == rule)
-            .map(|(_, &n)| n)
-            .sum();
-        let baselined: usize = base
-            .map(|b| {
-                b.iter()
-                    .filter(|((r, _), _)| r == rule)
-                    .map(|(_, &n)| n)
-                    .sum()
-            })
-            .unwrap_or(0);
-        let new = cur.saturating_sub(baselined);
-        println!("  {:<6} {:>10} {:>10} {:>6}", rule, cur, baselined, new);
     }
 }
 
 /// Top-level CLI entry: dispatches subcommands. Returns the exit code.
 pub fn run(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("lint") => match LintOptions::parse(&args[1..]) {
-            Ok(opts) => run_lint(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprint!("{USAGE}");
-                EXIT_USAGE
-            }
-        },
-        Some("audit") => match AuditOptions::parse(&args[1..]) {
+    let task = args.first().map(String::as_str);
+    match task {
+        Some(task @ ("lint" | "audit")) => match Options::parse(task, &args[1..]) {
+            Ok(opts) if task == "lint" => run_lint(&opts),
             Ok(opts) => run_audit(&opts),
             Err(e) => {
                 eprintln!("error: {e}");

@@ -7,10 +7,10 @@
 //! atomic writer in `crates/core/src/checkpoint.rs` (temp file + fsync +
 //! rename), and this rule keeps every declared persistence module on it.
 //!
-//! The checked-in `crates/xtask/persistence.toml` declares the persistence
-//! modules — `"crates/<c>/src/<f>.rs" = "fn fn …"` entries under a
-//! `[persist]` section, where the fn list names the *sanctioned writer
-//! functions* allowed to touch the filesystem directly. One rule fires:
+//! The `[persistence]` section of the checked-in `crates/xtask/xtask.toml`
+//! declares the persistence modules — `"crates/<c>/src/<f>.rs" = "fn fn …"`
+//! entries, where the fn list names the *sanctioned writer functions*
+//! allowed to touch the filesystem directly. One rule fires:
 //!
 //! * **S1** — a raw write entry point (`fs::write`, `File::create`,
 //!   `OpenOptions::new`) in a declared persistence module *outside* its
@@ -18,14 +18,12 @@
 //!   atomic helper instead.
 //!
 //! S1 is suppressible with a reasoned allow comment (the same
-//! `segugio-lint` syntax as every other family) and participates in the
-//! ratchet baseline; like A1 and the H family it runs at tree level, with
-//! W1 accounting for its allows done in [`crate::lint_tree`].
+//! `segugio-lint` syntax as every other family), tracked by W1.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::path::Path;
 
+use crate::config;
 use crate::rules::{FileClass, Violation};
 use crate::scan::{matching_close, ScannedFile, Token};
 
@@ -44,82 +42,48 @@ impl Persistence {
     }
 }
 
-/// Parses the `persistence.toml` format: a single `[persist]` section
-/// holding `"file" = "fn fn …"` entries (the same deliberately tiny TOML
-/// subset as the hot-region list, the layering DAG, and the baseline).
+/// Parses the `[persistence]` section of `xtask.toml`: `"file" = "fn fn …"`
+/// entries. `Ok(None)` when the section is absent.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed input.
-pub fn parse(text: &str) -> Result<Persistence, String> {
+pub fn parse(text: &str) -> Result<Option<Persistence>, String> {
+    let Some(entries) = config::section(text, "persistence")? else {
+        return Ok(None);
+    };
     let mut persistence = Persistence::default();
-    let mut in_persist = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_persist = section.trim() == "persist";
-            continue;
-        }
-        if !in_persist {
-            return Err(format!(
-                "line {}: entry outside the [persist] section",
-                idx + 1
-            ));
-        }
-        let Some((name, value)) = line.split_once('=') else {
-            return Err(format!(
-                "line {}: expected `\"file\" = \"fn fn …\"`",
-                idx + 1
-            ));
-        };
-        let file = name
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("line {}: file path must be double-quoted", idx + 1))?;
-        let fns = value
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("line {}: fn list must be double-quoted", idx + 1))?;
+    for entry in entries {
+        let file = config::unquote(entry.key, entry.line, "file path")?;
+        let fns = config::unquote(entry.value, entry.line, "fn list")?;
         let set: BTreeSet<String> = fns.split_whitespace().map(str::to_owned).collect();
         if set.is_empty() {
-            return Err(format!("line {}: empty fn list for `{file}`", idx + 1));
+            return Err(format!("line {}: empty fn list for `{file}`", entry.line));
         }
         if persistence.persist.insert(file.to_owned(), set).is_some() {
-            return Err(format!("line {}: duplicate file `{file}`", idx + 1));
+            return Err(format!("line {}: duplicate file `{file}`", entry.line));
         }
     }
-    Ok(persistence)
+    Ok(Some(persistence))
 }
 
-/// Loads `<root>/crates/xtask/persistence.toml`. Returns `Ok(None)` when
-/// the file does not exist — trees without declared persistence modules
-/// (synthetic test trees) simply skip S1.
+/// Loads the `[persistence]` section of `<root>/crates/xtask/xtask.toml`.
+/// Returns `Ok(None)` when the file or the section does not exist — trees
+/// without declared persistence modules (synthetic test trees) simply
+/// skip S1.
 ///
 /// # Errors
 ///
 /// Returns a message when the file exists but cannot be read or parsed.
 pub fn load(root: &Path) -> Result<Option<Persistence>, String> {
-    let path = root.join("crates/xtask/persistence.toml");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&text)
-        .map(Some)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    config::load(root, parse)
 }
 
 /// Token index ranges (half-open) of the bodies of the named functions.
 /// For each `fn <name>` whose name is sanctioned, the body is the brace
 /// group after the signature (skipping balanced `(…)`/`[…]` groups, so
 /// parenthesized bounds in generics and the parameter list itself do not
-/// confuse the walk) — the same walk the hot-region locator uses.
+/// confuse the walk).
 fn sanctioned_bodies(tokens: &[Token], names: &BTreeSet<String>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let text = |k: usize| tokens.get(k).map(|t| t.text.as_str());
@@ -152,19 +116,14 @@ const RAW_WRITES: &[(&str, &str)] = &[("fs", "write"), ("File", "create"), ("Ope
 /// Runs S1 over one scanned source file. Only declared persistence modules
 /// are in scope; raw write entry points inside the sanctioned writer
 /// functions are the implementation of the atomic path and do not fire.
-/// Suppressions are recorded in `used` for the tree-level W1 accounting in
-/// [`crate::lint_tree`].
+/// Suppressions are recorded in `used` for W1.
 pub fn check_source(
     class: &FileClass,
     scanned: &ScannedFile,
     persistence: &Persistence,
-    enabled: &BTreeSet<String>,
     out: &mut Vec<Violation>,
     used: &mut BTreeSet<(u32, String)>,
 ) {
-    if !enabled.contains("S1") {
-        return;
-    }
     let Some(names) = persistence.sanctioned(&class.path) else {
         return;
     };
@@ -190,7 +149,7 @@ pub fn check_source(
         }
         out.push(Violation {
             file: class.path.clone(),
-            line: scanned.macro_def_line(tok.line).unwrap_or(tok.line),
+            line: tok.line,
             rule: "S1",
             message: format!(
                 "`{qual}::{t}` writes checkpoint state directly in a declared persistence module; route it through the sanctioned atomic writer (temp file + fsync + rename) — declared: {}",
@@ -207,28 +166,20 @@ mod tests {
     use crate::scan::scan;
 
     fn persist(text: &str) -> Persistence {
-        parse(text).unwrap()
+        parse(text).unwrap().unwrap()
     }
 
     fn check(path: &str, src: &str, p: &Persistence) -> Vec<Violation> {
-        let enabled: BTreeSet<String> = ["S1".to_owned()].into_iter().collect();
         let mut out = Vec::new();
         let mut used = BTreeSet::new();
-        check_source(
-            &classify(path),
-            &scan(src),
-            p,
-            &enabled,
-            &mut out,
-            &mut used,
-        );
+        check_source(&classify(path), &scan(src), p, &mut out, &mut used);
         out.sort();
         out
     }
 
     #[test]
     fn parse_round_trips_persistence_modules() {
-        let p = persist("[persist]\n\"crates/core/src/checkpoint.rs\" = \"write_atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/checkpoint.rs\" = \"write_atomic\"\n");
         assert_eq!(
             p.sanctioned("crates/core/src/checkpoint.rs")
                 .map(|s| s.len()),
@@ -240,21 +191,24 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         assert!(parse("\"f\" = \"g\"").is_err(), "entry before section");
-        assert!(parse("[persist]\nf = \"g\"").is_err(), "unquoted file");
+        assert!(parse("[persistence]\nf = \"g\"").is_err(), "unquoted file");
         assert!(
-            parse("[persist]\n\"f\" = bare").is_err(),
+            parse("[persistence]\n\"f\" = bare").is_err(),
             "unquoted fn list"
         );
-        assert!(parse("[persist]\n\"f\" = \"\"").is_err(), "empty fn list");
         assert!(
-            parse("[persist]\n\"f\" = \"g\"\n\"f\" = \"h\"").is_err(),
+            parse("[persistence]\n\"f\" = \"\"").is_err(),
+            "empty fn list"
+        );
+        assert!(
+            parse("[persistence]\n\"f\" = \"g\"\n\"f\" = \"h\"").is_err(),
             "duplicate file"
         );
     }
 
     #[test]
     fn raw_writes_fire_outside_sanctioned_fns() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "
 fn save(path: &Path, bytes: &[u8]) {
     fs::write(path, bytes);
@@ -272,14 +226,14 @@ fn atomic(path: &Path, bytes: &[u8]) {
 
     #[test]
     fn undeclared_files_are_out_of_scope() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "fn save(path: &Path) { fs::write(path, b\"x\"); }";
         assert!(check("crates/core/src/other.rs", src, &p).is_empty());
     }
 
     #[test]
     fn fully_qualified_paths_still_fire() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "fn save(path: &Path) { std::fs::write(path, b\"x\"); }";
         let v = check("crates/core/src/ckpt.rs", src, &p);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -288,7 +242,7 @@ fn atomic(path: &Path, bytes: &[u8]) {
 
     #[test]
     fn test_code_in_declared_files_is_exempt() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "
 fn lib() {}
 #[cfg(test)]
@@ -300,20 +254,18 @@ mod tests {
 
     #[test]
     fn allows_suppress_and_are_recorded_as_used() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "
 fn save(path: &Path, bytes: &[u8]) {
     // segugio-lint: allow(S1, lock file is advisory, torn content is fine)
     fs::write(path, bytes);
 }";
-        let enabled: BTreeSet<String> = ["S1".to_owned()].into_iter().collect();
         let mut out = Vec::new();
         let mut used = BTreeSet::new();
         check_source(
             &classify("crates/core/src/ckpt.rs"),
             &scan(src),
             &p,
-            &enabled,
             &mut out,
             &mut used,
         );
@@ -323,7 +275,7 @@ fn save(path: &Path, bytes: &[u8]) {
 
     #[test]
     fn reads_never_fire() {
-        let p = persist("[persist]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
+        let p = persist("[persistence]\n\"crates/core/src/ckpt.rs\" = \"atomic\"\n");
         let src = "
 fn load(path: &Path) -> Vec<u8> {
     let meta = fs::metadata(path);

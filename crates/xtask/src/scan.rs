@@ -6,8 +6,9 @@
 //! yields identifier/symbol tokens tagged with their 1-based line number.
 //! It additionally extracts:
 //!
-//! - `// segugio-lint: allow(RULE, reason)` suppression comments,
-//! - `// SAFETY:` justification comments (consumed by rule U1),
+//! - `// segugio-lint: allow(RULE, reason)` suppression comments (a
+//!   directive is a comment that *starts* with the marker; prose that
+//!   merely quotes the syntax is not one),
 //! - the line ranges covered by `#[cfg(test)]` / `#[test]` items, so rules
 //!   can skip unit-test code embedded in library files, and
 //! - [`parallel_regions`]: the closure bodies handed to `parallel_map*` /
@@ -33,14 +34,8 @@ pub struct ScannedFile {
     pub tokens: Vec<Token>,
     /// `line -> rules` suppressed by an allow comment on that line.
     pub allows: BTreeMap<u32, BTreeSet<String>>,
-    /// Lines whose comment carries a `SAFETY:` justification.
-    pub safety_lines: BTreeSet<u32>,
     /// Inclusive line ranges belonging to `#[cfg(test)]` / `#[test]` items.
     pub test_ranges: Vec<(u32, u32)>,
-    /// `(body_first_line, body_last_line, definition_line)` for every
-    /// `macro_rules!` body, so rule firings inside a macro body can be
-    /// attributed to the macro's definition line.
-    pub macro_bodies: Vec<(u32, u32, u32)>,
 }
 
 impl ScannedFile {
@@ -66,26 +61,6 @@ impl ScannedFile {
             .into_iter()
             .find(|l| self.allows.get(l).is_some_and(|rules| rules.contains(rule)))
     }
-
-    /// The `macro_rules!` definition line owning `line`, when `line` falls
-    /// inside a macro body. Rules report firings inside macro bodies at the
-    /// definition line — the body text is a template, and the definition is
-    /// the one stable site a reader (or an allow comment) can anchor to.
-    pub fn macro_def_line(&self, line: u32) -> Option<u32> {
-        self.macro_bodies
-            .iter()
-            .find(|&&(lo, hi, def)| lo <= line && line <= hi && line != def)
-            .map(|&(_, _, def)| def)
-    }
-
-    /// Whether an `// SAFETY:` comment sits on `line` or up to two lines
-    /// above it (the comment conventionally precedes the unsafe block).
-    pub fn has_safety_comment(&self, line: u32) -> bool {
-        self.safety_lines
-            .range(line.saturating_sub(2)..=line)
-            .next()
-            .is_some()
-    }
 }
 
 /// Scans Rust source text into a [`ScannedFile`].
@@ -107,7 +82,7 @@ pub fn scan(src: &str) -> ScannedFile {
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-            record_comment(&src[start..i], line, line, &mut out);
+            record_allow(&src[start..i], line, &mut out.allows);
         } else if c == b'/' && bytes.get(i + 1) == Some(&b'*') {
             let start_line = line;
             let start = i;
@@ -127,7 +102,7 @@ pub fn scan(src: &str) -> ScannedFile {
                     i += 1;
                 }
             }
-            record_comment(&src[start..i], start_line, line, &mut out);
+            record_allow(&src[start..i], start_line, &mut out.allows);
         } else if c == b'"' {
             i = skip_string(bytes, i + 1, &mut line);
         } else if c == b'\'' {
@@ -179,35 +154,6 @@ pub fn scan(src: &str) -> ScannedFile {
     }
 
     out.test_ranges = test_ranges(&out.tokens);
-    out.macro_bodies = macro_bodies(&out.tokens);
-    out
-}
-
-/// Finds every `macro_rules! name { … }` body as
-/// `(body_first_line, body_last_line, definition_line)`.
-fn macro_bodies(tokens: &[Token]) -> Vec<(u32, u32, u32)> {
-    let mut out = Vec::new();
-    let text = |k: usize| tokens.get(k).map(|t| t.text.as_str());
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if text(i) != Some("macro_rules") || text(i + 1) != Some("!") {
-            i += 1;
-            continue;
-        }
-        // `macro_rules ! name <open>` where the outer delimiter is usually
-        // `{` but may be `(` or `[`.
-        let open = i + 3;
-        if !matches!(text(open), Some("{") | Some("(") | Some("[")) {
-            i += 1;
-            continue;
-        }
-        let close = matching_close(tokens, open);
-        let def_line = tokens[i].line;
-        let body_start = tokens[open].line;
-        let body_end = tokens.get(close).map_or(u32::MAX, |t| t.line);
-        out.push((body_start, body_end, def_line));
-        i = close.max(open) + 1;
-    }
     out
 }
 
@@ -302,31 +248,21 @@ fn try_skip_prefixed_string(bytes: &[u8], i: usize, line: &mut u32) -> Option<us
     }
 }
 
-/// Records the directives a comment may carry: `segugio-lint: allow(…)`
-/// suppressions (anchored at the comment's first line) and `SAFETY:`
-/// justifications (anchored at its last line, nearest the code below).
-fn record_comment(comment: &str, start_line: u32, end_line: u32, out: &mut ScannedFile) {
-    record_allow(comment, start_line, &mut out.allows);
-    if comment.contains("SAFETY:") {
-        out.safety_lines.insert(end_line);
-    }
-}
-
-/// Extracts `segugio-lint: allow(RULE, reason)` directives from a comment.
+/// Extracts `segugio-lint: allow(RULE, reason)` directives from a comment
+/// that starts with the marker (several may be chained in one comment).
+/// Comments that mention the syntax mid-sentence are prose, not directives.
 fn record_allow(comment: &str, line: u32, allows: &mut BTreeMap<u32, BTreeSet<String>>) {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("segugio-lint:") {
-        rest = &rest[pos + "segugio-lint:".len()..];
-        let trimmed = rest.trim_start();
-        let Some(args) = trimmed.strip_prefix("allow(") else {
-            continue;
+    let mut rest = comment.trim_start_matches(['/', '*', '!']).trim_start();
+    while let Some(after) = rest.strip_prefix("segugio-lint:") {
+        let Some(args) = after.trim_start().strip_prefix("allow(") else {
+            return;
         };
-        let Some(end) = args.find(')') else { continue };
-        let inner = &args[..end];
-        let rule = inner.split(',').next().unwrap_or("").trim();
+        let Some(end) = args.find(')') else { return };
+        let rule = args[..end].split(',').next().unwrap_or("").trim();
         if !rule.is_empty() {
             allows.entry(line).or_default().insert(rule.to_owned());
         }
+        rest = args[end + 1..].trim_start();
     }
 }
 
@@ -643,6 +579,19 @@ mod tests {
     }
 
     #[test]
+    fn only_comments_starting_with_the_marker_are_directives() {
+        let s = scan(
+            "// The syntax is `segugio-lint: allow(D1, reason)`.
+             //! segugio-lint: allow(P1, a) segugio-lint: allow(P2, b)
+             /* segugio-lint: allow(S1, block comments count) */
+",
+        );
+        assert!(!s.is_allowed("D1", 1), "quoted syntax is prose");
+        assert!(s.is_allowed("P1", 2) && s.is_allowed("P2", 2), "chained");
+        assert!(s.is_allowed("S1", 3));
+    }
+
+    #[test]
     fn cfg_test_ranges_cover_mod_bodies() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn tail() {}\n";
         let s = scan(src);
@@ -658,18 +607,6 @@ mod tests {
         let s = scan(src);
         assert!(s.is_test_line(2));
         assert!(!s.is_test_line(3));
-    }
-
-    #[test]
-    fn safety_comments_are_recorded() {
-        let s = scan("// SAFETY: disjoint slices\nunsafe { x() }\nplain();\n");
-        assert!(s.has_safety_comment(2));
-        assert!(
-            !s.has_safety_comment(3) || s.has_safety_comment(1),
-            "window is small"
-        );
-        let none = scan("// just a comment\nunsafe { x() }\n");
-        assert!(!none.has_safety_comment(2));
     }
 
     #[test]

@@ -4,9 +4,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into: build output, vendored
-/// dependencies (not our code), VCS metadata, and the linter's own test
-/// fixtures (which contain violations on purpose).
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+/// dependencies (not our code), VCS metadata, the standalone `benchmark`
+/// package (its own workspace, outside these invariants), and the
+/// linter's own test fixtures (which contain violations on purpose).
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "benchmark", "fixtures"];
 
 /// Returns every `.rs` file under `root`, as workspace-relative paths with
 /// forward slashes, in sorted (deterministic) order.
@@ -71,8 +72,10 @@ mod tests {
         assert!(files.iter().any(|f| f == "crates/graph/src/builder.rs"));
         assert!(files.iter().any(|f| f == "suite/lib.rs"));
         assert!(
-            files.iter().all(|f| !f.starts_with("vendor/")),
-            "vendored deps are not linted"
+            files
+                .iter()
+                .all(|f| !f.starts_with("vendor/") && !f.starts_with("benchmark/")),
+            "vendored deps and the standalone benchmark are not linted"
         );
         assert!(
             files.iter().all(|f| !f.contains("fixtures/")),

@@ -1,157 +1,16 @@
-//! Integration tests for the allocation-discipline layer: the H family
-//! fires exactly on its fixture (with macro-body firings attributed to the
-//! macro's definition line), the audit JSON carries exact per-rule counts,
-//! and the runtime allocation-budget ratchet fails on every drift class.
+//! Integration tests for the runtime allocation-budget ratchet — the
+//! measured gate behind the hot-path allocation discipline: `audit` fails
+//! on every drift class, and the committed budget matches the committed
+//! measurement.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-use xtask::hotpath;
-use xtask::rules::{classify, ALL_RULES};
-use xtask::scan::scan;
-
-fn all_rules() -> BTreeSet<String> {
-    ALL_RULES.iter().map(|s| s.to_string()).collect()
-}
-
-fn fixture(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Runs the H checker over a fixture as though it lived at `as_path`,
-/// with `fns` declared hot, returning `(rule, line)` pairs.
-fn fire_hot(name: &str, as_path: &str, fns: &str) -> Vec<(&'static str, u32)> {
-    let hp = hotpath::parse(&format!("[hot]\n\"{as_path}\" = \"{fns}\"\n")).unwrap();
-    let mut out = Vec::new();
-    let mut used = BTreeSet::new();
-    hotpath::check_source(
-        &classify(as_path),
-        &scan(&fixture(name)),
-        &hp,
-        &all_rules(),
-        &mut out,
-        &mut used,
-    );
-    out.into_iter().map(|v| (v.rule, v.line)).collect()
-}
-
-#[test]
-fn h_fixture_fires_exactly() {
-    // measure: Vec::with_capacity and format! inside the loop (H1),
-    // .to_vec() anywhere in the region (H2), .collect() while `&mut self`
-    // offers a reusable buffer (H3). advance: see the macro test below.
-    assert_eq!(
-        fire_hot("h.rs", "crates/core/src/h.rs", "measure advance"),
-        vec![("H1", 9), ("H1", 10), ("H2", 13), ("H3", 14), ("H2", 19)]
-    );
-}
-
-#[test]
-fn macro_body_firings_report_the_definition_line() {
-    // The `.to_vec()` lives on line 21, inside `snap!`'s template; the
-    // finding must anchor at line 19, the `macro_rules!` definition — the
-    // one stable site a reader or an allow comment can act on.
-    let fired = fire_hot("h.rs", "crates/core/src/h.rs", "advance");
-    assert_eq!(fired, vec![("H2", 19)]);
-}
-
-#[test]
-fn undeclared_functions_are_exempt() {
-    // `cold` repeats every hot pattern; with only `measure`/`advance`
-    // declared, nothing in it may fire.
-    let fired = fire_hot("h.rs", "crates/core/src/h.rs", "measure advance");
-    assert!(
-        fired.iter().all(|&(_, line)| line < 28),
-        "cold fn (lines 28+) must be exempt: {fired:?}"
-    );
-    // And a config declaring no function of this file is fully silent.
-    assert_eq!(fire_hot("h.rs", "crates/core/src/h.rs", "other"), vec![]);
-}
-
-#[test]
-fn test_files_are_exempt_from_h_rules() {
-    assert_eq!(
-        fire_hot("h.rs", "crates/core/tests/h.rs", "measure advance"),
-        vec![]
-    );
-}
-
-// --- end to end through the real binary -----------------------------------
 
 fn xtask(args: &[&str]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args(args)
         .output()
         .expect("spawn xtask")
-}
-
-/// A synthetic tree whose one library file is hot and allocates.
-fn hot_tree(name: &str) -> PathBuf {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = fs::remove_dir_all(&root);
-    fs::create_dir_all(root.join("crates/core/src")).unwrap();
-    fs::create_dir_all(root.join("crates/xtask")).unwrap();
-    fs::write(
-        root.join("crates/xtask/hotpath.toml"),
-        "[hot]\n\"crates/core/src/lib.rs\" = \"measure advance\"\n",
-    )
-    .unwrap();
-    fs::write(root.join("crates/core/src/lib.rs"), fixture("h.rs")).unwrap();
-    root
-}
-
-#[test]
-fn audit_json_carries_exact_per_rule_h_counts() {
-    let root = hot_tree("h-audit");
-    let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "H violations must fail audit");
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"schema\": \"segugio-audit/4\""), "{json}");
-    assert!(json.contains("\"clean\": false"), "{json}");
-    for needle in [
-        "\"H1\": {\"violations\": 2, \"baselined\": 0, \"suppressions_used\": 0, \"suppressions_stale\": 0}",
-        "\"H2\": {\"violations\": 2, \"baselined\": 0, \"suppressions_used\": 0, \"suppressions_stale\": 0}",
-        "\"H3\": {\"violations\": 1, \"baselined\": 0, \"suppressions_used\": 0, \"suppressions_stale\": 0}",
-    ] {
-        assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
-    }
-    // The macro-body H2 is reported at the definition line end to end.
-    assert!(
-        json.contains("{\"rule\": \"H2\", \"file\": \"crates/core/src/lib.rs\", \"line\": 19,"),
-        "{json}"
-    );
-}
-
-#[test]
-fn live_h_suppressions_count_and_stale_ones_fire_w1() {
-    let root = hot_tree("h-suppress");
-    let src = fixture("h.rs")
-        .replace(
-            "        let owned = xs.to_vec();",
-            "        // segugio-lint: allow(H2, fixture copy is intentional)\n        let owned = xs.to_vec();",
-        )
-        .replace(
-            "    let v: Vec<u32> = xs.iter().copied().collect();",
-            "    // segugio-lint: allow(H3, cold fn cannot fire so this is stale)\n    let v: Vec<u32> = xs.iter().copied().collect();",
-        );
-    fs::write(root.join("crates/core/src/lib.rs"), src).unwrap();
-    let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        json.contains("\"H2\": {\"violations\": 1, \"baselined\": 0, \"suppressions_used\": 1, \"suppressions_stale\": 0}"),
-        "{json}"
-    );
-    assert!(
-        json.contains("\"H3\": {\"violations\": 1, \"baselined\": 0, \"suppressions_used\": 0, \"suppressions_stale\": 1}"),
-        "{json}"
-    );
-    // The stale H3 allow is itself a W1 violation at tree level.
-    assert!(json.contains("\"W1\": {\"violations\": 1,"), "{json}");
 }
 
 // --- the allocation-budget ratchet, end to end ----------------------------
@@ -165,7 +24,7 @@ fn budget_tree(name: &str, budget: Option<&str>, measured: Option<&str>) -> Path
     fs::create_dir_all(root.join("crates/xtask")).unwrap();
     fs::write(root.join("crates/core/src/lib.rs"), CLEAN_LIB).unwrap();
     if let Some(text) = budget {
-        fs::write(root.join("crates/xtask/alloc-budget.toml"), text).unwrap();
+        fs::write(root.join("crates/xtask/xtask.toml"), text).unwrap();
     }
     if let Some(text) = measured {
         fs::write(root.join("BENCH_alloc.json"), text).unwrap();
@@ -189,7 +48,7 @@ fn measurement(phases: &[(&str, u64)]) -> String {
 fn alloc_budget_respected_is_clean() {
     let root = budget_tree(
         "alloc-clean",
-        Some("[phases]\n\"score\" = 0\n\"train\" = 10\n"),
+        Some("[alloc-budget]\n\"score\" = 0\n\"train\" = 10\n"),
         Some(&measurement(&[("score", 0), ("train", 7)])),
     );
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
@@ -207,7 +66,7 @@ fn alloc_budget_respected_is_clean() {
 fn alloc_budget_over_ceiling_fails() {
     let root = budget_tree(
         "alloc-over",
-        Some("[phases]\n\"score\" = 0\n"),
+        Some("[alloc-budget]\n\"score\" = 0\n"),
         Some(&measurement(&[("score", 3)])),
     );
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
@@ -226,7 +85,7 @@ fn alloc_budget_stale_entry_fails() {
     // or removed, so the entry must be tightened out of the budget.
     let root = budget_tree(
         "alloc-stale",
-        Some("[phases]\n\"score\" = 0\n\"gone\" = 5\n"),
+        Some("[alloc-budget]\n\"score\" = 0\n\"gone\" = 5\n"),
         Some(&measurement(&[("score", 0)])),
     );
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
@@ -240,7 +99,7 @@ fn alloc_unbudgeted_phase_fails() {
     // Every measured warm-day phase must carry a documented ceiling.
     let root = budget_tree(
         "alloc-unbudgeted",
-        Some("[phases]\n\"score\" = 0\n"),
+        Some("[alloc-budget]\n\"score\" = 0\n"),
         Some(&measurement(&[("score", 0), ("extra", 2)])),
     );
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
@@ -256,7 +115,11 @@ fn alloc_unbudgeted_phase_fails() {
 fn alloc_budget_without_measurement_stays_clean() {
     // Most local runs never produce BENCH_alloc.json (the bench takes
     // minutes); an unmeasured budget must not fail the audit.
-    let root = budget_tree("alloc-unmeasured", Some("[phases]\n\"score\" = 0\n"), None);
+    let root = budget_tree(
+        "alloc-unmeasured",
+        Some("[alloc-budget]\n\"score\" = 0\n"),
+        None,
+    );
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
     let json = String::from_utf8_lossy(&out.stdout);
@@ -273,11 +136,11 @@ fn malformed_budget_or_measurement_is_io_error() {
             .status
             .code(),
         Some(3),
-        "budget outside [phases] is an I/O-class failure"
+        "an entry outside any section is an I/O-class failure"
     );
     let root = budget_tree(
         "alloc-bad-measure",
-        Some("[phases]\n\"score\" = 0\n"),
+        Some("[alloc-budget]\n\"score\" = 0\n"),
         Some("{\"machines\": 1}\n"),
     );
     assert_eq!(
@@ -297,7 +160,7 @@ fn committed_budget_matches_the_committed_measurement() {
     let root = xtask::workspace::workspace_root();
     let budget = xtask::allocbudget::load(&root)
         .unwrap()
-        .expect("crates/xtask/alloc-budget.toml is checked in");
+        .expect("[alloc-budget] in crates/xtask/xtask.toml is checked in");
     assert_eq!(
         budget.phases.get("score"),
         Some(&0),

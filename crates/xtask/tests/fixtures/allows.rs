@@ -1,6 +1,5 @@
 //! Allow-comment fixture: every would-be violation carries a reason.
 use std::collections::HashMap;
-use std::time::Instant;
 
 pub fn histogram(m: &HashMap<u32, u32>) -> u64 {
     let mut n = 0u64;
@@ -11,8 +10,11 @@ pub fn histogram(m: &HashMap<u32, u32>) -> u64 {
     n
 }
 
-pub fn timed() -> f64 {
-    // segugio-lint: allow(D2, reported timing only; never feeds a result)
-    let t = Instant::now();
-    t.elapsed().as_secs_f64()
+pub fn tally(xs: &[u64], threads: usize) -> u64 {
+    let mut hits = 0u64;
+    parallel_map_indexed(xs.len(), threads, |i| {
+        // segugio-lint: allow(P1, fixture: a serial stand-in runs the closure in index order)
+        hits += xs[i];
+    });
+    hits
 }

@@ -28,14 +28,15 @@ fn fixture(name: &str) -> String {
 /// Runs the S1 checker over a fixture as though it lived at `as_path`,
 /// with `fns` sanctioned, returning `(rule, line)` pairs.
 fn fire_s1(name: &str, as_path: &str, fns: &str) -> Vec<(&'static str, u32)> {
-    let p = persistence::parse(&format!("[persist]\n\"{as_path}\" = \"{fns}\"\n")).unwrap();
+    let p = persistence::parse(&format!("[persistence]\n\"{as_path}\" = \"{fns}\"\n"))
+        .unwrap()
+        .unwrap();
     let mut out = Vec::new();
     let mut used = BTreeSet::new();
     persistence::check_source(
         &classify(as_path),
         &scan(&fixture(name)),
         &p,
-        &all_rules(),
         &mut out,
         &mut used,
     );
@@ -64,14 +65,15 @@ fn unsanctioning_the_writer_makes_its_body_fire_too() {
 
 #[test]
 fn undeclared_files_and_test_files_are_exempt() {
-    let p = persistence::parse("[persist]\n\"crates/core/src/other.rs\" = \"atomic\"\n").unwrap();
+    let p = persistence::parse("[persistence]\n\"crates/core/src/other.rs\" = \"atomic\"\n")
+        .unwrap()
+        .unwrap();
     let mut out = Vec::new();
     let mut used = BTreeSet::new();
     persistence::check_source(
         &classify("crates/core/src/s1.rs"),
         &scan(&fixture("s1.rs")),
         &p,
-        &all_rules(),
         &mut out,
         &mut used,
     );
@@ -99,8 +101,8 @@ fn persist_tree(name: &str) -> PathBuf {
     fs::create_dir_all(root.join("crates/core/src")).unwrap();
     fs::create_dir_all(root.join("crates/xtask")).unwrap();
     fs::write(
-        root.join("crates/xtask/persistence.toml"),
-        "[persist]\n\"crates/core/src/lib.rs\" = \"atomic_write\"\n",
+        root.join("crates/xtask/xtask.toml"),
+        "[persistence]\n\"crates/core/src/lib.rs\" = \"atomic_write\"\n",
     )
     .unwrap();
     fs::write(root.join("crates/core/src/lib.rs"), fixture("s1.rs")).unwrap();
@@ -113,11 +115,11 @@ fn audit_json_carries_exact_s1_counts() {
     let out = xtask(&["audit", "--json", "--root", root.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "S1 violations must fail audit");
     let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"schema\": \"segugio-audit/4\""), "{json}");
+    assert!(json.contains("\"schema\": \"segugio-audit/5\""), "{json}");
     assert!(json.contains("\"clean\": false"), "{json}");
     assert!(
         json.contains(
-            "\"S1\": {\"violations\": 3, \"baselined\": 0, \"suppressions_used\": 0, \"suppressions_stale\": 0}"
+            "\"S1\": {\"violations\": 3, \"suppressions_used\": 0, \"suppressions_stale\": 0}"
         ),
         "{json}"
     );
@@ -145,16 +147,13 @@ fn live_s1_suppressions_count_and_stale_ones_fire_w1() {
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(
         json.contains(
-            "\"S1\": {\"violations\": 2, \"baselined\": 0, \"suppressions_used\": 1, \"suppressions_stale\": 1}"
+            "\"S1\": {\"violations\": 2, \"suppressions_used\": 1, \"suppressions_stale\": 1}"
         ),
         "{json}"
     );
-    // The stale S1 allow is itself a W1 violation at tree level.
+    // The stale S1 allow is itself a W1 violation.
     assert!(json.contains("\"W1\": {\"violations\": 1,"), "{json}");
-    assert!(
-        json.contains("matches no persistence finding"),
-        "W1 message names the persistence family: {json}"
-    );
+    assert!(json.contains("matches no S1 finding"), "{json}");
 }
 
 #[test]
@@ -173,14 +172,13 @@ fn trees_without_a_persistence_config_skip_s1() {
 
 /// The committed tree declares the checkpoint module and must be S1-clean:
 /// every write in `crates/core/src/checkpoint.rs` routes through the
-/// sanctioned atomic writer, with nothing baselined and nothing
-/// suppressed.
+/// sanctioned atomic writer, with nothing suppressed.
 #[test]
 fn committed_checkpoint_module_is_s1_clean() {
     let root = workspace_root();
     let declared = persistence::load(&root)
         .unwrap()
-        .expect("crates/xtask/persistence.toml is checked in");
+        .expect("[persistence] in crates/xtask/xtask.toml is checked in");
     assert!(
         declared
             .sanctioned("crates/core/src/checkpoint.rs")
