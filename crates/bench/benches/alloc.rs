@@ -12,7 +12,12 @@
 //! - **score**: the reused-[`ScoreBuffer`] scoring hot path, which must
 //!   perform **zero** heap operations once warm — asserted here, and
 //!   ratcheted by `cargo run -p xtask -- audit` against the
-//!   `[alloc-budget]` section of `crates/xtask/xtask.toml`.
+//!   `[alloc-budget]` section of `crates/xtask/xtask.toml`;
+//! - **ingest_warm**: the same day exported as log text and read by a
+//!   [`LogCollector`] that has seen it before — every name, client and
+//!   answer is known, so the line path may grow its buffers and nothing
+//!   else. A per-line allocation creeping back shows here as tens of
+//!   thousands, not tens.
 //!
 //! Prints the JSON recorded in `BENCH_alloc.json`; set `SEGUGIO_BENCH_OUT`
 //! to also write it to a file and `SEGUGIO_BENCH_SCALE=ci` for the reduced
@@ -24,6 +29,7 @@ use std::path::Path;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_core::{build_training_set, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput};
+use segugio_ingest::{export_day, LogCollector};
 use segugio_ml::RocCurve;
 use segugio_traffic::{IspConfig, IspNetwork};
 
@@ -159,6 +165,18 @@ fn main() {
         (0, 0),
         "steady-state scoring must not touch the allocator: {c:?}"
     );
+
+    // The day as a resolver would have logged it, read twice: the first
+    // pass interns and records, the measured one only recognises.
+    let log = export_day(isp.table(), day.day.0, &day.queries, &day.resolutions);
+    let mut collector = LogCollector::new();
+    let lines = collector
+        .ingest_reader(log.as_bytes())
+        .expect("exported log is well-formed");
+    let (again, c) = measure(|| collector.ingest_reader(log.as_bytes()));
+    phases.insert("ingest_warm", c);
+    assert_eq!(again.expect("exported log is well-formed"), lines);
+    assert_eq!(lines, day.queries.len());
 
     // --- Report. ---
     let mut body = String::new();

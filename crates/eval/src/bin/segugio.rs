@@ -371,8 +371,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Shared: ingest logs + remap seed lists onto the collector's table.
+///
+/// `covered` is the last day a restored checkpoint accounts for: the log
+/// is still read from its start (ids and history depend on it), but the
+/// collector retains no traffic for days the caller will not process.
 fn load_inputs(
     flags: &HashMap<String, String>,
+    covered: Option<Day>,
 ) -> Result<(LogCollector, Blacklist, Whitelist), CliError> {
     let logs_path = flags
         .get("logs")
@@ -384,10 +389,10 @@ fn load_inputs(
         .get("whitelist")
         .ok_or_else(|| CliError::usage("--whitelist FILE is required"))?;
 
-    let mut collector = LogCollector::new();
+    let mut collector = covered.map_or_else(LogCollector::new, LogCollector::resuming_after);
     let file =
         fs::File::open(logs_path).map_err(|e| CliError::io(format!("opening {logs_path}"), e))?;
-    let n = collector.ingest_reader(std::io::BufReader::new(file))?;
+    let n = collector.ingest_reader(file)?;
     eprintln!(
         "ingested {n} records: {} machines, days {:?}",
         collector.machine_count(),
@@ -441,7 +446,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         .get("save")
         .ok_or_else(|| CliError::usage("--save FILE is required"))?
         .clone();
-    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
+    let (collector, blacklist, whitelist) = load_inputs(&flags, None)?;
     let days = collector.days();
     let day = match flags.get("day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --day"))?),
@@ -485,7 +490,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         ],
     )?;
     let top: usize = parse_or(&flags, "top", 20)?;
-    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
+    let (collector, blacklist, whitelist) = load_inputs(&flags, None)?;
     let days = collector.days();
     let test_day = match flags.get("test-day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --test-day"))?),
@@ -599,7 +604,7 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
         None => Tracker::new(),
     };
 
-    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
+    let (collector, blacklist, whitelist) = load_inputs(&flags, tracker.last_day())?;
     let days = collector.days();
     if days.is_empty() {
         return Err(CliError::data("log file contains no traffic"));

@@ -218,3 +218,62 @@ fn track_checkpoints_then_resumes_cleanly() {
         "no day is replayed after a clean resume: {stdout}"
     );
 }
+
+#[test]
+fn morning_run_on_a_grown_log_equals_the_uncheckpointed_run() {
+    let scratch = ScratchDir::new("ckpt-morning");
+    let whole = simulate_corpus(&scratch, 4);
+    let text = fs::read_to_string(&whole).expect("reading the simulated log");
+    let day_of = |line: &str| line.split('\t').next().unwrap().parse::<u32>().unwrap();
+    let last_day = text.lines().map(day_of).max().expect("a non-empty log");
+    let prefix: Vec<&str> = text.lines().filter(|l| day_of(l) < last_day).collect();
+
+    // The resolver's append-only log, before the last day is written.
+    let growing = scratch.file("growing.tsv");
+    fs::write(&growing, prefix.join("\n") + "\n").unwrap();
+    for sidecar in ["blacklist", "whitelist"] {
+        fs::copy(
+            format!("{}.{sidecar}", whole.display()),
+            format!("{}.{sidecar}", growing.display()),
+        )
+        .unwrap();
+    }
+    let mut args = track_args(&growing);
+    args.push("--checkpoint-dir".to_owned());
+    args.push(scratch.file("checkpoints").to_str().unwrap().to_owned());
+    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+    let backfill = segugio(&argv);
+    assert_eq!(exit_code(&backfill), 0, "backfill: {backfill:?}");
+
+    // Overnight the log gains a day; the morning run resumes, reads the
+    // covered days for their ids and history only, and tracks the new one.
+    fs::write(&growing, text.as_bytes()).unwrap();
+    let morning = segugio(&argv);
+    assert_eq!(exit_code(&morning), 0, "morning: {morning:?}");
+
+    let whole_args = track_args(&whole);
+    let whole_argv: Vec<&str> = whole_args.iter().map(String::as_str).collect();
+    let uncheckpointed = segugio(&whole_argv);
+    assert_eq!(exit_code(&uncheckpointed), 0, "whole: {uncheckpointed:?}");
+
+    let stdout = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+    let day_lines = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("day "))
+            .map(str::to_owned)
+            .collect()
+    };
+    let totals = |text: &str| -> String {
+        let summary = text.lines().find(|l| l.starts_with("tracked ")).unwrap();
+        summary.split_once(':').unwrap().1.to_owned()
+    };
+    let (backfill, morning, uncheckpointed) =
+        (stdout(&backfill), stdout(&morning), stdout(&uncheckpointed));
+    assert!(morning.contains("tracked 1 day(s)"), "{morning}");
+    assert_eq!(day_lines(&morning).len(), 1, "{morning}");
+    assert_eq!(day_lines(&uncheckpointed).len(), 4);
+    let mut resumed = day_lines(&backfill);
+    resumed.extend(day_lines(&morning));
+    assert_eq!(resumed, day_lines(&uncheckpointed));
+    assert_eq!(totals(&morning), totals(&uncheckpointed));
+}

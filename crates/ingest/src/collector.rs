@@ -2,14 +2,14 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 
 use segugio_graph::EdgeRuns;
-use segugio_model::{Day, DomainId, DomainTable, Ipv4, MachineId};
+use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId};
 use segugio_pdns::{ActivityStore, PassiveDns};
 
-use crate::error::IngestError;
-use crate::parser::LogRecord;
+use crate::error::{IngestError, ParseLogError};
+use crate::parser::{scan_lines, Line, LogRecord, RawRecord};
 use crate::quarantine::{IngestStats, QuarantinePolicy};
 
 /// One ingested day, ready for `segugio_core::SnapshotInput`.
@@ -27,6 +27,12 @@ pub struct IngestedDay {
 ///
 /// Client identifiers are interned to dense [`MachineId`]s in first-seen
 /// order; the mapping is exposed via [`LogCollector::machine_name`].
+///
+/// A resolver log repeats itself — millions of lines name a few tens of
+/// thousands of domains and clients — so every step looks an id up first
+/// and allocates, validates or touches a history store only for what it
+/// has not seen: a repeated line costs two hash probes, one dense-`Vec`
+/// memo check and one query-edge push.
 #[derive(Debug, Clone, Default)]
 pub struct LogCollector {
     table: DomainTable,
@@ -37,6 +43,23 @@ pub struct LogCollector {
     days: BTreeMap<u32, DayAccumulator>,
     // `None` = [`EdgeRuns`] default capacity.
     run_capacity: Option<usize>,
+    // Dense by `DomainId`.
+    seen: Vec<Seen>,
+    // Days up to this one feed ids and history but retain no traffic.
+    covered_through: Option<Day>,
+}
+
+/// First-seen memo of one domain: what the history stores already hold
+/// for it on the last day it was logged.
+///
+/// A memo hit implies the stores have the fact; a miss goes to the stores,
+/// whose updates are idempotent. So the memo only saves work — a log whose
+/// days interleave resets it more often, nothing else.
+#[derive(Debug, Clone, Default)]
+struct Seen {
+    day: Option<Day>,
+    // Sorted; the IPs already recorded for `day`.
+    ips: Vec<Ipv4>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -45,8 +68,9 @@ struct DayAccumulator {
     // paper-scale day never holds all query observations in one `Vec`.
     queries: EdgeRuns,
     // Ordered so `LogCollector::day` emits resolutions deterministically.
-    // IPs accumulate with duplicates and are deduped once at finalization
-    // (the old per-record `contains` scan was O(n²) per domain).
+    // The memo keeps repeats out while a log's days arrive in order;
+    // whatever an interleaved log lets through is deduped once at
+    // finalization.
     resolutions: BTreeMap<DomainId, Vec<Ipv4>>,
 }
 
@@ -75,24 +99,86 @@ impl LogCollector {
         }
     }
 
+    /// Creates an empty collector for a run that resumes after
+    /// `last_covered`, the last day its checkpoint already accounts for.
+    ///
+    /// An append-only log still holds the covered days, and they must be
+    /// read: domain and machine ids are assigned in first-seen order, and
+    /// the activity and passive-DNS history reach back over them. But the
+    /// resumed run never asks for their traffic, so days up to and
+    /// including `last_covered` retain no query edges and no resolutions —
+    /// they are listed by [`days`](Self::days), and [`day`](Self::day)
+    /// returns `None` for them.
+    pub fn resuming_after(last_covered: Day) -> Self {
+        Self {
+            covered_through: Some(last_covered),
+            ..Self::default()
+        }
+    }
+
     /// Ingests one parsed record.
     pub fn ingest(&mut self, record: LogRecord) {
         let machine = self.intern_machine(&record.client);
         let domain = self.table.intern(&record.qname);
-        let e2ld = self.table.e2ld_of(domain);
-        self.activity.record(domain, e2ld, record.day);
-        for &ip in &record.ips {
-            self.pdns.record(domain, ip, record.day);
-        }
+        self.commit(record.day, machine, domain, &record.ips);
+    }
+
+    /// Parses and ingests one payload line without building an owned
+    /// record; `ips` is the caller's scratch for the line's IP list.
+    fn ingest_line(
+        &mut self,
+        payload: &str,
+        line_no: u64,
+        ips: &mut Vec<Ipv4>,
+    ) -> Result<(), ParseLogError> {
+        let raw = RawRecord::split(payload, line_no)?;
+        // The IPs are parsed before the qname is interned, so a line that
+        // fails leaves no trace in the table.
+        let domain = match raw.parse_ips(ips) {
+            Ok(()) => self
+                .table
+                .intern_str(raw.qname)
+                .map_err(|e| raw.bad_domain(e))?,
+            Err(ip_error) => {
+                // A bad qname outranks a bad IP list (field order).
+                DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
+                return Err(ip_error);
+            }
+        };
+        let machine = self.intern_machine(raw.client);
+        self.commit(raw.day, machine, domain, ips);
+        Ok(())
+    }
+
+    /// The id-level update both record shapes end in.
+    fn commit(&mut self, day: Day, machine: MachineId, domain: DomainId, ips: &[Ipv4]) {
         let capacity = self.run_capacity;
         let acc = self
             .days
-            .entry(record.day.0)
+            .entry(day.0)
             .or_insert_with(|| DayAccumulator::with_run_capacity(capacity));
-        acc.queries.push(machine, domain);
-        if !record.ips.is_empty() {
-            let ips = acc.resolutions.entry(domain).or_default();
-            ips.extend_from_slice(&record.ips);
+        let retained = self.covered_through.is_none_or(|last| day > last);
+        if retained {
+            acc.queries.push(machine, domain);
+        }
+        if self.seen.len() <= domain.index() {
+            self.seen.resize_with(self.table.len(), Seen::default);
+        }
+        let seen = &mut self.seen[domain.index()];
+        if seen.day != Some(day) {
+            seen.day = Some(day);
+            seen.ips.clear();
+            self.activity
+                .record(domain, self.table.e2ld_of(domain), day);
+        }
+        for &ip in ips {
+            if let Err(pos) = seen.ips.binary_search(&ip) {
+                seen.ips.insert(pos, ip);
+                self.pdns.record(domain, ip, day);
+                if retained {
+                    acc.resolutions.entry(domain).or_default().push(ip);
+                }
+            }
         }
     }
 
@@ -105,21 +191,27 @@ impl LogCollector {
     /// everything before the failing line has been ingested.
     pub fn ingest_reader<R: Read>(&mut self, reader: R) -> Result<usize, IngestError> {
         let mut ingested = 0usize;
-        for (idx, line) in BufReader::new(reader).lines().enumerate() {
-            let line_no = u64::try_from(idx).map_or(u64::MAX, |n| n.saturating_add(1));
-            let line = line.map_err(|e| IngestError::Io {
-                line: line_no,
-                source: e,
-            })?;
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                continue;
+        let mut ips = Vec::new();
+        scan_lines(reader, |line_no, line| {
+            match line {
+                Line::BadEncoding => {
+                    return Err(IngestError::Io {
+                        line: line_no,
+                        source: std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            "stream did not contain valid UTF-8",
+                        ),
+                    })
+                }
+                Line::Skipped => {}
+                Line::Payload(payload) => {
+                    self.ingest_line(payload, line_no, &mut ips)
+                        .map_err(IngestError::Parse)?;
+                    ingested += 1;
+                }
             }
-            // Only strip the carriage return: a trailing tab is significant
-            // (it delimits an empty IP list).
-            let payload = line.trim_end_matches('\r');
-            self.ingest(LogRecord::parse(payload, line_no).map_err(IngestError::Parse)?);
-            ingested += 1;
-        }
+            Ok(())
+        })?;
         Ok(ingested)
     }
 
@@ -132,7 +224,8 @@ impl LogCollector {
     /// writes, invalid UTF-8 and garbled fields, and one bad line must not
     /// lose a day. Commit is all-or-nothing — when the policy is exceeded
     /// the collector is left exactly as it was, so a mis-formatted or
-    /// truncated file can never half-poison the behavior graph.
+    /// truncated file can never half-poison the behavior graph. That is
+    /// why this mode stages owned records where the strict one streams.
     ///
     /// # Errors
     ///
@@ -146,33 +239,17 @@ impl LogCollector {
     ) -> Result<IngestStats, IngestError> {
         let mut stats = IngestStats::default();
         let mut parsed: Vec<LogRecord> = Vec::new();
-        for (idx, line) in BufReader::new(reader).lines().enumerate() {
-            let line_no = u64::try_from(idx).map_or(u64::MAX, |n| n.saturating_add(1));
-            let line = match line {
-                Ok(line) => line,
-                // `lines()` yields `InvalidData` for non-UTF-8 bytes but
-                // the stream stays usable: count and move on.
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    stats.bad_encoding += 1;
-                    continue;
-                }
-                Err(e) => {
-                    return Err(IngestError::Io {
-                        line: line_no,
-                        source: e,
-                    })
-                }
-            };
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                stats.skipped_comments += 1;
-                continue;
+        scan_lines(reader, |line_no, line| {
+            match line {
+                Line::BadEncoding => stats.bad_encoding += 1,
+                Line::Skipped => stats.skipped_comments += 1,
+                Line::Payload(payload) => match LogRecord::parse(payload, line_no) {
+                    Ok(record) => parsed.push(record),
+                    Err(e) => stats.note_parse(e.kind()),
+                },
             }
-            let payload = line.trim_end_matches('\r');
-            match LogRecord::parse(payload, line_no) {
-                Ok(record) => parsed.push(record),
-                Err(e) => stats.note_parse(e.kind()),
-            }
-        }
+            Ok(())
+        })?;
         stats.ingested = u64::try_from(parsed.len()).map_or(u64::MAX, |n| n);
         if policy.exceeded(&stats) {
             return Err(IngestError::QuarantineExceeded {
@@ -232,7 +309,7 @@ impl LogCollector {
         self.machine_ids.get(client).copied()
     }
 
-    /// Days with ingested traffic, ascending.
+    /// Days the ingested logs carry traffic for, ascending.
     pub fn days(&self) -> Vec<Day> {
         self.days.keys().map(|&d| Day(d)).collect()
     }
@@ -247,7 +324,9 @@ impl LogCollector {
         self.try_day(day).ok().flatten()
     }
 
-    /// The ingested traffic of `day`, if any, as snapshot-ready lists.
+    /// The ingested traffic of `day`, if any, as snapshot-ready lists;
+    /// `None` for a day nothing was logged on, and for one a
+    /// [resumed run](Self::resuming_after) kept only the history of.
     ///
     /// Queries come back sorted and deduplicated (the downstream graph
     /// builder deduplicates anyway, so nothing pipeline-visible is lost);
@@ -259,6 +338,9 @@ impl LogCollector {
     /// Returns any I/O error from re-reading query runs that were spilled
     /// to the scratch file.
     pub fn try_day(&self, day: Day) -> std::io::Result<Option<IngestedDay>> {
+        if self.covered_through.is_some_and(|last| day <= last) {
+            return Ok(None);
+        }
         let Some(acc) = self.days.get(&day.0) else {
             return Ok(None);
         };
@@ -350,6 +432,104 @@ mod tests {
                 spilled.try_day(day).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn resumed_collector_keeps_ids_and_history_but_not_covered_traffic() {
+        let full = collected();
+        let mut resumed = LogCollector::resuming_after(Day(0));
+        assert_eq!(resumed.ingest_reader(SAMPLE.as_bytes()).unwrap(), 4);
+
+        // Ids are assigned in first-seen order over the whole log.
+        assert_eq!(resumed.table().len(), full.table().len());
+        for id in full.table().ids() {
+            assert_eq!(resumed.table().name(id), full.table().name(id));
+            assert_eq!(resumed.table().e2ld_of(id), full.table().e2ld_of(id));
+        }
+        assert_eq!(resumed.machine_count(), full.machine_count());
+        for m in 0..2 {
+            assert_eq!(
+                resumed.machine_name(MachineId(m)),
+                full.machine_name(MachineId(m))
+            );
+        }
+        // History reaches back over the covered day.
+        assert_eq!(resumed.pdns().len(), full.pdns().len());
+        for id in full.table().ids() {
+            for day in [Day(0), Day(1)] {
+                assert_eq!(
+                    resumed.activity().fqd_active_on(id, day),
+                    full.activity().fqd_active_on(id, day)
+                );
+                assert_eq!(
+                    resumed.pdns().records_of(id, day.next().lookback(1)),
+                    full.pdns().records_of(id, day.next().lookback(1))
+                );
+            }
+        }
+        // Covered traffic is listed but not retained; the rest is whole.
+        assert_eq!(resumed.days(), full.days());
+        assert_eq!(resumed.try_day(Day(0)).unwrap(), None);
+        assert_eq!(resumed.day(Day(1)), full.day(Day(1)));
+    }
+
+    #[test]
+    fn repeated_and_interleaved_lines_change_nothing() {
+        // Two answers alternating across clients, a day that comes back
+        // after another one, mixed-case and dotted spellings: the stores
+        // must hold each fact once.
+        let text = "\
+3\ta\tcdn.example.com\t10.0.0.1
+3\tb\tCDN.Example.COM.\t10.0.0.2
+3\tc\tcdn.example.com\t10.0.0.1,10.0.0.2
+4\ta\tcdn.example.com\t10.0.0.1
+3\td\tcdn.example.com\t10.0.0.2
+3\td\tcdn.example.com\t10.0.0.2
+";
+        let mut c = LogCollector::new();
+        assert_eq!(c.ingest_reader(text.as_bytes()).unwrap(), 6);
+        assert_eq!(c.table().len(), 1);
+        let cdn = c.table().get_str("cdn.example.com").unwrap();
+        assert_eq!(c.pdns().len(), 3);
+        assert_eq!(c.pdns().records_on(Day(3)).len(), 2);
+        let d3 = c.day(Day(3)).unwrap();
+        assert_eq!(d3.queries.len(), 4);
+        assert_eq!(
+            d3.resolutions,
+            vec![(
+                cdn,
+                vec![
+                    Ipv4::from_octets(10, 0, 0, 1),
+                    Ipv4::from_octets(10, 0, 0, 2)
+                ]
+            )]
+        );
+        assert!(c.activity().fqd_active_on(cdn, Day(3)));
+        assert!(c.activity().fqd_active_on(cdn, Day(4)));
+    }
+
+    #[test]
+    fn failed_line_leaves_no_trace() {
+        // The qname is new and valid, the IP is not: nothing of the line
+        // may reach the table, and the qname error outranks the IP error
+        // when both are bad.
+        let mut c = LogCollector::new();
+        let err = c
+            .ingest_reader("0\ta\tnew.example.com\t1.2.3.999\n".as_bytes())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            IngestError::Parse(ref e) if matches!(e.kind(), crate::error::ParseLogErrorKind::BadIp(_))
+        ));
+        assert!(c.table().is_empty());
+        assert_eq!(c.machine_count(), 0);
+        let err = c
+            .ingest_reader("0\ta\tnot a domain\t1.2.3.999\n".as_bytes())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            IngestError::Parse(ref e) if matches!(e.kind(), crate::error::ParseLogErrorKind::BadDomain(_))
+        ));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property-based tests: arbitrary well-formed logs survive the
-//! export → ingest round trip with nothing lost or invented, and the
-//! parsers never panic on hostile bytes (non-UTF-8, oversized lines,
-//! garbled headers) — they fail typed or quarantine.
+//! export → ingest round trip with nothing lost or invented, the streamed
+//! line path builds exactly the collector the owned-record reference
+//! builds, and the parsers never panic on hostile bytes (non-UTF-8,
+//! oversized lines, garbled headers) — they fail typed or quarantine.
 
 use proptest::prelude::*;
 
+use segugio_ingest::error::ParseLogErrorKind;
 use segugio_ingest::{
-    export_day, IngestError, LogCollector, LogRecord, QuarantinePolicy, ZeekReader,
+    export_day, IngestError, IngestStats, LogCollector, LogRecord, ParseLogError, QuarantinePolicy,
+    ZeekReader,
 };
 use segugio_model::{Day, DomainName, DomainTable, Ipv4, MachineId};
 
@@ -188,5 +191,390 @@ proptest! {
         }
         let mut collector = LogCollector::new();
         let _ = ZeekReader::new().ingest(log.as_bytes(), &mut collector);
+    }
+}
+
+/// The owned-record reference for one reader pass: every line of `bytes`
+/// through `LogRecord::parse`, the way the line loop classifies them.
+enum RefLine {
+    BadEncoding,
+    Skipped,
+    Parsed(Result<LogRecord, ParseLogError>),
+}
+
+fn reference_lines(bytes: &[u8]) -> Vec<RefLine> {
+    let mut chunks: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    // A final newline ends the last line; it does not start another.
+    if chunks.last().is_some_and(|c| c.is_empty()) {
+        chunks.pop();
+    }
+    chunks
+        .iter()
+        .enumerate()
+        .map(|(i, chunk)| match std::str::from_utf8(chunk) {
+            Err(_) => RefLine::BadEncoding,
+            Ok(line) if line.trim().is_empty() || line.trim_start().starts_with('#') => {
+                RefLine::Skipped
+            }
+            Ok(line) => {
+                RefLine::Parsed(LogRecord::parse(line.trim_end_matches('\r'), i as u64 + 1))
+            }
+        })
+        .collect()
+}
+
+/// Everything a collector exposes, compared field by field.
+fn assert_same_collector(got: &LogCollector, want: &LogCollector) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.table().len(), want.table().len());
+    prop_assert_eq!(got.table().e2ld_count(), want.table().e2ld_count());
+    for id in want.table().ids() {
+        prop_assert_eq!(got.table().name(id), want.table().name(id));
+        prop_assert_eq!(got.table().e2ld_of(id), want.table().e2ld_of(id));
+    }
+    prop_assert_eq!(got.machine_count(), want.machine_count());
+    for m in 0..want.machine_count() as u32 {
+        prop_assert_eq!(
+            got.machine_name(MachineId(m)),
+            want.machine_name(MachineId(m))
+        );
+    }
+    prop_assert_eq!(got.days(), want.days());
+    prop_assert_eq!(got.pdns().len(), want.pdns().len());
+    prop_assert_eq!(
+        got.activity().tracked_fqds(),
+        want.activity().tracked_fqds()
+    );
+    for day in want.days() {
+        prop_assert_eq!(got.try_day(day).unwrap(), want.try_day(day).unwrap());
+        let mut got_on = got.pdns().records_on(day).to_vec();
+        let mut want_on = want.pdns().records_on(day).to_vec();
+        got_on.sort_unstable();
+        want_on.sort_unstable();
+        prop_assert_eq!(got_on, want_on);
+        for id in want.table().ids() {
+            prop_assert_eq!(
+                got.activity().fqd_active_on(id, day),
+                want.activity().fqd_active_on(id, day)
+            );
+            let window = day.lookback(3);
+            prop_assert_eq!(
+                got.pdns().resolved_ips(id, window),
+                want.pdns().resolved_ips(id, window)
+            );
+            let e2ld = want.table().e2ld_of(id);
+            prop_assert_eq!(
+                got.activity().e2ld_active_days(e2ld, window),
+                want.activity().e2ld_active_days(e2ld, window)
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The collector against plain sets built from the records themselves —
+/// the owned reference shares the collector's id-level commit, so only a
+/// model that does not can vouch for the first-seen memo.
+fn assert_matches_naive_model(
+    collector: &LogCollector,
+    records: &[LogRecord],
+) -> Result<(), TestCaseError> {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut triples: BTreeSet<(String, Ipv4, Day)> = BTreeSet::new();
+    let mut active: BTreeSet<(String, Day)> = BTreeSet::new();
+    let mut queries: BTreeMap<Day, BTreeSet<(String, String)>> = BTreeMap::new();
+    let mut answers: BTreeMap<Day, BTreeMap<String, BTreeSet<Ipv4>>> = BTreeMap::new();
+    for r in records {
+        let name = r.qname.as_str().to_owned();
+        active.insert((name.clone(), r.day));
+        queries
+            .entry(r.day)
+            .or_default()
+            .insert((r.client.clone(), name.clone()));
+        answers.entry(r.day).or_default();
+        for &ip in &r.ips {
+            triples.insert((name.clone(), ip, r.day));
+            answers
+                .entry(r.day)
+                .or_default()
+                .entry(name.clone())
+                .or_default()
+                .insert(ip);
+        }
+    }
+    let table = collector.table();
+    prop_assert_eq!(collector.pdns().len(), triples.len());
+    prop_assert_eq!(
+        collector.days(),
+        queries.keys().copied().collect::<Vec<_>>()
+    );
+    for (&day, edges) in &queries {
+        let stored: BTreeSet<(String, Ipv4, Day)> = collector
+            .pdns()
+            .records_on(day)
+            .iter()
+            .map(|&(d, ip)| (table.name(d).as_str().to_owned(), ip, day))
+            .collect();
+        prop_assert_eq!(stored.len(), collector.pdns().records_on(day).len());
+        let expected: BTreeSet<_> = triples.iter().filter(|t| t.2 == day).cloned().collect();
+        prop_assert_eq!(stored, expected);
+
+        let traffic = collector.try_day(day).unwrap().expect("a listed day");
+        let got_edges: BTreeSet<(String, String)> = traffic
+            .queries
+            .iter()
+            .map(|&(m, d)| {
+                let client = collector.machine_name(m).expect("a known machine");
+                (client.to_owned(), table.name(d).as_str().to_owned())
+            })
+            .collect();
+        prop_assert_eq!(got_edges.len(), traffic.queries.len());
+        prop_assert_eq!(&got_edges, edges);
+        let got_answers: BTreeMap<String, BTreeSet<Ipv4>> = traffic
+            .resolutions
+            .iter()
+            .map(|(d, ips)| {
+                (
+                    table.name(*d).as_str().to_owned(),
+                    ips.iter().copied().collect(),
+                )
+            })
+            .collect();
+        prop_assert_eq!(got_answers.len(), traffic.resolutions.len());
+        prop_assert_eq!(&got_answers, &answers[&day]);
+        for (_, ips) in &traffic.resolutions {
+            prop_assert!(
+                ips.windows(2).all(|w| w[0] < w[1]),
+                "sorted, duplicate-free"
+            );
+        }
+        for id in table.ids() {
+            let name = table.name(id).as_str().to_owned();
+            prop_assert_eq!(
+                collector.activity().fqd_active_on(id, day),
+                active.contains(&(name, day))
+            );
+        }
+    }
+    Ok(())
+}
+
+fn note(stats: &mut IngestStats, kind: &ParseLogErrorKind) {
+    match kind {
+        ParseLogErrorKind::MissingField(_) => stats.missing_field += 1,
+        ParseLogErrorKind::BadDay(_) => stats.bad_day += 1,
+        ParseLogErrorKind::EmptyClient => stats.bad_client += 1,
+        ParseLogErrorKind::BadDomain(_) => stats.bad_domain += 1,
+        ParseLogErrorKind::BadIp(_) => stats.bad_ip += 1,
+    }
+}
+
+/// One line of a generated log: mostly records over a small vocabulary,
+/// so the same name recurs under different spellings, answers alternate
+/// and days come out of order; now and then a blank or a comment.
+fn log_line() -> impl Strategy<Value = String> {
+    (
+        0u8..15,
+        (0u32..4, 0u32..5, 0usize..5, 0u8..5),
+        proptest::collection::vec(0u8..4, 0..4),
+        any::<bool>(),
+    )
+        .prop_map(|(pick, (day, client, name, spelling), ips, crlf)| {
+            let base = [
+                "www.example.com",
+                "cdn.example.com",
+                "a.b.bbc.co.uk",
+                "evil.dyndns.org",
+                "x.test",
+            ][name];
+            let qname = match spelling {
+                0 => base.to_owned(),
+                1 => base.to_ascii_uppercase(),
+                2 => format!("{base}."),
+                3 => base
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        if i % 2 == 0 {
+                            c.to_ascii_uppercase()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect(),
+                _ => format!("{}.", base.to_ascii_uppercase()),
+            };
+            let ips: Vec<String> = ips.iter().map(|i| format!("10.0.0.{i}")).collect();
+            let end = if crlf { "\r" } else { "" };
+            match pick {
+                0 => String::new(),
+                1 => "   ".to_owned(),
+                2 => "# a comment".to_owned(),
+                _ => format!("{day}\thost-{client}\t{qname}\t{}{end}", ips.join(",")),
+            }
+        })
+}
+
+/// A well-formed log with every repetition pattern the memo must see
+/// through; `true` repeats the line before it.
+fn repetitive_log() -> impl Strategy<Value = String> {
+    proptest::collection::vec((log_line(), any::<bool>()), 0..60).prop_map(|lines| {
+        let mut text = String::new();
+        let mut previous = String::new();
+        for (line, repeat) in lines {
+            let line = if repeat { previous } else { line };
+            text.push_str(&line);
+            text.push('\n');
+            previous = line;
+        }
+        text
+    })
+}
+
+/// Mostly valid lines with each kind of damage mixed in, so that the
+/// ingest and the error branches both run within one file.
+fn damaged_log() -> impl Strategy<Value = Vec<u8>> {
+    let line = (0u8..16, log_line()).prop_map(|(pick, line)| match pick {
+        0 => b"3\thost-1".to_vec(),
+        1 => b"x\thost-1\twww.example.com\t10.0.0.1".to_vec(),
+        2 => b"3\t \twww.example.com\t10.0.0.1".to_vec(),
+        3 => b"3\thost-1\tnot a domain\t10.0.0.999".to_vec(),
+        4 => b"3\thost-1\tnew.example.org\t10.0.0.999".to_vec(),
+        5 => b"3\thost-1\tnew.example.org".to_vec(),
+        6 => b"3\thost-\xFF\twww.example.com\t10.0.0.1".to_vec(),
+        _ => line.into_bytes(),
+    });
+    (proptest::collection::vec(line, 0..40), any::<bool>()).prop_map(|(lines, final_newline)| {
+        let mut bytes = lines.join(&b'\n');
+        if final_newline {
+            bytes.push(b'\n');
+        }
+        bytes
+    })
+}
+
+/// Either flavour of bad input: raw hostile bytes or a damaged log.
+fn bad_input() -> impl Strategy<Value = Vec<u8>> {
+    (any::<bool>(), hostile_bytes(), damaged_log())
+        .prop_map(|(raw, hostile, damaged)| if raw { hostile } else { damaged })
+}
+
+proptest! {
+    /// The streamed path (`ingest_reader`: borrowed fields, lookup before
+    /// allocate, first-seen memo) builds the collector the owned
+    /// reference builds, and a resumed collector differs from it only in
+    /// the traffic it does not retain.
+    #[test]
+    fn streamed_ingest_matches_owned_reference(text in repetitive_log(), covered in 0u32..4) {
+        let mut reference = LogCollector::new();
+        let mut records = Vec::new();
+        for line in reference_lines(text.as_bytes()) {
+            if let RefLine::Parsed(record) = line {
+                let record = record.expect("generated lines are valid");
+                reference.ingest(record.clone());
+                records.push(record);
+            }
+        }
+        let expected = records.len();
+        let mut streamed = LogCollector::new();
+        prop_assert_eq!(streamed.ingest_reader(text.as_bytes()).unwrap(), expected);
+        assert_same_collector(&streamed, &reference)?;
+        assert_matches_naive_model(&streamed, &records)?;
+
+        let mut resumed = LogCollector::resuming_after(Day(covered));
+        prop_assert_eq!(resumed.ingest_reader(text.as_bytes()).unwrap(), expected);
+        prop_assert_eq!(resumed.days(), reference.days());
+        for day in reference.days() {
+            let kept = if day > Day(covered) { reference.try_day(day).unwrap() } else { None };
+            prop_assert_eq!(resumed.try_day(day).unwrap(), kept);
+        }
+        prop_assert_eq!(resumed.pdns().len(), reference.pdns().len());
+        for id in reference.table().ids() {
+            prop_assert_eq!(resumed.table().name(id), reference.table().name(id));
+            prop_assert_eq!(
+                resumed.pdns().resolved_ips(id, Day(3).lookback(4)),
+                reference.pdns().resolved_ips(id, Day(3).lookback(4))
+            );
+            prop_assert_eq!(
+                resumed.activity().fqd_active_days(id, Day(3).lookback(4)),
+                reference.activity().fqd_active_days(id, Day(3).lookback(4))
+            );
+        }
+    }
+
+    /// Strict ingest stops where the reference stops, with the same
+    /// error, having ingested exactly the lines before it.
+    #[test]
+    fn strict_ingest_fails_where_the_reference_fails(
+        bytes in bad_input(),
+    ) {
+        let mut reference = LogCollector::new();
+        let mut expected: Result<usize, (u64, Option<ParseLogError>)> = Ok(0);
+        for (i, line) in reference_lines(&bytes).into_iter().enumerate() {
+            let line_no = i as u64 + 1;
+            match line {
+                RefLine::Skipped => {}
+                RefLine::BadEncoding => {
+                    expected = Err((line_no, None));
+                    break;
+                }
+                RefLine::Parsed(Err(e)) => {
+                    expected = Err((line_no, Some(e)));
+                    break;
+                }
+                RefLine::Parsed(Ok(record)) => {
+                    reference.ingest(record);
+                    expected = expected.map(|n| n + 1);
+                }
+            }
+        }
+        let mut streamed = LogCollector::new();
+        let got = match streamed.ingest_reader(bytes.as_slice()) {
+            Ok(n) => Ok(n),
+            Err(IngestError::Parse(e)) => Err((e.line(), Some(e))),
+            Err(IngestError::Io { line, source }) => {
+                prop_assert_eq!(source.kind(), std::io::ErrorKind::InvalidData);
+                Err((line, None))
+            }
+            Err(other) => return Err(TestCaseError::fail(format!("unexpected {other}"))),
+        };
+        prop_assert_eq!(got, expected);
+        assert_same_collector(&streamed, &reference)?;
+    }
+
+    /// Quarantined ingest counts every line under the kind the reference
+    /// parser names, commits exactly the good records when the file
+    /// passes, and nothing at all when it does not.
+    #[test]
+    fn quarantined_ingest_counts_what_the_reference_counts(
+        bytes in bad_input(),
+    ) {
+        let mut reference = LogCollector::new();
+        let mut stats = IngestStats::default();
+        for line in reference_lines(&bytes) {
+            match line {
+                RefLine::Skipped => stats.skipped_comments += 1,
+                RefLine::BadEncoding => stats.bad_encoding += 1,
+                RefLine::Parsed(Err(e)) => note(&mut stats, e.kind()),
+                RefLine::Parsed(Ok(record)) => {
+                    reference.ingest(record);
+                    stats.ingested += 1;
+                }
+            }
+        }
+        let policy = QuarantinePolicy::default();
+        let mut collector = LogCollector::new();
+        match collector.ingest_quarantined(bytes.as_slice(), &policy) {
+            Ok(got) => {
+                prop_assert!(!policy.exceeded(&stats));
+                prop_assert_eq!(got, stats);
+                assert_same_collector(&collector, &reference)?;
+            }
+            Err(IngestError::QuarantineExceeded { errors, considered, .. }) => {
+                prop_assert!(policy.exceeded(&stats));
+                prop_assert_eq!((errors, considered), (stats.errors(), stats.considered()));
+                assert_same_collector(&collector, &LogCollector::new())?;
+            }
+            Err(other) => return Err(TestCaseError::fail(format!("unexpected {other}"))),
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::error::{ParseDomainError, ParseDomainErrorKind};
@@ -23,14 +24,27 @@ use crate::psl;
 /// assert_eq!(d.e2ld().as_str(), "example.com");
 /// assert_eq!(d.label_count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DomainName {
     name: Box<str>,
     /// Byte offset of the effective second-level domain within `name`.
     e2ld_offset: u16,
 }
 
+// Hashes as its `str`: the e2LD offset is a function of the name, and
+// `Borrow<str>` promises that a map keyed by `DomainName` can be probed
+// with a `&str` — what lets the interner look a spelling up before it
+// allocates a name for it.
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+    }
+}
+
 impl DomainName {
+    /// Longest valid name, in bytes.
+    pub const MAX_LEN: usize = 253;
+
     /// Parses and validates a domain name, lowercasing it.
     ///
     /// # Errors
@@ -42,7 +56,7 @@ impl DomainName {
         if trimmed.is_empty() {
             return Err(ParseDomainError::new(ParseDomainErrorKind::Empty));
         }
-        if trimmed.len() > 253 {
+        if trimmed.len() > Self::MAX_LEN {
             return Err(ParseDomainError::new(ParseDomainErrorKind::TooLong));
         }
         let lower = trimmed.to_ascii_lowercase();

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::domain::DomainName;
+use crate::error::ParseDomainError;
 
 /// Identifier of a client machine in the monitored network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,9 +97,41 @@ impl DomainTable {
     /// Interns `name`, returning its id. Repeated interning of the same name
     /// returns the same id.
     pub fn intern(&mut self, name: &DomainName) -> DomainId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        match self.by_name.get(name) {
+            Some(&id) => id,
+            None => self.push_new(name.clone()),
         }
+    }
+
+    /// Interns a raw spelling (any case, optional trailing dot), looking
+    /// it up before anything is allocated or validated: a name the table
+    /// already holds costs one normalising copy onto the stack and one
+    /// hash probe. Only a miss runs [`DomainName::parse`], so the names
+    /// accepted and the errors returned are exactly that function's.
+    ///
+    /// ```
+    /// use segugio_model::DomainTable;
+    ///
+    /// let mut table = DomainTable::new();
+    /// let id = table.intern_str("www.example.com").unwrap();
+    /// assert_eq!(table.intern_str("WWW.Example.COM."), Ok(id));
+    /// assert!(table.intern_str("not a domain").is_err());
+    /// assert_eq!(table.len(), 1);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseDomainError`] when `raw` is new to the table and is
+    /// not a valid domain name.
+    pub fn intern_str(&mut self, raw: &str) -> Result<DomainId, ParseDomainError> {
+        match self.get_str(raw) {
+            Some(id) => Ok(id),
+            None => Ok(self.push_new(DomainName::parse(raw)?)),
+        }
+    }
+
+    /// Appends a name the table does not hold yet.
+    fn push_new(&mut self, name: DomainName) -> DomainId {
         let id = DomainId(self.names.len() as u32);
         let e2ld_str = name.e2ld().as_str();
         let e2ld_id = match self.e2ld_by_name.get(e2ld_str) {
@@ -110,9 +143,9 @@ impl DomainTable {
                 eid
             }
         };
-        self.names.push(name.clone());
         self.e2ld_of.push(e2ld_id);
         self.by_name.insert(name.clone(), id);
+        self.names.push(name);
         id
     }
 
@@ -121,10 +154,23 @@ impl DomainTable {
         self.by_name.get(name).copied()
     }
 
-    /// Looks up a name by string, if it parses and is interned.
-    pub fn get_str(&self, name: &str) -> Option<DomainId> {
-        let parsed = DomainName::parse(name).ok()?;
-        self.get(&parsed)
+    /// Looks up a raw spelling (any case, optional trailing dot) without
+    /// allocating.
+    ///
+    /// The key is the *normalised* spelling — trailing dot stripped,
+    /// ASCII-lowercased — which is the form every interned name has, so a
+    /// hit is a valid name by construction and mixed-case (DNS-0x20)
+    /// spellings all land on the one entry.
+    pub fn get_str(&self, raw: &str) -> Option<DomainId> {
+        let trimmed = raw.strip_suffix('.').unwrap_or(raw);
+        // Longer than any valid name: it cannot be interned.
+        let mut buf = [0u8; DomainName::MAX_LEN];
+        let normalised = buf.get_mut(..trimmed.len())?;
+        normalised.copy_from_slice(trimmed.as_bytes());
+        normalised.make_ascii_lowercase();
+        // Lowercasing ASCII bytes in place keeps UTF-8 valid.
+        let normalised = std::str::from_utf8(normalised).ok()?;
+        self.by_name.get(normalised).copied()
     }
 
     /// The [`DomainName`] for `id`.
@@ -216,6 +262,44 @@ mod tests {
         assert_eq!(t.get_str("WWW.EXAMPLE.COM"), Some(a));
         assert_eq!(t.get_str("missing.example.com"), None);
         assert_eq!(t.get_str("not a domain"), None);
+    }
+
+    #[test]
+    fn intern_str_agrees_with_parse_then_intern() {
+        let spellings = [
+            "www.example.com",
+            "WWW.Example.COM",
+            "www.example.com.",
+            "wWw.eXample.cOm.",
+            "mail.example.com",
+            "a.b.bbc.co.uk",
+            "",
+            ".",
+            "www.example.com..",
+            "a..b",
+            "bad domain.com",
+            "caf\u{e9}.example.com",
+            "\u{130}.example.com",
+        ];
+        let long_label = format!("{}.com", "a".repeat(64));
+        let long_name = format!("{}com", "a.".repeat(130));
+        let mut by_str = DomainTable::new();
+        let mut by_name = DomainTable::new();
+        for raw in spellings
+            .iter()
+            .copied()
+            .chain([long_label.as_str(), long_name.as_str()])
+        {
+            let expected = DomainName::parse(raw).map(|n| by_name.intern(&n));
+            assert_eq!(by_str.intern_str(raw), expected, "{raw:?}");
+            assert_eq!(by_str.get_str(raw), expected.ok(), "{raw:?}");
+        }
+        assert_eq!(by_str.len(), 3);
+        assert_eq!(by_str.e2ld_count(), by_name.e2ld_count());
+        for id in by_name.ids() {
+            assert_eq!(by_str.name(id), by_name.name(id));
+            assert_eq!(by_str.e2ld_of(id), by_name.e2ld_of(id));
+        }
     }
 
     #[test]

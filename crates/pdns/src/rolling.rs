@@ -252,14 +252,20 @@ impl RollingAbuseIndex {
     /// the malware refcount maps are pure functions of the domain states
     /// and are rebuilt on load by replaying each distinct `(label, ip)`
     /// pair, so a loaded index can never disagree with its domain states.
+    ///
+    /// Format `v2`: a pair's count is its number of distinct in-window
+    /// days. `v1` counted the duplicate records [`PassiveDns`] used to
+    /// keep; evicting a day from the duplicate-free store would never
+    /// drain such a count, so `v1` text is rejected and the checkpoint
+    /// that embeds it is discarded and rebuilt.
     pub fn write_text(&self, out: &mut String) {
         use std::fmt::Write as _;
         match self.window {
             Some(w) => {
-                let _ = writeln!(out, "rolling v1 window {} {}", w.start().0, w.end().0);
+                let _ = writeln!(out, "rolling v2 window {} {}", w.start().0, w.end().0);
             }
             None => {
-                let _ = writeln!(out, "rolling v1 no-window");
+                let _ = writeln!(out, "rolling v2 no-window");
             }
         }
         let _ = writeln!(out, "domains {}", self.domains.len());
@@ -292,8 +298,8 @@ impl RollingAbuseIndex {
             .next()
             .ok_or_else(|| "unexpected end of input, expected rolling header".to_owned())?;
         let mut parts = header.split_whitespace();
-        if (parts.next(), parts.next()) != (Some("rolling"), Some("v1")) {
-            return Err("expected `rolling v1` header".to_owned());
+        if (parts.next(), parts.next()) != (Some("rolling"), Some("v2")) {
+            return Err("expected `rolling v2` header".to_owned());
         }
         let window = match parts.next() {
             Some("no-window") => None,
@@ -618,16 +624,18 @@ mod tests {
     fn read_text_rejects_garbage() {
         for bad in [
             "",
+            // v1 counts included the store's duplicate records.
+            "rolling v1 no-window\ndomains 0\nend-rolling",
             "rolling v2 no-window",
-            "rolling v1 window 5 2",
-            "rolling v1 no-window\ndomains x",
-            "rolling v1 no-window\ndomains 1\nd 3 Z 1 7 1\nend-rolling",
+            "rolling v2 window 5 2",
+            "rolling v2 no-window\ndomains x",
+            "rolling v2 no-window\ndomains 1\nd 3 Z 1 7 1\nend-rolling",
             // Zero day-count is impossible for an in-window record.
-            "rolling v1 no-window\ndomains 1\nd 3 U 1 7 0\nend-rolling",
+            "rolling v2 no-window\ndomains 1\nd 3 U 1 7 0\nend-rolling",
             // Duplicate domain.
-            "rolling v1 no-window\ndomains 2\nd 3 U 1 7 1\nd 3 U 1 8 1\nend-rolling",
+            "rolling v2 no-window\ndomains 2\nd 3 U 1 7 1\nd 3 U 1 8 1\nend-rolling",
             // Missing terminator.
-            "rolling v1 no-window\ndomains 0",
+            "rolling v2 no-window\ndomains 0",
         ] {
             assert!(
                 RollingAbuseIndex::read_text(&mut bad.lines()).is_err(),

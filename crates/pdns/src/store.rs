@@ -41,21 +41,21 @@ impl PassiveDns {
 
     /// Records that `domain` resolved to `ip` on `day`.
     ///
-    /// Duplicate `(domain, ip, day)` records are collapsed.
+    /// Duplicate `(domain, ip, day)` records are collapsed, whatever order
+    /// they arrive in: per-domain entries are kept strictly `(day, ip)`-
+    /// sorted, so a repeat is found by binary search.
     pub fn record(&mut self, domain: DomainId, ip: Ipv4, day: Day) {
         let entries = self.by_domain.entry(domain).or_default();
         // Fast path: appends arrive in day order from the generator.
-        match entries.last() {
-            Some(&last) if last == (day, ip) => return,
-            Some(&(last_day, _)) if last_day <= day => entries.push((day, ip)),
-            _ => {
-                let pos = entries.partition_point(|&(d, i)| (d, i) < (day, ip));
-                if entries.get(pos) == Some(&(day, ip)) {
-                    return;
-                }
-                entries.insert(pos, (day, ip));
+        let pos = if entries.last().is_none_or(|&last| last < (day, ip)) {
+            entries.len()
+        } else {
+            match entries.binary_search(&(day, ip)) {
+                Ok(_) => return,
+                Err(pos) => pos,
             }
-        }
+        };
+        entries.insert(pos, (day, ip));
         self.by_day.entry(day).or_default().push((domain, ip));
         self.records += 1;
     }
@@ -174,6 +174,20 @@ mod tests {
         p.record(DomainId(1), ip(9), Day(8));
         p.record(DomainId(1), ip(1), Day(3));
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn alternating_answers_are_stored_once() {
+        // Two IPs seen by many clients arrive a,b,a,b,…; comparing with
+        // the last entry alone re-pushed both forever.
+        let mut p = PassiveDns::new();
+        for _ in 0..50 {
+            p.record(DomainId(1), ip(1), Day(3));
+            p.record(DomainId(1), ip(2), Day(3));
+        }
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.records_on(Day(3)).len(), 2);
+        assert_eq!(p.record_count_in(DomainId(1), Day(3).lookback(1)), 2);
     }
 
     #[test]

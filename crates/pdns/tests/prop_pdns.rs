@@ -43,8 +43,9 @@ proptest! {
         }
     }
 
-    /// PassiveDns resolved_ips matches a naive filter, regardless of the
-    /// order records arrive in.
+    /// PassiveDns matches a naive set of `(domain, ip, day)` triples,
+    /// regardless of the order records arrive in: every triple is stored
+    /// exactly once, in both the per-domain and the per-day view.
     #[test]
     fn pdns_matches_naive(
         records in proptest::collection::vec((0u32..4, 0u8..6, 0u32..30), 0..150),
@@ -54,6 +55,16 @@ proptest! {
         let mut pdns = PassiveDns::new();
         for &(dom, ip, day) in &records {
             pdns.record(DomainId(dom), Ipv4::from_octets(10, 0, 0, ip), Day(day));
+        }
+        let distinct: HashSet<(u32, u8, u32)> = records.iter().copied().collect();
+        prop_assert_eq!(pdns.len(), distinct.len());
+        prop_assert_eq!(pdns.records_in(DayWindow::new(Day(0), Day(30))).count(), distinct.len());
+        for day in 0..30u32 {
+            let on_day = pdns.records_on(Day(day));
+            let unique: HashSet<(DomainId, Ipv4)> = on_day.iter().copied().collect();
+            prop_assert_eq!(unique.len(), on_day.len(), "duplicate record on day {}", day);
+            let expected = distinct.iter().filter(|&&(_, _, d)| d == day).count();
+            prop_assert_eq!(on_day.len(), expected);
         }
         let window = DayWindow::new(Day(start), Day(start + len));
         for dom in 0..4u32 {
