@@ -5,7 +5,7 @@
 //! pipeline, then brackets each phase of the *second* (steady-state) day
 //! with [`segugio_alloc_probe::measure`]:
 //!
-//! - **snapshot_build**: delta graph build + pruning + labeling;
+//! - **snapshot_build**: graph build + labeling + pruning;
 //! - **features**: incremental per-domain feature measurement;
 //! - **train**: training-set assembly + forest fit;
 //! - **calibrate**: threshold calibration over the training scores;
@@ -87,7 +87,7 @@ fn main() {
     let mut engine = segugio_core::IncrementalEngine::new();
     let mut buf = ScoreBuffer::new();
 
-    // --- Warm day: run every phase once so the engine's delta/feature
+    // --- Warm day: run every phase once so the engine's feature
     //     scratch and the score buffer reach steady-state capacity. ---
     {
         let day = isp.next_day();

@@ -2,9 +2,9 @@
 //!
 //! A production Segugio deployment is a months-long process whose value is
 //! cumulative — flagged domains wait days for blacklist confirmation, the
-//! incremental engine carries yesterday's CSR and feature cache, and the
-//! stale-model fallback needs the last trained model. This module makes
-//! that state survive process death:
+//! incremental engine carries yesterday's pruned graph and feature cache,
+//! and the stale-model fallback needs the last trained model. This module
+//! makes that state survive process death:
 //!
 //! - a **versioned, checksummed text codec** ([`Tracker::save_to_string`] /
 //!   [`Tracker::load_from_str`]) in the same hand-rolled line-oriented
@@ -13,8 +13,8 @@
 //!   length field catches truncation and torn tails and whose CRC-32
 //!   catches bit rot, followed by the tracker payload (flag/confirmation
 //!   maps, day counters, retained model with its calibrated threshold
-//!   embedded verbatim, and the incremental engine's graph + rolling-index
-//!   + feature-cache state);
+//!   embedded verbatim, and the incremental engine's rolling-index +
+//!   previous-day pruned graph + feature-cache state);
 //! - **atomic generation files** ([`Tracker::save_checkpoint`]): each save
 //!   writes `checkpoint-<day>.seg` through the shared temp-file + fsync +
 //!   rename helper [`write_atomic`] (a crash at any byte leaves either the
@@ -862,6 +862,38 @@ mod tests {
                 Degradation::CheckpointDiscarded { day: Day(7) },
                 Degradation::CheckpointDiscarded { day: Day(4) },
             ]
+        );
+    }
+
+    /// A generation written when the engine section still carried the
+    /// unpruned graph (`engine v1`, `delta 0|1` marker first) is refused
+    /// by the header check, not mis-parsed: resume discards it and
+    /// rebuilds.
+    #[test]
+    #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
+    fn engine_v1_generation_is_discarded_not_misparsed() {
+        let current = Tracker::new().save_to_string();
+        let (_, payload) = current.split_once('\n').expect("header line");
+        assert_eq!(payload.matches("engine v2\n").count(), 1);
+        let payload = payload.replace("engine v2\n", "engine v1\ndelta 0\n");
+        let old = format!(
+            "segugio-checkpoint v1 {} {:08x}\n{payload}",
+            payload.len(),
+            crc32(payload.as_bytes())
+        );
+        let error = Tracker::load_from_str(&old).expect_err("engine v1 must be refused");
+        assert!(
+            error.to_string().contains("bad engine header"),
+            "got: {error}"
+        );
+
+        let scratch = ScratchDir::new("engine-v1");
+        fs::create_dir_all(scratch.path()).expect("mkdir");
+        fs::write(scratch.path().join("checkpoint-4.seg"), old).expect("seed old generation");
+        let resumed = Tracker::resume(scratch.path()).expect("degrades to fresh");
+        assert_eq!(
+            resumed.pending_degradation,
+            vec![Degradation::CheckpointDiscarded { day: Day(4) }]
         );
     }
 

@@ -76,25 +76,28 @@ pub struct SegugioConfig {
     /// security scanners that probe blacklisted names. `None` disables the
     /// filter (the paper's default deployments did not need it).
     pub probe_filter: Option<u32>,
-    /// Worker threads for the per-day hot path (graph building, training-set
-    /// extraction, forest training, and unknown-domain scoring). `None`
-    /// uses every available core; `Some(1)` forces the exact serial path.
-    /// Output is bit-for-bit identical at every setting.
+    /// Worker threads for the per-day hot path (training-set extraction,
+    /// forest training, and unknown-domain scoring; graph building is
+    /// serial). `None` uses every available core; `Some(1)` forces the
+    /// exact serial path. Output is bit-for-bit identical at every setting.
     pub parallelism: Option<usize>,
-    /// When set, from-scratch snapshot builds accumulate the day's query
-    /// edges in fixed-capacity sorted runs of this many observations
-    /// (spilled to a scratch file past the cap) and build the CSR via the
-    /// streamed counting-sort merge ([`GraphBuilder::from_runs`]
-    /// (segugio_graph::GraphBuilder::from_runs)) instead of the in-memory
-    /// builder. Output is bit-for-bit identical; the knob only bounds the
-    /// build's peak memory by the run capacity instead of the day's edge
-    /// count. `None` keeps the in-memory path. A scratch-file I/O failure
-    /// falls back to the in-memory builder.
+    /// When set, every snapshot build — first day or warm — accumulates
+    /// the day's query edges in fixed-capacity sorted runs of this many
+    /// observations (spilled to a scratch file past the cap) and replays
+    /// their merge into the CSR constructor
+    /// ([`GraphBuilder::from_runs`](segugio_graph::GraphBuilder::from_runs))
+    /// instead of sorting one in-memory copy of the query list
+    /// ([`GraphBuilder::from_queries`](segugio_graph::GraphBuilder::from_queries)).
+    /// Output is bit-for-bit identical; the knob only bounds the build's
+    /// peak memory by the run capacity instead of the day's edge count.
+    /// `None` keeps the in-memory sort. A scratch-file I/O failure falls
+    /// back to it.
     pub chunk_run_capacity: Option<usize>,
     /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) carry state
-    /// from day to day — delta-built graphs, a rolling abuse index, and a
-    /// dirty-set feature cache — instead of rebuilding everything from
-    /// scratch each morning. Outputs are bit-for-bit identical either way;
+    /// from day to day — exactly a rolling abuse index and a dirty-set
+    /// feature cache; the graph is rebuilt each morning either way —
+    /// instead of rescanning the pDNS window and re-measuring every domain.
+    /// Outputs are bit-for-bit identical either way;
     /// the knob only trades memory for time. One-shot snapshot building
     /// ([`DaySnapshot::build`](crate::DaySnapshot::build)) has no previous
     /// day and ignores it.

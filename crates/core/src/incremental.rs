@@ -1,21 +1,19 @@
-//! Cross-day incremental state: delta-built graphs, a rolling abuse index,
-//! and a dirty-set feature cache.
+//! Cross-day incremental state: a rolling abuse index and a dirty-set
+//! feature cache.
 //!
 //! A production deployment processes consecutive days whose inputs overlap
-//! almost entirely: the same machines query mostly the same domains, the
-//! pDNS abuse window shifts by a single day, and the vast majority of
-//! domains end up with exactly the same feature vector as yesterday.
-//! [`IncrementalEngine`] exploits all three kinds of overlap while staying
-//! **bit-for-bit identical** to the from-scratch path:
+//! almost entirely: the pDNS abuse window shifts by a single day, and the
+//! vast majority of domains end up with exactly the same feature vector as
+//! yesterday. [`IncrementalEngine`] exploits both kinds of overlap while
+//! staying **bit-for-bit identical** to the from-scratch path (the day's
+//! graph itself is rebuilt every morning — one counting-sort pass is
+//! cheaper than merging against yesterday's):
 //!
-//! 1. the unpruned graph is advanced by
-//!    [`DeltaBuilder`](segugio_graph::DeltaBuilder) instead of re-sorting
-//!    the whole edge list;
-//! 2. the IP-abuse index is advanced by
+//! 1. the IP-abuse index is advanced by
 //!    [`RollingAbuseIndex`](segugio_pdns::RollingAbuseIndex) — ingesting
 //!    the entering day, evicting the leaving one — instead of rescanning
 //!    `W` days of pDNS history;
-//! 3. per-domain feature vectors are cached and reused when nothing that
+//! 2. per-domain feature vectors are cached and reused when nothing that
 //!    feeds them changed (the *dirty set* is derived from graph and
 //!    abuse-index deltas); only the activity columns (F2), whose lookback
 //!    window moves every day, are always recomputed.
@@ -29,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use segugio_graph::{BehaviorGraph, DeltaBuilder, DomainIdx, HiddenLabelView};
+use segugio_graph::{BehaviorGraph, DomainIdx, HiddenLabelView};
 use segugio_ml::Dataset;
 use segugio_model::{DomainId, Label};
 use segugio_pdns::{AbuseDelta, ActivityStore, RollingAbuseIndex};
@@ -78,7 +76,7 @@ pub struct DayFeatures {
     pub reused: usize,
 }
 
-/// Carries graph, abuse-index and feature state from one day to the next.
+/// Carries abuse-index and feature state from one day to the next.
 ///
 /// Use [`build_snapshot`](Self::build_snapshot) then
 /// [`measure_day`](Self::measure_day) once per day, in ascending day order.
@@ -89,7 +87,6 @@ pub struct DayFeatures {
 /// the [`SegugioConfig::incremental`] knob.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalEngine {
-    delta: Option<DeltaBuilder>,
     rolling: RollingAbuseIndex,
     /// IPs/prefixes whose abuse-index entries changed in the latest
     /// [`build_snapshot`](Self::build_snapshot) advance.
@@ -103,30 +100,20 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Creates an engine with no prior-day state; the first day it sees is
-    /// built from scratch and subsequent days incrementally.
+    /// Creates an engine with no prior-day state; the first day it sees
+    /// ingests the whole abuse window and measures every domain.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Builds `input.day`'s snapshot, advancing the delta graph and the
-    /// rolling abuse index. Output equals [`DaySnapshot::build`] on the
-    /// same input, bit for bit.
+    /// Builds `input.day`'s snapshot, advancing the rolling abuse index.
+    /// Output equals [`DaySnapshot::build`] on the same input, bit for bit.
     pub fn build_snapshot(
         &mut self,
         input: &SnapshotInput<'_>,
         config: &SegugioConfig,
     ) -> DaySnapshot {
-        let unpruned = match self.delta.as_mut() {
-            None => {
-                let graph = build_unpruned_graph(input, config);
-                self.delta = Some(DeltaBuilder::new(&graph));
-                graph
-            }
-            Some(delta) => delta.advance(input.day, input.queries, input.resolutions, |d| {
-                input.table.e2ld_of(d)
-            }),
-        };
+        let unpruned = build_unpruned_graph(input, config);
         let window = input
             .day
             .lookback_exclusive(config.features.abuse_window_days);
@@ -286,9 +273,9 @@ impl IncrementalEngine {
         }
     }
 
-    /// Drops the feature cache and previous-day graph. The delta graph and
-    /// rolling abuse index keep advancing — they track traffic and the
-    /// pDNS window, not the measurement state.
+    /// Drops the feature cache and previous-day graph. The rolling abuse
+    /// index keeps advancing — it tracks the pDNS window, not the
+    /// measurement state.
     ///
     /// Must be called whenever a day's snapshot was built but its features
     /// were *not* measured (e.g. the day had no trainable seeds): the next
@@ -298,10 +285,10 @@ impl IncrementalEngine {
         self.prev = None;
     }
 
-    /// Drops *all* cross-day state — delta graph, rolling abuse index,
-    /// touched set and feature cache — returning the engine to its
-    /// just-constructed state. The next day is built from scratch, exactly
-    /// like a fresh engine's first day.
+    /// Drops *all* cross-day state — rolling abuse index, touched set and
+    /// feature cache — returning the engine to its just-constructed state.
+    /// The next day is built from scratch, exactly like a fresh engine's
+    /// first day.
     ///
     /// Required whenever the pDNS feed the engine has been advancing
     /// against is no longer trustworthy — e.g. a blanked-then-restored
@@ -313,24 +300,16 @@ impl IncrementalEngine {
         *self = Self::default();
     }
 
-    /// Serializes the engine's durable cross-day state — the delta
-    /// baseline (yesterday's unpruned graph), the rolling abuse window,
-    /// and the previous-day feature cache — as versioned text, appended to
-    /// `out`. The single-advance `touched` set and the dirty-set scratch
-    /// columns are deliberately skipped: the next
+    /// Serializes the engine's durable cross-day state — the rolling
+    /// abuse window and the previous-day feature cache — as versioned
+    /// text, appended to `out`. The single-advance `touched` set and the
+    /// dirty-set scratch columns are deliberately skipped: the next
     /// [`build_snapshot`](Self::build_snapshot) overwrites all of them
     /// before anything reads them, so a resumed engine is parity-identical
     /// to one that never stopped.
     pub(crate) fn write_text(&self, out: &mut String) {
         use std::fmt::Write as _;
-        out.push_str("engine v1\n");
-        match &self.delta {
-            Some(delta) => {
-                out.push_str("delta 1\n");
-                segugio_graph::write_graph(delta.prev(), out);
-            }
-            None => out.push_str("delta 0\n"),
-        }
+        out.push_str("engine v2\n");
         self.rolling.write_text(out);
         match &self.prev {
             Some(prev) => {
@@ -356,22 +335,15 @@ impl IncrementalEngine {
     }
 
     /// Parses the state [`write_text`](Self::write_text) produced,
-    /// consuming lines through `end-engine`. The delta builder is
-    /// reconstructed from its serialized baseline graph via
-    /// [`DeltaBuilder::new`]; scratch state starts empty.
+    /// consuming lines through `end-engine`; scratch state starts empty.
     pub(crate) fn read_text<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self, String> {
         let header = lines.next().ok_or("missing engine header")?;
-        if header != "engine v1" {
+        // A v1 section carries a delta marker and an unpruned-graph block
+        // before the rolling index; refusing the header keeps it from
+        // being mis-parsed (the caller discards the generation).
+        if header != "engine v2" {
             return Err(format!("bad engine header: {header:?}"));
         }
-        let delta = match lines.next() {
-            Some("delta 0") => None,
-            Some("delta 1") => {
-                let graph = segugio_graph::read_graph(lines)?;
-                Some(DeltaBuilder::new(&graph))
-            }
-            other => return Err(format!("bad delta marker: {other:?}")),
-        };
         let rolling = RollingAbuseIndex::read_text(lines)?;
         let prev = match lines.next() {
             Some("prev 0") => None,
@@ -425,7 +397,6 @@ impl IncrementalEngine {
             other => return Err(format!("missing end-engine, got {other:?}")),
         }
         Ok(IncrementalEngine {
-            delta,
             rolling,
             touched: AbuseDelta::default(),
             prev,

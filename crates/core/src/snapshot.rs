@@ -127,40 +127,25 @@ impl DaySnapshot {
     }
 }
 
-/// Builds the day's *unpruned, unlabeled* graph with its annotations — the
-/// part of [`DaySnapshot::build`] that the incremental engine replaces with
-/// a [`DeltaBuilder`](segugio_graph::DeltaBuilder) advance.
+/// Builds the day's *unpruned, unlabeled* graph with its annotations.
+/// [`SegugioConfig::chunk_run_capacity`] only chooses how the sorted edge
+/// stream is produced (bounded runs or one in-memory sort); the CSR
+/// constructor behind both is the same.
 pub(crate) fn build_unpruned_graph(
     input: &SnapshotInput<'_>,
     config: &SegugioConfig,
 ) -> BehaviorGraph {
+    let e2ld_of = |d| input.table.e2ld_of(d);
     if let Some(capacity) = config.chunk_run_capacity {
         let mut runs = EdgeRuns::with_run_capacity(capacity);
         runs.extend(input.queries.iter().copied());
-        let built = GraphBuilder::from_runs(input.day, &runs, input.resolutions, |d| {
-            input.table.e2ld_of(d)
-        });
-        if let Ok(graph) = built {
+        if let Ok(graph) = GraphBuilder::from_runs(input.day, &runs, input.resolutions, e2ld_of) {
             return graph;
         }
         // Scratch-file I/O failed; the queries are still resident in
-        // `input`, so the in-memory path below is an exact fallback.
+        // `input`, so the in-memory sort below is an exact fallback.
     }
-    let mut builder = GraphBuilder::new(input.day);
-    builder.set_parallelism(config.effective_parallelism());
-    builder.add_queries(input.queries.iter().copied());
-    for (d, ips) in input.resolutions {
-        builder.set_e2ld(*d, input.table.e2ld_of(*d));
-        for &ip in ips {
-            builder.add_resolution(*d, ip);
-        }
-    }
-    // Domains that appear in queries but not in resolutions still need
-    // their e2LD annotation.
-    for &(_, d) in input.queries {
-        builder.set_e2ld(d, input.table.e2ld_of(d));
-    }
-    builder.build()
+    GraphBuilder::from_queries(input.day, input.queries, input.resolutions, e2ld_of)
 }
 
 /// Labels, filters and prunes an unpruned day graph into a [`DaySnapshot`]

@@ -7,10 +7,10 @@
 //! example and the Fig. 11 experiment are both instances of it).
 //!
 //! With [`SegugioConfig::incremental`] on (the default), consecutive days
-//! are processed through the [`IncrementalEngine`]: the behavior graph is
-//! delta-built from yesterday's, the abuse index rolls its window forward
-//! by one day, and unchanged domains reuse yesterday's feature rows. The
-//! reports are bit-for-bit identical to the from-scratch path either way.
+//! are processed through the [`IncrementalEngine`]: the abuse index rolls
+//! its window forward by one day and unchanged domains reuse yesterday's
+//! feature rows (the behavior graph is rebuilt every day). The reports are
+//! bit-for-bit identical to the from-scratch path either way.
 
 use std::collections::BTreeMap;
 
@@ -274,9 +274,9 @@ impl Tracker {
 
         // 2. Build today's snapshot. On a blank-pDNS day the incremental
         //    engine is bypassed *and* reset (see above); otherwise it
-        //    advances its delta graph and rolling abuse window. The
-        //    scratch path leaves the engine untouched (its next advance
-        //    simply covers a larger step, which both layers handle).
+        //    builds the graph like the scratch path and advances its
+        //    rolling abuse window. The scratch path leaves the engine
+        //    untouched (its next advance simply covers a larger step).
         let use_engine = incremental && !pdns_blank;
         let snapshot = if use_engine {
             self.engine.build_snapshot(input, &config.segugio)

@@ -201,9 +201,7 @@ fn render_checkpoint(
         None => p.push_str("model 0\n"),
     }
     // The simplest valid engine: nothing carried over yet.
-    p.push_str(
-        "engine v1\ndelta 0\nrolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n",
-    );
+    p.push_str("engine v2\nrolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n");
     p.push_str("end-tracker\n");
     with_valid_header(&p)
 }

@@ -1,10 +1,18 @@
-//! Incremental construction of a [`BehaviorGraph`].
+//! Construction of a [`BehaviorGraph`]: one counting-sort CSR constructor
+//! behind every entry point.
+//!
+//! Whatever the source — an in-memory query list or spilled
+//! [`EdgeRuns`](crate::EdgeRuns) — the day's edges reach [`csr_from_sorted`]
+//! as an ascending, duplicate-free `(machine, domain)` stream, and that
+//! function is the only code in this crate that turns edges into CSR arrays.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
 use crate::graph::BehaviorGraph;
+use crate::EdgeRuns;
 
 /// Accumulates one day of `(machine, domain)` query observations plus the
 /// per-domain annotations, then freezes them into a [`BehaviorGraph`].
@@ -32,14 +40,196 @@ pub struct GraphBuilder {
     day: Day,
     edges: Vec<(MachineId, DomainId)>,
     e2ld: HashMap<DomainId, E2ldId>,
-    ips: HashMap<DomainId, Vec<Ipv4>>,
-    parallelism: usize,
+    ips: Vec<(DomainId, Ipv4)>,
 }
 
-/// Below this many edges the scoped-thread fan-out costs more than it
-/// saves; build serially. Parallel and serial paths produce identical
-/// graphs, so the cutover is invisible to callers.
-const PARALLEL_EDGE_THRESHOLD: usize = 2048;
+/// A replayable stream of `(machine, domain)` edges, ascending and free of
+/// duplicates — the one input shape [`csr_from_sorted`] accepts.
+trait SortedEdges {
+    /// What replaying the stream can fail with.
+    type Error;
+
+    /// Largest raw domain id in the stream, `None` when it is empty.
+    fn max_domain(&self) -> Option<u32>;
+
+    /// Calls `f` on every edge in ascending order. Repeatable: the
+    /// constructor runs two passes.
+    fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> Result<(), Self::Error>;
+}
+
+impl SortedEdges for [(MachineId, DomainId)] {
+    type Error = Infallible;
+
+    fn max_domain(&self) -> Option<u32> {
+        self.iter().map(|&(_, d)| d.0).max()
+    }
+
+    fn for_each<F: FnMut(MachineId, DomainId)>(&self, mut f: F) -> Result<(), Infallible> {
+        for &(m, d) in self {
+            f(m, d);
+        }
+        Ok(())
+    }
+}
+
+impl SortedEdges for EdgeRuns {
+    type Error = std::io::Error;
+
+    fn max_domain(&self) -> Option<u32> {
+        self.max_ids().map(|(_, d)| d)
+    }
+
+    fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> std::io::Result<()> {
+        self.for_each_merged(f)
+    }
+}
+
+/// Sorts and deduplicates an in-memory query list into the stream shape
+/// [`csr_from_sorted`] takes, then builds. Replaying a slice cannot fail.
+fn csr_from_queries<F: Fn(DomainId) -> E2ldId>(
+    day: Day,
+    mut edges: Vec<(MachineId, DomainId)>,
+    ip_pairs: Vec<(DomainId, Ipv4)>,
+    e2ld_of: F,
+) -> BehaviorGraph {
+    edges.sort_unstable();
+    edges.dedup();
+    match csr_from_sorted(day, edges.as_slice(), ip_pairs, e2ld_of) {
+        Ok(graph) => graph,
+        Err(never) => match never {},
+    }
+}
+
+/// Flattens per-domain resolution lists into `(domain, ip)` pairs.
+fn flatten(resolutions: &[(DomainId, Vec<Ipv4>)]) -> Vec<(DomainId, Ipv4)> {
+    let mut pairs = Vec::with_capacity(resolutions.iter().map(|(_, ips)| ips.len()).sum());
+    for (d, ips) in resolutions {
+        pairs.extend(ips.iter().map(|&ip| (*d, ip)));
+    }
+    pairs
+}
+
+/// The crate's only edge-stream → CSR constructor: a two-pass counting
+/// sort.
+///
+/// Pass one counts degrees: machines arrive in ascending runs, so their
+/// dense indices and offsets fall out directly, and a per-raw-id domain
+/// counter turns into dense ranks and offsets by prefix sum. Pass two
+/// scatters both adjacency arrays — the stream ascends by `(machine,
+/// domain)`, so every per-node list is filled ascending and no sort or
+/// hash lookup happens at all. Beyond the output CSR the only transient
+/// memory is one `max_domain_id`-sized counter array and one cursor per
+/// domain.
+///
+/// `e2ld_of` is consulted once per queried domain; `ip_pairs` may arrive
+/// in any order with repeats, and pairs of unqueried domains are dropped.
+fn csr_from_sorted<S, F>(
+    day: Day,
+    stream: &S,
+    mut ip_pairs: Vec<(DomainId, Ipv4)>,
+    e2ld_of: F,
+) -> Result<BehaviorGraph, S::Error>
+where
+    S: SortedEdges + ?Sized,
+    F: Fn(DomainId) -> E2ldId,
+{
+    // Pass 1: degrees. `m_off` gets each machine's start as it first
+    // appears; `d_deg` is indexed by raw domain id.
+    let mut machines: Vec<MachineId> = Vec::new();
+    let mut m_off: Vec<u32> = Vec::new();
+    let mut d_deg = vec![0u32; stream.max_domain().map_or(0, |d| d as usize + 1)];
+    let mut edges = 0usize;
+    stream.for_each(|m, d| {
+        if machines.last() != Some(&m) {
+            machines.push(m);
+            m_off.push(edges as u32);
+        }
+        d_deg[d.0 as usize] += 1;
+        edges += 1;
+    })?;
+    m_off.push(edges as u32);
+
+    // Dense domain ranks in ascending raw-id order and offsets by prefix
+    // sum; the degree array is reused as the raw-id -> rank map.
+    let mut domains: Vec<DomainId> = Vec::new();
+    let mut d_off: Vec<u32> = vec![0];
+    let mut d_rank = d_deg;
+    let mut d_total = 0u32;
+    for (raw, slot) in d_rank.iter_mut().enumerate() {
+        let deg = *slot;
+        if deg > 0 {
+            *slot = domains.len() as u32;
+            domains.push(DomainId(raw as u32));
+            d_total += deg;
+            d_off.push(d_total);
+        }
+    }
+
+    // Pass 2: scatter. The machine adjacency is the stream's domain
+    // column in stream order; each domain's machine list receives
+    // ascending machine ranks.
+    let mut m_adj = vec![0u32; edges];
+    let mut d_adj = vec![0u32; edges];
+    let mut cursor: Vec<u32> = d_off[..domains.len()].to_vec();
+    let mut pos = 0usize;
+    let mut m_rank = 0usize;
+    stream.for_each(|m, d| {
+        while machines[m_rank] != m {
+            m_rank += 1;
+        }
+        let dr = d_rank[d.0 as usize] as usize;
+        m_adj[pos] = dr as u32;
+        pos += 1;
+        d_adj[cursor[dr] as usize] = m_rank as u32;
+        cursor[dr] += 1;
+    })?;
+
+    // Annotations: e2LD per queried domain, and a flat IP pool of
+    // per-domain sorted deduped segments delimited by `ip_off` (one
+    // backing allocation instead of one boxed slice per domain).
+    let domain_e2ld: Vec<E2ldId> = domains.iter().map(|&d| e2ld_of(d)).collect();
+    ip_pairs.sort_unstable();
+    ip_pairs.dedup();
+    let mut ip_off: Vec<u32> = Vec::with_capacity(domains.len() + 1);
+    ip_off.push(0);
+    let mut ip_pool: Vec<Ipv4> = Vec::with_capacity(ip_pairs.len());
+    let mut pc = 0usize;
+    for &d in &domains {
+        while pc < ip_pairs.len() && ip_pairs[pc].0 < d {
+            pc += 1;
+        }
+        while pc < ip_pairs.len() && ip_pairs[pc].0 == d {
+            ip_pool.push(ip_pairs[pc].1);
+            pc += 1;
+        }
+        ip_off.push(ip_pool.len() as u32);
+    }
+
+    let n_m = machines.len();
+    let n_d = domains.len();
+    let graph = BehaviorGraph {
+        day,
+        machines,
+        domains,
+        domain_e2ld,
+        ip_off,
+        ip_pool,
+        m_off,
+        m_adj,
+        d_off,
+        d_adj,
+        domain_labels: vec![Label::Unknown; n_d],
+        machine_labels: vec![Label::Unknown; n_m],
+        machine_malware_degree: vec![0; n_m],
+    };
+    // Every structural invariant is checked on debug builds (tests,
+    // proptests); release builds skip the O(edges) pass.
+    #[cfg(debug_assertions)]
+    if let Err(violation) = graph.validate() {
+        unreachable!("constructor produced an invalid graph: {violation}");
+    }
+    Ok(graph)
+}
 
 impl GraphBuilder {
     /// Starts a builder for the given observation day.
@@ -48,17 +238,14 @@ impl GraphBuilder {
             day,
             edges: Vec::new(),
             e2ld: HashMap::new(),
-            ips: HashMap::new(),
-            parallelism: 1,
+            ips: Vec::new(),
         }
     }
 
-    /// Sets the worker-thread count for [`build`](Self::build) (clamped to
-    /// at least 1; the default is 1). The built graph is bit-for-bit
-    /// identical at every setting.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
+    /// Retired no-op (graph building is serial) — remove with the call in
+    /// `benchmark/`'s `stages.rs` in the next `[benchmark]` PR.
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
     /// Records that `machine` queried `domain`.
     pub fn add_query(&mut self, machine: MachineId, domain: DomainId) {
@@ -77,7 +264,7 @@ impl GraphBuilder {
 
     /// Adds a resolved IP to `domain`'s annotation.
     pub fn add_resolution(&mut self, domain: DomainId, ip: Ipv4) {
-        self.ips.entry(domain).or_default().push(ip);
+        self.ips.push((domain, ip));
     }
 
     /// Number of recorded (possibly duplicate) query observations.
@@ -87,357 +274,81 @@ impl GraphBuilder {
 
     /// Freezes the builder into an immutable graph. All labels start as
     /// [`Label::Unknown`].
-    pub fn build(mut self) -> BehaviorGraph {
-        // Dedup edges.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
-        // Dense machine / domain index assignment (sorted by external id so
-        // binary-search lookup works).
-        let mut machines: Vec<MachineId> = self.edges.iter().map(|&(m, _)| m).collect();
-        machines.sort_unstable();
-        machines.dedup();
-        let mut domains: Vec<DomainId> = self.edges.iter().map(|&(_, d)| d).collect();
-        domains.sort_unstable();
-        domains.dedup();
-
-        let m_index: HashMap<MachineId, u32> = machines
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, i as u32))
-            .collect();
-        let d_index: HashMap<DomainId, u32> = domains
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i as u32))
-            .collect();
-
-        let threads = if self.edges.len() >= PARALLEL_EDGE_THRESHOLD {
-            self.parallelism
-        } else {
-            1
-        };
-
-        // Machine -> domain CSR. Edges are sorted by (machine, domain) and
-        // machines/domains are sorted, so the machine adjacency is exactly
-        // the edge list's domain column in edge order — each worker fills a
-        // disjoint slice of it.
-        let mut m_off = vec![0u32; machines.len() + 1];
-        for &(m, _) in &self.edges {
-            m_off[m_index[&m] as usize + 1] += 1;
-        }
-        for i in 1..m_off.len() {
-            m_off[i] += m_off[i - 1];
-        }
-        let mut m_adj = vec![0u32; self.edges.len()];
-        if threads <= 1 {
-            for (slot, &(_, d)) in m_adj.iter_mut().zip(&self.edges) {
-                *slot = d_index[&d];
-            }
-        } else {
-            let chunk = self.edges.len().div_ceil(threads);
-            let joined = crossbeam::thread::scope(|scope| {
-                for (out, es) in m_adj.chunks_mut(chunk).zip(self.edges.chunks(chunk)) {
-                    let d_index = &d_index;
-                    scope.spawn(move |_| {
-                        for (slot, &(_, d)) in out.iter_mut().zip(es) {
-                            *slot = d_index[&d];
-                        }
-                    });
-                }
-            });
-            if let Err(payload) = joined {
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        // Domain -> machine CSR.
-        let mut d_off = vec![0u32; domains.len() + 1];
-        for &(_, d) in &self.edges {
-            d_off[d_index[&d] as usize + 1] += 1;
-        }
-        for i in 1..d_off.len() {
-            d_off[i] += d_off[i - 1];
-        }
-        let mut d_adj = vec![0u32; self.edges.len()];
-        if threads <= 1 {
-            let mut cursor = d_off.clone();
-            for &(m, d) in &self.edges {
-                let di = d_index[&d] as usize;
-                d_adj[cursor[di] as usize] = m_index[&m];
-                cursor[di] += 1;
-            }
-            // Sort each domain's machine list for determinism.
-            for di in 0..domains.len() {
-                let lo = d_off[di] as usize;
-                let hi = d_off[di + 1] as usize;
-                d_adj[lo..hi].sort_unstable();
-            }
-        } else {
-            // Scatter with per-domain atomic cursors: workers claim slots in
-            // whatever order they run, then each domain's list is sorted, so
-            // the result equals the serial scatter+sort exactly (machine
-            // indices within a domain are unique after edge dedup).
-            use std::sync::atomic::{AtomicU32, Ordering};
-            let cursors: Vec<AtomicU32> = d_off[..domains.len()]
-                .iter()
-                .map(|&o| AtomicU32::new(o))
-                .collect();
-            let slots: Vec<AtomicU32> = (0..self.edges.len()).map(|_| AtomicU32::new(0)).collect();
-            let chunk = self.edges.len().div_ceil(threads);
-            let joined = crossbeam::thread::scope(|scope| {
-                for es in self.edges.chunks(chunk) {
-                    let (cursors, slots) = (&cursors, &slots);
-                    let (m_index, d_index) = (&m_index, &d_index);
-                    scope.spawn(move |_| {
-                        for &(m, d) in es {
-                            let di = d_index[&d] as usize;
-                            // segugio-lint: allow(P1, slot claims are disjoint and the per-domain sort below erases claim order; the scope join publishes the stores)
-                            let pos = cursors[di].fetch_add(1, Ordering::Relaxed);
-                            // segugio-lint: allow(P1, each slot index is claimed exactly once, so the store races with nothing)
-                            slots[pos as usize].store(m_index[&m], Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            if let Err(payload) = joined {
-                std::panic::resume_unwind(payload);
-            }
-            for (slot, filled) in d_adj.iter_mut().zip(&slots) {
-                *slot = filled.load(Ordering::Relaxed);
-            }
-
-            // Per-domain sort, parallelized over contiguous domain ranges of
-            // roughly equal edge mass; each range is a disjoint slice.
-            let target = self.edges.len().div_ceil(threads);
-            let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
-            let mut start = 0usize;
-            while start < domains.len() {
-                let mut end = start;
-                while end < domains.len() && (d_off[end + 1] - d_off[start]) as usize <= target {
-                    end += 1;
-                }
-                // A single domain heavier than the target gets its own range.
-                let end = end.max(start + 1);
-                ranges.push((start, end));
-                start = end;
-            }
-            let joined = crossbeam::thread::scope(|scope| {
-                let mut remaining = &mut d_adj[..];
-                let mut consumed = 0usize;
-                for &(s, e) in &ranges {
-                    let hi = d_off[e] as usize;
-                    let (head, rest) = std::mem::take(&mut remaining).split_at_mut(hi - consumed);
-                    remaining = rest;
-                    let base = consumed;
-                    consumed = hi;
-                    let d_off = &d_off;
-                    scope.spawn(move |_| {
-                        for di in s..e {
-                            let lo = d_off[di] as usize - base;
-                            let hi = d_off[di + 1] as usize - base;
-                            head[lo..hi].sort_unstable();
-                        }
-                    });
-                }
-            });
-            if let Err(payload) = joined {
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        let domain_e2ld: Vec<E2ldId> = domains
-            .iter()
-            .map(|d| self.e2ld.get(d).copied().unwrap_or(E2ldId(d.0)))
-            .collect();
-        // Flat IP annotation pool: per-domain sorted deduped segments,
-        // delimited by `ip_off` (one backing allocation instead of one
-        // boxed slice per domain).
-        let mut ip_off: Vec<u32> = Vec::with_capacity(domains.len() + 1);
-        ip_off.push(0);
-        let mut ip_pool: Vec<Ipv4> = Vec::new();
-        for d in &domains {
-            if let Some(mut ips) = self.ips.remove(d) {
-                ips.sort_unstable();
-                ips.dedup();
-                ip_pool.extend_from_slice(&ips);
-            }
-            ip_off.push(ip_pool.len() as u32);
-        }
-
-        let n_m = machines.len();
-        let n_d = domains.len();
-        let graph = BehaviorGraph {
-            day: self.day,
-            machines,
-            domains,
-            domain_e2ld,
-            ip_off,
-            ip_pool,
-            m_off,
-            m_adj,
-            d_off,
-            d_adj,
-            domain_labels: vec![Label::Unknown; n_d],
-            machine_labels: vec![Label::Unknown; n_m],
-            machine_malware_degree: vec![0; n_m],
-        };
-        // Every structural invariant is checked on debug builds (tests,
-        // proptests); release builds skip the O(edges) pass.
-        #[cfg(debug_assertions)]
-        if let Err(violation) = graph.validate() {
-            unreachable!("builder produced an invalid graph: {violation}");
-        }
-        graph
+    pub fn build(self) -> BehaviorGraph {
+        let GraphBuilder {
+            day,
+            edges,
+            e2ld,
+            ips,
+        } = self;
+        csr_from_queries(day, edges, ips, |d| {
+            e2ld.get(&d).copied().unwrap_or(E2ldId(d.0))
+        })
     }
 
-    /// Builds a graph by streaming the merged edge runs twice — a
-    /// counting-sort CSR construction for paper-scale days.
+    /// Builds a day's graph from a borrowed query list (any order,
+    /// duplicates welcome) without per-domain builder calls: `e2ld_of`
+    /// must return the annotation for every queried domain — including the
+    /// [sentinel](GraphBuilder) `E2ldId(d.0)` for domains
+    /// [`build`](Self::build) would leave unannotated — and `resolutions`
+    /// holds the `(domain, ips)` pairs that would have gone through
+    /// [`add_resolution`](Self::add_resolution). Identical to `build` on
+    /// the same observations.
+    pub fn from_queries<F>(
+        day: Day,
+        queries: &[(MachineId, DomainId)],
+        resolutions: &[(DomainId, Vec<Ipv4>)],
+        e2ld_of: F,
+    ) -> BehaviorGraph
+    where
+        F: Fn(DomainId) -> E2ldId,
+    {
+        csr_from_queries(day, queries.to_vec(), flatten(resolutions), e2ld_of)
+    }
+
+    /// Builds a day's graph by replaying the merged [`EdgeRuns`] stream,
+    /// for paper-scale days: peak memory is the output CSR plus the
+    /// counting arrays, never the full edge list. Same contract and same
+    /// output as [`from_queries`](Self::from_queries) over the pushed
+    /// observations.
     ///
-    /// Where [`build`](Self::build) sorts one giant edge `Vec` and keys two
-    /// `HashMap`s for index assignment, this path replays the
-    /// already-sorted [`EdgeRuns`] stream: pass one counts per-raw-id
-    /// degrees (dense index assignment and both offset arrays fall out of a
-    /// prefix sum), pass two scatters both adjacency arrays directly —
-    /// per-node lists arrive ascending by construction, so no sort and no
-    /// hash lookups happen at all. Peak memory is the output CSR plus two
-    /// `max_raw_id`-sized counting arrays, never the full edge list.
-    ///
-    /// `e2ld_of` must return the annotation for every queried domain —
-    /// including the [sentinel](GraphBuilder) `E2ldId(d.0)` for domains the
-    /// equivalent in-memory builder would leave unannotated — and
-    /// `resolutions` the same `(domain, ips)` pairs that would have gone
-    /// through [`add_resolution`](Self::add_resolution). Under that
-    /// contract the output is bit-for-bit identical to [`build`](Self::build)
-    /// on the same observations (pinned by the crate's parity proptests).
+    /// # Errors
     ///
     /// Errors surface only from replaying spilled runs; the accumulator is
-    /// untouched, so callers with the edge list still in memory can fall
-    /// back to the in-memory builder.
+    /// untouched, so callers with the query list still in memory can fall
+    /// back to [`from_queries`](Self::from_queries).
     pub fn from_runs<F>(
         day: Day,
-        runs: &crate::EdgeRuns,
+        runs: &EdgeRuns,
         resolutions: &[(DomainId, Vec<Ipv4>)],
         e2ld_of: F,
     ) -> std::io::Result<BehaviorGraph>
     where
         F: Fn(DomainId) -> E2ldId,
     {
-        let Some((max_m, max_d)) = runs.max_ids() else {
-            return Ok(GraphBuilder::new(day).build());
-        };
+        csr_from_sorted(day, runs, flatten(resolutions), e2ld_of)
+    }
+}
 
-        // Pass 1: per-raw-id degrees over the merged deduplicated stream.
-        let mut m_deg = vec![0u32; max_m as usize + 1];
-        let mut d_deg = vec![0u32; max_d as usize + 1];
-        let mut edges = 0usize;
-        runs.for_each_merged(|m, d| {
-            m_deg[m.0 as usize] += 1;
-            d_deg[d.0 as usize] += 1;
-            edges += 1;
-        })?;
+/// Retired — remove with `graph.delta_advance_s` in the next `[benchmark]`
+/// PR. Stateless; `advance` is [`GraphBuilder::from_queries`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaBuilder;
 
-        // Dense index assignment in ascending raw-id order (exactly the
-        // sorted order the in-memory builder produces) and CSR offsets by
-        // prefix sum over the counted degrees.
-        let mut machines: Vec<MachineId> = Vec::new();
-        let mut m_off: Vec<u32> = Vec::new();
-        m_off.push(0);
-        let mut m_total = 0u32;
-        for (raw, &deg) in m_deg.iter().enumerate() {
-            if deg > 0 {
-                machines.push(MachineId(raw as u32));
-                m_total += deg;
-                m_off.push(m_total);
-            }
-        }
-        // The domain degree array is reused as raw-id -> dense-rank map.
-        let mut domains: Vec<DomainId> = Vec::new();
-        let mut d_off: Vec<u32> = Vec::new();
-        d_off.push(0);
-        let mut d_rank = d_deg;
-        let mut d_total = 0u32;
-        for (raw, slot) in d_rank.iter_mut().enumerate() {
-            let deg = *slot;
-            if deg > 0 {
-                *slot = domains.len() as u32;
-                domains.push(DomainId(raw as u32));
-                d_total += deg;
-                d_off.push(d_total);
-            } else {
-                *slot = u32::MAX;
-            }
-        }
-
-        // Pass 2: scatter both adjacency arrays. The stream ascends by
-        // (machine, domain), so the machine adjacency is filled in place
-        // ascending, and every domain's machine list receives ascending
-        // ranks — no per-node sort needed.
-        let mut m_adj = vec![0u32; edges];
-        let mut d_adj = vec![0u32; edges];
-        let mut cursor: Vec<u32> = Vec::with_capacity(domains.len());
-        cursor.extend_from_slice(&d_off[..domains.len()]);
-        let mut pos = 0usize;
-        let mut m_rank = 0usize;
-        runs.for_each_merged(|m, d| {
-            while machines[m_rank] != m {
-                m_rank += 1;
-            }
-            let dr = d_rank[d.0 as usize] as usize;
-            m_adj[pos] = dr as u32;
-            pos += 1;
-            d_adj[cursor[dr] as usize] = m_rank as u32;
-            cursor[dr] += 1;
-        })?;
-
-        // Annotations, identical to the in-memory builder's sort+dedup.
-        let domain_e2ld: Vec<E2ldId> = domains.iter().map(|&d| e2ld_of(d)).collect();
-        let mut pairs: Vec<(DomainId, Ipv4)> = Vec::new();
-        for (d, ips) in resolutions {
-            // segugio-lint: allow(D1, ips is a Vec from the resolutions slice — deterministic order, and pairs are sorted below anyway)
-            for &ip in ips {
-                pairs.push((*d, ip));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut ip_off: Vec<u32> = Vec::with_capacity(domains.len() + 1);
-        ip_off.push(0);
-        let mut ip_pool: Vec<Ipv4> = Vec::with_capacity(pairs.len());
-        let mut pc = 0usize;
-        for &d in &domains {
-            while pc < pairs.len() && pairs[pc].0 < d {
-                pc += 1;
-            }
-            while pc < pairs.len() && pairs[pc].0 == d {
-                ip_pool.push(pairs[pc].1);
-                pc += 1;
-            }
-            ip_off.push(ip_pool.len() as u32);
-        }
-
-        let n_m = machines.len();
-        let n_d = domains.len();
-        let graph = BehaviorGraph {
-            day,
-            machines,
-            domains,
-            domain_e2ld,
-            ip_off,
-            ip_pool,
-            m_off,
-            m_adj,
-            d_off,
-            d_adj,
-            domain_labels: vec![Label::Unknown; n_d],
-            machine_labels: vec![Label::Unknown; n_m],
-            machine_malware_degree: vec![0; n_m],
-        };
-        #[cfg(debug_assertions)]
-        if let Err(violation) = graph.validate() {
-            unreachable!("streamed builder produced an invalid graph: {violation}");
-        }
-        Ok(graph)
+#[doc(hidden)]
+impl DeltaBuilder {
+    pub fn new(_initial: &BehaviorGraph) -> Self {
+        DeltaBuilder
+    }
+    pub fn advance<F: Fn(DomainId) -> E2ldId>(
+        &mut self,
+        day: Day,
+        queries: &[(MachineId, DomainId)],
+        resolutions: &[(DomainId, Vec<Ipv4>)],
+        e2ld_of: F,
+    ) -> BehaviorGraph {
+        GraphBuilder::from_queries(day, queries, resolutions, e2ld_of)
     }
 }
 
@@ -483,7 +394,7 @@ mod tests {
         assert_eq!(g.domain_e2ld(d3), E2ldId(3));
     }
 
-    /// Every stored field must match — the from_runs parity contract is
+    /// Every stored field must match — the entry points' contract is
     /// bit-for-bit, not just observational.
     fn assert_identical(a: &BehaviorGraph, b: &BehaviorGraph) {
         assert_eq!(a.day, b.day);
@@ -501,10 +412,10 @@ mod tests {
         assert_eq!(a.machine_malware_degree, b.machine_malware_degree);
     }
 
-    /// Builds the same observations through the in-memory builder and the
-    /// streamed run path (at `run_capacity`, tiny values forcing spill)
-    /// and checks bit-for-bit identity plus structural validity.
-    fn check_from_runs_parity(
+    /// Builds the same observations through the accumulating builder, the
+    /// borrowed-query entry and the streamed run entry (at `run_capacity`,
+    /// tiny values forcing spill) and checks bit-for-bit identity.
+    fn check_entry_points_agree(
         queries: &[(MachineId, DomainId)],
         resolutions: &[(DomainId, Vec<Ipv4>)],
         e2ld: &[(DomainId, E2ldId)],
@@ -522,23 +433,26 @@ mod tests {
         }
         let reference = b.build();
 
-        let mut runs = crate::EdgeRuns::with_run_capacity(run_capacity);
-        runs.extend(queries.iter().copied());
         // Last entry wins, mirroring repeated `set_e2ld` overwrites.
-        let streamed = GraphBuilder::from_runs(Day(3), &runs, resolutions, |d| {
+        let e2ld_of = |d: DomainId| {
             e2ld.iter()
                 .rev()
                 .find(|&&(dd, _)| dd == d)
-                .map(|&(_, e)| e)
-                .unwrap_or(E2ldId(d.0))
-        })
-        .expect("in-memory or spilled replay must succeed");
+                .map_or(E2ldId(d.0), |&(_, e)| e)
+        };
+        let borrowed = GraphBuilder::from_queries(Day(3), queries, resolutions, e2ld_of);
+        assert_identical(&reference, &borrowed);
+
+        let mut runs = crate::EdgeRuns::with_run_capacity(run_capacity);
+        runs.extend(queries.iter().copied());
+        let streamed = GraphBuilder::from_runs(Day(3), &runs, resolutions, e2ld_of)
+            .expect("in-memory or spilled replay must succeed");
         streamed.validate().expect("streamed graph must validate");
         assert_identical(&reference, &streamed);
     }
 
     #[test]
-    fn from_runs_matches_build_on_handwritten_day() {
+    fn entry_points_agree_on_handwritten_day() {
         let ip = |a: u8| Ipv4::from_octets(10, 0, 0, a);
         let queries = [
             (MachineId(7), DomainId(2)),
@@ -557,7 +471,7 @@ mod tests {
         // Capacity 2 forces several sealed (spilled) runs; a huge capacity
         // exercises the single-open-run path.
         for cap in [2, 1 << 20] {
-            check_from_runs_parity(&queries, &resolutions, &e2ld, cap);
+            check_entry_points_agree(&queries, &resolutions, &e2ld, cap);
         }
     }
 
@@ -574,12 +488,11 @@ mod tests {
 
     proptest! {
         /// Random edge sets, annotations and run capacities (1..8 forces
-        /// heavy spilling): the streamed counting-sort path must be
-        /// bit-for-bit identical to the in-memory builder and always
-        /// structurally valid.
+        /// heavy spilling): every entry point must produce the same
+        /// graph, bit for bit, and it must be structurally valid.
         #[test]
         #[cfg_attr(miri, ignore = "spill-file proptest volume is too slow under Miri")]
-        fn from_runs_always_matches_build(
+        fn entry_points_always_agree(
             queries in proptest::collection::vec((0u32..24, 0u32..32), 0..200),
             resolved in proptest::collection::vec((0u32..40, proptest::collection::vec(0u32..50, 0..4)), 0..12),
             e2lds in proptest::collection::vec((0u32..32, 0u32..6), 0..10),
@@ -597,7 +510,7 @@ mod tests {
                 .into_iter()
                 .map(|(d, e)| (DomainId(d), E2ldId(e)))
                 .collect();
-            check_from_runs_parity(&queries, &resolutions, &e2ld, run_capacity);
+            check_entry_points_agree(&queries, &resolutions, &e2ld, run_capacity);
         }
     }
 }

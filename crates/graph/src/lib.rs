@@ -10,13 +10,12 @@
 //! The crate provides:
 //!
 //! - [`GraphBuilder`] / [`BehaviorGraph`] — compact CSR storage in both
-//!   directions, sized for millions of edges;
-//! - [`DeltaBuilder`] — day-over-day incremental construction that reuses
-//!   the previous day's sorted structure, bit-for-bit equal to a scratch
-//!   build;
+//!   directions, sized for millions of edges, built by one counting-sort
+//!   constructor whichever entry point ([`GraphBuilder::build`],
+//!   [`GraphBuilder::from_queries`], [`GraphBuilder::from_runs`]) feeds it;
 //! - [`EdgeRuns`] — bounded-memory edge accumulation in fixed-capacity
-//!   sorted runs (disk-spillable), consumed by the streamed counting-sort
-//!   builder [`GraphBuilder::from_runs`] for paper-scale days;
+//!   sorted runs (disk-spillable), replayed by [`GraphBuilder::from_runs`]
+//!   for paper-scale days;
 //! - [`labeling`] — seed-label application and machine-label propagation;
 //! - [`pruning`] — the conservative filtering rules R1–R4 with the paper's
 //!   two exceptions (infected machines survive R1; known malware domains
@@ -38,7 +37,6 @@
     clippy::undocumented_unsafe_blocks
 )]
 pub mod builder;
-pub mod delta;
 pub mod graph;
 pub mod hiding;
 pub mod labeling;
@@ -48,8 +46,9 @@ pub mod runs;
 pub mod stats;
 pub mod validate;
 
+#[doc(hidden)]
+pub use builder::DeltaBuilder;
 pub use builder::GraphBuilder;
-pub use delta::DeltaBuilder;
 pub use graph::{BehaviorGraph, DomainIdx, MachineIdx};
 pub use hiding::HiddenLabelView;
 pub use persist::{read_graph, write_graph};

@@ -1,15 +1,14 @@
 //! Plain-text persistence of [`BehaviorGraph`].
 //!
-//! The checkpoint subsystem in `segugio-core` must carry yesterday's CSR
-//! across a process restart. This module gives the graph the same
+//! The checkpoint subsystem in `segugio-core` must carry yesterday's
+//! pruned graph across a process restart. This module gives the graph the same
 //! deliberately simple, versioned, line-oriented treatment as the model
 //! persistence in `segugio-ml`: no external serialization dependencies,
 //! deterministic output, and a loader that never panics on hostile bytes.
 //!
 //! Only the machine-side CSR is written; the domain-side CSR is
-//! reconstructed on load by the same prefix-sum + ascending-machine scatter
-//! the delta builder uses, so the two directions can never disagree in a
-//! well-formed file. `machine_malware_degree` is likewise recomputed from
+//! reconstructed on load by a prefix sum + ascending-machine scatter, so
+//! the two directions can never disagree in a well-formed file. `machine_malware_degree` is likewise recomputed from
 //! the loaded labels. Every load ends with [`BehaviorGraph::validate`], so
 //! a graph that parses but violates a structural invariant is rejected with
 //! a typed error instead of corrupting downstream phases.
@@ -141,7 +140,7 @@ pub fn read_graph<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Behav
 
     // Domain CSR: count degrees, prefix-sum, then scatter by walking
     // machines in ascending order so each domain's querier list comes out
-    // sorted — the same construction as the delta builder's step 6.
+    // sorted.
     let mut d_off: Vec<u32> = vec![0; nd as usize + 1];
     for &d in &m_adj {
         d_off[d as usize + 1] += 1;

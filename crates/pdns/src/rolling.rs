@@ -599,7 +599,6 @@ mod tests {
         assert_eq!(text, again);
 
         // The loaded copy keeps advancing identically to the original.
-        let mut rolling = rolling;
         let mut loaded = loaded;
         for horizon in 7..=10u32 {
             let window = Day(horizon).lookback_exclusive(5);

@@ -107,7 +107,7 @@ fn clean_fixture_is_silent_everywhere() {
 
 /// The committed tree must be violation-free — in particular (the W1
 /// unknown-rule case) no comment naming a retired family survives — and
-/// carries exactly the four reasoned D1/P1 suppressions, all live.
+/// carries exactly one reasoned suppression, live.
 #[test]
 fn committed_tree_is_clean_with_only_live_d1_p1_suppressions() {
     let report = lint_tree(&workspace_root(), &all_rules()).unwrap();
@@ -119,12 +119,7 @@ fn committed_tree_is_clean_with_only_live_d1_p1_suppressions() {
         .collect();
     assert_eq!(
         sites,
-        vec![
-            ("crates/eval/src/experiments/dataset.rs", "D1", true),
-            ("crates/graph/src/builder.rs", "P1", true),
-            ("crates/graph/src/builder.rs", "P1", true),
-            ("crates/graph/src/builder.rs", "D1", true),
-        ]
+        vec![("crates/eval/src/experiments/dataset.rs", "D1", true)]
     );
 }
 
