@@ -184,8 +184,22 @@ mod tests {
     // steady-state property is asserted in crates/bench/benches/alloc.rs,
     // where the probe owns the whole process.
 
+    /// Held by every test for its whole body: a sibling freeing its
+    /// buffers on another thread moves `live` and the peak under a test
+    /// that is comparing two reads of them.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters() -> std::sync::MutexGuard<'static, ()> {
+        // A sibling that failed an assertion poisoned nothing worth
+        // protecting: the guard holds no data.
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn measure_counts_an_allocation_and_its_free() {
+        let _serial = counters();
         let (_, c) = measure(|| {
             let v: Vec<u8> = Vec::with_capacity(4096);
             drop(v);
@@ -198,15 +212,25 @@ mod tests {
 
     #[test]
     fn leaked_allocation_raises_live() {
+        let _serial = counters();
+        // Large against anything the harness itself may free between the
+        // two reads (it prints results on its own thread).
+        const HELD: u64 = 1 << 20;
         let before = snapshot();
-        let v: Vec<u8> = Vec::with_capacity(1024);
+        let v: Vec<u8> = Vec::with_capacity(HELD as usize);
         let after = snapshot();
-        assert!(after.live >= before.live + 1024);
+        assert!(
+            after.live >= before.live + HELD / 2,
+            "live {} -> {}",
+            before.live,
+            after.live
+        );
         drop(v);
     }
 
     #[test]
     fn realloc_growth_is_counted_as_traffic() {
+        let _serial = counters();
         let (_, c) = measure(|| {
             let mut v: Vec<u8> = Vec::with_capacity(16);
             // Force at least one grow-in-place-or-move.
@@ -221,6 +245,7 @@ mod tests {
 
     #[test]
     fn peak_resets_to_live() {
+        let _serial = counters();
         let held: Vec<u8> = Vec::with_capacity(2048);
         let (_, c) = measure(|| ());
         // The empty region's peak is whatever was live going in — never
@@ -231,6 +256,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_monotone_in_traffic() {
+        let _serial = counters();
         let a = snapshot();
         let v: Vec<u64> = (0..128).collect();
         let b = snapshot();

@@ -17,7 +17,12 @@
 //!   [`LogCollector`] that has seen it before — every name, client and
 //!   answer is known, so the line path may grow its buffers and nothing
 //!   else. A per-line allocation creeping back shows here as tens of
-//!   thousands, not tens.
+//!   thousands, not tens;
+//! - **ingest_resume**: what a morning run pays before its first new
+//!   line — that collector's saved state decoded into a fresh one, the
+//!   log checked against it, and a tail of no lines read. The count
+//!   follows the names and history the state holds, never the lines of
+//!   the log behind it.
 //!
 //! Prints the JSON recorded in `BENCH_alloc.json`; set `SEGUGIO_BENCH_OUT`
 //! to also write it to a file and `SEGUGIO_BENCH_SCALE=ci` for the reduced
@@ -29,7 +34,7 @@ use std::path::Path;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_core::{build_training_set, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput};
-use segugio_ingest::{export_day, LogCollector};
+use segugio_ingest::{export_day, LogCollector, LogPosition};
 use segugio_ml::RocCurve;
 use segugio_traffic::{IspConfig, IspNetwork};
 
@@ -169,14 +174,31 @@ fn main() {
     // The day as a resolver would have logged it, read twice: the first
     // pass interns and records, the measured one only recognises.
     let log = export_day(isp.table(), day.day.0, &day.queries, &day.resolutions);
+    let mut log = std::io::Cursor::new(log.as_bytes());
     let mut collector = LogCollector::new();
     let lines = collector
-        .ingest_reader(log.as_bytes())
+        .ingest_reader_from(&mut log, LogPosition::START)
         .expect("exported log is well-formed");
-    let (again, c) = measure(|| collector.ingest_reader(log.as_bytes()));
+    let (again, c) = measure(|| collector.ingest_reader_from(&mut log, LogPosition::START));
     phases.insert("ingest_warm", c);
     assert_eq!(again.expect("exported log is well-formed"), lines);
     assert_eq!(lines, day.queries.len());
+
+    // The next morning, nothing appended yet: decode, check, seek, read.
+    let state = collector.encode_state();
+    let (read, c) = measure(|| {
+        let mut resumed = LogCollector::decode_state(&state).expect("own state decodes");
+        let (start, unchanged) = resumed
+            .resume_log(&mut log, Some(day.day))
+            .expect("an in-memory log reads");
+        assert!(unchanged, "the log is the one the state was taken from");
+        let read = resumed.ingest_reader_from(&mut log, start);
+        // Dropped outside the region: the phase is the restore.
+        (resumed, read)
+    });
+    phases.insert("ingest_resume", c);
+    assert_eq!(read.1.expect("nothing left to misparse"), 0);
+    assert_eq!(read.0.table().len(), collector.table().len());
 
     // --- Report. ---
     let mut body = String::new();

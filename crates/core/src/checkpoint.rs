@@ -15,6 +15,17 @@
 //!   maps, day counters, retained model with its calibrated threshold
 //!   embedded verbatim, and the incremental engine's rolling-index +
 //!   previous-day pruned graph + feature-cache state);
+//! - an **opaque front-end section** behind the tracker's text, inside
+//!   the same payload and so under the same length and checksum: whatever
+//!   the program feeding the tracker [attached](Tracker::attach_front_end)
+//!   — for the log reader, the names behind the domain ids every map
+//!   above is keyed by, and how far the log was read — framed as
+//!   `front-end <bytes>\n` and the bytes. Ids and the state they key thus
+//!   live and die in one generation: a fallback to an older generation
+//!   takes the older ids with it. This crate never looks inside (it must
+//!   not depend on the front end), a tracker with nothing attached writes
+//!   the tracker's text alone, and a section its owner can no longer
+//!   decode costs the owner a re-read, never the tracker state beside it;
 //! - **atomic generation files** ([`Tracker::save_checkpoint`]): each save
 //!   writes `checkpoint-<day>.seg` through the shared temp-file + fsync +
 //!   rename helper [`write_atomic`] (a crash at any byte leaves either the
@@ -104,10 +115,16 @@ impl From<&str> for CheckpointError {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Hand-rolled so
 /// the checkpoint layer stays dependency-free like the rest of the codec.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+///
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte that has `k` more bytes behind it, so eight bytes fold
+/// into the state with eight independent lookups (slicing-by-8). Every
+/// save and every resume checksums a whole generation — megabytes — and
+/// the byte loop was a third of a save.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -120,20 +137,107 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let before = tables[k - 1][i];
+            tables[k][i] = tables[0][(before & 0xFF) as usize] ^ (before >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// The CRC-32 checksum embedded in (and verified against) the checkpoint
 /// header.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_of(&[bytes])
+}
+
+/// [`crc32`] of the concatenation of `parts`, without concatenating them.
+fn crc32_of(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for part in parts {
+        let mut eights = part.chunks_exact(8);
+        for eight in &mut eights {
+            let lo = c ^ u32::from_le_bytes([eight[0], eight[1], eight[2], eight[3]]);
+            let hi = u32::from_le_bytes([eight[4], eight[5], eight[6], eight[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in eights.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// A checkpoint document, in the order its pieces are written: the header
+/// line, then the payload it describes — the tracker's text and, when a
+/// front-end section is attached, its frame line and the section.
+struct Document<'a> {
+    header: String,
+    payload: String,
+    frame: String,
+    section: &'a str,
+}
+
+impl Document<'_> {
+    fn parts(&self) -> [&str; 4] {
+        [&self.header, &self.payload, &self.frame, self.section]
+    }
+}
+
+/// The last line of the tracker's own part of the payload; what follows
+/// it, if anything, is the front-end section.
+const END_TRACKER: &[u8] = b"\nend-tracker\n";
+
+/// Splits a payload into the tracker's text and the front-end section
+/// behind it: `front-end <bytes>\n` and exactly that many bytes. A payload
+/// without that frame comes back whole, for the tracker parser to accept
+/// or refuse as it always has.
+fn split_front_end(payload: &[u8]) -> Result<(&[u8], Option<&str>), CheckpointError> {
+    let Some(end) = payload
+        .windows(END_TRACKER.len())
+        .position(|w| w == END_TRACKER)
+        .map(|at| at + END_TRACKER.len())
+    else {
+        return Ok((payload, None));
+    };
+    let (tracker, rest) = payload.split_at(end);
+    let Some(frame) = rest.strip_prefix(b"front-end ") else {
+        return Ok((payload, None));
+    };
+    let newline = frame
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| CheckpointError::new("unterminated front-end line"))?;
+    let declared: usize = std::str::from_utf8(&frame[..newline])
+        .ok()
+        .and_then(|token| token.parse().ok())
+        .ok_or_else(|| CheckpointError::new("bad front-end section length"))?;
+    let section = &frame[newline + 1..];
+    if section.len() != declared {
+        return Err(CheckpointError::new(format!(
+            "front-end section length mismatch: declared {declared} bytes, found {}",
+            section.len()
+        )));
+    }
+    let section = std::str::from_utf8(section)
+        .map_err(|e| CheckpointError::new(format!("front-end section is not UTF-8: {e}")))?;
+    Ok((tracker, Some(section)))
 }
 
 /// What an atomic write attempt did — [`write_atomic_with_kill`] reports
@@ -156,7 +260,7 @@ pub enum WriteOutcome {
 /// xtask `S1` lint rejects direct `fs::write`/`File::create` in declared
 /// persistence modules.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    write_atomic_impl(path, bytes, None).map(|_| ())
+    write_atomic_impl(path, &[bytes], None).map(|_| ())
 }
 
 /// [`write_atomic`] with a deterministic crash injected after
@@ -171,12 +275,14 @@ pub fn write_atomic_with_kill(
     bytes: &[u8],
     kill_after_bytes: u64,
 ) -> Result<WriteOutcome, CheckpointError> {
-    write_atomic_impl(path, bytes, Some(kill_after_bytes))
+    write_atomic_impl(path, &[bytes], Some(kill_after_bytes))
 }
 
+/// The file's content is the concatenation of `parts`, written one after
+/// the other: a checkpoint's pieces go out from where they lie.
 fn write_atomic_impl(
     path: &Path,
-    bytes: &[u8],
+    parts: &[&[u8]],
     kill_after: Option<u64>,
 ) -> Result<WriteOutcome, CheckpointError> {
     let display = path.display();
@@ -185,15 +291,17 @@ fn write_atomic_impl(
     let tmp = PathBuf::from(tmp_name);
     let mut file = File::create(&tmp)
         .map_err(|e| CheckpointError::new(format!("creating {}: {e}", tmp.display())))?;
-    if let Some(kill) = kill_after {
-        let kill = usize::try_from(kill).unwrap_or(usize::MAX).min(bytes.len());
-        file.write_all(&bytes[..kill])
+    let mut left = kill_after.map(|kill| usize::try_from(kill).unwrap_or(usize::MAX));
+    for part in parts {
+        let part = &part[..left.map_or(part.len(), |left| left.min(part.len()))];
+        file.write_all(part)
             .map_err(|e| CheckpointError::new(format!("writing {}: {e}", tmp.display())))?;
+        left = left.map(|left| left - part.len());
+    }
+    if kill_after.is_some() {
         let _ = file.sync_all();
         return Ok(WriteOutcome::KilledMidWrite);
     }
-    file.write_all(bytes)
-        .map_err(|e| CheckpointError::new(format!("writing {}: {e}", tmp.display())))?;
     file.sync_all()
         .map_err(|e| CheckpointError::new(format!("fsyncing {}: {e}", tmp.display())))?;
     drop(file);
@@ -286,15 +394,35 @@ impl Tracker {
     /// followed by the payload. [`load_from_str`](Self::load_from_str) of
     /// the result reproduces this exact string — save→load→save is a
     /// byte-identical fixed point.
+    ///
+    /// An [attached](Self::attach_front_end) front-end section follows the
+    /// tracker's text inside the same payload, under the same length and
+    /// checksum, framed as `front-end <bytes>\n` and the bytes; with
+    /// nothing attached the document is the tracker's text alone.
     pub fn save_to_string(&self) -> String {
-        use std::fmt::Write as _;
+        self.document().parts().concat()
+    }
+
+    /// The checkpoint document in pieces. The section is megabytes and
+    /// the same for every save of a run: it is checksummed where it lies,
+    /// and [`save_checkpoint`](Self::save_checkpoint) writes it from
+    /// there.
+    fn document(&self) -> Document<'_> {
         let mut payload = String::new();
         self.write_payload(&mut payload);
-        let crc = crc32(payload.as_bytes());
-        let mut out = String::with_capacity(payload.len() + 48);
-        let _ = writeln!(out, "segugio-checkpoint v1 {} {:08x}", payload.len(), crc);
-        out.push_str(&payload);
-        out
+        let section = self.front_end.as_deref().unwrap_or_default();
+        let frame = match &self.front_end {
+            Some(section) => format!("front-end {}\n", section.len()),
+            None => String::new(),
+        };
+        let len = payload.len() + frame.len() + section.len();
+        let crc = crc32_of(&[payload.as_bytes(), frame.as_bytes(), section.as_bytes()]);
+        Document {
+            header: format!("segugio-checkpoint v1 {len} {crc:08x}\n"),
+            payload,
+            frame,
+            section,
+        }
     }
 
     fn write_payload(&self, out: &mut String) {
@@ -329,6 +457,9 @@ impl Tracker {
                 }
                 Degradation::CheckpointDiscarded { day } => {
                     let _ = write!(out, " D {}", day.0);
+                }
+                Degradation::LogReread { ids_restored } => {
+                    let _ = write!(out, " L {}", u8::from(*ids_restored));
                 }
             }
         }
@@ -403,9 +534,14 @@ impl Tracker {
                 "checksum mismatch: header declares {declared_crc:08x}, payload hashes to {actual_crc:08x}"
             )));
         }
+        let (payload, front_end) =
+            split_front_end(payload).map_err(|e| e.context("parsing checkpoint payload"))?;
         let payload = std::str::from_utf8(payload)
             .map_err(|e| CheckpointError::new(format!("checkpoint payload is not UTF-8: {e}")))?;
-        Self::parse_payload(payload).map_err(|e| e.context("parsing checkpoint payload"))
+        let mut tracker =
+            Self::parse_payload(payload).map_err(|e| e.context("parsing checkpoint payload"))?;
+        tracker.front_end = front_end.map(str::to_owned);
+        Ok(tracker)
     }
 
     fn parse_payload(payload: &str) -> Result<Tracker, CheckpointError> {
@@ -505,6 +641,17 @@ impl Tracker {
                 Some("D") => Degradation::CheckpointDiscarded {
                     day: Day(field(&mut parts, "discarded day")?),
                 },
+                Some("L") => Degradation::LogReread {
+                    ids_restored: match parts.next() {
+                        Some("0") => false,
+                        Some("1") => true,
+                        other => {
+                            return Err(CheckpointError::new(format!(
+                                "bad log-reread marker: {other:?}"
+                            )))
+                        }
+                    },
+                },
                 other => {
                     return Err(CheckpointError::new(format!(
                         "bad pending record tag: {other:?}"
@@ -571,6 +718,7 @@ impl Tracker {
             last_day,
             pending_degradation,
             score_buf: Default::default(),
+            front_end: None,
         })
     }
 
@@ -591,7 +739,7 @@ impl Tracker {
         fs::create_dir_all(dir)
             .map_err(|e| CheckpointError::new(format!("creating {}: {e}", dir.display())))?;
         let path = dir.join(format!("checkpoint-{}.seg", day.0));
-        write_atomic(&path, self.save_to_string().as_bytes())
+        write_atomic_impl(&path, &self.document().parts().map(str::as_bytes), None)
             .map_err(|e| e.context(format!("saving checkpoint for day {}", day.0)))?;
         for (_, old) in list_generations(dir)?.into_iter().skip(keep.max(1)) {
             fs::remove_file(&old)
@@ -615,7 +763,11 @@ impl Tracker {
         fs::create_dir_all(dir)
             .map_err(|e| CheckpointError::new(format!("creating {}: {e}", dir.display())))?;
         let path = dir.join(format!("checkpoint-{}.seg", day.0));
-        write_atomic_with_kill(&path, self.save_to_string().as_bytes(), kill_after_bytes)
+        write_atomic_impl(
+            &path,
+            &self.document().parts().map(str::as_bytes),
+            Some(kill_after_bytes),
+        )
     }
 
     /// Restores a tracker from the newest loadable generation in `dir`.
@@ -895,6 +1047,111 @@ mod tests {
             resumed.pending_degradation,
             vec![Degradation::CheckpointDiscarded { day: Day(4) }]
         );
+    }
+
+    /// Puts `payload` under a header with the right length and CRC.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let header = format!(
+            "segugio-checkpoint v1 {} {:08x}\n",
+            payload.len(),
+            crc32(payload)
+        );
+        [header.as_bytes(), payload].concat()
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
+    fn front_end_section_rides_every_generation_and_comes_back_verbatim() {
+        let scratch = ScratchDir::new("front-end");
+        let mut isp = IspNetwork::new(IspConfig::tiny(55));
+        isp.warm_up(16);
+        let config = TrackerConfig {
+            target_fpr: 0.02,
+            ..TrackerConfig::default()
+        };
+        let mut tracker = Tracker::new();
+        run_days(&mut isp, &mut tracker, &config, 1);
+        let bare = tracker.save_to_string();
+        assert!(
+            bare.ends_with("end-tracker\n"),
+            "nothing attached, no frame"
+        );
+
+        // Opaque means opaque: the payload's own terminator inside.
+        let section = "any text\nend-tracker\nfront-end 9\ncaf\u{e9}";
+        tracker.attach_front_end(section.to_owned());
+        tracker.note_degradation(Degradation::LogReread { ids_restored: true });
+        tracker.note_degradation(Degradation::LogReread {
+            ids_restored: false,
+        });
+        tracker.save_checkpoint(scratch.path(), 3).expect("save 1");
+        run_days(&mut isp, &mut tracker, &config, 1);
+        tracker.save_checkpoint(scratch.path(), 3).expect("save 2");
+
+        for (_, path) in list_generations(scratch.path()).expect("list") {
+            let text = fs::read_to_string(path).expect("read generation");
+            let mut loaded = Tracker::load_from_str(&text).expect("valid generation");
+            assert_eq!(loaded.save_to_string(), text, "save→load→save fixed point");
+            assert_eq!(loaded.take_front_end().as_deref(), Some(section));
+        }
+        let mut resumed = Tracker::resume(scratch.path()).expect("resume");
+        assert_eq!(resumed.last_day(), tracker.last_day());
+        assert!(resumed.pending_degradation.is_empty(), "drained by day 2");
+        assert_eq!(resumed.take_front_end().as_deref(), Some(section));
+
+        // Until a day drains them, the notes are saved with their tags.
+        let mut waiting = Tracker::new();
+        waiting.note_degradation(Degradation::LogReread { ids_restored: true });
+        waiting.note_degradation(Degradation::LogReread {
+            ids_restored: false,
+        });
+        let loaded = Tracker::load_from_str(&waiting.save_to_string()).expect("valid");
+        assert_eq!(loaded.pending_degradation, waiting.pending_degradation);
+    }
+
+    #[test]
+    fn crc32_is_the_ieee_checksum_however_the_bytes_are_cut() {
+        // The check value every CRC-32/IEEE implementation publishes.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        // Eight bytes at a time, a tail at a time, and across parts that
+        // end anywhere: always the value the byte-at-a-time loop gives.
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 31 + i / 7) as u8).collect();
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        for len in 0..64 {
+            assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "{len}");
+        }
+        for cut in [0, 1, 7, 8, 9, 500, 993, 1000] {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(crc32_of(&[a, &[], b]), bytewise(&bytes), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn mangled_front_end_frames_are_typed_errors() {
+        let bare = Tracker::new().save_to_string();
+        let (_, payload) = bare.split_once('\n').expect("header line");
+        for (tail, complaint) in [
+            ("front-end 5\nabc", "length mismatch"),
+            ("front-end 2\nabc", "length mismatch"),
+            ("front-end x\nabc", "bad front-end section length"),
+            ("front-end 3", "unterminated front-end line"),
+            // Not a frame at all: the tracker parser's old complaint.
+            ("back-end 3\nabc", "trailing content after end-tracker"),
+        ] {
+            let error = Tracker::load_from_bytes(&framed(format!("{payload}{tail}").as_bytes()))
+                .expect_err("a mangled frame must be refused");
+            assert!(error.to_string().contains(complaint), "{tail:?}: {error}");
+        }
+        let not_text = [payload.as_bytes(), b"front-end 2\n", &[0xC3, 0x28]].concat();
+        let error = Tracker::load_from_bytes(&framed(&not_text)).expect_err("not UTF-8");
+        assert!(error.to_string().contains("not UTF-8"), "{error}");
     }
 
     #[test]

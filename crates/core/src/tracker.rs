@@ -72,6 +72,21 @@ pub enum Degradation {
         /// The day of the discarded generation.
         day: Day,
     },
+    /// The front end could not read the log on from where the restored
+    /// checkpoint left it, and read it again from its first byte.
+    /// [Noted](Tracker::note_degradation) by the front end before the
+    /// first day of the run.
+    LogReread {
+        /// `true`: the log no longer matched what the checkpoint recorded
+        /// of it (rotated, truncated or edited), and was read into the
+        /// front-end state the checkpoint carries — domain and machine
+        /// ids are still the ones this tracker's state is keyed by.
+        /// `false`: the checkpoint carried no front-end state this
+        /// version can decode, so ids were assigned afresh from the log
+        /// as found; they match the tracker's only if the log's old lines
+        /// are unchanged.
+        ids_restored: bool,
+    },
 }
 
 /// One day's tracking outcome.
@@ -166,6 +181,9 @@ pub struct Tracker {
     /// Reusable scoring scratch: the daily scoring pass fills this instead
     /// of allocating fresh score/detection vectors every day.
     pub(crate) score_buf: ScoreBuffer,
+    /// What the front end asked to have saved beside the tracker state:
+    /// opaque here, carried verbatim by every checkpoint.
+    pub(crate) front_end: Option<String>,
 }
 
 impl Tracker {
@@ -196,6 +214,28 @@ impl Tracker {
     /// Confirmed detections: `(domain, flagged_day, confirmed_day)`.
     pub fn confirmations(&self) -> impl Iterator<Item = (DomainId, Day, Day)> + '_ {
         self.confirmed.iter().map(|(&d, &(f, c))| (d, f, c))
+    }
+
+    /// Attaches the front end's own state — for a log reader, the names
+    /// behind the ids this tracker's state is keyed by and how far the
+    /// log was read — to be written, as is, into every checkpoint saved
+    /// from now on, so that ids and the state they key share one
+    /// generation and one checksum. The tracker never looks inside.
+    pub fn attach_front_end(&mut self, section: String) {
+        self.front_end = Some(section);
+    }
+
+    /// Takes back what the restored checkpoint carried for the front end,
+    /// if anything.
+    pub fn take_front_end(&mut self) -> Option<String> {
+        self.front_end.take()
+    }
+
+    /// Records a fallback taken outside a processed day; it surfaces, after
+    /// any checkpoint-resume records, at the front of the next
+    /// [`DayReport::degradation`].
+    pub fn note_degradation(&mut self, record: Degradation) {
+        self.pending_degradation.push(record);
     }
 
     /// Processes one day of traffic.

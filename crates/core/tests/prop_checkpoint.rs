@@ -305,3 +305,52 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Group 3: the front-end section.
+
+/// Section text hostile to the framing around it: the payload's own
+/// keywords and terminator lines, a frame line inside the section,
+/// multi-byte characters, no final newline.
+fn section_text() -> impl Strategy<Value = String> {
+    let piece = (0u32..8, "[ -~\n]{0,40}").prop_map(|(kind, text)| match kind {
+        0 => "\nend-tracker\n".to_string(),
+        1 => "front-end 3\nabc".to_string(),
+        2 => "segugio-checkpoint v1 0 00000000\n".to_string(),
+        3 => "caf\u{e9} \u{2028}\u{1f980}".to_string(),
+        _ => text,
+    });
+    proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
+}
+
+proptest! {
+    /// Whatever the front end attaches comes back byte for byte, under
+    /// the same header length and checksum, and save→load→save stays a
+    /// fixed point; with nothing attached the document is exactly the
+    /// tracker's own.
+    #[test]
+    #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+    fn an_attached_section_rides_the_fixed_point(
+        flagged in flag_map(0, 10_000),
+        last_day in maybe(0u32..5000),
+        pending in pending_records(),
+        section in section_text(),
+    ) {
+        let bare = render_checkpoint(
+            &flagged, &BTreeMap::new(), 3, last_day, &pending, Some(0.5), 2,
+        );
+        let mut tracker = Tracker::load_from_str(&bare).expect("valid checkpoint parses");
+        tracker.attach_front_end(section.clone());
+        let saved = tracker.save_to_string();
+        prop_assert!(saved.ends_with(&section));
+
+        let mut reloaded = Tracker::load_from_str(&saved).expect("framed checkpoint parses");
+        prop_assert_eq!(reloaded.save_to_string(), saved.as_str());
+        prop_assert_eq!(reloaded.take_front_end(), Some(section));
+        prop_assert_eq!(reloaded.save_to_string(), bare, "detached: the tracker's text alone");
+
+        // Any strict prefix of the framed document is refused whole.
+        let cut = saved.len() - 1 - (flagged.len() % saved.len().min(64));
+        prop_assert!(Tracker::load_from_bytes(&saved.as_bytes()[..cut]).is_err());
+    }
+}

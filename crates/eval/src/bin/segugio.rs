@@ -31,6 +31,25 @@
 //!     checkpoint are skipped, so a killed run can simply be re-run
 //! ```
 //!
+//! # What a resumed `track` reads
+//!
+//! Each generation carries, beside the tracker, the log reader's own state
+//! (`LogCollector::encode_state`: names and ids, history, where each day
+//! starts, how far the log was read, a fingerprint of the bytes before
+//! that point). A resumed run decodes it, checks the fingerprint against
+//! `--logs`, seeks to the first line of the first day the checkpoint does
+//! not cover — the end of what was read, on an ordinary morning — and
+//! ingests from there: its cost is the new day's, whatever the age of the
+//! log, and run again on an unchanged log it reads no line at all. When
+//! the log is no longer the one the state was taken from (rotated,
+//! truncated, edited) it is read from byte 0 *into the decoded state*, so
+//! names keep the ids the tracker's flags are keyed by; when there is no
+//! state to decode (a generation written before there was one, or by a
+//! later version) the log is read from byte 0 into an empty collector, as
+//! every resumed run used to. Both detours are said on stderr and tagged
+//! on the next day line (`log-reread[ids-restored]`,
+//! `log-reread[ids-from-log]`); neither fails the run.
+//!
 //! # Exit codes
 //!
 //! Failures map to distinct exit codes by kind, so deployment scripts can
@@ -67,7 +86,7 @@ use segugio_eval::experiments::{
     ablation, bp_comparison, crossday, crossfamily, dataset, early_detection, fp_analysis,
     notos_comparison, performance, public_blacklist, robustness, seed_sensitivity, Scale,
 };
-use segugio_ingest::{export_day, IngestError, LogCollector};
+use segugio_ingest::{export_day, IngestError, IngestedDay, LogCollector, LogPosition};
 use segugio_ml::ParseModelError;
 use segugio_model::{Blacklist, Day, DomainName, Whitelist};
 use segugio_traffic::{IspConfig, IspNetwork};
@@ -370,34 +389,119 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared: ingest logs + remap seed lists onto the collector's table.
-///
-/// `covered` is the last day a restored checkpoint accounts for: the log
-/// is still read from its start (ids and history depend on it), but the
-/// collector retains no traffic for days the caller will not process.
-fn load_inputs(
-    flags: &HashMap<String, String>,
-    covered: Option<Day>,
-) -> Result<(LogCollector, Blacklist, Whitelist), CliError> {
-    let logs_path = flags
-        .get("logs")
-        .ok_or_else(|| CliError::usage("--logs FILE is required"))?;
-    let bl_path = flags
-        .get("blacklist")
-        .ok_or_else(|| CliError::usage("--blacklist FILE is required"))?;
-    let wl_path = flags
-        .get("whitelist")
-        .ok_or_else(|| CliError::usage("--whitelist FILE is required"))?;
+/// What a restored checkpoint knows about the log: the last day it
+/// covers and the front-end state saved beside the tracker, if any.
+struct LogResume {
+    covered: Day,
+    section: Option<String>,
+}
 
-    let mut collector = covered.map_or_else(LogCollector::new, LogCollector::resuming_after);
-    let file =
+/// Reads `--logs` through the one read path, `ingest_reader_from`: from
+/// the top into an empty collector (a first run, or `train` / `detect`),
+/// or from where the checkpoint's front-end state says the last run
+/// stopped, into the collector decoded from that state.
+///
+/// The second is what keeps a morning run's cost to the new day. It needs
+/// the log to still be the one the state was built from; when it is not
+/// (rotated, truncated, edited), the log is read from the top into the
+/// decoded collector, so names keep the ids the tracker's state is keyed
+/// by. With no state to decode the collector starts empty and the whole
+/// log is read for ids and history, as before there was any. Both detours
+/// come back as the [`Degradation`] to note.
+fn read_log(
+    logs_path: &str,
+    resume: Option<LogResume>,
+) -> Result<(LogCollector, Option<Degradation>), CliError> {
+    let mut file =
         fs::File::open(logs_path).map_err(|e| CliError::io(format!("opening {logs_path}"), e))?;
-    let n = collector.ingest_reader(file)?;
+    let mut degraded = None;
+    let (mut collector, start) = match resume {
+        None => (LogCollector::new(), LogPosition::START),
+        Some(LogResume { covered, section }) => {
+            match section.as_deref().map(LogCollector::decode_state) {
+                Some(Ok(mut collector)) => {
+                    let (start, unchanged) = collector
+                        .resume_log(&mut file, Some(covered))
+                        .map_err(|e| CliError::io(format!("reading {logs_path}"), e))?;
+                    if unchanged {
+                        eprintln!(
+                            "resumed log at byte {} (line {})",
+                            start.offset,
+                            start.line_number()
+                        );
+                    } else {
+                        eprintln!(
+                            "warning: {logs_path} is not the log the checkpoint was taken from \
+                             (rotated, truncated or edited); reading it from byte 0 under the \
+                             checkpoint's ids"
+                        );
+                        degraded = Some(Degradation::LogReread { ids_restored: true });
+                    }
+                    (collector, start)
+                }
+                undecodable => {
+                    let why = match undecodable {
+                        Some(Err(e)) => e.to_string(),
+                        _ => "the checkpoint carries no front-end state".to_owned(),
+                    };
+                    eprintln!("warning: {why}; reading the log from byte 0");
+                    degraded = Some(Degradation::LogReread {
+                        ids_restored: false,
+                    });
+                    (LogCollector::resuming_after(covered), LogPosition::START)
+                }
+            }
+        }
+    };
+    let n = collector.ingest_reader_from(&mut file, start)?;
     eprintln!(
         "ingested {n} records: {} machines, days {:?}",
         collector.machine_count(),
         collector.days().iter().map(|d| d.0).collect::<Vec<_>>()
     );
+    Ok((collector, degraded))
+}
+
+/// Shared by `train` and `detect`: the whole log, and the seed lists
+/// remapped onto its table.
+fn load_inputs(
+    flags: &HashMap<String, String>,
+) -> Result<(LogCollector, Blacklist, Whitelist), CliError> {
+    let paths = InputPaths::from_flags(flags)?;
+    let (collector, _) = read_log(paths.logs, None)?;
+    let (blacklist, whitelist) = load_seed_lists(&paths, &collector)?;
+    Ok((collector, blacklist, whitelist))
+}
+
+/// The three input files every log-reading command requires.
+struct InputPaths<'a> {
+    logs: &'a str,
+    blacklist: &'a str,
+    whitelist: &'a str,
+}
+
+impl<'a> InputPaths<'a> {
+    fn from_flags(flags: &'a HashMap<String, String>) -> Result<Self, CliError> {
+        let required = |key: &str| {
+            flags
+                .get(key)
+                .map(String::as_str)
+                .ok_or_else(|| CliError::usage(format!("--{key} FILE is required")))
+        };
+        Ok(InputPaths {
+            logs: required("logs")?,
+            blacklist: required("blacklist")?,
+            whitelist: required("whitelist")?,
+        })
+    }
+}
+
+/// Reads the seed lists and remaps them onto the collector's table.
+fn load_seed_lists(
+    paths: &InputPaths<'_>,
+    collector: &LogCollector,
+) -> Result<(Blacklist, Whitelist), CliError> {
+    let (bl_path, wl_path) = (paths.blacklist, paths.whitelist);
 
     let mut blacklist = Blacklist::new();
     let bl_text =
@@ -437,7 +541,7 @@ fn load_inputs(
         blacklist.len(),
         whitelist.len()
     );
-    Ok((collector, blacklist, whitelist))
+    Ok((blacklist, whitelist))
 }
 
 fn cmd_train(args: &[String]) -> Result<(), CliError> {
@@ -446,7 +550,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         .get("save")
         .ok_or_else(|| CliError::usage("--save FILE is required"))?
         .clone();
-    let (collector, blacklist, whitelist) = load_inputs(&flags, None)?;
+    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
     let days = collector.days();
     let day = match flags.get("day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --day"))?),
@@ -454,9 +558,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
             .first()
             .ok_or_else(|| CliError::data("log file contains no traffic"))?,
     };
-    let train = collector
-        .day(day)
-        .ok_or_else(|| CliError::data(format!("no traffic on {day}")))?;
+    let train = day_traffic(collector.try_day(day), day)?;
     let config = SegugioConfig::default();
     let input = SnapshotInput {
         day,
@@ -490,7 +592,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         ],
     )?;
     let top: usize = parse_or(&flags, "top", 20)?;
-    let (collector, blacklist, whitelist) = load_inputs(&flags, None)?;
+    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
     let days = collector.days();
     let test_day = match flags.get("test-day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --test-day"))?),
@@ -517,9 +619,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
                     .ok_or_else(|| CliError::data("log file contains no traffic"))?,
             };
             eprintln!("training on {train_day}, testing on {test_day}");
-            let train = collector
-                .day(train_day)
-                .ok_or_else(|| CliError::data(format!("no traffic on {train_day}")))?;
+            let train = day_traffic(collector.try_day(train_day), train_day)?;
             let input = SnapshotInput {
                 day: train_day,
                 queries: &train.queries,
@@ -535,9 +635,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let test = collector
-        .day(test_day)
-        .ok_or_else(|| CliError::data(format!("no traffic on {test_day}")))?;
+    let test = day_traffic(collector.try_day(test_day), test_day)?;
     let input = SnapshotInput {
         day: test_day,
         queries: &test.queries,
@@ -576,7 +674,22 @@ fn describe_degradation(d: &Degradation) -> String {
             format!("restored-from-checkpoint[{day}]")
         }
         Degradation::CheckpointDiscarded { day } => format!("checkpoint-discarded[{day}]"),
+        Degradation::LogReread { ids_restored: true } => "log-reread[ids-restored]".to_owned(),
+        Degradation::LogReread {
+            ids_restored: false,
+        } => "log-reread[ids-from-log]".to_owned(),
     }
+}
+
+/// The traffic `try_day` found for `day`. A scratch run that cannot be
+/// read back is an I/O failure, not a day without traffic.
+fn day_traffic(
+    found: std::io::Result<Option<IngestedDay>>,
+    day: Day,
+) -> Result<IngestedDay, CliError> {
+    found
+        .map_err(|e| CliError::io(format!("re-reading the spilled traffic of {day}"), e))?
+        .ok_or_else(|| CliError::data(format!("no traffic on {day}")))
 }
 
 fn cmd_track(args: &[String]) -> Result<(), CliError> {
@@ -586,6 +699,7 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
     )?;
     let keep: usize = parse_or(&flags, "keep", DEFAULT_KEEP_GENERATIONS)?;
     let checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
+    let paths = InputPaths::from_flags(&flags)?;
 
     // Resume before touching the logs: a killed run restarts from its
     // latest good checkpoint generation (falling back through corrupt
@@ -604,10 +718,25 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
         None => Tracker::new(),
     };
 
-    let (collector, blacklist, whitelist) = load_inputs(&flags, tracker.last_day())?;
+    // Read on in the log from where the checkpoint stopped, not from its
+    // first byte: the front-end state saved beside the tracker holds
+    // everything the covered days contributed but their traffic.
+    let resume = tracker.last_day().map(|covered| LogResume {
+        covered,
+        section: tracker.take_front_end(),
+    });
+    let (collector, degraded) = read_log(paths.logs, resume)?;
+    if let Some(record) = degraded {
+        tracker.note_degradation(record);
+    }
+    let (blacklist, whitelist) = load_seed_lists(&paths, &collector)?;
     let days = collector.days();
     if days.is_empty() {
         return Err(CliError::data("log file contains no traffic"));
+    }
+    if checkpoint_dir.is_some() {
+        // Encoded once; every generation this run saves carries it.
+        tracker.attach_front_end(collector.encode_state());
     }
 
     let config = TrackerConfig::default();
@@ -616,9 +745,7 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
         if tracker.last_day().is_some_and(|last| day <= last) {
             continue; // already covered by the restored checkpoint
         }
-        let traffic = collector
-            .day(day)
-            .ok_or_else(|| CliError::data(format!("no traffic on {day}")))?;
+        let traffic = day_traffic(collector.try_day(day), day)?;
         let input = SnapshotInput {
             day,
             queries: &traffic.queries,
@@ -675,5 +802,24 @@ fn parse_or<T: std::str::FromStr>(
         Some(v) => v
             .parse()
             .map_err(|_| CliError::usage(format!("bad value for --{key}: `{v}`"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_scratch_read_failure_is_an_io_error_not_a_day_without_traffic() {
+        let failed = day_traffic(Err(std::io::Error::other("scratch disk died")), Day(7));
+        let error = failed.expect_err("an unreadable run is a failure");
+        assert!(matches!(error, CliError::Io { .. }), "{error:?}");
+        assert_eq!(error.exit_code(), ExitCode::from(3));
+        assert!(error.to_string().contains("day 7"), "{error}");
+
+        let absent = day_traffic(Ok(None), Day(7)).expect_err("no traffic");
+        assert!(matches!(absent, CliError::Data(_)), "{absent:?}");
+        assert_eq!(absent.exit_code(), ExitCode::from(6));
+        assert!(day_traffic(Ok(Some(IngestedDay::default())), Day(7)).is_ok());
     }
 }

@@ -277,3 +277,261 @@ fn morning_run_on_a_grown_log_equals_the_uncheckpointed_run() {
     assert_eq!(resumed, day_lines(&uncheckpointed));
     assert_eq!(totals(&morning), totals(&uncheckpointed));
 }
+
+/// The `day N: …` lines of a run's stdout.
+fn day_lines(out: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| l.starts_with("day "))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The `P flagged pending, C confirmed` half of the closing line.
+fn totals(out: &Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("tracked "))
+        .unwrap_or_else(|| panic!("no summary line: {out:?}"));
+    summary.split_once(':').unwrap().1.to_owned()
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A cron deployment after its backfill: the simulated log without its
+/// last day was tracked into `checkpoints`, and `reference` is what one
+/// uncheckpointed run over the whole log prints.
+struct Cron {
+    scratch: ScratchDir,
+    /// The days the backfill saw, and the day the morning run is for.
+    prefix: String,
+    last_day: String,
+    reference: Output,
+}
+
+impl Cron {
+    /// `prefix_of` shapes the log the backfill sees from the text of the
+    /// days before the last.
+    fn backfilled(tag: &str, prefix_of: impl Fn(&str) -> String) -> Cron {
+        let scratch = ScratchDir::new(tag);
+        let whole = simulate_corpus(&scratch, 4);
+        let text = fs::read_to_string(&whole).expect("reading the simulated log");
+        let day_of = |line: &str| line.split('\t').next().unwrap().parse::<u32>().unwrap();
+        let last = text.lines().map(day_of).max().expect("a non-empty log");
+        let cut: usize = text
+            .split_inclusive('\n')
+            .take_while(|l| day_of(l) < last)
+            .map(str::len)
+            .sum();
+        for sidecar in ["blacklist", "whitelist"] {
+            fs::copy(
+                format!("{}.{sidecar}", whole.display()),
+                scratch.file(&format!("growing.tsv.{sidecar}")),
+            )
+            .unwrap();
+        }
+        let whole_args = track_args(&whole);
+        let reference = segugio(&whole_args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(exit_code(&reference), 0, "whole: {reference:?}");
+        assert_eq!(day_lines(&reference).len(), 4);
+
+        let cron = Cron {
+            prefix: prefix_of(&text[..cut]),
+            last_day: text[cut..].to_owned(),
+            scratch,
+            reference,
+        };
+        let backfill = cron.track("checkpoints", cron.prefix.as_bytes());
+        assert_eq!(exit_code(&backfill), 0, "backfill: {backfill:?}");
+        assert_eq!(day_lines(&backfill), day_lines(&cron.reference)[..3]);
+        cron
+    }
+
+    /// Runs `segugio track` on a log holding `log`, checkpointing into
+    /// the scratch directory `checkpoints`.
+    fn track(&self, checkpoints: &str, log: &[u8]) -> Output {
+        let growing = self.scratch.file("growing.tsv");
+        fs::write(&growing, log).unwrap();
+        let mut args = track_args(&growing);
+        args.push("--checkpoint-dir".to_owned());
+        args.push(self.scratch.file(checkpoints).to_str().unwrap().to_owned());
+        segugio(&args.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    /// A morning run on `log`, from a copy of the backfilled checkpoints
+    /// that `prepare` may first tamper with.
+    fn morning(&self, name: &str, log: &[u8], prepare: impl Fn(&Path)) -> Output {
+        let checkpoints = self.scratch.file(name);
+        fs::create_dir_all(&checkpoints).unwrap();
+        for entry in fs::read_dir(self.scratch.file("checkpoints")).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), checkpoints.join(entry.file_name())).unwrap();
+        }
+        prepare(&checkpoints);
+        self.track(name, log)
+    }
+
+    fn grown(&self) -> Vec<u8> {
+        [self.prefix.as_bytes(), self.last_day.as_bytes()].concat()
+    }
+}
+
+/// Rewrites the newest generation in `dir`: `edit` maps its payload, and
+/// the header is made to fit the result again.
+fn rewrite_newest_generation(dir: &Path, edit: impl Fn(&str) -> String) {
+    let newest = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .max_by_key(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap().to_owned();
+            let day = name.strip_prefix("checkpoint-").unwrap();
+            day.strip_suffix(".seg").unwrap().parse::<u32>().unwrap()
+        })
+        .expect("a generation");
+    let text = fs::read_to_string(&newest).unwrap();
+    let payload = edit(text.split_once('\n').expect("a header line").1);
+    let header = format!(
+        "segugio-checkpoint v1 {} {:08x}\n",
+        payload.len(),
+        segugio_core::crc32(payload.as_bytes())
+    );
+    fs::write(&newest, header + &payload).unwrap();
+}
+
+#[test]
+fn morning_reads_on_from_the_checkpoint_and_degrades_typed_when_it_cannot() {
+    // The closing comment puts bytes that ingest ignores inside the
+    // guard window, for the edit below.
+    let cron = Cron::backfilled("ckpt-degrade", |days| format!("{days}# end of day\n"));
+    let reference_last = day_lines(&cron.reference)[3].clone();
+    let new_records = cron.last_day.lines().count();
+
+    // The healthy morning: seek, read the new day, nothing to report.
+    let morning = cron.morning("grown", &cron.grown(), |_| {});
+    assert_eq!(exit_code(&morning), 0, "{morning:?}");
+    let log = stderr(&morning);
+    assert!(
+        log.contains(&format!("resumed log at byte {} ", cron.prefix.len())),
+        "{log}"
+    );
+    assert!(
+        log.contains(&format!("ingested {new_records} records")),
+        "{log}"
+    );
+    assert_eq!(day_lines(&morning), std::slice::from_ref(&reference_last));
+    assert_eq!(totals(&morning), totals(&cron.reference));
+    // Run again on the unchanged log: nothing to read, nothing to track.
+    let again = cron.track("grown", &cron.grown());
+    assert_eq!(exit_code(&again), 0, "{again:?}");
+    assert!(stderr(&again).contains("ingested 0 records"), "{again:?}");
+    assert!(String::from_utf8_lossy(&again.stdout).contains("tracked 0 day(s)"));
+
+    // Every way the log or the section can fail to be continued: exit 0,
+    // the fallback named on the day line and on stderr, and the day and
+    // the totals of the run that never stopped.
+    let half: usize = {
+        let lines = cron.prefix.split_inclusive('\n');
+        let lengths: Vec<usize> = lines.map(str::len).collect();
+        lengths[..lengths.len() / 2].iter().sum()
+    };
+    let truncated = [&cron.prefix.as_bytes()[..half], cron.last_day.as_bytes()].concat();
+    let edited = String::from_utf8(cron.grown())
+        .unwrap()
+        .replace("# end of day\n", "# end of dax\n");
+    let future = |dir: &Path| {
+        rewrite_newest_generation(dir, |payload| {
+            assert!(payload.contains("\nsegugio-frontend v1\n"));
+            payload.replace("\nsegugio-frontend v1\n", "\nsegugio-frontend v9\n")
+        })
+    };
+    let parent_written = |dir: &Path| {
+        rewrite_newest_generation(dir, |payload| {
+            let end = payload.find("\nend-tracker\n").unwrap() + "\nend-tracker\n".len();
+            assert!(payload[end..].starts_with("front-end "));
+            payload[..end].to_owned()
+        })
+    };
+    let untouched = |_: &Path| {};
+    /// A name, the log the morning finds, what happened to the
+    /// checkpoints overnight, and the ids the fallback runs under.
+    type Scenario<'a> = (&'a str, Vec<u8>, &'a dyn Fn(&Path), &'a str);
+    let scenarios: [Scenario<'_>; 5] = [
+        ("truncated", truncated, &untouched, "ids-restored"),
+        ("edited", edited.into_bytes(), &untouched, "ids-restored"),
+        (
+            "rotated",
+            cron.last_day.clone().into_bytes(),
+            &untouched,
+            "ids-restored",
+        ),
+        ("future-version", cron.grown(), &future, "ids-from-log"),
+        (
+            "parent-written",
+            cron.grown(),
+            &parent_written,
+            "ids-from-log",
+        ),
+    ];
+    for (name, log, prepare, ids) in scenarios {
+        let morning = cron.morning(name, &log, prepare);
+        assert_eq!(exit_code(&morning), 0, "{name}: {morning:?}");
+        let said = stderr(&morning);
+        assert!(
+            said.contains("resumed from checkpoint: 3 days processed"),
+            "{name}: the tracker state is kept: {said}"
+        );
+        assert!(said.contains("warning: "), "{name}: {said}");
+        assert!(!said.contains("resumed log at byte"), "{name}: {said}");
+        assert_eq!(
+            day_lines(&morning),
+            [format!("{reference_last}  (log-reread[{ids}])")],
+            "{name}"
+        );
+        assert_eq!(totals(&morning), totals(&cron.reference), "{name}");
+        assert!(
+            String::from_utf8_lossy(&morning.stdout).contains("tracked 1 day(s)"),
+            "{name}"
+        );
+    }
+
+    // A damaged line behind the seek is still numbered from the top.
+    let damaged = [cron.prefix.as_bytes(), b"not-a-line\n"].concat();
+    let morning = cron.morning("damaged", &damaged, |_| {});
+    assert_eq!(exit_code(&morning), 4, "{morning:?}");
+    let line = cron.prefix.lines().count() + 1;
+    assert!(
+        stderr(&morning).contains(&format!("log line {line}:")),
+        "{morning:?}"
+    );
+}
+
+#[test]
+fn a_last_line_still_being_written_is_read_again_once_complete() {
+    // The backfill runs while the resolver is mid-line: the log's final
+    // newline has not been written yet.
+    let cron = Cron::backfilled("ckpt-midline", |days| {
+        days.strip_suffix('\n').unwrap().to_owned()
+    });
+    let completed = [cron.prefix.as_bytes(), b"\n", cron.last_day.as_bytes()].concat();
+    let morning = cron.morning("completed", &completed, |_| {});
+    assert_eq!(exit_code(&morning), 0, "{morning:?}");
+    // Reading resumes at the first byte of that line, not behind it.
+    let line_start = cron.prefix.rfind('\n').unwrap() + 1;
+    let log = stderr(&morning);
+    assert!(
+        log.contains(&format!("resumed log at byte {line_start} ")),
+        "{log}"
+    );
+    assert!(
+        log.contains(&format!(
+            "ingested {} records",
+            cron.last_day.lines().count() + 1
+        )),
+        "{log}"
+    );
+    assert_eq!(day_lines(&morning), day_lines(&cron.reference)[3..]);
+    assert_eq!(totals(&morning), totals(&cron.reference));
+}

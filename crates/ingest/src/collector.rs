@@ -2,15 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 
 use segugio_graph::EdgeRuns;
-use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId};
+use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId, ParseDomainError};
 use segugio_pdns::{ActivityStore, PassiveDns};
 
 use crate::error::{IngestError, ParseLogError};
-use crate::parser::{scan_lines, Line, LogRecord, RawRecord};
+use crate::parser::{scan_lines, Line, LogPosition, LogRecord, RawRecord, Scanned};
 use crate::quarantine::{IngestStats, QuarantinePolicy};
+use crate::state::LogGuard;
 
 /// One ingested day, ready for `segugio_core::SnapshotInput`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,20 +34,38 @@ pub struct IngestedDay {
 /// and allocates, validates or touches a history store only for what it
 /// has not seen: a repeated line costs two hash probes, one dense-`Vec`
 /// memo check and one query-edge push.
+///
+/// # Continuing an append-only log
+///
+/// Everything a read of the log builds except the traffic itself — names
+/// and their ids, machine names, both history stores, the days seen and
+/// where each first appears, how far the log was read and a fingerprint
+/// of the bytes just before that point — is the collector's *durable
+/// state*: [`encode_state`](Self::encode_state) writes it as text,
+/// [`decode_state`](Self::decode_state) rebuilds a collector with the same
+/// ids from it, [`resume_log`](Self::resume_log) checks that text against
+/// the log as it is now and says where to read on, and
+/// [`ingest_reader_from`](Self::ingest_reader_from) reads on from there.
+/// A daily run then costs the new day, not the age of the log.
 #[derive(Debug, Clone, Default)]
 pub struct LogCollector {
-    table: DomainTable,
-    activity: ActivityStore,
-    pdns: PassiveDns,
-    machines: Vec<String>,
+    pub(crate) table: DomainTable,
+    pub(crate) activity: ActivityStore,
+    pub(crate) pdns: PassiveDns,
+    pub(crate) machines: Vec<String>,
     machine_ids: HashMap<String, MachineId>,
-    days: BTreeMap<u32, DayAccumulator>,
+    pub(crate) days: BTreeMap<u32, DayAccumulator>,
     // `None` = [`EdgeRuns`] default capacity.
     run_capacity: Option<usize>,
     // Dense by `DomainId`.
     seen: Vec<Seen>,
     // Days up to this one feed ids and history but retain no traffic.
     covered_through: Option<Day>,
+    // How far the last successful reader pass got, and the fingerprint of
+    // the bytes just before that point — `None` when that pass read a
+    // stream it could not seek back in.
+    pub(crate) consumed: LogPosition,
+    pub(crate) guard: Option<LogGuard>,
 }
 
 /// First-seen memo of one domain: what the history stores already hold
@@ -63,7 +82,7 @@ struct Seen {
 }
 
 #[derive(Debug, Clone, Default)]
-struct DayAccumulator {
+pub(crate) struct DayAccumulator {
     // Fixed-capacity sorted runs, spilled to scratch above the cap, so a
     // paper-scale day never holds all query observations in one `Vec`.
     queries: EdgeRuns,
@@ -72,13 +91,17 @@ struct DayAccumulator {
     // whatever an interleaved log lets through is deduped once at
     // finalization.
     resolutions: BTreeMap<DomainId, Vec<Ipv4>>,
+    // The line the day first appeared on; the top of the log for a day
+    // that did not come through a reader pass.
+    pub(crate) first_at: LogPosition,
 }
 
 impl DayAccumulator {
-    fn with_run_capacity(capacity: Option<usize>) -> Self {
+    pub(crate) fn new(capacity: Option<usize>, first_at: LogPosition) -> Self {
         Self {
             queries: capacity.map_or_else(EdgeRuns::new, EdgeRuns::with_run_capacity),
             resolutions: BTreeMap::new(),
+            first_at,
         }
     }
 }
@@ -109,6 +132,10 @@ impl LogCollector {
     /// including `last_covered` retain no query edges and no resolutions —
     /// they are listed by [`days`](Self::days), and [`day`](Self::day)
     /// returns `None` for them.
+    ///
+    /// This is the resume of a run that has nothing but the log. One that
+    /// kept the [state](Self::encode_state) of its last read does not
+    /// read the covered days at all: see [`resume_log`](Self::resume_log).
     pub fn resuming_after(last_covered: Day) -> Self {
         Self {
             covered_through: Some(last_covered),
@@ -120,7 +147,7 @@ impl LogCollector {
     pub fn ingest(&mut self, record: LogRecord) {
         let machine = self.intern_machine(&record.client);
         let domain = self.table.intern(&record.qname);
-        self.commit(record.day, machine, domain, &record.ips);
+        self.commit(record.day, machine, domain, &record.ips, LogPosition::START);
     }
 
     /// Parses and ingests one payload line without building an owned
@@ -128,35 +155,56 @@ impl LogCollector {
     fn ingest_line(
         &mut self,
         payload: &str,
-        line_no: u64,
+        at: LogPosition,
         ips: &mut Vec<Ipv4>,
     ) -> Result<(), ParseLogError> {
-        let raw = RawRecord::split(payload, line_no)?;
+        let raw = RawRecord::split(payload, at.line_number())?;
         // The IPs are parsed before the qname is interned, so a line that
         // fails leaves no trace in the table.
-        let domain = match raw.parse_ips(ips) {
+        match raw.parse_ips(ips) {
             Ok(()) => self
-                .table
-                .intern_str(raw.qname)
-                .map_err(|e| raw.bad_domain(e))?,
+                .ingest_fields(raw.day, raw.client, raw.qname, ips, at)
+                .map_err(|e| raw.bad_domain(e)),
             Err(ip_error) => {
                 // A bad qname outranks a bad IP list (field order).
                 DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
-                return Err(ip_error);
+                Err(ip_error)
             }
-        };
-        let machine = self.intern_machine(raw.client);
-        self.commit(raw.day, machine, domain, ips);
+        }
+    }
+
+    /// Ingests one record from borrowed fields, looking every id up before
+    /// anything is allocated — where the line-oriented readers end.
+    /// Nothing is touched when `qname` is new and invalid.
+    pub(crate) fn ingest_fields(
+        &mut self,
+        day: Day,
+        client: &str,
+        qname: &str,
+        ips: &[Ipv4],
+        at: LogPosition,
+    ) -> Result<(), ParseDomainError> {
+        let domain = self.table.intern_str(qname)?;
+        let machine = self.intern_machine(client);
+        self.commit(day, machine, domain, ips, at);
         Ok(())
     }
 
-    /// The id-level update both record shapes end in.
-    fn commit(&mut self, day: Day, machine: MachineId, domain: DomainId, ips: &[Ipv4]) {
+    /// The id-level update every record shape ends in; `at` is the line
+    /// the record stands on.
+    fn commit(
+        &mut self,
+        day: Day,
+        machine: MachineId,
+        domain: DomainId,
+        ips: &[Ipv4],
+        at: LogPosition,
+    ) {
         let capacity = self.run_capacity;
         let acc = self
             .days
             .entry(day.0)
-            .or_insert_with(|| DayAccumulator::with_run_capacity(capacity));
+            .or_insert_with(|| DayAccumulator::new(capacity, at));
         let retained = self.covered_through.is_none_or(|last| day > last);
         if retained {
             acc.queries.push(machine, domain);
@@ -182,37 +230,150 @@ impl LogCollector {
         }
     }
 
-    /// Parses and ingests every line of a reader (`#` comments and blank
-    /// lines are skipped).
+    /// Parses and ingests every line of a stream read from its first byte
+    /// (`#` comments and blank lines are skipped). This is
+    /// [`ingest_reader_from`](Self::ingest_reader_from) the top of the
+    /// log, for a reader that cannot seek: it moves
+    /// [`consumed`](Self::consumed) like that one but leaves no
+    /// fingerprint, so [state](Self::encode_state) taken after it resumes
+    /// by reading its log again.
     ///
     /// # Errors
     ///
     /// Returns the first parse or I/O failure, with its line number;
     /// everything before the failing line has been ingested.
     pub fn ingest_reader<R: Read>(&mut self, reader: R) -> Result<usize, IngestError> {
+        let (ingested, scanned) = self.ingest_lines(reader, LogPosition::START)?;
+        self.consumed = scanned.end;
+        self.guard = None;
+        Ok(ingested)
+    }
+
+    /// Parses and ingests every line of `log` from `start` on. This is
+    /// the one read path: a first run is the [top](LogPosition::START) of
+    /// the log into an empty collector, a later run is the place
+    /// [`resume_log`](Self::resume_log) names into a
+    /// [decoded](Self::decode_state) one. Line numbers in errors count
+    /// from the top of the log either way.
+    ///
+    /// A pass that succeeds moves [`consumed`](Self::consumed) to the end
+    /// of the last line that ended in a newline, and reads the bytes
+    /// before that point back to fingerprint them. A final line without a
+    /// newline is ingested like any other, but the next pass starts on it
+    /// again: every update is idempotent, and only its IP list can have
+    /// been cut short — a line that parses has its client and qname whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first parse or I/O failure, with its line number;
+    /// everything before the failing line has been ingested, and
+    /// `consumed` stays where it was.
+    pub fn ingest_reader_from<R: Read + Seek>(
+        &mut self,
+        log: &mut R,
+        start: LogPosition,
+    ) -> Result<usize, IngestError> {
+        let io = |at: LogPosition, source| IngestError::Io {
+            line: at.line_number(),
+            source,
+        };
+        log.seek(SeekFrom::Start(start.offset))
+            .map_err(|e| io(start, e))?;
+        let (ingested, scanned) = self.ingest_lines(&mut *log, start)?;
+        // A pass that counted no line leaves the fingerprint of the bytes
+        // before `start` standing.
+        if scanned.end != start || self.guard.is_none() {
+            let guard = LogGuard::take(log, scanned.end.offset, scanned.last_line_bytes)
+                .map_err(|e| io(scanned.end, e))?;
+            self.guard = Some(guard);
+        }
+        self.consumed = scanned.end;
+        Ok(ingested)
+    }
+
+    /// The line loop behind both readers.
+    fn ingest_lines<R: Read>(
+        &mut self,
+        reader: R,
+        start: LogPosition,
+    ) -> Result<(usize, Scanned), IngestError> {
         let mut ingested = 0usize;
         let mut ips = Vec::new();
-        scan_lines(reader, |line_no, line| {
+        let scanned = scan_lines(reader, start, |at, line| {
             match line {
                 Line::BadEncoding => {
                     return Err(IngestError::Io {
-                        line: line_no,
+                        line: at.line_number(),
                         source: std::io::Error::new(
                             std::io::ErrorKind::InvalidData,
                             "stream did not contain valid UTF-8",
                         ),
                     })
                 }
-                Line::Skipped => {}
+                Line::Skipped(_) => {}
                 Line::Payload(payload) => {
-                    self.ingest_line(payload, line_no, &mut ips)
+                    self.ingest_line(payload, at, &mut ips)
                         .map_err(IngestError::Parse)?;
                     ingested += 1;
                 }
             }
             Ok(())
         })?;
-        Ok(ingested)
+        Ok((ingested, scanned))
+    }
+
+    /// How far the last successful reader pass got: the end of the last
+    /// newline-terminated line it consumed.
+    pub fn consumed(&self) -> LogPosition {
+        self.consumed
+    }
+
+    /// Prepares a [decoded](Self::decode_state) collector to read on in
+    /// `log` for a run that resumes after `last_covered`, and says where.
+    ///
+    /// When the bytes before [`consumed`](Self::consumed) still carry the
+    /// stored fingerprint, the log is the one the state was built from,
+    /// possibly longer: reading resumes at the first line of any day after
+    /// `last_covered` (the traffic of those days is not part of the state
+    /// and has to be read again, as after a killed backfill) or, when
+    /// there is none, where the last pass stopped — `true` is returned
+    /// beside the place. Lines of covered days met on the way feed the
+    /// history again, which changes nothing, and retain no traffic, as in
+    /// a collector [resuming after](Self::resuming_after) that day.
+    ///
+    /// Otherwise the log was rotated, truncated or edited underneath the
+    /// state (or the state has no fingerprint to tell). What the state
+    /// says about *where* things are is dropped —
+    /// the days listed, their offsets, `consumed` — and reading restarts
+    /// at the top, `false` beside it; names keep their ids and the history
+    /// its reach, so state keyed by those ids elsewhere stays valid.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from seeking or reading `log`.
+    pub fn resume_log<R: Read + Seek>(
+        &mut self,
+        log: &mut R,
+        last_covered: Option<Day>,
+    ) -> std::io::Result<(LogPosition, bool)> {
+        self.covered_through = last_covered;
+        let unchanged = match self.guard {
+            Some(guard) => guard.matches(log, self.consumed.offset)?,
+            None => false,
+        };
+        let start = if unchanged {
+            self.days
+                .iter()
+                .filter(|(&day, _)| last_covered.is_none_or(|last| Day(day) > last))
+                .map(|(_, acc)| acc.first_at)
+                .fold(self.consumed, LogPosition::min)
+        } else {
+            self.days.clear();
+            self.consumed = LogPosition::START;
+            self.guard = None;
+            LogPosition::START
+        };
+        Ok((start, unchanged))
     }
 
     /// Parses a reader in quarantine mode: damaged lines are counted by
@@ -239,11 +400,11 @@ impl LogCollector {
     ) -> Result<IngestStats, IngestError> {
         let mut stats = IngestStats::default();
         let mut parsed: Vec<LogRecord> = Vec::new();
-        scan_lines(reader, |line_no, line| {
+        scan_lines(reader, LogPosition::START, |at, line| {
             match line {
                 Line::BadEncoding => stats.bad_encoding += 1,
-                Line::Skipped => stats.skipped_comments += 1,
-                Line::Payload(payload) => match LogRecord::parse(payload, line_no) {
+                Line::Skipped(_) => stats.skipped_comments += 1,
+                Line::Payload(payload) => match LogRecord::parse(payload, at.line_number()) {
                     Ok(record) => parsed.push(record),
                     Err(e) => stats.note_parse(e.kind()),
                 },
@@ -264,7 +425,7 @@ impl LogCollector {
         Ok(stats)
     }
 
-    fn intern_machine(&mut self, client: &str) -> MachineId {
+    pub(crate) fn intern_machine(&mut self, client: &str) -> MachineId {
         if let Some(&id) = self.machine_ids.get(client) {
             return id;
         }
@@ -309,7 +470,9 @@ impl LogCollector {
         self.machine_ids.get(client).copied()
     }
 
-    /// Days the ingested logs carry traffic for, ascending.
+    /// Days the logs read so far carry traffic for, ascending — read by
+    /// this collector or by the one whose [state](Self::decode_state) it
+    /// was decoded from.
     pub fn days(&self) -> Vec<Day> {
         self.days.keys().map(|&d| Day(d)).collect()
     }

@@ -28,6 +28,21 @@
 //!
 //! Comment lines (`#`) and blank lines are skipped.
 //!
+//! # Reading a growing log day after day
+//!
+//! A resolver's log is append-only and months long; a daily run wants
+//! the new day. What a read of the log builds, apart from the traffic
+//! itself, is small — the names and their ids, both history stores, which
+//! days start where, how far the read got — and
+//! [`LogCollector::encode_state`] writes it as text for the caller to keep
+//! (`segugio track` keeps it in the tracker's checkpoint). The next run
+//! [decodes](LogCollector::decode_state) it, has
+//! [`LogCollector::resume_log`] check it against the log as it now is,
+//! and [reads on](LogCollector::ingest_reader_from) from there: the
+//! collector it ends up with is the one a read of the whole log builds
+//! (`tests/prop_ingest.rs` holds it to that at every line boundary). The
+//! [`state`] module documents the format.
+//!
 //! # Example
 //!
 //! ```
@@ -68,11 +83,13 @@ pub mod error;
 pub mod export;
 pub mod parser;
 pub mod quarantine;
+pub mod state;
 pub mod zeek;
 
 pub use collector::{IngestedDay, LogCollector};
 pub use error::{IngestError, ParseLogError};
 pub use export::export_day;
-pub use parser::LogRecord;
+pub use parser::{LogPosition, LogRecord};
 pub use quarantine::{IngestStats, QuarantinePolicy};
+pub use state::DecodeStateError;
 pub use zeek::{ZeekReader, ZeekStats};

@@ -189,23 +189,62 @@ fn parse_ip(s: &str, line_no: u64) -> Result<Ipv4, ParseLogError> {
     Ok(Ipv4::from(octets))
 }
 
+/// A place in a log: how many bytes and how many lines come before it.
+///
+/// The line loop counts both as it reads, so a later run can seek to a
+/// place and still number its lines from the top of the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct LogPosition {
+    /// Bytes before this place.
+    pub offset: u64,
+    /// Lines before this place.
+    pub lines: u64,
+}
+
+impl LogPosition {
+    /// The first byte of a log.
+    pub const START: LogPosition = LogPosition {
+        offset: 0,
+        lines: 0,
+    };
+
+    /// The 1-based number of the line that starts here.
+    pub fn line_number(self) -> u64 {
+        self.lines.saturating_add(1)
+    }
+}
+
 /// What the line loop found on one line of a reader.
 #[derive(Debug)]
 pub(crate) enum Line<'a> {
     /// The line's bytes are not valid UTF-8.
     BadEncoding,
-    /// A blank line or a `#` comment.
-    Skipped,
+    /// A blank line or a `#` comment, line terminator stripped.
+    Skipped(&'a str),
     /// A candidate record, line terminator stripped. Only `\n` and `\r`
     /// are stripped: a trailing tab is significant (it delimits an empty
     /// IP list).
     Payload(&'a str),
 }
 
+/// What one pass of the line loop leaves behind.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scanned {
+    /// The end of the last line that ended in `\n`. A final line without
+    /// one is handed to the callback like any other but is not counted
+    /// here: the writer may still be in the middle of it, so the next
+    /// pass has to read it again from its first byte.
+    pub(crate) end: LogPosition,
+    /// Bytes of that last line, terminator included; 0 when the pass
+    /// counted no line.
+    pub(crate) last_line_bytes: u64,
+}
+
 // Large enough that a read syscall is paid once per ~1,400 lines.
 const READ_BUFFER_BYTES: usize = 64 * 1024;
 
-/// Hands every line of `reader` to `on_line` with its 1-based number,
+/// Hands every line of `reader` to `on_line` with the place it starts at,
+/// counting from `start` (where the caller has positioned `reader`) and
 /// reading into one reused buffer. UTF-8 is checked per line, so damaged
 /// bytes cost that line only and the stream stays usable.
 ///
@@ -215,22 +254,26 @@ const READ_BUFFER_BYTES: usize = 64 * 1024;
 /// first error `on_line` returns.
 pub(crate) fn scan_lines<R: Read>(
     reader: R,
-    mut on_line: impl FnMut(u64, Line<'_>) -> Result<(), IngestError>,
-) -> Result<(), IngestError> {
+    start: LogPosition,
+    mut on_line: impl FnMut(LogPosition, Line<'_>) -> Result<(), IngestError>,
+) -> Result<Scanned, IngestError> {
     let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
     let mut buf = Vec::new();
-    let mut line_no = 0u64;
+    let mut scanned = Scanned {
+        end: start,
+        last_line_bytes: 0,
+    };
     loop {
         buf.clear();
-        line_no = line_no.saturating_add(1);
+        let at = scanned.end;
         let read = reader
             .read_until(b'\n', &mut buf)
             .map_err(|source| IngestError::Io {
-                line: line_no,
+                line: at.line_number(),
                 source,
             })?;
         if read == 0 {
-            return Ok(());
+            return Ok(scanned);
         }
         let line = match std::str::from_utf8(&buf) {
             Err(_) => Line::BadEncoding,
@@ -241,13 +284,24 @@ pub(crate) fn scan_lines<R: Read>(
                     .trim_end_matches('\r');
                 let content = payload.trim_start();
                 if content.is_empty() || content.starts_with('#') {
-                    Line::Skipped
+                    Line::Skipped(payload)
                 } else {
                     Line::Payload(payload)
                 }
             }
         };
-        on_line(line_no, line)?;
+        on_line(at, line)?;
+        if buf.last() != Some(&b'\n') {
+            return Ok(scanned);
+        }
+        let read = u64::try_from(read).unwrap_or(u64::MAX);
+        scanned = Scanned {
+            end: LogPosition {
+                offset: at.offset.saturating_add(read),
+                lines: at.lines.saturating_add(1),
+            },
+            last_line_bytes: read,
+        };
     }
 }
 

@@ -27,13 +27,13 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 
-use segugio_model::{Day, DomainName, Ipv4};
+use segugio_model::{Day, DomainName, Ipv4, ParseDomainError};
 
 use crate::collector::LogCollector;
 use crate::error::IngestError;
-use crate::parser::LogRecord;
+use crate::parser::{scan_lines, Line, LogPosition, LogRecord};
 use crate::quarantine::QuarantinePolicy;
 
 /// What a Zeek ingestion pass did, with "benign filter" separated from
@@ -60,12 +60,17 @@ impl ZeekStats {
     }
 }
 
-/// What one data line amounted to.
-enum LineOutcome {
-    Record(LogRecord),
+/// What one data line amounted to, before its qname is looked at.
+enum LineOutcome<'a> {
+    /// In scope; the IPv4 answers are in the caller's scratch.
+    Record {
+        day: Day,
+        client: &'a str,
+        qname: &'a str,
+    },
     /// Healthy but out of scope (non-A, non-NOERROR).
     Filtered,
-    /// Damaged (bad timestamp, missing client, invalid qname, ...).
+    /// Damaged (bad timestamp, missing client, ...).
     Damaged,
 }
 
@@ -112,7 +117,11 @@ impl ZeekReader {
         reader: R,
         collector: &mut LogCollector,
     ) -> Result<ZeekStats, IngestError> {
-        self.ingest_with(reader, |record| collector.ingest(record))
+        // Zeek logs rotate by file, so a day has no place in "the" log to
+        // resume from: every record stands at the top.
+        self.ingest_with(reader, |day, client, qname, ips| {
+            collector.ingest_fields(day, client, qname, ips, LogPosition::START)
+        })
     }
 
     /// Parses a Zeek `dns.log` stream in quarantine mode: like
@@ -127,8 +136,17 @@ impl ZeekReader {
         collector: &mut LogCollector,
         policy: &QuarantinePolicy,
     ) -> Result<ZeekStats, IngestError> {
+        // All-or-nothing needs the records staged, hence owned.
         let mut parsed: Vec<LogRecord> = Vec::new();
-        let stats = self.ingest_with(reader, |record| parsed.push(record))?;
+        let stats = self.ingest_with(reader, |day, client, qname, ips| {
+            parsed.push(LogRecord {
+                day,
+                client: client.to_owned(),
+                qname: DomainName::parse(qname)?,
+                ips: ips.to_vec(),
+            });
+            Ok(())
+        })?;
         let errors = u64::try_from(stats.errors).map_or(u64::MAX, |n| n);
         let considered = u64::try_from(stats.ingested + stats.errors).map_or(u64::MAX, |n| n);
         if policy.exceeded_counts(errors, considered) {
@@ -144,79 +162,99 @@ impl ZeekReader {
         Ok(stats)
     }
 
-    /// Shared reader loop; `sink` receives each parsed record.
+    /// Shared reader loop; `sink` receives the day, client, raw qname and
+    /// IPv4 answers of each in-scope line, borrowed from it, and says
+    /// whether the qname is a domain name.
     fn ingest_with<R: Read>(
         &self,
         reader: R,
-        mut sink: impl FnMut(LogRecord),
+        mut sink: impl FnMut(Day, &str, &str, &[Ipv4]) -> Result<(), ParseDomainError>,
     ) -> Result<ZeekStats, IngestError> {
         let mut stats = ZeekStats::default();
         let mut columns: Option<Columns> = None;
-        for (idx, line) in BufReader::new(reader).lines().enumerate() {
-            let line_no = u64::try_from(idx).map_or(u64::MAX, |n| n.saturating_add(1));
+        let mut ips = Vec::new();
+        scan_lines(reader, LogPosition::START, |at, line| {
             let line = match line {
-                Ok(line) => line,
                 // Non-UTF-8 bytes are line damage; the stream continues.
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                Line::BadEncoding => {
                     stats.errors += 1;
-                    continue;
+                    return Ok(());
                 }
-                Err(e) => {
-                    return Err(IngestError::Io {
-                        line: line_no,
-                        source: e,
-                    })
-                }
+                // Zeek's own notion of a comment decides below.
+                Line::Skipped(line) | Line::Payload(line) => line,
             };
             if let Some(rest) = line.strip_prefix("#fields") {
                 columns =
                     Some(
                         Columns::from_header(rest).map_err(|message| IngestError::BadHeader {
-                            line: line_no,
+                            line: at.line_number(),
                             message,
                         })?,
                     );
-                continue;
+                return Ok(());
             }
             if line.starts_with('#') || line.trim().is_empty() {
                 stats.skipped_headers += 1;
-                continue;
+                return Ok(());
             }
             let Some(cols) = &columns else {
                 return Err(IngestError::BadHeader {
-                    line: line_no,
+                    line: at.line_number(),
                     message: "data before #fields header in dns.log".to_owned(),
                 });
             };
-            match self.parse_line(&line, cols) {
-                LineOutcome::Record(record) => {
-                    sink(record);
-                    stats.ingested += 1;
+            match self.parse_line(line, cols, &mut ips) {
+                LineOutcome::Record { day, client, qname } => {
+                    match sink(day, client, qname, &ips) {
+                        Ok(()) => stats.ingested += 1,
+                        // An invalid qname is line damage too.
+                        Err(_) => stats.errors += 1,
+                    }
                 }
                 LineOutcome::Filtered => stats.skipped_non_a += 1,
                 LineOutcome::Damaged => stats.errors += 1,
             }
-        }
+            Ok(())
+        })?;
         Ok(stats)
     }
 
-    fn parse_line(&self, line: &str, cols: &Columns) -> LineOutcome {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let get = |i: usize| fields.get(i).copied().unwrap_or("-");
+    /// Splits one data line, leaving the IPv4 answers of an in-scope one
+    /// in `ips`.
+    fn parse_line<'a>(
+        &self,
+        line: &'a str,
+        cols: &Columns,
+        ips: &mut Vec<Ipv4>,
+    ) -> LineOutcome<'a> {
+        let wanted = [
+            Some(cols.ts),
+            Some(cols.orig_h),
+            Some(cols.query),
+            cols.qtype_name,
+            cols.rcode_name,
+            cols.answers,
+        ];
+        let mut found = [None; 6];
+        for (index, field) in line.split('\t').enumerate() {
+            for (slot, want) in found.iter_mut().zip(wanted) {
+                if want == Some(index) {
+                    *slot = Some(field);
+                }
+            }
+        }
+        // A line with fewer fields than the header reads as unset ones.
+        let [ts, client, query, qtype, rcode, answers] = found.map(|f| f.unwrap_or("-"));
 
         // Keep only successful A lookups: anything else is a healthy
         // filter, not damage.
-        if let Some(qtype) = cols.qtype_name {
-            if get(qtype) != "A" {
-                return LineOutcome::Filtered;
-            }
+        if cols.qtype_name.is_some() && qtype != "A" {
+            return LineOutcome::Filtered;
         }
-        if let Some(rcode) = cols.rcode_name {
-            if get(rcode) != "NOERROR" {
-                return LineOutcome::Filtered;
-            }
+        if cols.rcode_name.is_some() && rcode != "NOERROR" {
+            return LineOutcome::Filtered;
         }
-        let Ok(ts) = get(cols.ts).parse::<f64>() else {
+        let Ok(ts) = ts.parse::<f64>() else {
             return LineOutcome::Damaged;
         };
         let days = (ts - self.epoch) / 86_400.0;
@@ -225,29 +263,24 @@ impl ZeekReader {
         if !(0.0..f64::from(u32::MAX)).contains(&days) {
             return LineOutcome::Damaged;
         }
-        let client = get(cols.orig_h);
         if client == "-" || client.is_empty() {
             return LineOutcome::Damaged;
         }
-        let Ok(qname) = DomainName::parse(get(cols.query)) else {
-            return LineOutcome::Damaged;
-        };
-        let ips: Vec<Ipv4> = match cols.answers {
-            Some(a) => get(a).split(',').filter_map(parse_ipv4).collect(),
-            None => Vec::new(),
-        };
+        ips.clear();
+        if cols.answers.is_some() {
+            ips.extend(answers.split(',').filter_map(parse_ipv4));
+        }
         #[expect(
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss,
             reason = "truncation toward zero is the intended day bucketing and the range is checked above"
         )]
         let day = Day(days as u32);
-        LineOutcome::Record(LogRecord {
+        LineOutcome::Record {
             day,
-            client: client.to_owned(),
-            qname,
-            ips,
-        })
+            client,
+            qname: query,
+        }
     }
 }
 

@@ -1,15 +1,18 @@
 //! Property-based tests: arbitrary well-formed logs survive the
 //! export → ingest round trip with nothing lost or invented, the streamed
 //! line path builds exactly the collector the owned-record reference
-//! builds, and the parsers never panic on hostile bytes (non-UTF-8,
-//! oversized lines, garbled headers) — they fail typed or quarantine.
+//! builds, a collector decoded from its state and read on from the resume
+//! point equals one pass over the whole log, the Zeek and TSV readers
+//! build equal collectors from the same records, and the parsers and the
+//! state decoder never panic on hostile bytes (non-UTF-8, oversized lines,
+//! garbled headers, truncated state) — they fail typed or quarantine.
 
 use proptest::prelude::*;
 
 use segugio_ingest::error::ParseLogErrorKind;
 use segugio_ingest::{
-    export_day, IngestError, IngestStats, LogCollector, LogRecord, ParseLogError, QuarantinePolicy,
-    ZeekReader,
+    export_day, IngestError, IngestStats, LogCollector, LogPosition, LogRecord, ParseLogError,
+    QuarantinePolicy, ZeekReader,
 };
 use segugio_model::{Day, DomainName, DomainTable, Ipv4, MachineId};
 
@@ -368,17 +371,22 @@ fn note(stats: &mut IngestStats, kind: &ParseLogErrorKind) {
     }
 }
 
-/// One line of a generated log: mostly records over a small vocabulary,
-/// so the same name recurs under different spellings, answers alternate
-/// and days come out of order; now and then a blank or a comment.
-fn log_line() -> impl Strategy<Value = String> {
+/// One record over a small vocabulary, so the same name recurs under
+/// different spellings, answers alternate and days come out of order.
+#[derive(Debug, Clone)]
+struct Observation {
+    day: u32,
+    client: u32,
+    qname: String,
+    ips: Vec<String>,
+}
+
+fn observation() -> impl Strategy<Value = Observation> {
     (
-        0u8..15,
         (0u32..4, 0u32..5, 0usize..5, 0u8..5),
         proptest::collection::vec(0u8..4, 0..4),
-        any::<bool>(),
     )
-        .prop_map(|(pick, (day, client, name, spelling), ips, crlf)| {
+        .prop_map(|((day, client, name, spelling), ips)| {
             let base = [
                 "www.example.com",
                 "cdn.example.com",
@@ -403,15 +411,33 @@ fn log_line() -> impl Strategy<Value = String> {
                     .collect(),
                 _ => format!("{}.", base.to_ascii_uppercase()),
             };
-            let ips: Vec<String> = ips.iter().map(|i| format!("10.0.0.{i}")).collect();
-            let end = if crlf { "\r" } else { "" };
-            match pick {
-                0 => String::new(),
-                1 => "   ".to_owned(),
-                2 => "# a comment".to_owned(),
-                _ => format!("{day}\thost-{client}\t{qname}\t{}{end}", ips.join(",")),
+            Observation {
+                day,
+                client,
+                qname,
+                ips: ips.iter().map(|i| format!("10.0.0.{i}")).collect(),
             }
         })
+}
+
+/// One line of a generated log: mostly [`observation`]s; now and then a
+/// blank or a comment.
+fn log_line() -> impl Strategy<Value = String> {
+    (0u8..15, observation(), any::<bool>()).prop_map(|(pick, o, crlf)| {
+        let end = if crlf { "\r" } else { "" };
+        match pick {
+            0 => String::new(),
+            1 => "   ".to_owned(),
+            2 => "# a comment".to_owned(),
+            _ => format!(
+                "{}\thost-{}\t{}\t{}{end}",
+                o.day,
+                o.client,
+                o.qname,
+                o.ips.join(",")
+            ),
+        }
+    })
 }
 
 /// A well-formed log with every repetition pattern the memo must see
@@ -575,6 +601,193 @@ proptest! {
                 assert_same_collector(&collector, &LogCollector::new())?;
             }
             Err(other) => return Err(TestCaseError::fail(format!("unexpected {other}"))),
+        }
+    }
+}
+
+/// `None` or an index below `n`, evenly.
+fn maybe_index(n: usize) -> impl Strategy<Value = Option<usize>> {
+    (any::<bool>(), 0..n).prop_map(|(some, i)| some.then_some(i))
+}
+
+/// A collector that read `text` from the top, or resumed, as a file is
+/// read: seekable, so the pass leaves a fingerprint.
+fn read_whole(mut collector: LogCollector, text: &str) -> LogCollector {
+    let mut log = std::io::Cursor::new(text.as_bytes());
+    collector
+        .ingest_reader_from(&mut log, LogPosition::START)
+        .unwrap();
+    collector
+}
+
+proptest! {
+    /// Stop anywhere, save the state, come back: for every line boundary
+    /// the log could have ended at when the state was taken and every
+    /// last covered day, decoding the state and reading on from the
+    /// resume point builds what one resumed pass over the whole log
+    /// builds — names and ids, machines, history in log order, the day
+    /// list with where each day starts, the fingerprint, and the traffic
+    /// of every uncovered day.
+    #[test]
+    fn resuming_from_saved_state_equals_one_pass(text in repetitive_log()) {
+        let boundaries: Vec<usize> = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(at, _)| at + 1))
+            .collect();
+        for covered in (0..4).map(Day) {
+            let whole = read_whole(LogCollector::resuming_after(covered), &text);
+            let want = whole.encode_state();
+
+            for &split in &boundaries {
+                let before = read_whole(LogCollector::new(), &text[..split]);
+                prop_assert_eq!(before.consumed().offset, split as u64);
+                let state = before.encode_state();
+                let mut resumed = LogCollector::decode_state(&state).unwrap();
+                prop_assert_eq!(resumed.encode_state(), state, "decode → encode");
+
+                let mut log = std::io::Cursor::new(text.as_bytes());
+                let (start, unchanged) = resumed.resume_log(&mut log, Some(covered)).unwrap();
+                prop_assert!(unchanged, "the log only grew");
+                prop_assert!(start.offset <= split as u64);
+                resumed.ingest_reader_from(&mut log, start).unwrap();
+
+                assert_same_collector(&resumed, &whole)?;
+                for day in whole.days() {
+                    prop_assert_eq!(
+                        resumed.pdns().records_on(day),
+                        whole.pdns().records_on(day),
+                        "log order"
+                    );
+                }
+                prop_assert_eq!(resumed.encode_state(), want.as_str());
+            }
+        }
+    }
+
+    /// A log that is not the one the state was taken from — a line gone,
+    /// so every later byte moved, or a byte edited in place — is read
+    /// from the top into the decoded collector: nothing the old log
+    /// taught is lost, known names keep their ids, and the day list is
+    /// the new log's.
+    #[test]
+    fn a_changed_log_is_reread_under_the_old_ids(
+        text in repetitive_log(),
+        drop_line in maybe_index(60),
+        covered in 0u32..4,
+    ) {
+        let old = read_whole(LogCollector::new(), &text);
+        let changed: String = match drop_line {
+            Some(nth) => {
+                let lines: Vec<&str> = text.split_inclusive('\n').collect();
+                let gone = nth % lines.len().max(1);
+                let kept = lines.iter().enumerate().filter(|&(i, _)| i != gone);
+                kept.map(|(_, line)| *line).collect()
+            }
+            // Same length, same lines, one client spelled differently.
+            None => match text.rfind("host-") {
+                Some(at) => format!("{}hosT-{}", &text[..at], &text[at + 5..]),
+                None => text.clone(),
+            },
+        };
+
+        let mut resumed = LogCollector::decode_state(&old.encode_state()).unwrap();
+        let mut log = std::io::Cursor::new(changed.as_bytes());
+        let (start, unchanged) = resumed.resume_log(&mut log, Some(Day(covered))).unwrap();
+        prop_assert_eq!(unchanged, changed == text);
+        if unchanged {
+            return Ok(());
+        }
+        prop_assert_eq!(start.offset, 0);
+        resumed.ingest_reader_from(&mut log, start).unwrap();
+
+        let fresh = read_whole(LogCollector::resuming_after(Day(covered)), &changed);
+        prop_assert_eq!(resumed.days(), fresh.days());
+        for day in fresh.days() {
+            prop_assert_eq!(resumed.try_day(day).unwrap().is_some(), day > Day(covered));
+        }
+        for id in old.table().ids() {
+            prop_assert_eq!(resumed.table().name(id), old.table().name(id));
+        }
+        prop_assert_eq!(resumed.table().len(), old.table().len());
+        prop_assert_eq!(resumed.pdns().len(), old.pdns().len());
+        // Per name, the traffic is the fresh read's.
+        for day in fresh.days() {
+            let names = |c: &LogCollector| -> Option<Vec<(String, String)>> {
+                let traffic = c.try_day(day).unwrap()?;
+                let mut edges: Vec<(String, String)> = traffic
+                    .queries
+                    .iter()
+                    .map(|&(m, d)| {
+                        (
+                            c.machine_name(m).unwrap().to_owned(),
+                            c.table().name(d).as_str().to_owned(),
+                        )
+                    })
+                    .collect();
+                edges.sort();
+                Some(edges)
+            };
+            prop_assert_eq!(names(&resumed), names(&fresh));
+        }
+    }
+
+    /// The state decoder is total: arbitrary bytes and every strict
+    /// prefix of a valid state fail typed, never panic.
+    #[test]
+    fn decode_state_never_panics(bytes in hostile_bytes(), text in repetitive_log()) {
+        let _ = LogCollector::decode_state(&String::from_utf8_lossy(&bytes));
+
+        let state = read_whole(LogCollector::new(), &text).encode_state();
+        for cut in (0..state.len()).filter(|&cut| state.is_char_boundary(cut)) {
+            prop_assert!(LogCollector::decode_state(&state[..cut]).is_err(), "prefix {}", cut);
+        }
+        // Valid up to the last line, then hostile.
+        let mut spliced = state.trim_end_matches("end-frontend\n").to_owned();
+        spliced.push_str(&String::from_utf8_lossy(&bytes));
+        let _ = LogCollector::decode_state(&spliced);
+    }
+
+    /// The same observations written as a Zeek `dns.log` and as the TSV
+    /// format build equal collectors: both readers end in the same
+    /// borrowed-field commit.
+    #[test]
+    fn zeek_and_tsv_readers_build_equal_collectors(
+        observations in proptest::collection::vec(observation(), 0..60),
+    ) {
+        let mut tsv = String::new();
+        let mut zeek = String::from(
+            "#separator \\x09\n#fields\tts\tuid\tid.orig_h\tquery\tqtype_name\trcode_name\tanswers\n",
+        );
+        for (i, o) in observations.iter().enumerate() {
+            tsv.push_str(&format!(
+                "{}\thost-{}\t{}\t{}\n",
+                o.day, o.client, o.qname, o.ips.join(",")
+            ));
+            let answers = if o.ips.is_empty() { "-".to_owned() } else { o.ips.join(",") };
+            zeek.push_str(&format!(
+                "{}.25\tC{i}\thost-{}\t{}\tA\tNOERROR\t{answers}\n",
+                u64::from(o.day) * 86_400 + 17,
+                o.client,
+                o.qname,
+            ));
+            // What the Zeek reader filters must leave no trace.
+            zeek.push_str(&format!(
+                "{}.25\tD{i}\thost-9\tother.example.net\tAAAA\tNOERROR\t::1\n",
+                u64::from(o.day) * 86_400 + 18,
+            ));
+        }
+        let mut from_tsv = LogCollector::new();
+        prop_assert_eq!(from_tsv.ingest_reader(tsv.as_bytes()).unwrap(), observations.len());
+        let mut from_zeek = LogCollector::new();
+        let stats = ZeekReader::new().ingest(zeek.as_bytes(), &mut from_zeek).unwrap();
+        prop_assert_eq!(stats.ingested, observations.len());
+        prop_assert_eq!(stats.skipped_non_a, observations.len());
+        prop_assert_eq!(stats.errors, 0);
+        assert_same_collector(&from_zeek, &from_tsv)?;
+        for day in from_tsv.days() {
+            prop_assert_eq!(
+                from_zeek.pdns().records_on(day),
+                from_tsv.pdns().records_on(day)
+            );
         }
     }
 }

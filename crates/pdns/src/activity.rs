@@ -143,6 +143,18 @@ impl ActivityStore {
     pub fn tracked_fqds(&self) -> usize {
         self.fqd.len()
     }
+
+    /// Every day `fqd` was seen active on, ascending — what a front end
+    /// persists to rebuild the store by [`record`](Self::record) (an
+    /// e2LD's days are the union of its FQDs').
+    pub fn fqd_days(&self, fqd: DomainId) -> impl Iterator<Item = Day> + '_ {
+        let words = self.fqd.get(&fqd).map_or(&[][..], |b| &b.words);
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64usize)
+                .filter(move |b| word & (1 << b) != 0)
+                .map(move |b| Day((w * 64 + b) as u32))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +241,17 @@ mod tests {
         s.record(DomainId(1), E2ldId(7), Day(2));
         assert_eq!(s.e2ld_active_days(E2ldId(7), Day(2).lookback(14)), 2);
         assert_eq!(s.e2ld_streak_ending(E2ldId(7), Day(2), 14), 2);
+    }
+
+    #[test]
+    fn fqd_days_lists_every_active_day_in_order() {
+        let mut s = ActivityStore::new();
+        for d in [70, 0, 63, 64, 70] {
+            s.record(DomainId(0), E2ldId(0), Day(d));
+        }
+        let days: Vec<Day> = s.fqd_days(DomainId(0)).collect();
+        assert_eq!(days, vec![Day(0), Day(63), Day(64), Day(70)]);
+        assert_eq!(s.fqd_days(DomainId(9)).count(), 0);
     }
 
     #[test]

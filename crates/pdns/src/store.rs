@@ -89,6 +89,11 @@ impl PassiveDns {
         self.by_day.get(&day).map_or(&[], Vec::as_slice)
     }
 
+    /// The days the store holds records for, ascending.
+    pub fn days(&self) -> impl Iterator<Item = Day> + '_ {
+        self.by_day.keys().copied()
+    }
+
     /// All distinct IPs `domain` resolved to within `window`.
     pub fn resolved_ips(&self, domain: DomainId, window: DayWindow) -> Vec<Ipv4> {
         let mut ips: Vec<Ipv4> = self
@@ -188,6 +193,15 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.records_on(Day(3)).len(), 2);
         assert_eq!(p.record_count_in(DomainId(1), Day(3).lookback(1)), 2);
+    }
+
+    #[test]
+    fn days_lists_each_recorded_day_once_ascending() {
+        let mut p = PassiveDns::new();
+        p.record(DomainId(1), ip(1), Day(9));
+        p.record(DomainId(2), ip(2), Day(2));
+        p.record(DomainId(1), ip(3), Day(9));
+        assert_eq!(p.days().collect::<Vec<_>>(), vec![Day(2), Day(9)]);
     }
 
     #[test]
