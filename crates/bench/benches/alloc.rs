@@ -1,12 +1,14 @@
 //! Steady-state allocation-count bench behind `BENCH_alloc.json`.
 //!
 //! Installs [`segugio_alloc_probe::CountingAlloc`] as the global
-//! allocator, runs one warm-up ISP day through the full incremental
-//! pipeline, then brackets each phase of the *second* (steady-state) day
-//! with [`segugio_alloc_probe::measure`]:
+//! allocator, runs one warm-up ISP day through the tracker's pipeline
+//! (abuse index rolled forward, everything else from scratch), then
+//! brackets each phase of the *second* (steady-state) day with
+//! [`segugio_alloc_probe::measure`]:
 //!
 //! - **snapshot_build**: graph build + labeling + pruning;
-//! - **features**: incremental per-domain feature measurement;
+//! - **features**: the one pass measuring every domain's 11 features —
+//!   no row is carried over from the day before;
 //! - **train**: training-set assembly + forest fit;
 //! - **calibrate**: threshold calibration over the training scores;
 //! - **score**: the reused-[`ScoreBuffer`] scoring hot path, which must
@@ -92,8 +94,9 @@ fn main() {
     let mut engine = segugio_core::IncrementalEngine::new();
     let mut buf = ScoreBuffer::new();
 
-    // --- Warm day: run every phase once so the engine's feature
-    //     scratch and the score buffer reach steady-state capacity. ---
+    // --- Warm day: run every phase once so the rolling abuse index is
+    //     past its bootstrap and the score buffer at steady-state
+    //     capacity. ---
     {
         let day = isp.next_day();
         let input = SnapshotInput {

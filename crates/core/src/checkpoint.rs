@@ -1,9 +1,8 @@
 //! Durable checkpoint/restore for [`Tracker`]: crash-safe cross-day state.
 //!
 //! A production Segugio deployment is a months-long process whose value is
-//! cumulative — flagged domains wait days for blacklist confirmation, the
-//! incremental engine carries yesterday's pruned graph and feature cache,
-//! and the stale-model fallback needs the last trained model. This module
+//! cumulative — flagged domains wait days for blacklist confirmation, and
+//! the stale-model fallback needs the last trained model. This module
 //! makes that state survive process death:
 //!
 //! - a **versioned, checksummed text codec** ([`Tracker::save_to_string`] /
@@ -11,10 +10,11 @@
 //!   style as [`SegugioModel::save_to_string`](crate::SegugioModel): a
 //!   header `segugio-checkpoint v1 <payload-bytes> <crc32-hex>` whose
 //!   length field catches truncation and torn tails and whose CRC-32
-//!   catches bit rot, followed by the tracker payload (flag/confirmation
-//!   maps, day counters, retained model with its calibrated threshold
-//!   embedded verbatim, and the incremental engine's rolling-index +
-//!   previous-day pruned graph + feature-cache state);
+//!   catches bit rot, followed by the tracker payload `tracker v2` —
+//!   flag/confirmation maps, day counters, and the retained model with
+//!   its calibrated threshold embedded verbatim. Nothing derived is
+//!   saved: the engine's rolling abuse index is a function of the pDNS
+//!   store and bootstraps from it on the first day after a resume;
 //! - an **opaque front-end section** behind the tracker's text, inside
 //!   the same payload and so under the same length and checksum: whatever
 //!   the program feeding the tracker [attached](Tracker::attach_front_end)
@@ -35,9 +35,9 @@
 //!   tried newest-first; each corrupt one is skipped with a typed
 //!   [`Degradation::CheckpointDiscarded`] record, an older successful load
 //!   adds [`Degradation::RestoredFromCheckpoint`], and when nothing is
-//!   loadable the tracker starts from scratch (the PR-4 incremental reset
-//!   path) carrying only the discard records. The records surface at the
-//!   front of the next [`DayReport`](crate::DayReport)'s degradation list.
+//!   loadable the tracker starts from scratch carrying only the discard
+//!   records. The records surface at the front of the next
+//!   [`DayReport`](crate::DayReport)'s degradation list.
 //!
 //! A resume from an intact newest generation is **bit-for-bit** equivalent
 //! to never having stopped: the chaos suite in `segugio-eval` kills a
@@ -52,7 +52,6 @@ use std::str::FromStr;
 
 use segugio_model::Day;
 
-use crate::incremental::IncrementalEngine;
 use crate::model::SegugioModel;
 use crate::tracker::{Degradation, RetainedModel, Tracker};
 
@@ -427,7 +426,7 @@ impl Tracker {
 
     fn write_payload(&self, out: &mut String) {
         use std::fmt::Write as _;
-        out.push_str("tracker v1\n");
+        out.push_str("tracker v2\n");
         let _ = write!(out, "flagged {}", self.flagged.len());
         for (&domain, &day) in &self.flagged {
             let _ = write!(out, " {} {}", domain.0, day.0);
@@ -481,7 +480,6 @@ impl Tracker {
             }
             None => out.push_str("model 0\n"),
         }
-        self.engine.write_text(out);
         out.push_str("end-tracker\n");
     }
 
@@ -548,7 +546,9 @@ impl Tracker {
         use segugio_model::DomainId;
         let mut lines = payload.lines();
         let header = next_line(&mut lines, "tracker header")?;
-        if header != "tracker v1" {
+        // `tracker v1` carried an engine block before `end-tracker`: refused
+        // here, not mis-parsed, and the caller discards the generation.
+        if header != "tracker v2" {
             return Err(CheckpointError::new(format!(
                 "bad tracker header: {header:?}"
             )));
@@ -693,8 +693,6 @@ impl Tracker {
             other => return Err(CheckpointError::new(format!("bad model marker: {other:?}"))),
         };
 
-        let engine = IncrementalEngine::read_text(&mut lines).map_err(CheckpointError::new)?;
-
         match lines.next() {
             Some("end-tracker") => {}
             other => {
@@ -713,7 +711,7 @@ impl Tracker {
             flagged,
             confirmed,
             days_processed,
-            engine,
+            engine: Default::default(),
             last_model,
             last_day,
             pending_degradation,
@@ -778,12 +776,13 @@ impl Tracker {
     /// anything *other than* the newest generation additionally records
     /// [`Degradation::RestoredFromCheckpoint`]. If no generation is
     /// loadable (or the directory doesn't exist yet) a fresh tracker is
-    /// returned — the incremental engine rebuilds from scratch — carrying
-    /// only the discard records. All records surface at the front of the
-    /// next successful [`DayReport`](crate::DayReport)'s degradation list.
+    /// returned, carrying only the discard records. All records surface at
+    /// the front of the next successful [`DayReport`](crate::DayReport)'s
+    /// degradation list.
     ///
     /// Restoring from an intact newest generation emits **no** records:
-    /// the resumed tracker is bit-for-bit the one that was saved.
+    /// the resumed tracker's reports are bit-for-bit those of the one that
+    /// was saved.
     ///
     /// # Errors
     ///
@@ -895,14 +894,25 @@ mod tests {
         let mut original = Tracker::new();
         run_days(&mut isp_a, &mut original, &config, 3);
 
-        // Round trip is a byte fixed point.
+        // Round trip is a byte fixed point, and the text is tracker facts
+        // and a model: no graph, rolling-index or feature-cache section.
         let text = original.save_to_string();
+        for line in text.lines() {
+            assert!(
+                !["graph v1", "rolling", "cache"]
+                    .iter()
+                    .any(|section| line.starts_with(section)),
+                "derived state in a checkpoint: {line:?}"
+            );
+        }
         let mut resumed = Tracker::load_from_str(&text).expect("valid checkpoint");
         assert_eq!(resumed.save_to_string(), text);
         assert_eq!(resumed.days_processed(), original.days_processed());
         assert_eq!(resumed.last_day(), original.last_day());
 
-        // Both trackers process the same further days identically.
+        // Both trackers process the same further days identically: the
+        // resumed one's abuse index bootstraps from the pDNS store, the
+        // uninterrupted one's has been rolling since day one.
         let mut replay = Tracker::new();
         run_days(&mut isp_b, &mut replay, &config, 3);
         for _ in 0..2 {
@@ -1017,36 +1027,42 @@ mod tests {
         );
     }
 
-    /// A generation written when the engine section still carried the
-    /// unpruned graph (`engine v1`, `delta 0|1` marker first) is refused
-    /// by the header check, not mis-parsed: resume discards it and
-    /// rebuilds.
+    /// A generation from when the payload carried an engine block (`engine
+    /// v1` with the unpruned graph, `engine v2` with the rolling index and
+    /// feature cache, both under `tracker v1`) is refused by the header
+    /// check, not mis-parsed: resume discards it and rebuilds.
     #[test]
     #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
     fn engine_v1_generation_is_discarded_not_misparsed() {
         let current = Tracker::new().save_to_string();
         let (_, payload) = current.split_once('\n').expect("header line");
-        assert_eq!(payload.matches("engine v2\n").count(), 1);
-        let payload = payload.replace("engine v2\n", "engine v1\ndelta 0\n");
-        let old = format!(
-            "segugio-checkpoint v1 {} {:08x}\n{payload}",
-            payload.len(),
-            crc32(payload.as_bytes())
-        );
-        let error = Tracker::load_from_str(&old).expect_err("engine v1 must be refused");
-        assert!(
-            error.to_string().contains("bad engine header"),
-            "got: {error}"
-        );
+        assert_eq!(payload.matches("tracker v2\n").count(), 1);
+        assert_eq!(payload.matches("end-tracker\n").count(), 1);
+        let rolling = "rolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n";
+        for (tag, engine) in [
+            ("engine-v1", format!("engine v1\ndelta 0\n{rolling}")),
+            ("engine-v2", format!("engine v2\n{rolling}")),
+        ] {
+            let payload = payload
+                .replace("tracker v2\n", "tracker v1\n")
+                .replace("end-tracker\n", &format!("{engine}end-tracker\n"));
+            let old = framed(payload.as_bytes());
+            let error = Tracker::load_from_bytes(&old).expect_err("tracker v1 must be refused");
+            assert!(
+                error.to_string().contains("bad tracker header"),
+                "{tag}: {error}"
+            );
 
-        let scratch = ScratchDir::new("engine-v1");
-        fs::create_dir_all(scratch.path()).expect("mkdir");
-        fs::write(scratch.path().join("checkpoint-4.seg"), old).expect("seed old generation");
-        let resumed = Tracker::resume(scratch.path()).expect("degrades to fresh");
-        assert_eq!(
-            resumed.pending_degradation,
-            vec![Degradation::CheckpointDiscarded { day: Day(4) }]
-        );
+            let scratch = ScratchDir::new(tag);
+            fs::create_dir_all(scratch.path()).expect("mkdir");
+            fs::write(scratch.path().join("checkpoint-4.seg"), old).expect("seed old generation");
+            let resumed = Tracker::resume(scratch.path()).expect("degrades to fresh");
+            assert_eq!(
+                resumed.pending_degradation,
+                vec![Degradation::CheckpointDiscarded { day: Day(4) }],
+                "{tag}"
+            );
+        }
     }
 
     /// Puts `payload` under a header with the right length and CRC.

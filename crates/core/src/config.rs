@@ -93,12 +93,12 @@ pub struct SegugioConfig {
     /// `None` keeps the in-memory sort. A scratch-file I/O failure falls
     /// back to it.
     pub chunk_run_capacity: Option<usize>,
-    /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) carry state
-    /// from day to day — exactly a rolling abuse index and a dirty-set
-    /// feature cache; the graph is rebuilt each morning either way —
-    /// instead of rescanning the pDNS window and re-measuring every domain.
-    /// Outputs are bit-for-bit identical either way;
-    /// the knob only trades memory for time. One-shot snapshot building
+    /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) roll the
+    /// abuse index forward from day to day instead of rescanning the pDNS
+    /// window — the only state carried; the graph is rebuilt and every
+    /// domain re-measured each morning either way. Outputs are bit-for-bit
+    /// identical either way; the knob only selects where the index comes
+    /// from. One-shot snapshot building
     /// ([`DaySnapshot::build`](crate::DaySnapshot::build)) has no previous
     /// day and ignores it.
     pub incremental: bool,

@@ -131,24 +131,6 @@ impl<'a> FeatureExtractor<'a> {
         self.measure_with(view.hidden_domain(), |m| view.machine_label(m))
     }
 
-    /// Recomputes only the domain-activity features (F2, columns 3–6) of
-    /// `d`, writing them into `out` and leaving the other columns alone.
-    ///
-    /// The incremental engine reuses cached F1/F3 columns for domains whose
-    /// neighborhood and IP history did not change, but the activity lookback
-    /// window shifts every day, so these four columns are always refreshed.
-    pub fn measure_activity(&self, d: DomainIdx, out: &mut [f32; FEATURE_COUNT]) {
-        let day = self.graph.day();
-        let n = self.config.activity_days;
-        let window = day.lookback(n);
-        let id = self.graph.domain_id(d);
-        let e2ld = self.graph.domain_e2ld(d);
-        out[3] = self.activity.fqd_active_days(id, window) as f32;
-        out[4] = self.activity.fqd_streak_ending(id, day, n) as f32;
-        out[5] = self.activity.e2ld_active_days(e2ld, window) as f32;
-        out[6] = self.activity.e2ld_streak_ending(e2ld, day, n) as f32;
-    }
-
     fn measure_with<F>(&self, d: DomainIdx, machine_label: F) -> [f32; FEATURE_COUNT]
     where
         F: Fn(MachineIdx) -> Label,
@@ -174,7 +156,15 @@ impl<'a> FeatureExtractor<'a> {
         out[2] = total as f32;
 
         // --- F2: domain activity ---
-        self.measure_activity(d, &mut out);
+        let day = self.graph.day();
+        let n = self.config.activity_days;
+        let window = day.lookback(n);
+        let id = self.graph.domain_id(d);
+        let e2ld = self.graph.domain_e2ld(d);
+        out[3] = self.activity.fqd_active_days(id, window) as f32;
+        out[4] = self.activity.fqd_streak_ending(id, day, n) as f32;
+        out[5] = self.activity.e2ld_active_days(e2ld, window) as f32;
+        out[6] = self.activity.e2ld_streak_ending(e2ld, day, n) as f32;
 
         // --- F3: IP abuse ---
         let ips = self.graph.domain_ips(d);

@@ -404,9 +404,10 @@ impl SegugioModel {
     /// exactly like [`score_where`](Self::score_where) (descending score,
     /// domain id as the tie-break).
     ///
-    /// The incremental engine measures rows itself — reusing cached columns
-    /// for unchanged domains — and hands them here; with identical rows the
-    /// result is bit-for-bit what `score_where` would produce.
+    /// [`IncrementalEngine::measure_day`](crate::IncrementalEngine::measure_day)
+    /// measures the day's rows in one pass and the tracker hands the
+    /// unknowns' here; with identical rows the result is bit-for-bit what
+    /// `score_where` would produce.
     pub fn score_rows(&self, ids: &[DomainId], rows: &[[f32; FEATURE_COUNT]]) -> Vec<Detection> {
         let mut buf = ScoreBuffer::new();
         self.score_rows_with(ids, rows, &mut buf);

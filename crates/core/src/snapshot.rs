@@ -149,8 +149,9 @@ pub(crate) fn build_unpruned_graph(
 }
 
 /// Labels, filters and prunes an unpruned day graph into a [`DaySnapshot`]
-/// around an already-built abuse index. Shared verbatim by the from-scratch
-/// and incremental paths so their snapshots are bit-for-bit identical.
+/// around an already-built abuse index — built from the whole window or
+/// rolled forward by the engine. Shared verbatim by both so their snapshots
+/// are bit-for-bit identical.
 pub(crate) fn finish_snapshot(
     mut graph: BehaviorGraph,
     abuse: AbuseIndex,

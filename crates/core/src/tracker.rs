@@ -6,11 +6,11 @@
 //! confirms them. [`Tracker`] packages that loop (the `isp_deployment`
 //! example and the Fig. 11 experiment are both instances of it).
 //!
-//! With [`SegugioConfig::incremental`] on (the default), consecutive days
-//! are processed through the [`IncrementalEngine`]: the abuse index rolls
-//! its window forward by one day and unchanged domains reuse yesterday's
-//! feature rows (the behavior graph is rebuilt every day). The reports are
-//! bit-for-bit identical to the from-scratch path either way.
+//! Every day is built and measured from scratch — graph, pruning and all
+//! 11 features per domain. With [`SegugioConfig::incremental`] on (the
+//! default) the one thing carried over is the abuse index, which the
+//! [`IncrementalEngine`] rolls forward by one day instead of rescanning
+//! the pDNS window. The reports are bit-for-bit identical either way.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +24,7 @@ use crate::features::{FeatureGroup, FEATURE_COUNT};
 use crate::incremental::IncrementalEngine;
 use crate::model::{Detection, ScoreBuffer, SegugioModel};
 use crate::snapshot::{DaySnapshot, SnapshotInput};
-use crate::trainer::{build_training_set, Segugio};
+use crate::trainer::Segugio;
 
 /// Tracker configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,8 +165,8 @@ pub struct Tracker {
     /// Confirmed detections: domain → (flagged day, confirmed day).
     pub(crate) confirmed: BTreeMap<DomainId, (Day, Day)>,
     pub(crate) days_processed: usize,
-    /// Cross-day incremental state; only advanced when
-    /// [`SegugioConfig::incremental`] is set.
+    /// The rolling abuse index; only advanced when
+    /// [`SegugioConfig::incremental`] is set, never checkpointed.
     pub(crate) engine: IncrementalEngine,
     /// The most recent successfully trained model, for stale-model
     /// fallback scoring on seedless days.
@@ -312,16 +312,14 @@ impl Tracker {
         };
         let train_config = effective.as_ref().unwrap_or(&config.segugio);
 
-        // 2. Build today's snapshot. On a blank-pDNS day the incremental
-        //    engine is bypassed *and* reset (see above); otherwise it
-        //    builds the graph like the scratch path and advances its
-        //    rolling abuse window. The scratch path leaves the engine
-        //    untouched (its next advance simply covers a larger step).
-        let use_engine = incremental && !pdns_blank;
-        let snapshot = if use_engine {
+        // 2. Build today's snapshot. The flag only selects where the abuse
+        //    index comes from: rolled forward by the engine, or built from
+        //    the whole window. On a blank-pDNS day the engine is bypassed
+        //    *and* reset (see above); the scratch route leaves it untouched.
+        let snapshot = if incremental && !pdns_blank {
             self.engine.build_snapshot(input, &config.segugio)
         } else {
-            if incremental && pdns_blank {
+            if incremental {
                 self.engine.reset();
             }
             DaySnapshot::build(input, &config.segugio)
@@ -333,25 +331,19 @@ impl Tracker {
         //    is scored instead of skipped.
         let (malware, benign, _) = snapshot.graph.domain_label_counts();
         let stale = if malware == 0 || benign == 0 {
-            let usable = health
+            let Some(retained) = health
                 .stale_model_on_insufficient_seeds
                 .then_some(self.last_model.as_ref())
                 .flatten()
-                .filter(|m| day.0.saturating_sub(m.trained_on.0) <= health.max_model_age_days);
-            match usable {
-                Some(retained) => Some(retained.clone()),
-                None => {
-                    // A snapshot was built but its features will not be
-                    // measured; the engine's feature cache would diff
-                    // against the wrong day.
-                    self.engine.reset_cache();
-                    return Err(TrackerError::InsufficientSeeds {
-                        day,
-                        malware,
-                        benign,
-                    });
-                }
-            }
+                .filter(|m| day.0.saturating_sub(m.trained_on.0) <= health.max_model_age_days)
+            else {
+                return Err(TrackerError::InsufficientSeeds {
+                    day,
+                    malware,
+                    benign,
+                });
+            };
+            Some(retained)
         } else {
             None
         };
@@ -370,47 +362,37 @@ impl Tracker {
         confirmed_today.sort_by_key(|&(d, _)| d);
 
         // 5. Measure features, train on today's knowledge, and calibrate
-        //    the threshold on the known domains' hidden-label scores. The
-        //    training set is extracted once and used for both training and
-        //    calibration — feature measurement is the expensive half of
-        //    the day. The incremental path measures every domain in one
-        //    pass (reusing yesterday's clean rows) so the unknowns' rows
-        //    are already in hand when scoring. On a stale-model day there
-        //    is nothing to train or calibrate: the retained model and its
-        //    threshold score today's unknowns directly (the Fig. 6
-        //    cross-day result is what makes that meaningful), and the
-        //    engine's feature cache is reset since no measurement pass ran.
-        let map_train_err =
-            |TrainError::InsufficientSeeds { malware, benign }| TrackerError::InsufficientSeeds {
-                day,
-                malware,
-                benign,
-            };
+        //    the threshold on the known domains' hidden-label scores. One
+        //    pass measures every domain: the training set serves training
+        //    and calibration, and the unknowns' rows are in hand to score.
+        //    On a stale-model day there is nothing to train or calibrate:
+        //    the retained model and its threshold score today's unknowns
+        //    (the Fig. 6 cross-day result is what makes that meaningful).
         let (retain, threshold) = if let Some(retained) = stale {
             degradation.push(Degradation::StaleModel {
                 trained_on: retained.trained_on,
             });
-            self.engine.reset_cache();
             retained
                 .model
                 .score_unknown_with(&snapshot, activity, &mut self.score_buf);
             (None, retained.threshold)
-        } else if use_engine {
+        } else {
             let features = self.engine.measure_day(&snapshot, activity, train_config);
-            let model =
-                Segugio::train_prepared(&features.train, train_config).map_err(map_train_err)?;
+            let model = Segugio::train_prepared(&features.train, train_config).map_err(
+                |TrainError::InsufficientSeeds { malware, benign }| {
+                    TrackerError::InsufficientSeeds {
+                        day,
+                        malware,
+                        benign,
+                    }
+                },
+            )?;
             let threshold = Self::calibrate(&model, &features.train, config, &mut self.score_buf);
             model.score_rows_with(
                 &features.unknown_ids,
                 &features.unknown_rows,
                 &mut self.score_buf,
             );
-            (Some(model), threshold)
-        } else {
-            let (train_set, _) = build_training_set(&snapshot, activity, train_config);
-            let model = Segugio::train_prepared(&train_set, train_config).map_err(map_train_err)?;
-            let threshold = Self::calibrate(&model, &train_set, config, &mut self.score_buf);
-            model.score_unknown_with(&snapshot, activity, &mut self.score_buf);
             (Some(model), threshold)
         };
 

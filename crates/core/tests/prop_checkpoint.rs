@@ -30,8 +30,9 @@ use segugio_ml::Dataset;
 // Group 1: hostile input.
 
 /// Tokens biased toward the checkpoint grammar so generated soup reaches
-/// deep parser states (map loops, the embedded model, the engine and
-/// graph sections) instead of dying at the first line.
+/// deep parser states (map loops, the embedded model) instead of dying at
+/// the first line. `engine`, `rolling`, `cache` and `graph` name sections
+/// the payload no longer has: words the parser must refuse.
 fn token() -> impl Strategy<Value = String> {
     (0u32..28, 0u32..40, -2.0f32..2.0).prop_map(|(kind, n, x)| match kind {
         0 => "segugio-checkpoint".to_string(),
@@ -150,7 +151,7 @@ fn render_checkpoint(
     trained_on: u32,
 ) -> String {
     let mut p = String::new();
-    p.push_str("tracker v1\n");
+    p.push_str("tracker v2\n");
     let _ = write!(p, "flagged {}", flagged.len());
     for (d, day) in flagged {
         let _ = write!(p, " {d} {day}");
@@ -200,8 +201,6 @@ fn render_checkpoint(
         }
         None => p.push_str("model 0\n"),
     }
-    // The simplest valid engine: nothing carried over yet.
-    p.push_str("engine v2\nrolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n");
     p.push_str("end-tracker\n");
     with_valid_header(&p)
 }

@@ -21,9 +21,7 @@
 //!   two exceptions (infected machines survive R1; known malware domains
 //!   survive R3);
 //! - [`hiding`] — the label-hiding view used when measuring features for
-//!   known (training) domains without leaking their own ground truth;
-//! - [`persist`] — versioned line-oriented text round-trip of a graph, the
-//!   CSR layer of `segugio-core`'s crash-safe checkpoints.
+//!   known (training) domains without leaking their own ground truth.
 
 #![warn(missing_docs)]
 // Library code returns typed errors; a panic site needs a reasoned
@@ -40,6 +38,7 @@ pub mod builder;
 pub mod graph;
 pub mod hiding;
 pub mod labeling;
+#[doc(hidden)]
 pub mod persist;
 pub mod pruning;
 pub mod runs;
@@ -51,6 +50,7 @@ pub use builder::DeltaBuilder;
 pub use builder::GraphBuilder;
 pub use graph::{BehaviorGraph, DomainIdx, MachineIdx};
 pub use hiding::HiddenLabelView;
+#[doc(hidden)]
 pub use persist::{read_graph, write_graph};
 pub use pruning::{PruneConfig, PruneStats};
 pub use runs::{EdgeRuns, DEFAULT_RUN_CAPACITY};

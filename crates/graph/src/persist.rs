@@ -1,10 +1,12 @@
 //! Plain-text persistence of [`BehaviorGraph`].
 //!
-//! The checkpoint subsystem in `segugio-core` must carry yesterday's
-//! pruned graph across a process restart. This module gives the graph the same
-//! deliberately simple, versioned, line-oriented treatment as the model
-//! persistence in `segugio-ml`: no external serialization dependencies,
-//! deterministic output, and a loader that never panics on hostile bytes.
+//! Retired: checkpoints no longer carry a graph, and nothing under
+//! `crates/` calls this module — remove it with `graph.persist_*_s` in the
+//! next `[benchmark]` PR (its `trace` binary is the last caller). It gives
+//! the graph the same deliberately simple, versioned, line-oriented
+//! treatment as the model persistence in `segugio-ml`: no external
+//! serialization dependencies, deterministic output, and a loader that
+//! never panics on hostile bytes.
 //!
 //! Only the machine-side CSR is written; the domain-side CSR is
 //! reconstructed on load by a prefix sum + ascending-machine scatter, so

@@ -35,5 +35,7 @@ pub mod store;
 
 pub use abuse::AbuseIndex;
 pub use activity::ActivityStore;
-pub use rolling::{AbuseDelta, RollingAbuseIndex};
+#[doc(hidden)]
+pub use rolling::AbuseDelta;
+pub use rolling::RollingAbuseIndex;
 pub use store::PassiveDns;

@@ -28,6 +28,11 @@ use crate::store::PassiveDns;
 /// Any IP-level change also marks the enclosing prefix, so a consumer that
 /// caches per-domain answers can invalidate on
 /// `ips.contains(ip) || prefixes.contains(ip.prefix24())`.
+///
+/// Retired: the feature cache that consumed it is gone and nothing under
+/// `crates/` reads it — remove the tracking with `pdns.rolling_touched` in
+/// the next `[benchmark]` PR.
+#[doc(hidden)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbuseDelta {
     /// IPs whose `is_malware_ip` / `unknown_domains_on_ip` answers may have
@@ -245,153 +250,6 @@ impl RollingAbuseIndex {
         }
     }
 
-    /// Serializes the rolling state as deterministic text lines appended to
-    /// `out`, for embedding in `segugio-core`'s checkpoint documents.
-    ///
-    /// Only the window and the per-domain states are written: the index and
-    /// the malware refcount maps are pure functions of the domain states
-    /// and are rebuilt on load by replaying each distinct `(label, ip)`
-    /// pair, so a loaded index can never disagree with its domain states.
-    ///
-    /// Format `v2`: a pair's count is its number of distinct in-window
-    /// days. `v1` counted the duplicate records [`PassiveDns`] used to
-    /// keep; evicting a day from the duplicate-free store would never
-    /// drain such a count, so `v1` text is rejected and the checkpoint
-    /// that embeds it is discarded and rebuilt.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self.window {
-            Some(w) => {
-                let _ = writeln!(out, "rolling v2 window {} {}", w.start().0, w.end().0);
-            }
-            None => {
-                let _ = writeln!(out, "rolling v2 no-window");
-            }
-        }
-        let _ = writeln!(out, "domains {}", self.domains.len());
-        for (dom, state) in &self.domains {
-            let label = match state.label {
-                Label::Malware => 'M',
-                Label::Benign => 'B',
-                Label::Unknown => 'U',
-            };
-            let _ = write!(out, "d {} {label} {}", dom.0, state.ips.len());
-            for (ip, count) in &state.ips {
-                let _ = write!(out, " {} {count}", ip.0);
-            }
-            out.push('\n');
-        }
-        out.push_str("end-rolling\n");
-    }
-
-    /// Reads one rolling index serialized by [`write_text`](Self::write_text)
-    /// from `lines`, consuming up to and including its `end-rolling`
-    /// terminator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line. The loader never
-    /// panics on hostile bytes and rejects states a real window could not
-    /// have produced (zero day-counts, duplicate domains, unsorted keys).
-    pub fn read_text<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self, String> {
-        let header = lines
-            .next()
-            .ok_or_else(|| "unexpected end of input, expected rolling header".to_owned())?;
-        let mut parts = header.split_whitespace();
-        if (parts.next(), parts.next()) != (Some("rolling"), Some("v2")) {
-            return Err("expected `rolling v2` header".to_owned());
-        }
-        let window = match parts.next() {
-            Some("no-window") => None,
-            Some("window") => {
-                let start: u32 = parse_field(parts.next(), "window start")?;
-                let end: u32 = parse_field(parts.next(), "window end")?;
-                if end < start {
-                    return Err("rolling window end precedes its start".to_owned());
-                }
-                Some(DayWindow::new(
-                    segugio_model::Day(start),
-                    segugio_model::Day(end),
-                ))
-            }
-            _ => return Err("expected `window` or `no-window`".to_owned()),
-        };
-        if parts.next().is_some() {
-            return Err("trailing tokens on rolling header".to_owned());
-        }
-        let count_line = lines
-            .next()
-            .ok_or_else(|| "unexpected end of input, expected domains count".to_owned())?;
-        let mut parts = count_line.split_whitespace();
-        if parts.next() != Some("domains") {
-            return Err("expected `domains` line".to_owned());
-        }
-        let n: u64 = parse_field(parts.next(), "domain count")?;
-        if parts.next().is_some() {
-            return Err("trailing tokens on `domains` line".to_owned());
-        }
-
-        let mut rolling = RollingAbuseIndex {
-            window,
-            ..RollingAbuseIndex::default()
-        };
-        let mut unused = AbuseDelta::default();
-        for _ in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| "unexpected end of input, expected domain state".to_owned())?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("d") {
-                return Err("expected `d` domain-state line".to_owned());
-            }
-            let dom = DomainId(parse_field(parts.next(), "domain id")?);
-            let label = match parts.next() {
-                Some("M") => Label::Malware,
-                Some("B") => Label::Benign,
-                Some("U") => Label::Unknown,
-                _ => return Err("malformed domain label".to_owned()),
-            };
-            let k: u64 = parse_field(parts.next(), "ip count")?;
-            if k == 0 {
-                return Err("domain state with no in-window records".to_owned());
-            }
-            let mut ips = BTreeMap::new();
-            for _ in 0..k {
-                let ip = Ipv4(parse_field(parts.next(), "ip")?);
-                let days: u32 = parse_field(parts.next(), "ip day count")?;
-                if days == 0 {
-                    return Err("ip with zero in-window day count".to_owned());
-                }
-                if ips.insert(ip, days).is_some() {
-                    return Err("duplicate ip in domain state".to_owned());
-                }
-            }
-            if parts.next().is_some() {
-                return Err("trailing tokens on domain-state line".to_owned());
-            }
-            // Replay: the first in-window record of each pair contributes to
-            // the index under the domain's label, exactly as add_record
-            // would have.
-            for &ip in ips.keys() {
-                rolling.add_pair(label, ip, &mut unused);
-            }
-            if rolling
-                .domains
-                .insert(dom, DomainState { label, ips })
-                .is_some()
-            {
-                return Err("duplicate domain in rolling state".to_owned());
-            }
-        }
-        let end = lines
-            .next()
-            .ok_or_else(|| "unexpected end of input, expected end-rolling".to_owned())?;
-        if end.trim() != "end-rolling" {
-            return Err("expected `end-rolling` terminator".to_owned());
-        }
-        Ok(rolling)
-    }
-
     /// Registers a distinct `(domain, ip)` pair's contribution under `label`.
     fn add_pair(&mut self, label: Label, ip: Ipv4, delta: &mut AbuseDelta) {
         match label {
@@ -464,13 +322,6 @@ impl RollingAbuseIndex {
             Label::Benign => {}
         }
     }
-}
-
-/// Parses a whitespace-separated field of a rolling-state line.
-fn parse_field<T: std::str::FromStr>(part: Option<&str>, what: &str) -> Result<T, String> {
-    part.ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|_| format!("malformed {what}"))
 }
 
 #[cfg(test)]
@@ -578,69 +429,6 @@ mod tests {
             &AbuseIndex::build(&pdns, back, label_at(5))
         );
         assert!(!delta.is_empty(), "rebuild touches the covered IP space");
-    }
-
-    #[test]
-    fn text_round_trip_preserves_behavior() {
-        let pdns = sample_pdns();
-        let mut rolling = RollingAbuseIndex::new();
-        rolling.advance(&pdns, Day(6).lookback_exclusive(5), label_at(6));
-
-        let mut text = String::new();
-        rolling.write_text(&mut text);
-        let loaded = RollingAbuseIndex::read_text(&mut text.lines()).expect("round trip");
-        assert_eq!(loaded.index(), rolling.index());
-        assert_eq!(loaded.window(), rolling.window());
-        assert_eq!(loaded.malware_ip_refs, rolling.malware_ip_refs);
-        assert_eq!(loaded.malware_prefix_refs, rolling.malware_prefix_refs);
-        // Write is a fixed point.
-        let mut again = String::new();
-        loaded.write_text(&mut again);
-        assert_eq!(text, again);
-
-        // The loaded copy keeps advancing identically to the original.
-        let mut loaded = loaded;
-        for horizon in 7..=10u32 {
-            let window = Day(horizon).lookback_exclusive(5);
-            let da = rolling.advance(&pdns, window, label_at(horizon));
-            let db = loaded.advance(&pdns, window, label_at(horizon));
-            assert_eq!(da, db, "window {window}");
-            assert_eq!(loaded.index(), rolling.index());
-        }
-    }
-
-    #[test]
-    fn empty_rolling_round_trips() {
-        let rolling = RollingAbuseIndex::new();
-        let mut text = String::new();
-        rolling.write_text(&mut text);
-        let loaded = RollingAbuseIndex::read_text(&mut text.lines()).expect("empty round trip");
-        assert_eq!(loaded.window(), None);
-        assert_eq!(loaded.index(), &AbuseIndex::default());
-    }
-
-    #[test]
-    fn read_text_rejects_garbage() {
-        for bad in [
-            "",
-            // v1 counts included the store's duplicate records.
-            "rolling v1 no-window\ndomains 0\nend-rolling",
-            "rolling v2 no-window",
-            "rolling v2 window 5 2",
-            "rolling v2 no-window\ndomains x",
-            "rolling v2 no-window\ndomains 1\nd 3 Z 1 7 1\nend-rolling",
-            // Zero day-count is impossible for an in-window record.
-            "rolling v2 no-window\ndomains 1\nd 3 U 1 7 0\nend-rolling",
-            // Duplicate domain.
-            "rolling v2 no-window\ndomains 2\nd 3 U 1 7 1\nd 3 U 1 8 1\nend-rolling",
-            // Missing terminator.
-            "rolling v2 no-window\ndomains 0",
-        ] {
-            assert!(
-                RollingAbuseIndex::read_text(&mut bad.lines()).is_err(),
-                "accepted: {bad:?}"
-            );
-        }
     }
 
     #[test]
