@@ -126,9 +126,10 @@ impl<'a> FeatureExtractor<'a> {
 
     /// Features of a *known* (training) domain, measured under the
     /// label-hiding view so its own ground truth cannot leak into the
-    /// vector.
+    /// vector. F1 iterates exactly the hidden domain's queriers, so each
+    /// label is the view's O(1) querier rule, never a search.
     pub fn measure_hidden(&self, view: &HiddenLabelView<'_>) -> [f32; FEATURE_COUNT] {
-        self.measure_with(view.hidden_domain(), |m| view.machine_label(m))
+        self.measure_with(view.hidden_domain(), |m| view.querier_label(m))
     }
 
     fn measure_with<F>(&self, d: DomainIdx, machine_label: F) -> [f32; FEATURE_COUNT]

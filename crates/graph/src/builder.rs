@@ -43,7 +43,7 @@ pub struct GraphBuilder {
     ips: Vec<(DomainId, Ipv4)>,
 }
 
-/// A replayable stream of `(machine, domain)` edges, ascending and free of
+/// A stream of `(machine, domain)` edges, ascending and free of
 /// duplicates — the one input shape [`csr_from_sorted`] accepts.
 trait SortedEdges {
     /// What replaying the stream can fail with.
@@ -52,8 +52,12 @@ trait SortedEdges {
     /// Largest raw domain id in the stream, `None` when it is empty.
     fn max_domain(&self) -> Option<u32>;
 
-    /// Calls `f` on every edge in ascending order. Repeatable: the
-    /// constructor runs two passes.
+    /// An upper bound on the number of edges [`for_each`](Self::for_each)
+    /// yields, known without replaying the stream.
+    fn edge_bound(&self) -> usize;
+
+    /// Calls `f` on every edge in ascending order. The constructor replays
+    /// the stream once.
     fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> Result<(), Self::Error>;
 }
 
@@ -62,6 +66,10 @@ impl SortedEdges for [(MachineId, DomainId)] {
 
     fn max_domain(&self) -> Option<u32> {
         self.iter().map(|&(_, d)| d.0).max()
+    }
+
+    fn edge_bound(&self) -> usize {
+        self.len()
     }
 
     fn for_each<F: FnMut(MachineId, DomainId)>(&self, mut f: F) -> Result<(), Infallible> {
@@ -77,6 +85,10 @@ impl SortedEdges for EdgeRuns {
 
     fn max_domain(&self) -> Option<u32> {
         self.max_ids().map(|(_, d)| d)
+    }
+
+    fn edge_bound(&self) -> usize {
+        self.pair_bound()
     }
 
     fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> std::io::Result<()> {
@@ -109,17 +121,19 @@ fn flatten(resolutions: &[(DomainId, Vec<Ipv4>)]) -> Vec<(DomainId, Ipv4)> {
     pairs
 }
 
-/// The crate's only edge-stream → CSR constructor: a two-pass counting
-/// sort.
+/// The crate's only edge-stream → CSR constructor: a counting sort that
+/// replays the stream once.
 ///
-/// Pass one counts degrees: machines arrive in ascending runs, so their
-/// dense indices and offsets fall out directly, and a per-raw-id domain
-/// counter turns into dense ranks and offsets by prefix sum. Pass two
-/// scatters both adjacency arrays — the stream ascends by `(machine,
-/// domain)`, so every per-node list is filled ascending and no sort or
-/// hash lookup happens at all. Beyond the output CSR the only transient
-/// memory is one `max_domain_id`-sized counter array and one cursor per
-/// domain.
+/// Pass one reads the stream: machines arrive in ascending runs, so their
+/// dense indices and offsets fall out directly; the raw domain column is
+/// written straight into `m_adj` (sized from the stream's edge bound); and
+/// a per-raw-id domain counter turns into dense ranks and offsets by
+/// prefix sum. Pass two runs over memory: it remaps `m_adj` in place to
+/// dense domain ranks and scatters `d_adj` — the stream ascends by
+/// `(machine, domain)`, so every per-node list is filled ascending and no
+/// sort or hash lookup happens at all. Beyond the output CSR the only
+/// transient memory is one `max_domain_id`-sized counter array and one
+/// cursor per domain.
 ///
 /// `e2ld_of` is consulted once per queried domain; `ip_pairs` may arrive
 /// in any order with repeats, and pairs of unqueried domains are dropped.
@@ -133,21 +147,26 @@ where
     S: SortedEdges + ?Sized,
     F: Fn(DomainId) -> E2ldId,
 {
-    // Pass 1: degrees. `m_off` gets each machine's start as it first
-    // appears; `d_deg` is indexed by raw domain id.
+    // Pass 1: the only replay. `m_off` gets each machine's start as it
+    // first appears; `m_adj` holds raw domain ids for now; `d_deg` is
+    // indexed by raw domain id.
     let mut machines: Vec<MachineId> = Vec::new();
     let mut m_off: Vec<u32> = Vec::new();
+    let mut m_adj: Vec<u32> = Vec::with_capacity(stream.edge_bound());
     let mut d_deg = vec![0u32; stream.max_domain().map_or(0, |d| d as usize + 1)];
-    let mut edges = 0usize;
     stream.for_each(|m, d| {
         if machines.last() != Some(&m) {
             machines.push(m);
-            m_off.push(edges as u32);
+            m_off.push(m_adj.len() as u32);
         }
         d_deg[d.0 as usize] += 1;
-        edges += 1;
+        m_adj.push(d.0);
     })?;
+    let edges = m_adj.len();
     m_off.push(edges as u32);
+    // Cross-run duplicates make the bound loose for spilled runs; give the
+    // unused tail back.
+    m_adj.shrink_to_fit();
 
     // Dense domain ranks in ascending raw-id order and offsets by prefix
     // sum; the degree array is reused as the raw-id -> rank map.
@@ -165,24 +184,19 @@ where
         }
     }
 
-    // Pass 2: scatter. The machine adjacency is the stream's domain
-    // column in stream order; each domain's machine list receives
-    // ascending machine ranks.
-    let mut m_adj = vec![0u32; edges];
+    // Pass 2, over memory: remap the machine adjacency to dense domain
+    // ranks in place; each domain's machine list receives ascending
+    // machine ranks.
     let mut d_adj = vec![0u32; edges];
     let mut cursor: Vec<u32> = d_off[..domains.len()].to_vec();
-    let mut pos = 0usize;
-    let mut m_rank = 0usize;
-    stream.for_each(|m, d| {
-        while machines[m_rank] != m {
-            m_rank += 1;
+    for (mi, span) in m_off.windows(2).enumerate() {
+        for slot in &mut m_adj[span[0] as usize..span[1] as usize] {
+            let dr = d_rank[*slot as usize];
+            *slot = dr;
+            d_adj[cursor[dr as usize] as usize] = mi as u32;
+            cursor[dr as usize] += 1;
         }
-        let dr = d_rank[d.0 as usize] as usize;
-        m_adj[pos] = dr as u32;
-        pos += 1;
-        d_adj[cursor[dr] as usize] = m_rank as u32;
-        cursor[dr] += 1;
-    })?;
+    }
 
     // Annotations: e2LD per queried domain, and a flat IP pool of
     // per-domain sorted deduped segments delimited by `ip_off` (one

@@ -9,9 +9,13 @@
 //! reverts to unknown, because from its point of view it now queries an
 //! unknown domain.
 //!
-//! [`HiddenLabelView`] computes these effective labels in O(1) per machine
-//! using the precomputed per-machine malware degree, without rebuilding the
-//! graph.
+//! [`HiddenLabelView`] computes these effective labels without rebuilding
+//! the graph. For a querier of the hidden domain —
+//! [`querier_label`](HiddenLabelView::querier_label), the case feature
+//! measurement iterates — it is O(1) from the precomputed per-machine
+//! malware degree; for an arbitrary machine,
+//! [`machine_label`](HiddenLabelView::machine_label) first binary-searches
+//! the machine's adjacency for the hidden domain.
 
 use segugio_model::Label;
 
@@ -83,20 +87,31 @@ impl<'g> HiddenLabelView<'g> {
         }
     }
 
-    /// The effective label of `m` under hiding.
-    ///
-    /// A machine's label changes only if it queried the hidden domain:
+    /// The effective label of any machine `m` under hiding: unchanged
+    /// unless `m` queried the hidden domain (one binary search of its
+    /// adjacency), else [`querier_label`](Self::querier_label).
+    pub fn machine_label(&self, m: MachineIdx) -> Label {
+        if self.queried_hidden(m) {
+            self.querier_label(m)
+        } else {
+            self.graph.machine_label(m)
+        }
+    }
+
+    /// The effective label of `m`, which must be a querier of the hidden
+    /// domain, in O(1) from its original label, the hidden label and its
+    /// malware degree:
     /// - machine was malware, hidden domain was its *only* known malware
     ///   domain → unknown;
     /// - machine was benign and the hidden (benign) domain is now unknown →
     ///   unknown;
     /// - otherwise unchanged.
-    pub fn machine_label(&self, m: MachineIdx) -> Label {
-        let original = self.graph.machine_label(m);
-        if !self.queried_hidden(m) {
-            return original;
-        }
-        match (original, self.hidden_original) {
+    ///
+    /// For a machine that did not query the hidden domain the answer is
+    /// meaningless; use [`machine_label`](Self::machine_label).
+    pub fn querier_label(&self, m: MachineIdx) -> Label {
+        debug_assert!(self.queried_hidden(m), "{m:?} is not a querier");
+        match (self.graph.machine_label(m), self.hidden_original) {
             (Label::Malware, Label::Malware) => {
                 if self.graph.machine_malware_degree(m) == 1 {
                     Label::Unknown

@@ -128,56 +128,48 @@ impl BehaviorGraph {
             }
         }
 
-        // Domain degrees counting only kept machines.
-        let kept_domain_degree: Vec<usize> = (0..self.domain_count())
-            .map(|di| {
-                let lo = self.d_off[di] as usize;
-                let hi = self.d_off[di + 1] as usize;
-                self.d_adj[lo..hi]
-                    .iter()
-                    .filter(|&&m| keep_machine[m as usize])
-                    .count()
-            })
-            .collect();
-
-        // R4: distinct kept machines per e2LD. Domains are grouped by
-        // sorting `(e2ld, domain)` pairs — no hash maps — and each group's
-        // kept queriers are gathered into one reusable buffer that is
-        // sorted + deduped to count distinct machines.
+        // One walk over the domain adjacency, grouped by e2LD (domains
+        // sorted by `(e2ld, domain)` — no hash maps), yields both each
+        // domain's degree over kept machines (R3) and each e2LD's count of
+        // distinct kept machines (R4). A machine is counted once per group
+        // by stamping it with the group's ordinal: no sort, no dedup.
         let theta_m = ((self.machine_count() as f64) * config.popular_fraction).ceil() as usize;
         stats.theta_m = theta_m;
         let mut by_e2ld: Vec<(u32, u32)> = (0..self.domain_count() as u32)
             .map(|di| (self.domain_e2ld[di as usize].0, di))
             .collect();
         by_e2ld.sort_unstable();
-        let mut group: Vec<u32> = Vec::new();
-        // Ascending, so membership below is a binary search.
-        let mut popular_e2ld: Vec<u32> = Vec::new();
-        let mut i = 0usize;
-        while i < by_e2ld.len() {
-            let e = by_e2ld[i].0;
-            group.clear();
-            while i < by_e2ld.len() && by_e2ld[i].0 == e {
-                let di = by_e2ld[i].1 as usize;
+        let mut kept_domain_degree = vec![0u32; self.domain_count()];
+        let mut popular_domain = vec![false; self.domain_count()];
+        let mut stamp = vec![u32::MAX; self.machine_count()];
+        for (ordinal, group) in by_e2ld.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            let ordinal = ordinal as u32;
+            let mut distinct = 0usize;
+            for &(_, di) in group {
+                let di = di as usize;
                 let lo = self.d_off[di] as usize;
                 let hi = self.d_off[di + 1] as usize;
                 for &m in &self.d_adj[lo..hi] {
-                    if keep_machine[m as usize] {
-                        group.push(m);
+                    let m = m as usize;
+                    if keep_machine[m] {
+                        kept_domain_degree[di] += 1;
+                        if stamp[m] != ordinal {
+                            stamp[m] = ordinal;
+                            distinct += 1;
+                        }
                     }
                 }
-                i += 1;
             }
-            group.sort_unstable();
-            group.dedup();
-            if group.len() >= theta_m && theta_m > 0 {
-                popular_e2ld.push(e);
+            if distinct >= theta_m && theta_m > 0 {
+                for &(_, di) in group {
+                    popular_domain[di as usize] = true;
+                }
             }
         }
 
         let mut keep_domain = vec![true; self.domain_count()];
         for (di, keep) in keep_domain.iter_mut().enumerate() {
-            if popular_e2ld.binary_search(&self.domain_e2ld[di].0).is_ok() {
+            if popular_domain[di] {
                 *keep = false;
                 stats.r4_popular_domains += 1;
             } else if kept_domain_degree[di] <= 1 && self.domain_labels[di] != Label::Malware {
@@ -350,15 +342,14 @@ impl BehaviorGraph {
     }
 }
 
-/// The value at `pct` (in `[0,1]`) of the sorted distribution. `data` is
-/// sorted in place.
+/// The value at `pct` (in `[0,1]`) of the sorted distribution, selected in
+/// O(n) without sorting; `data` is reordered in place.
 fn percentile(data: &mut [usize], pct: f64) -> usize {
     if data.is_empty() {
         return 0;
     }
-    data.sort_unstable();
     let rank = ((data.len() as f64 - 1.0) * pct.clamp(0.0, 1.0)).round() as usize;
-    data[rank]
+    *data.select_nth_unstable(rank).1
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! ascending edge stream is replayed on demand by a k-way merge over the
 //! sealed runs — which is exactly the shape the streamed counting-sort
 //! builder ([`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs))
-//! consumes. Peak memory is `O(run capacity + runs × refill buffer)`,
-//! independent of the day's edge count.
+//! consumes, in a single replay. Peak memory is `O(run capacity + runs ×
+//! refill buffer)`, independent of the day's edge count.
 //!
 //! The scratch file is unlinked immediately after creation (classic
 //! anonymous-tempfile idiom), so the kernel reclaims it when the value is
@@ -138,6 +138,18 @@ impl EdgeRuns {
         }
     }
 
+    /// An upper bound on the merged stream's length: every sealed run's
+    /// pairs plus the open run's. Exact unless runs share pairs or the open
+    /// run holds duplicates.
+    pub(crate) fn pair_bound(&self) -> usize {
+        let spilled = self
+            .spill
+            .as_ref()
+            .map_or(0, |s| s.runs.iter().map(|r| r.pairs as usize).sum());
+        let resident: usize = self.resident.iter().map(Vec::len).sum();
+        spilled + resident + self.current.len()
+    }
+
     /// Records one query observation. Never fails: if the scratch disk is
     /// unusable the sealed run stays resident in memory instead.
     pub fn push(&mut self, machine: MachineId, domain: DomainId) {
@@ -223,8 +235,8 @@ impl EdgeRuns {
     /// [`GraphBuilder::build`](crate::GraphBuilder::build) produces after
     /// its own sort+dedup.
     ///
-    /// The accumulator is not consumed; the stream can be replayed (the
-    /// counting-sort builder runs two passes).
+    /// The accumulator is not consumed; the stream can be replayed, though
+    /// the counting-sort builder needs it only once.
     pub fn for_each_merged<F>(&self, mut f: F) -> io::Result<()>
     where
         F: FnMut(MachineId, DomainId),
@@ -531,7 +543,8 @@ mod tests {
             );
         }
         assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
-        // Replay must be repeatable (two-pass consumers).
+        // Replay must be repeatable: it does not consume the accumulator.
+        assert!(runs.pair_bound() >= runs.collect_merged().expect("merge").len());
         assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
     }
 

@@ -127,6 +127,11 @@ proptest! {
                     prop_assert_eq!(view.machine_label(m), g.machine_label(m));
                 }
             }
+            // The O(1) rule feature measurement uses for queriers agrees
+            // with the searching one.
+            for m in g.machines_of(hidden) {
+                prop_assert_eq!(view.querier_label(m), view.machine_label(m));
+            }
         }
     }
 }
