@@ -128,11 +128,11 @@ fn main() {
     let observations = runs.observations();
     let spilled_runs = runs.spilled_runs();
 
-    // --- Streamed counting-sort CSR build from the merged runs. ---
+    // --- Counting-sort CSR build from the runs, grouped by machine. ---
     let mut graph_out = None;
     bracket("csr_build", &mut phases, &mut || {
         let g = GraphBuilder::from_runs(day, &runs, &resolutions, |d| isp.table().e2ld_of(d))
-            .expect("scratch-file merge");
+            .expect("scratch-file replay");
         graph_out = Some(g);
     });
     let graph = graph_out.expect("csr_build phase ran");

@@ -81,17 +81,17 @@ pub struct SegugioConfig {
     /// serial). `None` uses every available core; `Some(1)` forces the
     /// exact serial path. Output is bit-for-bit identical at every setting.
     pub parallelism: Option<usize>,
-    /// When set, every snapshot build — first day or warm — accumulates
-    /// the day's query edges in fixed-capacity sorted runs of this many
-    /// observations (spilled to a scratch file past the cap) and replays
-    /// their merge into the CSR constructor
+    /// When set, every snapshot build — first day or warm — copies the
+    /// day's query edges into fixed-capacity deduplicated runs of this
+    /// many observations (spilled to a scratch file past the cap) and
+    /// builds the CSR from them
     /// ([`GraphBuilder::from_runs`](segugio_graph::GraphBuilder::from_runs))
-    /// instead of sorting one in-memory copy of the query list
+    /// instead of from the query list itself
     /// ([`GraphBuilder::from_queries`](segugio_graph::GraphBuilder::from_queries)).
-    /// Output is bit-for-bit identical; the knob only bounds the build's
-    /// peak memory by the run capacity instead of the day's edge count.
-    /// `None` keeps the in-memory sort. A scratch-file I/O failure falls
-    /// back to it.
+    /// Output is bit-for-bit identical. Both entries group the pairs by
+    /// machine without copying the list, so for queries that are already
+    /// resident the knob bounds nothing and only adds the copy. `None`
+    /// builds from the list, as does a scratch-file I/O failure.
     pub chunk_run_capacity: Option<usize>,
     /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) roll the
     /// abuse index forward from day to day instead of rescanning the pDNS

@@ -85,13 +85,14 @@ impl DaySnapshot {
         Self::from_unpruned_graph(graph, input, config)
     }
 
-    /// Builds the snapshot from an already-accumulated chunk-run edge set
-    /// via the streamed counting-sort CSR path, without ever materializing
-    /// the day's edges in one buffer. `input.queries` is ignored (it may be
-    /// empty); the query edges come from `runs`.
+    /// Builds the snapshot from an already-accumulated chunk-run edge set,
+    /// grouping the runs' pairs by machine without merging them or ever
+    /// holding the raw observations in one buffer. `input.queries` is
+    /// ignored (it may be empty); the query edges come from `runs`.
     ///
     /// Bit-for-bit identical to [`build`](Self::build) over the same edge
-    /// set; peak memory is bounded by the run capacity, not the edge count.
+    /// set; beyond the output graph, memory is bounded by the run
+    /// capacity, not the observation count.
     ///
     /// # Errors
     ///
@@ -128,9 +129,9 @@ impl DaySnapshot {
 }
 
 /// Builds the day's *unpruned, unlabeled* graph with its annotations.
-/// [`SegugioConfig::chunk_run_capacity`] only chooses how the sorted edge
-/// stream is produced (bounded runs or one in-memory sort); the CSR
-/// constructor behind both is the same.
+/// [`SegugioConfig::chunk_run_capacity`] only chooses what the CSR
+/// constructor replays (the query list itself, or a copy of it in bounded
+/// runs); the constructor behind both is the same.
 pub(crate) fn build_unpruned_graph(
     input: &SnapshotInput<'_>,
     config: &SegugioConfig,
@@ -143,7 +144,7 @@ pub(crate) fn build_unpruned_graph(
             return graph;
         }
         // Scratch-file I/O failed; the queries are still resident in
-        // `input`, so the in-memory sort below is an exact fallback.
+        // `input`, so the in-memory build below is an exact fallback.
     }
     GraphBuilder::from_queries(input.day, input.queries, input.resolutions, e2ld_of)
 }

@@ -2,16 +2,16 @@
 //! behind every entry point.
 //!
 //! Whatever the source — an in-memory query list or spilled
-//! [`EdgeRuns`](crate::EdgeRuns) — the day's edges reach [`csr_from_sorted`]
-//! as an ascending, duplicate-free `(machine, domain)` stream, and that
-//! function is the only code in this crate that turns edges into CSR arrays.
+//! [`EdgeRuns`](crate::EdgeRuns) — the day's `(machine, domain)` pairs
+//! reach [`csr_from_pairs`] in any order, with repeats, and that function
+//! is the only code in this crate that turns edges into CSR arrays.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
 use crate::graph::BehaviorGraph;
+use crate::runs::{group_by_machine, machine_span, replay_slice, PairSink};
 use crate::EdgeRuns;
 
 /// Accumulates one day of `(machine, domain)` query observations plus the
@@ -43,73 +43,21 @@ pub struct GraphBuilder {
     ips: Vec<(DomainId, Ipv4)>,
 }
 
-/// A stream of `(machine, domain)` edges, ascending and free of
-/// duplicates — the one input shape [`csr_from_sorted`] accepts.
-trait SortedEdges {
-    /// What replaying the stream can fail with.
-    type Error;
-
-    /// Largest raw domain id in the stream, `None` when it is empty.
-    fn max_domain(&self) -> Option<u32>;
-
-    /// An upper bound on the number of edges [`for_each`](Self::for_each)
-    /// yields, known without replaying the stream.
-    fn edge_bound(&self) -> usize;
-
-    /// Calls `f` on every edge in ascending order. The constructor replays
-    /// the stream once.
-    fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> Result<(), Self::Error>;
-}
-
-impl SortedEdges for [(MachineId, DomainId)] {
-    type Error = Infallible;
-
-    fn max_domain(&self) -> Option<u32> {
-        self.iter().map(|&(_, d)| d.0).max()
-    }
-
-    fn edge_bound(&self) -> usize {
-        self.len()
-    }
-
-    fn for_each<F: FnMut(MachineId, DomainId)>(&self, mut f: F) -> Result<(), Infallible> {
-        for &(m, d) in self {
-            f(m, d);
-        }
-        Ok(())
-    }
-}
-
-impl SortedEdges for EdgeRuns {
-    type Error = std::io::Error;
-
-    fn max_domain(&self) -> Option<u32> {
-        self.max_ids().map(|(_, d)| d)
-    }
-
-    fn edge_bound(&self) -> usize {
-        self.pair_bound()
-    }
-
-    fn for_each<F: FnMut(MachineId, DomainId)>(&self, f: F) -> std::io::Result<()> {
-        self.for_each_merged(f)
-    }
-}
-
-/// Sorts and deduplicates an in-memory query list into the stream shape
-/// [`csr_from_sorted`] takes, then builds. Replaying a slice cannot fail.
+/// Builds from an in-memory query list, which replays without failing.
 fn csr_from_queries<F: Fn(DomainId) -> E2ldId>(
     day: Day,
-    mut edges: Vec<(MachineId, DomainId)>,
+    queries: &[(MachineId, DomainId)],
     ip_pairs: Vec<(DomainId, Ipv4)>,
     e2ld_of: F,
 ) -> BehaviorGraph {
-    edges.sort_unstable();
-    edges.dedup();
-    match csr_from_sorted(day, edges.as_slice(), ip_pairs, e2ld_of) {
-        Ok(graph) => graph,
-        Err(never) => match never {},
-    }
+    let Ok(graph) = csr_from_pairs(
+        day,
+        machine_span(queries),
+        replay_slice(queries),
+        ip_pairs,
+        e2ld_of,
+    );
+    graph
 }
 
 /// Flattens per-domain resolution lists into `(domain, ip)` pairs.
@@ -121,77 +69,74 @@ fn flatten(resolutions: &[(DomainId, Vec<Ipv4>)]) -> Vec<(DomainId, Ipv4)> {
     pairs
 }
 
-/// The crate's only edge-stream → CSR constructor: a counting sort that
-/// replays the stream once.
+/// The crate's only pairs → CSR constructor: a counting sort on each side.
 ///
-/// Pass one reads the stream: machines arrive in ascending runs, so their
-/// dense indices and offsets fall out directly; the raw domain column is
-/// written straight into `m_adj` (sized from the stream's edge bound); and
-/// a per-raw-id domain counter turns into dense ranks and offsets by
-/// prefix sum. Pass two runs over memory: it remaps `m_adj` in place to
-/// dense domain ranks and scatters `d_adj` — the stream ascends by
-/// `(machine, domain)`, so every per-node list is filled ascending and no
-/// sort or hash lookup happens at all. Beyond the output CSR the only
-/// transient memory is one `max_domain_id`-sized counter array and one
-/// cursor per domain.
+/// `replay` hands over the day's pairs a slice at a time, in any order and
+/// with repeats, machine ids within `machines_span` (`None` for no pairs).
+/// [`group_by_machine`] builds the machine side. The domain side runs over
+/// memory: a counter over the domain id span becomes dense ranks and
+/// offsets by prefix sum, `m_adj` is remapped to ranks in place and
+/// `d_adj` scattered, ascending because machines are visited in order.
 ///
 /// `e2ld_of` is consulted once per queried domain; `ip_pairs` may arrive
 /// in any order with repeats, and pairs of unqueried domains are dropped.
-fn csr_from_sorted<S, F>(
+fn csr_from_pairs<E, F>(
     day: Day,
-    stream: &S,
+    machines_span: Option<(u32, u32)>,
+    replay: impl FnMut(&mut PairSink<'_>) -> Result<(), E>,
     mut ip_pairs: Vec<(DomainId, Ipv4)>,
     e2ld_of: F,
-) -> Result<BehaviorGraph, S::Error>
+) -> Result<BehaviorGraph, E>
 where
-    S: SortedEdges + ?Sized,
     F: Fn(DomainId) -> E2ldId,
 {
-    // Pass 1: the only replay. `m_off` gets each machine's start as it
-    // first appears; `m_adj` holds raw domain ids for now; `d_deg` is
-    // indexed by raw domain id.
+    let (m_lo, (ends, mut m_adj, domain_span)) = match machines_span {
+        Some(span) => (span.0, group_by_machine(span, replay)?),
+        None => (0, (Vec::new(), Vec::new(), None)),
+    };
+    // Machines with a non-empty bucket, in ascending id order.
     let mut machines: Vec<MachineId> = Vec::new();
-    let mut m_off: Vec<u32> = Vec::new();
-    let mut m_adj: Vec<u32> = Vec::with_capacity(stream.edge_bound());
-    let mut d_deg = vec![0u32; stream.max_domain().map_or(0, |d| d as usize + 1)];
-    stream.for_each(|m, d| {
-        if machines.last() != Some(&m) {
-            machines.push(m);
-            m_off.push(m_adj.len() as u32);
+    let mut m_off: Vec<u32> = vec![0];
+    let mut prev = 0u32;
+    for (i, &end) in ends.iter().enumerate() {
+        if end > prev {
+            machines.push(MachineId(m_lo + i as u32));
+            m_off.push(end);
+            prev = end;
         }
-        d_deg[d.0 as usize] += 1;
-        m_adj.push(d.0);
-    })?;
-    let edges = m_adj.len();
-    m_off.push(edges as u32);
-    // Cross-run duplicates make the bound loose for spilled runs; give the
-    // unused tail back.
+    }
+    drop(ends);
+    // Repeats were dropped in place; give the unused tail back.
     m_adj.shrink_to_fit();
 
     // Dense domain ranks in ascending raw-id order and offsets by prefix
-    // sum; the degree array is reused as the raw-id -> rank map.
+    // sum; the degree array, indexed by raw id minus the smallest, is
+    // reused as the raw-id -> rank map.
+    let (d_lo, d_hi) = domain_span.unwrap_or((0, 0));
+    let mut d_rank = vec![0u32; domain_span.map_or(0, |_| (d_hi - d_lo) as usize + 1)];
+    for &d in &m_adj {
+        d_rank[(d - d_lo) as usize] += 1;
+    }
     let mut domains: Vec<DomainId> = Vec::new();
     let mut d_off: Vec<u32> = vec![0];
-    let mut d_rank = d_deg;
     let mut d_total = 0u32;
-    for (raw, slot) in d_rank.iter_mut().enumerate() {
+    for (i, slot) in d_rank.iter_mut().enumerate() {
         let deg = *slot;
         if deg > 0 {
             *slot = domains.len() as u32;
-            domains.push(DomainId(raw as u32));
+            domains.push(DomainId(d_lo + i as u32));
             d_total += deg;
             d_off.push(d_total);
         }
     }
 
-    // Pass 2, over memory: remap the machine adjacency to dense domain
-    // ranks in place; each domain's machine list receives ascending
-    // machine ranks.
-    let mut d_adj = vec![0u32; edges];
+    // Remap the machine adjacency to dense domain ranks in place; each
+    // domain's machine list receives ascending machine ranks.
+    let mut d_adj = vec![0u32; m_adj.len()];
     let mut cursor: Vec<u32> = d_off[..domains.len()].to_vec();
     for (mi, span) in m_off.windows(2).enumerate() {
         for slot in &mut m_adj[span[0] as usize..span[1] as usize] {
-            let dr = d_rank[*slot as usize];
+            let dr = d_rank[(*slot - d_lo) as usize];
             *slot = dr;
             d_adj[cursor[dr as usize] as usize] = mi as u32;
             cursor[dr as usize] += 1;
@@ -295,7 +240,7 @@ impl GraphBuilder {
             e2ld,
             ips,
         } = self;
-        csr_from_queries(day, edges, ips, |d| {
+        csr_from_queries(day, &edges, ips, |d| {
             e2ld.get(&d).copied().unwrap_or(E2ldId(d.0))
         })
     }
@@ -317,12 +262,13 @@ impl GraphBuilder {
     where
         F: Fn(DomainId) -> E2ldId,
     {
-        csr_from_queries(day, queries.to_vec(), flatten(resolutions), e2ld_of)
+        csr_from_queries(day, queries, flatten(resolutions), e2ld_of)
     }
 
-    /// Builds a day's graph by replaying the merged [`EdgeRuns`] stream,
-    /// for paper-scale days: peak memory is the output CSR plus the
-    /// counting arrays, never the full edge list. Same contract and same
+    /// Builds a day's graph from accumulated [`EdgeRuns`], for
+    /// paper-scale days: the stored pairs are replayed twice, a slice at a
+    /// time, so peak memory is the output CSR plus the counting arrays,
+    /// never a second copy of the observations. Same contract and same
     /// output as [`from_queries`](Self::from_queries) over the pushed
     /// observations.
     ///
@@ -340,7 +286,13 @@ impl GraphBuilder {
     where
         F: Fn(DomainId) -> E2ldId,
     {
-        csr_from_sorted(day, runs, flatten(resolutions), e2ld_of)
+        csr_from_pairs(
+            day,
+            runs.machine_span(),
+            |f| runs.replay(f),
+            flatten(resolutions),
+            e2ld_of,
+        )
     }
 }
 
@@ -369,6 +321,7 @@ impl DeltaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_graph() {
@@ -428,7 +381,8 @@ mod tests {
 
     /// Builds the same observations through the accumulating builder, the
     /// borrowed-query entry and the streamed run entry (at `run_capacity`,
-    /// tiny values forcing spill) and checks bit-for-bit identity.
+    /// tiny values forcing spill), checks bit-for-bit identity, and checks
+    /// the edges and IPs against plain sets.
     fn check_entry_points_agree(
         queries: &[(MachineId, DomainId)],
         resolutions: &[(DomainId, Vec<Ipv4>)],
@@ -446,6 +400,22 @@ mod tests {
             b.set_e2ld(d, e);
         }
         let reference = b.build();
+        let r = &reference;
+        let edges: Vec<_> = r
+            .machine_indices()
+            .flat_map(|m| {
+                r.domains_of(m)
+                    .map(move |d| (r.machine_id(m), r.domain_id(d)))
+            })
+            .collect();
+        assert!(edges
+            .iter()
+            .eq(&queries.iter().copied().collect::<BTreeSet<_>>()));
+        for d in r.domain_indices() {
+            let ips = resolutions.iter().filter(|(rd, _)| *rd == r.domain_id(d));
+            let ips: BTreeSet<Ipv4> = ips.flat_map(|(_, ips)| ips.iter().copied()).collect();
+            assert!(r.domain_ips(d).iter().eq(&ips));
+        }
 
         // Last entry wins, mirroring repeated `set_e2ld` overwrites.
         let e2ld_of = |d: DomainId| {
@@ -502,8 +472,10 @@ mod tests {
 
     proptest! {
         /// Random edge sets, annotations and run capacities (1..8 forces
-        /// heavy spilling): every entry point must produce the same
-        /// graph, bit for bit, and it must be structurally valid.
+        /// heavy spilling), with ids from 0 or clustered just under
+        /// `u32::MAX` (counting arrays span the ids present, not
+        /// `0..=max`): every entry point must produce the same graph, bit
+        /// for bit, it must match the set oracle and be structurally valid.
         #[test]
         #[cfg_attr(miri, ignore = "spill-file proptest volume is too slow under Miri")]
         fn entry_points_always_agree(
@@ -511,18 +483,20 @@ mod tests {
             resolved in proptest::collection::vec((0u32..40, proptest::collection::vec(0u32..50, 0..4)), 0..12),
             e2lds in proptest::collection::vec((0u32..32, 0u32..6), 0..10),
             run_capacity in 1usize..8,
+            near_max in any::<bool>(),
         ) {
+            let id = |x: u32| if near_max { u32::MAX - x } else { x };
             let queries: Vec<(MachineId, DomainId)> = queries
                 .into_iter()
-                .map(|(m, d)| (MachineId(m), DomainId(d)))
+                .map(|(m, d)| (MachineId(id(m)), DomainId(id(d))))
                 .collect();
             let resolutions: Vec<(DomainId, Vec<Ipv4>)> = resolved
                 .into_iter()
-                .map(|(d, ips)| (DomainId(d), ips.into_iter().map(Ipv4).collect()))
+                .map(|(d, ips)| (DomainId(id(d)), ips.into_iter().map(Ipv4).collect()))
                 .collect();
             let e2ld: Vec<(DomainId, E2ldId)> = e2lds
                 .into_iter()
-                .map(|(d, e)| (DomainId(d), E2ldId(e)))
+                .map(|(d, e)| (DomainId(id(d)), E2ldId(e)))
                 .collect();
             check_entry_points_agree(&queries, &resolutions, &e2ld, run_capacity);
         }

@@ -10,12 +10,11 @@
 //! The crate provides:
 //!
 //! - [`GraphBuilder`] / [`BehaviorGraph`] — compact CSR storage in both
-//!   directions, sized for millions of edges, built by one counting-sort
-//!   constructor whichever entry point ([`GraphBuilder::build`],
+//!   directions, built by one counting sort per side from unordered pairs,
+//!   whichever entry point ([`GraphBuilder::build`],
 //!   [`GraphBuilder::from_queries`], [`GraphBuilder::from_runs`]) feeds it;
-//! - [`EdgeRuns`] — bounded-memory edge accumulation in fixed-capacity
-//!   sorted runs (disk-spillable), replayed by [`GraphBuilder::from_runs`]
-//!   for paper-scale days;
+//! - [`EdgeRuns`] — bounded-memory pair accumulation in deduplicated,
+//!   disk-spillable runs, replayed unmerged by [`GraphBuilder::from_runs`];
 //! - [`labeling`] — seed-label application and machine-label propagation;
 //! - [`pruning`] — the conservative filtering rules R1–R4 with the paper's
 //!   two exceptions (infected machines survive R1; known malware domains

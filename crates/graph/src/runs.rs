@@ -1,82 +1,78 @@
-//! Bounded-memory edge accumulation: fixed-capacity sorted runs with a
-//! binary scratch-file spill.
+//! Bounded-memory edge accumulation, and the grouping kernel every CSR
+//! build runs on.
 //!
 //! A paper-scale day observes hundreds of millions of machine↔domain
-//! query pairs — far too many to buffer in one `Vec` the way
-//! [`GraphBuilder::add_queries`](crate::GraphBuilder::add_queries) expects.
-//! [`EdgeRuns`] accepts the pairs one at a time and keeps only a single
-//! *run* (a fixed-capacity buffer) in RAM: when the buffer fills it is
-//! sorted, deduplicated and appended to an anonymous temporary file as
-//! little-endian `u32` pairs. The merged, globally deduplicated,
-//! ascending edge stream is replayed on demand by a k-way merge over the
-//! sealed runs — which is exactly the shape the streamed counting-sort
-//! builder ([`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs))
-//! consumes, in a single replay. Peak memory is `O(run capacity + runs ×
-//! refill buffer)`, independent of the day's edge count.
+//! query pairs. [`EdgeRuns`] keeps one fixed-capacity *run* of them in
+//! RAM; when it fills, [`group_by_machine`] deduplicates it and it is
+//! appended to an anonymous scratch file as little-endian `u32` pairs.
+//! Nothing is ever merged: the kernel takes pairs in any order, so the CSR
+//! constructor ([`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs))
+//! runs it over two replays of every stored pair, read back a slice at a
+//! time, whatever the number of runs.
 //!
-//! The scratch file is unlinked immediately after creation (classic
-//! anonymous-tempfile idiom), so the kernel reclaims it when the value is
-//! dropped even on abnormal exit. If the scratch disk fails, sealing
-//! falls back to keeping the run in memory — accumulation never loses
-//! data; only replay ([`for_each_merged`](EdgeRuns::for_each_merged))
-//! surfaces I/O errors.
+//! The scratch file is unlinked right after creation, so the OS reclaims
+//! it when the value is dropped, even on abnormal exit. If the scratch
+//! disk fails, sealed runs stay in memory: accumulation never loses data;
+//! only replay surfaces I/O errors.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use segugio_model::{DomainId, MachineId};
 
-/// Default per-run pair capacity: 4Mi pairs ≈ 32 MiB resident, which at
-/// the paper's ~320M-edge days means ~80 sealed runs on disk.
+/// Default per-run pair capacity: 4Mi pairs ≈ 32 MiB resident. A
+/// paper-scale day of ~320M observations seals ~80 runs; since runs are
+/// replayed unmerged, their number adds no work per edge.
 pub const DEFAULT_RUN_CAPACITY: usize = 4 << 20;
 
-/// Pairs decoded per spilled-run refill during the merge (64 KiB per
-/// active run cursor).
-const REFILL_PAIRS: usize = 8 << 10;
+/// Pairs per read (and write) of the scratch file: 64 KiB of I/O buffer.
+const CHUNK_PAIRS: usize = 8 << 10;
 
 /// Bytes per serialized pair: two little-endian `u32`s.
 const PAIR_BYTES: usize = 8;
 
+/// The callback a replay hands its pairs to, a slice at a time.
+pub(crate) type PairSink<'a> = dyn FnMut(&[(MachineId, DomainId)]) + 'a;
+
+/// What [`group_by_machine`] leaves for machines `lo..=hi`: `ends[i]` is
+/// where machine `lo + i`'s list ends in the domain column (it starts
+/// where the previous one ends), the column holds each machine's
+/// ascending distinct raw domain ids, and the last field is the smallest
+/// and largest domain id.
+pub(crate) type Grouped = (Vec<u32>, Vec<u32>, Option<(u32, u32)>);
+
 /// Monotonic discriminator for scratch-file names within one process.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One sealed run inside the spill file: byte offset and pair count.
-#[derive(Debug, Clone, Copy)]
-struct SpilledRun {
-    offset: u64,
-    pairs: u64,
-}
-
-/// The unlinked scratch file and the directory of runs inside it.
+/// The unlinked scratch file: `bytes` of sealed runs from offset 0.
 #[derive(Debug)]
 struct Spill {
     file: File,
-    runs: Vec<SpilledRun>,
+    runs: usize,
     bytes: u64,
 }
 
-/// Fixed-capacity sorted+deduplicated edge runs, spillable to disk.
+/// Fixed-capacity deduplicated edge runs, spillable to disk.
 ///
 /// Push every `(machine, domain)` query observation of a day (duplicates
-/// welcome), then replay the merged ascending deduplicated edge stream
-/// with [`for_each_merged`](Self::for_each_merged) — or hand the whole
-/// value to [`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs).
+/// welcome), then hand the whole value to
+/// [`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs), or
+/// [`collect_merged`](Self::collect_merged) the deduplicated edge list.
 pub struct EdgeRuns {
     capacity: usize,
-    /// The one mutable in-RAM run; unsorted until sealed.
+    /// The one mutable in-RAM run; in push order until sealed.
     current: Vec<(MachineId, DomainId)>,
-    /// Sealed sorted+deduped runs kept in memory (spill disabled by a
-    /// failed scratch-file open, or a failed append).
+    /// Sealed deduped runs kept in memory (spill disabled by a failed
+    /// scratch-file open, or a failed append).
     resident: Vec<Vec<(MachineId, DomainId)>>,
     spill: Option<Spill>,
     /// Total observations pushed (pre-dedup), for telemetry.
     observations: u64,
-    /// Largest raw ids seen, for sizing counting-sort arrays.
-    max_machine: u32,
-    max_domain: u32,
+    /// Smallest and largest raw machine id pushed: the grouping kernel's
+    /// span.
+    machine_span: Option<(u32, u32)>,
 }
 
 impl EdgeRuns {
@@ -94,8 +90,7 @@ impl EdgeRuns {
             resident: Vec::new(),
             spill: None,
             observations: 0,
-            max_machine: 0,
-            max_domain: 0,
+            machine_span: None,
         }
     }
 
@@ -116,12 +111,12 @@ impl EdgeRuns {
 
     /// Number of sealed runs (resident + spilled), excluding the open one.
     pub fn sealed_runs(&self) -> usize {
-        self.resident.len() + self.spill.as_ref().map_or(0, |s| s.runs.len())
+        self.resident.len() + self.spilled_runs()
     }
 
     /// Number of sealed runs that live in the scratch file.
     pub fn spilled_runs(&self) -> usize {
-        self.spill.as_ref().map_or(0, |s| s.runs.len())
+        self.spill.as_ref().map_or(0, |s| s.runs)
     }
 
     /// Bytes currently held by the scratch file.
@@ -129,25 +124,9 @@ impl EdgeRuns {
         self.spill.as_ref().map_or(0, |s| s.bytes)
     }
 
-    /// Largest `(machine, domain)` raw ids pushed, or `None` when empty.
-    pub fn max_ids(&self) -> Option<(u32, u32)> {
-        if self.is_empty() {
-            None
-        } else {
-            Some((self.max_machine, self.max_domain))
-        }
-    }
-
-    /// An upper bound on the merged stream's length: every sealed run's
-    /// pairs plus the open run's. Exact unless runs share pairs or the open
-    /// run holds duplicates.
-    pub(crate) fn pair_bound(&self) -> usize {
-        let spilled = self
-            .spill
-            .as_ref()
-            .map_or(0, |s| s.runs.iter().map(|r| r.pairs as usize).sum());
-        let resident: usize = self.resident.iter().map(Vec::len).sum();
-        spilled + resident + self.current.len()
+    /// Smallest and largest raw machine ids pushed, or `None` when empty.
+    pub(crate) fn machine_span(&self) -> Option<(u32, u32)> {
+        self.machine_span
     }
 
     /// Records one query observation. Never fails: if the scratch disk is
@@ -158,8 +137,11 @@ impl EdgeRuns {
         }
         self.current.push((machine, domain));
         self.observations += 1;
-        self.max_machine = self.max_machine.max(machine.0);
-        self.max_domain = self.max_domain.max(domain.0);
+        let m = machine.0;
+        self.machine_span = Some(
+            self.machine_span
+                .map_or((m, m), |(lo, hi)| (lo.min(m), hi.max(m))),
+        );
     }
 
     /// Records a batch of observations (see [`push`](Self::push)).
@@ -176,18 +158,18 @@ impl EdgeRuns {
         self.resident.clear();
         self.spill = None;
         self.observations = 0;
-        self.max_machine = 0;
-        self.max_domain = 0;
+        self.machine_span = None;
     }
 
-    /// Sorts and dedups the open run, then moves it out of RAM (spill
+    /// Groups and dedups the open run, then moves it out of RAM (spill
     /// file first, resident list as the no-disk fallback).
     fn seal(&mut self) {
-        self.current.sort_unstable();
-        self.current.dedup();
-        if self.current.is_empty() {
+        let Some(span) = machine_span(&self.current) else {
             return;
-        }
+        };
+        let Ok((ends, column, _)) = group_by_machine(span, replay_slice(&self.current));
+        self.current.clear();
+        self.current.extend(grouped_pairs(span.0, &ends, &column));
         match self.try_spill_current() {
             Ok(()) => self.current.clear(),
             Err(_) => {
@@ -198,12 +180,12 @@ impl EdgeRuns {
         }
     }
 
-    /// Appends the (sorted, deduped) open run to the scratch file.
+    /// Appends the (deduped) open run to the scratch file.
     fn try_spill_current(&mut self) -> io::Result<()> {
         if self.spill.is_none() {
             self.spill = Some(Spill {
                 file: create_scratch_file()?,
-                runs: Vec::new(),
+                runs: 0,
                 bytes: 0,
             });
         }
@@ -213,8 +195,8 @@ impl EdgeRuns {
             return Err(io::Error::other("spill state vanished"));
         };
         spill.file.seek(SeekFrom::Start(spill.bytes))?;
-        let mut buf = Vec::with_capacity(PAIR_BYTES * REFILL_PAIRS.min(self.current.len()));
-        for chunk in self.current.chunks(REFILL_PAIRS) {
+        let mut buf = Vec::with_capacity(PAIR_BYTES * CHUNK_PAIRS.min(self.current.len()));
+        for chunk in self.current.chunks(CHUNK_PAIRS) {
             buf.clear();
             for &(m, d) in chunk {
                 buf.extend_from_slice(&m.0.to_le_bytes());
@@ -222,73 +204,55 @@ impl EdgeRuns {
             }
             spill.file.write_all(&buf)?;
         }
-        spill.runs.push(SpilledRun {
-            offset: spill.bytes,
-            pairs: self.current.len() as u64,
-        });
+        spill.runs += 1;
         spill.bytes += (self.current.len() * PAIR_BYTES) as u64;
         Ok(())
     }
 
-    /// Streams the merged, globally deduplicated edge list in ascending
-    /// `(machine, domain)` order — the exact order and multiplicity
-    /// [`GraphBuilder::build`](crate::GraphBuilder::build) produces after
-    /// its own sort+dedup.
-    ///
-    /// The accumulator is not consumed; the stream can be replayed, though
-    /// the counting-sort builder needs it only once.
-    pub fn for_each_merged<F>(&self, mut f: F) -> io::Result<()>
-    where
-        F: FnMut(MachineId, DomainId),
-    {
-        // Sort a copy of the open run so replay leaves `self` untouched.
-        let mut tail = Vec::with_capacity(self.current.len());
-        tail.extend_from_slice(&self.current);
-        tail.sort_unstable();
-        tail.dedup();
-
-        let mut sources: Vec<MergeSource<'_>> = Vec::with_capacity(self.sealed_runs() + 1);
+    /// Hands every stored pair to `f` a slice at a time, in no particular
+    /// order: the resident runs, the scratch file read back in chunks, and
+    /// the open run. Repeats across runs (and within the open run) are
+    /// passed on.
+    pub(crate) fn replay(&self, f: &mut PairSink<'_>) -> io::Result<()> {
         for run in &self.resident {
-            sources.push(MergeSource::resident(run));
+            f(run);
         }
         if let Some(spill) = &self.spill {
-            for run in &spill.runs {
-                sources.push(MergeSource::spilled(&spill.file, *run));
+            let mut file = &spill.file;
+            file.seek(SeekFrom::Start(0))?;
+            let mut bytes = vec![0u8; PAIR_BYTES * CHUNK_PAIRS];
+            let mut pairs = Vec::with_capacity(CHUNK_PAIRS);
+            let mut left = spill.bytes;
+            while left > 0 {
+                let n = left.min(bytes.len() as u64) as usize;
+                file.read_exact(&mut bytes[..n])?;
+                pairs.clear();
+                pairs.extend(bytes[..n].chunks_exact(PAIR_BYTES).map(|p| {
+                    let word = |i: usize| u32::from_le_bytes([p[i], p[i + 1], p[i + 2], p[i + 3]]);
+                    (MachineId(word(0)), DomainId(word(4)))
+                }));
+                f(&pairs);
+                left -= n as u64;
             }
         }
-        sources.push(MergeSource::resident(&tail));
-
-        // Min-heap of (next pair, source index); sources are individually
-        // sorted and deduped, so global dedup is a compare with the last
-        // emitted pair.
-        let mut heap: BinaryHeap<Reverse<((u32, u32), usize)>> =
-            BinaryHeap::with_capacity(sources.len());
-        for (i, src) in sources.iter_mut().enumerate() {
-            if let Some(pair) = src.next()? {
-                heap.push(Reverse((pair, i)));
-            }
-        }
-        let mut last: Option<(u32, u32)> = None;
-        while let Some(Reverse((pair, i))) = heap.pop() {
-            if last != Some(pair) {
-                f(MachineId(pair.0), DomainId(pair.1));
-                last = Some(pair);
-            }
-            if let Some(next) = sources[i].next()? {
-                heap.push(Reverse((next, i)));
-            }
-        }
+        f(&self.current);
         Ok(())
     }
 
-    /// Collects the merged stream into one `Vec` — the exact edge list the
-    /// in-memory builder would have sorted. Intended for tests and small
-    /// days; at paper scale, stream with
-    /// [`for_each_merged`](Self::for_each_merged) instead.
+    /// Collects the deduplicated edge list, ascending by `(machine,
+    /// domain)` — the exact edge set the in-memory builder would see.
+    /// Intended for tests and small days; at paper scale, build with
+    /// [`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs).
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from reading back the scratch file.
     pub fn collect_merged(&self) -> io::Result<Vec<(MachineId, DomainId)>> {
-        let mut out = Vec::new();
-        self.for_each_merged(|m, d| out.push((m, d)))?;
-        Ok(out)
+        let Some(span) = self.machine_span() else {
+            return Ok(Vec::new());
+        };
+        let (ends, column, _) = group_by_machine(span, |f| self.replay(f))?;
+        Ok(grouped_pairs(span.0, &ends, &column).collect())
     }
 
     /// Copies the accumulated state, duplicating the scratch file.
@@ -306,11 +270,7 @@ impl EdgeRuns {
                 if copied != spill.bytes {
                     return Err(io::Error::other("scratch file truncated during clone"));
                 }
-                Some(Spill {
-                    file,
-                    runs: spill.runs.clone(),
-                    bytes: spill.bytes,
-                })
+                Some(Spill { file, ..*spill })
             }
         };
         Ok(EdgeRuns {
@@ -319,8 +279,7 @@ impl EdgeRuns {
             resident: self.resident.clone(),
             spill,
             observations: self.observations,
-            max_machine: self.max_machine,
-            max_domain: self.max_domain,
+            machine_span: self.machine_span,
         })
     }
 }
@@ -357,8 +316,8 @@ impl std::fmt::Debug for EdgeRuns {
     }
 }
 
-/// Two accumulators are equal when they hold the same merged edge set
-/// (run boundaries and spill placement are storage details). Replay
+/// Two accumulators are equal when they hold the same deduplicated edge
+/// set (run boundaries and spill placement are storage details). Replay
 /// errors compare unequal rather than panicking.
 impl PartialEq for EdgeRuns {
     fn eq(&self, other: &Self) -> bool {
@@ -370,6 +329,103 @@ impl PartialEq for EdgeRuns {
             _ => false,
         }
     }
+}
+
+/// Smallest and largest raw machine ids in `pairs`, `None` when empty.
+pub(crate) fn machine_span(pairs: &[(MachineId, DomainId)]) -> Option<(u32, u32)> {
+    let mut ids = pairs.iter().map(|&(m, _)| m.0);
+    let first = ids.next()?;
+    Some(ids.fold((first, first), |(lo, hi), m| (lo.min(m), hi.max(m))))
+}
+
+/// Groups `(machine, domain)` pairs by machine: the one kernel behind
+/// sealing a run and building a CSR.
+///
+/// `replay` hands the same pairs (any order, repeats welcome, machine ids
+/// in `lo..=hi`) to its callback a slice at a time, twice: once to count
+/// each machine's pairs over the id span, once to scatter their domains
+/// into per-machine buckets. Each bucket is then sorted, deduplicated and
+/// compacted in place.
+pub(crate) fn group_by_machine<E>(
+    (lo, hi): (u32, u32),
+    mut replay: impl FnMut(&mut PairSink<'_>) -> Result<(), E>,
+) -> Result<Grouped, E> {
+    let mut ends = vec![0u32; (hi - lo) as usize + 1];
+    replay(&mut |pairs| {
+        for &(m, _) in pairs {
+            ends[(m.0 - lo) as usize] += 1;
+        }
+    })?;
+    // Prefix sum to bucket starts; the scatter advances each to its end.
+    let mut total = 0u32;
+    for slot in ends.iter_mut() {
+        let count = *slot;
+        *slot = total;
+        total += count;
+    }
+    let mut column = vec![0u32; total as usize];
+    replay(&mut |pairs| {
+        for &(m, d) in pairs {
+            let slot = &mut ends[(m.0 - lo) as usize];
+            column[*slot as usize] = d.0;
+            *slot += 1;
+        }
+    })?;
+
+    // Sort and dedup each bucket, moving it down to `kept`; a bucket never
+    // starts before `kept`, so nothing unread is overwritten.
+    let mut domains: Option<(u32, u32)> = None;
+    let mut start = 0usize;
+    let mut kept = 0usize;
+    for end in ends.iter_mut() {
+        let stop = *end as usize;
+        column[start..stop].sort_unstable();
+        if stop > start {
+            let (first, last) = (column[start], column[stop - 1]);
+            domains = Some(domains.map_or((first, last), |(a, b)| (a.min(first), b.max(last))));
+            column[kept] = first;
+            kept += 1;
+            for i in start + 1..stop {
+                if column[i] != column[kept - 1] {
+                    column[kept] = column[i];
+                    kept += 1;
+                }
+            }
+        }
+        start = stop;
+        *end = kept as u32;
+    }
+    column.truncate(kept);
+    Ok((ends, column, domains))
+}
+
+/// The replay of one in-memory slice, which cannot fail.
+pub(crate) fn replay_slice(
+    pairs: &[(MachineId, DomainId)],
+) -> impl FnMut(&mut PairSink<'_>) -> Result<(), Infallible> + '_ {
+    move |f| {
+        f(pairs);
+        Ok(())
+    }
+}
+
+/// The pairs of a [`group_by_machine`] result over a span starting at
+/// `lo`, ascending by `(machine, domain)`.
+pub(crate) fn grouped_pairs<'a>(
+    lo: u32,
+    ends: &'a [u32],
+    column: &'a [u32],
+) -> impl Iterator<Item = (MachineId, DomainId)> + 'a {
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    ends.iter()
+        .zip(starts)
+        .enumerate()
+        .flat_map(move |(i, (&end, start))| {
+            let machine = MachineId(lo + i as u32);
+            column[start as usize..end as usize]
+                .iter()
+                .map(move |&d| (machine, DomainId(d)))
+        })
 }
 
 /// Creates an unlinked (anonymous) scratch file in the system temp
@@ -402,87 +458,11 @@ fn create_scratch_file() -> io::Result<File> {
     Err(last_err)
 }
 
-/// One cursor of the k-way merge: either a resident slice or a buffered
-/// window into a spilled run.
-enum MergeSource<'a> {
-    Resident {
-        rest: &'a [(MachineId, DomainId)],
-    },
-    Spilled {
-        file: &'a File,
-        /// Byte offset of the next unread pair in the file.
-        next_offset: u64,
-        /// Pairs not yet handed out (buffered ones included).
-        remaining: u64,
-        buf: Vec<u8>,
-        /// Read position within `buf`.
-        pos: usize,
-    },
-}
-
-impl<'a> MergeSource<'a> {
-    fn resident(run: &'a [(MachineId, DomainId)]) -> Self {
-        MergeSource::Resident { rest: run }
-    }
-
-    fn spilled(file: &'a File, run: SpilledRun) -> Self {
-        MergeSource::Spilled {
-            file,
-            next_offset: run.offset,
-            remaining: run.pairs,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// The next pair of this source, or `None` when exhausted.
-    fn next(&mut self) -> io::Result<Option<(u32, u32)>> {
-        match self {
-            MergeSource::Resident { rest } => match rest.split_first() {
-                None => Ok(None),
-                Some((&(m, d), tail)) => {
-                    *rest = tail;
-                    Ok(Some((m.0, d.0)))
-                }
-            },
-            MergeSource::Spilled {
-                file,
-                next_offset,
-                remaining,
-                buf,
-                pos,
-            } => {
-                if *pos >= buf.len() {
-                    if *remaining == 0 {
-                        return Ok(None);
-                    }
-                    let pairs = (*remaining).min(REFILL_PAIRS as u64) as usize;
-                    buf.resize(pairs * PAIR_BYTES, 0);
-                    let mut at = *file;
-                    at.seek(SeekFrom::Start(*next_offset))?;
-                    at.read_exact(buf)?;
-                    *next_offset += buf.len() as u64;
-                    *remaining -= pairs as u64;
-                    *pos = 0;
-                }
-                let m =
-                    u32::from_le_bytes([buf[*pos], buf[*pos + 1], buf[*pos + 2], buf[*pos + 3]]);
-                let d = u32::from_le_bytes([
-                    buf[*pos + 4],
-                    buf[*pos + 5],
-                    buf[*pos + 6],
-                    buf[*pos + 7],
-                ]);
-                *pos += PAIR_BYTES;
-                Ok(Some((m, d)))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
+    use segugio_model::{Day, E2ldId};
 
     fn pair(m: u32, d: u32) -> (MachineId, DomainId) {
         (MachineId(m), DomainId(d))
@@ -496,56 +476,41 @@ mod tests {
         all
     }
 
+    /// The kernel over one slice, flattened back into pairs.
+    fn kernel(pairs: &[(MachineId, DomainId)]) -> Vec<(MachineId, DomainId)> {
+        let Some(span) = machine_span(pairs) else {
+            return Vec::new();
+        };
+        let Ok((ends, column, _)) = group_by_machine(span, replay_slice(pairs));
+        grouped_pairs(span.0, &ends, &column).collect()
+    }
+
+    /// `from_runs` builds the CSR `from_queries` builds over the pushes.
+    fn assert_builds_like_queries(runs: &EdgeRuns, queries: &[(MachineId, DomainId)]) {
+        let csr = |g: crate::BehaviorGraph| (g.machines, g.m_off, g.m_adj, g.domains, g.d_adj);
+        let want = GraphBuilder::from_queries(Day(1), queries, &[], |d| E2ldId(d.0));
+        let got = GraphBuilder::from_runs(Day(1), runs, &[], |d| E2ldId(d.0)).expect("replay");
+        assert_eq!(csr(got), csr(want));
+    }
+
+    /// Small enough for Miri: interleaved machines, repeats within and
+    /// across buckets, an empty bucket inside the span, ids at `u32::MAX`.
+    #[test]
+    fn kernel_groups_sorts_and_dedups_in_place() {
+        let pushed = [7, 3, 5, 9, 7, 1, 5, 9, 9, 4, 7, 3, 5, 2, 9, 4];
+        let pushed: Vec<_> = pushed.chunks(2).map(|p| pair(p[0], p[1])).collect();
+        assert_eq!(kernel(&pushed), reference(&pushed));
+        let top = [(u32::MAX, u32::MAX), (u32::MAX - 2, 0), (u32::MAX, 1)].map(|(m, d)| pair(m, d));
+        assert_eq!(kernel(&top), reference(&top));
+        assert_eq!(kernel(&[]), vec![]);
+    }
+
     #[test]
     fn empty_runs_merge_to_nothing() {
         let runs = EdgeRuns::new();
         assert!(runs.is_empty());
-        assert_eq!(runs.max_ids(), None);
+        assert_eq!(runs.machine_span(), None);
         assert_eq!(runs.collect_merged().expect("merge"), vec![]);
-    }
-
-    #[test]
-    fn single_run_sorts_and_dedups() {
-        let mut runs = EdgeRuns::new();
-        let pushed = [pair(3, 1), pair(1, 2), pair(3, 1), pair(1, 1), pair(1, 2)];
-        runs.extend(pushed);
-        assert_eq!(runs.observations(), 5);
-        assert_eq!(runs.sealed_runs(), 0, "capacity not reached");
-        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
-        assert_eq!(runs.max_ids(), Some((3, 2)));
-    }
-
-    #[test]
-    fn tiny_capacity_forces_spill_and_merges_identically() {
-        let mut runs = EdgeRuns::with_run_capacity(4);
-        // Deterministic LCG so duplicates appear within and across runs.
-        let mut state = 1u64;
-        let mut pushed = Vec::new();
-        for _ in 0..300 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let m = ((state >> 33) % 17) as u32;
-            let d = ((state >> 12) % 23) as u32;
-            pushed.push(pair(m, d));
-        }
-        runs.extend(pushed.iter().copied());
-        assert!(
-            runs.spilled_runs() >= 2 || runs.sealed_runs() >= 2,
-            "300 pushes at capacity 4 must seal many runs: {runs:?}"
-        );
-        if runs.spilled_runs() > 0 {
-            assert_eq!(
-                runs.spilled_bytes(),
-                (runs
-                    .spill
-                    .as_ref()
-                    .map_or(0, |s| s.runs.iter().map(|r| r.pairs).sum::<u64>()))
-                    * PAIR_BYTES as u64
-            );
-        }
-        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
-        // Replay must be repeatable: it does not consume the accumulator.
-        assert!(runs.pair_bound() >= runs.collect_merged().expect("merge").len());
-        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
     }
 
     #[test]
@@ -555,26 +520,71 @@ mod tests {
         assert!(runs.sealed_runs() >= 1);
         runs.clear();
         assert!(runs.is_empty());
-        assert_eq!(runs.max_ids(), None);
+        assert_eq!(runs.machine_span(), None);
         assert_eq!(runs.collect_merged().expect("merge"), vec![]);
-        runs.extend([pair(2, 9), pair(2, 9), pair(1, 8)]);
-        assert_eq!(
-            runs.collect_merged().expect("merge"),
-            vec![pair(1, 8), pair(2, 9)]
-        );
+        assert_builds_like_queries(&runs, &[]);
+        // A narrower machine span than before the clear, sealed again.
+        let pushed = [pair(2, 9), pair(2, 9), pair(1, 8), pair(2, 7), pair(1, 8)];
+        runs.extend(pushed);
+        assert!(runs.sealed_runs() >= 1);
+        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
+        assert_builds_like_queries(&runs, &pushed);
     }
 
     #[test]
     fn clone_duplicates_spilled_state() {
         let mut runs = EdgeRuns::with_run_capacity(3);
-        let pushed: Vec<_> = (0..40u32).map(|i| pair(i % 7, i % 11)).collect();
+        let mut pushed: Vec<_> = (0..40u32).map(|i| pair(i % 7, i % 11)).collect();
         runs.extend(pushed.iter().copied());
         assert!(runs.spilled_runs() > 0, "spill path must engage: {runs:?}");
-        let copy = runs.clone();
+        let mut copy = runs.try_clone().expect("clone");
         assert_eq!(copy.collect_merged().expect("merge"), reference(&pushed));
         assert_eq!(copy, runs);
-        // Diverging after the clone keeps the copies independent.
+        assert_builds_like_queries(&copy, &pushed);
+        // Diverging after the clone keeps the copies independent, and the
+        // copy keeps sealing into its own scratch file.
         runs.push(MachineId(100), DomainId(100));
         assert_ne!(copy, runs);
+        let more: Vec<_> = (0..20u32).map(|i| pair(i % 5 + 3, i % 4)).collect();
+        copy.extend(more.iter().copied());
+        pushed.extend(more);
+        assert_builds_like_queries(&copy, &pushed);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The kernel is `sort_unstable` + `dedup` on pairs in log order
+        /// (machines interleaved, repeats likely): many machines, one,
+        /// a sparse span, or ids just under `u32::MAX`. So is an
+        /// accumulator sealing (and spilling) at any capacity, replay
+        /// after replay.
+        #[test]
+        #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+        fn kernel_equals_sort_and_dedup(
+            raw in proptest::collection::vec((0u32..5000, 0u32..60), 0..300),
+            shape in 0u8..4,
+            run_capacity in 1usize..64,
+        ) {
+            let pairs: Vec<_> = raw
+                .into_iter()
+                .map(|(m, d)| match shape {
+                    0 => pair(m % 40, d),
+                    1 => pair(7, d),
+                    2 => pair(m, d % 8),
+                    _ => pair(u32::MAX - m % 24, u32::MAX - d % 32),
+                })
+                .collect();
+            let want = reference(&pairs);
+            prop_assert_eq!(kernel(&pairs), want);
+            let mut runs = EdgeRuns::with_run_capacity(run_capacity);
+            runs.extend(pairs.iter().copied());
+            prop_assert_eq!(runs.observations(), pairs.len() as u64);
+            prop_assert_eq!(runs.sealed_runs(), pairs.len().saturating_sub(1) / run_capacity);
+            prop_assert_eq!(runs.spilled_runs(), runs.sealed_runs());
+            prop_assert!(runs.spilled_bytes() <= (runs.sealed_runs() * run_capacity * PAIR_BYTES) as u64);
+            prop_assert_eq!(runs.collect_merged().expect("merge"), want);
+            prop_assert_eq!(runs.collect_merged().expect("merge"), want);
+        }
     }
 }
