@@ -5,9 +5,8 @@
 //! allocated bytes, and the high-water mark of live bytes. A bench
 //! installs it with `#[global_allocator]`, brackets each phase of a run
 //! with [`measure`], and records the per-phase [`PhaseCounts`] deltas —
-//! `crates/bench/benches/alloc.rs` writes them into `BENCH_alloc.json`,
-//! which `cargo run -p xtask -- audit` ratchets against the
-//! `[alloc-budget]` section of `crates/xtask/xtask.toml`.
+//! `crates/bench/benches/alloc.rs` writes them into `BENCH_alloc.json`
+//! and asserts each one against `crates/bench/alloc-budget.toml`.
 //!
 //! The probe is deliberately dependency-free: it must be linkable from
 //! any bench without dragging the engine in, and its own bookkeeping
@@ -22,6 +21,10 @@
 //! forcing scoring parallelism to one.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "process-global counters are the probe's purpose; no pipeline result reads them"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -15,6 +15,10 @@
 //!   query known-malicious domains.
 
 #![warn(missing_docs)]
+// Hash-set/map iteration order differs per process, so it must not reach
+// ordered output; a site whose order provably cannot matter is an
+// `#[expect(clippy::…, reason = "…")]` — a plain `#[allow]` is denied.
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes)]
 pub mod belief;
 pub mod cooccurrence;
 pub mod notos;

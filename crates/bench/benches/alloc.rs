@@ -12,9 +12,7 @@
 //! - **train**: training-set assembly + forest fit;
 //! - **calibrate**: threshold calibration over the training scores;
 //! - **score**: the reused-[`ScoreBuffer`] scoring hot path, which must
-//!   perform **zero** heap operations once warm — asserted here, and
-//!   ratcheted by `cargo run -p xtask -- audit` against the
-//!   `[alloc-budget]` section of `crates/xtask/xtask.toml`;
+//!   perform **zero** heap operations once warm;
 //! - **ingest_warm**: the same day exported as log text and read by a
 //!   [`LogCollector`] that has seen it before — every name, client and
 //!   answer is known, so the line path may grow its buffers and nothing
@@ -30,11 +28,17 @@
 //! to also write it to a file and `SEGUGIO_BENCH_SCALE=ci` for the reduced
 //! population CI runs at. Scoring parallelism is pinned to one thread so
 //! every count is exactly attributable to its phase.
+//!
+//! The run then checks itself against `crates/bench/alloc-budget.toml`
+//! and fails on a phase over its ceiling, a measured phase with no entry
+//! (unbudgeted), an entry naming no measured phase (stale), or a missing
+//! budget file.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
+use segugio_bench::parse_section;
 use segugio_core::{build_training_set, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput};
 use segugio_ingest::{export_day, LogCollector, LogPosition};
 use segugio_ml::RocCurve;
@@ -45,33 +49,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The tracker's default deployment FP budget (`TrackerConfig::default`).
 const TARGET_FPR: f64 = 0.005;
-
-/// Parses the `[alloc-budget]` section of `xtask.toml` (same tiny TOML
-/// subset as the xtask side; the bench must not depend on xtask).
-fn parse_budget(text: &str) -> BTreeMap<String, u64> {
-    let mut phases = BTreeMap::new();
-    let mut in_phases = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_phases = section.trim() == "alloc-budget";
-            continue;
-        }
-        if !in_phases {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            let phase = name.trim().trim_matches('"');
-            if let Ok(count) = value.trim().parse::<u64>() {
-                phases.insert(phase.to_owned(), count);
-            }
-        }
-    }
-    phases
-}
 
 fn main() {
     let ci = std::env::var("SEGUGIO_BENCH_SCALE").is_ok_and(|s| s == "ci");
@@ -218,30 +195,33 @@ fn main() {
         std::fs::write(&path, format!("{json}\n")).expect("write SEGUGIO_BENCH_OUT");
     }
 
-    // --- Enforce the checked-in budget when present (the audit re-checks
-    //     this against the recorded JSON; failing here gives the developer
-    //     the context while the run is still on screen). ---
-    let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../xtask/xtask.toml");
-    if let Ok(text) = std::fs::read_to_string(&budget_path) {
-        let budget = parse_budget(&text);
-        for (name, c) in &phases {
-            match budget.get(*name) {
-                Some(&ceiling) => assert!(
-                    c.allocs <= ceiling,
-                    "phase `{name}`: {} allocations exceed the budgeted {ceiling}",
-                    c.allocs
-                ),
-                None => eprintln!(
-                    "warning: phase `{name}` has no entry in {}",
-                    budget_path.display()
-                ),
-            }
+    // --- Enforce the checked-in budget: every measured phase within its
+    //     ceiling, every phase budgeted, every entry a measured phase. ---
+    let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("alloc-budget.toml");
+    let text = std::fs::read_to_string(&budget_path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", budget_path.display()));
+    let budget = parse_section(&text, "alloc-budget");
+    let mut drift = Vec::new();
+    for (name, c) in &phases {
+        match budget.get(*name) {
+            Some(&ceiling) if c.allocs > ceiling => drift.push(format!(
+                "phase `{name}`: {} allocations exceed the budgeted {ceiling}",
+                c.allocs
+            )),
+            Some(_) => {}
+            None => drift.push(format!("phase `{name}` is measured but unbudgeted")),
         }
-        eprintln!("alloc budget respected: {}", budget_path.display());
-    } else {
-        eprintln!(
-            "no alloc budget at {}; skipping ceiling check",
-            budget_path.display()
-        );
     }
+    for name in budget.keys() {
+        if !phases.contains_key(name.as_str()) {
+            drift.push(format!("budget entry `{name}` is stale: no such phase"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "alloc budget drift against {}:\n  {}",
+        budget_path.display(),
+        drift.join("\n  ")
+    );
+    eprintln!("alloc budget respected: {}", budget_path.display());
 }

@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
+use segugio_bench::parse_section;
 use segugio_core::{Tracker, TrackerConfig};
 use segugio_traffic::{DayTraffic, IspConfig, IspNetwork};
 
@@ -55,33 +56,6 @@ impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
     }
-}
-
-/// Parses one `[section]` of a tiny TOML subset (same shape as the xtask
-/// side; the bench must not depend on xtask).
-fn parse_section(text: &str, section: &str) -> BTreeMap<String, u64> {
-    let mut entries = BTreeMap::new();
-    let mut in_section = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_section = name.trim() == section;
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            let key = name.trim().trim_matches('"');
-            if let Ok(v) = value.trim().parse::<u64>() {
-                entries.insert(key.to_owned(), v);
-            }
-        }
-    }
-    entries
 }
 
 /// Asserts `value <= ceiling[mode]` for one section of the ceiling file.

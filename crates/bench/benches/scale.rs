@@ -15,11 +15,11 @@
 //! checked-in ceilings live in `crates/bench/scale-ceiling.toml`; the run
 //! fails if its overall peak exceeds the mode's ceiling.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
+use segugio_bench::parse_section;
 use segugio_core::{
     build_training_set, DaySnapshot, IncrementalEngine, ScoreBuffer, Segugio, SegugioConfig,
     SnapshotInput,
@@ -37,33 +37,6 @@ const TARGET_FPR: f64 = 0.005;
 /// Machines generated per streamed chunk: large enough to amortize the
 /// per-chunk flush, small enough that a chunk is megabytes, not gigabytes.
 const CHUNK_MACHINES: usize = 16_384;
-
-/// Parses one `[section]` of a tiny TOML subset (same shape as the xtask
-/// side; the bench must not depend on xtask).
-fn parse_section(text: &str, section: &str) -> BTreeMap<String, u64> {
-    let mut entries = BTreeMap::new();
-    let mut in_section = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_section = name.trim() == section;
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            let key = name.trim().trim_matches('"');
-            if let Ok(v) = value.trim().parse::<u64>() {
-                entries.insert(key.to_owned(), v);
-            }
-        }
-    }
-    entries
-}
 
 fn main() {
     let ci = std::env::var("SEGUGIO_BENCH_SCALE").is_ok_and(|s| s == "ci");

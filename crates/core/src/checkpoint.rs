@@ -255,9 +255,9 @@ pub enum WriteOutcome {
 /// A crash at any point leaves either the previous file intact or a dead
 /// `.tmp`; readers never observe a torn live file.
 ///
-/// This is the **only sanctioned write path** for checkpoint files — the
-/// xtask `S1` lint rejects direct `fs::write`/`File::create` in declared
-/// persistence modules.
+/// This is the **only sanctioned write path** for durable state — the
+/// workspace `clippy.toml` disallows `fs::write`, `File::create` and
+/// `OpenOptions::new` everywhere else.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     write_atomic_impl(path, &[bytes], None).map(|_| ())
 }
@@ -279,6 +279,10 @@ pub fn write_atomic_with_kill(
 
 /// The file's content is the concatenation of `parts`, written one after
 /// the other: a checkpoint's pieces go out from where they lie.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned atomic writer: creates only the .tmp sibling it renames"
+)]
 fn write_atomic_impl(
     path: &Path,
     parts: &[&[u8]],
@@ -820,6 +824,14 @@ impl Tracker {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests plant torn and hostile files on purpose"
+)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a temp-dir name counter; no result depends on which test draws which number"
+)]
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotInput;

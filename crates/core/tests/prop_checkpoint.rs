@@ -140,7 +140,6 @@ fn maybe<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
 /// Renders a valid checkpoint document in the codec's exact layout from
 /// generated contents. The payload matches `Tracker::save_to_string`'s
 /// formatting byte for byte, so a parse → re-save must reproduce it.
-#[allow(clippy::too_many_arguments)]
 fn render_checkpoint(
     flagged: &BTreeMap<u32, u32>,
     confirmed: &BTreeMap<u32, (u32, u32)>,

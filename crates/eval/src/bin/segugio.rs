@@ -71,16 +71,21 @@
 //! unrecoverable conditions — the checkpoint directory cannot be listed or
 //! a new checkpoint cannot be written.
 
+// Hash-set/map iteration order differs per process, so it must not reach
+// ordered output; a site whose order provably cannot matter is an
+// `#[expect(clippy::…, reason = "…")]` — a plain `#[allow]` is denied.
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes)]
+
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use segugio_core::{
-    CheckpointError, DayOutcome, Degradation, Segugio, SegugioConfig, SnapshotInput, Tracker,
-    TrackerConfig, TrainError, DEFAULT_KEEP_GENERATIONS,
+    write_atomic, CheckpointError, DayOutcome, Degradation, Segugio, SegugioConfig, SnapshotInput,
+    Tracker, TrackerConfig, TrainError, DEFAULT_KEEP_GENERATIONS,
 };
 use segugio_eval::experiments::{
     ablation, bp_comparison, crossday, crossfamily, dataset, early_detection, fp_analysis,
@@ -339,6 +344,10 @@ fn cmd_experiment(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "regenerable synthetic output, not durable state: a torn file is rerun, not recovered"
+)]
 fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(args, &["out", "machines", "days", "seed", "warmup"])?;
     let out = flags
@@ -572,8 +581,9 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     };
     let snapshot = Segugio::build_snapshot(&input, &config);
     let model = Segugio::train(&snapshot, collector.activity(), &config)?;
-    fs::write(&save, model.save_to_string())
-        .map_err(|e| CliError::io(format!("writing {save}"), e))?;
+    // Atomic: a crash mid-save leaves the previous model, never a torn one.
+    write_atomic(Path::new(&save), model.save_to_string().as_bytes())
+        .map_err(|e| CliError::io(format!("writing {save}"), std::io::Error::other(e)))?;
     println!("trained on {day} and saved the model to {save}");
     Ok(())
 }

@@ -158,7 +158,10 @@ pub fn day_row(scenario: &Scenario, day: u32, config: &SegugioConfig) -> Dataset
         }
     }
     let mut histogram = vec![0usize; 20];
-    // segugio-lint: allow(D1, histogram increments commute; iteration order cannot change the result)
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "histogram increments commute; iteration order cannot change the result"
+    )]
     for set in per_machine.values() {
         let k = set.len().min(20);
         histogram[k - 1] += 1;

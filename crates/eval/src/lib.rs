@@ -22,6 +22,10 @@
 //! | [`experiments::seed_sensitivity`] | extension: blacklist-coverage sweep |
 
 #![warn(missing_docs)]
+// Hash-set/map iteration order differs per process, so it must not reach
+// ordered output; a site whose order provably cannot matter is an
+// `#[expect(clippy::…, reason = "…")]` — a plain `#[allow]` is denied.
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes)]
 pub mod experiments;
 pub mod protocol;
 pub mod report;

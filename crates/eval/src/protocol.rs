@@ -116,7 +116,10 @@ impl EvalOutcome {
 ///
 /// `blacklist_train` / `blacklist_test` are usually the same commercial
 /// list; the public-blacklist experiments pass different ones.
-#[allow(clippy::too_many_arguments)] // mirrors the experiment's natural arity
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the experiment's natural arity"
+)]
 pub fn train_and_eval(
     train_scenario: &Scenario,
     train_day: u32,
@@ -167,7 +170,6 @@ pub fn eval_model(
 /// [`eval_model`] scoring through a caller-owned [`ScoreBuffer`], so sweep
 /// experiments that evaluate many conditions reuse one scoring scratch
 /// instead of reallocating it per evaluation.
-#[allow(clippy::too_many_arguments)] // mirrors eval_model's natural arity
 pub fn eval_model_with(
     model: &SegugioModel,
     test_scenario: &Scenario,

@@ -4,6 +4,14 @@
 //! (0 success, 2 usage, 3 I/O, 4 ingest, 5 model parse, 6 data,
 //! 7 checkpoint). Deployment scripts branch on these, so each row is
 //! pinned here by driving the real binary with `CARGO_BIN_EXE_segugio`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests write the logs, models and checkpoints they feed the binary"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a temp-dir name counter; no result depends on which test draws which number"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -140,6 +148,62 @@ fn model_parse_errors_exit_5() {
         model.to_str().unwrap(),
     ]);
     assert_eq!(exit_code(&out), 5, "corrupt model file: {out:?}");
+}
+
+#[test]
+fn train_save_replaces_an_existing_model_atomically() {
+    let scratch = ScratchDir::new("train-save");
+    let logs = simulate_corpus(&scratch, 1);
+    let logs_s = logs.to_str().unwrap();
+    let (bl, wl) = (format!("{logs_s}.blacklist"), format!("{logs_s}.whitelist"));
+    let model = scratch.file("model.txt");
+    let model_s = model.to_str().unwrap();
+    let train = || {
+        segugio(&[
+            "train",
+            "--logs",
+            logs_s,
+            "--blacklist",
+            &bl,
+            "--whitelist",
+            &wl,
+            "--save",
+            model_s,
+        ])
+    };
+
+    let out = train();
+    assert_eq!(exit_code(&out), 0, "first save: {out:?}");
+    let first = fs::read(&model).expect("the saved model");
+    // The second save goes over the first: rename, not overwrite in place.
+    let out = train();
+    assert_eq!(exit_code(&out), 0, "save over an existing model: {out:?}");
+    assert_eq!(
+        fs::read(&model).unwrap(),
+        first,
+        "training is deterministic"
+    );
+    let siblings: Vec<String> = fs::read_dir(&scratch.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !siblings.iter().any(|name| name.ends_with(".tmp")),
+        "no temp file left behind: {siblings:?}"
+    );
+
+    let out = segugio(&[
+        "detect",
+        "--logs",
+        logs_s,
+        "--blacklist",
+        &bl,
+        "--whitelist",
+        &wl,
+        "--model",
+        model_s,
+    ]);
+    assert_eq!(exit_code(&out), 0, "the replaced model parses: {out:?}");
 }
 
 #[test]

@@ -18,7 +18,7 @@
 use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use segugio_model::{DomainId, MachineId};
 
@@ -44,7 +44,11 @@ pub(crate) type PairSink<'a> = dyn FnMut(&[(MachineId, DomainId)]) + 'a;
 pub(crate) type Grouped = (Vec<u32>, Vec<u32>, Option<(u32, u32)>);
 
 /// Monotonic discriminator for scratch-file names within one process.
-static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "names a file only; no result depends on which thread draws which number"
+)]
+static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// The unlinked scratch file: `bytes` of sealed runs from offset 0.
 #[derive(Debug)]
@@ -432,6 +436,10 @@ pub(crate) fn grouped_pairs<'a>(
 /// directory. The name embeds the process id and a process-global
 /// sequence number; `create_new` guards against collisions with leftovers
 /// from other processes, retrying on the next sequence number.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an unlinked spill file, never durable state: nothing survives a crash to tear"
+)]
 fn create_scratch_file() -> io::Result<File> {
     let dir = std::env::temp_dir();
     let pid = std::process::id();

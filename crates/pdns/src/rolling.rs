@@ -178,6 +178,10 @@ impl RollingAbuseIndex {
                     }
                 }
             }
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "the loops below only insert into AbuseDelta's unordered touched sets"
+            )]
             _ => {
                 // Bootstrap (or a window moving backwards): rebuild. Every
                 // previously-covered IP is touched — conservatively mark the

@@ -41,6 +41,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Hash-set/map iteration order differs per process, so it must not reach
+// ordered output; a site whose order provably cannot matter is an
+// `#[expect(clippy::…, reason = "…")]` — a plain `#[allow]` is denied.
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes)]
 pub mod config;
 pub mod day;
 pub mod faults;

@@ -1062,9 +1062,9 @@ mod tests {
         let mut w = IspNetwork::new(IspConfig::tiny(27));
         w.warm_up(25);
         // Collect per-family IP sets over all malicious domains' history.
-        use std::collections::{HashMap, HashSet};
+        use std::collections::{BTreeMap, HashMap, HashSet};
         let mut family_ips: HashMap<u32, HashSet<Ipv4>> = HashMap::new();
-        let mut family_domains: HashMap<u32, usize> = HashMap::new();
+        let mut family_domains: BTreeMap<u32, usize> = BTreeMap::new();
         let window = segugio_model::DayWindow::new(Day(0), Day(25));
         for (d, fam) in w.truth().malicious_domains().collect::<Vec<_>>() {
             *family_domains.entry(fam).or_insert(0) += 1;

@@ -5,6 +5,14 @@
 //! truncation, deletion — the `FaultInjector`'s checkpoint fault kinds)
 //! degrade to an older generation or a from-scratch rebuild with typed
 //! `Degradation` records, and never panic.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests plant torn and hostile files on purpose"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a temp-dir name counter; no result depends on which test draws which number"
+)]
 
 use std::collections::BTreeMap;
 use std::fs;
