@@ -1,7 +1,5 @@
 //! Per-day domain activity tracking (feature group F2 substrate).
 
-use std::collections::HashMap;
-
 use segugio_model::{Day, DayWindow, DomainId, E2ldId};
 
 /// A growable bitset over day indices.
@@ -10,12 +8,20 @@ struct DayBitmap {
     words: Vec<u64>,
 }
 
-impl DayBitmap {
-    fn set(&mut self, day: Day) {
-        let (w, b) = (day.index() / 64, day.index() % 64);
-        self.set_word(w, 1 << b);
-    }
+/// The `(word, mask)` position of `day` in a [`DayBitmap`].
+fn bit(day: Day) -> (usize, u64) {
+    (day.index() / 64, 1 << (day.index() % 64))
+}
 
+/// The bitmap at `i`, growing `bitmaps` to reach it.
+fn slot(bitmaps: &mut Vec<DayBitmap>, i: usize) -> &mut DayBitmap {
+    if i >= bitmaps.len() {
+        bitmaps.resize_with(i + 1, DayBitmap::default);
+    }
+    &mut bitmaps[i]
+}
+
+impl DayBitmap {
     /// Sets a pre-computed `(word, mask)` position — the bulk-append path
     /// hoists the day → bit translation out of its per-record loop.
     fn set_word(&mut self, w: usize, mask: u64) {
@@ -26,8 +32,8 @@ impl DayBitmap {
     }
 
     fn get(&self, day: Day) -> bool {
-        let (w, b) = (day.index() / 64, day.index() % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        let (w, mask) = bit(day);
+        self.words.get(w).is_some_and(|word| word & mask != 0)
     }
 
     fn count_in(&self, window: DayWindow) -> u32 {
@@ -52,6 +58,11 @@ impl DayBitmap {
 
 /// Records which days each FQD and e2LD was actively queried.
 ///
+/// Bitmaps are indexed by [`DomainId::index`] and [`E2ldId::index`], so ids
+/// must come from a [`DomainTable`](segugio_model::DomainTable): dense,
+/// starting at zero. Memory is proportional to the largest id recorded, not
+/// to the number of domains with activity.
+///
 /// # Example
 ///
 /// ```
@@ -67,8 +78,10 @@ impl DayBitmap {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ActivityStore {
-    fqd: HashMap<DomainId, DayBitmap>,
-    e2ld: HashMap<E2ldId, DayBitmap>,
+    // Indexed by id; an id never recorded holds an empty bitmap.
+    fqd: Vec<DayBitmap>,
+    e2ld: Vec<DayBitmap>,
+    tracked_fqds: usize,
 }
 
 impl ActivityStore {
@@ -79,8 +92,19 @@ impl ActivityStore {
 
     /// Records that `fqd` (whose e2LD is `e2ld`) was queried on `day`.
     pub fn record(&mut self, fqd: DomainId, e2ld: E2ldId, day: Day) {
-        self.fqd.entry(fqd).or_default().set(day);
-        self.e2ld.entry(e2ld).or_default().set(day);
+        let (w, mask) = bit(day);
+        self.set(fqd, e2ld, w, mask);
+    }
+
+    /// Sets bit `mask` of word `w` in both bitmaps, growing either store
+    /// to reach its id.
+    fn set(&mut self, fqd: DomainId, e2ld: E2ldId, w: usize, mask: u64) {
+        let fqd = slot(&mut self.fqd, fqd.index());
+        if fqd.words.is_empty() {
+            self.tracked_fqds += 1;
+        }
+        fqd.set_word(w, mask);
+        slot(&mut self.e2ld, e2ld.index()).set_word(w, mask);
     }
 
     /// Appends one whole day of activity in a single pass: every `(fqd,
@@ -93,44 +117,48 @@ impl ActivityStore {
     where
         I: IntoIterator<Item = (DomainId, E2ldId)>,
     {
-        let (w, b) = (day.index() / 64, day.index() % 64);
-        let mask = 1u64 << b;
+        let (w, mask) = bit(day);
         for (fqd, e2ld) in pairs {
-            self.fqd.entry(fqd).or_default().set_word(w, mask);
-            self.e2ld.entry(e2ld).or_default().set_word(w, mask);
+            self.set(fqd, e2ld, w, mask);
         }
     }
 
     /// Whether `fqd` was seen active on `day`.
     pub fn fqd_active_on(&self, fqd: DomainId, day: Day) -> bool {
-        self.fqd.get(&fqd).is_some_and(|b| b.get(day))
+        self.fqd.get(fqd.index()).is_some_and(|b| b.get(day))
     }
 
     /// Number of days in `window` on which `fqd` was active.
     pub fn fqd_active_days(&self, fqd: DomainId, window: DayWindow) -> u32 {
-        self.fqd.get(&fqd).map_or(0, |b| b.count_in(window))
+        self.fqd.get(fqd.index()).map_or(0, |b| b.count_in(window))
     }
 
     /// Length of the consecutive-active-day run for `fqd` ending at `day`,
     /// capped at `n`.
     pub fn fqd_streak_ending(&self, fqd: DomainId, day: Day, n: u32) -> u32 {
-        self.fqd.get(&fqd).map_or(0, |b| b.streak_ending(day, n))
+        self.fqd
+            .get(fqd.index())
+            .map_or(0, |b| b.streak_ending(day, n))
     }
 
     /// Number of days in `window` on which the e2LD was active.
     pub fn e2ld_active_days(&self, e2ld: E2ldId, window: DayWindow) -> u32 {
-        self.e2ld.get(&e2ld).map_or(0, |b| b.count_in(window))
+        self.e2ld
+            .get(e2ld.index())
+            .map_or(0, |b| b.count_in(window))
     }
 
     /// Length of the consecutive-active-day run for the e2LD ending at
     /// `day`, capped at `n`.
     pub fn e2ld_streak_ending(&self, e2ld: E2ldId, day: Day, n: u32) -> u32 {
-        self.e2ld.get(&e2ld).map_or(0, |b| b.streak_ending(day, n))
+        self.e2ld
+            .get(e2ld.index())
+            .map_or(0, |b| b.streak_ending(day, n))
     }
 
     /// Estimates the first day `fqd` was ever seen, if any.
     pub fn fqd_first_seen(&self, fqd: DomainId) -> Option<Day> {
-        let bitmap = self.fqd.get(&fqd)?;
+        let bitmap = self.fqd.get(fqd.index())?;
         for (w, &word) in bitmap.words.iter().enumerate() {
             if word != 0 {
                 return Some(Day((w * 64 + word.trailing_zeros() as usize) as u32));
@@ -141,14 +169,14 @@ impl ActivityStore {
 
     /// Number of FQDs with any recorded activity.
     pub fn tracked_fqds(&self) -> usize {
-        self.fqd.len()
+        self.tracked_fqds
     }
 
     /// Every day `fqd` was seen active on, ascending — what a front end
     /// persists to rebuild the store by [`record`](Self::record) (an
     /// e2LD's days are the union of its FQDs').
     pub fn fqd_days(&self, fqd: DomainId) -> impl Iterator<Item = Day> + '_ {
-        let words = self.fqd.get(&fqd).map_or(&[][..], |b| &b.words);
+        let words = self.fqd.get(fqd.index()).map_or(&[][..], |b| &b.words);
         words.iter().enumerate().flat_map(|(w, &word)| {
             (0..64usize)
                 .filter(move |b| word & (1 << b) != 0)
@@ -164,9 +192,10 @@ mod tests {
     #[test]
     fn bitmap_basics() {
         let mut b = DayBitmap::default();
-        b.set(Day(0));
-        b.set(Day(63));
-        b.set(Day(64));
+        for day in [Day(0), Day(63), Day(64)] {
+            let (w, mask) = bit(day);
+            b.set_word(w, mask);
+        }
         assert!(b.get(Day(0)));
         assert!(b.get(Day(63)));
         assert!(b.get(Day(64)));

@@ -11,6 +11,11 @@ use segugio_model::{Day, DayWindow, DomainId, Ipv4};
 /// accumulates. Per-domain records are kept sorted by day so window queries
 /// are range scans.
 ///
+/// Records are indexed by [`DomainId::index`], so domain ids must come from
+/// a [`DomainTable`](segugio_model::DomainTable): dense, starting at zero.
+/// Memory is proportional to the largest id recorded, not to the number of
+/// domains with history: an id near `u32::MAX` would ask for ~100 GB.
+///
 /// # Example
 ///
 /// ```
@@ -25,12 +30,14 @@ use segugio_model::{Day, DayWindow, DomainId, Ipv4};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PassiveDns {
-    // Ordered so `records_in` yields domains deterministically.
-    by_domain: BTreeMap<DomainId, Vec<(Day, Ipv4)>>,
+    // Per-domain records, indexed by id; an id without history holds an
+    // empty list. Walking it in index order is ascending-id order.
+    by_domain: Vec<Vec<(Day, Ipv4)>>,
     // Day-major view of the same records, so a rolling window can ingest or
     // evict exactly one day without touching the rest of the archive.
     by_day: BTreeMap<Day, Vec<(DomainId, Ipv4)>>,
     records: usize,
+    domains: usize,
 }
 
 impl PassiveDns {
@@ -45,7 +52,14 @@ impl PassiveDns {
     /// they arrive in: per-domain entries are kept strictly `(day, ip)`-
     /// sorted, so a repeat is found by binary search.
     pub fn record(&mut self, domain: DomainId, ip: Ipv4, day: Day) {
-        let entries = self.by_domain.entry(domain).or_default();
+        let i = domain.index();
+        if i >= self.by_domain.len() {
+            self.by_domain.resize_with(i + 1, Vec::new);
+        }
+        let entries = &mut self.by_domain[i];
+        if entries.is_empty() {
+            self.domains += 1;
+        }
         // Fast path: appends arrive in day order from the generator.
         let pos = if entries.last().is_none_or(|&last| last < (day, ip)) {
             entries.len()
@@ -66,7 +80,7 @@ impl PassiveDns {
     /// boundaries are found by binary search and the result borrows the
     /// store — no per-call allocation.
     pub fn records_of(&self, domain: DomainId, window: DayWindow) -> &[(Day, Ipv4)] {
-        let Some(entries) = self.by_domain.get(&domain) else {
+        let Some(entries) = self.by_domain.get(domain.index()) else {
             return &[];
         };
         let lo = entries.partition_point(|&(d, _)| d < window.start());
@@ -120,15 +134,19 @@ impl PassiveDns {
     /// Used by reputation baselines with a *reject option*: a domain with no
     /// pDNS history cannot be scored.
     pub fn has_history(&self, domain: DomainId) -> bool {
-        self.by_domain.contains_key(&domain)
+        self.by_domain
+            .get(domain.index())
+            .is_some_and(|entries| !entries.is_empty())
     }
 
-    /// Iterates over `(domain, day, ip)` records restricted to `window`.
+    /// Iterates over `(domain, day, ip)` records restricted to `window`,
+    /// by ascending domain id, then day.
     pub fn records_in(
         &self,
         window: DayWindow,
     ) -> impl Iterator<Item = (DomainId, Day, Ipv4)> + '_ {
-        self.by_domain.keys().flat_map(move |&dom| {
+        (0..self.by_domain.len() as u32).flat_map(move |i| {
+            let dom = DomainId(i);
             self.records_of(dom, window)
                 .iter()
                 .map(move |&(d, ip)| (dom, d, ip))
@@ -147,7 +165,7 @@ impl PassiveDns {
 
     /// Number of distinct domains with history.
     pub fn domain_count(&self) -> usize {
-        self.by_domain.len()
+        self.domains
     }
 }
 

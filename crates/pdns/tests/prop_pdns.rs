@@ -1,81 +1,140 @@
 //! Property-based tests for the passive-DNS substrate, checked against
 //! naive reference implementations.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use proptest::prelude::*;
 
 use segugio_model::{Day, DayWindow, DomainId, E2ldId, Ipv4, Label};
 use segugio_pdns::{AbuseIndex, ActivityStore, PassiveDns};
 
-proptest! {
-    /// ActivityStore window counts match a naive set-based model.
-    #[test]
-    fn activity_matches_naive(
-        events in proptest::collection::vec((0u32..5, 0u32..40), 0..200),
-        probe_day in 0u32..45,
-        n in 1u32..20,
-    ) {
-        let mut store = ActivityStore::new();
-        let mut naive: HashSet<(u32, u32)> = HashSet::new();
-        for &(dom, day) in &events {
-            store.record(DomainId(dom), E2ldId(dom), Day(day));
-            naive.insert((dom, day));
-        }
-        for dom in 0..5u32 {
-            let window = Day(probe_day).lookback(n);
-            let expected = window
-                .iter()
-                .filter(|d| naive.contains(&(dom, d.0)))
-                .count() as u32;
-            prop_assert_eq!(store.fqd_active_days(DomainId(dom), window), expected);
-            prop_assert_eq!(store.e2ld_active_days(E2ldId(dom), window), expected);
+/// Domain ids for the dense-store models: a few small, some straddling a
+/// 64-bit word, and a few far apart, so the id-indexed columns grow past
+/// long runs of ids that never get a record.
+const SPARSE_IDS: [u32; 8] = [0, 1, 5, 63, 64, 700, 4_099, 20_000];
 
-            // Naive streak.
+/// The ids each model test probes: every id either regime records, plus
+/// ids that never get a record (inside and past the columns).
+const PROBE_IDS: [u32; 12] = [0, 1, 2, 3, 4, 5, 63, 64, 700, 4_099, 20_000, 25_000];
+
+fn sparse_id() -> impl Strategy<Value = u32> {
+    (0..SPARSE_IDS.len()).prop_map(|k| SPARSE_IDS[k])
+}
+
+/// `(domain, ip octet, day)` records and a window `(start, len)`, in one
+/// of two regimes per case. Dense: four ids over 30 days, so most
+/// triples repeat. Sparse: the ids in `SPARSE_IDS` over 140 days.
+fn pdns_case() -> impl Strategy<Value = (Vec<(u32, u8, u32)>, u32, u32)> {
+    use proptest::collection::vec;
+    let dense = (vec((0u32..4, 0u8..6, 0u32..30), 0..150), 0u32..30, 0u32..30);
+    let sparse = (
+        vec((sparse_id(), 0u8..4, 0u32..140), 0..120),
+        0u32..140,
+        0u32..140,
+    );
+    (any::<bool>(), dense, sparse).prop_map(|(is_dense, d, s)| if is_dense { d } else { s })
+}
+
+/// `(domain, day)` events, a probe day and a streak cap `n`, in one of
+/// two regimes per case. Dense: five ids over 40 days, so most days are
+/// active and streaks often reach the cap. Sparse: the ids in
+/// `SPARSE_IDS` over 140 days.
+fn activity_case() -> impl Strategy<Value = (Vec<(u32, u32)>, u32, u32)> {
+    use proptest::collection::vec;
+    let dense = (vec((0u32..5, 0u32..40), 0..200), 0u32..45, 1u32..20);
+    let sparse = (vec((sparse_id(), 0u32..140), 0..120), 0u32..145, 1u32..80);
+    (any::<bool>(), dense, sparse).prop_map(|(is_dense, d, s)| if is_dense { d } else { s })
+}
+
+proptest! {
+    /// The id-indexed PassiveDns against a plain `BTreeMap` model, fed
+    /// out of order, with duplicates and with dense or sparse ids: the
+    /// per-domain and per-day views, the order `records_in` walks, and
+    /// the counters.
+    #[test]
+    fn pdns_matches_btreemap_model((records, start, len) in pdns_case()) {
+        let mut pdns = PassiveDns::new();
+        let mut model: BTreeMap<u32, BTreeSet<(Day, Ipv4)>> = BTreeMap::new();
+        // Each day's records in the order they first arrived.
+        let mut by_day: BTreeMap<Day, Vec<(DomainId, Ipv4)>> = BTreeMap::new();
+        for &(dom, ip, day) in &records {
+            let (ip, day) = (Ipv4::from_octets(10, 0, 0, ip), Day(day));
+            pdns.record(DomainId(dom), ip, day);
+            if model.entry(dom).or_default().insert((day, ip)) {
+                by_day.entry(day).or_default().push((DomainId(dom), ip));
+            }
+        }
+        prop_assert_eq!(pdns.len(), model.values().map(BTreeSet::len).sum::<usize>());
+        prop_assert_eq!(pdns.domain_count(), model.len());
+        prop_assert_eq!(pdns.days().collect::<Vec<_>>(), by_day.keys().copied().collect::<Vec<_>>());
+        for (&day, want) in &by_day {
+            prop_assert_eq!(pdns.records_on(day), want.as_slice());
+        }
+        let window = DayWindow::new(Day(start), Day(start + len));
+        for id in PROBE_IDS {
+            let want: Vec<(Day, Ipv4)> = model
+                .get(&id)
+                .into_iter()
+                .flatten()
+                .copied()
+                .filter(|&(d, _)| window.contains(d))
+                .collect();
+            prop_assert_eq!(pdns.records_of(DomainId(id), window), want.as_slice());
+            prop_assert_eq!(pdns.has_history(DomainId(id)), model.contains_key(&id));
+            let mut ips: Vec<Ipv4> = want.iter().map(|&(_, ip)| ip).collect();
+            ips.sort_unstable();
+            ips.dedup();
+            prop_assert_eq!(pdns.resolved_ips(DomainId(id), window), ips);
+        }
+        // Ascending id, then day: the order `AbuseIndex::build` reads.
+        let walk: Vec<(DomainId, Day, Ipv4)> = model
+            .iter()
+            .flat_map(|(&id, entries)| entries.iter().map(move |&(d, ip)| (DomainId(id), d, ip)))
+            .filter(|&(_, d, _)| window.contains(d))
+            .collect();
+        prop_assert_eq!(pdns.records_in(window).collect::<Vec<_>>(), walk);
+    }
+
+    /// The id-indexed ActivityStore against a plain `BTreeMap` model, fed
+    /// out of order, with duplicates and with dense or sparse ids: per-FQD
+    /// days, window counts and streaks, and e2LD counts over the union of
+    /// the two FQDs that share each e2LD.
+    #[test]
+    fn activity_matches_btreemap_model((events, probe_day, n) in activity_case()) {
+        let mut store = ActivityStore::new();
+        let mut model: BTreeMap<u32, BTreeSet<Day>> = BTreeMap::new();
+        for &(dom, day) in &events {
+            store.record(DomainId(dom), E2ldId(dom / 2), Day(day));
+            model.entry(dom).or_default().insert(Day(day));
+        }
+        prop_assert_eq!(store.tracked_fqds(), model.len());
+        let window = Day(probe_day).lookback(n);
+        let streak = |days: &BTreeSet<Day>| {
             let mut streak = 0;
             let mut d = probe_day;
-            while streak < n && naive.contains(&(dom, d)) {
+            while streak < n && days.contains(&Day(d)) {
                 streak += 1;
                 if d == 0 { break; }
                 d -= 1;
             }
-            prop_assert_eq!(store.fqd_streak_ending(DomainId(dom), Day(probe_day), n), streak);
-        }
-    }
-
-    /// PassiveDns matches a naive set of `(domain, ip, day)` triples,
-    /// regardless of the order records arrive in: every triple is stored
-    /// exactly once, in both the per-domain and the per-day view.
-    #[test]
-    fn pdns_matches_naive(
-        records in proptest::collection::vec((0u32..4, 0u8..6, 0u32..30), 0..150),
-        start in 0u32..30,
-        len in 0u32..30,
-    ) {
-        let mut pdns = PassiveDns::new();
-        for &(dom, ip, day) in &records {
-            pdns.record(DomainId(dom), Ipv4::from_octets(10, 0, 0, ip), Day(day));
-        }
-        let distinct: HashSet<(u32, u8, u32)> = records.iter().copied().collect();
-        prop_assert_eq!(pdns.len(), distinct.len());
-        prop_assert_eq!(pdns.records_in(DayWindow::new(Day(0), Day(30))).count(), distinct.len());
-        for day in 0..30u32 {
-            let on_day = pdns.records_on(Day(day));
-            let unique: HashSet<(DomainId, Ipv4)> = on_day.iter().copied().collect();
-            prop_assert_eq!(unique.len(), on_day.len(), "duplicate record on day {}", day);
-            let expected = distinct.iter().filter(|&&(_, _, d)| d == day).count();
-            prop_assert_eq!(on_day.len(), expected);
-        }
-        let window = DayWindow::new(Day(start), Day(start + len));
-        for dom in 0..4u32 {
-            let mut expected: Vec<Ipv4> = records
-                .iter()
-                .filter(|&&(d, _, day)| d == dom && window.contains(Day(day)))
-                .map(|&(_, ip, _)| Ipv4::from_octets(10, 0, 0, ip))
+            streak
+        };
+        for id in PROBE_IDS {
+            let days = model.get(&id).cloned().unwrap_or_default();
+            let fqd = DomainId(id);
+            prop_assert_eq!(store.fqd_days(fqd).collect::<Vec<_>>(), days.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(store.fqd_first_seen(fqd), days.first().copied());
+            let in_window = days.iter().filter(|&&d| window.contains(d)).count() as u32;
+            prop_assert_eq!(store.fqd_active_days(fqd, window), in_window);
+            prop_assert_eq!(store.fqd_streak_ending(fqd, Day(probe_day), n), streak(&days));
+            let e2ld_days: BTreeSet<Day> = model
+                .range(id / 2 * 2..=id / 2 * 2 + 1)
+                .flat_map(|(_, days)| days.iter().copied())
                 .collect();
-            expected.sort_unstable();
-            expected.dedup();
-            prop_assert_eq!(pdns.resolved_ips(DomainId(dom), window), expected);
+            let e2ld = E2ldId(id / 2);
+            let in_window = e2ld_days.iter().filter(|&&d| window.contains(d)).count() as u32;
+            prop_assert_eq!(store.e2ld_active_days(e2ld, window), in_window);
+            prop_assert_eq!(store.e2ld_streak_ending(e2ld, Day(probe_day), n), streak(&e2ld_days));
         }
     }
 

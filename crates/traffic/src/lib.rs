@@ -45,6 +45,7 @@
 // ordered output; a site whose order provably cannot matter is an
 // `#[expect(clippy::…, reason = "…")]` — a plain `#[allow]` is denied.
 #![deny(clippy::iter_over_hash_type, clippy::allow_attributes)]
+mod cdf;
 pub mod config;
 pub mod day;
 pub mod faults;

@@ -9,6 +9,7 @@ use segugio_model::{
 };
 use segugio_pdns::{ActivityStore, PassiveDns};
 
+use crate::cdf::{sample_cdf, GuidedCdf};
 use crate::config::IspConfig;
 use crate::day::DayTraffic;
 use crate::names::NameGen;
@@ -43,12 +44,35 @@ struct MachineProfile {
     infections: Vec<u32>,
 }
 
+/// A benign site; its FQDs are its slice of [`SiteFqds`].
 #[derive(Debug, Clone)]
 struct BenignSite {
     e2ld: E2ldId,
-    fqds: Vec<DomainId>,
     ips: Vec<Ipv4>,
     whitelisted: bool,
+}
+
+/// Every benign site's FQDs in one column, site after site, so a draw that
+/// picks a site and then one of its FQDs reads two flat arrays.
+#[derive(Debug, Clone, Default)]
+struct SiteFqds {
+    fqds: Vec<DomainId>,
+    /// Site `s`'s FQDs are `fqds[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl SiteFqds {
+    fn push_site(&mut self, fqds: &[DomainId]) {
+        if self.starts.is_empty() {
+            self.starts.push(0);
+        }
+        self.fqds.extend_from_slice(fqds);
+        self.starts.push(self.fqds.len() as u32);
+    }
+
+    fn of(&self, site: usize) -> &[DomainId] {
+        &self.fqds[self.starts[site] as usize..self.starts[site + 1] as usize]
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -95,13 +119,18 @@ pub struct IspNetwork {
     public: Blacklist,
     machines: Vec<MachineProfile>,
     sites: Vec<BenignSite>,
-    site_cdf: Vec<f64>,
+    site_fqds: SiteFqds,
+    /// Zipf popularity over `sites`.
+    site_cdf: GuidedCdf,
     mega_fqds: Vec<DomainId>,
     families: Vec<Family>,
     tail_slots: Vec<Option<DomainId>>,
     tail_providers: Vec<(E2ldId, Prefix24)>,
-    /// Index from benign e2LD to its site, so per-domain resolution is O(1).
-    site_by_e2ld: std::collections::HashMap<E2ldId, usize>,
+    /// Index from benign e2LD to its site (`u32::MAX`: no site), so
+    /// per-domain resolution is O(1).
+    site_by_e2ld: Vec<u32>,
+    /// Scratch for the per-infection shuffle of active control domains.
+    shuffle_scratch: Vec<usize>,
     next_private_prefix: u32,
     shared_prefixes: Vec<Prefix24>,
     /// Owners of ephemeral (DHCP-churned) machine ids, indexed by
@@ -120,11 +149,13 @@ impl IspNetwork {
 
         // --- Benign universe ---
         let mut sites = Vec::with_capacity(cfg.benign_e2lds + cfg.free_hosting_e2lds);
+        let mut site_fqds = SiteFqds::default();
+        let mut fqds = Vec::new();
         let n_whitelisted = (cfg.benign_e2lds as f64 * cfg.whitelisted_fraction) as usize;
         for rank in 0..cfg.benign_e2lds {
             let e2ld_name = NameGen::benign_e2ld(&mut rng, rank);
             let n_fqds = 1 + rng.gen_range(0..cfg.max_fqds_per_e2ld);
-            let mut fqds = Vec::with_capacity(n_fqds);
+            fqds.clear();
             let main_id = table.intern(&e2ld_name);
             truth.set_kind(main_id, DomainKind::Benign);
             fqds.push(main_id);
@@ -143,9 +174,9 @@ impl IspNetwork {
             if whitelisted {
                 whitelist.insert(e2ld);
             }
+            site_fqds.push_site(&fqds);
             sites.push(BenignSite {
                 e2ld,
-                fqds,
                 ips,
                 whitelisted,
             });
@@ -159,7 +190,8 @@ impl IspNetwork {
             let e2ld = table.e2ld_of(main_id);
             whitelist.insert(e2ld);
             let prefix = Prefix24::from_octets(17, 0, k as u8);
-            let mut fqds = vec![main_id];
+            fqds.clear();
+            fqds.push(main_id);
             // Legitimate user pages under the zone.
             for _ in 0..6 {
                 let sub = NameGen::subdomain(&mut rng, zone);
@@ -167,9 +199,9 @@ impl IspNetwork {
                 truth.set_kind(id, DomainKind::Benign);
                 fqds.push(id);
             }
+            site_fqds.push_site(&fqds);
             sites.push(BenignSite {
                 e2ld,
-                fqds,
                 ips: vec![prefix.host(20), prefix.host(21)],
                 whitelisted: true,
             });
@@ -193,11 +225,10 @@ impl IspNetwork {
             site_cdf.iter().all(|p| p.is_finite()),
             "site CDF entries are finite by construction"
         );
+        let site_cdf = GuidedCdf::new(site_cdf);
 
-        let mega_fqds: Vec<DomainId> = sites
-            .iter()
-            .take(cfg.mega_popular_e2lds)
-            .map(|s| s.fqds[0])
+        let mega_fqds: Vec<DomainId> = (0..sites.len().min(cfg.mega_popular_e2lds))
+            .map(|s| site_fqds.of(s)[0])
             .collect();
 
         // --- Tail providers (CDN-hash long tail) ---
@@ -227,7 +258,6 @@ impl IspNetwork {
         }
         roles.shuffle(&mut rng);
 
-        let all_fqds: Vec<DomainId> = sites.iter().flat_map(|s| s.fqds.iter().copied()).collect();
         let machines: Vec<MachineProfile> = roles
             .into_iter()
             .map(|role| {
@@ -237,13 +267,11 @@ impl IspNetwork {
                 let mut favorites = Vec::with_capacity(n_fav);
                 for _ in 0..n_fav {
                     // Zipf-weighted favorite selection via the site CDF.
-                    let site = sample_cdf(&site_cdf, rng.gen());
-                    let fqds = &sites[site].fqds;
+                    let fqds = site_fqds.of(site_cdf.sample(rng.gen()));
                     favorites.push(fqds[rng.gen_range(0..fqds.len())]);
                 }
                 favorites.sort_unstable();
                 favorites.dedup();
-                let _ = &all_fqds;
                 MachineProfile {
                     role,
                     daily_volume,
@@ -265,23 +293,26 @@ impl IspNetwork {
             public: Blacklist::new(),
             machines,
             sites,
+            site_fqds,
             site_cdf,
             mega_fqds,
             families: Vec::new(),
             tail_slots: Vec::new(),
             tail_providers,
+            site_by_e2ld: Vec::new(),
+            shuffle_scratch: Vec::new(),
             next_private_prefix: 0,
             shared_prefixes: Vec::new(),
             ephemeral_owners: Vec::new(),
-            site_by_e2ld: std::collections::HashMap::new(),
             today: Day(0),
         };
-        world.site_by_e2ld = world
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.e2ld, i))
-            .collect();
+        for (i, site) in world.sites.iter().enumerate() {
+            let e = site.e2ld.index();
+            if e >= world.site_by_e2ld.len() {
+                world.site_by_e2ld.resize(e + 1, u32::MAX);
+            }
+            world.site_by_e2ld[e] = i as u32;
+        }
         world.tail_slots = vec![None; world.cfg.tail_pool];
 
         // --- Malware world ---
@@ -384,7 +415,8 @@ impl IspNetwork {
         // --- Public-blacklist noise (benign domains mislabeled as C&C) ---
         for _ in 0..world.cfg.public_noise {
             let site = world.rng.gen_range(0..world.sites.len());
-            let fqd = world.sites[site].fqds[world.rng.gen_range(0..world.sites[site].fqds.len())];
+            let fqds = world.site_fqds.of(site);
+            let fqd = fqds[world.rng.gen_range(0..fqds.len())];
             world.public.insert(fqd, Day(0));
         }
 
@@ -545,17 +577,7 @@ impl IspNetwork {
             }
             resolutions.push((d, ips));
         }
-        for f in 0..self.families.len() {
-            for k in 0..self.families[f].active.len() {
-                let dom = self.families[f].active[k].id;
-                let e2ld = self.families[f].active[k].e2ld;
-                let ips = self.families[f].active[k].ips.clone();
-                self.activity.record(dom, e2ld, day);
-                for &ip in &ips {
-                    self.pdns.record(dom, ip, day);
-                }
-            }
-        }
+        self.record_control_domains(day);
 
         self.today = day.next();
         (day, resolutions)
@@ -636,9 +658,8 @@ impl IspNetwork {
                 let n_explore = k.saturating_sub(n_fav);
                 for _ in 0..n_explore {
                     let u = self.rng.gen::<f64>();
-                    let site = sample_cdf(&self.site_cdf, u);
-                    let fqds_len = self.sites[site].fqds.len();
-                    let d = self.sites[site].fqds[self.rng.gen_range(0..fqds_len)];
+                    let fqds = self.site_fqds.of(self.site_cdf.sample(u));
+                    let d = fqds[self.rng.gen_range(0..fqds.len())];
                     push(queries, d);
                 }
                 // Long-tail uniques.
@@ -665,12 +686,12 @@ impl IspNetwork {
 
         // Malware traffic, regardless of role (an inactive machine can be
         // infected — the R1 pruning exception exists for exactly this).
-        let infections = self.machines[m].infections.clone();
-        for fam in infections {
+        for j in 0..self.machines[m].infections.len() {
+            let fam = self.machines[m].infections[j] as usize;
             if self.rng.gen::<f64>() < self.cfg.dormancy {
                 continue;
             }
-            let family = &self.families[fam as usize];
+            let family = &self.families[fam];
             if family.active.is_empty() {
                 continue;
             }
@@ -683,10 +704,12 @@ impl IspNetwork {
             }
             let count = (count as usize).min(family.active.len());
             // Sample `count` distinct active control domains.
-            let mut idxs: Vec<usize> = (0..family.active.len()).collect();
+            let idxs = &mut self.shuffle_scratch;
+            idxs.clear();
+            idxs.extend(0..family.active.len());
             idxs.shuffle(&mut self.rng);
             for &i in idxs.iter().take(count) {
-                push(queries, self.families[fam as usize].active[i].id);
+                push(queries, family.active[i].id);
             }
         }
     }
@@ -812,7 +835,7 @@ impl IspNetwork {
     // Resolution & history
     // ---------------------------------------------------------------
 
-    fn resolve(&mut self, d: DomainId) -> Vec<Ipv4> {
+    fn resolve(&self, d: DomainId) -> Vec<Ipv4> {
         match self.truth.kind(d) {
             DomainKind::Cnc { .. } | DomainKind::AbusedSubdomain { .. } => {
                 for fam in &self.families {
@@ -825,20 +848,24 @@ impl IspNetwork {
                 vec![self.shared_prefixes[d.index() % self.shared_prefixes.len()]
                     .host((d.0 % 250) as u8)]
             }
-            DomainKind::BenignTail => {
-                let (_, prefix) = self.tail_providers[d.index() % self.tail_providers.len()];
-                vec![prefix.host((d.0 % 250) as u8)]
-            }
+            DomainKind::BenignTail => vec![self.tail_ip(d)],
             DomainKind::Benign => {
                 // Find the owning site via e2LD; fall back to a hash IP.
                 let e2ld = self.table.e2ld_of(d);
-                if let Some(site) = self.site_by_e2ld.get(&e2ld).map(|&i| &self.sites[i]) {
-                    site.ips.clone()
-                } else {
-                    vec![Prefix24::from_octets(19, 0, (d.0 % 200) as u8).host((d.0 % 250) as u8)]
+                match self.site_by_e2ld.get(e2ld.index()) {
+                    Some(&site) if site != u32::MAX => self.sites[site as usize].ips.clone(),
+                    _ => {
+                        vec![Prefix24::from_octets(19, 0, (d.0 % 200) as u8).host((d.0 % 250) as u8)]
+                    }
                 }
             }
         }
+    }
+
+    /// A long-tail FQD's one IP, hashed from its id onto its provider.
+    fn tail_ip(&self, d: DomainId) -> Ipv4 {
+        let (_, prefix) = self.tail_providers[d.index() % self.tail_providers.len()];
+        prefix.host((d.0 % 250) as u8)
     }
 
     fn tail_domain(&mut self) -> DomainId {
@@ -848,8 +875,7 @@ impl IspNetwork {
         }
         let provider = slot % self.tail_providers.len();
         let (e2ld, _) = self.tail_providers[provider];
-        let e2ld_str = self.table.e2ld_str(e2ld).to_owned();
-        let name = NameGen::tail_fqd(&mut self.rng, &e2ld_str);
+        let name = NameGen::tail_fqd(&mut self.rng, self.table.e2ld_str(e2ld));
         let id = self.table.intern(&name);
         self.truth.set_kind(id, DomainKind::BenignTail);
         self.tail_slots[slot] = Some(id);
@@ -860,15 +886,12 @@ impl IspNetwork {
     /// sites are active daily, other benign sites most days, tails sparsely,
     /// and every alive control domain records activity and resolutions.
     fn record_background_history(&mut self, day: Day) {
-        for s in 0..self.sites.len() {
-            let p = if self.sites[s].whitelisted { 1.0 } else { 0.7 };
+        for (s, site) in self.sites.iter().enumerate() {
+            let p = if site.whitelisted { 1.0 } else { 0.7 };
             if self.rng.gen::<f64>() <= p {
-                for k in 0..self.sites[s].fqds.len() {
-                    let d = self.sites[s].fqds[k];
-                    let e2ld = self.sites[s].e2ld;
-                    self.activity.record(d, e2ld, day);
-                    let ips = self.sites[s].ips.clone();
-                    for ip in ips {
+                for &d in self.site_fqds.of(s) {
+                    self.activity.record(d, site.e2ld, day);
+                    for &ip in &site.ips {
                         self.pdns.record(d, ip, day);
                     }
                 }
@@ -878,22 +901,21 @@ impl IspNetwork {
         let expected_tails = (self.machines.len() as f64 * self.cfg.tail_rate) as usize;
         for _ in 0..expected_tails {
             let d = self.tail_domain();
-            let e2ld = self.table.e2ld_of(d);
-            self.activity.record(d, e2ld, day);
-            let ips = self.resolve(d);
-            for ip in ips {
-                self.pdns.record(d, ip, day);
-            }
+            // What `resolve` answers for a tail, without its `Vec`.
+            debug_assert_eq!(self.truth.kind(d), DomainKind::BenignTail);
+            self.activity.record(d, self.table.e2ld_of(d), day);
+            self.pdns.record(d, self.tail_ip(d), day);
         }
-        for f in 0..self.families.len() {
-            for k in 0..self.families[f].active.len() {
-                let dom = self.families[f].active[k].id;
-                let e2ld = self.families[f].active[k].e2ld;
-                let ips = self.families[f].active[k].ips.clone();
-                self.activity.record(dom, e2ld, day);
-                for ip in ips {
-                    self.pdns.record(dom, ip, day);
-                }
+        self.record_control_domains(day);
+    }
+
+    /// Every alive control domain is active and resolves today, whether or
+    /// not a victim queried it.
+    fn record_control_domains(&mut self, day: Day) {
+        for c in self.families.iter().flat_map(|f| &f.active) {
+            self.activity.record(c.id, c.e2ld, day);
+            for &ip in &c.ips {
+                self.pdns.record(c.id, ip, day);
             }
         }
     }
@@ -902,19 +924,6 @@ impl IspNetwork {
 // -------------------------------------------------------------------
 // Small distribution helpers (rand_distr is not in the offline set).
 // -------------------------------------------------------------------
-
-/// Index of the first CDF entry ≥ `u`.
-///
-/// `total_cmp` keeps this total even on a hostile CDF — the finiteness
-/// invariant is asserted where the CDFs are built, not panicked on here
-/// (this is library code on the per-day hot path).
-fn sample_cdf(cdf: &[f64], u: f64) -> usize {
-    debug_assert!(!cdf.is_empty());
-    match cdf.binary_search_by(|p| p.total_cmp(&u)) {
-        Ok(i) => i,
-        Err(i) => i.min(cdf.len() - 1),
-    }
-}
 
 /// Knuth's Poisson sampler (fine for small lambda).
 fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
