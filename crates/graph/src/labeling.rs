@@ -50,36 +50,37 @@ where
     for i in 0..graph.domains.len() {
         graph.domain_labels[i] = label_of(graph.domains[i], graph.domain_e2ld[i]);
     }
-    propagate_machine_labels(graph);
-}
-
-/// Recomputes all machine labels and malware degrees from the current
-/// domain labels.
-pub fn propagate_machine_labels(graph: &mut BehaviorGraph) {
     for mi in 0..graph.machines.len() {
         let lo = graph.m_off[mi] as usize;
         let hi = graph.m_off[mi + 1] as usize;
-        let mut malware_degree = 0u32;
-        let mut all_benign = true;
-        for &di in &graph.m_adj[lo..hi] {
-            match graph.domain_labels[di as usize] {
-                Label::Malware => {
-                    malware_degree += 1;
-                    all_benign = false;
-                }
-                Label::Unknown => all_benign = false,
-                Label::Benign => {}
-            }
-        }
-        graph.machine_malware_degree[mi] = malware_degree;
-        graph.machine_labels[mi] = if malware_degree > 0 {
-            Label::Malware
-        } else if all_benign && lo != hi {
-            Label::Benign
-        } else {
-            Label::Unknown
-        };
+        (graph.machine_labels[mi], graph.machine_malware_degree[mi]) =
+            machine_label(&graph.m_adj[lo..hi], &graph.domain_labels);
     }
+}
+
+/// The label and malware degree of a machine that queried `domains`
+/// (indices into `domain_labels`).
+pub(crate) fn machine_label(domains: &[u32], domain_labels: &[Label]) -> (Label, u32) {
+    let mut malware_degree = 0u32;
+    let mut all_benign = true;
+    for &di in domains {
+        match domain_labels[di as usize] {
+            Label::Malware => {
+                malware_degree += 1;
+                all_benign = false;
+            }
+            Label::Unknown => all_benign = false,
+            Label::Benign => {}
+        }
+    }
+    let label = if malware_degree > 0 {
+        Label::Malware
+    } else if all_benign && !domains.is_empty() {
+        Label::Benign
+    } else {
+        Label::Unknown
+    };
+    (label, malware_degree)
 }
 
 #[cfg(test)]

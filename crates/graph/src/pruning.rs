@@ -11,7 +11,7 @@
 //!   `popular_fraction` of all machines in the network (θ_m): such
 //!   very-popular domains are overwhelmingly unlikely to be malware-control.
 
-use segugio_model::{Ipv4, Label, MachineId};
+use segugio_model::Label;
 
 use crate::graph::BehaviorGraph;
 use crate::labeling;
@@ -100,7 +100,13 @@ impl BehaviorGraph {
     /// Machine rules (R1, R2) are evaluated on the input graph; domain rules
     /// (R3, R4) are evaluated on the machine-filtered subgraph, which is the
     /// conservative order (a domain never loses its known-malware survivors).
-    pub fn prune(&self, config: &PruneConfig) -> (BehaviorGraph, PruneStats) {
+    ///
+    /// Consumes the graph and compacts it in place, so no second graph is
+    /// allocated; clone first to keep the unpruned one. The result equals a
+    /// rebuild from the surviving edges: nodes keep their ids, annotations
+    /// and domain labels, nodes left with no edge are dropped, and both
+    /// remaps are monotone, so every list stays ascending.
+    pub fn prune(self, config: &PruneConfig) -> (BehaviorGraph, PruneStats) {
         let mut stats = PruneStats {
             machines_before: self.machine_count(),
             domains_before: self.domain_count(),
@@ -128,21 +134,29 @@ impl BehaviorGraph {
             }
         }
 
-        // One walk over the domain adjacency, grouped by e2LD (domains
-        // sorted by `(e2ld, domain)` — no hash maps), yields both each
-        // domain's degree over kept machines (R3) and each e2LD's count of
-        // distinct kept machines (R4). A machine is counted once per group
-        // by stamping it with the group's ordinal: no sort, no dedup.
+        // R3: each domain's degree over kept machines.
+        let kept_domain_degree = self.kept_degrees(&keep_machine);
+
+        // R4: each e2LD's count of distinct kept machines, over domains
+        // grouped by e2LD (sorted by `(e2ld, domain)` — no hash maps). A
+        // machine is counted once per group by stamping it with the group's
+        // ordinal: no sort, no dedup. The group's kept degree bounds that
+        // count, so only groups it lets reach θ_m are walked.
         let theta_m = ((self.machine_count() as f64) * config.popular_fraction).ceil() as usize;
         stats.theta_m = theta_m;
         let mut by_e2ld: Vec<(u32, u32)> = (0..self.domain_count() as u32)
             .map(|di| (self.domain_e2ld[di as usize].0, di))
             .collect();
         by_e2ld.sort_unstable();
-        let mut kept_domain_degree = vec![0u32; self.domain_count()];
         let mut popular_domain = vec![false; self.domain_count()];
         let mut stamp = vec![u32::MAX; self.machine_count()];
         for (ordinal, group) in by_e2ld.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            let bound = group
+                .iter()
+                .map(|&(_, di)| kept_domain_degree[di as usize] as usize);
+            if theta_m == 0 || bound.sum::<usize>() < theta_m {
+                continue;
+            }
             let ordinal = ordinal as u32;
             let mut distinct = 0usize;
             for &(_, di) in group {
@@ -151,16 +165,13 @@ impl BehaviorGraph {
                 let hi = self.d_off[di + 1] as usize;
                 for &m in &self.d_adj[lo..hi] {
                     let m = m as usize;
-                    if keep_machine[m] {
-                        kept_domain_degree[di] += 1;
-                        if stamp[m] != ordinal {
-                            stamp[m] = ordinal;
-                            distinct += 1;
-                        }
+                    if keep_machine[m] && stamp[m] != ordinal {
+                        stamp[m] = ordinal;
+                        distinct += 1;
                     }
                 }
             }
-            if distinct >= theta_m && theta_m > 0 {
+            if distinct >= theta_m {
                 for &(_, di) in group {
                     popular_domain[di as usize] = true;
                 }
@@ -182,9 +193,7 @@ impl BehaviorGraph {
             }
         }
 
-        // Extract the surviving subgraph directly from the CSR arrays
-        // (domain labels carried over, machine labels re-propagated).
-        let pruned = self.keep_subgraph(&keep_machine, &keep_domain);
+        let pruned = self.compact(&keep_machine, &keep_domain);
 
         stats.machines_after = pruned.machine_count();
         stats.domains_after = pruned.domain_count();
@@ -204,141 +213,137 @@ impl BehaviorGraph {
     /// to verify the filtered graphs contained no such clients (Section
     /// VI); this is that heuristic, applied before feature measurement when
     /// a deployment expects probing clients.
-    pub fn without_probing_machines(&self, max_malware_degree: u32) -> (BehaviorGraph, usize) {
-        let probing: Vec<bool> = (0..self.machine_count())
-            .map(|mi| self.machine_malware_degree[mi] >= max_malware_degree)
+    ///
+    /// Consumes the graph: returned as is when no machine probes, otherwise
+    /// compacted in place as by [`prune`](Self::prune), dropping each domain
+    /// left with no querier.
+    pub fn without_probing_machines(self, max_malware_degree: u32) -> (BehaviorGraph, usize) {
+        let keep_machine: Vec<bool> = self
+            .machine_malware_degree
+            .iter()
+            .map(|&degree| degree < max_malware_degree)
             .collect();
-        let removed = probing.iter().filter(|&&p| p).count();
+        let removed = keep_machine.iter().filter(|&&keep| !keep).count();
         if removed == 0 {
-            return (self.clone(), 0);
+            return (self, 0);
         }
-        let keep_machine: Vec<bool> = probing.iter().map(|&p| !p).collect();
-        // Domains with no surviving querier are dropped by the extraction
-        // itself, so every domain can be nominally kept here.
-        let keep_domain = vec![true; self.domain_count()];
-        let filtered = self.keep_subgraph(&keep_machine, &keep_domain);
-        (filtered, removed)
+        // A domain survives with every non-prober that queried it, and every
+        // non-prober keeps all its edges.
+        let keep_domain: Vec<bool> = self
+            .kept_degrees(&keep_machine)
+            .iter()
+            .map(|&degree| degree > 0)
+            .collect();
+        (self.compact(&keep_machine, &keep_domain), removed)
     }
 
-    /// Extracts the subgraph induced by the kept machines × kept domains,
-    /// dropping nodes left without a single surviving edge (the same node
-    /// universe a [`GraphBuilder`](crate::GraphBuilder) rebuild from the
-    /// surviving edge list would produce, without materializing that list
-    /// or re-sorting anything — both remaps are monotone, so every CSR
-    /// adjacency stays ascending by construction).
-    ///
-    /// Domain labels are carried over from `self`; machine labels and
-    /// malware degrees are re-propagated from the surviving structure.
-    fn keep_subgraph(&self, keep_machine: &[bool], keep_domain: &[bool]) -> BehaviorGraph {
-        let nm = self.machines.len();
-        let nd = self.domains.len();
-
-        // Surviving degree per node: edges with both endpoints kept.
-        let mut m_deg = vec![0u32; nm];
-        let mut d_deg = vec![0u32; nd];
-        for mi in 0..nm {
-            if !keep_machine[mi] {
-                continue;
-            }
-            for pos in self.m_off[mi] as usize..self.m_off[mi + 1] as usize {
-                let di = self.m_adj[pos] as usize;
-                if keep_domain[di] {
-                    m_deg[mi] += 1;
-                    d_deg[di] += 1;
-                }
-            }
-        }
-
-        // Dense remaps over nodes that kept at least one edge, plus both
-        // offset arrays by prefix sum.
-        let mut machines: Vec<MachineId> = Vec::new();
-        let mut m_remap: Vec<u32> = vec![u32::MAX; nm];
-        let mut m_off: Vec<u32> = Vec::new();
-        m_off.push(0);
-        let mut m_total = 0u32;
-        for (mi, &deg) in m_deg.iter().enumerate() {
-            if deg > 0 {
-                m_remap[mi] = machines.len() as u32;
-                machines.push(self.machines[mi]);
-                m_total += deg;
-                m_off.push(m_total);
-            }
-        }
-        let mut domains = Vec::new();
-        let mut d_remap: Vec<u32> = vec![u32::MAX; nd];
-        let mut d_off: Vec<u32> = Vec::new();
-        d_off.push(0);
-        let mut domain_e2ld = Vec::new();
-        let mut domain_labels = Vec::new();
-        let mut ip_off: Vec<u32> = Vec::new();
-        ip_off.push(0);
-        let mut ip_pool: Vec<Ipv4> = Vec::new();
-        let mut d_total = 0u32;
-        for (di, &deg) in d_deg.iter().enumerate() {
-            if deg > 0 {
-                d_remap[di] = domains.len() as u32;
-                domains.push(self.domains[di]);
-                d_total += deg;
-                d_off.push(d_total);
-                domain_e2ld.push(self.domain_e2ld[di]);
-                domain_labels.push(self.domain_labels[di]);
-                let lo = self.ip_off[di] as usize;
-                let hi = self.ip_off[di + 1] as usize;
-                ip_pool.extend_from_slice(&self.ip_pool[lo..hi]);
-                ip_off.push(ip_pool.len() as u32);
-            }
-        }
-
-        // Filter + remap both adjacency directions; each per-node list is
-        // an in-order subset remapped monotonically, hence still ascending.
-        let edges = m_total as usize;
-        let mut m_adj: Vec<u32> = Vec::with_capacity(edges);
-        for (mi, &remapped) in m_remap.iter().enumerate().take(nm) {
-            if remapped == u32::MAX {
-                continue;
-            }
-            for pos in self.m_off[mi] as usize..self.m_off[mi + 1] as usize {
-                let r = d_remap[self.m_adj[pos] as usize];
-                if r != u32::MAX {
-                    m_adj.push(r);
-                }
-            }
-        }
-        let mut d_adj: Vec<u32> = Vec::with_capacity(edges);
-        for (di, &remapped) in d_remap.iter().enumerate().take(nd) {
-            if remapped == u32::MAX {
-                continue;
-            }
-            for pos in self.d_off[di] as usize..self.d_off[di + 1] as usize {
-                let r = m_remap[self.d_adj[pos] as usize];
-                if r != u32::MAX {
-                    d_adj.push(r);
-                }
-            }
-        }
-
-        let n_m = machines.len();
-        let mut graph = BehaviorGraph {
-            day: self.day,
-            machines,
-            domains,
-            domain_e2ld,
-            ip_off,
-            ip_pool,
-            m_off,
-            m_adj,
-            d_off,
-            d_adj,
-            domain_labels,
-            machine_labels: vec![Label::Unknown; n_m],
-            machine_malware_degree: vec![0; n_m],
+    /// Each domain's degree over the kept machines.
+    fn kept_degrees(&self, keep_machine: &[bool]) -> Vec<u32> {
+        let degree = |span: &[u32]| {
+            let queriers = &self.d_adj[span[0] as usize..span[1] as usize];
+            queriers
+                .iter()
+                .filter(|&&m| keep_machine[m as usize])
+                .count() as u32
         };
-        labeling::propagate_machine_labels(&mut graph);
-        #[cfg(debug_assertions)]
-        if let Err(violation) = graph.validate() {
-            unreachable!("subgraph extraction produced an invalid graph: {violation}");
+        self.d_off.windows(2).map(degree).collect()
+    }
+
+    /// Compacts the graph in place to the edges between kept machines and
+    /// kept domains, dropping each machine left with no edge. Each kept
+    /// domain must keep every edge to a kept machine, and have at least one,
+    /// so the domain side is settled before any edge is read. Every write
+    /// lands at or behind its read cursor, so all vectors are reused.
+    fn compact(mut self, keep_machine: &[bool], keep_domain: &[bool]) -> BehaviorGraph {
+        // Domain columns. `ip_off[kept]` is always already rewritten (it
+        // starts at 0), and `ip_off[di + 1]` is read before any write to it.
+        let mut d_remap = vec![u32::MAX; self.domains.len()];
+        let mut kept = 0;
+        let mut lo = 0;
+        for (di, &keep) in keep_domain.iter().enumerate() {
+            let hi = self.ip_off[di + 1] as usize;
+            if keep {
+                d_remap[di] = kept as u32;
+                self.domains[kept] = self.domains[di];
+                self.domain_e2ld[kept] = self.domain_e2ld[di];
+                self.domain_labels[kept] = self.domain_labels[di];
+                let start = self.ip_off[kept] as usize;
+                self.ip_pool.copy_within(lo..hi, start);
+                self.ip_off[kept + 1] = (start + hi - lo) as u32;
+                kept += 1;
+            }
+            lo = hi;
         }
-        graph
+        self.domains.truncate(kept);
+        self.domain_e2ld.truncate(kept);
+        self.domain_labels.truncate(kept);
+        self.ip_off.truncate(kept + 1);
+        self.ip_pool.truncate(self.ip_off[kept] as usize);
+
+        // Machine side, with the same cursor discipline on `m_off`.
+        let mut m_remap = vec![u32::MAX; self.machines.len()];
+        let mut kept = 0;
+        let mut lo = 0;
+        for (mi, &keep) in keep_machine.iter().enumerate() {
+            let hi = self.m_off[mi + 1] as usize;
+            let start = self.m_off[kept] as usize;
+            let mut end = start;
+            if keep {
+                for pos in lo..hi {
+                    let d = d_remap[self.m_adj[pos] as usize];
+                    if d != u32::MAX {
+                        self.m_adj[end] = d;
+                        end += 1;
+                    }
+                }
+            }
+            if end > start {
+                m_remap[mi] = kept as u32;
+                self.machines[kept] = self.machines[mi];
+                (self.machine_labels[kept], self.machine_malware_degree[kept]) =
+                    labeling::machine_label(&self.m_adj[start..end], &self.domain_labels);
+                self.m_off[kept + 1] = end as u32;
+                kept += 1;
+            }
+            lo = hi;
+        }
+        self.machines.truncate(kept);
+        self.machine_labels.truncate(kept);
+        self.machine_malware_degree.truncate(kept);
+        self.m_off.truncate(kept + 1);
+        self.m_adj.truncate(self.m_off[kept] as usize);
+
+        // Domain side: no kept domain loses its last edge, so `d_remap` is
+        // already the row index each list is written to.
+        let mut lo = 0;
+        for (di, &new) in d_remap.iter().enumerate() {
+            let hi = self.d_off[di + 1] as usize;
+            if new != u32::MAX {
+                let new = new as usize;
+                let mut end = self.d_off[new] as usize;
+                for pos in lo..hi {
+                    let m = m_remap[self.d_adj[pos] as usize];
+                    if m != u32::MAX {
+                        self.d_adj[end] = m;
+                        end += 1;
+                    }
+                }
+                self.d_off[new + 1] = end as u32;
+            }
+            lo = hi;
+        }
+        let domains = self.domains.len();
+        self.d_off.truncate(domains + 1);
+        self.d_adj.truncate(self.d_off[domains] as usize);
+        // The adjacency is the graph's bulk: give the pruned tail back.
+        self.m_adj.shrink_to_fit();
+        self.d_adj.shrink_to_fit();
+
+        #[cfg(debug_assertions)]
+        if let Err(violation) = self.validate() {
+            unreachable!("in-place compaction produced an invalid graph: {violation}");
+        }
+        self
     }
 }
 
@@ -356,8 +361,9 @@ fn percentile(data: &mut [usize], pct: f64) -> usize {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::graph::DomainIdx;
     use crate::labeling::apply_seed_labels;
-    use segugio_model::{Day, DomainId, E2ldId, MachineId};
+    use segugio_model::{Day, DomainId, E2ldId, Ipv4, MachineId};
 
     /// Builds a graph with:
     /// - machines 0..10 querying 8 ordinary domains each (active, kept)
@@ -505,9 +511,46 @@ mod tests {
         assert!(filtered.machine_idx(MachineId(0)).is_none());
         assert!(filtered.machine_idx(MachineId(2)).is_some());
         // No probers: graph unchanged.
+        let before = format!("{filtered:?}");
         let (same, zero) = filtered.without_probing_machines(21);
         assert_eq!(zero, 0);
-        assert_eq!(same.machine_count(), filtered.machine_count());
+        assert_eq!(format!("{same:?}"), before);
+    }
+
+    /// In-place compaction dropping machines and domains at the front, in
+    /// the middle and at the end, one kept machine left with no edge, and
+    /// domains with zero, one and two IPs: equal to a rebuild from the
+    /// surviving edges.
+    #[test]
+    fn compaction_equals_a_rebuild_of_the_survivors() {
+        let ip = |d: u32, k: u32| Ipv4::from_octets(10, 0, d as u8, k as u8);
+        let build = |edges: &[(u32, u32)]| {
+            let mut b = GraphBuilder::new(Day(4));
+            for &(m, d) in edges {
+                b.add_query(MachineId(m), DomainId(d));
+                b.set_e2ld(DomainId(d), E2ldId(d % 3));
+                for k in 0..(d + 1) % 3 {
+                    b.add_resolution(DomainId(d), ip(d, k));
+                }
+            }
+            let mut g = b.build();
+            apply_seed_labels(&mut g, |d| d == DomainId(3), |e| e == E2ldId(1));
+            g
+        };
+        // Machines 0..5 query domains 0..5; machine 5 queries only domain 5.
+        let mut edges: Vec<(u32, u32)> = (0..5).flat_map(|m| (0..5).map(move |d| (m, d))).collect();
+        edges.push((5, 5));
+        let keep_machine = [false, true, false, true, false, true];
+        let keep_domain = [false, true, false, true, true, false];
+        let survivors: Vec<(u32, u32)> = edges
+            .iter()
+            .copied()
+            .filter(|&(m, d)| keep_machine[m as usize] && keep_domain[d as usize])
+            .collect();
+        let compacted = build(&edges).compact(&keep_machine, &keep_domain);
+        assert_eq!(format!("{compacted:?}"), format!("{:?}", build(&survivors)));
+        assert_eq!(compacted.machine_count(), 2);
+        assert_eq!(compacted.domain_ips(DomainIdx(2)), &[ip(4, 0), ip(4, 1)]);
     }
 
     #[test]

@@ -1,24 +1,157 @@
 //! Property test for pruning: a deliberately naive R1–R4 oracle,
 //! transcribed from the paper's Section II-A2 over `BTreeMap` / `BTreeSet`,
-//! against `BehaviorGraph::prune`.
+//! against `BehaviorGraph::prune`, and the same for the probe filter.
 //!
-//! Graphs are random, with random blacklist / whitelist labels and several
-//! domains per e2LD, so machines routinely query two domains of the same
-//! e2LD — the case where R4 must count the machine once for the e2LD, not
-//! once per domain. `PruneStats` and the surviving edge set must be equal.
+//! Graphs are random, with random blacklist / whitelist labels, random
+//! resolutions and several domains per e2LD, so machines routinely query
+//! two domains of the same e2LD — the case where R4 must count the machine
+//! once for the e2LD, not once per domain. `PruneStats` must be equal, and
+//! the compacted graph must validate and say, through its public API,
+//! exactly what a naive model of the surviving edges says: both adjacency
+//! directions, each domain's e2LD, IPs and label, and each machine's label
+//! and malware degree.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use segugio_graph::labeling::apply_seed_labels;
-use segugio_graph::{GraphBuilder, PruneConfig, PruneStats};
-use segugio_model::{Day, DomainId, E2ldId, MachineId};
+use segugio_graph::{BehaviorGraph, GraphBuilder, PruneConfig, PruneStats};
+use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
-/// One random day: the edge set, each domain's e2LD and the blacklist.
+/// One random day: the edge set, each domain's e2LD and IPs, and the
+/// blacklist (domains) and whitelist (e2LDs).
+#[derive(Debug, Clone)]
 struct Day0 {
     edges: BTreeSet<(u32, u32)>,
     e2ld: BTreeMap<u32, u32>,
+    ips: BTreeMap<u32, BTreeSet<Ipv4>>,
     blacklist: BTreeSet<u32>,
+    whitelist: BTreeSet<u32>,
+}
+
+impl Day0 {
+    fn label(&self, d: u32) -> Label {
+        if self.blacklist.contains(&d) {
+            Label::Malware
+        } else if self.whitelist.contains(&self.e2ld[&d]) {
+            Label::Benign
+        } else {
+            Label::Unknown
+        }
+    }
+
+    fn graph(&self) -> BehaviorGraph {
+        let mut b = GraphBuilder::new(Day(0));
+        for &(m, d) in &self.edges {
+            b.add_query(MachineId(m), DomainId(d));
+            b.set_e2ld(DomainId(d), E2ldId(self.e2ld[&d]));
+        }
+        for (&d, ips) in &self.ips {
+            for &ip in ips {
+                b.add_resolution(DomainId(d), ip);
+            }
+        }
+        let mut g = b.build();
+        apply_seed_labels(
+            &mut g,
+            |d| self.blacklist.contains(&d.0),
+            |e| self.whitelist.contains(&e.0),
+        );
+        g
+    }
+}
+
+/// Domains d and d + e2ld_count share an e2LD: every e2LD groups several
+/// domains. Resolutions name queried and unqueried domains alike.
+fn day_case() -> impl Strategy<Value = Day0> {
+    use proptest::collection::vec;
+    (
+        vec((0u32..30, 0u32..40), 0..500),
+        1u32..8,
+        vec((0u32..40, 0u8..6), 0..120),
+        vec(0u32..40, 0..8),
+        vec(0u32..8, 0..4),
+    )
+        .prop_map(|(edges, e2ld_count, resolutions, blacklist, whitelist)| {
+            let mut ips: BTreeMap<u32, BTreeSet<Ipv4>> = BTreeMap::new();
+            for (d, octet) in resolutions {
+                ips.entry(d)
+                    .or_default()
+                    .insert(Ipv4::from_octets(10, 0, d as u8, octet));
+            }
+            Day0 {
+                edges: edges.into_iter().collect(),
+                e2ld: (0..40).map(|d| (d, d % e2ld_count)).collect(),
+                ips,
+                blacklist: blacklist.into_iter().collect(),
+                whitelist: whitelist.into_iter().collect(),
+            }
+        })
+}
+
+/// Everything a graph says, keyed by external id: per machine its domains,
+/// label and malware degree; per domain its machines, e2LD, IPs and label.
+type MachineView = BTreeMap<u32, (Vec<u32>, Label, u32)>;
+type DomainView = BTreeMap<u32, (Vec<u32>, u32, Vec<Ipv4>, Label)>;
+
+fn view_of(g: &BehaviorGraph) -> (MachineView, DomainView) {
+    let machines = g
+        .machine_indices()
+        .map(|m| {
+            let domains = g.domains_of(m).map(|d| g.domain_id(d).0).collect();
+            let row = (domains, g.machine_label(m), g.machine_malware_degree(m));
+            (g.machine_id(m).0, row)
+        })
+        .collect();
+    let domains = g
+        .domain_indices()
+        .map(|d| {
+            let queriers = g.machines_of(d).map(|m| g.machine_id(m).0).collect();
+            let row = (
+                queriers,
+                g.domain_e2ld(d).0,
+                g.domain_ips(d).to_vec(),
+                g.domain_label(d),
+            );
+            (g.domain_id(d).0, row)
+        })
+        .collect();
+    (machines, domains)
+}
+
+/// The same view, derived naively from an edge set and the day's labels:
+/// a machine is malware if it queried a malware domain, benign if every
+/// domain it queried is benign, else unknown.
+fn naive_view(edges: &BTreeSet<(u32, u32)>, day: &Day0) -> (MachineView, DomainView) {
+    let mut domains_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    let mut machines_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(m, d) in edges {
+        domains_of.entry(m).or_default().push(d);
+        machines_of.entry(d).or_default().push(m);
+    }
+    let machines = domains_of
+        .into_iter()
+        .map(|(m, domains)| {
+            let labels: Vec<Label> = domains.iter().map(|&d| day.label(d)).collect();
+            let malware = labels.iter().filter(|l| l.is_malware()).count() as u32;
+            let label = if malware > 0 {
+                Label::Malware
+            } else if labels.iter().all(|l| l.is_benign()) {
+                Label::Benign
+            } else {
+                Label::Unknown
+            };
+            (m, (domains, label, malware))
+        })
+        .collect();
+    let domains = machines_of
+        .into_iter()
+        .map(|(d, machines)| {
+            let ips = day.ips.get(&d).into_iter().flatten().copied().collect();
+            (d, (machines, day.e2ld[&d], ips, day.label(d)))
+        })
+        .collect();
+    (machines, domains)
 }
 
 /// R1–R4 as the paper states them, plus the implementation's three
@@ -111,44 +244,36 @@ proptest! {
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn prune_matches_the_naive_oracle(
-        edges in proptest::collection::vec((0u32..30, 0u32..40), 0..500),
-        e2ld_count in 1u32..8,
-        blacklist in proptest::collection::vec(0u32..40, 0..8),
-        whitelist in proptest::collection::vec(0u32..8, 0..4),
+        day in day_case(),
         (min_machine_degree, proxy_percentile, popular_fraction) in
             (0usize..8, 0.5f64..1.0, 0.05f64..0.7),
     ) {
-        // Domains d and d + e2ld_count share an e2LD: every e2LD groups
-        // several domains.
-        let e2ld: BTreeMap<u32, u32> = (0..40).map(|d| (d, d % e2ld_count)).collect();
-        let edges: BTreeSet<(u32, u32)> = edges.into_iter().collect();
-        let blacklist: BTreeSet<u32> = blacklist.into_iter().collect();
-        let mut b = GraphBuilder::new(Day(0));
-        for &(m, d) in &edges {
-            b.add_query(MachineId(m), DomainId(d));
-            b.set_e2ld(DomainId(d), E2ldId(e2ld[&d]));
-        }
-        let mut g = b.build();
-        apply_seed_labels(
-            &mut g,
-            |d| blacklist.contains(&d.0),
-            |e| whitelist.contains(&e.0),
-        );
         let config = PruneConfig { min_machine_degree, proxy_percentile, popular_fraction };
-
-        let (pruned, stats) = g.prune(&config);
-        let day = Day0 { edges, e2ld, blacklist };
+        let (pruned, stats) = day.graph().prune(&config);
         let (want_stats, want_edges) = oracle(&day, &config);
         prop_assert_eq!(stats, want_stats);
-        let got_edges: BTreeSet<(u32, u32)> = pruned
-            .machine_indices()
-            .flat_map(|m| {
-                let pruned = &pruned;
-                pruned
-                    .domains_of(m)
-                    .map(move |d| (pruned.machine_id(m).0, pruned.domain_id(d).0))
-            })
-            .collect();
-        prop_assert_eq!(got_edges, want_edges);
+        prop_assert_eq!(pruned.validate(), Ok(()));
+        prop_assert_eq!(view_of(&pruned), naive_view(&want_edges, &day));
+    }
+
+    /// The probe filter drops every machine that queried at least
+    /// `max_malware_degree` blacklisted domains, and nothing else.
+    #[test]
+    #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+    fn probe_filter_matches_the_naive_oracle(
+        day in day_case(),
+        max_malware_degree in 0u32..5,
+    ) {
+        let mut malware_degree: BTreeMap<u32, u32> = BTreeMap::new();
+        for &(m, d) in &day.edges {
+            *malware_degree.entry(m).or_default() += u32::from(day.blacklist.contains(&d));
+        }
+        let probing = |m: &u32| malware_degree[m] >= max_malware_degree;
+        let want_edges: BTreeSet<(u32, u32)> =
+            day.edges.iter().copied().filter(|(m, _)| !probing(m)).collect();
+        let (filtered, removed) = day.graph().without_probing_machines(max_malware_degree);
+        prop_assert_eq!(removed, malware_degree.keys().filter(|m| probing(m)).count());
+        prop_assert_eq!(filtered.validate(), Ok(()));
+        prop_assert_eq!(view_of(&filtered), naive_view(&want_edges, &day));
     }
 }

@@ -44,21 +44,31 @@ pub struct AbuseIndex {
 impl AbuseIndex {
     /// Builds the index from all pDNS records inside `window`, labeling each
     /// historical domain with `label_of`.
+    ///
+    /// Walks the store one domain at a time: `label_of` runs once per domain
+    /// with window records, and an unknown domain's IPs are deduplicated
+    /// within that domain, so each distinct `(domain, ip)` counts once: the
+    /// index a per-record walk builds.
     pub fn build<F>(pdns: &PassiveDns, window: DayWindow, label_of: F) -> Self
     where
         F: Fn(DomainId) -> Label,
     {
         let mut idx = AbuseIndex::default();
-        // Track distinct (unknown-domain, ip) pairs so counts are per-domain.
-        let mut seen_unknown: HashSet<(DomainId, Ipv4)> = HashSet::new();
-        for (domain, _day, ip) in pdns.records_in(window) {
+        let mut ips: Vec<Ipv4> = Vec::new();
+        for (domain, records) in pdns.domains_in(window) {
             match label_of(domain) {
                 Label::Malware => {
-                    idx.malware_ips.insert(ip);
-                    idx.malware_prefixes.insert(ip.prefix24());
+                    for &(_, ip) in records {
+                        idx.malware_ips.insert(ip);
+                        idx.malware_prefixes.insert(ip.prefix24());
+                    }
                 }
                 Label::Unknown => {
-                    if seen_unknown.insert((domain, ip)) {
+                    ips.clear();
+                    ips.extend(records.iter().map(|&(_, ip)| ip));
+                    ips.sort_unstable();
+                    ips.dedup();
+                    for &ip in &ips {
                         *idx.unknown_ip_domains.entry(ip).or_insert(0) += 1;
                         *idx.unknown_prefix_domains.entry(ip.prefix24()).or_insert(0) += 1;
                     }

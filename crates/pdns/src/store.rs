@@ -88,6 +88,17 @@ impl PassiveDns {
         &entries[lo..hi]
     }
 
+    /// Each domain with records inside `window`, by ascending id, with its
+    /// [`records_of`](Self::records_of) slice.
+    pub(crate) fn domains_in(
+        &self,
+        window: DayWindow,
+    ) -> impl Iterator<Item = (DomainId, &[(Day, Ipv4)])> + '_ {
+        (0..self.by_domain.len() as u32)
+            .map(move |i| (DomainId(i), self.records_of(DomainId(i), window)))
+            .filter(|(_, records)| !records.is_empty())
+    }
+
     /// Number of records for `domain` inside `window`, without materializing
     /// them.
     pub fn record_count_in(&self, domain: DomainId, window: DayWindow) -> usize {
@@ -145,12 +156,8 @@ impl PassiveDns {
         &self,
         window: DayWindow,
     ) -> impl Iterator<Item = (DomainId, Day, Ipv4)> + '_ {
-        (0..self.by_domain.len() as u32).flat_map(move |i| {
-            let dom = DomainId(i);
-            self.records_of(dom, window)
-                .iter()
-                .map(move |&(d, ip)| (dom, d, ip))
-        })
+        self.domains_in(window)
+            .flat_map(|(dom, records)| records.iter().map(move |&(d, ip)| (dom, d, ip)))
     }
 
     /// Total number of stored records.

@@ -1,11 +1,11 @@
 //! Property-based tests for the passive-DNS substrate, checked against
 //! naive reference implementations.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use segugio_model::{Day, DayWindow, DomainId, E2ldId, Ipv4, Label};
+use segugio_model::{Day, DayWindow, DomainId, E2ldId, Ipv4, Label, Prefix24};
 use segugio_pdns::{AbuseIndex, ActivityStore, PassiveDns};
 
 /// Domain ids for the dense-store models: a few small, some straddling a
@@ -86,7 +86,7 @@ proptest! {
             ips.dedup();
             prop_assert_eq!(pdns.resolved_ips(DomainId(id), window), ips);
         }
-        // Ascending id, then day: the order `AbuseIndex::build` reads.
+        // Ascending id, then day: one domain's window slice after another.
         let walk: Vec<(DomainId, Day, Ipv4)> = model
             .iter()
             .flat_map(|(&id, entries)| entries.iter().map(move |&(d, ip)| (DomainId(id), d, ip)))
@@ -138,34 +138,64 @@ proptest! {
         }
     }
 
-    /// AbuseIndex: an IP is a malware IP iff some malware-labeled domain
-    /// resolved to it inside the window.
+    /// The whole AbuseIndex against a `BTreeMap`/`BTreeSet` model, over the
+    /// dense and sparse regimes of `pdns_case`, out of order and with
+    /// duplicates: malware IPs and /24s, and the distinct unknown domains
+    /// per IP and unknown (domain, IP) pairs per /24. Benign history
+    /// contributes nothing. Every IP and /24 the case can name is probed,
+    /// and the malware counts rule out extra entries.
     #[test]
-    fn abuse_index_matches_naive(
-        records in proptest::collection::vec((0u32..6, 0u8..8, 0u32..20), 0..150),
-        malware_mod in 2u32..5,
-    ) {
+    fn abuse_index_matches_naive((records, start, len) in pdns_case(), salt in 0u32..3) {
+        // Three /24s, several IPs in each.
+        let ip_of = |octet: u8| Ipv4::from_octets(10, octet % 3, 0, octet);
+        let label = |d: DomainId| match (d.0 + salt) % 3 {
+            0 => Label::Malware,
+            1 => Label::Benign,
+            _ => Label::Unknown,
+        };
         let mut pdns = PassiveDns::new();
-        for &(dom, ip, day) in &records {
-            pdns.record(DomainId(dom), Ipv4::from_octets(10, ip % 2, 0, ip), Day(day));
+        for &(dom, octet, day) in &records {
+            pdns.record(DomainId(dom), ip_of(octet), Day(day));
         }
-        let window = DayWindow::new(Day(5), Day(15));
-        let label = |d: DomainId| if d.0.is_multiple_of(malware_mod) { Label::Malware } else { Label::Unknown };
+        let window = DayWindow::new(Day(start), Day(start + len));
         let idx = AbuseIndex::build(&pdns, window, label);
-        for ip_octet in 0..8u8 {
-            let ip = Ipv4::from_octets(10, ip_octet % 2, 0, ip_octet);
-            let expected_mal = records.iter().any(|&(d, i, day)| {
-                i == ip_octet && window.contains(Day(day)) && label(DomainId(d)).is_malware()
-            });
-            prop_assert_eq!(idx.is_malware_ip(ip), expected_mal);
-            let expected_unknown: HashSet<u32> = records
-                .iter()
-                .filter(|&&(d, i, day)| {
-                    i == ip_octet && window.contains(Day(day)) && label(DomainId(d)).is_unknown()
-                })
-                .map(|&(d, _, _)| d)
-                .collect();
-            prop_assert_eq!(idx.unknown_domains_on_ip(ip), expected_unknown.len() as u32);
+
+        let mut malware_ips: BTreeSet<Ipv4> = BTreeSet::new();
+        let mut malware_prefixes: BTreeSet<Prefix24> = BTreeSet::new();
+        let mut unknown_ip: BTreeMap<Ipv4, BTreeSet<u32>> = BTreeMap::new();
+        let mut unknown_prefix: BTreeMap<Prefix24, BTreeSet<(u32, Ipv4)>> = BTreeMap::new();
+        for &(dom, octet, day) in &records {
+            let ip = ip_of(octet);
+            if !window.contains(Day(day)) {
+                continue;
+            }
+            match label(DomainId(dom)) {
+                Label::Malware => {
+                    malware_ips.insert(ip);
+                    malware_prefixes.insert(ip.prefix24());
+                }
+                Label::Unknown => {
+                    unknown_ip.entry(ip).or_default().insert(dom);
+                    unknown_prefix.entry(ip.prefix24()).or_default().insert((dom, ip));
+                }
+                Label::Benign => {}
+            }
+        }
+        prop_assert_eq!(idx.malware_ip_count(), malware_ips.len());
+        prop_assert_eq!(idx.malware_prefix_count(), malware_prefixes.len());
+        // Octets 0..6 are every IP either regime records; 7 is never used.
+        for ip in (0..6u8).chain([7]).map(ip_of).chain([Ipv4::from_octets(10, 9, 0, 1)]) {
+            let prefix = ip.prefix24();
+            prop_assert_eq!(idx.is_malware_ip(ip), malware_ips.contains(&ip));
+            prop_assert_eq!(idx.is_malware_prefix(prefix), malware_prefixes.contains(&prefix));
+            prop_assert_eq!(
+                idx.unknown_domains_on_ip(ip) as usize,
+                unknown_ip.get(&ip).map_or(0, BTreeSet::len)
+            );
+            prop_assert_eq!(
+                idx.unknown_domains_on_prefix(prefix) as usize,
+                unknown_prefix.get(&prefix).map_or(0, BTreeSet::len)
+            );
         }
     }
 }

@@ -50,7 +50,7 @@ proptest! {
             proxy_percentile: 0.99,
             popular_fraction: 0.5,
         };
-        let (pruned, stats) = g.prune(&config);
+        let (pruned, stats) = g.clone().prune(&config);
         prop_assert!(pruned.machine_count() <= g.machine_count());
         prop_assert!(pruned.domain_count() <= g.domain_count());
         prop_assert!(pruned.edge_count() <= g.edge_count());
