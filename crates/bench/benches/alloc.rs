@@ -1,12 +1,12 @@
 //! Steady-state allocation-count bench behind `BENCH_alloc.json`.
 //!
 //! Installs [`segugio_alloc_probe::CountingAlloc`] as the global
-//! allocator, runs one warm-up ISP day through the tracker's pipeline
-//! (abuse index rolled forward, everything else from scratch), then
-//! brackets each phase of the *second* (steady-state) day with
+//! allocator, runs one warm-up ISP day through the tracker's pipeline,
+//! then brackets each phase of the *second* (steady-state) day with
 //! [`segugio_alloc_probe::measure`]:
 //!
-//! - **snapshot_build**: graph build + labeling + pruning;
+//! - **snapshot_build**: [`DaySnapshot::build`] — graph build, abuse index
+//!   over the pDNS window, labeling and pruning;
 //! - **features**: the one pass measuring every domain's 11 features —
 //!   no row is carried over from the day before;
 //! - **train**: training-set assembly + forest fit;
@@ -39,7 +39,10 @@ use std::path::Path;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_bench::parse_section;
-use segugio_core::{build_training_set, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{
+    build_training_set, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig,
+    SnapshotInput,
+};
 use segugio_ingest::{export_day, LogCollector, LogPosition};
 use segugio_ml::RocCurve;
 use segugio_traffic::{IspConfig, IspNetwork};
@@ -68,12 +71,10 @@ fn main() {
     let mut isp = IspNetwork::new(isp_cfg);
     isp.warm_up(15);
 
-    let mut engine = segugio_core::IncrementalEngine::new();
     let mut buf = ScoreBuffer::new();
 
-    // --- Warm day: run every phase once so the rolling abuse index is
-    //     past its bootstrap and the score buffer at steady-state
-    //     capacity. ---
+    // --- Warm day: run every phase once so the score buffer is at
+    //     steady-state capacity. ---
     {
         let day = isp.next_day();
         let input = SnapshotInput {
@@ -86,8 +87,8 @@ fn main() {
             whitelist: isp.whitelist(),
             hidden: None,
         };
-        let snap = engine.build_snapshot(&input, &config);
-        let features = engine.measure_day(&snap, isp.activity(), &config);
+        let snap = DaySnapshot::build(&input, &config);
+        let features = measure_day(&snap, isp.activity(), &config);
         let (full, _ids) = build_training_set(&snap, isp.activity(), &config);
         let model =
             Segugio::train_prepared(&full, &config).expect("warmed-up fixture seeds both classes");
@@ -110,10 +111,10 @@ fn main() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let (snap, c) = measure(|| engine.build_snapshot(&input, &config));
+    let (snap, c) = measure(|| DaySnapshot::build(&input, &config));
     phases.insert("snapshot_build", c);
 
-    let (features, c) = measure(|| engine.measure_day(&snap, isp.activity(), &config));
+    let (features, c) = measure(|| measure_day(&snap, isp.activity(), &config));
     phases.insert("features", c);
     assert!(
         !features.unknown_rows.is_empty(),

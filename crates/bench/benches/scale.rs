@@ -21,7 +21,7 @@ use std::time::Instant;
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_bench::parse_section;
 use segugio_core::{
-    build_training_set, DaySnapshot, IncrementalEngine, ScoreBuffer, Segugio, SegugioConfig,
+    build_training_set, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig,
     SnapshotInput,
 };
 use segugio_graph::{EdgeRuns, GraphBuilder, DEFAULT_RUN_CAPACITY};
@@ -132,10 +132,9 @@ fn main() {
     let snap = snap_out.expect("snapshot phase ran");
 
     // --- Features, training, calibration, scoring (alloc.rs phases). ---
-    let mut engine = IncrementalEngine::new();
     let mut features_out = None;
     bracket("features", &mut phases, &mut || {
-        features_out = Some(engine.measure_day(&snap, isp.activity(), &config));
+        features_out = Some(measure_day(&snap, isp.activity(), &config));
     });
     let features = features_out.expect("features phase ran");
     assert!(

@@ -13,8 +13,8 @@
 //!   catches bit rot, followed by the tracker payload `tracker v2` —
 //!   flag/confirmation maps, day counters, and the retained model with
 //!   its calibrated threshold embedded verbatim. Nothing derived is
-//!   saved: the engine's rolling abuse index is a function of the pDNS
-//!   store and bootstraps from it on the first day after a resume;
+//!   saved: each day's snapshot, abuse index included, is built from that
+//!   day's inputs and the pDNS store, so a resumed tracker needs no more;
 //! - an **opaque front-end section** behind the tracker's text, inside
 //!   the same payload and so under the same length and checksum: whatever
 //!   the program feeding the tracker [attached](Tracker::attach_front_end)
@@ -715,7 +715,6 @@ impl Tracker {
             flagged,
             confirmed,
             days_processed,
-            engine: Default::default(),
             last_model,
             last_day,
             pending_degradation,

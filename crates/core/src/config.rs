@@ -81,26 +81,13 @@ pub struct SegugioConfig {
     /// serial). `None` uses every available core; `Some(1)` forces the
     /// exact serial path. Output is bit-for-bit identical at every setting.
     pub parallelism: Option<usize>,
-    /// When set, every snapshot build — first day or warm — copies the
-    /// day's query edges into fixed-capacity deduplicated runs of this
-    /// many observations (spilled to a scratch file past the cap) and
-    /// builds the CSR from them
-    /// ([`GraphBuilder::from_runs`](segugio_graph::GraphBuilder::from_runs))
-    /// instead of from the query list itself
-    /// ([`GraphBuilder::from_queries`](segugio_graph::GraphBuilder::from_queries)).
-    /// Output is bit-for-bit identical. Both entries group the pairs by
-    /// machine without copying the list, so for queries that are already
-    /// resident the knob bounds nothing and only adds the copy. `None`
-    /// builds from the list, as does a scratch-file I/O failure.
+    /// Retired — nothing reads it; remove with the `trace` binary's
+    /// reference-route setting in the next `[benchmark]` PR.
+    #[doc(hidden)]
     pub chunk_run_capacity: Option<usize>,
-    /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) roll the
-    /// abuse index forward from day to day instead of rescanning the pDNS
-    /// window — the only state carried; the graph is rebuilt and every
-    /// domain re-measured each morning either way. Outputs are bit-for-bit
-    /// identical either way; the knob only selects where the index comes
-    /// from. One-shot snapshot building
-    /// ([`DaySnapshot::build`](crate::DaySnapshot::build)) has no previous
-    /// day and ignores it.
+    /// Retired — nothing reads it; remove with the `trace` binary's
+    /// reference-route setting in the next `[benchmark]` PR.
+    #[doc(hidden)]
     pub incremental: bool,
     /// Fallbacks for degraded days (no seeds, blank pDNS window). See
     /// [`HealthPolicy`].
@@ -150,7 +137,6 @@ mod tests {
         let c = SegugioConfig::default();
         assert!(matches!(c.classifier, ClassifierKind::Forest(_)));
         assert!(c.feature_columns.is_none());
-        assert!(c.incremental, "multi-day drivers reuse state by default");
     }
 
     #[test]

@@ -81,7 +81,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod features;
-pub mod incremental;
 pub mod model;
 pub mod parallel;
 pub mod snapshot;
@@ -95,8 +94,9 @@ pub use checkpoint::{
 pub use config::{ClassifierKind, HealthPolicy, SegugioConfig};
 pub use error::{TrackerError, TrainError};
 pub use features::{FeatureConfig, FeatureExtractor, FeatureGroup, FEATURE_COUNT, FEATURE_NAMES};
-pub use incremental::{DayFeatures, IncrementalEngine};
 pub use model::{Detection, Detector, ScoreBuffer, SegugioModel};
 pub use snapshot::{DaySnapshot, SnapshotInput};
 pub use tracker::{DayOutcome, DayReport, Degradation, Tracker, TrackerConfig};
-pub use trainer::{build_training_set, Segugio};
+#[doc(hidden)]
+pub use trainer::IncrementalEngine;
+pub use trainer::{build_training_set, measure_day, DayFeatures, Segugio};

@@ -404,10 +404,9 @@ impl SegugioModel {
     /// exactly like [`score_where`](Self::score_where) (descending score,
     /// domain id as the tie-break).
     ///
-    /// [`IncrementalEngine::measure_day`](crate::IncrementalEngine::measure_day)
-    /// measures the day's rows in one pass and the tracker hands the
-    /// unknowns' here; with identical rows the result is bit-for-bit what
-    /// `score_where` would produce.
+    /// [`measure_day`](crate::measure_day) measures the day's rows in one
+    /// pass and the tracker hands the unknowns' here; with identical rows
+    /// the result is bit-for-bit what `score_where` would produce.
     pub fn score_rows(&self, ids: &[DomainId], rows: &[[f32; FEATURE_COUNT]]) -> Vec<Detection> {
         let mut buf = ScoreBuffer::new();
         self.score_rows_with(ids, rows, &mut buf);

@@ -81,7 +81,9 @@ impl DaySnapshot {
     /// Builds the snapshot: graph construction, annotation, labeling,
     /// pruning, and the abuse index.
     pub fn build(input: &SnapshotInput<'_>, config: &SegugioConfig) -> Self {
-        let graph = build_unpruned_graph(input, config);
+        let graph = GraphBuilder::from_queries(input.day, input.queries, input.resolutions, |d| {
+            input.table.e2ld_of(d)
+        });
         Self::from_unpruned_graph(graph, input, config)
     }
 
@@ -111,10 +113,10 @@ impl DaySnapshot {
 
     /// Finishes a snapshot around an unpruned graph built elsewhere (the
     /// chunked path above, or a caller streaming its own accumulation):
-    /// abuse index, labeling, optional probe filter, and pruning — shared
-    /// verbatim with [`build`](Self::build).
+    /// abuse index, labeling, optional probe filter, and pruning — the
+    /// second half of [`build`](Self::build).
     pub fn from_unpruned_graph(
-        graph: BehaviorGraph,
+        mut graph: BehaviorGraph,
         input: &SnapshotInput<'_>,
         config: &SegugioConfig,
     ) -> Self {
@@ -124,77 +126,44 @@ impl DaySnapshot {
             .day
             .lookback_exclusive(config.features.abuse_window_days);
         let abuse = AbuseIndex::build(input.pdns, window, |d| input.seed_label(d));
-        finish_snapshot(graph, abuse, input, config)
-    }
-}
 
-/// Builds the day's *unpruned, unlabeled* graph with its annotations.
-/// [`SegugioConfig::chunk_run_capacity`] only chooses what the CSR
-/// constructor replays (the query list itself, or a copy of it in bounded
-/// runs); the constructor behind both is the same.
-pub(crate) fn build_unpruned_graph(
-    input: &SnapshotInput<'_>,
-    config: &SegugioConfig,
-) -> BehaviorGraph {
-    let e2ld_of = |d| input.table.e2ld_of(d);
-    if let Some(capacity) = config.chunk_run_capacity {
-        let mut runs = EdgeRuns::with_run_capacity(capacity);
-        runs.extend(input.queries.iter().copied());
-        if let Ok(graph) = GraphBuilder::from_runs(input.day, &runs, input.resolutions, e2ld_of) {
-            return graph;
+        // Labeling (with hidden-set override).
+        apply_labels_with(&mut graph, |id, e2ld| {
+            if input.hidden.is_some_and(|h| h.contains(&id)) {
+                Label::Unknown
+            } else if input.blacklist.contains_as_of(id, input.day) {
+                Label::Malware
+            } else if input.whitelist.contains(e2ld) {
+                Label::Benign
+            } else {
+                Label::Unknown
+            }
+        });
+        let unpruned_counts = (
+            graph.machine_count(),
+            graph.domain_count(),
+            graph.edge_count(),
+        );
+        let unpruned_domain_labels = graph.domain_label_counts();
+        let unpruned_machine_labels = graph.machine_label_counts();
+
+        // Optional anti-scanner filter (Section VI heuristic).
+        let graph = match config.probe_filter {
+            Some(max_degree) => graph.without_probing_machines(max_degree).0,
+            None => graph,
+        };
+
+        // Pruning.
+        let (graph, prune_stats) = graph.prune(&config.prune);
+
+        DaySnapshot {
+            graph,
+            abuse,
+            prune_stats,
+            unpruned_counts,
+            unpruned_domain_labels,
+            unpruned_machine_labels,
         }
-        // Scratch-file I/O failed; the queries are still resident in
-        // `input`, so the in-memory build below is an exact fallback.
-    }
-    GraphBuilder::from_queries(input.day, input.queries, input.resolutions, e2ld_of)
-}
-
-/// Labels, filters and prunes an unpruned day graph into a [`DaySnapshot`]
-/// around an already-built abuse index — built from the whole window or
-/// rolled forward by the engine. Shared verbatim by both so their snapshots
-/// are bit-for-bit identical.
-pub(crate) fn finish_snapshot(
-    mut graph: BehaviorGraph,
-    abuse: AbuseIndex,
-    input: &SnapshotInput<'_>,
-    config: &SegugioConfig,
-) -> DaySnapshot {
-    // Labeling (with hidden-set override).
-    apply_labels_with(&mut graph, |id, e2ld| {
-        if input.hidden.is_some_and(|h| h.contains(&id)) {
-            Label::Unknown
-        } else if input.blacklist.contains_as_of(id, input.day) {
-            Label::Malware
-        } else if input.whitelist.contains(e2ld) {
-            Label::Benign
-        } else {
-            Label::Unknown
-        }
-    });
-    let unpruned_counts = (
-        graph.machine_count(),
-        graph.domain_count(),
-        graph.edge_count(),
-    );
-    let unpruned_domain_labels = graph.domain_label_counts();
-    let unpruned_machine_labels = graph.machine_label_counts();
-
-    // Optional anti-scanner filter (Section VI heuristic).
-    let graph = match config.probe_filter {
-        Some(max_degree) => graph.without_probing_machines(max_degree).0,
-        None => graph,
-    };
-
-    // Pruning.
-    let (graph, prune_stats) = graph.prune(&config.prune);
-
-    DaySnapshot {
-        graph,
-        abuse,
-        prune_stats,
-        unpruned_counts,
-        unpruned_domain_labels,
-        unpruned_machine_labels,
     }
 }
 
@@ -332,12 +301,6 @@ mod tests {
         let reference = DaySnapshot::build(&input, &config);
 
         // Capacity 4 forces several sealed (spilled) runs out of 18 edges.
-        let chunked = SegugioConfig {
-            chunk_run_capacity: Some(4),
-            ..config.clone()
-        };
-        let via_config = DaySnapshot::build(&input, &chunked);
-
         let mut runs = EdgeRuns::with_run_capacity(4);
         runs.extend(queries.iter().copied());
         let empty_queries = SnapshotInput {
@@ -346,17 +309,15 @@ mod tests {
         };
         let via_runs = DaySnapshot::build_from_runs(&empty_queries, &runs, &config).unwrap();
 
-        for snap in [&via_config, &via_runs] {
-            assert_eq!(
-                format!("{:?}", reference.graph),
-                format!("{:?}", snap.graph)
-            );
-            assert_eq!(reference.unpruned_counts, snap.unpruned_counts);
-            assert_eq!(
-                format!("{:?}", reference.prune_stats),
-                format!("{:?}", snap.prune_stats)
-            );
-        }
+        assert_eq!(
+            format!("{:?}", reference.graph),
+            format!("{:?}", via_runs.graph)
+        );
+        assert_eq!(reference.unpruned_counts, via_runs.unpruned_counts);
+        assert_eq!(
+            format!("{:?}", reference.prune_stats),
+            format!("{:?}", via_runs.prune_stats)
+        );
     }
 
     #[test]

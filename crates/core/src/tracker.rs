@@ -6,11 +6,11 @@
 //! confirms them. [`Tracker`] packages that loop (the `isp_deployment`
 //! example and the Fig. 11 experiment are both instances of it).
 //!
-//! Every day is built and measured from scratch — graph, pruning and all
-//! 11 features per domain. With [`SegugioConfig::incremental`] on (the
-//! default) the one thing carried over is the abuse index, which the
-//! [`IncrementalEngine`] rolls forward by one day instead of rescanning
-//! the pDNS window. The reports are bit-for-bit identical either way.
+//! Every day is built and measured from that day's inputs alone — graph,
+//! pruning, the abuse index over the pDNS window, and all 11 features per
+//! domain — as in the paper. Nothing a snapshot depends on is carried
+//! between days: the tracker keeps its flag/confirmation timeline and the
+//! last trained model (for the stale-model fallback).
 
 use std::collections::BTreeMap;
 
@@ -21,10 +21,9 @@ use segugio_pdns::ActivityStore;
 use crate::config::SegugioConfig;
 use crate::error::{TrackerError, TrainError};
 use crate::features::{FeatureGroup, FEATURE_COUNT};
-use crate::incremental::IncrementalEngine;
 use crate::model::{Detection, ScoreBuffer, SegugioModel};
 use crate::snapshot::{DaySnapshot, SnapshotInput};
-use crate::trainer::Segugio;
+use crate::trainer::{measure_day, Segugio};
 
 /// Tracker configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,8 +65,7 @@ pub enum Degradation {
     },
     /// A checkpoint generation failed validation during resume and was
     /// skipped. One record per discarded generation, newest first; if no
-    /// generation was loadable the tracker rebuilt from scratch via the
-    /// incremental reset.
+    /// generation was loadable the tracker started from scratch.
     CheckpointDiscarded {
         /// The day of the discarded generation.
         day: Day,
@@ -165,9 +163,6 @@ pub struct Tracker {
     /// Confirmed detections: domain → (flagged day, confirmed day).
     pub(crate) confirmed: BTreeMap<DomainId, (Day, Day)>,
     pub(crate) days_processed: usize,
-    /// The rolling abuse index; only advanced when
-    /// [`SegugioConfig::incremental`] is set, never checkpointed.
-    pub(crate) engine: IncrementalEngine,
     /// The most recent successfully trained model, for stale-model
     /// fallback scoring on seedless days.
     pub(crate) last_model: Option<RetainedModel>,
@@ -264,7 +259,6 @@ impl Tracker {
         config: &TrackerConfig,
     ) -> Result<DayReport, TrackerError> {
         let day = input.day;
-        let incremental = config.segugio.incremental;
         let health = &config.segugio.health;
         let mut degradation = Vec::new();
 
@@ -278,12 +272,7 @@ impl Tracker {
 
         // 1. Probe the day's pDNS abuse window. A blank window means the
         //    feed is out: the F3 features would be measured against
-        //    nothing, and — independent of any policy — the incremental
-        //    engine must not carry state across the inconsistency (its
-        //    rolling index later evicts days by re-reading the *current*
-        //    feed, so a blanked-then-restored feed would silently poison
-        //    it). A full reset is always parity-safe: the next day is
-        //    rebuilt from scratch, exactly like a fresh engine's first day.
+        //    nothing.
         let window = day.lookback_exclusive(config.segugio.features.abuse_window_days);
         let pdns_blank = input.pdns.records_in(window).next().is_none();
         let effective = if pdns_blank && health.mask_ip_features_on_blank_pdns {
@@ -312,18 +301,8 @@ impl Tracker {
         };
         let train_config = effective.as_ref().unwrap_or(&config.segugio);
 
-        // 2. Build today's snapshot. The flag only selects where the abuse
-        //    index comes from: rolled forward by the engine, or built from
-        //    the whole window. On a blank-pDNS day the engine is bypassed
-        //    *and* reset (see above); the scratch route leaves it untouched.
-        let snapshot = if incremental && !pdns_blank {
-            self.engine.build_snapshot(input, &config.segugio)
-        } else {
-            if incremental {
-                self.engine.reset();
-            }
-            DaySnapshot::build(input, &config.segugio)
-        };
+        // 2. Build today's snapshot.
+        let snapshot = DaySnapshot::build(input, &config.segugio);
 
         // 3. Seed check *before* mutating any tracker state, so a
         //    no-training-data day is fully skippable. With the stale-model
@@ -377,7 +356,7 @@ impl Tracker {
                 .score_unknown_with(&snapshot, activity, &mut self.score_buf);
             (None, retained.threshold)
         } else {
-            let features = self.engine.measure_day(&snapshot, activity, train_config);
+            let features = measure_day(&snapshot, activity, train_config);
             let model = Segugio::train_prepared(&features.train, train_config).map_err(
                 |TrainError::InsufficientSeeds { malware, benign }| {
                     TrackerError::InsufficientSeeds {
@@ -588,62 +567,6 @@ mod tests {
         }
     }
 
-    /// The incremental and from-scratch paths must produce identical
-    /// reports, day after day, on identical traffic.
-    #[test]
-    #[cfg_attr(miri, ignore = "multi-day ISP simulation is too slow under Miri")]
-    fn incremental_and_scratch_reports_match() {
-        // Two networks with the same seed generate identical traffic.
-        let mut isp_a = IspNetwork::new(IspConfig::tiny(55));
-        let mut isp_b = IspNetwork::new(IspConfig::tiny(55));
-        isp_a.warm_up(16);
-        isp_b.warm_up(16);
-        let mut fast = Tracker::new();
-        let mut slow = Tracker::new();
-        let fast_config = TrackerConfig {
-            target_fpr: 0.02,
-            ..TrackerConfig::default()
-        };
-        let mut slow_config = fast_config.clone();
-        slow_config.segugio.incremental = false;
-        assert!(
-            fast_config.segugio.incremental,
-            "incremental is the default"
-        );
-
-        for _ in 0..5 {
-            let ta = isp_a.next_day();
-            let tb = isp_b.next_day();
-            let ia = SnapshotInput {
-                day: ta.day,
-                queries: &ta.queries,
-                resolutions: &ta.resolutions,
-                table: isp_a.table(),
-                pdns: isp_a.pdns(),
-                blacklist: isp_a.commercial_blacklist(),
-                whitelist: isp_a.whitelist(),
-                hidden: None,
-            };
-            let ib = SnapshotInput {
-                day: tb.day,
-                queries: &tb.queries,
-                resolutions: &tb.resolutions,
-                table: isp_b.table(),
-                pdns: isp_b.pdns(),
-                blacklist: isp_b.commercial_blacklist(),
-                whitelist: isp_b.whitelist(),
-                hidden: None,
-            };
-            let ra = fast
-                .process_day(&ia, isp_a.activity(), &fast_config)
-                .expect("seeds present");
-            let rb = slow
-                .process_day(&ib, isp_b.activity(), &slow_config)
-                .expect("seeds present");
-            assert_eq!(ra, rb, "day {} reports diverged", ta.day);
-        }
-    }
-
     /// A seedless day with a fresh retained model is scored with it, and
     /// the report records the stale-model degradation.
     #[test]
@@ -820,9 +743,7 @@ mod tests {
             .expect("F1+F2 are enough to train");
         assert_eq!(report.degradation, vec![Degradation::MaskedIpFeatures]);
 
-        // The next day, with the feed restored, is healthy again — and the
-        // incremental engine (reset around the blank day) still matches a
-        // from-scratch tracker fed the same two days.
+        // The next day, with the feed restored, is healthy again.
         let traffic = isp.next_day();
         let input = SnapshotInput {
             day: traffic.day,

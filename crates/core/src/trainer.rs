@@ -1,6 +1,6 @@
 //! Training-set preparation and model training (paper Section II-A3).
 
-use segugio_graph::HiddenLabelView;
+use segugio_graph::{DomainIdx, HiddenLabelView};
 use segugio_ml::{Dataset, ForestConfig, GradientBoosting, LogisticRegression, RandomForest};
 use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
@@ -48,6 +48,100 @@ pub fn build_training_set(
         ids.push(snapshot.graph.domain_id(d));
     }
     (data, ids)
+}
+
+/// The day's measured features, split the way the tracking loop consumes
+/// them.
+#[derive(Debug, Clone)]
+pub struct DayFeatures {
+    /// Labeled training rows, one per known domain in domain-index order —
+    /// identical to what [`build_training_set`] returns.
+    pub train: Dataset,
+    /// External ids of the training rows, in row order.
+    pub train_ids: Vec<DomainId>,
+    /// External ids of the unknown domains, in domain-index order.
+    pub unknown_ids: Vec<DomainId>,
+    /// Feature rows of the unknown domains, parallel to `unknown_ids`.
+    pub unknown_rows: Vec<[f32; FEATURE_COUNT]>,
+    /// Always 0: no row is carried over from an earlier day. Kept for the
+    /// benchmark's `core.feature_cache_hit_ratio` until that metric goes.
+    #[doc(hidden)]
+    pub reused: usize,
+}
+
+/// Measures every domain of the day's pruned graph in one pass: known
+/// domains under the label-hiding view into the training set, unknown
+/// domains as they stand into the scoring candidates, both in domain-index
+/// order — the rows [`build_training_set`] and
+/// [`score_unknown`](crate::SegugioModel::score_unknown) would measure.
+pub fn measure_day(
+    snapshot: &DaySnapshot,
+    activity: &ActivityStore,
+    config: &SegugioConfig,
+) -> DayFeatures {
+    let graph = &snapshot.graph;
+    let extractor = FeatureExtractor::new(graph, activity, &snapshot.abuse, config.features);
+    let rows: Vec<[f32; FEATURE_COUNT]> =
+        parallel_map_indexed(graph.domain_count(), config.effective_parallelism(), |i| {
+            let d = DomainIdx(i as u32);
+            if graph.domain_label(d) == Label::Unknown {
+                extractor.measure(d)
+            } else {
+                extractor.measure_hidden(&HiddenLabelView::new(graph, d))
+            }
+        });
+
+    let (malware, benign, unknown) = graph.domain_label_counts();
+    let mut features = DayFeatures {
+        train: Dataset::new(FEATURE_COUNT),
+        train_ids: Vec::with_capacity(malware + benign),
+        unknown_ids: Vec::with_capacity(unknown),
+        unknown_rows: Vec::with_capacity(unknown),
+        reused: 0,
+    };
+    for (d, row) in graph.domain_indices().zip(&rows) {
+        let label = graph.domain_label(d);
+        let id = graph.domain_id(d);
+        if label == Label::Unknown {
+            features.unknown_ids.push(id);
+            features.unknown_rows.push(*row);
+        } else {
+            features.train.push(row, label == Label::Malware);
+            features.train_ids.push(id);
+        }
+    }
+    features
+}
+
+/// Retired — remove with the `trace` binary's and `bench` binary's calls
+/// in the next `[benchmark]` PR. Stateless: `build_snapshot` is
+/// [`DaySnapshot::build`], `measure_day` is [`measure_day`], `reset` does
+/// nothing.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IncrementalEngine;
+
+#[doc(hidden)]
+impl IncrementalEngine {
+    pub fn new() -> Self {
+        IncrementalEngine
+    }
+    pub fn build_snapshot(
+        &mut self,
+        input: &SnapshotInput<'_>,
+        config: &SegugioConfig,
+    ) -> DaySnapshot {
+        DaySnapshot::build(input, config)
+    }
+    pub fn measure_day(
+        &mut self,
+        snapshot: &DaySnapshot,
+        activity: &ActivityStore,
+        config: &SegugioConfig,
+    ) -> DayFeatures {
+        measure_day(snapshot, activity, config)
+    }
+    pub fn reset(&mut self) {}
 }
 
 /// The Segugio system facade: snapshot building and model training.
@@ -144,8 +238,10 @@ impl Segugio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureGroup;
     use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, MachineId, Whitelist};
     use segugio_pdns::PassiveDns;
+    use segugio_traffic::{IspConfig, IspNetwork};
 
     /// A minimal but learnable world: 30 machines, 6 benign domains queried
     /// by everyone, 2 malware domains queried by a 6-machine infected
@@ -339,5 +435,56 @@ mod tests {
         let (data, _) = build_training_set(&snap, &activity, &config);
         let s = model.score_features(data.row(0));
         assert!(s.is_finite());
+    }
+
+    /// `measure_day`'s rows equal the training set and a direct measurement
+    /// of each unknown domain, day after day, and scoring its rows equals
+    /// scoring from the snapshot.
+    #[test]
+    #[cfg_attr(miri, ignore = "multi-day ISP simulation is too slow under Miri")]
+    fn measure_day_matches_training_set_and_scoring() {
+        let mut isp = IspNetwork::new(IspConfig::tiny(77));
+        isp.warm_up(16);
+        let config = SegugioConfig::default();
+        let masked = SegugioConfig::without_group(FeatureGroup::IpAbuse);
+        for _ in 0..5 {
+            let traffic = isp.next_day();
+            let input = SnapshotInput {
+                day: traffic.day,
+                queries: &traffic.queries,
+                resolutions: &traffic.resolutions,
+                table: isp.table(),
+                pdns: isp.pdns(),
+                blacklist: isp.commercial_blacklist(),
+                whitelist: isp.whitelist(),
+                hidden: None,
+            };
+            let snap = DaySnapshot::build(&input, &config);
+            let (train, train_ids) = build_training_set(&snap, isp.activity(), &config);
+            let features = measure_day(&snap, isp.activity(), &config);
+            assert_eq!(features.train_ids, train_ids);
+            assert_eq!(features.train.len(), train.len());
+            for i in 0..train.len() {
+                assert_eq!(features.train.row(i), train.row(i), "training row {i}");
+                assert_eq!(features.train.label(i), train.label(i));
+            }
+            // Unknown rows equal a direct measurement.
+            let extractor =
+                FeatureExtractor::new(&snap.graph, isp.activity(), &snap.abuse, config.features);
+            for (id, row) in features.unknown_ids.iter().zip(&features.unknown_rows) {
+                let d = snap.graph.domain_idx(*id).expect("unknown in graph");
+                assert_eq!(row, &extractor.measure(d), "unknown row for {id}");
+            }
+
+            // The tracker scores these rows; a stale-model day re-measures
+            // from the snapshot. Also under a blank-pDNS day's column mask.
+            for cfg in [&config, &masked] {
+                let model = Segugio::train_prepared(&features.train, cfg).expect("seeds");
+                assert_eq!(
+                    model.score_rows(&features.unknown_ids, &features.unknown_rows),
+                    model.score_unknown(&snap, isp.activity())
+                );
+            }
+        }
     }
 }

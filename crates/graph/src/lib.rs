@@ -46,7 +46,6 @@ pub mod labeling;
 pub mod persist;
 pub mod pruning;
 pub mod runs;
-pub mod stats;
 pub mod validate;
 
 #[doc(hidden)]
@@ -58,4 +57,3 @@ pub use hiding::HiddenLabelView;
 pub use persist::{read_graph, write_graph};
 pub use pruning::{PruneConfig, PruneStats};
 pub use runs::{EdgeRuns, DEFAULT_RUN_CAPACITY};
-pub use stats::{DegreeSummary, GraphStats};

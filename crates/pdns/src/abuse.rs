@@ -1,6 +1,6 @@
 //! IP-abuse index over a passive-DNS window (feature group F3 substrate).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use segugio_model::{DayWindow, DomainId, Ipv4, Label, Prefix24};
 
@@ -33,12 +33,10 @@ use crate::store::PassiveDns;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbuseIndex {
-    // Visible to `rolling`, which maintains the same structures by
-    // ingesting/evicting one day at a time instead of rebuilding.
-    pub(crate) malware_ips: HashSet<Ipv4>,
-    pub(crate) malware_prefixes: HashSet<Prefix24>,
-    pub(crate) unknown_ip_domains: HashMap<Ipv4, u32>,
-    pub(crate) unknown_prefix_domains: HashMap<Prefix24, u32>,
+    malware_ips: HashSet<Ipv4>,
+    malware_prefixes: HashSet<Prefix24>,
+    unknown_ip_domains: HashMap<Ipv4, u32>,
+    unknown_prefix_domains: HashMap<Prefix24, u32>,
 }
 
 impl AbuseIndex {
@@ -111,6 +109,36 @@ impl AbuseIndex {
     pub fn malware_prefix_count(&self) -> usize {
         self.malware_prefixes.len()
     }
+}
+
+/// Retired — remove with `pdns.rolling_advance_s` and
+/// `pdns.rolling_touched` in the next `[benchmark]` PR. Stateless;
+/// `advance` is [`AbuseIndex::build`] over the window, the tracker's daily
+/// cost, and returns an empty [`AbuseDelta`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RollingAbuseIndex;
+
+#[doc(hidden)]
+impl RollingAbuseIndex {
+    pub fn advance<F: Fn(DomainId) -> Label>(
+        &mut self,
+        pdns: &PassiveDns,
+        window: DayWindow,
+        label_of: F,
+    ) -> AbuseDelta {
+        std::hint::black_box(AbuseIndex::build(pdns, window, label_of));
+        AbuseDelta::default()
+    }
+}
+
+/// Retired — remove with [`RollingAbuseIndex`] in the next `[benchmark]`
+/// PR. Always empty.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AbuseDelta {
+    pub ips: BTreeSet<Ipv4>,
+    pub prefixes: BTreeSet<Prefix24>,
 }
 
 #[cfg(test)]

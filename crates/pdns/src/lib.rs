@@ -35,12 +35,10 @@
 )]
 pub mod abuse;
 pub mod activity;
-pub mod rolling;
 pub mod store;
 
 pub use abuse::AbuseIndex;
-pub use activity::ActivityStore;
 #[doc(hidden)]
-pub use rolling::AbuseDelta;
-pub use rolling::RollingAbuseIndex;
+pub use abuse::{AbuseDelta, RollingAbuseIndex};
+pub use activity::ActivityStore;
 pub use store::PassiveDns;

@@ -33,8 +33,8 @@ pub struct PassiveDns {
     // Per-domain records, indexed by id; an id without history holds an
     // empty list. Walking it in index order is ascending-id order.
     by_domain: Vec<Vec<(Day, Ipv4)>>,
-    // Day-major view of the same records, so a rolling window can ingest or
-    // evict exactly one day without touching the rest of the archive.
+    // Day-major view of the same records in arrival order, behind
+    // `records_on` and `days` (what ingest's saved front-end state writes).
     by_day: BTreeMap<Day, Vec<(DomainId, Ipv4)>>,
     records: usize,
     domains: usize,
@@ -105,11 +105,9 @@ impl PassiveDns {
         self.records_of(domain, window).len()
     }
 
-    /// All `(domain, ip)` records observed on exactly `day`, duplicate-free.
-    ///
-    /// This is the ingest/evict unit of a rolling window index: advancing
-    /// from day `d` to `d + 1` touches only the records of the entering and
-    /// leaving days.
+    /// All `(domain, ip)` records observed on exactly `day`, duplicate-free,
+    /// in the order they were recorded — one day of the store, as a log
+    /// reader's saved state writes it out.
     pub fn records_on(&self, day: Day) -> &[(DomainId, Ipv4)] {
         self.by_day.get(&day).map_or(&[], Vec::as_slice)
     }

@@ -1,9 +1,7 @@
 //! Chaos contract: multi-day deployments driven through the deterministic
 //! fault injector complete without panics, degrade only where a fault
 //! actually fired, and — with the injector disabled — are bit-for-bit
-//! identical to the clean path. The incremental and from-scratch engines
-//! must also agree under every fault schedule (the degraded-mode resets
-//! are part of the parity contract).
+//! identical to the clean path.
 
 use segugio_core::{
     DayOutcome, DayReport, Degradation, SnapshotInput, Tracker, TrackerConfig, TrackerError,
@@ -26,12 +24,7 @@ enum ChaosDay {
 ///
 /// Identical `(cfg, faults)` pairs replay identical runs; with
 /// [`FaultConfig::disabled`] the inputs equal the clean path exactly.
-fn run_chaos(
-    cfg: &IspConfig,
-    days: usize,
-    faults: FaultConfig,
-    incremental: bool,
-) -> Vec<ChaosDay> {
+fn run_chaos(cfg: &IspConfig, days: usize, faults: FaultConfig) -> Vec<ChaosDay> {
     let mut isp = IspNetwork::new(cfg.clone());
     isp.warm_up(16);
     let injector = FaultInjector::new(faults);
@@ -40,7 +33,6 @@ fn run_chaos(
         target_fpr: 0.02,
         ..TrackerConfig::default()
     };
-    config.segugio.incremental = incremental;
     config.segugio.parallelism = Some(1);
     let blank = PassiveDns::new();
     let mut outcomes = Vec::with_capacity(days);
@@ -79,7 +71,7 @@ fn run_chaos(
 }
 
 /// Runs the plain clean deployment (no injector anywhere in the loop).
-fn run_clean(cfg: &IspConfig, days: usize, incremental: bool) -> Vec<DayReport> {
+fn run_clean(cfg: &IspConfig, days: usize) -> Vec<DayReport> {
     let mut isp = IspNetwork::new(cfg.clone());
     isp.warm_up(16);
     let mut tracker = Tracker::new();
@@ -87,7 +79,6 @@ fn run_clean(cfg: &IspConfig, days: usize, incremental: bool) -> Vec<DayReport> 
         target_fpr: 0.02,
         ..TrackerConfig::default()
     };
-    config.segugio.incremental = incremental;
     config.segugio.parallelism = Some(1);
     let mut reports = Vec::with_capacity(days);
     for _ in 0..days {
@@ -115,22 +106,14 @@ fn run_clean(cfg: &IspConfig, days: usize, incremental: bool) -> Vec<DayReport> 
 /// least three.
 const CHAOS_SEEDS: [u64; 3] = [101, 202, 303];
 
-/// Ten chaotic days at every seed: no panics, every skip is typed, and the
-/// incremental engine agrees with the from-scratch path outcome-for-outcome
-/// under the identical fault schedule.
+/// Ten chaotic days at every seed: no panics, and every skip is typed.
 #[test]
 fn chaos_deployments_complete_at_every_seed() {
     let mut eventful_days = 0usize;
     for seed in CHAOS_SEEDS {
-        let cfg = IspConfig::tiny(90);
-        let incremental = run_chaos(&cfg, 10, FaultConfig::chaos(seed), true);
-        let scratch = run_chaos(&cfg, 10, FaultConfig::chaos(seed), false);
-        assert_eq!(incremental.len(), 10);
-        assert_eq!(
-            incremental, scratch,
-            "incremental and scratch paths diverged under chaos seed {seed}"
-        );
-        for day in &incremental {
+        let chaos = run_chaos(&IspConfig::tiny(90), 10, FaultConfig::chaos(seed));
+        assert_eq!(chaos.len(), 10);
+        for day in &chaos {
             match day {
                 ChaosDay::NeverDelivered(_) => eventful_days += 1,
                 ChaosDay::Delivered(DayOutcome::Skipped { error, .. }) => {
@@ -163,22 +146,20 @@ fn chaos_deployments_complete_at_every_seed() {
 #[test]
 fn disabled_injector_is_bit_for_bit_clean() {
     let cfg = IspConfig::tiny(90);
-    for incremental in [true, false] {
-        let clean = run_clean(&cfg, 8, incremental);
-        let chaos = run_chaos(&cfg, 8, FaultConfig::disabled(99), incremental);
-        let unwrapped: Vec<DayReport> = chaos
-            .into_iter()
-            .map(|day| match day {
-                ChaosDay::Delivered(DayOutcome::Processed(report)) => report,
-                other => panic!("disabled injector must deliver every day, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(unwrapped, clean, "incremental={incremental}");
-        assert!(
-            unwrapped.iter().all(|r| r.degradation.is_empty()),
-            "no fallback may fire on clean inputs"
-        );
-    }
+    let clean = run_clean(&cfg, 8);
+    let chaos = run_chaos(&cfg, 8, FaultConfig::disabled(99));
+    let unwrapped: Vec<DayReport> = chaos
+        .into_iter()
+        .map(|day| match day {
+            ChaosDay::Delivered(DayOutcome::Processed(report)) => report,
+            other => panic!("disabled injector must deliver every day, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(unwrapped, clean);
+    assert!(
+        unwrapped.iter().all(|r| r.degradation.is_empty()),
+        "no fallback may fire on clean inputs"
+    );
 }
 
 /// Monotonic degradation: days before the first fault are untouched by the
@@ -189,8 +170,8 @@ fn faults_do_not_reach_back_to_clean_days() {
         let cfg = IspConfig::tiny(90);
         let faults = FaultConfig::chaos(seed);
         let injector = FaultInjector::new(faults.clone());
-        let clean = run_clean(&cfg, 10, true);
-        let chaos = run_chaos(&cfg, 10, faults, true);
+        let clean = run_clean(&cfg, 10);
+        let chaos = run_chaos(&cfg, 10, faults);
         let first_fault = clean
             .iter()
             .position(|r| injector.faults_for(r.day).any())
@@ -213,15 +194,14 @@ fn seedless_and_blank_pdns_days_fall_back_exactly_once_each() {
     const SEEDLESS: usize = 2;
     const BLANK: usize = 4;
     let cfg = IspConfig::tiny(90);
-    let run = |incremental: bool| -> Vec<DayReport> {
-        let mut isp = IspNetwork::new(cfg.clone());
+    let reports = {
+        let mut isp = IspNetwork::new(cfg);
         isp.warm_up(16);
         let mut tracker = Tracker::new();
         let mut config = TrackerConfig {
             target_fpr: 0.02,
             ..TrackerConfig::default()
         };
-        config.segugio.incremental = incremental;
         config.segugio.parallelism = Some(1);
         let empty_blacklist = Blacklist::new();
         let blank_pdns = PassiveDns::new();
@@ -250,8 +230,6 @@ fn seedless_and_blank_pdns_days_fall_back_exactly_once_each() {
         }
         reports
     };
-
-    let reports = run(true);
     assert_eq!(reports.len(), 7, "the deployment completed end to end");
     for (i, report) in reports.iter().enumerate() {
         match i {
@@ -276,10 +254,6 @@ fn seedless_and_blank_pdns_days_fall_back_exactly_once_each() {
     }
     // The stale-model day reuses yesterday's calibrated threshold.
     assert_eq!(reports[SEEDLESS].threshold, reports[SEEDLESS - 1].threshold);
-
-    // The engine resets around both fallbacks keep the incremental path
-    // bit-for-bit on the scratch path.
-    assert_eq!(run(false), reports);
 }
 
 /// Out-of-order delivery (the injector's day-swap fault) is rejected as a

@@ -1,9 +1,11 @@
 //! The parallel pipeline's contract: output is bit-for-bit identical at
 //! every `parallelism` setting — serial `Some(1)`, pinned `Some(2)` /
 //! `Some(4)`, and the auto default — across snapshot building, training,
-//! and scoring.
+//! and scoring, and across a multi-day [`Tracker`] deployment.
 
-use segugio_core::{build_training_set, Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{
+    build_training_set, DayReport, Segugio, SegugioConfig, SnapshotInput, Tracker, TrackerConfig,
+};
 use segugio_traffic::{IspConfig, IspNetwork};
 
 /// One full day: snapshot → training set → model → detections, at a given
@@ -114,5 +116,58 @@ fn snapshot_build_is_identical_at_any_parallelism() {
                 "machine adjacency differs at {threads} threads"
             );
         }
+    }
+}
+
+/// Runs a full multi-day deployment at one width and returns every day's
+/// report. Identical configs generate identical traffic, so two runs are
+/// comparable input-for-input.
+fn run_tracker(cfg: &IspConfig, days: usize, parallelism: Option<usize>) -> Vec<DayReport> {
+    let mut isp = IspNetwork::new(cfg.clone());
+    isp.warm_up(16);
+    let mut tracker = Tracker::new();
+    let mut config = TrackerConfig {
+        target_fpr: 0.02,
+        ..TrackerConfig::default()
+    };
+    config.segugio.parallelism = parallelism;
+    let mut reports = Vec::with_capacity(days);
+    for _ in 0..days {
+        let traffic = isp.next_day();
+        let input = SnapshotInput {
+            day: traffic.day,
+            queries: &traffic.queries,
+            resolutions: &traffic.resolutions,
+            table: isp.table(),
+            pdns: isp.pdns(),
+            blacklist: isp.commercial_blacklist(),
+            whitelist: isp.whitelist(),
+            hidden: None,
+        };
+        reports.push(
+            tracker
+                .process_day(&input, isp.activity(), &config)
+                .expect("warmed-up fixture seeds both classes"),
+        );
+    }
+    reports
+}
+
+/// Eight consecutive tracked days at widths 1, 2, 4 and 8 match the serial
+/// reference report-for-report.
+#[test]
+fn eight_day_reports_match_at_every_width() {
+    let cfg = IspConfig::tiny(90);
+    let reference = run_tracker(&cfg, 8, Some(1));
+    assert!(
+        reference.iter().any(|r| !r.new_detections.is_empty()),
+        "reference run must detect something for the comparison to mean anything"
+    );
+    for width in [1usize, 2, 4, 8] {
+        assert_eq!(
+            run_tracker(&cfg, 8, Some(width)),
+            reference,
+            "reports diverged at width {width}"
+        );
     }
 }
