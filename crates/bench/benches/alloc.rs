@@ -9,8 +9,9 @@
 //!   over the pDNS window, labeling and pruning;
 //! - **features**: the one pass measuring every domain's 11 features —
 //!   no row is carried over from the day before;
-//! - **train**: training-set assembly + forest fit;
-//! - **calibrate**: threshold calibration over the training scores;
+//! - **train**: [`Segugio::train_prepared`] on the rows `features`
+//!   measured — the forest fit, as the tracker pays it;
+//! - **calibrate**: [`calibrate`] over the training scores;
 //! - **score**: the reused-[`ScoreBuffer`] scoring hot path, which must
 //!   perform **zero** heap operations once warm;
 //! - **ingest_warm**: the same day exported as log text and read by a
@@ -40,11 +41,9 @@ use std::path::Path;
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_bench::parse_section;
 use segugio_core::{
-    build_training_set, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig,
-    SnapshotInput,
+    calibrate, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
 };
 use segugio_ingest::{export_day, LogCollector, LogPosition};
-use segugio_ml::RocCurve;
 use segugio_traffic::{IspConfig, IspNetwork};
 
 #[global_allocator]
@@ -88,13 +87,16 @@ fn main() {
             hidden: None,
         };
         let snap = DaySnapshot::build(&input, &config);
-        let features = measure_day(&snap, isp.activity(), &config);
-        let (full, _ids) = build_training_set(&snap, isp.activity(), &config);
-        let model =
-            Segugio::train_prepared(&full, &config).expect("warmed-up fixture seeds both classes");
-        model.score_dataset_with(&full, &mut buf);
-        let roc = RocCurve::from_scores(buf.scores(), full.labels());
-        std::hint::black_box(roc.threshold_for_fpr(TARGET_FPR));
+        let features = measure_day(
+            &snap,
+            isp.activity(),
+            config.features,
+            config.parallelism,
+            |_| true,
+        );
+        let model = Segugio::train_prepared(&features.train, &config)
+            .expect("warmed-up fixture seeds both classes");
+        std::hint::black_box(calibrate(&model, &features.train, TARGET_FPR, &mut buf));
         model.score_rows_with(&features.unknown_ids, &features.unknown_rows, &mut buf);
     }
 
@@ -114,26 +116,28 @@ fn main() {
     let (snap, c) = measure(|| DaySnapshot::build(&input, &config));
     phases.insert("snapshot_build", c);
 
-    let (features, c) = measure(|| measure_day(&snap, isp.activity(), &config));
+    let (features, c) = measure(|| {
+        measure_day(
+            &snap,
+            isp.activity(),
+            config.features,
+            config.parallelism,
+            |_| true,
+        )
+    });
     phases.insert("features", c);
     assert!(
         !features.unknown_rows.is_empty(),
         "steady-state day must surface unknown domains"
     );
 
-    let ((model, full), c) = measure(|| {
-        let (full, _ids) = build_training_set(&snap, isp.activity(), &config);
-        let model =
-            Segugio::train_prepared(&full, &config).expect("warmed-up fixture seeds both classes");
-        (model, full)
+    let (model, c) = measure(|| {
+        Segugio::train_prepared(&features.train, &config)
+            .expect("warmed-up fixture seeds both classes")
     });
     phases.insert("train", c);
 
-    let (threshold, c) = measure(|| {
-        model.score_dataset_with(&full, &mut buf);
-        let roc = RocCurve::from_scores(buf.scores(), full.labels());
-        roc.threshold_for_fpr(TARGET_FPR)
-    });
+    let (threshold, c) = measure(|| calibrate(&model, &features.train, TARGET_FPR, &mut buf));
     phases.insert("calibrate", c);
     std::hint::black_box(threshold);
 

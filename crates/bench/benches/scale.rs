@@ -21,11 +21,9 @@ use std::time::Instant;
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
 use segugio_bench::parse_section;
 use segugio_core::{
-    build_training_set, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig,
-    SnapshotInput,
+    calibrate, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
 };
 use segugio_graph::{EdgeRuns, GraphBuilder, DEFAULT_RUN_CAPACITY};
-use segugio_ml::RocCurve;
 use segugio_traffic::{IspConfig, IspNetwork};
 
 #[global_allocator]
@@ -134,7 +132,13 @@ fn main() {
     // --- Features, training, calibration, scoring (alloc.rs phases). ---
     let mut features_out = None;
     bracket("features", &mut phases, &mut || {
-        features_out = Some(measure_day(&snap, isp.activity(), &config));
+        features_out = Some(measure_day(
+            &snap,
+            isp.activity(),
+            config.features,
+            config.parallelism,
+            |_| true,
+        ));
     });
     let features = features_out.expect("features phase ran");
     assert!(
@@ -144,18 +148,16 @@ fn main() {
 
     let mut trained = None;
     bracket("train", &mut phases, &mut || {
-        let (full, _ids) = build_training_set(&snap, isp.activity(), &config);
-        let model =
-            Segugio::train_prepared(&full, &config).expect("paper-scale day seeds both classes");
-        trained = Some((model, full));
+        trained = Some(
+            Segugio::train_prepared(&features.train, &config)
+                .expect("paper-scale day seeds both classes"),
+        );
     });
-    let (model, full) = trained.expect("train phase ran");
+    let model = trained.expect("train phase ran");
 
     let mut buf = ScoreBuffer::new();
     bracket("calibrate", &mut phases, &mut || {
-        model.score_dataset_with(&full, &mut buf);
-        let roc = RocCurve::from_scores(buf.scores(), full.labels());
-        std::hint::black_box(roc.threshold_for_fpr(TARGET_FPR));
+        std::hint::black_box(calibrate(&model, &features.train, TARGET_FPR, &mut buf));
     });
 
     // One warm pass sizes the buffer; the measured pass is steady state.

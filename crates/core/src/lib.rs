@@ -5,22 +5,27 @@
 //! `segugio-graph` from `segugio-traffic` or any other source), plus the
 //! history stores from `segugio-pdns`, it
 //!
-//! 1. measures **11 statistical features** per domain in three groups —
-//!    machine behavior (F1), domain activity (F2) and IP abuse (F3)
-//!    ([`features`]);
-//! 2. prepares a **training set** from the known benign/malware domains by
-//!    temporarily *hiding* each domain's label while its features are
-//!    measured ([`trainer`], paper Fig. 5);
+//! 1. builds the labeled, pruned day graph ([`DaySnapshot::build`]);
+//! 2. measures **11 statistical features** per domain in three groups —
+//!    machine behavior (F1), domain activity (F2) and IP abuse (F3) — in one
+//!    pass, hiding each known domain's label while it is measured so it
+//!    becomes an honest training row ([`measure_day`], paper Fig. 5);
 //! 3. trains a statistical classifier (Random Forest by default, logistic
-//!    regression as the alternative) and wraps it in a [`SegugioModel`];
-//! 4. scores every still-`unknown` domain of a (possibly different) day's
-//!    graph and reports those above a tunable threshold, together with the
-//!    infected machines implied by the detections ([`Detector`]).
+//!    regression or boosting as alternatives) into a [`SegugioModel`]
+//!    ([`Segugio::train_prepared`]);
+//! 4. picks the operating threshold on the training rows' scores for a
+//!    target false-positive rate ([`calibrate`]);
+//! 5. scores every still-`unknown` domain of a (possibly different) day's
+//!    graph ([`SegugioModel::score_rows_with`]) and reports those at or
+//!    above the threshold, together with the machines that queried them
+//!    ([`DaySnapshot::implicated_machines`]).
+//!
+//! [`Tracker::process_day`] runs these stages for one day of a deployment.
 //!
 //! # Quick start
 //!
 //! ```
-//! use segugio_core::{Segugio, SegugioConfig, SnapshotInput};
+//! use segugio_core::{DaySnapshot, Segugio, SegugioConfig, SnapshotInput};
 //! use segugio_traffic::{IspConfig, IspNetwork};
 //!
 //! // Simulate a small ISP with history.
@@ -40,7 +45,7 @@
 //!     whitelist: isp.whitelist(),
 //!     hidden: None,
 //! };
-//! let snapshot = Segugio::build_snapshot(&input, &config);
+//! let snapshot = DaySnapshot::build(&input, &config);
 //! let model = Segugio::train(&snapshot, isp.activity(), &config)
 //!     .expect("the warmed-up fixture seeds both classes");
 //!
@@ -56,7 +61,7 @@
 //!     whitelist: isp.whitelist(),
 //!     hidden: None,
 //! };
-//! let snapshot2 = Segugio::build_snapshot(&input2, &config);
+//! let snapshot2 = DaySnapshot::build(&input2, &config);
 //! let detections = model.score_unknown(&snapshot2, isp.activity());
 //! assert!(!detections.is_empty());
 //! ```
@@ -94,9 +99,9 @@ pub use checkpoint::{
 pub use config::{ClassifierKind, HealthPolicy, SegugioConfig};
 pub use error::{TrackerError, TrainError};
 pub use features::{FeatureConfig, FeatureExtractor, FeatureGroup, FEATURE_COUNT, FEATURE_NAMES};
-pub use model::{Detection, Detector, ScoreBuffer, SegugioModel};
+pub use model::{calibrate, Detection, ScoreBuffer, SegugioModel};
 pub use snapshot::{DaySnapshot, SnapshotInput};
 pub use tracker::{DayOutcome, DayReport, Degradation, Tracker, TrackerConfig};
 #[doc(hidden)]
 pub use trainer::IncrementalEngine;
-pub use trainer::{build_training_set, measure_day, DayFeatures, Segugio};
+pub use trainer::{measure_day, DayFeatures, Segugio};

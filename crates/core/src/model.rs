@@ -1,13 +1,14 @@
-//! The trained model and the detector.
+//! The trained model, its scorer and the threshold calibrator.
 
 use segugio_ml::{
-    Classifier, FlatForest, GradientBoosting, LogisticRegression, RandomForest, RocCurve,
+    Classifier, Dataset, FlatForest, GradientBoosting, LogisticRegression, RandomForest, RocCurve,
 };
-use segugio_model::{DomainId, Label, MachineId};
+use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
 
-use crate::features::{FeatureConfig, FeatureExtractor, FEATURE_COUNT};
+use crate::features::{FeatureConfig, FEATURE_COUNT};
 use crate::snapshot::DaySnapshot;
+use crate::trainer::measure_day;
 
 /// The classifier behind a [`SegugioModel`].
 #[derive(Debug, Clone)]
@@ -41,16 +42,14 @@ pub struct Detection {
 
 /// Reusable scoring scratch for the bulk entry points.
 ///
-/// Holds the candidate list, the per-candidate score column, and the
-/// assembled detections, so a long-running deployment (the
-/// [`Tracker`](crate::Tracker)'s daily loop) scores each day with zero
-/// heap allocations once the buffer has grown to the network's candidate
-/// count.
+/// Holds the per-row score column and the assembled detections, so a
+/// long-running deployment (the [`Tracker`](crate::Tracker)'s daily loop)
+/// scores each day with zero heap allocations once the buffer has grown to
+/// the network's candidate count.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreBuffer {
     scores: Vec<f32>,
     detections: Vec<Detection>,
-    candidates: Vec<segugio_graph::DomainIdx>,
 }
 
 impl ScoreBuffer {
@@ -65,17 +64,12 @@ impl ScoreBuffer {
         &self.detections
     }
 
-    /// The raw score column from the most recent scoring call, in
-    /// candidate (or dataset-row) order — what
+    /// The raw score column from the most recent scoring call, in row
+    /// order — what
     /// [`score_dataset_with`](SegugioModel::score_dataset_with) fills for
     /// threshold calibration.
     pub fn scores(&self) -> &[f32] {
         &self.scores
-    }
-
-    /// Moves the detections out (the buffer keeps its score column).
-    pub fn take_detections(&mut self) -> Vec<Detection> {
-        std::mem::take(&mut self.detections)
     }
 }
 
@@ -122,10 +116,9 @@ impl SegugioModel {
     }
 
     /// Sets the worker-thread count used by the bulk scoring entry points
-    /// ([`score_unknown`](Self::score_unknown) /
-    /// [`score_where`](Self::score_where)): `None` uses every available
-    /// core, `Some(1)` forces the serial path. Scores are bit-for-bit
-    /// identical at every setting. Models from
+    /// (and by [`score_unknown`](Self::score_unknown)'s measuring pass):
+    /// `None` uses every available core, `Some(1)` forces the serial path.
+    /// Scores are bit-for-bit identical at every setting. Models from
     /// [`load_from_str`](Self::load_from_str) default to `None`.
     #[must_use]
     pub fn with_parallelism(mut self, knob: Option<usize>) -> Self {
@@ -290,131 +283,34 @@ impl SegugioModel {
         snapshot: &DaySnapshot,
         activity: &ActivityStore,
     ) -> Vec<Detection> {
-        self.score_where(snapshot, activity, |label| label == Label::Unknown)
+        let mut buf = ScoreBuffer::new();
+        self.score_unknown_with(snapshot, activity, &mut buf);
+        buf.detections
     }
 
-    /// [`score_unknown`](Self::score_unknown) into a reusable buffer.
+    /// [`score_unknown`](Self::score_unknown) into a reusable buffer:
+    /// [`measure_day`] over the unknown labels, with the model's own
+    /// feature windows, then [`score_rows_with`](Self::score_rows_with).
     pub fn score_unknown_with(
         &self,
         snapshot: &DaySnapshot,
         activity: &ActivityStore,
         buf: &mut ScoreBuffer,
     ) {
-        self.score_where_with(snapshot, activity, |label| label == Label::Unknown, buf);
-    }
-
-    /// Measures and scores every domain whose label satisfies `pred`.
-    pub fn score_where<F>(
-        &self,
-        snapshot: &DaySnapshot,
-        activity: &ActivityStore,
-        pred: F,
-    ) -> Vec<Detection>
-    where
-        F: Fn(Label) -> bool,
-    {
-        let mut buf = ScoreBuffer::new();
-        self.score_where_with(snapshot, activity, pred, &mut buf);
-        buf.take_detections()
-    }
-
-    /// [`score_where`](Self::score_where) into a reusable buffer: the
-    /// sorted detections land in `buf` and no intermediate vectors are
-    /// allocated once the buffer has warmed up.
-    ///
-    /// With a forest backend, candidates are measured and scored in
-    /// [`SCORE_BLOCK`](segugio_ml::flat::SCORE_BLOCK)-row blocks so the
-    /// feature rows stay in cache while every tree walks them. Scores are
-    /// bit-for-bit identical to the per-row path at any parallelism.
-    pub fn score_where_with<F>(
-        &self,
-        snapshot: &DaySnapshot,
-        activity: &ActivityStore,
-        pred: F,
-        buf: &mut ScoreBuffer,
-    ) where
-        F: Fn(Label) -> bool,
-    {
-        let extractor =
-            FeatureExtractor::new(&snapshot.graph, activity, &snapshot.abuse, self.features);
-        // The candidate list, score column, and detections all live in the
-        // reusable buffer: a warmed-up buffer makes the whole pass
-        // allocation-free. Destructure so the three columns can be
-        // borrowed independently across the worker closure.
-        let ScoreBuffer {
-            scores,
-            detections,
-            candidates,
-        } = buf;
-        candidates.clear();
-        candidates.extend(
-            snapshot
-                .graph
-                .domain_indices()
-                .filter(|&d| pred(snapshot.graph.domain_label(d))),
+        let day = measure_day(
+            snapshot,
+            activity,
+            self.features,
+            self.parallelism,
+            Label::is_unknown,
         );
-        // Each candidate is measured and scored independently; chunk over
-        // workers filling disjoint slices of the score column, then sort —
-        // the result is identical at any parallelism.
-        let threads = crate::parallel::resolve_parallelism(self.parallelism);
-        scores.clear();
-        scores.resize(candidates.len(), 0.0);
-        const BLOCK: usize = segugio_ml::flat::SCORE_BLOCK;
-        match &self.flat {
-            Some(flat) => {
-                crate::parallel::parallel_map_fill(scores, threads, |base, out| {
-                    let mut block = [[0.0f32; FEATURE_COUNT]; BLOCK];
-                    let mut done = 0usize;
-                    while done < out.len() {
-                        let take = (out.len() - done).min(BLOCK);
-                        for (k, row) in block[..take].iter_mut().enumerate() {
-                            *row = extractor.measure(candidates[base + done + k]);
-                        }
-                        flat.score_block(&block[..take], &mut out[done..done + take]);
-                        done += take;
-                    }
-                });
-            }
-            None => {
-                crate::parallel::parallel_map_fill(scores, threads, |base, out| {
-                    for (k, s) in out.iter_mut().enumerate() {
-                        *s = self.score_features(&extractor.measure(candidates[base + k]));
-                    }
-                });
-            }
-        }
-        detections.clear();
-        detections.extend(
-            candidates
-                .iter()
-                .zip(scores.iter())
-                .map(|(&d, &score)| Detection {
-                    domain: snapshot.graph.domain_id(d),
-                    score,
-                }),
-        );
-        // Unstable sort: equal sort keys mean byte-identical `Detection`
-        // values (score *and* domain equal), so the order is still fully
-        // deterministic — and no sort scratch is allocated.
-        detections
-            .sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.domain.cmp(&b.domain)));
+        self.score_rows_with(&day.unknown_ids, &day.unknown_rows, buf);
     }
 
-    /// Scores pre-measured feature rows and returns detections sorted
-    /// exactly like [`score_where`](Self::score_where) (descending score,
-    /// domain id as the tie-break).
-    ///
-    /// [`measure_day`](crate::measure_day) measures the day's rows in one
-    /// pass and the tracker hands the unknowns' here; with identical rows
-    /// the result is bit-for-bit what `score_where` would produce.
-    pub fn score_rows(&self, ids: &[DomainId], rows: &[[f32; FEATURE_COUNT]]) -> Vec<Detection> {
-        let mut buf = ScoreBuffer::new();
-        self.score_rows_with(ids, rows, &mut buf);
-        buf.take_detections()
-    }
-
-    /// [`score_rows`](Self::score_rows) into a reusable buffer. The rows
-    /// are already contiguous, so the forest path hands each worker's chunk
+    /// Scores pre-measured feature rows (`ids[i]`'s row is `rows[i]`) into
+    /// `buf`, whose [`detections`](ScoreBuffer::detections) are then
+    /// sorted by descending score, domain id as the tie-break. The rows are
+    /// already contiguous, so the forest path hands each worker's chunk
     /// straight to the flat forest's blocked scorer — no copies at all.
     pub fn score_rows_with(
         &self,
@@ -448,21 +344,21 @@ impl SegugioModel {
                 .zip(&buf.scores)
                 .map(|(&domain, &score)| Detection { domain, score }),
         );
-        // Unstable for the same reason as `score_where_with`: ties are
-        // byte-identical detections, and the stable sort's merge scratch
-        // is the last allocation on this path.
+        // Unstable sort: equal sort keys mean byte-identical `Detection`
+        // values (score *and* domain equal), so the order is still fully
+        // deterministic — and the stable sort's merge scratch would be the
+        // last allocation on this path.
         buf.detections
             .sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.domain.cmp(&b.domain)));
     }
 
     /// Scores every row of a prepared training dataset into the buffer's
     /// score column (no detections are assembled — dataset rows carry
-    /// hidden labels, not domain ids). This is the threshold-calibration
-    /// entry point: the [`Tracker`](crate::Tracker) scores the training
-    /// set here every morning and reads the column back via
-    /// [`ScoreBuffer::scores`]. Row order is preserved and scores are
-    /// bit-for-bit identical at any parallelism.
-    pub fn score_dataset_with(&self, data: &segugio_ml::Dataset, buf: &mut ScoreBuffer) {
+    /// hidden labels, not domain ids). [`calibrate`] scores the training
+    /// set here and reads the column back via [`ScoreBuffer::scores`]. Row
+    /// order is preserved and scores are bit-for-bit identical at any
+    /// parallelism.
+    pub fn score_dataset_with(&self, data: &Dataset, buf: &mut ScoreBuffer) {
         let threads = crate::parallel::resolve_parallelism(self.parallelism);
         buf.scores.clear();
         buf.scores.resize(data.len(), 0.0);
@@ -474,91 +370,19 @@ impl SegugioModel {
     }
 }
 
-/// A model plus an operating threshold: the deployed detector.
-///
-/// The threshold is typically chosen on training-day scores for a target
-/// false-positive rate via [`RocCurve::threshold_for_fpr`].
-#[derive(Debug, Clone)]
-pub struct Detector {
-    model: SegugioModel,
-    threshold: f32,
-}
-
-impl Detector {
-    /// Wraps a model with a fixed detection threshold.
-    pub fn new(model: SegugioModel, threshold: f32) -> Self {
-        Detector { model, threshold }
-    }
-
-    /// Chooses the threshold from a ROC curve at the target FPR.
-    pub fn with_target_fpr(model: SegugioModel, roc: &RocCurve, target_fpr: f64) -> Self {
-        let threshold = roc.threshold_for_fpr(target_fpr);
-        Detector { model, threshold }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &SegugioModel {
-        &self.model
-    }
-
-    /// The operating threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// Scores the unknown domains of `snapshot` and returns those at or
-    /// above the threshold (sorted by descending score).
-    pub fn detect(&self, snapshot: &DaySnapshot, activity: &ActivityStore) -> Vec<Detection> {
-        let mut buf = ScoreBuffer::new();
-        self.detect_with(snapshot, activity, &mut buf);
-        buf.take_detections()
-    }
-
-    /// [`detect`](Self::detect) into a reusable buffer: after the call,
-    /// [`ScoreBuffer::detections`] holds exactly the at-or-above-threshold
-    /// detections (sorted by descending score) and nothing was allocated
-    /// once the buffer has warmed up. Returns the detection count.
-    ///
-    /// The detections are sorted by descending score, so the threshold cut
-    /// is a truncation, not a filter pass.
-    pub fn detect_with(
-        &self,
-        snapshot: &DaySnapshot,
-        activity: &ActivityStore,
-        buf: &mut ScoreBuffer,
-    ) -> usize {
-        self.model.score_unknown_with(snapshot, activity, buf);
-        let keep = buf
-            .detections
-            .partition_point(|d| d.score >= self.threshold);
-        buf.detections.truncate(keep);
-        keep
-    }
-
-    /// The machines implied infected by a set of detections: every machine
-    /// that queried at least one detected domain (Section VI: "Segugio can
-    /// detect both malware-control domains and the infected machines that
-    /// query them at the same time").
-    pub fn implied_infections(
-        &self,
-        snapshot: &DaySnapshot,
-        detections: &[Detection],
-    ) -> Vec<MachineId> {
-        let mut machines = Vec::new();
-        for det in detections {
-            if let Some(d) = snapshot.graph.domain_idx(det.domain) {
-                machines.extend(
-                    snapshot
-                        .graph
-                        .machines_of(d)
-                        .map(|m| snapshot.graph.machine_id(m)),
-                );
-            }
-        }
-        machines.sort_unstable();
-        machines.dedup();
-        machines
-    }
+/// Picks the day's operating threshold: the score at which the training
+/// rows' hidden-label scores under `model` reach `target_fpr` false
+/// positives. The training set comes from [`measure_day`], so each known
+/// domain is scored as if it were unknown (§IV-G). The buffer's score
+/// column is transient here; the day's scoring pass overwrites it.
+pub fn calibrate(
+    model: &SegugioModel,
+    train: &Dataset,
+    target_fpr: f64,
+    buf: &mut ScoreBuffer,
+) -> f32 {
+    model.score_dataset_with(train, buf);
+    RocCurve::from_scores(buf.scores(), train.labels()).threshold_for_fpr(target_fpr)
 }
 
 #[cfg(test)]
@@ -567,11 +391,11 @@ mod tests {
     use crate::config::SegugioConfig;
     use crate::snapshot::SnapshotInput;
     use crate::trainer::Segugio;
-    use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, Whitelist};
+    use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, MachineId, Whitelist};
     use segugio_pdns::PassiveDns;
 
     /// World with a *held-out* malware domain (never blacklisted) queried by
-    /// the infected cluster — the detector should find it.
+    /// the infected cluster — the model should find it.
     fn fixture() -> (DaySnapshot, ActivityStore, SegugioConfig, DomainId) {
         let mut table = DomainTable::new();
         let benign: Vec<DomainId> = (0..8)
@@ -648,7 +472,7 @@ mod tests {
             whitelist: &whitelist,
             hidden: None,
         };
-        let snap = Segugio::build_snapshot(&input, &config);
+        let snap = DaySnapshot::build(&input, &config);
         (snap, activity, config, unknown_mal)
     }
 
@@ -663,27 +487,38 @@ mod tests {
         assert!(detections[0].score > 0.5);
     }
 
+    /// The unknown domains scoring at or above `threshold`: the sorted
+    /// detections cut at the threshold.
+    fn flagged(
+        model: &SegugioModel,
+        snap: &DaySnapshot,
+        activity: &ActivityStore,
+        threshold: f32,
+    ) -> Vec<Detection> {
+        let mut detections = model.score_unknown(snap, activity);
+        let keep = detections.partition_point(|d| d.score >= threshold);
+        detections.truncate(keep);
+        detections
+    }
+
     #[test]
-    fn detector_threshold_filters() {
+    fn threshold_cut_keeps_only_scores_at_or_above() {
         let (snap, activity, config, unknown_mal) = fixture();
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let det = Detector::new(model, 0.5);
-        let hits = det.detect(&snap, &activity);
+        let hits = flagged(&model, &snap, &activity, 0.5);
         assert!(hits.iter().any(|d| d.domain == unknown_mal));
         assert!(hits.iter().all(|d| d.score >= 0.5));
     }
 
     #[test]
-    fn implied_infections_cover_the_cluster() {
+    fn implicated_machines_cover_the_cluster() {
         let (snap, activity, config, unknown_mal) = fixture();
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let det = Detector::new(model, 0.5);
-        let hits: Vec<Detection> = det
-            .detect(&snap, &activity)
+        let hits: Vec<Detection> = flagged(&model, &snap, &activity, 0.5)
             .into_iter()
             .filter(|d| d.domain == unknown_mal)
             .collect();
-        let machines = det.implied_infections(&snap, &hits);
+        let machines = snap.implicated_machines(&hits);
         assert_eq!(machines.len(), 8, "all eight infected machines implied");
         assert!(machines.iter().all(|m| m.0 < 8));
     }

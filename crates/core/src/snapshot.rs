@@ -8,6 +8,7 @@ use segugio_model::{Blacklist, Day, DomainId, DomainTable, Ipv4, Label, MachineI
 use segugio_pdns::{AbuseIndex, PassiveDns};
 
 use crate::config::SegugioConfig;
+use crate::model::Detection;
 
 /// The raw ingredients of a day snapshot.
 ///
@@ -76,6 +77,22 @@ impl DaySnapshot {
     /// The snapshot's observation day.
     pub fn day(&self) -> Day {
         self.graph.day()
+    }
+
+    /// The machines implicated by `detections`: every machine of the pruned
+    /// graph that queried at least one detected domain, sorted and
+    /// deduplicated (Section VI: "Segugio can detect both malware-control
+    /// domains and the infected machines that query them at the same
+    /// time").
+    pub fn implicated_machines(&self, detections: &[Detection]) -> Vec<MachineId> {
+        let mut machines: Vec<MachineId> = detections
+            .iter()
+            .filter_map(|det| self.graph.domain_idx(det.domain))
+            .flat_map(|d| self.graph.machines_of(d).map(|m| self.graph.machine_id(m)))
+            .collect();
+        machines.sort_unstable();
+        machines.dedup();
+        machines
     }
 
     /// Builds the snapshot: graph construction, annotation, labeling,

@@ -14,21 +14,21 @@
 
 use std::collections::BTreeMap;
 
-use segugio_ml::RocCurve;
 use segugio_model::{Day, DomainId, MachineId};
 use segugio_pdns::ActivityStore;
 
 use crate::config::SegugioConfig;
 use crate::error::{TrackerError, TrainError};
 use crate::features::{FeatureGroup, FEATURE_COUNT};
-use crate::model::{Detection, ScoreBuffer, SegugioModel};
+use crate::model::{calibrate, Detection, ScoreBuffer, SegugioModel};
 use crate::snapshot::{DaySnapshot, SnapshotInput};
 use crate::trainer::{measure_day, Segugio};
 
 /// Tracker configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackerConfig {
-    /// Detector configuration used every day.
+    /// Pipeline configuration used every day: pruning, feature windows,
+    /// classifier, parallelism and the health policy.
     pub segugio: SegugioConfig,
     /// Target false-positive rate for the daily threshold, calibrated on
     /// the training-day known domains via their hidden-label scores.
@@ -356,7 +356,13 @@ impl Tracker {
                 .score_unknown_with(&snapshot, activity, &mut self.score_buf);
             (None, retained.threshold)
         } else {
-            let features = measure_day(&snapshot, activity, train_config);
+            let features = measure_day(
+                &snapshot,
+                activity,
+                train_config.features,
+                train_config.parallelism,
+                |_| true,
+            );
             let model = Segugio::train_prepared(&features.train, train_config).map_err(
                 |TrainError::InsufficientSeeds { malware, benign }| {
                     TrackerError::InsufficientSeeds {
@@ -366,7 +372,12 @@ impl Tracker {
                     }
                 },
             )?;
-            let threshold = Self::calibrate(&model, &features.train, config, &mut self.score_buf);
+            let threshold = calibrate(
+                &model,
+                &features.train,
+                config.target_fpr,
+                &mut self.score_buf,
+            );
             model.score_rows_with(
                 &features.unknown_ids,
                 &features.unknown_rows,
@@ -394,19 +405,7 @@ impl Tracker {
         }
 
         // 7. Implicated machines.
-        let mut implicated = Vec::new();
-        for det in &all_detections {
-            if let Some(idx) = snapshot.graph.domain_idx(det.domain) {
-                implicated.extend(
-                    snapshot
-                        .graph
-                        .machines_of(idx)
-                        .map(|m| snapshot.graph.machine_id(m)),
-                );
-            }
-        }
-        implicated.sort_unstable();
-        implicated.dedup();
+        let implicated = snapshot.implicated_machines(&all_detections);
 
         // A freshly trained model is retained for stale-model fallback on
         // later seedless days; a reused stale model is *not* re-retained
@@ -454,21 +453,6 @@ impl Tracker {
                 error,
             },
         }
-    }
-
-    /// Scores the training rows under the trained model into the reusable
-    /// buffer and picks the threshold hitting the target FPR on their
-    /// hidden-label scores. The buffer's score column is transient here —
-    /// the day's scoring pass overwrites it right after.
-    fn calibrate(
-        model: &crate::model::SegugioModel,
-        train_set: &segugio_ml::Dataset,
-        config: &TrackerConfig,
-        buf: &mut ScoreBuffer,
-    ) -> f32 {
-        model.score_dataset_with(train_set, buf);
-        let roc = RocCurve::from_scores(buf.scores(), train_set.labels());
-        roc.threshold_for_fpr(config.target_fpr)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Training-set preparation and model training (paper Section II-A3).
+//! Feature measurement and model training (paper Section II-A3).
 
 use segugio_graph::{DomainIdx, HiddenLabelView};
 use segugio_ml::{Dataset, ForestConfig, GradientBoosting, LogisticRegression, RandomForest};
@@ -7,59 +7,21 @@ use segugio_pdns::ActivityStore;
 
 use crate::config::{ClassifierKind, SegugioConfig};
 use crate::error::TrainError;
-use crate::features::{FeatureExtractor, FEATURE_COUNT};
+use crate::features::{FeatureConfig, FeatureExtractor, FEATURE_COUNT};
 use crate::model::{ModelBackend, SegugioModel};
-use crate::parallel::parallel_map_indexed;
+use crate::parallel::{parallel_map_indexed, resolve_parallelism};
 use crate::snapshot::{DaySnapshot, SnapshotInput};
 
-/// Builds the labeled training set from a day snapshot.
-///
-/// For every domain whose label is known (malware or benign), the label is
-/// *hidden* (cascading to the machines that depended on it, Fig. 5), the 11
-/// features are measured under the hidden view, and the feature vector is
-/// emitted with the domain's true label. Returns the dataset and the domain
-/// ids in row order.
-pub fn build_training_set(
-    snapshot: &DaySnapshot,
-    activity: &ActivityStore,
-    config: &SegugioConfig,
-) -> (Dataset, Vec<DomainId>) {
-    let extractor =
-        FeatureExtractor::new(&snapshot.graph, activity, &snapshot.abuse, config.features);
-    let known: Vec<_> = snapshot
-        .graph
-        .domain_indices()
-        .filter_map(|d| {
-            let label = snapshot.graph.domain_label(d);
-            (label != Label::Unknown).then_some((d, label))
-        })
-        .collect();
-    // Feature measurement per known domain is independent of every other
-    // domain; fan out over workers and merge rows back in domain-index
-    // order so the dataset is identical at any parallelism.
-    let rows = parallel_map_indexed(known.len(), config.effective_parallelism(), |i| {
-        let view = HiddenLabelView::new(&snapshot.graph, known[i].0);
-        extractor.measure_hidden(&view)
-    });
-    let mut data = Dataset::new(FEATURE_COUNT);
-    let mut ids = Vec::with_capacity(known.len());
-    for (&(d, label), features) in known.iter().zip(&rows) {
-        data.push(features, label == Label::Malware);
-        ids.push(snapshot.graph.domain_id(d));
-    }
-    (data, ids)
-}
-
-/// The day's measured features, split the way the tracking loop consumes
+/// The day's measured features, split the way training and scoring consume
 /// them.
 #[derive(Debug, Clone)]
 pub struct DayFeatures {
-    /// Labeled training rows, one per known domain in domain-index order —
-    /// identical to what [`build_training_set`] returns.
+    /// Labeled training rows, one per measured known domain in
+    /// domain-index order.
     pub train: Dataset,
     /// External ids of the training rows, in row order.
     pub train_ids: Vec<DomainId>,
-    /// External ids of the unknown domains, in domain-index order.
+    /// External ids of the measured unknown domains, in domain-index order.
     pub unknown_ids: Vec<DomainId>,
     /// Feature rows of the unknown domains, parallel to `unknown_ids`.
     pub unknown_rows: Vec<[f32; FEATURE_COUNT]>,
@@ -69,54 +31,70 @@ pub struct DayFeatures {
     pub reused: usize,
 }
 
-/// Measures every domain of the day's pruned graph in one pass: known
-/// domains under the label-hiding view into the training set, unknown
-/// domains as they stand into the scoring candidates, both in domain-index
-/// order — the rows [`build_training_set`] and
-/// [`score_unknown`](crate::SegugioModel::score_unknown) would measure.
+/// Measures the 11 features of every domain of the day's pruned graph whose
+/// label `measure` selects, in one pass over `parallelism` workers.
+///
+/// A known domain is measured with its label *hidden* (cascading to the
+/// machines that depended on it, Fig. 5) and becomes a training row with
+/// its true label; an unknown domain is measured as it stands and becomes a
+/// scoring row. Both keep domain-index order, so the result is identical at
+/// any parallelism. The tracker's training day selects every label,
+/// [`Segugio::train`] the known ones, and
+/// [`SegugioModel::score_unknown`] the unknown ones.
 pub fn measure_day(
     snapshot: &DaySnapshot,
     activity: &ActivityStore,
-    config: &SegugioConfig,
+    features: FeatureConfig,
+    parallelism: Option<usize>,
+    measure: impl Fn(Label) -> bool,
 ) -> DayFeatures {
     let graph = &snapshot.graph;
-    let extractor = FeatureExtractor::new(graph, activity, &snapshot.abuse, config.features);
-    let rows: Vec<[f32; FEATURE_COUNT]> =
-        parallel_map_indexed(graph.domain_count(), config.effective_parallelism(), |i| {
-            let d = DomainIdx(i as u32);
-            if graph.domain_label(d) == Label::Unknown {
-                extractor.measure(d)
-            } else {
-                extractor.measure_hidden(&HiddenLabelView::new(graph, d))
-            }
-        });
+    let extractor = FeatureExtractor::new(graph, activity, &snapshot.abuse, features);
+    // Sized for every domain up front: one allocation, not one per doubling.
+    let mut selected: Vec<DomainIdx> = Vec::with_capacity(graph.domain_count());
+    selected.extend(
+        graph
+            .domain_indices()
+            .filter(|&d| measure(graph.domain_label(d))),
+    );
+    let rows = parallel_map_indexed(selected.len(), resolve_parallelism(parallelism), |i| {
+        let d = selected[i];
+        if graph.domain_label(d) == Label::Unknown {
+            extractor.measure(d)
+        } else {
+            extractor.measure_hidden(&HiddenLabelView::new(graph, d))
+        }
+    });
 
-    let (malware, benign, unknown) = graph.domain_label_counts();
-    let mut features = DayFeatures {
+    let unknown = selected
+        .iter()
+        .filter(|&&d| graph.domain_label(d) == Label::Unknown)
+        .count();
+    let mut day = DayFeatures {
         train: Dataset::new(FEATURE_COUNT),
-        train_ids: Vec::with_capacity(malware + benign),
+        train_ids: Vec::with_capacity(selected.len() - unknown),
         unknown_ids: Vec::with_capacity(unknown),
         unknown_rows: Vec::with_capacity(unknown),
         reused: 0,
     };
-    for (d, row) in graph.domain_indices().zip(&rows) {
+    for (&d, row) in selected.iter().zip(&rows) {
         let label = graph.domain_label(d);
         let id = graph.domain_id(d);
         if label == Label::Unknown {
-            features.unknown_ids.push(id);
-            features.unknown_rows.push(*row);
+            day.unknown_ids.push(id);
+            day.unknown_rows.push(*row);
         } else {
-            features.train.push(row, label == Label::Malware);
-            features.train_ids.push(id);
+            day.train.push(row, label == Label::Malware);
+            day.train_ids.push(id);
         }
     }
-    features
+    day
 }
 
 /// Retired — remove with the `trace` binary's and `bench` binary's calls
 /// in the next `[benchmark]` PR. Stateless: `build_snapshot` is
-/// [`DaySnapshot::build`], `measure_day` is [`measure_day`], `reset` does
-/// nothing.
+/// [`DaySnapshot::build`], `measure_day` is [`measure_day`] over every
+/// label, `reset` does nothing.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IncrementalEngine;
@@ -139,24 +117,27 @@ impl IncrementalEngine {
         activity: &ActivityStore,
         config: &SegugioConfig,
     ) -> DayFeatures {
-        measure_day(snapshot, activity, config)
+        measure_day(
+            snapshot,
+            activity,
+            config.features,
+            config.parallelism,
+            |_| true,
+        )
     }
     pub fn reset(&mut self) {}
 }
 
-/// The Segugio system facade: snapshot building and model training.
+/// The Segugio training facade.
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Segugio;
 
 impl Segugio {
-    /// Builds a labeled, pruned [`DaySnapshot`] from raw day inputs.
-    pub fn build_snapshot(input: &SnapshotInput<'_>, config: &SegugioConfig) -> DaySnapshot {
-        DaySnapshot::build(input, config)
-    }
-
-    /// Trains a [`SegugioModel`] on the known domains of `snapshot`.
+    /// Trains a [`SegugioModel`] on the known domains of `snapshot`:
+    /// [`measure_day`] over the known labels, then
+    /// [`train_prepared`](Self::train_prepared).
     ///
     /// # Errors
     ///
@@ -168,14 +149,20 @@ impl Segugio {
         activity: &ActivityStore,
         config: &SegugioConfig,
     ) -> Result<SegugioModel, TrainError> {
-        let (full, _ids) = build_training_set(snapshot, activity, config);
-        Self::train_prepared(&full, config)
+        let known = measure_day(
+            snapshot,
+            activity,
+            config.features,
+            config.parallelism,
+            |label| label != Label::Unknown,
+        );
+        Self::train_prepared(&known.train, config)
     }
 
-    /// Trains on an already-extracted training set, with the same error as
-    /// [`Segugio::train`]. Callers that also need the training set (e.g. for
-    /// threshold calibration) extract it once and pass it here instead of
-    /// paying the feature measurement twice.
+    /// Trains on an already-measured training set, with the same error as
+    /// [`Segugio::train`]. Callers that also need the training set (for
+    /// [`calibrate`](crate::calibrate), or permutation importance) measure
+    /// it once and pass it here.
     ///
     /// # Errors
     ///
@@ -191,12 +178,6 @@ impl Segugio {
                 benign: full.negative_count(),
             });
         }
-        Ok(Self::train_on(full, config))
-    }
-
-    /// Trains a model directly on a prepared training set (used by the
-    /// evaluation harness for cross-fold experiments).
-    pub fn train_on(full: &Dataset, config: &SegugioConfig) -> SegugioModel {
         let columns = config
             .feature_columns
             .clone()
@@ -231,7 +212,8 @@ impl Segugio {
                 ModelBackend::Boosting(GradientBoosting::fit(&projected, cfg))
             }
         };
-        SegugioModel::new(backend, columns, config.features).with_parallelism(config.parallelism)
+        Ok(SegugioModel::new(backend, columns, config.features)
+            .with_parallelism(config.parallelism))
     }
 }
 
@@ -239,6 +221,7 @@ impl Segugio {
 mod tests {
     use super::*;
     use crate::features::FeatureGroup;
+    use crate::model::Detection;
     use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, MachineId, Whitelist};
     use segugio_pdns::PassiveDns;
     use segugio_traffic::{IspConfig, IspNetwork};
@@ -305,14 +288,20 @@ mod tests {
             whitelist: &whitelist,
             hidden: None,
         };
-        let snap = Segugio::build_snapshot(&input, &config);
+        let snap = DaySnapshot::build(&input, &config);
         (snap, activity, config)
+    }
+
+    /// The fixture's training set: every known domain, label hidden.
+    fn training_set(snap: &DaySnapshot, activity: &ActivityStore) -> Dataset {
+        let known = |label: Label| label != Label::Unknown;
+        measure_day(snap, activity, FeatureConfig::default(), None, known).train
     }
 
     #[test]
     fn one_sided_training_set_is_a_typed_error() {
         let (snap, activity, config) = fixture();
-        let (full, _) = build_training_set(&snap, &activity, &config);
+        let full = training_set(&snap, &activity);
         // Rebuild a dataset with only the malware rows.
         let mut one_sided = Dataset::new(FEATURE_COUNT);
         for i in 0..full.len() {
@@ -333,24 +322,24 @@ mod tests {
     #[test]
     fn training_set_has_all_known_domains() {
         let (snap, activity, config) = fixture();
-        let (data, ids) = build_training_set(&snap, &activity, &config);
-        assert_eq!(data.len(), 8, "6 benign + 2 malware domains");
-        assert_eq!(data.positive_count(), 2);
-        assert_eq!(ids.len(), 8);
+        let day = measure_day(&snap, &activity, config.features, None, |_| true);
+        assert_eq!(day.train.len(), 8, "6 benign + 2 malware domains");
+        assert_eq!(day.train.positive_count(), 2);
+        assert_eq!(day.train_ids.len(), 8);
     }
 
     #[test]
     fn hidden_features_do_not_leak_self_label() {
         let (snap, activity, config) = fixture();
-        let (data, ids) = build_training_set(&snap, &activity, &config);
+        let day = measure_day(&snap, &activity, config.features, None, |_| true);
         // For malware rows, the infected fraction (feature 0) must be below
         // 1.0 when the machines' only malware evidence is sibling domains —
         // here each infected machine queries *both* malware domains, so
         // hiding one leaves the other and m stays 1.0. The benign rows must
         // see m = 0.
-        for (i, id) in ids.iter().enumerate() {
-            let row = data.row(i);
-            if data.label(i) {
+        for (i, id) in day.train_ids.iter().enumerate() {
+            let row = day.train.row(i);
+            if day.train.label(i) {
                 assert!(row[0] > 0.9, "cluster still known-infected via sibling");
             } else {
                 // Benign sites are browsed by infected machines too, but the
@@ -364,7 +353,7 @@ mod tests {
     fn trained_model_separates_fixture() {
         let (snap, activity, config) = fixture();
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let (data, _) = build_training_set(&snap, &activity, &config);
+        let data = training_set(&snap, &activity);
         for i in 0..data.len() {
             let score = model.score_features(data.row(i));
             if data.label(i) {
@@ -380,7 +369,7 @@ mod tests {
         let (snap, activity, mut config) = fixture();
         config.classifier = ClassifierKind::Logistic(Default::default());
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let (data, _) = build_training_set(&snap, &activity, &config);
+        let data = training_set(&snap, &activity);
         let pos: Vec<f32> = (0..data.len())
             .filter(|&i| data.label(i))
             .map(|i| model.score_features(data.row(i)))
@@ -405,7 +394,7 @@ mod tests {
             ..Default::default()
         });
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let (data, _) = build_training_set(&snap, &activity, &config);
+        let data = training_set(&snap, &activity);
         let pos: Vec<f32> = (0..data.len())
             .filter(|&i| data.label(i))
             .map(|i| model.score_features(data.row(i)))
@@ -432,17 +421,19 @@ mod tests {
         config.feature_columns = Some(crate::features::FeatureGroup::IpAbuse.complement_columns());
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
         // Scoring still takes the full 11-feature vector.
-        let (data, _) = build_training_set(&snap, &activity, &config);
+        let data = training_set(&snap, &activity);
         let s = model.score_features(data.row(0));
         assert!(s.is_finite());
     }
 
-    /// `measure_day`'s rows equal the training set and a direct measurement
-    /// of each unknown domain, day after day, and scoring its rows equals
-    /// scoring from the snapshot.
+    /// Every row `measure_day` emits equals the extractor's own measurement
+    /// of that domain — under the label-hiding view for a known domain,
+    /// directly for an unknown one — for every label selection at widths 1
+    /// and 4, day after day; and `score_rows` equals a per-row
+    /// `score_features` followed by the (score desc, id) sort.
     #[test]
     #[cfg_attr(miri, ignore = "multi-day ISP simulation is too slow under Miri")]
-    fn measure_day_matches_training_set_and_scoring() {
+    fn measure_day_matches_the_extractor_and_scoring() {
         let mut isp = IspNetwork::new(IspConfig::tiny(77));
         isp.warm_up(16);
         let config = SegugioConfig::default();
@@ -460,30 +451,83 @@ mod tests {
                 hidden: None,
             };
             let snap = DaySnapshot::build(&input, &config);
-            let (train, train_ids) = build_training_set(&snap, isp.activity(), &config);
-            let features = measure_day(&snap, isp.activity(), &config);
-            assert_eq!(features.train_ids, train_ids);
-            assert_eq!(features.train.len(), train.len());
-            for i in 0..train.len() {
-                assert_eq!(features.train.row(i), train.row(i), "training row {i}");
-                assert_eq!(features.train.label(i), train.label(i));
-            }
-            // Unknown rows equal a direct measurement.
+            let graph = &snap.graph;
             let extractor =
-                FeatureExtractor::new(&snap.graph, isp.activity(), &snap.abuse, config.features);
-            for (id, row) in features.unknown_ids.iter().zip(&features.unknown_rows) {
-                let d = snap.graph.domain_idx(*id).expect("unknown in graph");
-                assert_eq!(row, &extractor.measure(d), "unknown row for {id}");
+                FeatureExtractor::new(graph, isp.activity(), &snap.abuse, config.features);
+            // The oracle, one domain at a time in domain-index order:
+            // (id, row, is malware) per known domain, (id, row) per unknown.
+            let mut known = Vec::new();
+            let mut unknown = Vec::new();
+            for d in graph.domain_indices() {
+                let (id, label) = (graph.domain_id(d), graph.domain_label(d));
+                if label == Label::Unknown {
+                    unknown.push((id, extractor.measure(d)));
+                } else {
+                    let row = extractor.measure_hidden(&HiddenLabelView::new(graph, d));
+                    known.push((id, row.to_vec(), label == Label::Malware));
+                }
+            }
+            // Selections: all labels, known only, unknown only.
+            for (with_known, with_unknown) in [(true, true), (true, false), (false, true)] {
+                let select = |l: Label| {
+                    if l == Label::Unknown {
+                        with_unknown
+                    } else {
+                        with_known
+                    }
+                };
+                for width in [1, 4] {
+                    let day =
+                        measure_day(&snap, isp.activity(), config.features, Some(width), select);
+                    let got_known: Vec<_> = (0..day.train.len())
+                        .map(|i| {
+                            (
+                                day.train_ids[i],
+                                day.train.row(i).to_vec(),
+                                day.train.label(i),
+                            )
+                        })
+                        .collect();
+                    let got_unknown: Vec<_> = day
+                        .unknown_ids
+                        .iter()
+                        .copied()
+                        .zip(day.unknown_rows)
+                        .collect();
+                    let case = format!("known {with_known}, unknown {with_unknown}, width {width}");
+                    assert_eq!(
+                        got_known,
+                        if with_known { &known[..] } else { &[] },
+                        "{case}"
+                    );
+                    assert_eq!(
+                        got_unknown,
+                        if with_unknown { &unknown[..] } else { &[] },
+                        "{case}"
+                    );
+                }
             }
 
-            // The tracker scores these rows; a stale-model day re-measures
-            // from the snapshot. Also under a blank-pDNS day's column mask.
+            // Scoring the rows equals scoring each one and sorting, also
+            // under a blank-pDNS day's column mask; the snapshot route
+            // (a stale-model day) equals both.
+            let day = measure_day(&snap, isp.activity(), config.features, None, |_| true);
             for cfg in [&config, &masked] {
-                let model = Segugio::train_prepared(&features.train, cfg).expect("seeds");
-                assert_eq!(
-                    model.score_rows(&features.unknown_ids, &features.unknown_rows),
-                    model.score_unknown(&snap, isp.activity())
-                );
+                let model = Segugio::train_prepared(&day.train, cfg).expect("seeds");
+                let mut want: Vec<Detection> = day
+                    .unknown_ids
+                    .iter()
+                    .zip(&day.unknown_rows)
+                    .map(|(&domain, row)| Detection {
+                        domain,
+                        score: model.score_features(row),
+                    })
+                    .collect();
+                want.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.domain.cmp(&b.domain)));
+                let mut buf = crate::model::ScoreBuffer::new();
+                model.score_rows_with(&day.unknown_ids, &day.unknown_rows, &mut buf);
+                assert_eq!(buf.detections(), want);
+                assert_eq!(model.score_unknown(&snap, isp.activity()), want);
             }
         }
     }

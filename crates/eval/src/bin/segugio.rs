@@ -84,8 +84,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use segugio_core::{
-    write_atomic, CheckpointError, DayOutcome, Degradation, Segugio, SegugioConfig, SnapshotInput,
-    Tracker, TrackerConfig, TrainError, DEFAULT_KEEP_GENERATIONS,
+    write_atomic, CheckpointError, DayOutcome, DaySnapshot, Degradation, Segugio, SegugioConfig,
+    SnapshotInput, Tracker, TrackerConfig, TrainError, DEFAULT_KEEP_GENERATIONS,
 };
 use segugio_eval::experiments::{
     ablation, bp_comparison, crossday, crossfamily, dataset, early_detection, fp_analysis,
@@ -579,7 +579,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     let model = Segugio::train(&snapshot, collector.activity(), &config)?;
     // Atomic: a crash mid-save leaves the previous model, never a torn one.
     write_atomic(Path::new(&save), model.save_to_string().as_bytes())
@@ -640,7 +640,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
                 whitelist: &whitelist,
                 hidden: None,
             };
-            let snapshot = Segugio::build_snapshot(&input, &config);
+            let snapshot = DaySnapshot::build(&input, &config);
             Segugio::train(&snapshot, collector.activity(), &config)?
         }
     };
@@ -656,7 +656,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     let detections = model.score_unknown(&snapshot, collector.activity());
 
     println!("score\tdomain\tqueriers");

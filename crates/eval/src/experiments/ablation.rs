@@ -7,7 +7,8 @@
 
 use std::fmt;
 
-use segugio_core::{FeatureGroup, Segugio, SegugioConfig, FEATURE_NAMES};
+use segugio_core::{measure_day, FeatureGroup, Segugio, SegugioConfig, FEATURE_NAMES};
+use segugio_model::Label;
 
 use crate::protocol::{select_test_split, train_and_eval, EvalOutcome};
 use crate::report::{low_fpr_grid, pct, pct2, render_table};
@@ -112,9 +113,16 @@ pub fn run(scale: &Scale) -> AblationReport {
 
     // Per-feature permutation importance on the training day.
     let train_snap = scenario.snapshot(w, &scale.config, &bl, None);
-    let (train_set, _) =
-        segugio_core::build_training_set(&train_snap, scenario.isp().activity(), &scale.config);
-    let model = Segugio::train_on(&train_set, &scale.config);
+    let train_set = measure_day(
+        &train_snap,
+        scenario.isp().activity(),
+        scale.config.features,
+        scale.config.parallelism,
+        |label| label != Label::Unknown,
+    )
+    .train;
+    let model = Segugio::train_prepared(&train_set, &scale.config)
+        .expect("training day seeds both classes");
     let scorer = FullVectorScorer { model };
     // Full AUC saturates on the training day; measure the drop in the
     // low-FP operating range instead.

@@ -14,7 +14,7 @@ use std::time::Instant;
 use segugio_baselines::{cooccurrence_scores, BeliefConfig, BeliefPropagation};
 use segugio_core::{ScoreBuffer, Segugio};
 use segugio_ml::RocCurve;
-use segugio_model::{DomainId, Label};
+use segugio_model::DomainId;
 
 use crate::protocol::select_test_split;
 use crate::report::{pct, pct2, render_table};
@@ -105,7 +105,7 @@ pub fn run(scale: &Scale) -> BpReport {
         .expect("training day seeds both classes");
     let mut buf = ScoreBuffer::new();
     let t = Instant::now();
-    model.score_where_with(&test_snap, activity, |l| l == Label::Unknown, &mut buf);
+    model.score_unknown_with(&test_snap, activity, &mut buf);
     let seg_ms = t.elapsed().as_secs_f64() * 1e3;
     let seg: BTreeMap<DomainId, f32> = buf
         .detections()

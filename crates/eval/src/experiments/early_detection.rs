@@ -10,11 +10,10 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use segugio_core::{Detector, ScoreBuffer, Segugio};
-use segugio_ml::RocCurve;
+use segugio_core::Segugio;
 use segugio_model::{Day, DomainId};
 
-use crate::protocol::select_test_split;
+use crate::protocol::{outcome_over, select_test_split};
 use crate::report::render_table;
 use crate::scenario::Scenario;
 
@@ -136,38 +135,27 @@ pub fn detect_day(
     let model = Segugio::train(&train_snap, scenario.isp().activity(), &scale.config)
         .expect("training day seeds both classes");
 
-    // One scoring scratch for both passes of the day: validation scoring
-    // and the deployment detect below reuse the same buffer.
-    let mut buf = ScoreBuffer::new();
-    let val_snap = scenario.snapshot(day, &scale.config, bl, Some(&hidden));
-    model.score_unknown_with(&val_snap, scenario.isp().activity(), &mut buf);
-    let mut scores = Vec::new();
-    let mut labels = Vec::new();
-    for det in buf.detections() {
-        if val.malware.contains(&det.domain) {
-            scores.push(det.score);
-            labels.push(true);
-        } else if val.benign.contains(&det.domain) {
-            scores.push(det.score);
-            labels.push(false);
-        }
-    }
-    if !labels.iter().any(|&l| l) || !labels.iter().any(|&l| !l) {
+    // Validation scoring runs on the hidden-split snapshot the model
+    // trained on.
+    let scored = model.score_unknown(&train_snap, scenario.isp().activity());
+    let validation = outcome_over(&scored, &val);
+    if validation.tested_malware == 0 || validation.tested_benign == 0 {
         return Vec::new();
     }
-    let roc = RocCurve::from_scores(&scores, &labels);
-    let detector = Detector::with_target_fpr(model, &roc, target_fpr);
+    let threshold = validation.roc.threshold_for_fpr(target_fpr);
 
-    // Deployment: score everything still unknown on the *unhidden* day.
+    // Deployment: score everything still unknown on the *unhidden* day and
+    // cut the sorted detections at the threshold.
     let snap = scenario.snapshot(day, &scale.config, bl, None);
-    detector.detect_with(&snap, scenario.isp().activity(), &mut buf);
+    let detections = model.score_unknown(&snap, scenario.isp().activity());
+    let flagged = detections.partition_point(|d| d.score >= threshold);
 
     // Keep detections that the blacklist later confirms.
     let mut seen: HashSet<DomainId> = HashSet::new();
     let mut hits = Vec::new();
     // Ordered map: the loop below iterates it into `hits`.
     let mut dedup: BTreeMap<DomainId, Day> = BTreeMap::new();
-    for det in buf.detections() {
+    for det in &detections[..flagged] {
         if !seen.insert(det.domain) {
             continue;
         }

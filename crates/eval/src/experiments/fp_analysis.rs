@@ -8,15 +8,14 @@
 //! activity), and how many were in fact contacted by real malware in a
 //! sandbox — i.e., not mistakes at all.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use segugio_core::{FeatureExtractor, ScoreBuffer, Segugio};
-use segugio_ml::RocCurve;
+use segugio_core::{measure_day, ScoreBuffer, Segugio};
 use segugio_model::psl;
-use segugio_model::DomainId;
+use segugio_model::{DomainId, Label};
 
-use crate::protocol::select_test_split;
+use crate::protocol::{outcome_over, select_test_split};
 use crate::report::{count, pct, render_table};
 use crate::scenario::Scenario;
 
@@ -168,46 +167,37 @@ pub fn analyze_case(
     let model = Segugio::train(&train_snap, train.isp().activity(), &scale.config)
         .expect("training day seeds both classes");
 
+    // Measure the test day's unknowns once: the same rows are scored here
+    // and dissected for each false positive below.
     let test_snap = test.snapshot(test_day, &scale.config, bl_test, Some(&hidden));
-    let activity = test.isp().activity();
+    let measured = measure_day(
+        &test_snap,
+        test.isp().activity(),
+        model.feature_config(),
+        scale.config.parallelism,
+        Label::is_unknown,
+    );
     let mut buf = ScoreBuffer::new();
-    model.score_unknown_with(&test_snap, activity, &mut buf);
+    model.score_rows_with(&measured.unknown_ids, &measured.unknown_rows, &mut buf);
 
-    let mut scores = Vec::new();
-    let mut labels = Vec::new();
-    let mut scored: Vec<(DomainId, f32, bool)> = Vec::new();
-    for &det in buf.detections() {
-        let is_mal = split.malware.contains(&det.domain);
-        let is_ben = split.benign.contains(&det.domain);
-        if is_mal || is_ben {
-            scores.push(det.score);
-            labels.push(is_mal);
-            scored.push((det.domain, det.score, is_mal));
-        }
-    }
-    let roc = RocCurve::from_scores(&scores, &labels);
-    let threshold = roc.threshold_for_fpr(target_fpr);
+    let out = outcome_over(buf.detections(), &split);
+    let threshold = out.roc.threshold_for_fpr(target_fpr);
 
     // The FP set: benign test domains at or above the threshold.
-    let fps: Vec<DomainId> = scored
+    let fps: BTreeSet<DomainId> = out
+        .scores
         .iter()
         .filter(|&&(_, s, m)| !m && s >= threshold)
         .map(|&(d, _, _)| d)
         .collect();
-    let tp = scored
+    let tp = out
+        .scores
         .iter()
         .filter(|&&(_, s, m)| m && s >= threshold)
         .count();
-    let n_mal = labels.iter().filter(|&&l| l).count();
-    let n_ben = labels.len() - n_mal;
+    let (n_mal, n_ben) = (out.tested_malware, out.tested_benign);
 
-    // Per-FP feature dissection.
-    let extractor = FeatureExtractor::new(
-        &test_snap.graph,
-        activity,
-        &test_snap.abuse,
-        scale.config.features,
-    );
+    // Per-FP feature dissection, on the rows each FP was scored on.
     let table = test.isp().table();
     let truth = test.isp().truth();
     let mut e2ld_count: HashMap<u32, usize> = HashMap::new();
@@ -216,7 +206,10 @@ pub fn analyze_case(
     let mut recent = 0usize;
     let mut sandbox = 0usize;
     let mut free_hosting = 0usize;
-    for &d in &fps {
+    for (&d, f) in measured.unknown_ids.iter().zip(&measured.unknown_rows) {
+        if !fps.contains(&d) {
+            continue;
+        }
         let e2ld = table.e2ld_of(d);
         *e2ld_count.entry(e2ld.0).or_insert(0) += 1;
         if psl::is_known_free_hosting(table.e2ld_str(e2ld)) {
@@ -225,17 +218,14 @@ pub fn analyze_case(
         if truth.sandbox_queried(d) {
             sandbox += 1;
         }
-        if let Some(idx) = test_snap.graph.domain_idx(d) {
-            let f = extractor.measure(idx);
-            if f[0] > 0.9 {
-                high_infected += 1;
-            }
-            if f[7] > 0.0 {
-                abused += 1;
-            }
-            if f[3] <= 3.0 {
-                recent += 1;
-            }
+        if f[0] > 0.9 {
+            high_infected += 1;
+        }
+        if f[7] > 0.0 {
+            abused += 1;
+        }
+        if f[3] <= 3.0 {
+            recent += 1;
         }
     }
     let mut by_weight: Vec<usize> = e2ld_count.values().copied().collect();

@@ -17,7 +17,7 @@ use segugio_core::{ClassifierKind, SegugioConfig};
 use segugio_traffic::IspConfig;
 
 /// Shared sizing for an experiment run: the two networks, warm-up length,
-/// detector configuration and test-split fractions.
+/// pipeline configuration and test-split fractions.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// First network (the paper's `ISP_1`).
@@ -27,7 +27,8 @@ pub struct Scale {
     /// Light-simulation days before the first captured day (history
     /// build-up for the activity and pDNS stores).
     pub warmup: u32,
-    /// Detector configuration.
+    /// Pipeline configuration: pruning, feature windows, classifier and
+    /// parallelism.
     pub config: SegugioConfig,
     /// Fraction of known malware domains held out for testing.
     pub frac_test_malware: f64,

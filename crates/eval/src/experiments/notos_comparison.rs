@@ -239,12 +239,7 @@ fn run_case(
     let test_snap =
         scenario.snapshot_with(t_test, &scale.config, &bl_at_test, &wl_top, Some(&hidden));
     let mut buf = ScoreBuffer::new();
-    segugio.score_where_with(
-        &test_snap,
-        isp.activity(),
-        |l| l == Label::Unknown,
-        &mut buf,
-    );
+    segugio.score_unknown_with(&test_snap, isp.activity(), &mut buf);
     let seg_score: std::collections::HashMap<DomainId, f32> = buf
         .detections()
         .iter()

@@ -9,14 +9,13 @@
 //! the paper reports (TP=57%, FP=0.1%), (74%, 0.5%), (77%, 0.9%) on a
 //! 53-domain test set.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 
-use segugio_core::{ScoreBuffer, Segugio};
 use segugio_ml::RocCurve;
 use segugio_model::{Day, DomainId};
 
-use crate::protocol::{select_test_split, train_and_eval, EvalOutcome};
+use crate::protocol::{select_test_split, train_and_eval, EvalOutcome, TestSplit};
 use crate::report::{low_fpr_grid, pct, pct2, render_table};
 use crate::scenario::Scenario;
 
@@ -109,55 +108,46 @@ pub fn run(scale: &Scale) -> PublicBlacklistReport {
         .collect();
     seen.sort_unstable();
     seen.dedup();
-    let novel: HashSet<DomainId> = seen
+    let novel: BTreeSet<DomainId> = seen
         .iter()
         .filter(|&&d| public.contains_as_of(d, Day(test_day)) && !commercial.contains(d))
         .copied()
         .collect();
+    let novel_domains = novel.len();
 
     let cross_blacklist = if novel.is_empty() {
         None
     } else {
-        // Benign negatives from the standard whitelist sample.
-        let benign = select_test_split(
+        // Novel public-only domains against benign negatives from the
+        // standard whitelist sample, both hidden on both days.
+        let split = TestSplit {
+            malware: novel,
+            benign: select_test_split(
+                &scenario,
+                test_day,
+                &commercial,
+                0.0,
+                scale.frac_test_benign,
+                scale.seed + 6,
+            )
+            .benign,
+        };
+        let out = train_and_eval(
+            &scenario,
+            w,
             &scenario,
             test_day,
+            &split,
+            &scale.config,
             &commercial,
-            0.0,
-            scale.frac_test_benign,
-            scale.seed + 6,
-        )
-        .benign;
-        let hidden: HashSet<DomainId> = novel.iter().chain(benign.iter()).copied().collect();
-
-        let train_snap = scenario.snapshot(w, &scale.config, &commercial, Some(&hidden));
-        let model = Segugio::train(&train_snap, scenario.isp().activity(), &scale.config)
-            .expect("training day seeds both classes");
-        let test_snap = scenario.snapshot(test_day, &scale.config, &commercial, Some(&hidden));
-        let mut buf = ScoreBuffer::new();
-        model.score_unknown_with(&test_snap, scenario.isp().activity(), &mut buf);
-
-        let mut scores = Vec::new();
-        let mut labels = Vec::new();
-        for det in buf.detections() {
-            if novel.contains(&det.domain) {
-                scores.push(det.score);
-                labels.push(true);
-            } else if benign.contains(&det.domain) {
-                scores.push(det.score);
-                labels.push(false);
-            }
-        }
-        if labels.iter().any(|&l| l) && labels.iter().any(|&l| !l) {
-            Some(RocCurve::from_scores(&scores, &labels))
-        } else {
-            None
-        }
+            &commercial,
+        );
+        (out.tested_malware > 0 && out.tested_benign > 0).then_some(out.roc)
     };
 
     PublicBlacklistReport {
         public_crossday,
-        novel_domains: novel.len(),
+        novel_domains,
         cross_blacklist,
     }
 }

@@ -20,11 +20,10 @@
 
 use std::fmt;
 
-use segugio_core::{Detector, ScoreBuffer, Segugio, SegugioConfig};
-use segugio_model::MachineId;
+use segugio_core::{Segugio, SegugioConfig};
 use segugio_traffic::IspConfig;
 
-use crate::protocol::{select_test_split, train_and_eval};
+use crate::protocol::{eval_model, select_test_split, train_and_eval};
 use crate::report::{pct, render_table};
 use crate::scenario::Scenario;
 
@@ -220,23 +219,14 @@ pub fn enumeration_quality(scale: &Scale, target_fpr: f64) -> InfectionEnumerati
     let model = Segugio::train(&train_snap, scenario.isp().activity(), &scale.config)
         .expect("training day seeds both classes");
 
-    // Threshold from the held-out validation ROC, then deploy. Both the
-    // calibration scoring and the deployment detect share one buffer.
-    let mut buf = ScoreBuffer::new();
-    let out = crate::protocol::eval_model_with(
-        &model,
-        &scenario,
-        w + 13,
-        &split,
-        &scale.config,
-        &bl,
-        &mut buf,
-    );
+    // Threshold from the held-out validation ROC, then deploy: score the
+    // unhidden day and cut the sorted detections at the threshold.
+    let out = eval_model(&model, &scenario, w + 13, &split, &scale.config, &bl);
     let threshold = out.roc.threshold_for_fpr(target_fpr);
     let snap = scenario.snapshot(w + 13, &scale.config, &bl, None);
-    let detector = Detector::new(model, threshold);
-    detector.detect_with(&snap, scenario.isp().activity(), &mut buf);
-    let implicated: Vec<MachineId> = detector.implied_infections(&snap, buf.detections());
+    let detections = model.score_unknown(&snap, scenario.isp().activity());
+    let flagged = detections.partition_point(|d| d.score >= threshold);
+    let implicated = snap.implicated_machines(&detections[..flagged]);
 
     let isp = scenario.isp();
     let truth = isp.truth();

@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use segugio_core::{ScoreBuffer, Segugio, SegugioConfig, SegugioModel};
+use segugio_core::{Detection, Segugio, SegugioConfig, SegugioModel};
 use segugio_ml::RocCurve;
-use segugio_model::{Blacklist, Day, DomainId, Label};
+use segugio_model::{Blacklist, Day, DomainId};
 
 use crate::scenario::Scenario;
 
@@ -155,42 +155,22 @@ pub fn eval_model(
     config: &SegugioConfig,
     blacklist_test: &Blacklist,
 ) -> EvalOutcome {
-    let mut buf = ScoreBuffer::new();
-    eval_model_with(
-        model,
-        test_scenario,
-        test_day,
-        split,
-        config,
-        blacklist_test,
-        &mut buf,
-    )
-}
-
-/// [`eval_model`] scoring through a caller-owned [`ScoreBuffer`], so sweep
-/// experiments that evaluate many conditions reuse one scoring scratch
-/// instead of reallocating it per evaluation.
-pub fn eval_model_with(
-    model: &SegugioModel,
-    test_scenario: &Scenario,
-    test_day: u32,
-    split: &TestSplit,
-    config: &SegugioConfig,
-    blacklist_test: &Blacklist,
-    buf: &mut ScoreBuffer,
-) -> EvalOutcome {
     let hidden = split.hidden();
     let test_snap = test_scenario.snapshot(test_day, config, blacklist_test, Some(&hidden));
-    let activity = test_scenario.isp().activity();
-
     // Score all unknown domains of the test graph, keep the test ones.
-    model.score_where_with(&test_snap, activity, |l| l == Label::Unknown, buf);
+    let detections = model.score_unknown(&test_snap, test_scenario.isp().activity());
+    outcome_over(&detections, split)
+}
+
+/// The outcome over `split` of a scored day: every detection of a test
+/// domain, in the order given (descending score, as scoring sorts them).
+pub(crate) fn outcome_over(detections: &[Detection], split: &TestSplit) -> EvalOutcome {
     let mut scores = Vec::new();
     let mut score_col = Vec::new();
     let mut label_col = Vec::new();
     let mut tested_malware = 0usize;
     let mut tested_benign = 0usize;
-    for det in buf.detections() {
+    for det in detections {
         let is_malware = if split.malware.contains(&det.domain) {
             tested_malware += 1;
             true

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use segugio_core::{DaySnapshot, Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{DaySnapshot, SegugioConfig, SnapshotInput};
 use segugio_model::{Blacklist, Day, DomainId};
 use segugio_traffic::{DayTraffic, IspConfig, IspNetwork};
 
@@ -108,7 +108,7 @@ impl Scenario {
             whitelist,
             hidden,
         };
-        Segugio::build_snapshot(&input, config)
+        DaySnapshot::build(&input, config)
     }
 
     /// Convenience: snapshot labeled with the commercial blacklist and no

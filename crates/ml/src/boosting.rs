@@ -170,11 +170,6 @@ impl GradientBoosting {
         }
     }
 
-    /// Number of boosting rounds actually trained.
-    pub fn round_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Minimum feature-row width this model can score: one past the
     /// highest feature index any split references.
     ///
@@ -421,7 +416,7 @@ mod tests {
                 ..BoostingConfig::default()
             },
         );
-        assert_eq!(m.round_count(), 30);
+        assert_eq!(m.trees.len(), 30, "one tree per boosting round");
         assert!(m.score(&[0.9, 0.0]) > 0.9);
         assert!(m.score(&[0.1, 0.0]) < 0.1);
     }

@@ -93,34 +93,14 @@ impl ActivityStore {
     /// Records that `fqd` (whose e2LD is `e2ld`) was queried on `day`.
     pub fn record(&mut self, fqd: DomainId, e2ld: E2ldId, day: Day) {
         let (w, mask) = bit(day);
-        self.set(fqd, e2ld, w, mask);
-    }
-
-    /// Sets bit `mask` of word `w` in both bitmaps, growing either store
-    /// to reach its id.
-    fn set(&mut self, fqd: DomainId, e2ld: E2ldId, w: usize, mask: u64) {
+        // Set the day's bit in both bitmaps, growing either store to reach
+        // its id.
         let fqd = slot(&mut self.fqd, fqd.index());
         if fqd.words.is_empty() {
             self.tracked_fqds += 1;
         }
         fqd.set_word(w, mask);
         slot(&mut self.e2ld, e2ld.index()).set_word(w, mask);
-    }
-
-    /// Appends one whole day of activity in a single pass: every `(fqd,
-    /// e2ld)` pair is marked active on `day`.
-    ///
-    /// Equivalent to calling [`record`](Self::record) per pair, but the
-    /// day → bitmap-position translation is computed once for the batch —
-    /// the natural ingest shape for an incremental day-over-day pipeline.
-    pub fn append_day<I>(&mut self, day: Day, pairs: I)
-    where
-        I: IntoIterator<Item = (DomainId, E2ldId)>,
-    {
-        let (w, mask) = bit(day);
-        for (fqd, e2ld) in pairs {
-            self.set(fqd, e2ld, w, mask);
-        }
     }
 
     /// Whether `fqd` was seen active on `day`.
@@ -233,34 +213,6 @@ mod tests {
         s.record(DomainId(0), E2ldId(0), Day(0));
         s.record(DomainId(0), E2ldId(0), Day(1));
         assert_eq!(s.fqd_streak_ending(DomainId(0), Day(1), 14), 2);
-    }
-
-    #[test]
-    fn append_day_matches_per_record_path() {
-        let mut bulk = ActivityStore::new();
-        let mut serial = ActivityStore::new();
-        for day in [Day(0), Day(63), Day(64), Day(70)] {
-            let pairs = [
-                (DomainId(1), E2ldId(10)),
-                (DomainId(2), E2ldId(10)),
-                (DomainId(3), E2ldId(30)),
-            ];
-            bulk.append_day(day, pairs);
-            for (fqd, e2ld) in pairs {
-                serial.record(fqd, e2ld, day);
-            }
-        }
-        for d in 1..=3u32 {
-            assert_eq!(
-                bulk.fqd_active_days(DomainId(d), Day(70).lookback(100)),
-                serial.fqd_active_days(DomainId(d), Day(70).lookback(100)),
-            );
-        }
-        assert_eq!(
-            bulk.e2ld_streak_ending(E2ldId(10), Day(64), 14),
-            serial.e2ld_streak_ending(E2ldId(10), Day(64), 14),
-        );
-        assert_eq!(bulk.tracked_fqds(), 3);
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl PassiveDns {
             .filter(|(_, records)| !records.is_empty())
     }
 
-    /// Number of records for `domain` inside `window`, without materializing
-    /// them.
-    pub fn record_count_in(&self, domain: DomainId, window: DayWindow) -> usize {
-        self.records_of(domain, window).len()
-    }
-
     /// All `(domain, ip)` records observed on exactly `day`, duplicate-free,
     /// in the order they were recorded — one day of the store, as a log
     /// reader's saved state writes it out.
@@ -215,7 +209,7 @@ mod tests {
         }
         assert_eq!(p.len(), 2);
         assert_eq!(p.records_on(Day(3)).len(), 2);
-        assert_eq!(p.record_count_in(DomainId(1), Day(3).lookback(1)), 2);
+        assert_eq!(p.records_of(DomainId(1), Day(3).lookback(1)).len(), 2);
     }
 
     #[test]
@@ -271,8 +265,6 @@ mod tests {
             p.records_of(DomainId(1), w),
             &[(Day(4), ip(2)), (Day(4), ip(3))]
         );
-        assert_eq!(p.record_count_in(DomainId(1), w), 2);
-        assert_eq!(p.record_count_in(DomainId(7), w), 0);
         assert!(p.records_of(DomainId(7), w).is_empty());
         // Empty window yields nothing.
         let empty = segugio_model::DayWindow::new(Day(4), Day(4));

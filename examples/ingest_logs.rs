@@ -12,7 +12,7 @@
 //! cargo run --release --example ingest_logs
 //! ```
 
-use segugio_core::{Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{DaySnapshot, Segugio, SegugioConfig, SnapshotInput};
 use segugio_ingest::{export_day, LogCollector};
 use segugio_traffic::{IspConfig, IspNetwork};
 
@@ -79,7 +79,7 @@ fn main() {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     let model = Segugio::train(&snapshot, collector.activity(), &config)
         .expect("training day seeds both classes");
 
@@ -94,7 +94,7 @@ fn main() {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     let detections = model.score_unknown(&snapshot, collector.activity());
     println!("\ntop 10 detections from ingested logs:");
     for det in detections.iter().take(10) {

@@ -1,10 +1,10 @@
 //! ISP deployment loop: the workflow a network operator would run.
 //!
-//! Each morning the previous day's DNS traffic is summarized into a
-//! behavior graph; the classifier is retrained on the current blacklist
-//! knowledge; unknown domains above the operating threshold are reported
-//! together with the machines that queried them (candidate infections to
-//! remediate).
+//! Each morning the previous day's DNS traffic is handed to a [`Tracker`],
+//! which summarizes it into a behavior graph, retrains the classifier on
+//! the current blacklist knowledge, calibrates the operating threshold and
+//! reports the unknown domains at or above it, together with the machines
+//! that queried them (candidate infections to remediate).
 //!
 //! Run with:
 //!
@@ -12,26 +12,29 @@
 //! cargo run --release --example isp_deployment
 //! ```
 
-use segugio_core::{Detector, Segugio, SegugioConfig, SnapshotInput};
-use segugio_ml::RocCurve;
+use segugio_core::{SegugioConfig, SnapshotInput, Tracker, TrackerConfig};
 use segugio_traffic::{IspConfig, IspNetwork};
 
 fn main() {
     let mut isp = IspNetwork::new(IspConfig::small(17));
     isp.warm_up(20);
-    // `parallelism: None` fans the daily pipeline (graph build, feature
-    // measurement, forest training, scoring) over every available core;
-    // detections are identical to a `Some(1)` serial run.
-    let config = SegugioConfig {
-        parallelism: None,
-        ..SegugioConfig::default()
+    // `parallelism: None` fans the daily pipeline (feature measurement,
+    // forest training, scoring) over every available core; reports are
+    // identical to a `Some(1)` serial run. The threshold keeps known-benign
+    // mistakes on the training day below 0.5 %.
+    let config = TrackerConfig {
+        segugio: SegugioConfig {
+            parallelism: None,
+            ..SegugioConfig::default()
+        },
+        target_fpr: 0.005,
     };
+    let mut tracker = Tracker::new();
 
     for _ in 0..4 {
         let traffic = isp.next_day();
-        let day = traffic.day;
         let input = SnapshotInput {
-            day,
+            day: traffic.day,
             queries: &traffic.queries,
             resolutions: &traffic.resolutions,
             table: isp.table(),
@@ -40,23 +43,11 @@ fn main() {
             whitelist: isp.whitelist(),
             hidden: None,
         };
-        let snapshot = Segugio::build_snapshot(&input, &config);
-
-        // Calibrate an operating threshold on the training scores: rank the
-        // known domains through the label-hiding path and pick the score
-        // that keeps known-benign mistakes below 0.5%. The training set is
-        // extracted once and shared between training and calibration.
-        let (train_set, _) = segugio_core::build_training_set(&snapshot, isp.activity(), &config);
-        let model = Segugio::train_prepared(&train_set, &config)
+        let report = tracker
+            .process_day(&input, isp.activity(), &config)
             .expect("warmed-up simulation seeds both classes");
-        let scores: Vec<f32> = (0..train_set.len())
-            .map(|i| model.score_features(train_set.row(i)))
-            .collect();
-        let roc = RocCurve::from_scores(&scores, train_set.labels());
-        let detector = Detector::with_target_fpr(model, &roc, 0.005);
 
-        let detections = detector.detect(&snapshot, isp.activity());
-        let machines = detector.implied_infections(&snapshot, &detections);
+        let detections = &report.all_detections;
         let confirmed = detections
             .iter()
             .filter(|d| isp.truth().is_malicious(d.domain))
@@ -64,11 +55,11 @@ fn main() {
         println!(
             "day {:>2}: {:>3} domains flagged (threshold {:.2}), {:>3} truly \
              malicious, {:>3} machines implicated",
-            day.0,
+            report.day.0,
             detections.len(),
-            detector.threshold(),
+            report.threshold,
             confirmed,
-            machines.len(),
+            report.implicated_machines.len(),
         );
         for det in detections.iter().take(5) {
             println!(

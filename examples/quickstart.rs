@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use segugio_core::{Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{DaySnapshot, Segugio, SegugioConfig, SnapshotInput};
 use segugio_traffic::{IspConfig, IspNetwork};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     println!(
         "train day {}: {} machines, {} domains, {} edges after pruning",
         snapshot.day().0,
@@ -54,7 +54,7 @@ fn main() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
     let detections = model.score_unknown(&snapshot, isp.activity());
 
     println!(

@@ -1,7 +1,7 @@
 //! Integration: the real-data path (export → ingest → detect) produces the
 //! same detection quality as the in-memory path.
 
-use segugio_core::{Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{DaySnapshot, Segugio, SegugioConfig, SnapshotInput};
 use segugio_ingest::{export_day, LogCollector};
 use segugio_model::{Blacklist, Whitelist};
 use segugio_traffic::{IspConfig, IspNetwork};
@@ -24,7 +24,7 @@ fn exported_logs_reproduce_in_memory_detections() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
+    let snapshot = DaySnapshot::build(&input, &config);
 
     // --- Round-tripped path. ---
     let text = export_day(isp.table(), day.day.0, &day.queries, &day.resolutions);
@@ -55,7 +55,7 @@ fn exported_logs_reproduce_in_memory_detections() {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snapshot2 = Segugio::build_snapshot(&input, &config);
+    let snapshot2 = DaySnapshot::build(&input, &config);
 
     // Same graph shape (ids differ; counts must match exactly).
     assert_eq!(snapshot2.unpruned_counts, snapshot.unpruned_counts);

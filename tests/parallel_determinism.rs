@@ -4,12 +4,15 @@
 //! and scoring, and across a multi-day [`Tracker`] deployment.
 
 use segugio_core::{
-    build_training_set, DayReport, Segugio, SegugioConfig, SnapshotInput, Tracker, TrackerConfig,
+    measure_day, DayReport, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
+    Tracker, TrackerConfig,
 };
 use segugio_traffic::{IspConfig, IspNetwork};
 
-/// One full day: snapshot → training set → model → detections, at a given
-/// parallelism. Returns the serialized model and every scored detection.
+/// One full day: snapshot → measured rows → model → detections, at a given
+/// parallelism. Returns the serialized model, every scored detection (from
+/// the measured rows and from the snapshot), the training-row count and the
+/// training rows' scores.
 fn run_day(parallelism: Option<usize>) -> (String, Vec<(u32, f32)>, usize, Vec<f32>) {
     let mut isp = IspNetwork::new(IspConfig::tiny(77));
     isp.warm_up(16);
@@ -28,18 +31,35 @@ fn run_day(parallelism: Option<usize>) -> (String, Vec<(u32, f32)>, usize, Vec<f
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let snapshot = Segugio::build_snapshot(&input, &config);
-    let (train_set, ids) = build_training_set(&snapshot, isp.activity(), &config);
-    let model = Segugio::train_prepared(&train_set, &config).expect("fixture seeds both classes");
-    let detections = model
-        .score_unknown(&snapshot, isp.activity())
-        .into_iter()
+    let snapshot = DaySnapshot::build(&input, &config);
+    let day = measure_day(
+        &snapshot,
+        isp.activity(),
+        config.features,
+        config.parallelism,
+        |_| true,
+    );
+    let model = Segugio::train_prepared(&day.train, &config).expect("fixture seeds both classes");
+    let mut buf = ScoreBuffer::new();
+    model.score_rows_with(&day.unknown_ids, &day.unknown_rows, &mut buf);
+    assert_eq!(
+        buf.detections(),
+        model.score_unknown(&snapshot, isp.activity())
+    );
+    let detections = buf
+        .detections()
+        .iter()
         .map(|d| (d.domain.0, d.score))
         .collect();
-    let train_scores: Vec<f32> = (0..train_set.len())
-        .map(|i| model.score_features(train_set.row(i)))
+    let train_scores: Vec<f32> = (0..day.train.len())
+        .map(|i| model.score_features(day.train.row(i)))
         .collect();
-    (model.save_to_string(), detections, ids.len(), train_scores)
+    (
+        model.save_to_string(),
+        detections,
+        day.train_ids.len(),
+        train_scores,
+    )
 }
 
 #[test]
@@ -84,7 +104,7 @@ fn snapshot_build_is_identical_at_any_parallelism() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let serial = Segugio::build_snapshot(
+    let serial = DaySnapshot::build(
         &input,
         &SegugioConfig {
             parallelism: Some(1),
@@ -92,7 +112,7 @@ fn snapshot_build_is_identical_at_any_parallelism() {
         },
     );
     for threads in [2usize, 4, 8] {
-        let parallel = Segugio::build_snapshot(
+        let parallel = DaySnapshot::build(
             &input,
             &SegugioConfig {
                 parallelism: Some(threads),

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use segugio_core::{build_training_set, Segugio, SegugioConfig, SnapshotInput};
+use segugio_core::{measure_day, DaySnapshot, SegugioConfig, SnapshotInput};
 use segugio_eval::protocol::select_test_split;
 use segugio_eval::Scenario;
 use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, Label, MachineId, Whitelist};
@@ -21,8 +21,14 @@ fn hidden_test_domains_never_reach_the_training_set() {
     let snap = scenario.snapshot(16, &config, &bl, Some(&hidden));
 
     // 1. Training rows exclude every hidden domain.
-    let (_, ids) = build_training_set(&snap, scenario.isp().activity(), &config);
-    let train_ids: HashSet<_> = ids.into_iter().collect();
+    let day = measure_day(
+        &snap,
+        scenario.isp().activity(),
+        config.features,
+        config.parallelism,
+        |_| true,
+    );
+    let train_ids: HashSet<_> = day.train_ids.into_iter().collect();
     for d in &hidden {
         assert!(
             !train_ids.contains(d),
@@ -100,7 +106,7 @@ fn future_records_never_influence_an_earlier_snapshot() {
         whitelist: &whitelist,
         hidden: None,
     };
-    let snap = Segugio::build_snapshot(&input, &config);
+    let snap = DaySnapshot::build(&input, &config);
 
     // The abuse index saw the past record only.
     assert!(snap.abuse.is_malware_ip(bad_ip));
