@@ -53,7 +53,9 @@ fn main() {
         IspConfig::paper(83)
     };
     let machines = isp_cfg.machines;
-    let run_capacity = DEFAULT_RUN_CAPACITY;
+    // The CI day (2.0M observations) would fit one default run; a smaller
+    // capacity makes it seal and spill 7 runs, as the full day spills 9.
+    let run_capacity = if ci { 256 << 10 } else { DEFAULT_RUN_CAPACITY };
     let config = SegugioConfig {
         // One worker: exact single-thread phase attribution.
         parallelism: Some(1),
@@ -97,7 +99,11 @@ fn main() {
     });
     let (day, resolutions) = day_out.expect("generate_ingest phase ran");
     let observations = runs.observations();
-    let spilled_runs = runs.spilled_runs();
+    let (spilled_runs, spilled_bytes) = (runs.spilled_runs(), runs.spilled_bytes());
+    assert!(
+        spilled_runs > 0,
+        "the day must take the spill route: {observations} observations at {run_capacity} pairs per run"
+    );
 
     // --- Counting-sort CSR build from the runs, grouped by machine. ---
     let mut graph_out = None;
@@ -191,7 +197,8 @@ fn main() {
     let json = format!(
         "{{\n  \"mode\": \"{mode}\",\n  \"machines\": {machines},\n  \
          \"run_capacity_pairs\": {run_capacity},\n  \"observations\": {observations},\n  \
-         \"spilled_runs\": {spilled_runs},\n  \"unpruned_machines\": {unpruned_machines},\n  \
+         \"spilled_runs\": {spilled_runs},\n  \"spilled_bytes\": {spilled_bytes},\n  \
+         \"unpruned_machines\": {unpruned_machines},\n  \
          \"unpruned_edges\": {unpruned_edges},\n  \"peak_bytes\": {overall_peak},\n  \
          \"phases\": {{\n{body}\n  }}\n}}"
     );

@@ -3,15 +3,16 @@
 //!
 //! Whatever the source — an in-memory query list or spilled
 //! [`EdgeRuns`](crate::EdgeRuns) — the day's `(machine, domain)` pairs
-//! reach [`csr_from_pairs`] in any order, with repeats, and that function
-//! is the only code in this crate that turns edges into CSR arrays.
+//! reach [`csr_from_pairs`] in any order, with repeats (as loose pairs or
+//! as runs already grouped by machine), and that function is the only
+//! code in this crate that turns edges into CSR arrays.
 
 use std::collections::HashMap;
 
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
 use crate::graph::BehaviorGraph;
-use crate::runs::{group_by_machine, machine_span, replay_slice, PairSink};
+use crate::runs::{group_by_machine, machine_span, Stored};
 use crate::EdgeRuns;
 
 /// Accumulates one day of `(machine, domain)` query observations plus the
@@ -43,21 +44,26 @@ pub struct GraphBuilder {
     ips: Vec<(DomainId, Ipv4)>,
 }
 
-/// Builds from an in-memory query list, which replays without failing.
+/// Builds from an in-memory query list, which reads without failing.
+///
+/// # Panics
+///
+/// If the list holds more than `u32::MAX` pairs, which the CSR's `u32`
+/// offsets cannot index.
+#[expect(
+    clippy::panic,
+    reason = "a list past u32::MAX pairs breaks the CSR's offset type, not a runtime condition"
+)]
 fn csr_from_queries<F: Fn(DomainId) -> E2ldId>(
     day: Day,
     queries: &[(MachineId, DomainId)],
     ip_pairs: Vec<(DomainId, Ipv4)>,
     e2ld_of: F,
 ) -> BehaviorGraph {
-    let Ok(graph) = csr_from_pairs(
-        day,
-        machine_span(queries),
-        replay_slice(queries),
-        ip_pairs,
-        e2ld_of,
-    );
-    graph
+    match csr_from_pairs(day, machine_span(queries), queries, ip_pairs, e2ld_of) {
+        Ok(graph) => graph,
+        Err(err) => panic!("building a CSR from {} query pairs: {err}", queries.len()),
+    }
 }
 
 /// Flattens per-domain resolution lists into `(domain, ip)` pairs.
@@ -69,29 +75,38 @@ fn flatten(resolutions: &[(DomainId, Vec<Ipv4>)]) -> Vec<(DomainId, Ipv4)> {
     pairs
 }
 
+/// Bytes of `d_adj` one pass of the domain-side scatter may write: the
+/// transpose makes as few passes as keep each within this budget. Chosen
+/// by a sweep on a 1M-machine day (134 MB of `d_adj`), where two or three
+/// blocks beat one by about 10 % and eight lost it again (DESIGN §5.11).
+const TRANSPOSE_BLOCK_BYTES: usize = 64 << 20;
+
 /// The crate's only pairs → CSR constructor: a counting sort on each side.
 ///
-/// `replay` hands over the day's pairs a slice at a time, in any order and
-/// with repeats, machine ids within `machines_span` (`None` for no pairs).
-/// [`group_by_machine`] builds the machine side. The domain side runs over
-/// memory: a counter over the domain id span becomes dense ranks and
-/// offsets by prefix sum, `m_adj` is remapped to ranks in place and
-/// `d_adj` scattered, ascending because machines are visited in order.
+/// `stored` holds the day's pairs in any order and with repeats, machine
+/// ids within `machines_span` (`None` for no pairs). [`group_by_machine`]
+/// builds the machine side. The domain side runs over memory: a counter
+/// over the domain id span becomes dense ranks and offsets by prefix sum,
+/// and `m_adj` is remapped to ranks in place. `d_adj` is then scattered
+/// one block of domain ranks at a time, blocks balanced by edge count, so
+/// each pass writes a slice of `d_adj` small enough to stay in cache;
+/// every list is ascending because machines are visited in order.
 ///
 /// `e2ld_of` is consulted once per queried domain; `ip_pairs` may arrive
 /// in any order with repeats, and pairs of unqueried domains are dropped.
-fn csr_from_pairs<E, F>(
+fn csr_from_pairs<S, F>(
     day: Day,
     machines_span: Option<(u32, u32)>,
-    replay: impl FnMut(&mut PairSink<'_>) -> Result<(), E>,
+    stored: &S,
     mut ip_pairs: Vec<(DomainId, Ipv4)>,
     e2ld_of: F,
-) -> Result<BehaviorGraph, E>
+) -> std::io::Result<BehaviorGraph>
 where
+    S: Stored + ?Sized,
     F: Fn(DomainId) -> E2ldId,
 {
     let (m_lo, (ends, mut m_adj, domain_span)) = match machines_span {
-        Some(span) => (span.0, group_by_machine(span, replay)?),
+        Some(span) => (span.0, group_by_machine(span, stored)?),
         None => (0, (Vec::new(), Vec::new(), None)),
     };
     // Machines with a non-empty bucket, in ascending id order.
@@ -130,18 +145,13 @@ where
         }
     }
 
-    // Remap the machine adjacency to dense domain ranks in place; each
-    // domain's machine list receives ascending machine ranks.
-    let mut d_adj = vec![0u32; m_adj.len()];
-    let mut cursor: Vec<u32> = d_off[..domains.len()].to_vec();
-    for (mi, span) in m_off.windows(2).enumerate() {
-        for slot in &mut m_adj[span[0] as usize..span[1] as usize] {
-            let dr = d_rank[(*slot - d_lo) as usize];
-            *slot = dr;
-            d_adj[cursor[dr as usize] as usize] = mi as u32;
-            cursor[dr as usize] += 1;
-        }
+    // Remap the machine adjacency to dense domain ranks in place.
+    for slot in &mut m_adj {
+        *slot = d_rank[(*slot - d_lo) as usize];
     }
+    drop(d_rank);
+
+    let d_adj = transpose(&m_off, &m_adj, &d_off, TRANSPOSE_BLOCK_BYTES);
 
     // Annotations: e2LD per queried domain, and a flat IP pool of
     // per-domain sorted deduped segments delimited by `ip_off` (one
@@ -188,6 +198,34 @@ where
         unreachable!("constructor produced an invalid graph: {violation}");
     }
     Ok(graph)
+}
+
+/// The domain side's adjacency: each domain's machine ranks, ascending,
+/// from the machine side's `m_off` and rank-valued `m_adj`.
+///
+/// Blocks of domain ranks, balanced by edge count through `d_off`, are
+/// scattered one per pass over the machines in order: as few blocks as
+/// keep each block's slice of the output within `block_bytes`.
+fn transpose(m_off: &[u32], m_adj: &[u32], d_off: &[u32], block_bytes: usize) -> Vec<u32> {
+    let (edges, n_d) = (m_adj.len(), d_off.len() - 1);
+    let blocks = (edges * 4).div_ceil(block_bytes).max(1);
+    let mut d_adj = vec![0u32; edges];
+    let mut cursor: Vec<u32> = d_off[..n_d].to_vec();
+    let mut lo = 0u32;
+    for block in 1..=blocks {
+        let edge_goal = (edges as u64 * block as u64 / blocks as u64) as u32;
+        let hi = d_off.partition_point(|&off| off < edge_goal).min(n_d) as u32;
+        for (mi, span) in m_off.windows(2).enumerate() {
+            for &dr in &m_adj[span[0] as usize..span[1] as usize] {
+                if dr.wrapping_sub(lo) < hi - lo {
+                    d_adj[cursor[dr as usize] as usize] = mi as u32;
+                    cursor[dr as usize] += 1;
+                }
+            }
+        }
+        lo = hi;
+    }
+    d_adj
 }
 
 impl GraphBuilder {
@@ -266,17 +304,18 @@ impl GraphBuilder {
     }
 
     /// Builds a day's graph from accumulated [`EdgeRuns`], for
-    /// paper-scale days: the stored pairs are replayed twice, a slice at a
-    /// time, so peak memory is the output CSR plus the counting arrays,
-    /// never a second copy of the observations. Same contract and same
-    /// output as [`from_queries`](Self::from_queries) over the pushed
-    /// observations.
+    /// paper-scale days: the sealed runs are read twice in their grouped
+    /// form (heads only to count, then each machine's domain slice), so
+    /// peak memory is the output CSR plus the counting arrays, never a
+    /// second copy of the observations. Same contract and same output as
+    /// [`from_queries`](Self::from_queries) over the pushed observations.
     ///
     /// # Errors
     ///
-    /// Errors surface only from replaying spilled runs; the accumulator is
-    /// untouched, so callers with the query list still in memory can fall
-    /// back to [`from_queries`](Self::from_queries).
+    /// Errors surface only from reading back spilled runs, or as
+    /// [`std::io::ErrorKind::InvalidData`] past `u32::MAX` stored pairs;
+    /// the accumulator is untouched, so callers with the query list still
+    /// in memory can fall back to [`from_queries`](Self::from_queries).
     pub fn from_runs<F>(
         day: Day,
         runs: &EdgeRuns,
@@ -289,7 +328,7 @@ impl GraphBuilder {
         csr_from_pairs(
             day,
             runs.machine_span(),
-            |f| runs.replay(f),
+            runs,
             flatten(resolutions),
             e2ld_of,
         )
@@ -457,6 +496,33 @@ mod tests {
         for cap in [2, 1 << 20] {
             check_entry_points_agree(&queries, &resolutions, &e2ld, cap);
         }
+    }
+
+    /// Any block budget, down to one edge per block, gives the one-block
+    /// transpose; a budget of one edge leaves blocks of a single domain
+    /// that span several budgets' worth of edges.
+    #[test]
+    fn transpose_blocks_agree_with_one_pass() {
+        let mut b = GraphBuilder::new(Day(0));
+        for m in 0..40u32 {
+            for d in 0..(m % 7 + 1) {
+                b.add_query(MachineId(m * 3), DomainId((m * 5 + d * 11) % 23));
+            }
+            b.add_query(MachineId(m * 3), DomainId(99));
+        }
+        let g = b.build();
+        let edges = g.edge_count();
+        let whole = transpose(&g.m_off, &g.m_adj, &g.d_off, usize::MAX);
+        assert_eq!(whole, g.d_adj);
+        for block_bytes in [4, 8, 12, 4 * edges / 3, 4 * edges - 1, 4 * edges] {
+            assert_eq!(
+                transpose(&g.m_off, &g.m_adj, &g.d_off, block_bytes),
+                whole,
+                "block budget {block_bytes}"
+            );
+        }
+        let empty = transpose(&[0], &[], &[0], 4);
+        assert!(empty.is_empty());
     }
 
     #[test]

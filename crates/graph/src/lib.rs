@@ -13,8 +13,9 @@
 //!   directions, built by one counting sort per side from unordered pairs,
 //!   whichever entry point ([`GraphBuilder::build`],
 //!   [`GraphBuilder::from_queries`], [`GraphBuilder::from_runs`]) feeds it;
-//! - [`EdgeRuns`] — bounded-memory pair accumulation in deduplicated,
-//!   disk-spillable runs, replayed unmerged by [`GraphBuilder::from_runs`];
+//! - [`EdgeRuns`] — bounded-memory pair accumulation in deduplicated runs
+//!   grouped by machine, spilled to disk at about 4 B per pair and read
+//!   back unmerged by [`GraphBuilder::from_runs`];
 //! - [`labeling`] — seed-label application and machine-label propagation;
 //! - [`pruning`] — the conservative filtering rules R1–R4 with the paper's
 //!   two exceptions (infected machines survive R1; known malware domains
