@@ -1076,6 +1076,60 @@ mod tests {
         }
     }
 
+    /// A generation written before the forest layout changed embeds a
+    /// `segugio-model v1` model. Resume discards it like any generation it
+    /// cannot read and falls back to the one before.
+    #[test]
+    #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
+    fn generation_embedding_a_v1_model_is_discarded() {
+        let scratch = ScratchDir::new("model-v1");
+        let mut isp = IspNetwork::new(IspConfig::tiny(55));
+        isp.warm_up(16);
+        let config = TrackerConfig {
+            target_fpr: 0.02,
+            ..TrackerConfig::default()
+        };
+        let mut tracker = Tracker::new();
+        run_days(&mut isp, &mut tracker, &config, 1);
+        tracker.save_checkpoint(scratch.path(), 3).expect("save 1");
+        let good_day = tracker.last_day().expect("processed");
+        run_days(&mut isp, &mut tracker, &config, 1);
+        let newest = tracker.save_checkpoint(scratch.path(), 3).expect("save 2");
+        let bad_day = tracker.last_day().expect("processed");
+
+        // Swap the newest generation's model for a v1 one: the old header
+        // and a forest in the old arena layout.
+        let text = fs::read_to_string(&newest).expect("read newest");
+        let (_, payload) = text.split_once('\n').expect("header line");
+        let (before, rest) = payload.split_once("\nmodel 1 ").expect("a retained model");
+        let (model_line, rest) = rest.split_once('\n').expect("model line");
+        let fields: Vec<&str> = model_line.split(' ').collect();
+        let count: usize = fields[2].parse().expect("model line count");
+        let after: String = rest.lines().skip(count).map(|l| format!("{l}\n")).collect();
+        let v1 = "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
+                  forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n";
+        let payload = format!(
+            "{before}\nmodel 1 {} {} {}\n{v1}{after}",
+            fields[0],
+            fields[1],
+            v1.lines().count()
+        );
+        let old = framed(payload.as_bytes());
+        let error = Tracker::load_from_bytes(&old).expect_err("a v1 model must be refused");
+        assert!(error.to_string().contains("embedded model"), "{error}");
+        fs::write(&newest, old).expect("plant the v1 generation");
+
+        let resumed = Tracker::resume(scratch.path()).expect("resume degrades, not errors");
+        assert_eq!(resumed.last_day(), Some(good_day));
+        assert_eq!(
+            resumed.pending_degradation,
+            vec![
+                Degradation::CheckpointDiscarded { day: bad_day },
+                Degradation::RestoredFromCheckpoint { day: good_day },
+            ]
+        );
+    }
+
     /// Puts `payload` under a header with the right length and CRC.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let header = format!(

@@ -1,7 +1,8 @@
 //! The trained model, its scorer and the threshold calibrator.
 
 use segugio_ml::{
-    Classifier, Dataset, FlatForest, GradientBoosting, LogisticRegression, RandomForest, RocCurve,
+    Classifier, Dataset, GradientBoosting, LogisticRegression, ParseModelError, RandomForest,
+    RocCurve,
 };
 use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
@@ -13,7 +14,8 @@ use crate::trainer::measure_day;
 /// The classifier behind a [`SegugioModel`].
 #[derive(Debug, Clone)]
 pub enum ModelBackend {
-    /// Random forest.
+    /// Random forest, its split features remapped onto full feature rows
+    /// ([`RandomForest::remap_columns`]).
     Forest(RandomForest),
     /// Logistic regression.
     Logistic(LogisticRegression),
@@ -78,6 +80,8 @@ impl ScoreBuffer {
 /// Models are intentionally self-contained — they carry the feature windows
 /// and column projection they were trained with — so a model trained on one
 /// network can be deployed on another (the paper's cross-network result).
+/// A forest backend has the projection baked into its split features and
+/// scores full rows directly; the other backends project each row.
 #[derive(Debug, Clone)]
 pub struct SegugioModel {
     backend: ModelBackend,
@@ -86,32 +90,19 @@ pub struct SegugioModel {
     /// Worker threads for bulk scoring; not persisted — a deployment
     /// property of this process, not of the trained model.
     parallelism: Option<usize>,
-    /// Breadth-ordered struct-of-arrays repack of a forest backend, with
-    /// the column projection baked into the node feature indices. Built at
-    /// construction/load; `None` for non-forest backends. Scores are
-    /// bit-for-bit identical to walking the arena.
-    flat: Option<FlatForest>,
 }
 
 impl SegugioModel {
     pub(crate) fn new(backend: ModelBackend, columns: Vec<usize>, features: FeatureConfig) -> Self {
-        let flat = match &backend {
-            ModelBackend::Forest(f) => {
-                debug_assert_eq!(
-                    f.n_features(),
-                    columns.len(),
-                    "trainer projects consistently"
-                );
-                Some(FlatForest::from_forest_mapped(f, &columns, FEATURE_COUNT))
-            }
-            _ => None,
-        };
+        debug_assert!(
+            !matches!(&backend, ModelBackend::Forest(f) if f.n_features() != FEATURE_COUNT),
+            "a forest backend scores full rows"
+        );
         SegugioModel {
             backend,
             columns,
             features,
             parallelism: None,
-            flat,
         }
     }
 
@@ -142,7 +133,7 @@ impl SegugioModel {
     pub fn save_to_string(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "segugio-model v1");
+        let _ = writeln!(out, "segugio-model v2");
         let _ = writeln!(
             out,
             "features {} {}",
@@ -162,16 +153,23 @@ impl SegugioModel {
     ///
     /// # Errors
     ///
-    /// Returns [`segugio_ml::ParseModelError`] on version mismatch or
-    /// malformed content.
-    pub fn load_from_str(text: &str) -> Result<Self, segugio_ml::ParseModelError> {
-        use segugio_ml::ParseModelError;
+    /// Returns [`ParseModelError`] on version mismatch (a `v1` file
+    /// included: its forest layout is no longer read, so retrain) or
+    /// malformed content, including a backend whose arity disagrees with
+    /// the `columns` line.
+    pub fn load_from_str(text: &str) -> Result<Self, ParseModelError> {
         let mut lines = text.lines();
         let header = lines
             .next()
             .ok_or_else(|| ParseModelError::new("empty model file"))?;
-        if header.trim() != "segugio-model v1" {
-            return Err(ParseModelError::new("unsupported model version header"));
+        match header.trim() {
+            "segugio-model v2" => {}
+            "segugio-model v1" => {
+                return Err(ParseModelError::new(
+                    "segugio-model v1 is no longer read; retrain and save the model again",
+                ))
+            }
+            _ => return Err(ParseModelError::new("unsupported model version header")),
         }
         let feat = lines
             .next()
@@ -227,24 +225,25 @@ impl SegugioModel {
         } else {
             return Err(ParseModelError::new("unknown backend header"));
         };
-        if let ModelBackend::Forest(f) = &backend {
-            // A forest whose arity disagrees with the column projection
-            // would index a projected row out of bounds at scoring time;
-            // reject it at load instead.
-            if f.n_features() != columns.len() {
-                return Err(ParseModelError::new(
-                    "forest feature count does not match columns line",
-                ));
+        // A backend whose arity disagrees with the rows it will be handed
+        // would index a row out of bounds at scoring time; reject it at
+        // load instead.
+        let arity_error = match &backend {
+            ModelBackend::Forest(f) if f.n_features() != FEATURE_COUNT => {
+                Some("forest does not score full feature rows")
             }
-        }
-        if let ModelBackend::Boosting(b) = &backend {
+            ModelBackend::Logistic(l) if l.weights().len() != columns.len() => {
+                Some("logistic feature count does not match columns line")
+            }
             // The boosting format carries no arity header, so bound-check
             // its split features against the column projection here.
-            if b.n_features() > columns.len() {
-                return Err(ParseModelError::new(
-                    "boosting backend references features beyond columns line",
-                ));
+            ModelBackend::Boosting(b) if b.n_features() > columns.len() => {
+                Some("boosting backend references features beyond columns line")
             }
+            _ => None,
+        };
+        if let Some(message) = arity_error {
+            return Err(ParseModelError::new(message));
         }
         Ok(SegugioModel::new(
             backend,
@@ -259,11 +258,8 @@ impl SegugioModel {
     /// Scores a full 11-feature vector (projection applied internally).
     pub fn score_features(&self, features: &[f32]) -> f32 {
         debug_assert_eq!(features.len(), FEATURE_COUNT);
-        if let Some(flat) = &self.flat {
-            // Column remap is baked into the flat nodes: no projection.
-            return flat.score(features);
-        }
-        if self.columns.len() == FEATURE_COUNT {
+        if matches!(self.backend, ModelBackend::Forest(_)) || self.columns.len() == FEATURE_COUNT {
+            // A forest has the column remap baked into its nodes.
             self.backend.score(features)
         } else {
             // Stack-array projection for the non-forest backends: the
@@ -311,7 +307,7 @@ impl SegugioModel {
     /// `buf`, whose [`detections`](ScoreBuffer::detections) are then
     /// sorted by descending score, domain id as the tie-break. The rows are
     /// already contiguous, so the forest path hands each worker's chunk
-    /// straight to the flat forest's blocked scorer — no copies at all.
+    /// straight to the forest's blocked scorer — no copies at all.
     pub fn score_rows_with(
         &self,
         ids: &[DomainId],
@@ -323,13 +319,13 @@ impl SegugioModel {
         let threads = crate::parallel::resolve_parallelism(self.parallelism);
         buf.scores.clear();
         buf.scores.resize(n, 0.0);
-        match &self.flat {
-            Some(flat) => {
+        match &self.backend {
+            ModelBackend::Forest(forest) => {
                 crate::parallel::parallel_map_fill(&mut buf.scores, threads, |base, out| {
-                    flat.score_rows(&rows[base..base + out.len()], out);
+                    forest.score_rows(&rows[base..base + out.len()], out);
                 });
             }
-            None => {
+            _ => {
                 crate::parallel::parallel_map_fill(&mut buf.scores, threads, |base, out| {
                     for (k, s) in out.iter_mut().enumerate() {
                         *s = self.score_features(&rows[base + k]);
@@ -539,12 +535,32 @@ mod tests {
         assert!(SegugioModel::load_from_str("").is_err());
         assert!(SegugioModel::load_from_str("segugio-model v99").is_err());
         assert!(SegugioModel::load_from_str(
-            "segugio-model v1
+            "segugio-model v2
 features 14 150
 columns 0 1
 bogus"
         )
         .is_err());
+        // A v1 file (its forest in the old arena layout) is refused, typed.
+        let v1 = "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
+                  forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n";
+        let error = SegugioModel::load_from_str(v1).expect_err("v1 is refused");
+        assert!(error.to_string().contains("v1"), "{error}");
+        // A backend whose arity disagrees with the columns line is refused
+        // at load, not at the first scored row.
+        let logistic = "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nlogistic 3\n\
+                        weights 1 1 1\nbias 0\nmean 0 0 0\ninv_std 1 1 1\n";
+        let error = SegugioModel::load_from_str(logistic).expect_err("arity mismatch");
+        assert!(error.to_string().contains("match columns"), "{error}");
+        let matching = logistic
+            .replace("logistic 3", "logistic 2")
+            .replace(" 1 1 1", " 1 1")
+            .replace(" 0 0 0", " 0 0");
+        let model = SegugioModel::load_from_str(&matching).expect("matching arity loads");
+        assert!(model.score_features(&[0.0; FEATURE_COUNT]).is_finite());
+        let narrow_forest = "segugio-model v2\nfeatures 14 150\ncolumns 0 1\n\
+                             forest 1 2\ntree 1\nL 0.5\n";
+        assert!(SegugioModel::load_from_str(narrow_forest).is_err());
     }
 
     #[test]

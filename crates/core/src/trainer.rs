@@ -203,7 +203,9 @@ impl Segugio {
                 } else {
                     cfg
                 };
-                ModelBackend::Forest(RandomForest::fit(&projected, cfg))
+                let mut forest = RandomForest::fit(&projected, cfg);
+                forest.remap_columns(&columns, FEATURE_COUNT);
+                ModelBackend::Forest(forest)
             }
             ClassifierKind::Logistic(cfg) => {
                 ModelBackend::Logistic(LogisticRegression::fit(&projected, cfg))

@@ -134,20 +134,31 @@ fn model_parse_errors_exit_5() {
     let scratch = ScratchDir::new("model");
     let logs = simulate_corpus(&scratch, 1);
     let model = scratch.file("corrupt.model");
-    fs::write(&model, "segugio-model v999 nonsense\n").unwrap();
     let logs_s = logs.to_str().unwrap();
-    let out = segugio(&[
-        "detect",
-        "--logs",
-        logs_s,
-        "--blacklist",
-        &format!("{logs_s}.blacklist"),
-        "--whitelist",
-        &format!("{logs_s}.whitelist"),
-        "--model",
-        model.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 5, "corrupt model file: {out:?}");
+    for text in [
+        "segugio-model v999 nonsense\n",
+        // A model file from before the forest layout changed.
+        "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
+         forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n",
+        // Three logistic weights against two columns: refused at load, not
+        // a panic at the first scored row.
+        "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nlogistic 3\n\
+         weights 1 1 1\nbias 0\nmean 0 0 0\ninv_std 1 1 1\n",
+    ] {
+        fs::write(&model, text).unwrap();
+        let out = segugio(&[
+            "detect",
+            "--logs",
+            logs_s,
+            "--blacklist",
+            &format!("{logs_s}.blacklist"),
+            "--whitelist",
+            &format!("{logs_s}.whitelist"),
+            "--model",
+            model.to_str().unwrap(),
+        ]);
+        assert_eq!(exit_code(&out), 5, "corrupt model file {text:?}: {out:?}");
+    }
 }
 
 #[test]

@@ -44,7 +44,7 @@ impl Default for BoostingConfig {
     }
 }
 
-/// A regression tree node (arena storage, like the classification CART).
+/// A regression tree node (arena storage).
 #[derive(Debug, Clone)]
 enum RNode {
     Leaf {
@@ -271,11 +271,7 @@ impl GradientBoosting {
                     }
                 }
             }
-            crate::tree::validate_topology(&nodes, |node| match *node {
-                RNode::Leaf { .. } => None,
-                RNode::Split { left, right, .. } => Some((left, right)),
-            })
-            .map_err(|e| e.context("rtree"))?;
+            validate_topology(&nodes).map_err(|e| e.context("rtree"))?;
             trees.push(RegressionTree { nodes });
         }
         Ok(GradientBoosting {
@@ -376,6 +372,31 @@ fn grow(
         right,
     };
     node_idx
+}
+
+/// Checks that every node is reachable from node 0 exactly once, i.e. the
+/// arena encodes a proper tree. Rejects cycles (`S 0 0.5 0 0` would make
+/// scoring loop forever), shared children, and orphaned nodes.
+fn validate_topology(nodes: &[RNode]) -> Result<(), ParseModelError> {
+    let mut seen = vec![false; nodes.len()];
+    let mut stack = vec![0u32];
+    while let Some(i) = stack.pop() {
+        let slot = &mut seen[i as usize];
+        if *slot {
+            return Err(ParseModelError::new(
+                "node reachable more than once (cycle or shared child)",
+            ));
+        }
+        *slot = true;
+        if let RNode::Split { left, right, .. } = nodes[i as usize] {
+            stack.push(left);
+            stack.push(right);
+        }
+    }
+    if seen.iter().any(|&v| !v) {
+        return Err(ParseModelError::new("unreachable nodes"));
+    }
+    Ok(())
 }
 
 fn sigmoid(x: f64) -> f64 {

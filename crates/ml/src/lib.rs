@@ -6,12 +6,11 @@
 //! available, so this crate implements the required pieces directly:
 //!
 //! - [`Dataset`] — dense row-major feature matrix with boolean targets;
-//! - [`DecisionTree`] — CART with Gini impurity, depth/leaf limits, and
-//!   per-node feature subsampling;
-//! - [`RandomForest`] — bagged trees with optional class-balanced bootstrap,
-//!   trained in parallel with `crossbeam` scoped threads;
-//! - [`FlatForest`] — a trained forest re-packed into breadth-ordered
-//!   struct-of-arrays node storage for cache-friendly blocked batch scoring;
+//! - [`RandomForest`] — bagged CART trees (Gini impurity, depth/leaf
+//!   limits, per-node feature subsampling, optional class-balanced
+//!   bootstrap), grown in parallel straight into one struct-of-arrays node
+//!   store that is also what blocked batch scoring walks and what the text
+//!   codec persists;
 //! - [`LogisticRegression`] — L2-regularized SGD on standardized features;
 //! - [`RocCurve`] — exact ROC from scored samples, with `TPR @ FPR`,
 //!   threshold selection, AUC and partial AUC;
@@ -39,7 +38,6 @@
 pub mod boosting;
 pub mod dataset;
 pub mod eval;
-pub mod flat;
 pub mod folds;
 pub mod forest;
 pub mod importance;
@@ -50,12 +48,13 @@ pub mod tree;
 pub use boosting::{BoostingConfig, GradientBoosting};
 pub use dataset::Dataset;
 pub use eval::RocCurve;
-pub use flat::FlatForest;
-pub use forest::{BootstrapMode, ForestConfig, OobEstimate, RandomForest};
+#[doc(hidden)]
+pub use forest::FlatForest;
+pub use forest::{BootstrapMode, ForestConfig, RandomForest};
 pub use importance::{permutation_importance, permutation_importance_by};
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use persist::ParseModelError;
-pub use tree::{DecisionTree, TreeConfig};
+pub use tree::TreeConfig;
 
 /// A trained binary scorer: maps a feature vector to a malware score in
 /// `[0, 1]`.

@@ -1,4 +1,5 @@
-//! CART decision trees with Gini impurity.
+//! The CART grower: Gini-impurity classification trees, written straight
+//! into a [`RandomForest`]'s node arrays.
 //!
 //! Training uses pre-sorted feature columns (the classic presort CART
 //! layout): every feature column is sorted once up front, and split search
@@ -6,15 +7,21 @@
 //! candidates. Splitting stably partitions every column's segment, so both
 //! children inherit sorted segments and the per-node cost drops from
 //! `O(k · m log m)` sorting to a linear scan.
+//!
+//! Growth is depth-first: a node that splits appends its two children as
+//! an adjacent pair, then grows the left subtree completely before the
+//! right one. Every split search therefore draws from the tree's RNG in
+//! depth-first preorder.
+
+use std::ops::Range;
 
 use rand::seq::index::sample as sample_indices;
 use rand::Rng;
 
 use crate::dataset::Dataset;
-use crate::persist::{self, ParseModelError};
-use crate::Classifier;
+use crate::forest::RandomForest;
 
-/// Hyperparameters for a single [`DecisionTree`].
+/// Per-tree CART hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root is depth 0).
@@ -39,301 +46,68 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum Node {
-    Leaf {
-        probability: f32,
-    },
-    Split {
-        feature: u16,
-        threshold: f32,
-        /// Index of the left child in the arena; right child is `left + 1`…
-        /// no — children are stored at arbitrary positions, so both indices
-        /// are kept explicitly.
-        left: u32,
-        right: u32,
-    },
-}
-
-/// A trained CART classification tree producing P(positive) estimates.
+/// Grows one tree over the rows of `data` selected by `indices` (repeats
+/// allowed, as produced by bootstrap sampling) and appends it to `forest`:
+/// its root goes to the end of the node arrays and of the root list.
 ///
-/// # Example
+/// # Panics
 ///
-/// ```
-/// use segugio_ml::{Classifier, Dataset, DecisionTree, TreeConfig};
-/// use rand::SeedableRng;
-///
-/// let mut data = Dataset::new(1);
-/// for i in 0..50 {
-///     data.push(&[i as f32], i >= 25);
-/// }
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let tree = DecisionTree::fit(&data, &TreeConfig::default(), &mut rng);
-/// assert!(tree.score(&[40.0]) > 0.9);
-/// assert!(tree.score(&[3.0]) < 0.1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DecisionTree {
-    pub(crate) nodes: Vec<Node>,
-    n_features: usize,
+/// Panics if `indices` is empty.
+pub(crate) fn grow_tree<R: Rng>(
+    forest: &mut RandomForest,
+    data: &Dataset,
+    indices: &[u32],
+    config: &TreeConfig,
+    rng: &mut R,
+) {
+    assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
+    let root = forest.push_leaves(1);
+    forest.roots.push(root);
+    let mut columns = SortedColumns::new(data, indices);
+    grow(forest, root, &mut columns, 0..indices.len(), 0, config, rng);
 }
 
-impl DecisionTree {
-    /// Fits a tree on `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty.
-    pub fn fit<R: Rng>(data: &Dataset, config: &TreeConfig, rng: &mut R) -> Self {
-        let indices: Vec<u32> = (0..data.len() as u32).collect();
-        Self::fit_on(data, &indices, config, rng)
-    }
+/// Grows the subtree at `node` (already appended as a leaf) over the
+/// positions `span` of `columns`.
+fn grow<R: Rng>(
+    forest: &mut RandomForest,
+    node: u32,
+    columns: &mut SortedColumns,
+    span: Range<usize>,
+    depth: usize,
+    config: &TreeConfig,
+    rng: &mut R,
+) {
+    let (lo, hi) = (span.start, span.end);
+    let n = hi - lo;
+    let pos = columns.positives(lo, hi);
+    let split = if depth >= config.max_depth || n < config.min_samples_split || pos == 0 || pos == n
+    {
+        None
+    } else {
+        best_split(columns, lo, hi, pos, config, rng)
+    };
+    let at = node as usize;
+    let Some(split) = split else {
+        // Laplace-smoothed leaf estimate: keeps large pure leaves more
+        // confident than tiny ones, which gives the forest's averaged
+        // score a much finer ranking resolution at the extremes (the
+        // low-FP operating points live there).
+        forest.threshold[at] = (pos as f32 + 1.0) / (n as f32 + 2.0);
+        return;
+    };
 
-    /// Fits a tree on the rows of `data` selected by `indices` (repeats
-    /// allowed, as produced by bootstrap sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty.
-    pub fn fit_on<R: Rng>(
-        data: &Dataset,
-        indices: &[u32],
-        config: &TreeConfig,
-        rng: &mut R,
-    ) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_features: data.n_features(),
-        };
-        let mut columns = SortedColumns::new(data, indices);
-        tree.grow(&mut columns, 0, indices.len(), 0, config, rng);
-        tree
-    }
+    // Partition every column's segment around the threshold; both
+    // children keep sorted segments.
+    let mid = columns.partition(lo, hi, split.feature as usize, split.threshold);
+    debug_assert!(mid > lo && mid < hi, "split must separate samples");
 
-    /// Serializes the tree into the line-oriented persistence format.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "tree {} {}", self.n_features, self.nodes.len());
-        for node in &self.nodes {
-            match *node {
-                Node::Leaf { probability } => {
-                    let _ = writeln!(out, "L {probability}");
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let _ = writeln!(out, "S {feature} {threshold} {left} {right}");
-                }
-            }
-        }
-    }
-
-    /// Reads a tree from the persistence format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseModelError`] on malformed input (wrong header, node
-    /// count mismatch, child index out of range, cyclic or disconnected
-    /// node topology).
-    pub fn read_text<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<Self, ParseModelError> {
-        let header = persist::next_line(lines, "tree header")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("tree") {
-            return Err(ParseModelError::new("expected `tree` header"));
-        }
-        let n_features: usize = persist::field(parts.next(), "tree feature count")?;
-        let n_nodes: usize = persist::field(parts.next(), "tree node count")?;
-        if n_features == 0 || n_nodes == 0 {
-            return Err(ParseModelError::new("tree must have features and nodes"));
-        }
-        // Cap the pre-allocation: `n_nodes` is attacker-controlled text, and
-        // an absurd claimed count must fail on the missing node lines, not
-        // by attempting a giant up-front allocation.
-        let mut nodes = Vec::with_capacity(n_nodes.min(1 << 16));
-        for _ in 0..n_nodes {
-            let line = persist::next_line(lines, "tree node")?;
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("L") => nodes.push(Node::Leaf {
-                    probability: persist::field(parts.next(), "leaf probability")?,
-                }),
-                Some("S") => nodes.push(Node::Split {
-                    feature: persist::field(parts.next(), "split feature")?,
-                    threshold: persist::field(parts.next(), "split threshold")?,
-                    left: persist::field(parts.next(), "split left child")?,
-                    right: persist::field(parts.next(), "split right child")?,
-                }),
-                _ => {
-                    return Err(ParseModelError::new(
-                        "expected node line `L ...` or `S ...`",
-                    ))
-                }
-            }
-        }
-        // Validate child references so scoring can never index out of
-        // bounds.
-        for node in &nodes {
-            if let Node::Split {
-                left,
-                right,
-                feature,
-                ..
-            } = *node
-            {
-                if left as usize >= nodes.len() || right as usize >= nodes.len() {
-                    return Err(ParseModelError::new("node child index out of range"));
-                }
-                if feature as usize >= n_features {
-                    return Err(ParseModelError::new("split feature out of range"));
-                }
-            }
-        }
-        validate_topology(&nodes, |node| match *node {
-            Node::Leaf { .. } => None,
-            Node::Split { left, right, .. } => Some((left, right)),
-        })
-        .map_err(|e| e.context("tree"))?;
-        Ok(DecisionTree { nodes, n_features })
-    }
-
-    /// Number of nodes (splits + leaves).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Feature arity the tree was trained for.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Maximum depth actually reached.
-    pub fn depth(&self) -> usize {
-        // Iterative: parsing bounds the node count, not the shape, so a
-        // path-shaped tree from a model file could overflow a recursive
-        // walk's call stack.
-        let mut max = 0usize;
-        let mut stack = vec![(0u32, 0usize)];
-        while let Some((i, d)) = stack.pop() {
-            match self.nodes[i as usize] {
-                Node::Leaf { .. } => max = max.max(d),
-                Node::Split { left, right, .. } => {
-                    stack.push((left, d + 1));
-                    stack.push((right, d + 1));
-                }
-            }
-        }
-        max
-    }
-
-    /// Grows a subtree over the positions `lo..hi` of `columns`, returning
-    /// its node index.
-    fn grow<R: Rng>(
-        &mut self,
-        columns: &mut SortedColumns,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut R,
-    ) -> u32 {
-        let n = hi - lo;
-        let pos = columns.positives(lo, hi);
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            // Laplace-smoothed leaf estimate: keeps large pure leaves more
-            // confident than tiny ones, which gives the forest's averaged
-            // score a much finer ranking resolution at the extremes (the
-            // low-FP operating points live there).
-            let probability = (pos as f32 + 1.0) / (n as f32 + 2.0);
-            nodes.push(Node::Leaf { probability });
-            (nodes.len() - 1) as u32
-        };
-
-        if depth >= config.max_depth || n < config.min_samples_split || pos == 0 || pos == n {
-            return make_leaf(&mut self.nodes);
-        }
-
-        let Some(split) = best_split(columns, lo, hi, pos, config, rng) else {
-            return make_leaf(&mut self.nodes);
-        };
-
-        // Partition every column's segment around the threshold; both
-        // children keep sorted segments.
-        let mid = columns.partition(lo, hi, split.feature as usize, split.threshold);
-        debug_assert!(mid > lo && mid < hi, "split must separate samples");
-
-        // Reserve this node's slot before recursing.
-        let node_idx = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf { probability: 0.0 });
-        let left = self.grow(columns, lo, mid, depth + 1, config, rng);
-        let right = self.grow(columns, mid, hi, depth + 1, config, rng);
-        self.nodes[node_idx as usize] = Node::Split {
-            feature: split.feature,
-            threshold: split.threshold,
-            left,
-            right,
-        };
-        node_idx
-    }
-}
-
-impl Classifier for DecisionTree {
-    fn score(&self, features: &[f32]) -> f32 {
-        assert_eq!(features.len(), self.n_features, "feature arity mismatch");
-        let mut i = 0u32;
-        loop {
-            match self.nodes[i as usize] {
-                Node::Leaf { probability } => return probability,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if features[feature as usize] <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Checks that every node is reachable from node 0 exactly once, i.e. the
-/// arena encodes a proper tree. Rejects cycles (`S 0 0.5 0 0` would make
-/// scoring loop forever), shared children, and orphaned nodes. Shared with
-/// the boosted-tree reader via the `children` projection.
-pub(crate) fn validate_topology<N>(
-    nodes: &[N],
-    children: impl Fn(&N) -> Option<(u32, u32)>,
-) -> Result<(), ParseModelError> {
-    let mut seen = vec![false; nodes.len()];
-    let mut stack = vec![0u32];
-    while let Some(i) = stack.pop() {
-        let slot = &mut seen[i as usize];
-        if *slot {
-            return Err(ParseModelError::new(
-                "node reachable more than once (cycle or shared child)",
-            ));
-        }
-        *slot = true;
-        if let Some((left, right)) = children(&nodes[i as usize]) {
-            stack.push(left);
-            stack.push(right);
-        }
-    }
-    if seen.iter().any(|&v| !v) {
-        return Err(ParseModelError::new("unreachable nodes"));
-    }
-    Ok(())
+    let left = forest.push_leaves(2);
+    forest.feature_idx[at] = split.feature;
+    forest.threshold[at] = split.threshold;
+    forest.children[at] = left;
+    grow(forest, left, columns, lo..mid, depth + 1, config, rng);
+    grow(forest, left + 1, columns, mid..hi, depth + 1, config, rng);
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -540,11 +314,18 @@ fn midpoint(lo: f32, hi: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Classifier;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    /// One tree grown over `indices` (every row when `None`), as a
+    /// one-tree forest.
+    fn grow_one(data: &Dataset, indices: Option<&[u32]>, config: &TreeConfig) -> RandomForest {
+        let all: Vec<u32> = (0..data.len() as u32).collect();
+        let mut forest = RandomForest::empty(data.n_features());
+        let mut rng = StdRng::seed_from_u64(42);
+        grow_tree(&mut forest, data, indices.unwrap_or(&all), config, &mut rng);
+        forest
     }
 
     #[test]
@@ -553,7 +334,7 @@ mod tests {
         for i in 0..10 {
             d.push(&[i as f32, 0.0], true);
         }
-        let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
+        let t = grow_one(&d, None, &TreeConfig::default());
         assert_eq!(t.node_count(), 1);
         // Laplace-smoothed pure leaf: (10+1)/(10+2).
         assert!(t.score(&[3.0, 0.0]) > 0.9);
@@ -565,7 +346,7 @@ mod tests {
         for i in 0..20 {
             d.push(&[i as f32, (i % 3) as f32], i >= 10);
         }
-        let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
+        let t = grow_one(&d, None, &TreeConfig::default());
         assert!(t.score(&[2.0, 1.0]) < 0.1);
         assert!(t.score(&[15.0, 1.0]) > 0.9);
     }
@@ -579,8 +360,9 @@ mod tests {
             d.push(&[0.0, 1.0], true);
             d.push(&[1.0, 0.0], true);
         }
-        let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
-        assert!(t.depth() >= 2);
+        let t = grow_one(&d, None, &TreeConfig::default());
+        // A root split plus a split under each child: at least 7 nodes.
+        assert!(t.node_count() >= 7);
         assert!(t.score(&[0.0, 1.0]) > 0.8);
         assert!(t.score(&[1.0, 1.0]) < 0.2);
     }
@@ -596,7 +378,7 @@ mod tests {
             max_depth: 0,
             ..TreeConfig::default()
         };
-        let t = DecisionTree::fit(&d, &cfg, &mut rng());
+        let t = grow_one(&d, None, &cfg);
         assert_eq!(t.node_count(), 1);
         // Smoothed prior: (1+1)/(4+2).
         assert!((t.score(&[9.0]) - 1.0 / 3.0).abs() < 1e-6);
@@ -614,107 +396,51 @@ mod tests {
             min_samples_leaf: 3,
             ..TreeConfig::default()
         };
-        let t = DecisionTree::fit(&d, &cfg, &mut rng());
+        let t = grow_one(&d, None, &cfg);
         // The outlier cannot be isolated; every leaf has >= 3 samples, so no
         // leaf is pure-positive.
         assert!(t.score(&[100.0]) < 1.0);
     }
 
     #[test]
-    fn fit_on_bootstrap_indices() {
+    fn grows_on_bootstrap_indices() {
         let mut d = Dataset::new(1);
         for i in 0..10 {
             d.push(&[i as f32], i >= 5);
         }
         // Bootstrap containing only negatives.
-        let t = DecisionTree::fit_on(&d, &[0, 1, 2, 0, 1], &TreeConfig::default(), &mut rng());
+        let t = grow_one(&d, Some(&[0, 1, 2, 0, 1]), &TreeConfig::default());
         assert!(t.score(&[9.0]) < 0.2);
     }
 
     #[test]
-    fn text_round_trip_preserves_scores() {
+    fn children_are_adjacent_pairs_in_depth_first_order() {
         let mut d = Dataset::new(2);
-        for i in 0..60 {
-            d.push(&[i as f32, (i % 5) as f32], i % 3 == 0);
+        for i in 0..90 {
+            d.push(&[(i % 13) as f32, (i % 7) as f32], (i * 7919) % 5 < 2);
         }
-        let t = DecisionTree::fit(&d, &TreeConfig::default(), &mut rng());
-        let mut text = String::new();
-        t.write_text(&mut text);
-        let t2 = DecisionTree::read_text(&mut text.lines()).unwrap();
-        for i in 0..d.len() {
-            assert_eq!(t.score(d.row(i)), t2.score(d.row(i)));
+        let mut forest = grow_one(&d, None, &TreeConfig::default());
+        let mut rng = StdRng::seed_from_u64(9);
+        let all: Vec<u32> = (0..d.len() as u32).collect();
+        grow_tree(&mut forest, &d, &all, &TreeConfig::default(), &mut rng);
+        assert_eq!(forest.tree_count(), 2);
+        // The k-th split in depth-first preorder (left subtree first) owns
+        // the k-th pair after its tree's root.
+        for &root in &forest.roots {
+            let mut next_pair = root + 1;
+            let mut stack = vec![root];
+            while let Some(i) = stack.pop() {
+                let left = forest.children[i as usize];
+                if left == crate::forest::LEAF {
+                    continue;
+                }
+                assert_eq!(left, next_pair, "split {i}");
+                next_pair += 2;
+                stack.push(left + 1);
+                stack.push(left);
+            }
         }
-    }
-
-    #[test]
-    fn read_text_rejects_garbage() {
-        assert!(DecisionTree::read_text(&mut "nope".lines()).is_err());
-        assert!(DecisionTree::read_text(
-            &mut "tree 2 1
-X 1"
-            .lines()
-        )
-        .is_err());
-        assert!(DecisionTree::read_text(
-            &mut "tree 2 1
-S 0 1.0 5 6"
-                .lines()
-        )
-        .is_err());
-        assert!(DecisionTree::read_text(
-            &mut "tree 2 2
-S 9 1.0 1 1
-L 0.5"
-                .lines()
-        )
-        .is_err());
-        assert!(DecisionTree::read_text(
-            &mut "tree 2 2
-L 0.5"
-                .lines()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn read_text_rejects_cycles_and_orphans() {
-        // Self-loop: used to parse, then `score()` looped forever and
-        // `depth()` blew the stack.
-        assert!(DecisionTree::read_text(&mut "tree 2 1\nS 0 0.5 0 0".lines()).is_err());
-        // Shared child: node 3 referenced twice.
-        assert!(DecisionTree::read_text(
-            &mut "tree 2 4\nS 0 0.5 1 2\nS 0 0.25 3 3\nL 0.5\nL 0.1".lines()
-        )
-        .is_err());
-        // Orphaned node: node 3 never referenced.
-        assert!(
-            DecisionTree::read_text(&mut "tree 2 4\nS 0 0.5 1 2\nL 0.2\nL 0.8\nL 0.9".lines())
-                .is_err()
-        );
-        // Back-edge to the root.
-        assert!(
-            DecisionTree::read_text(&mut "tree 2 3\nS 0 0.5 1 2\nL 0.2\nS 1 0.5 0 1".lines())
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn depth_handles_path_shaped_trees() {
-        // A comb: each split's right child is the next split. Deep enough
-        // that a recursive depth walk would overflow the call stack.
-        let depth = 100_000;
-        let mut text = format!("tree 1 {}\n", 2 * depth + 1);
-        for i in 0..depth {
-            let leaf = 2 * i + 1;
-            let next = 2 * i + 2;
-            text.push_str(&format!("S 0 {i} {leaf} {next}\n"));
-            text.push_str("L 0.25\n");
-        }
-        text.push_str("L 0.75\n");
-        let t = DecisionTree::read_text(&mut text.lines()).unwrap();
-        assert_eq!(t.depth(), depth);
-        // Always greater than every threshold: walks the full comb.
-        assert_eq!(t.score(&[1e9]), 0.75);
+        assert!(forest.node_count() > 9, "the fixture must split");
     }
 
     #[test]

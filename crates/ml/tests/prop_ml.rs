@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use segugio_ml::folds::{fold_split, grouped_kfold, stratified_kfold};
 use segugio_ml::{
-    Classifier, Dataset, DecisionTree, ForestConfig, RandomForest, RocCurve, TreeConfig,
+    BootstrapMode, Classifier, Dataset, ForestConfig, RandomForest, RocCurve, TreeConfig,
 };
 
 fn labeled_scores() -> impl Strategy<Value = (Vec<f32>, Vec<bool>)> {
@@ -82,8 +82,13 @@ proptest! {
         for (x, y) in &rows {
             data.push(x, *y);
         }
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let tree = DecisionTree::fit(&data, &TreeConfig::default(), &mut rng);
+        // One unbagged tree over every row and feature: a single CART.
+        let tree = RandomForest::fit(&data, &ForestConfig {
+            n_trees: 1,
+            tree: TreeConfig { mtry: Some(3), ..TreeConfig::default() },
+            bootstrap: BootstrapMode::None,
+            ..Default::default()
+        });
         let forest = RandomForest::fit(&data, &ForestConfig { n_trees: 5, ..Default::default() });
         for (x, _) in &rows {
             let t = tree.score(x);

@@ -1,27 +1,25 @@
-//! Property-based tests for model persistence and the flat scoring path.
+//! Property-based tests for model persistence and blocked scoring.
 //!
 //! Three groups:
 //!
 //! 1. **Hostile input** — grammar-biased token soup fed to the
 //!    `read_text` parsers must either parse or return a typed
 //!    [`ParseModelError`]; it must never panic, hang, or over-allocate.
-//!    Whatever parses must also survive `depth()` and `score()` (the
-//!    topology validation at parse time is what makes traversal
-//!    termination safe to promise).
-//! 2. **Round-trips** — randomly shaped trees whose thresholds and leaf
+//!    Whatever parses must also `score()` to completion (the topology
+//!    validation at parse time is what makes traversal termination safe
+//!    to promise), and a parsed forest writes back text that reads again.
+//! 2. **Round-trips** — randomly shaped forests whose thresholds and leaf
 //!    probabilities include NaN, infinities and `-0.0` must round-trip
 //!    through the text format bit-for-bit (NaN-aware: Display collapses
 //!    NaN payloads to the one canonical quiet NaN the parser returns).
-//! 3. **Flat parity** — [`FlatForest`] scores random trained forests
-//!    bit-identically to the arena walk, per row and blocked.
+//! 3. **Blocked scoring** — [`RandomForest::score_rows`] scores random
+//!    trained forests bit-identically to per-row `score()`.
 //!
 //! [`ParseModelError`]: segugio_ml::ParseModelError
 
 use proptest::prelude::*;
 
-use segugio_ml::{
-    Classifier, Dataset, DecisionTree, FlatForest, ForestConfig, GradientBoosting, RandomForest,
-};
+use segugio_ml::{Classifier, Dataset, ForestConfig, GradientBoosting, RandomForest};
 
 // ---------------------------------------------------------------------------
 // Group 1: hostile input.
@@ -97,36 +95,36 @@ fn build_shape(spec: &[(u8, u16, f32)], pos: &mut usize, depth: usize) -> Shape 
     }
 }
 
-fn shape() -> impl Strategy<Value = Shape> {
-    proptest::collection::vec((any::<u8>(), any::<u16>(), weird_f32()), 1..80)
-        .prop_map(|spec| build_shape(&spec, &mut 0, 0))
+fn shapes() -> impl Strategy<Value = Vec<Shape>> {
+    let shape = proptest::collection::vec((any::<u8>(), any::<u16>(), weird_f32()), 1..80)
+        .prop_map(|spec| build_shape(&spec, &mut 0, 0));
+    proptest::collection::vec(shape, 1..4)
 }
 
-/// Emits `shape` as persistence-format node lines in DFS preorder,
-/// returning this node's index.
-fn emit(shape: &Shape, lines: &mut Vec<String>) -> u32 {
-    let at = lines.len();
+/// Writes `shape` into node slot `at` of `lines`, the way the grower lays
+/// a tree out: a split's children are appended as a pair, and the left
+/// subtree is laid out before the right one.
+fn emit(shape: &Shape, at: usize, lines: &mut Vec<String>) {
     match shape {
-        Shape::Leaf(p) => lines.push(format!("L {p}")),
+        Shape::Leaf(p) => lines[at] = format!("L {p}"),
         Shape::Split(feature, threshold, left, right) => {
-            lines.push(String::new());
-            let l = emit(left, lines);
-            let r = emit(right, lines);
-            lines[at] = format!("S {feature} {threshold} {l} {r}");
+            let pair = lines.len();
+            lines.resize(pair + 2, String::new());
+            lines[at] = format!("S {feature} {threshold} {pair}");
+            emit(left, pair, lines);
+            emit(right, pair + 1, lines);
         }
     }
-    at as u32
 }
 
-fn shape_text(shape: &Shape) -> String {
-    let mut lines = Vec::new();
-    emit(shape, &mut lines);
-    format!(
-        "tree {} {}\n{}\n",
-        SHAPE_FEATURES,
-        lines.len(),
-        lines.join("\n")
-    )
+fn forest_text(shapes: &[Shape]) -> String {
+    let mut text = format!("forest {} {}\n", shapes.len(), SHAPE_FEATURES);
+    for shape in shapes {
+        let mut lines = vec![String::new()];
+        emit(shape, 0, &mut lines);
+        text.push_str(&format!("tree {}\n{}\n", lines.len(), lines.join("\n")));
+    }
+    text
 }
 
 fn bits_match(a: f32, b: f32) -> bool {
@@ -138,7 +136,7 @@ fn bits_match(a: f32, b: f32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Group 3: flat parity.
+// Group 3: blocked scoring.
 
 fn labeled_rows() -> impl Strategy<Value = Vec<(Vec<f32>, bool)>> {
     proptest::collection::vec(
@@ -152,22 +150,20 @@ fn labeled_rows() -> impl Strategy<Value = Vec<(Vec<f32>, bool)>> {
 
 proptest! {
     /// Token soup never panics or hangs any of the parsers, and whatever
-    /// parses can be traversed: `depth()` and `score()` terminate because
-    /// parse-time topology validation rejected every cycle.
+    /// parses can be traversed: `score()` terminates because parse-time
+    /// validation rejected every child placed before its parent.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn hostile_text_is_rejected_or_usable(text in hostile_text()) {
-        if let Ok(tree) = DecisionTree::read_text(&mut text.lines()) {
-            let row = vec![0.25f32; tree.n_features()];
-            let _ = tree.depth();
-            let _ = tree.score(&row);
-        }
         if let Ok(forest) = RandomForest::read_text(&mut text.lines()) {
             let row = vec![0.25f32; forest.n_features()];
-            let arena = forest.score(&row);
-            // A forest that parses must also flatten and agree bit-for-bit.
-            let flat = FlatForest::from_forest(&forest);
-            prop_assert!(bits_match(flat.score(&row), arena));
+            let score = forest.score(&row);
+            // What parsed writes back as text that parses to the same.
+            let mut written = String::new();
+            forest.write_text(&mut written);
+            let again = RandomForest::read_text(&mut written.lines())
+                .expect("written forest parses");
+            prop_assert!(bits_match(again.score(&row), score));
         }
         if let Ok(boosting) = GradientBoosting::read_text(&mut text.lines()) {
             // The format carries no arity header, so score with the widest
@@ -178,37 +174,36 @@ proptest! {
         }
     }
 
-    /// Structurally valid trees with NaN / ±inf / -0.0 payloads parse, and
-    /// one write/read cycle is a fixed point: the re-serialized text is
-    /// byte-identical and scores are bit-identical (NaN-aware).
+    /// Structurally valid forests with NaN / ±inf / -0.0 payloads parse,
+    /// and one write/read cycle is a fixed point: the re-serialized text
+    /// is byte-identical and scores are bit-identical (NaN-aware).
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn nonfinite_payloads_round_trip(
-        shape in shape(),
+        shapes in shapes(),
         probe in proptest::collection::vec(-10.0f32..10.0, SHAPE_FEATURES as usize),
     ) {
-        let text1 = shape_text(&shape);
-        let tree1 = DecisionTree::read_text(&mut text1.lines())
-            .expect("structurally valid tree parses");
+        let text1 = forest_text(&shapes);
+        let forest1 = RandomForest::read_text(&mut text1.lines())
+            .expect("structurally valid forest parses");
         let mut text2 = String::new();
-        tree1.write_text(&mut text2);
+        forest1.write_text(&mut text2);
         prop_assert_eq!(&text1, &text2, "write is the identity on parsed text");
-        let tree2 = DecisionTree::read_text(&mut text2.lines())
-            .expect("round-tripped tree parses");
-        prop_assert_eq!(tree1.node_count(), tree2.node_count());
-        prop_assert_eq!(tree1.depth(), tree2.depth());
+        let forest2 = RandomForest::read_text(&mut text2.lines())
+            .expect("round-tripped forest parses");
+        prop_assert_eq!(forest1.node_count(), forest2.node_count());
         prop_assert!(
-            bits_match(tree1.score(&probe), tree2.score(&probe)),
+            bits_match(forest1.score(&probe), forest2.score(&probe)),
             "scores diverged after round-trip"
         );
     }
 
-    /// FlatForest reproduces the arena forest bit-for-bit on random
-    /// trained forests, both per row and through the blocked path (cycled
-    /// past `SCORE_BLOCK` so block boundaries and the ragged tail run).
+    /// Blocked scoring reproduces per-row scoring bit-for-bit on random
+    /// trained forests (cycled past the 64-row block so block boundaries
+    /// and the ragged tail run).
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
-    fn flat_matches_arena_on_random_forests(
+    fn blocked_scoring_matches_per_row_on_random_forests(
         rows in labeled_rows(),
         n_trees in 1usize..8,
         seed in any::<u64>(),
@@ -221,7 +216,6 @@ proptest! {
             &data,
             &ForestConfig { n_trees, seed, ..Default::default() },
         );
-        let flat = FlatForest::from_forest(&forest);
         let blocked_rows: Vec<[f32; 4]> = rows
             .iter()
             .cycle()
@@ -229,11 +223,9 @@ proptest! {
             .map(|(x, _)| [x[0], x[1], x[2], x[3]])
             .collect();
         let mut out = vec![0.0f32; blocked_rows.len()];
-        flat.score_rows(&blocked_rows, &mut out);
+        forest.score_rows(&blocked_rows, &mut out);
         for (row, &blocked) in blocked_rows.iter().zip(&out) {
-            let arena = forest.score(row);
-            prop_assert_eq!(flat.score(row).to_bits(), arena.to_bits());
-            prop_assert_eq!(blocked.to_bits(), arena.to_bits());
+            prop_assert_eq!(blocked.to_bits(), forest.score(row).to_bits());
         }
     }
 }
