@@ -170,9 +170,9 @@ fn main() {
     assert_eq!(lines, day.queries.len());
 
     // The next morning, nothing appended yet: decode, check, seek, read.
-    let state = collector.encode_state();
+    let state = collector.state_bytes();
     let (read, c) = measure(|| {
-        let mut resumed = LogCollector::decode_state(&state).expect("own state decodes");
+        let mut resumed = LogCollector::from_state_bytes(&state).expect("own state decodes");
         let (start, unchanged) = resumed
             .resume_log(&mut log, Some(day.day))
             .expect("an in-memory log reads");

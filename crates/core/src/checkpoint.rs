@@ -5,27 +5,26 @@
 //! the stale-model fallback needs the last trained model. This module
 //! makes that state survive process death:
 //!
-//! - a **versioned, checksummed text codec** ([`Tracker::save_to_string`] /
-//!   [`Tracker::load_from_str`]) in the same hand-rolled line-oriented
-//!   style as [`SegugioModel::save_to_string`](crate::SegugioModel): a
-//!   header `segugio-checkpoint v1 <payload-bytes> <crc32-hex>` whose
-//!   length field catches truncation and torn tails and whose CRC-32
-//!   catches bit rot, followed by the tracker payload `tracker v2` —
-//!   flag/confirmation maps, day counters, and the retained model with
-//!   its calibrated threshold embedded verbatim. Nothing derived is
-//!   saved: each day's snapshot, abuse index included, is built from that
-//!   day's inputs and the pDNS store, so a resumed tracker needs no more;
-//! - an **opaque front-end section** behind the tracker's text, inside
-//!   the same payload and so under the same length and checksum: whatever
-//!   the program feeding the tracker [attached](Tracker::attach_front_end)
-//!   — for the log reader, the names behind the domain ids every map
-//!   above is keyed by, and how far the log was read — framed as
-//!   `front-end <bytes>\n` and the bytes. Ids and the state they key thus
+//! - **generations in the one container** ([`Tracker::to_bytes`] /
+//!   [`Tracker::from_bytes`]): a [`TRACKER`] section — flag and
+//!   confirmation maps, day counters, pending fallback records, and the
+//!   retained model's calibrated threshold and training day — then the
+//!   retained model as a [`MODEL`] section, the same payload a model file
+//!   holds. Every section carries its length and a CRC-32, checked before
+//!   any field is read; the byte layout is written down once, in
+//!   [`segugio_model::container`]. Nothing derived is saved: each day's
+//!   snapshot, abuse index included, is built from that day's inputs and
+//!   the pDNS store, so a resumed tracker needs no more;
+//! - an **opaque [`FRONT_END`] section** last: whatever the program
+//!   feeding the tracker [attached](Tracker::attach_front_end) — for the
+//!   log reader, the names behind the domain ids every map above is keyed
+//!   by, and how far the log was read. Ids and the state they key thus
 //!   live and die in one generation: a fallback to an older generation
-//!   takes the older ids with it. This crate never looks inside (it must
-//!   not depend on the front end), a tracker with nothing attached writes
-//!   the tracker's text alone, and a section its owner can no longer
-//!   decode costs the owner a re-read, never the tracker state beside it;
+//!   takes the older ids with it. This crate frames the section and never
+//!   looks inside (it must not depend on the front end), a tracker with
+//!   nothing attached writes no such section, and a section its owner can
+//!   no longer decode costs the owner a re-read, never the tracker state
+//!   beside it;
 //! - **atomic generation files** ([`Tracker::save_checkpoint`]): each save
 //!   writes `checkpoint-<day>.seg` through the shared temp-file + fsync +
 //!   rename helper [`write_atomic`] (a crash at any byte leaves either the
@@ -44,13 +43,14 @@
 //! deployment at every injected crash point and asserts the resumed
 //! `DayReport` stream equals the uninterrupted one.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
-use segugio_model::Day;
+use segugio_model::container::{self, DecodeError, Reader, Tag, Writer, FRONT_END, MODEL, TRACKER};
+use segugio_model::{Day, DomainId};
 
 use crate::model::SegugioModel;
 use crate::tracker::{Degradation, RetainedModel, Tracker};
@@ -59,9 +59,9 @@ use crate::tracker::{Degradation, RetainedModel, Tracker};
 /// default.
 pub const DEFAULT_KEEP_GENERATIONS: usize = 3;
 
-/// A typed checkpoint failure: parse errors, checksum mismatches, and the
-/// IO failures of saving/resuming. Carries an optional causal chain, like
-/// [`segugio_ml::ParseModelError`].
+/// A typed checkpoint failure: the IO failures of saving and resuming.
+/// Carries an optional causal chain. (A generation that does not decode is
+/// a [`DecodeError`], and [`Tracker::resume`] degrades past it.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointError {
     message: String,
@@ -98,145 +98,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         self.source.as_deref().map(|e| e as _)
     }
-}
-
-impl From<String> for CheckpointError {
-    fn from(message: String) -> Self {
-        CheckpointError::new(message)
-    }
-}
-
-impl From<&str> for CheckpointError {
-    fn from(message: &str) -> Self {
-        CheckpointError::new(message)
-    }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Hand-rolled so
-/// the checkpoint layer stays dependency-free like the rest of the codec.
-///
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
-/// advances a byte that has `k` more bytes behind it, so eight bytes fold
-/// into the state with eight independent lookups (slicing-by-8). Every
-/// save and every resume checksums a whole generation — megabytes — and
-/// the byte loop was a third of a save.
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let before = tables[k - 1][i];
-            tables[k][i] = tables[0][(before & 0xFF) as usize] ^ (before >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// The CRC-32 checksum embedded in (and verified against) the checkpoint
-/// header.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_of(&[bytes])
-}
-
-/// [`crc32`] of the concatenation of `parts`, without concatenating them.
-fn crc32_of(parts: &[&[u8]]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        let mut eights = part.chunks_exact(8);
-        for eight in &mut eights {
-            let lo = c ^ u32::from_le_bytes([eight[0], eight[1], eight[2], eight[3]]);
-            let hi = u32::from_le_bytes([eight[4], eight[5], eight[6], eight[7]]);
-            c = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in eights.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// A checkpoint document, in the order its pieces are written: the header
-/// line, then the payload it describes — the tracker's text and, when a
-/// front-end section is attached, its frame line and the section.
-struct Document<'a> {
-    header: String,
-    payload: String,
-    frame: String,
-    section: &'a str,
-}
-
-impl Document<'_> {
-    fn parts(&self) -> [&str; 4] {
-        [&self.header, &self.payload, &self.frame, self.section]
-    }
-}
-
-/// The last line of the tracker's own part of the payload; what follows
-/// it, if anything, is the front-end section.
-const END_TRACKER: &[u8] = b"\nend-tracker\n";
-
-/// Splits a payload into the tracker's text and the front-end section
-/// behind it: `front-end <bytes>\n` and exactly that many bytes. A payload
-/// without that frame comes back whole, for the tracker parser to accept
-/// or refuse as it always has.
-fn split_front_end(payload: &[u8]) -> Result<(&[u8], Option<&str>), CheckpointError> {
-    let Some(end) = payload
-        .windows(END_TRACKER.len())
-        .position(|w| w == END_TRACKER)
-        .map(|at| at + END_TRACKER.len())
-    else {
-        return Ok((payload, None));
-    };
-    let (tracker, rest) = payload.split_at(end);
-    let Some(frame) = rest.strip_prefix(b"front-end ") else {
-        return Ok((payload, None));
-    };
-    let newline = frame
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| CheckpointError::new("unterminated front-end line"))?;
-    let declared: usize = std::str::from_utf8(&frame[..newline])
-        .ok()
-        .and_then(|token| token.parse().ok())
-        .ok_or_else(|| CheckpointError::new("bad front-end section length"))?;
-    let section = &frame[newline + 1..];
-    if section.len() != declared {
-        return Err(CheckpointError::new(format!(
-            "front-end section length mismatch: declared {declared} bytes, found {}",
-            section.len()
-        )));
-    }
-    let section = std::str::from_utf8(section)
-        .map_err(|e| CheckpointError::new(format!("front-end section is not UTF-8: {e}")))?;
-    Ok((tracker, Some(section)))
 }
 
 /// What an atomic write attempt did — [`write_atomic_with_kill`] reports
@@ -343,374 +204,174 @@ fn list_generations(dir: &Path) -> Result<Vec<(Day, PathBuf)>, CheckpointError> 
     Ok(generations)
 }
 
-fn next_line<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<&'a str, CheckpointError> {
-    lines.next().ok_or_else(|| {
-        CheckpointError::new(format!("unexpected end of checkpoint: missing {what}"))
-    })
-}
-
-fn field<T: FromStr>(
-    parts: &mut std::str::SplitAsciiWhitespace<'_>,
-    what: &str,
-) -> Result<T, CheckpointError>
-where
-    T::Err: fmt::Display,
-{
-    let token = parts
-        .next()
-        .ok_or_else(|| CheckpointError::new(format!("missing {what}")))?;
-    token
-        .parse()
-        .map_err(|e| CheckpointError::new(format!("bad {what} {token:?}: {e}")))
-}
-
-fn f32_bits(
-    parts: &mut std::str::SplitAsciiWhitespace<'_>,
-    what: &str,
-) -> Result<f32, CheckpointError> {
-    let token = parts
-        .next()
-        .ok_or_else(|| CheckpointError::new(format!("missing {what}")))?;
-    let bits = u32::from_str_radix(token, 16)
-        .map_err(|e| CheckpointError::new(format!("bad {what} {token:?}: {e}")))?;
-    Ok(f32::from_bits(bits))
-}
-
-fn end_of_line(
-    parts: &mut std::str::SplitAsciiWhitespace<'_>,
-    what: &str,
-) -> Result<(), CheckpointError> {
-    match parts.next() {
-        None => Ok(()),
-        Some(extra) => Err(CheckpointError::new(format!(
-            "trailing token {extra:?} on {what} line"
-        ))),
-    }
-}
-
 impl Tracker {
-    /// Serializes the complete tracker state as a self-validating text
-    /// document: `segugio-checkpoint v1 <payload-bytes> <crc32-hex>`
-    /// followed by the payload. [`load_from_str`](Self::load_from_str) of
-    /// the result reproduces this exact string — save→load→save is a
-    /// byte-identical fixed point.
-    ///
-    /// An [attached](Self::attach_front_end) front-end section follows the
-    /// tracker's text inside the same payload, under the same length and
-    /// checksum, framed as `front-end <bytes>\n` and the bytes; with
-    /// nothing attached the document is the tracker's text alone.
-    pub fn save_to_string(&self) -> String {
-        self.document().parts().concat()
+    /// The complete tracker state as a checkpoint generation: a
+    /// [container](segugio_model::container) holding the [`TRACKER`]
+    /// section, the retained model's [`MODEL`] section if there is one,
+    /// and the [attached](Self::attach_front_end) [`FRONT_END`] section
+    /// if there is one. [`from_bytes`](Self::from_bytes) of the result
+    /// saves back to these exact bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.with_pieces(|pieces| pieces.concat())
     }
 
-    /// The checkpoint document in pieces. The section is megabytes and
-    /// the same for every save of a run: it is checksummed where it lies,
-    /// and [`save_checkpoint`](Self::save_checkpoint) writes it from
-    /// there.
-    fn document(&self) -> Document<'_> {
-        let mut payload = String::new();
-        self.write_payload(&mut payload);
-        let section = self.front_end.as_deref().unwrap_or_default();
-        let frame = match &self.front_end {
-            Some(section) => format!("front-end {}\n", section.len()),
-            None => String::new(),
-        };
-        let len = payload.len() + frame.len() + section.len();
-        let crc = crc32_of(&[payload.as_bytes(), frame.as_bytes(), section.as_bytes()]);
-        Document {
-            header: format!("segugio-checkpoint v1 {len} {crc:08x}\n"),
-            payload,
-            frame,
-            section,
-        }
+    /// Hands `write` the generation in pieces. The front-end section is
+    /// megabytes and the same for every save of a run: it is checksummed
+    /// and written from where it lies.
+    fn with_pieces<T>(&self, write: impl FnOnce(&[&[u8]]) -> T) -> T {
+        let tracker = self.section();
+        let model = self.last_model.as_ref().map(|kept| kept.model.section());
+        let mut sections = vec![(TRACKER, tracker.as_slice())];
+        sections.extend(model.as_deref().map(|model| (MODEL, model)));
+        sections.extend(
+            self.front_end
+                .as_deref()
+                .map(|section| (FRONT_END, section)),
+        );
+        let pieces = container::pieces(&sections);
+        let pieces: Vec<&[u8]> = pieces.iter().map(AsRef::as_ref).collect();
+        write(&pieces)
     }
 
-    fn write_payload(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        out.push_str("tracker v2\n");
-        let _ = write!(out, "flagged {}", self.flagged.len());
+    /// The [`TRACKER`] section payload.
+    fn section(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(
+            64 + 8 * self.flagged.len()
+                + 12 * self.confirmed.len()
+                + 5 * self.pending_degradation.len(),
+        );
+        w.count(self.flagged.len());
         for (&domain, &day) in &self.flagged {
-            let _ = write!(out, " {} {}", domain.0, day.0);
+            w.put(domain.0);
+            w.put(day.0);
         }
-        out.push('\n');
-        let _ = write!(out, "confirmed {}", self.confirmed.len());
+        w.count(self.confirmed.len());
         for (&domain, &(flagged_on, confirmed_on)) in &self.confirmed {
-            let _ = write!(out, " {} {} {}", domain.0, flagged_on.0, confirmed_on.0);
+            w.put(domain.0);
+            w.put(flagged_on.0);
+            w.put(confirmed_on.0);
         }
-        out.push('\n');
-        let _ = writeln!(out, "days-processed {}", self.days_processed);
-        match self.last_day {
-            Some(day) => {
-                let _ = writeln!(out, "last-day 1 {}", day.0);
-            }
-            None => out.push_str("last-day 0\n"),
+        w.put(self.days_processed as u64);
+        w.flag(self.last_day.is_some());
+        if let Some(day) = self.last_day {
+            w.put(day.0);
         }
-        let _ = write!(out, "pending {}", self.pending_degradation.len());
+        w.count(self.pending_degradation.len());
         for record in &self.pending_degradation {
-            match record {
-                Degradation::StaleModel { trained_on } => {
-                    let _ = write!(out, " S {}", trained_on.0);
-                }
-                Degradation::MaskedIpFeatures => out.push_str(" F"),
-                Degradation::RestoredFromCheckpoint { day } => {
-                    let _ = write!(out, " R {}", day.0);
-                }
-                Degradation::CheckpointDiscarded { day } => {
-                    let _ = write!(out, " D {}", day.0);
-                }
-                Degradation::LogReread { ids_restored } => {
-                    let _ = write!(out, " L {}", u8::from(*ids_restored));
-                }
-            }
+            let (kind, value) = match *record {
+                Degradation::StaleModel { trained_on } => (0u8, trained_on.0),
+                Degradation::MaskedIpFeatures => (1, 0),
+                Degradation::RestoredFromCheckpoint { day } => (2, day.0),
+                Degradation::CheckpointDiscarded { day } => (3, day.0),
+                Degradation::LogReread { ids_restored } => (4, u32::from(ids_restored)),
+            };
+            w.put(kind);
+            w.put(value);
         }
-        out.push('\n');
-        match &self.last_model {
-            Some(retained) => {
-                let text = retained.model.save_to_string();
-                let _ = writeln!(
-                    out,
-                    "model 1 {:08x} {} {}",
-                    retained.threshold.to_bits(),
-                    retained.trained_on.0,
-                    text.lines().count()
-                );
-                out.push_str(&text);
-                if !text.ends_with('\n') {
-                    out.push('\n');
-                }
-            }
-            None => out.push_str("model 0\n"),
+        w.flag(self.last_model.is_some());
+        if let Some(kept) = &self.last_model {
+            w.put(kept.threshold);
+            w.put(kept.trained_on.0);
         }
-        out.push_str("end-tracker\n");
+        w.into_bytes()
     }
 
-    /// Parses a checkpoint document produced by
-    /// [`save_to_string`](Self::save_to_string), verifying the header's
-    /// payload length (catches truncation and torn tails) and CRC-32
-    /// (catches bit flips) before touching the payload. Never panics on
-    /// hostile input — every malformation is a typed [`CheckpointError`].
-    pub fn load_from_str(text: &str) -> Result<Tracker, CheckpointError> {
-        Self::load_from_bytes(text.as_bytes())
-    }
-
-    /// [`load_from_str`](Self::load_from_str) over raw file bytes: the
-    /// header is validated before the payload is required to be UTF-8, so
-    /// a bit-flipped or torn file fails the checksum, not a decode step.
-    pub fn load_from_bytes(bytes: &[u8]) -> Result<Tracker, CheckpointError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| CheckpointError::new("missing checkpoint header line"))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|e| CheckpointError::new(format!("checkpoint header is not UTF-8: {e}")))?;
-        let mut parts = header.split_ascii_whitespace();
-        match (parts.next(), parts.next()) {
-            (Some("segugio-checkpoint"), Some("v1")) => {}
-            _ => {
-                return Err(CheckpointError::new(format!(
-                    "bad checkpoint header: {header:?}"
-                )))
-            }
-        }
-        let declared_len: usize = field(&mut parts, "payload length")?;
-        let declared_crc_token = parts
-            .next()
-            .ok_or_else(|| CheckpointError::new("missing checksum"))?;
-        let declared_crc = u32::from_str_radix(declared_crc_token, 16).map_err(|e| {
-            CheckpointError::new(format!("bad checksum {declared_crc_token:?}: {e}"))
-        })?;
-        end_of_line(&mut parts, "header")?;
-        let payload = &bytes[newline + 1..];
-        if payload.len() != declared_len {
-            return Err(CheckpointError::new(format!(
-                "payload length mismatch: header declares {declared_len} bytes, found {} (torn or truncated write)",
-                payload.len()
+    /// Reads a generation written by [`to_bytes`](Self::to_bytes). Every
+    /// section's length and CRC-32 are verified before any field is read,
+    /// so a torn, truncated or bit-flipped file fails the frame, not a
+    /// field. Never panics on hostile input.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for anything but a generation of this version.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Tracker, DecodeError> {
+        let mut sections = container::decode(bytes)?.into_iter().peekable();
+        let mut next = |tag: Tag| sections.next_if(|&(t, _)| t == tag).map(|(_, p)| p);
+        let (tracker, model, front_end) = (next(TRACKER), next(MODEL), next(FRONT_END));
+        if let Some((tag, _)) = sections.next() {
+            return Err(DecodeError::new(format!(
+                "unexpected {} section",
+                String::from_utf8_lossy(&tag)
             )));
         }
-        let actual_crc = crc32(payload);
-        if actual_crc != declared_crc {
-            return Err(CheckpointError::new(format!(
-                "checksum mismatch: header declares {declared_crc:08x}, payload hashes to {actual_crc:08x}"
-            )));
-        }
-        let (payload, front_end) =
-            split_front_end(payload).map_err(|e| e.context("parsing checkpoint payload"))?;
-        let payload = std::str::from_utf8(payload)
-            .map_err(|e| CheckpointError::new(format!("checkpoint payload is not UTF-8: {e}")))?;
+        let tracker = tracker.ok_or_else(|| DecodeError::new("no tracker section"))?;
         let mut tracker =
-            Self::parse_payload(payload).map_err(|e| e.context("parsing checkpoint payload"))?;
-        tracker.front_end = front_end.map(str::to_owned);
+            Self::from_section(tracker, model).map_err(|e| e.context("tracker section"))?;
+        tracker.front_end = front_end.map(<[u8]>::to_vec);
         Ok(tracker)
     }
 
-    fn parse_payload(payload: &str) -> Result<Tracker, CheckpointError> {
-        use segugio_model::DomainId;
-        let mut lines = payload.lines();
-        let header = next_line(&mut lines, "tracker header")?;
-        // `tracker v1` carried an engine block before `end-tracker`: refused
-        // here, not mis-parsed, and the caller discards the generation.
-        if header != "tracker v2" {
-            return Err(CheckpointError::new(format!(
-                "bad tracker header: {header:?}"
-            )));
-        }
-
-        let line = next_line(&mut lines, "flagged line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("flagged") {
-            return Err(CheckpointError::new(format!("bad flagged line: {line:?}")));
-        }
-        let count: usize = field(&mut parts, "flagged count")?;
-        let mut flagged = std::collections::BTreeMap::new();
-        for _ in 0..count {
-            let domain: u32 = field(&mut parts, "flagged domain id")?;
-            let day: u32 = field(&mut parts, "flagged day")?;
-            if flagged.insert(DomainId(domain), Day(day)).is_some() {
-                return Err(CheckpointError::new(format!(
-                    "duplicate flagged domain {domain}"
+    /// Reads a [`TRACKER`] section payload and the retained model's
+    /// section beside it.
+    fn from_section(payload: &[u8], model: Option<&[u8]>) -> Result<Tracker, DecodeError> {
+        let mut r = Reader::new(payload);
+        let mut flagged = BTreeMap::new();
+        for _ in 0..r.count("flagged count")? {
+            let domain = DomainId(r.get("flagged domain")?);
+            if flagged.insert(domain, Day(r.get("flagged day")?)).is_some() {
+                return Err(DecodeError::new(format!(
+                    "duplicate flagged domain {}",
+                    domain.0
                 )));
             }
         }
-        end_of_line(&mut parts, "flagged")?;
-
-        let line = next_line(&mut lines, "confirmed line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("confirmed") {
-            return Err(CheckpointError::new(format!(
-                "bad confirmed line: {line:?}"
-            )));
-        }
-        let count: usize = field(&mut parts, "confirmed count")?;
-        let mut confirmed = std::collections::BTreeMap::new();
-        for _ in 0..count {
-            let domain: u32 = field(&mut parts, "confirmed domain id")?;
-            let flagged_on: u32 = field(&mut parts, "confirmed flag day")?;
-            let confirmed_on: u32 = field(&mut parts, "confirmed confirm day")?;
-            if confirmed
-                .insert(DomainId(domain), (Day(flagged_on), Day(confirmed_on)))
-                .is_some()
-            {
-                return Err(CheckpointError::new(format!(
-                    "duplicate confirmed domain {domain}"
+        let mut confirmed = BTreeMap::new();
+        for _ in 0..r.count("confirmed count")? {
+            let domain = DomainId(r.get("confirmed domain")?);
+            let days = (Day(r.get("flag day")?), Day(r.get("confirmation day")?));
+            if confirmed.insert(domain, days).is_some() {
+                return Err(DecodeError::new(format!(
+                    "duplicate confirmed domain {}",
+                    domain.0
                 )));
             }
         }
-        end_of_line(&mut parts, "confirmed")?;
-
-        let line = next_line(&mut lines, "days-processed line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("days-processed") {
-            return Err(CheckpointError::new(format!(
-                "bad days-processed line: {line:?}"
-            )));
-        }
-        let days_processed: usize = field(&mut parts, "days-processed count")?;
-        end_of_line(&mut parts, "days-processed")?;
-
-        let line = next_line(&mut lines, "last-day line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("last-day") {
-            return Err(CheckpointError::new(format!("bad last-day line: {line:?}")));
-        }
-        let last_day = match parts.next() {
-            Some("0") => None,
-            Some("1") => Some(Day(field(&mut parts, "last day")?)),
-            other => {
-                return Err(CheckpointError::new(format!(
-                    "bad last-day marker: {other:?}"
-                )))
-            }
+        let days_processed = r.get::<u64>("days processed")?;
+        let days_processed = usize::try_from(days_processed)
+            .map_err(|_| DecodeError::new(format!("{days_processed} days processed")))?;
+        let last_day = match r.flag("last day")? {
+            true => Some(Day(r.get("last day")?)),
+            false => None,
         };
-        end_of_line(&mut parts, "last-day")?;
-
-        let line = next_line(&mut lines, "pending line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("pending") {
-            return Err(CheckpointError::new(format!("bad pending line: {line:?}")));
-        }
-        let count: usize = field(&mut parts, "pending count")?;
         let mut pending_degradation = Vec::new();
-        for _ in 0..count {
-            let record = match parts.next() {
-                Some("S") => Degradation::StaleModel {
-                    trained_on: Day(field(&mut parts, "stale-model day")?),
+        for _ in 0..r.count("pending count")? {
+            let kind: u8 = r.get("pending record kind")?;
+            let value: u32 = r.get("pending record value")?;
+            pending_degradation.push(match (kind, value) {
+                (0, day) => Degradation::StaleModel {
+                    trained_on: Day(day),
                 },
-                Some("F") => Degradation::MaskedIpFeatures,
-                Some("R") => Degradation::RestoredFromCheckpoint {
-                    day: Day(field(&mut parts, "restored-from day")?),
+                (1, 0) => Degradation::MaskedIpFeatures,
+                (2, day) => Degradation::RestoredFromCheckpoint { day: Day(day) },
+                (3, day) => Degradation::CheckpointDiscarded { day: Day(day) },
+                (4, 0 | 1) => Degradation::LogReread {
+                    ids_restored: value == 1,
                 },
-                Some("D") => Degradation::CheckpointDiscarded {
-                    day: Day(field(&mut parts, "discarded day")?),
-                },
-                Some("L") => Degradation::LogReread {
-                    ids_restored: match parts.next() {
-                        Some("0") => false,
-                        Some("1") => true,
-                        other => {
-                            return Err(CheckpointError::new(format!(
-                                "bad log-reread marker: {other:?}"
-                            )))
-                        }
-                    },
-                },
-                other => {
-                    return Err(CheckpointError::new(format!(
-                        "bad pending record tag: {other:?}"
+                _ => {
+                    return Err(DecodeError::new(format!(
+                        "bad pending record: kind {kind}, value {value}"
                     )))
                 }
-            };
-            pending_degradation.push(record);
+            });
         }
-        end_of_line(&mut parts, "pending")?;
-
-        let line = next_line(&mut lines, "model line")?;
-        let mut parts = line.split_ascii_whitespace();
-        if parts.next() != Some("model") {
-            return Err(CheckpointError::new(format!("bad model line: {line:?}")));
-        }
-        let last_model = match parts.next() {
-            Some("0") => {
-                end_of_line(&mut parts, "model")?;
-                None
-            }
-            Some("1") => {
-                let threshold = f32_bits(&mut parts, "model threshold")?;
-                let trained_on = Day(field(&mut parts, "model training day")?);
-                let line_count: usize = field(&mut parts, "model line count")?;
-                end_of_line(&mut parts, "model")?;
-                let mut text = String::new();
-                for _ in 0..line_count {
-                    text.push_str(next_line(&mut lines, "embedded model line")?);
-                    text.push('\n');
-                }
-                let model = SegugioModel::load_from_str(&text)
-                    .map_err(|e| CheckpointError::new(format!("embedded model: {e}")))?;
-                Some(RetainedModel {
-                    model,
-                    threshold,
-                    trained_on,
-                })
-            }
-            other => return Err(CheckpointError::new(format!("bad model marker: {other:?}"))),
+        let retained = match r.flag("retained model")? {
+            true => Some((r.get("model threshold")?, Day(r.get("model training day")?))),
+            false => None,
         };
-
-        match lines.next() {
-            Some("end-tracker") => {}
-            other => {
-                return Err(CheckpointError::new(format!(
-                    "missing end-tracker, got {other:?}"
-                )))
+        r.finish("tracker section")?;
+        let last_model = match (retained, model) {
+            (Some((threshold, trained_on)), Some(model)) => Some(RetainedModel {
+                model: SegugioModel::from_section(model).map_err(|e| e.context("model section"))?,
+                threshold,
+                trained_on,
+            }),
+            (None, None) => None,
+            _ => {
+                return Err(DecodeError::new(
+                    "the tracker's retained model and the model section disagree",
+                ))
             }
-        }
-        if let Some(extra) = lines.next() {
-            return Err(CheckpointError::new(format!(
-                "trailing content after end-tracker: {extra:?}"
-            )));
-        }
-
+        };
         Ok(Tracker {
             flagged,
             confirmed,
@@ -740,35 +401,13 @@ impl Tracker {
         fs::create_dir_all(dir)
             .map_err(|e| CheckpointError::new(format!("creating {}: {e}", dir.display())))?;
         let path = dir.join(format!("checkpoint-{}.seg", day.0));
-        write_atomic_impl(&path, &self.document().parts().map(str::as_bytes), None)
+        self.with_pieces(|pieces| write_atomic_impl(&path, pieces, None))
             .map_err(|e| e.context(format!("saving checkpoint for day {}", day.0)))?;
         for (_, old) in list_generations(dir)?.into_iter().skip(keep.max(1)) {
             fs::remove_file(&old)
                 .map_err(|e| CheckpointError::new(format!("pruning {}: {e}", old.display())))?;
         }
         Ok(path)
-    }
-
-    /// [`save_checkpoint`](Self::save_checkpoint) with a deterministic
-    /// crash injected after `kill_after_bytes` of the temp file: the
-    /// destination generation is never touched and no pruning runs,
-    /// exactly as if the process had died mid-write. For the chaos suite.
-    pub fn save_checkpoint_killed(
-        &self,
-        dir: &Path,
-        kill_after_bytes: u64,
-    ) -> Result<WriteOutcome, CheckpointError> {
-        let day = self.last_day.ok_or_else(|| {
-            CheckpointError::new("no processed day to checkpoint: the tracker is empty")
-        })?;
-        fs::create_dir_all(dir)
-            .map_err(|e| CheckpointError::new(format!("creating {}: {e}", dir.display())))?;
-        let path = dir.join(format!("checkpoint-{}.seg", day.0));
-        write_atomic_impl(
-            &path,
-            &self.document().parts().map(str::as_bytes),
-            Some(kill_after_bytes),
-        )
     }
 
     /// Restores a tracker from the newest loadable generation in `dir`.
@@ -801,10 +440,10 @@ impl Tracker {
         let mut discarded: Vec<Degradation> = Vec::new();
         for (i, (day, path)) in generations.iter().enumerate() {
             let loaded = fs::read(path)
-                .map_err(|e| CheckpointError::new(format!("reading {}: {e}", path.display())))
-                .and_then(|bytes| Tracker::load_from_bytes(&bytes));
+                .ok()
+                .and_then(|bytes| Tracker::from_bytes(&bytes).ok());
             match loaded {
-                Ok(mut tracker) => {
+                Some(mut tracker) => {
                     if i > 0 {
                         tracker.pending_degradation.extend(discarded);
                         tracker
@@ -813,7 +452,7 @@ impl Tracker {
                     }
                     return Ok(tracker);
                 }
-                Err(_) => discarded.push(Degradation::CheckpointDiscarded { day: *day }),
+                None => discarded.push(Degradation::CheckpointDiscarded { day: *day }),
             }
         }
         let mut fresh = Tracker::new();
@@ -881,12 +520,19 @@ mod tests {
         }
     }
 
+    /// The tags of a generation's sections, in order.
+    fn tags(bytes: &[u8]) -> Vec<Tag> {
+        let sections = container::decode(bytes).expect("a valid container");
+        sections.iter().map(|&(tag, _)| tag).collect()
+    }
+
     #[test]
     fn empty_tracker_round_trips_as_fixed_point() {
         let tracker = Tracker::new();
-        let text = tracker.save_to_string();
-        let loaded = Tracker::load_from_str(&text).expect("valid checkpoint");
-        assert_eq!(loaded.save_to_string(), text, "save→load→save fixed point");
+        let bytes = tracker.to_bytes();
+        assert_eq!(tags(&bytes), [TRACKER], "no model, nothing attached");
+        let loaded = Tracker::from_bytes(&bytes).expect("valid checkpoint");
+        assert_eq!(loaded.to_bytes(), bytes, "save→load→save fixed point");
         assert_eq!(loaded.days_processed(), 0);
         assert_eq!(loaded.last_day(), None);
     }
@@ -905,19 +551,13 @@ mod tests {
         let mut original = Tracker::new();
         run_days(&mut isp_a, &mut original, &config, 3);
 
-        // Round trip is a byte fixed point, and the text is tracker facts
-        // and a model: no graph, rolling-index or feature-cache section.
-        let text = original.save_to_string();
-        for line in text.lines() {
-            assert!(
-                !["graph v1", "rolling", "cache"]
-                    .iter()
-                    .any(|section| line.starts_with(section)),
-                "derived state in a checkpoint: {line:?}"
-            );
-        }
-        let mut resumed = Tracker::load_from_str(&text).expect("valid checkpoint");
-        assert_eq!(resumed.save_to_string(), text);
+        // Round trip is a byte fixed point, and the generation is tracker
+        // facts and a model: no graph, rolling-index or feature-cache
+        // section.
+        let bytes = original.to_bytes();
+        assert_eq!(tags(&bytes), [TRACKER, MODEL]);
+        let mut resumed = Tracker::from_bytes(&bytes).expect("valid checkpoint");
+        assert_eq!(resumed.to_bytes(), bytes);
         assert_eq!(resumed.days_processed(), original.days_processed());
         assert_eq!(resumed.last_day(), original.last_day());
 
@@ -1038,106 +678,42 @@ mod tests {
         );
     }
 
-    /// A generation from when the payload carried an engine block (`engine
-    /// v1` with the unpruned graph, `engine v2` with the rolling index and
-    /// feature cache, both under `tracker v1`) is refused by the header
-    /// check, not mis-parsed: resume discards it and rebuilds.
+    /// A generation of the text format before the container — here a
+    /// literal `segugio-checkpoint v1` file with a correct header — and a
+    /// generation from a later container version are refused, not
+    /// mis-parsed: resume discards them and falls back to the generation
+    /// before.
     #[test]
     #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
-    fn engine_v1_generation_is_discarded_not_misparsed() {
-        let current = Tracker::new().save_to_string();
-        let (_, payload) = current.split_once('\n').expect("header line");
-        assert_eq!(payload.matches("tracker v2\n").count(), 1);
-        assert_eq!(payload.matches("end-tracker\n").count(), 1);
-        let rolling = "rolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n";
-        for (tag, engine) in [
-            ("engine-v1", format!("engine v1\ndelta 0\n{rolling}")),
-            ("engine-v2", format!("engine v2\n{rolling}")),
-        ] {
-            let payload = payload
-                .replace("tracker v2\n", "tracker v1\n")
-                .replace("end-tracker\n", &format!("{engine}end-tracker\n"));
-            let old = framed(payload.as_bytes());
-            let error = Tracker::load_from_bytes(&old).expect_err("tracker v1 must be refused");
-            assert!(
-                error.to_string().contains("bad tracker header"),
-                "{tag}: {error}"
-            );
-
-            let scratch = ScratchDir::new(tag);
-            fs::create_dir_all(scratch.path()).expect("mkdir");
-            fs::write(scratch.path().join("checkpoint-4.seg"), old).expect("seed old generation");
-            let resumed = Tracker::resume(scratch.path()).expect("degrades to fresh");
-            assert_eq!(
-                resumed.pending_degradation,
-                vec![Degradation::CheckpointDiscarded { day: Day(4) }],
-                "{tag}"
-            );
-        }
-    }
-
-    /// A generation written before the forest layout changed embeds a
-    /// `segugio-model v1` model. Resume discards it like any generation it
-    /// cannot read and falls back to the one before.
-    #[test]
-    #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
-    fn generation_embedding_a_v1_model_is_discarded() {
-        let scratch = ScratchDir::new("model-v1");
-        let mut isp = IspNetwork::new(IspConfig::tiny(55));
-        isp.warm_up(16);
-        let config = TrackerConfig {
-            target_fpr: 0.02,
-            ..TrackerConfig::default()
-        };
-        let mut tracker = Tracker::new();
-        run_days(&mut isp, &mut tracker, &config, 1);
-        tracker.save_checkpoint(scratch.path(), 3).expect("save 1");
-        let good_day = tracker.last_day().expect("processed");
-        run_days(&mut isp, &mut tracker, &config, 1);
-        let newest = tracker.save_checkpoint(scratch.path(), 3).expect("save 2");
-        let bad_day = tracker.last_day().expect("processed");
-
-        // Swap the newest generation's model for a v1 one: the old header
-        // and a forest in the old arena layout.
-        let text = fs::read_to_string(&newest).expect("read newest");
-        let (_, payload) = text.split_once('\n').expect("header line");
-        let (before, rest) = payload.split_once("\nmodel 1 ").expect("a retained model");
-        let (model_line, rest) = rest.split_once('\n').expect("model line");
-        let fields: Vec<&str> = model_line.split(' ').collect();
-        let count: usize = fields[2].parse().expect("model line count");
-        let after: String = rest.lines().skip(count).map(|l| format!("{l}\n")).collect();
-        let v1 = "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
-                  forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n";
-        let payload = format!(
-            "{before}\nmodel 1 {} {} {}\n{v1}{after}",
-            fields[0],
-            fields[1],
-            v1.lines().count()
+    fn other_format_generations_are_discarded_not_misparsed() {
+        let payload = "tracker v2\nflagged 1 12 5\nconfirmed 0\ndays-processed 6\n\
+                       last-day 1 5\npending 0\nmodel 0\nend-tracker\n";
+        let parent = format!(
+            "segugio-checkpoint v1 {} {:08x}\n{payload}",
+            payload.len(),
+            container::crc32(payload.as_bytes())
         );
-        let old = framed(payload.as_bytes());
-        let error = Tracker::load_from_bytes(&old).expect_err("a v1 model must be refused");
-        assert!(error.to_string().contains("embedded model"), "{error}");
-        fs::write(&newest, old).expect("plant the v1 generation");
+        let mut future = Tracker::new().to_bytes();
+        future[8] = 2;
 
+        let scratch = ScratchDir::new("other-format");
+        fs::create_dir_all(scratch.path()).expect("mkdir");
+        let mut kept = Tracker::new();
+        kept.last_day = Some(Day(3));
+        kept.days_processed = 4;
+        fs::write(scratch.path().join("checkpoint-3.seg"), kept.to_bytes()).expect("seed");
+        fs::write(scratch.path().join("checkpoint-5.seg"), parent).expect("seed parent");
+        fs::write(scratch.path().join("checkpoint-6.seg"), future).expect("seed future");
         let resumed = Tracker::resume(scratch.path()).expect("resume degrades, not errors");
-        assert_eq!(resumed.last_day(), Some(good_day));
+        assert_eq!(resumed.last_day(), Some(Day(3)));
         assert_eq!(
             resumed.pending_degradation,
             vec![
-                Degradation::CheckpointDiscarded { day: bad_day },
-                Degradation::RestoredFromCheckpoint { day: good_day },
+                Degradation::CheckpointDiscarded { day: Day(6) },
+                Degradation::CheckpointDiscarded { day: Day(5) },
+                Degradation::RestoredFromCheckpoint { day: Day(3) },
             ]
         );
-    }
-
-    /// Puts `payload` under a header with the right length and CRC.
-    fn framed(payload: &[u8]) -> Vec<u8> {
-        let header = format!(
-            "segugio-checkpoint v1 {} {:08x}\n",
-            payload.len(),
-            crc32(payload)
-        );
-        [header.as_bytes(), payload].concat()
     }
 
     #[test]
@@ -1152,15 +728,16 @@ mod tests {
         };
         let mut tracker = Tracker::new();
         run_days(&mut isp, &mut tracker, &config, 1);
-        let bare = tracker.save_to_string();
-        assert!(
-            bare.ends_with("end-tracker\n"),
-            "nothing attached, no frame"
+        assert_eq!(
+            tags(&tracker.to_bytes()),
+            [TRACKER, MODEL],
+            "nothing attached"
         );
 
-        // Opaque means opaque: the payload's own terminator inside.
-        let section = "any text\nend-tracker\nfront-end 9\ncaf\u{e9}";
-        tracker.attach_front_end(section.to_owned());
+        // Opaque means opaque: another container inside, and bytes that
+        // are not text.
+        let section = [Tracker::new().to_bytes(), vec![0xC3, 0x28, 0xFF]].concat();
+        tracker.attach_front_end(section.clone());
         tracker.note_degradation(Degradation::LogReread { ids_restored: true });
         tracker.note_degradation(Degradation::LogReread {
             ids_restored: false,
@@ -1170,69 +747,66 @@ mod tests {
         tracker.save_checkpoint(scratch.path(), 3).expect("save 2");
 
         for (_, path) in list_generations(scratch.path()).expect("list") {
-            let text = fs::read_to_string(path).expect("read generation");
-            let mut loaded = Tracker::load_from_str(&text).expect("valid generation");
-            assert_eq!(loaded.save_to_string(), text, "save→load→save fixed point");
-            assert_eq!(loaded.take_front_end().as_deref(), Some(section));
+            let bytes = fs::read(path).expect("read generation");
+            assert_eq!(tags(&bytes), [TRACKER, MODEL, FRONT_END]);
+            let mut loaded = Tracker::from_bytes(&bytes).expect("valid generation");
+            assert_eq!(loaded.to_bytes(), bytes, "save→load→save fixed point");
+            assert_eq!(loaded.take_front_end().as_deref(), Some(&section[..]));
         }
         let mut resumed = Tracker::resume(scratch.path()).expect("resume");
         assert_eq!(resumed.last_day(), tracker.last_day());
         assert!(resumed.pending_degradation.is_empty(), "drained by day 2");
-        assert_eq!(resumed.take_front_end().as_deref(), Some(section));
+        assert_eq!(resumed.take_front_end(), Some(section));
 
-        // Until a day drains them, the notes are saved with their tags.
+        // Until a day drains them, the notes are saved with their kinds.
         let mut waiting = Tracker::new();
         waiting.note_degradation(Degradation::LogReread { ids_restored: true });
         waiting.note_degradation(Degradation::LogReread {
             ids_restored: false,
         });
-        let loaded = Tracker::load_from_str(&waiting.save_to_string()).expect("valid");
+        let loaded = Tracker::from_bytes(&waiting.to_bytes()).expect("valid");
         assert_eq!(loaded.pending_degradation, waiting.pending_degradation);
     }
 
     #[test]
-    fn crc32_is_the_ieee_checksum_however_the_bytes_are_cut() {
-        // The check value every CRC-32/IEEE implementation publishes.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        // Eight bytes at a time, a tail at a time, and across parts that
-        // end anywhere: always the value the byte-at-a-time loop gives.
-        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 31 + i / 7) as u8).collect();
-        let bytewise = |bytes: &[u8]| {
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            c ^ 0xFFFF_FFFF
-        };
-        for len in 0..64 {
-            assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "{len}");
-        }
-        for cut in [0, 1, 7, 8, 9, 500, 993, 1000] {
-            let (a, b) = bytes.split_at(cut);
-            assert_eq!(crc32_of(&[a, &[], b]), bytewise(&bytes), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn mangled_front_end_frames_are_typed_errors() {
-        let bare = Tracker::new().save_to_string();
-        let (_, payload) = bare.split_once('\n').expect("header line");
-        for (tail, complaint) in [
-            ("front-end 5\nabc", "length mismatch"),
-            ("front-end 2\nabc", "length mismatch"),
-            ("front-end x\nabc", "bad front-end section length"),
-            ("front-end 3", "unterminated front-end line"),
-            // Not a frame at all: the tracker parser's old complaint.
-            ("back-end 3\nabc", "trailing content after end-tracker"),
+    fn sections_out_of_place_are_typed_errors() {
+        let tracker = Tracker::new().section();
+        let mut retained = Tracker::new().section();
+        // Flip the retained-model flag: the tracker now expects a model.
+        let last = retained.len() - 1;
+        retained[last] = 1;
+        retained.extend_from_slice(&[0; 8]);
+        for (sections, complaint) in [
+            (
+                vec![(FRONT_END, &b"x"[..]), (TRACKER, &tracker)],
+                "unexpected TRAK",
+            ),
+            (
+                vec![(TRACKER, &tracker), (TRACKER, &tracker)],
+                "unexpected TRAK",
+            ),
+            (
+                vec![(TRACKER, &tracker), (*b"GRPH", &b""[..])],
+                "unexpected GRPH",
+            ),
+            (vec![(MODEL, &b""[..])], "no tracker section"),
+            (vec![], "no tracker section"),
+            (vec![(TRACKER, &retained)], "disagree"),
+            (
+                vec![(TRACKER, &tracker[..tracker.len() - 1])],
+                "needs 1 bytes",
+            ),
         ] {
-            let error = Tracker::load_from_bytes(&framed(format!("{payload}{tail}").as_bytes()))
-                .expect_err("a mangled frame must be refused");
-            assert!(error.to_string().contains(complaint), "{tail:?}: {error}");
+            let error = Tracker::from_bytes(&container::encode(&sections))
+                .expect_err("a misplaced section must be refused");
+            assert!(
+                error.to_string().contains(complaint),
+                "{complaint}: {error}"
+            );
         }
-        let not_text = [payload.as_bytes(), b"front-end 2\n", &[0xC3, 0x28]].concat();
-        let error = Tracker::load_from_bytes(&framed(&not_text)).expect_err("not UTF-8");
-        assert!(error.to_string().contains("not UTF-8"), "{error}");
+        let trailing = [tracker.as_slice(), &[0]].concat();
+        let error = Tracker::from_bytes(&container::encode(&[(TRACKER, &trailing)])).unwrap_err();
+        assert!(error.to_string().contains("trailing"), "{error}");
     }
 
     #[test]
@@ -1256,15 +830,13 @@ mod tests {
         };
         let mut tracker = Tracker::new();
         run_days(&mut isp, &mut tracker, &config, 1);
-        let outcome = tracker
-            .save_checkpoint_killed(scratch.path(), 100)
-            .expect("kill injection");
-        assert_eq!(outcome, WriteOutcome::KilledMidWrite);
+        fs::create_dir_all(scratch.path()).expect("mkdir");
         let day = tracker.last_day().expect("processed").0;
-        assert!(!scratch
-            .path()
-            .join(format!("checkpoint-{day}.seg"))
-            .exists());
+        let path = scratch.path().join(format!("checkpoint-{day}.seg"));
+        let outcome =
+            write_atomic_with_kill(&path, &tracker.to_bytes(), 100).expect("kill injection");
+        assert_eq!(outcome, WriteOutcome::KilledMidWrite);
+        assert!(!path.exists());
         assert!(scratch
             .path()
             .join(format!("checkpoint-{day}.seg.tmp"))
@@ -1299,26 +871,24 @@ mod tests {
 
     #[test]
     fn hostile_inputs_are_typed_errors() {
+        let good = Tracker::new().to_bytes();
         for bad in [
-            "",
-            "segugio-checkpoint v1",
-            "segugio-checkpoint v1 10 zzzzzzzz\nx",
-            "segugio-checkpoint v2 0 00000000\n",
-            "segugio-checkpoint v1 5 00000000\nab",
-            "segugio-checkpoint v1 2 00000000\nab",
-            "not a checkpoint at all\n",
+            &b""[..],
+            b"segugio-checkpoint v1",
+            b"segugio-checkpoint v1 5 00000000\nab",
+            b"not a checkpoint at all\n",
+            &good[..good.len() - 1],
         ] {
             assert!(
-                Tracker::load_from_str(bad).is_err(),
+                Tracker::from_bytes(bad).is_err(),
                 "input {bad:?} must be a typed error"
             );
         }
-        // A valid document with one flipped payload bit fails the CRC.
-        let good = Tracker::new().save_to_string();
-        let mut bytes = good.clone().into_bytes();
+        // A valid generation with one flipped payload bit fails the CRC.
+        let mut bytes = good;
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        let err = Tracker::load_from_bytes(&bytes).unwrap_err();
+        let err = Tracker::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "got: {err}");
     }
 }

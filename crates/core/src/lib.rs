@@ -93,13 +93,13 @@ pub mod tracker;
 pub mod trainer;
 
 pub use checkpoint::{
-    crc32, write_atomic, write_atomic_with_kill, CheckpointError, WriteOutcome,
-    DEFAULT_KEEP_GENERATIONS,
+    write_atomic, write_atomic_with_kill, CheckpointError, WriteOutcome, DEFAULT_KEEP_GENERATIONS,
 };
 pub use config::{ClassifierKind, HealthPolicy, SegugioConfig};
 pub use error::{TrackerError, TrainError};
 pub use features::{FeatureConfig, FeatureExtractor, FeatureGroup, FEATURE_COUNT, FEATURE_NAMES};
 pub use model::{calibrate, Detection, ScoreBuffer, SegugioModel};
+pub use segugio_model::container::crc32;
 pub use snapshot::{DaySnapshot, SnapshotInput};
 pub use tracker::{DayOutcome, DayReport, Degradation, Tracker, TrackerConfig};
 #[doc(hidden)]

@@ -1,9 +1,10 @@
 //! The trained model, its scorer and the threshold calibrator.
 
 use segugio_ml::{
-    Classifier, Dataset, GradientBoosting, LogisticRegression, ParseModelError, RandomForest,
-    RocCurve,
+    BoostingParts, Classifier, Dataset, ForestParts, GradientBoosting, LogisticParts,
+    LogisticRegression, RandomForest, RocCurve,
 };
+use segugio_model::container::{self, DecodeError, Reader, Writer, MODEL};
 use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
 
@@ -110,7 +111,7 @@ impl SegugioModel {
     /// (and by [`score_unknown`](Self::score_unknown)'s measuring pass):
     /// `None` uses every available core, `Some(1)` forces the serial path.
     /// Scores are bit-for-bit identical at every setting. Models from
-    /// [`load_from_str`](Self::load_from_str) default to `None`.
+    /// [`from_bytes`](Self::from_bytes) default to `None`.
     #[must_use]
     pub fn with_parallelism(mut self, knob: Option<usize>) -> Self {
         self.parallelism = knob;
@@ -127,132 +128,146 @@ impl SegugioModel {
         &self.columns
     }
 
-    /// Serializes the model to the versioned text persistence format, so a
-    /// model trained on one network can be shipped to another (the paper's
-    /// cross-network deployment).
-    pub fn save_to_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "segugio-model v2");
-        let _ = writeln!(
-            out,
-            "features {} {}",
-            self.features.activity_days, self.features.abuse_window_days
-        );
-        let cols: Vec<String> = self.columns.iter().map(usize::to_string).collect();
-        let _ = writeln!(out, "columns {}", cols.join(" "));
-        match &self.backend {
-            ModelBackend::Forest(f) => f.write_text(&mut out),
-            ModelBackend::Logistic(l) => l.write_text(&mut out),
-            ModelBackend::Boosting(b) => b.write_text(&mut out),
-        }
-        out
+    /// The model file: one [`MODEL`] section of the
+    /// [container](segugio_model::container), so a model trained on one
+    /// network can be shipped to another (the paper's cross-network
+    /// deployment). Loading it back and saving again gives these bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        container::encode(&[(MODEL, &self.section())])
     }
 
-    /// Loads a model saved with [`SegugioModel::save_to_string`].
+    /// Loads a model file written by [`to_bytes`](Self::to_bytes).
     ///
     /// # Errors
     ///
-    /// Returns [`ParseModelError`] on version mismatch (a `v1` file
-    /// included: its forest layout is no longer read, so retrain) or
-    /// malformed content, including a backend whose arity disagrees with
-    /// the `columns` line.
-    pub fn load_from_str(text: &str) -> Result<Self, ParseModelError> {
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| ParseModelError::new("empty model file"))?;
-        match header.trim() {
-            "segugio-model v2" => {}
-            "segugio-model v1" => {
-                return Err(ParseModelError::new(
-                    "segugio-model v1 is no longer read; retrain and save the model again",
-                ))
+    /// [`DecodeError`] for anything else: a damaged or truncated file, one
+    /// from another container version, a text file of the formats before
+    /// the container (retrain), or parts that do not form a model —
+    /// including a backend whose arity disagrees with the columns.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        if bytes.starts_with(b"segugio-model") {
+            return Err(DecodeError::new(
+                "text model files are no longer read; retrain and save the model again",
+            ));
+        }
+        match container::decode(bytes)?.as_slice() {
+            [(MODEL, payload)] => Self::from_section(payload),
+            _ => Err(DecodeError::new("a model file holds one model section")),
+        }
+    }
+
+    /// The [`MODEL`] section payload.
+    pub(crate) fn section(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put(self.features.activity_days);
+        w.put(self.features.abuse_window_days);
+        let columns: Vec<u32> = self.columns.iter().map(|&c| c as u32).collect();
+        w.array(&columns);
+        match &self.backend {
+            ModelBackend::Forest(f) => {
+                let p = f.to_parts();
+                w.put(0u8);
+                w.count(p.n_features);
+                w.array(&p.roots);
+                w.array(&p.feature_idx);
+                w.array(&p.threshold);
+                w.array(&p.children);
             }
-            _ => return Err(ParseModelError::new("unsupported model version header")),
+            ModelBackend::Logistic(l) => {
+                let p = l.to_parts();
+                w.put(1u8);
+                w.array(&p.weights);
+                w.put(p.bias);
+                w.array(&p.mean);
+                w.array(&p.inv_std);
+            }
+            ModelBackend::Boosting(b) => {
+                let p = b.to_parts();
+                w.put(2u8);
+                w.put(p.base);
+                w.put(p.learning_rate);
+                w.array(&p.roots);
+                w.array(&p.feature);
+                w.array(&p.threshold);
+                w.array(&p.left);
+                w.array(&p.right);
+                w.array(&p.value);
+            }
         }
-        let feat = lines
-            .next()
-            .ok_or_else(|| ParseModelError::new("missing features line"))?;
-        let mut parts = feat.split_whitespace();
-        if parts.next() != Some("features") {
-            return Err(ParseModelError::new("expected `features` line"));
-        }
-        let activity_days: u32 = parts
-            .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| ParseModelError::new("malformed activity window"))?;
-        let abuse_window_days: u32 = parts
-            .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| ParseModelError::new("malformed abuse window"))?;
-        let cols_line = lines
-            .next()
-            .ok_or_else(|| ParseModelError::new("missing columns line"))?;
-        let mut parts = cols_line.split_whitespace();
-        if parts.next() != Some("columns") {
-            return Err(ParseModelError::new("expected `columns` line"));
-        }
-        let columns: Vec<usize> = parts
-            .map(|p| {
-                p.parse::<usize>()
-                    .map_err(|_| ParseModelError::new("malformed column index"))
-            })
-            .collect::<Result<_, _>>()?;
+        w.into_bytes()
+    }
+
+    /// Reads a [`MODEL`] section payload.
+    pub(crate) fn from_section(payload: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(payload);
+        let features = FeatureConfig {
+            activity_days: r.get("activity window")?,
+            abuse_window_days: r.get("abuse window")?,
+        };
+        let columns: Vec<usize> = r
+            .array::<u32>("columns")?
+            .into_iter()
+            .map(|c| c as usize)
+            .collect();
         if columns.is_empty() || columns.iter().any(|&c| c >= FEATURE_COUNT) {
-            return Err(ParseModelError::new("invalid feature columns"));
+            return Err(DecodeError::new("invalid feature columns"));
         }
-        // Peek the backend header without consuming it.
-        let mut peek = lines.clone();
-        let backend_header = peek
-            .next()
-            .ok_or_else(|| ParseModelError::new("missing backend"))?;
-        let backend = if backend_header.starts_with("forest") {
-            ModelBackend::Forest(
-                segugio_ml::RandomForest::read_text(&mut lines)
-                    .map_err(|e| e.context("reading forest backend"))?,
-            )
-        } else if backend_header.starts_with("logistic") {
-            ModelBackend::Logistic(
-                segugio_ml::LogisticRegression::read_text(&mut lines)
-                    .map_err(|e| e.context("reading logistic backend"))?,
-            )
-        } else if backend_header.starts_with("boosting") {
-            ModelBackend::Boosting(
-                segugio_ml::GradientBoosting::read_text(&mut lines)
-                    .map_err(|e| e.context("reading boosting backend"))?,
-            )
-        } else {
-            return Err(ParseModelError::new("unknown backend header"));
-        };
+        let invalid = |e: segugio_ml::ParseModelError| DecodeError::new(e.to_string());
         // A backend whose arity disagrees with the rows it will be handed
-        // would index a row out of bounds at scoring time; reject it at
-        // load instead.
-        let arity_error = match &backend {
-            ModelBackend::Forest(f) if f.n_features() != FEATURE_COUNT => {
-                Some("forest does not score full feature rows")
+        // would index a row out of bounds at scoring time; reject it here.
+        let backend = match r.get::<u8>("backend kind")? {
+            0 => {
+                let parts = ForestParts {
+                    n_features: r.count("forest row width")?,
+                    roots: r.array("forest roots")?,
+                    feature_idx: r.array("split features")?,
+                    threshold: r.array("thresholds")?,
+                    children: r.array("children")?,
+                };
+                if parts.n_features != FEATURE_COUNT {
+                    return Err(DecodeError::new("forest does not score full feature rows"));
+                }
+                ModelBackend::Forest(RandomForest::from_parts(parts).map_err(invalid)?)
             }
-            ModelBackend::Logistic(l) if l.weights().len() != columns.len() => {
-                Some("logistic feature count does not match columns line")
+            1 => {
+                let parts = LogisticParts {
+                    weights: r.array("weights")?,
+                    bias: r.get("bias")?,
+                    mean: r.array("means")?,
+                    inv_std: r.array("inverse deviations")?,
+                };
+                if parts.weights.len() != columns.len() {
+                    return Err(DecodeError::new(
+                        "logistic feature count does not match the columns",
+                    ));
+                }
+                ModelBackend::Logistic(LogisticRegression::from_parts(parts).map_err(invalid)?)
             }
-            // The boosting format carries no arity header, so bound-check
-            // its split features against the column projection here.
-            ModelBackend::Boosting(b) if b.n_features() > columns.len() => {
-                Some("boosting backend references features beyond columns line")
+            2 => {
+                let parts = BoostingParts {
+                    base: r.get("base")?,
+                    learning_rate: r.get("learning rate")?,
+                    roots: r.array("rtree roots")?,
+                    feature: r.array("split features")?,
+                    threshold: r.array("thresholds")?,
+                    left: r.array("left children")?,
+                    right: r.array("right children")?,
+                    value: r.array("leaf values")?,
+                };
+                let boosting = GradientBoosting::from_parts(parts).map_err(invalid)?;
+                // The parts carry no arity, so bound-check the split
+                // features against the column projection.
+                if boosting.n_features() > columns.len() {
+                    return Err(DecodeError::new(
+                        "boosting backend references features beyond the columns",
+                    ));
+                }
+                ModelBackend::Boosting(boosting)
             }
-            _ => None,
+            other => return Err(DecodeError::new(format!("unknown backend kind {other}"))),
         };
-        if let Some(message) = arity_error {
-            return Err(ParseModelError::new(message));
-        }
-        Ok(SegugioModel::new(
-            backend,
-            columns,
-            FeatureConfig {
-                activity_days,
-                abuse_window_days,
-            },
-        ))
+        r.finish("model section")?;
+        Ok(SegugioModel::new(backend, columns, features))
     }
 
     /// Scores a full 11-feature vector (projection applied internally).
@@ -523,44 +538,77 @@ mod tests {
     fn model_persistence_round_trip() {
         let (snap, activity, config, _) = fixture();
         let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let text = model.save_to_string();
-        let loaded = SegugioModel::load_from_str(&text).unwrap();
+        let bytes = model.to_bytes();
+        let loaded = SegugioModel::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.to_bytes(), bytes, "save → load → save fixed point");
         assert_eq!(loaded.columns(), model.columns());
         assert_eq!(loaded.feature_config(), model.feature_config());
         // Identical scores on identical inputs.
         let a = model.score_unknown(&snap, &activity);
         let b = loaded.score_unknown(&snap, &activity);
         assert_eq!(a, b);
-        // Rejects garbage.
-        assert!(SegugioModel::load_from_str("").is_err());
-        assert!(SegugioModel::load_from_str("segugio-model v99").is_err());
-        assert!(SegugioModel::load_from_str(
-            "segugio-model v2
-features 14 150
-columns 0 1
-bogus"
-        )
-        .is_err());
-        // A v1 file (its forest in the old arena layout) is refused, typed.
-        let v1 = "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
-                  forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n";
-        let error = SegugioModel::load_from_str(v1).expect_err("v1 is refused");
-        assert!(error.to_string().contains("v1"), "{error}");
-        // A backend whose arity disagrees with the columns line is refused
-        // at load, not at the first scored row.
-        let logistic = "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nlogistic 3\n\
-                        weights 1 1 1\nbias 0\nmean 0 0 0\ninv_std 1 1 1\n";
-        let error = SegugioModel::load_from_str(logistic).expect_err("arity mismatch");
-        assert!(error.to_string().contains("match columns"), "{error}");
-        let matching = logistic
-            .replace("logistic 3", "logistic 2")
-            .replace(" 1 1 1", " 1 1")
-            .replace(" 0 0 0", " 0 0");
-        let model = SegugioModel::load_from_str(&matching).expect("matching arity loads");
+
+        // Damage anywhere is refused: trailing bytes, any strict prefix,
+        // any single flipped byte (a split threshold included).
+        let mut trailing = bytes.clone();
+        trailing.push(b'\n');
+        assert!(SegugioModel::from_bytes(&trailing).is_err());
+        for cut in 0..bytes.len() {
+            assert!(SegugioModel::from_bytes(&bytes[..cut]).is_err(), "{cut}");
+        }
+        for at in (0..bytes.len()).step_by(7) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x04;
+            assert!(SegugioModel::from_bytes(&flipped).is_err(), "{at}");
+        }
+        // The text formats before the container ask for a retrain.
+        for text in [
+            "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
+             forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n",
+            "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nforest 1 11\ntree 1\nL 0.5\n",
+        ] {
+            let error = SegugioModel::from_bytes(text.as_bytes()).expect_err("text is refused");
+            assert!(error.to_string().contains("retrain"), "{error}");
+        }
+        assert!(SegugioModel::from_bytes(b"").is_err());
+    }
+
+    #[test]
+    fn a_backend_whose_arity_disagrees_with_the_columns_is_refused_at_load() {
+        let features = FeatureConfig::default();
+        let logistic = |k: usize| {
+            ModelBackend::Logistic(
+                LogisticRegression::from_parts(LogisticParts {
+                    weights: vec![1.0; k],
+                    bias: 0.0,
+                    mean: vec![0.0; k],
+                    inv_std: vec![1.0; k],
+                })
+                .unwrap(),
+            )
+        };
+        let wide = SegugioModel::new(logistic(3), vec![0, 1], features).to_bytes();
+        let error = SegugioModel::from_bytes(&wide).expect_err("arity mismatch");
+        assert!(error.to_string().contains("match the columns"), "{error}");
+        let matching = SegugioModel::new(logistic(2), vec![0, 1], features).to_bytes();
+        let model = SegugioModel::from_bytes(&matching).expect("matching arity loads");
         assert!(model.score_features(&[0.0; FEATURE_COUNT]).is_finite());
-        let narrow_forest = "segugio-model v2\nfeatures 14 150\ncolumns 0 1\n\
-                             forest 1 2\ntree 1\nL 0.5\n";
-        assert!(SegugioModel::load_from_str(narrow_forest).is_err());
+
+        let narrow = RandomForest::from_parts(ForestParts {
+            n_features: 2,
+            roots: vec![0],
+            feature_idx: vec![0],
+            threshold: vec![0.5],
+            children: vec![u32::MAX],
+        })
+        .unwrap();
+        let narrow = SegugioModel {
+            backend: ModelBackend::Forest(narrow),
+            columns: vec![0, 1],
+            features,
+            parallelism: None,
+        };
+        assert!(SegugioModel::from_bytes(&narrow.to_bytes()).is_err());
     }
 
     #[test]

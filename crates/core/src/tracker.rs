@@ -178,7 +178,7 @@ pub struct Tracker {
     pub(crate) score_buf: ScoreBuffer,
     /// What the front end asked to have saved beside the tracker state:
     /// opaque here, carried verbatim by every checkpoint.
-    pub(crate) front_end: Option<String>,
+    pub(crate) front_end: Option<Vec<u8>>,
 }
 
 impl Tracker {
@@ -216,14 +216,21 @@ impl Tracker {
     /// log was read — to be written, as is, into every checkpoint saved
     /// from now on, so that ids and the state they key share one
     /// generation and one checksum. The tracker never looks inside.
-    pub fn attach_front_end(&mut self, section: String) {
+    pub fn attach_front_end(&mut self, section: Vec<u8>) {
         self.front_end = Some(section);
     }
 
     /// Takes back what the restored checkpoint carried for the front end,
     /// if anything.
-    pub fn take_front_end(&mut self) -> Option<String> {
+    pub fn take_front_end(&mut self) -> Option<Vec<u8>> {
         self.front_end.take()
+    }
+
+    /// The fallback records waiting for the next report: what
+    /// [`resume`](Self::resume) discarded or restored, then what was
+    /// [noted](Self::note_degradation).
+    pub fn noted_degradations(&self) -> &[Degradation] {
+        &self.pending_degradation
     }
 
     /// Records a fallback taken outside a processed day; it surfaces, after

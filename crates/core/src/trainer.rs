@@ -409,8 +409,7 @@ mod tests {
         let max_neg = neg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert!(min_pos > max_neg, "boosting must rank malware higher");
         // And it persists.
-        let text = model.save_to_string();
-        let loaded = crate::model::SegugioModel::load_from_str(&text).unwrap();
+        let loaded = crate::model::SegugioModel::from_bytes(&model.to_bytes()).unwrap();
         assert_eq!(
             loaded.score_features(data.row(0)),
             model.score_features(data.row(0))

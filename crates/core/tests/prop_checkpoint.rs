@@ -1,90 +1,67 @@
-//! Property-based tests for the checkpoint codec, mirroring
-//! `crates/ml/tests/prop_persist.rs`.
+//! Property-based tests for checkpoint generations and model files,
+//! mirroring `crates/ml/tests/prop_persist.rs`.
 //!
-//! Two groups:
+//! Four groups:
 //!
-//! 1. **Hostile input** — token soup biased toward the checkpoint grammar
-//!    must never panic, hang, or over-allocate: every malformation is a
-//!    typed [`CheckpointError`]. The soup is fed both raw (exercising the
-//!    header/length/CRC layer) and wrapped in a *valid* header with a
-//!    correct length and checksum (reaching the payload parser, which the
-//!    checksum would otherwise shield from almost every random input).
-//! 2. **Fixed point** — a structurally valid checkpoint document with
-//!    adversarial contents (NaN/±inf thresholds, arbitrary flag maps and
-//!    pending records, an embedded trained model) parses, and save→load→
-//!    save is **byte-identical** — thresholds round-trip through `to_bits`
-//!    hex, so even NaN payloads survive exactly.
+//! 1. **Hostile input** — byte soup biased toward the container's grammar
+//!    (the magic, the version, section tags, small counts and flags) must
+//!    never panic, hang, or over-allocate: every malformation is a typed
+//!    [`DecodeError`]. The soup is fed both raw (exercising the magic,
+//!    frame and CRC layer) and as the payloads of correctly framed
+//!    sections (reaching the payload readers, which the checksum would
+//!    otherwise shield from almost every random input).
+//! 2. **Fixed point** — a structurally valid generation with adversarial
+//!    contents (NaN/±inf thresholds, arbitrary flag maps and pending
+//!    records, an embedded trained model) decodes, and save→load→save is
+//!    **byte-identical** — thresholds travel as their bits, so even NaN
+//!    payloads survive exactly.
+//! 3. **Damage** — any single corrupted byte, and any strict prefix, of a
+//!    valid generation or model file is a typed error.
+//! 4. **The front-end section** — whatever is attached rides the fixed
+//!    point verbatim.
 //!
-//! [`CheckpointError`]: segugio_core::CheckpointError
+//! [`DecodeError`]: segugio_model::container::DecodeError
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use segugio_core::{crc32, Segugio, SegugioConfig, Tracker, FEATURE_COUNT};
+use segugio_core::{Segugio, SegugioConfig, SegugioModel, Tracker, FEATURE_COUNT};
 use segugio_ml::Dataset;
+use segugio_model::container::{self, Writer, FRONT_END, MAGIC, MODEL, TRACKER, VERSION};
 
 // ---------------------------------------------------------------------------
 // Group 1: hostile input.
 
-/// Tokens biased toward the checkpoint grammar so generated soup reaches
-/// deep parser states (map loops, the embedded model) instead of dying at
-/// the first line. `engine`, `rolling`, `cache` and `graph` name sections
-/// the payload no longer has: words the parser must refuse.
-fn token() -> impl Strategy<Value = String> {
-    (0u32..28, 0u32..40, -2.0f32..2.0).prop_map(|(kind, n, x)| match kind {
-        0 => "segugio-checkpoint".to_string(),
-        1 => "v1".to_string(),
-        2 => "tracker".to_string(),
-        3 => "flagged".to_string(),
-        4 => "confirmed".to_string(),
-        5 => "days-processed".to_string(),
-        6 => "last-day".to_string(),
-        7 => "pending".to_string(),
-        8 => "model".to_string(),
-        9 => "engine".to_string(),
-        10 => "delta".to_string(),
-        11 => "prev".to_string(),
-        12 => "cache".to_string(),
-        13 => "rolling".to_string(),
-        14 => "graph".to_string(),
-        15 => "end-tracker".to_string(),
-        16 => "end-engine".to_string(),
-        17 => ["S", "F", "R", "D", "c", "d", "M", "B", "U"][(n % 9) as usize].to_string(),
-        // Newlines are weighted up: every parser is line-oriented.
-        18..=21 => "\n".to_string(),
-        // Parses as usize but would be a ~1 TiB allocation if any reader
-        // trusted it for `Vec::with_capacity`.
-        22 => "68719476736".to_string(),
-        // Overflows usize on 64-bit: must surface as a malformed field.
-        23 => "99999999999999999999".to_string(),
-        24 => format!("{:08x}", n.wrapping_mul(0x9E37_79B9)),
-        25 => format!("{x}"),
-        26 => format!("-{n}"),
-        _ => n.to_string(),
+/// Byte pieces biased toward the container grammar, so generated soup
+/// reaches deep reader states (map loops, the model's arrays) instead of
+/// dying at the first field.
+fn piece() -> impl Strategy<Value = Vec<u8>> {
+    (0u32..12, 0u32..40, any::<u8>()).prop_map(|(kind, n, byte)| match kind {
+        0 => MAGIC.to_vec(),
+        1 => VERSION.to_le_bytes().to_vec(),
+        2 => [TRACKER, MODEL, FRONT_END][(n % 3) as usize].to_vec(),
+        // Small counts and flags.
+        3..=5 => (n % 4).to_le_bytes().to_vec(),
+        6 => vec![(n % 3) as u8],
+        // A count that would be a giant allocation if any reader trusted
+        // it.
+        7 => u32::MAX.to_le_bytes().to_vec(),
+        8 => u64::from(n).to_le_bytes().to_vec(),
+        9 => f32::NAN.to_bits().to_le_bytes().to_vec(),
+        _ => vec![byte],
     })
 }
 
-fn hostile_text() -> impl Strategy<Value = String> {
-    proptest::collection::vec(token(), 0..150).prop_map(|tokens| tokens.join(" "))
-}
-
-/// Wraps arbitrary payload text in a header whose length and CRC are
-/// *correct*, so the payload parser actually runs.
-fn with_valid_header(payload: &str) -> String {
-    format!(
-        "segugio-checkpoint v1 {} {:08x}\n{payload}",
-        payload.len(),
-        crc32(payload.as_bytes())
-    )
+fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(piece(), 0..60).prop_map(|pieces| pieces.concat())
 }
 
 // ---------------------------------------------------------------------------
 // Group 2: fixed point.
 
-/// f32 values weighted toward the edge cases the text format must keep.
+/// f32 values weighted toward the edge cases the bytes must keep.
 fn weird_f32() -> impl Strategy<Value = f32> {
     (0u32..12, -1e6f32..1e6).prop_map(|(kind, v)| match kind {
         6 => f32::NAN,
@@ -96,11 +73,11 @@ fn weird_f32() -> impl Strategy<Value = f32> {
     })
 }
 
-/// A model trained once on a handcrafted two-class fixture; its exact
-/// serialized text is embedded in generated checkpoints.
-fn model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
+/// A model trained once on a handcrafted two-class fixture: its model
+/// file, and the `MODEL` section payload generated generations embed.
+fn model_file() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let mut data = Dataset::new(FEATURE_COUNT);
         for i in 0..24u32 {
             let mut row = [0.0f32; FEATURE_COUNT];
@@ -111,13 +88,27 @@ fn model_text() -> &'static str {
         }
         let model = Segugio::train_prepared(&data, &SegugioConfig::default())
             .expect("handcrafted fixture has both classes");
-        model.save_to_string()
+        model.to_bytes()
     })
 }
 
-/// One pending-degradation record: (tag index, day).
+fn model_payload() -> &'static [u8] {
+    let sections = container::decode(model_file()).expect("a model file decodes");
+    sections[0].1
+}
+
+/// One pending-degradation record: (kind, value).
 fn pending_records() -> impl Strategy<Value = Vec<(u8, u32)>> {
-    proptest::collection::vec((0u8..4, 0u32..5000), 0..6)
+    proptest::collection::vec((0u8..5, 0u32..5000), 0..6).prop_map(|records| {
+        records
+            .into_iter()
+            .map(|(kind, day)| match kind {
+                1 => (1, 0),
+                4 => (4, day % 2),
+                _ => (kind, day),
+            })
+            .collect()
+    })
 }
 
 /// A sorted unique-key map, built through `vec` since the vendored
@@ -137,10 +128,10 @@ fn maybe<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
     (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
 }
 
-/// Renders a valid checkpoint document in the codec's exact layout from
-/// generated contents. The payload matches `Tracker::save_to_string`'s
-/// formatting byte for byte, so a parse → re-save must reproduce it.
-fn render_checkpoint(
+/// Renders a valid generation from generated contents, field by field in
+/// the `TRACKER` layout `segugio_model::container` documents, so a
+/// decode → re-save must reproduce it.
+fn render_generation(
     flagged: &BTreeMap<u32, u32>,
     confirmed: &BTreeMap<u32, (u32, u32)>,
     days_processed: usize,
@@ -148,104 +139,92 @@ fn render_checkpoint(
     pending: &[(u8, u32)],
     model: Option<f32>,
     trained_on: u32,
-) -> String {
-    let mut p = String::new();
-    p.push_str("tracker v2\n");
-    let _ = write!(p, "flagged {}", flagged.len());
-    for (d, day) in flagged {
-        let _ = write!(p, " {d} {day}");
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.count(flagged.len());
+    for (&domain, &day) in flagged {
+        w.put(domain);
+        w.put(day);
     }
-    p.push('\n');
-    let _ = write!(p, "confirmed {}", confirmed.len());
-    for (d, (f, c)) in confirmed {
-        let _ = write!(p, " {d} {f} {c}");
+    w.count(confirmed.len());
+    for (&domain, &(flagged_on, confirmed_on)) in confirmed {
+        w.put(domain);
+        w.put(flagged_on);
+        w.put(confirmed_on);
     }
-    p.push('\n');
-    let _ = writeln!(p, "days-processed {days_processed}");
-    match last_day {
-        Some(d) => {
-            let _ = writeln!(p, "last-day 1 {d}");
-        }
-        None => p.push_str("last-day 0\n"),
+    w.put(days_processed as u64);
+    w.flag(last_day.is_some());
+    if let Some(day) = last_day {
+        w.put(day);
     }
-    let _ = write!(p, "pending {}", pending.len());
-    for &(tag, day) in pending {
-        match tag {
-            0 => {
-                let _ = write!(p, " S {day}");
-            }
-            1 => p.push_str(" F"),
-            2 => {
-                let _ = write!(p, " R {day}");
-            }
-            _ => {
-                let _ = write!(p, " D {day}");
-            }
-        }
+    w.count(pending.len());
+    for &(kind, value) in pending {
+        w.put(kind);
+        w.put(value);
     }
-    p.push('\n');
-    match model {
-        Some(threshold) => {
-            let text = model_text();
-            let _ = writeln!(
-                p,
-                "model 1 {:08x} {trained_on} {}",
-                threshold.to_bits(),
-                text.lines().count()
-            );
-            p.push_str(text);
-            if !text.ends_with('\n') {
-                p.push('\n');
-            }
-        }
-        None => p.push_str("model 0\n"),
+    w.flag(model.is_some());
+    if let Some(threshold) = model {
+        w.put(threshold);
+        w.put(trained_on);
     }
-    p.push_str("end-tracker\n");
-    with_valid_header(&p)
+    let tracker = w.into_bytes();
+    let mut sections = vec![(TRACKER, tracker.as_slice())];
+    if model.is_some() {
+        sections.push((MODEL, model_payload()));
+    }
+    container::encode(&sections)
 }
 
 proptest! {
-    /// Raw token soup never panics the loader: the header, length and
-    /// checksum layers reject it with a typed error (or, astronomically
-    /// unlikely, it parses — which is also fine).
+    /// Raw soup never panics the loaders: the magic, frame and checksum
+    /// layers reject it with a typed error (or, astronomically unlikely,
+    /// it decodes — which is also fine).
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
-    fn raw_soup_is_rejected_or_parses(text in hostile_text()) {
-        match Tracker::load_from_str(&text) {
+    fn raw_soup_is_rejected_or_parses(bytes in hostile_bytes()) {
+        match Tracker::from_bytes(&bytes) {
             Ok(tracker) => {
-                // Whatever parses must re-save and re-load stably.
-                let saved = tracker.save_to_string();
-                prop_assert!(Tracker::load_from_str(&saved).is_ok());
+                // Whatever decodes must re-save and re-load stably.
+                prop_assert!(Tracker::from_bytes(&tracker.to_bytes()).is_ok());
             }
-            Err(e) => {
-                // Typed errors always render a nonempty message.
-                prop_assert!(!e.to_string().is_empty());
-            }
-        }
-    }
-
-    /// Soup wrapped in a *valid* header — correct length and CRC — reaches
-    /// the payload parser, which must be equally total: typed error or a
-    /// stable tracker, never a panic, hang, or giant allocation.
-    #[test]
-    #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
-    fn checksummed_soup_is_rejected_or_parses(payload in hostile_text()) {
-        let doc = with_valid_header(&payload);
-        match Tracker::load_from_str(&doc) {
-            Ok(tracker) => {
-                let saved = tracker.save_to_string();
-                prop_assert!(Tracker::load_from_str(&saved).is_ok());
-            }
+            // Typed errors always render a nonempty message.
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
+        if let Err(e) = SegugioModel::from_bytes(&bytes) {
+            prop_assert!(!e.to_string().is_empty());
+        }
     }
 
-    /// A structurally valid document with adversarial contents parses, and
-    /// save→load→save is a byte-identical fixed point — including NaN and
-    /// ±inf thresholds, which round-trip through `to_bits` hex exactly.
+    /// Soup framed as *valid* sections — correct lengths and CRCs —
+    /// reaches the payload readers, which must be equally total: typed
+    /// error or a stable tracker, never a panic, hang, or giant
+    /// allocation.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
-    fn valid_documents_are_a_byte_fixed_point(
+    fn checksummed_soup_is_rejected_or_parses(
+        tracker in hostile_bytes(),
+        model in hostile_bytes(),
+        with_model in any::<bool>(),
+    ) {
+        let mut sections = vec![(TRACKER, tracker.as_slice())];
+        if with_model {
+            sections.push((MODEL, model.as_slice()));
+        }
+        match Tracker::from_bytes(&container::encode(&sections)) {
+            Ok(tracker) => prop_assert!(Tracker::from_bytes(&tracker.to_bytes()).is_ok()),
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        if let Ok(model) = SegugioModel::from_bytes(&container::encode(&[(MODEL, &model)])) {
+            prop_assert!(SegugioModel::from_bytes(&model.to_bytes()).is_ok());
+        }
+    }
+
+    /// A structurally valid generation with adversarial contents decodes,
+    /// and save→load→save is a byte-identical fixed point — including NaN
+    /// and ±inf thresholds, which travel as their bits.
+    #[test]
+    #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+    fn valid_generations_are_a_byte_fixed_point(
         flagged in flag_map(0, 10_000),
         confirmed in confirm_map(),
         days_processed in 0usize..4000,
@@ -254,35 +233,35 @@ proptest! {
         model in (maybe(weird_f32()), 0u32..5000),
     ) {
         let (threshold, trained_on) = model;
-        let doc = render_checkpoint(
+        let doc = render_generation(
             &flagged, &confirmed, days_processed, last_day, &pending, threshold, trained_on,
         );
-        let tracker = Tracker::load_from_str(&doc).expect("structurally valid checkpoint parses");
+        let tracker = Tracker::from_bytes(&doc).expect("structurally valid generation decodes");
         prop_assert_eq!(tracker.days_processed(), days_processed);
         prop_assert_eq!(tracker.last_day().map(|d| d.0), last_day);
         prop_assert_eq!(tracker.pending().count(), flagged.len());
+        prop_assert_eq!(tracker.noted_degradations().len(), pending.len());
 
-        // The hand-rendered document IS the codec's output format.
-        let saved = tracker.save_to_string();
+        // The hand-rendered generation IS the codec's output format.
+        let saved = tracker.to_bytes();
         prop_assert_eq!(&saved, &doc, "save(load(doc)) must equal doc byte-for-byte");
 
         // And the loop is closed: load(save(·)) → save is still identical.
-        let reloaded = Tracker::load_from_str(&saved).expect("round-tripped checkpoint parses");
-        prop_assert_eq!(reloaded.save_to_string(), saved);
+        let reloaded = Tracker::from_bytes(&saved).expect("round-tripped generation decodes");
+        prop_assert_eq!(reloaded.to_bytes(), saved);
     }
 
-    /// Corrupting any single byte of a valid document is always detected:
-    /// the header length/CRC layers make the loader fail with a typed
-    /// error rather than silently accepting damaged state. (Flips inside
-    /// the CRC's own hex digits are detected as a header/CRC mismatch
-    /// too.)
+    /// Corrupting any single byte of a valid generation or model file is
+    /// always detected: the frame's length and CRC, the magic and version,
+    /// and the section order make the loader fail with a typed error
+    /// rather than silently accept damaged state.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn single_byte_corruption_is_always_detected(
         at in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        let doc = render_checkpoint(
+        let doc = render_generation(
             &BTreeMap::from([(7u32, 3u32)]),
             &BTreeMap::new(),
             5,
@@ -291,64 +270,89 @@ proptest! {
             Some(0.25),
             3,
         );
-        let mut bytes = doc.clone().into_bytes();
+        let mut bytes = doc.clone();
         let i = (at % bytes.len() as u64) as usize;
         bytes[i] ^= flip;
-        if bytes == doc.as_bytes() {
-            return Ok(()); // the flip was a no-op (can't happen with flip != 0)
-        }
         prop_assert!(
-            Tracker::load_from_bytes(&bytes).is_err(),
+            Tracker::from_bytes(&bytes).is_err(),
             "flipping byte {i} by {flip:#04x} went undetected"
         );
+        let mut model = model_file().to_vec();
+        let i = (at % model.len() as u64) as usize;
+        model[i] ^= flip;
+        prop_assert!(
+            SegugioModel::from_bytes(&model).is_err(),
+            "flipping model byte {i} by {flip:#04x} went undetected"
+        );
+    }
+
+    /// Every strict prefix of a valid model file or generation is a typed
+    /// error, never a panic: no section boundary is a place a file may
+    /// end.
+    #[test]
+    #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+    fn every_strict_prefix_is_a_typed_error(
+        cut in any::<u64>(),
+        flagged in flag_map(0, 10_000),
+        section in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut tracker = Tracker::from_bytes(&render_generation(
+            &flagged, &BTreeMap::new(), 3, Some(4), &[], Some(0.5), 2,
+        ))
+        .expect("valid generation decodes");
+        tracker.attach_front_end(section);
+        for whole in [tracker.to_bytes(), model_file().to_vec()] {
+            let cut = (cut % whole.len() as u64) as usize;
+            prop_assert!(Tracker::from_bytes(&whole[..cut]).is_err(), "prefix {cut}");
+            prop_assert!(SegugioModel::from_bytes(&whole[..cut]).is_err(), "prefix {cut}");
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Group 3: the front-end section.
+// Group 4: the front-end section.
 
-/// Section text hostile to the framing around it: the payload's own
-/// keywords and terminator lines, a frame line inside the section,
-/// multi-byte characters, no final newline.
-fn section_text() -> impl Strategy<Value = String> {
-    let piece = (0u32..8, "[ -~\n]{0,40}").prop_map(|(kind, text)| match kind {
-        0 => "\nend-tracker\n".to_string(),
-        1 => "front-end 3\nabc".to_string(),
-        2 => "segugio-checkpoint v1 0 00000000\n".to_string(),
-        3 => "caf\u{e9} \u{2028}\u{1f980}".to_string(),
-        _ => text,
-    });
+/// Section bytes hostile to the framing around it: a whole container, the
+/// magic, tags, and bytes that are not text.
+fn section_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let piece = (0u32..6, proptest::collection::vec(any::<u8>(), 0..40)).prop_map(
+        |(kind, bytes)| match kind {
+            0 => Tracker::new().to_bytes(),
+            1 => MAGIC.to_vec(),
+            2 => [TRACKER, FRONT_END].concat(),
+            _ => bytes,
+        },
+    );
     proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
 }
 
 proptest! {
-    /// Whatever the front end attaches comes back byte for byte, under
-    /// the same header length and checksum, and save→load→save stays a
-    /// fixed point; with nothing attached the document is exactly the
-    /// tracker's own.
+    /// Whatever the front end attaches comes back byte for byte, under its
+    /// own frame and checksum, and save→load→save stays a fixed point;
+    /// with nothing attached the generation is exactly the tracker's own.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn an_attached_section_rides_the_fixed_point(
         flagged in flag_map(0, 10_000),
         last_day in maybe(0u32..5000),
         pending in pending_records(),
-        section in section_text(),
+        section in section_bytes(),
     ) {
-        let bare = render_checkpoint(
+        let bare = render_generation(
             &flagged, &BTreeMap::new(), 3, last_day, &pending, Some(0.5), 2,
         );
-        let mut tracker = Tracker::load_from_str(&bare).expect("valid checkpoint parses");
+        let mut tracker = Tracker::from_bytes(&bare).expect("valid generation decodes");
         tracker.attach_front_end(section.clone());
-        let saved = tracker.save_to_string();
+        let saved = tracker.to_bytes();
         prop_assert!(saved.ends_with(&section));
 
-        let mut reloaded = Tracker::load_from_str(&saved).expect("framed checkpoint parses");
-        prop_assert_eq!(reloaded.save_to_string(), saved.as_str());
+        let mut reloaded = Tracker::from_bytes(&saved).expect("framed generation decodes");
+        prop_assert_eq!(&reloaded.to_bytes(), &saved);
         prop_assert_eq!(reloaded.take_front_end(), Some(section));
-        prop_assert_eq!(reloaded.save_to_string(), bare, "detached: the tracker's text alone");
+        prop_assert_eq!(reloaded.to_bytes(), bare, "detached: the tracker's sections alone");
 
-        // Any strict prefix of the framed document is refused whole.
+        // Any strict prefix of the framed generation is refused whole.
         let cut = saved.len() - 1 - (flagged.len() % saved.len().min(64));
-        prop_assert!(Tracker::load_from_bytes(&saved.as_bytes()[..cut]).is_err());
+        prop_assert!(Tracker::from_bytes(&saved[..cut]).is_err());
     }
 }

@@ -34,7 +34,7 @@
 //! # What a resumed `track` reads
 //!
 //! Each generation carries, beside the tracker, the log reader's own state
-//! (`LogCollector::encode_state`: names and ids, history, where each day
+//! (`LogCollector::state_bytes`: names and ids, history, where each day
 //! starts, how far the log was read, a fingerprint of the bytes before
 //! that point). A resumed run decodes it, checks the fingerprint against
 //! `--logs`, seeks to the first line of the first day the checkpoint does
@@ -44,11 +44,12 @@
 //! the log is no longer the one the state was taken from (rotated,
 //! truncated, edited) it is read from byte 0 *into the decoded state*, so
 //! names keep the ids the tracker's flags are keyed by; when there is no
-//! state to decode (a generation written before there was one, or by a
-//! later version) the log is read from byte 0 into an empty collector, as
-//! every resumed run used to. Both detours are said on stderr and tagged
-//! on the next day line (`log-reread[ids-restored]`,
-//! `log-reread[ids-from-log]`); neither fails the run.
+//! state to decode (a generation written before there was one) the log is
+//! read from byte 0 into an empty collector, as every resumed run used
+//! to; and when no generation decodes at all (damaged, or written by
+//! another version) the whole log is tracked again. Each detour is said
+//! on stderr and tagged on the next day line (`log-reread[ids-restored]`,
+//! `log-reread[ids-from-log]` for the last two); none fails the run.
 //!
 //! # Exit codes
 //!
@@ -92,7 +93,7 @@ use segugio_eval::experiments::{
     notos_comparison, performance, public_blacklist, robustness, seed_sensitivity, Scale,
 };
 use segugio_ingest::{export_day, IngestError, IngestedDay, LogCollector, LogPosition};
-use segugio_ml::ParseModelError;
+use segugio_model::container::DecodeError;
 use segugio_model::{Blacklist, Day, DomainName, Whitelist};
 use segugio_traffic::{IspConfig, IspNetwork};
 
@@ -108,8 +109,8 @@ enum CliError {
     },
     /// Resolver logs failed to ingest (parse errors, quarantine).
     Ingest(IngestError),
-    /// A persisted model file failed to parse.
-    Model(ParseModelError),
+    /// A persisted model file failed to decode.
+    Model(DecodeError),
     /// The inputs parsed but cannot support the requested operation
     /// (no traffic, missing day, insufficient training seeds).
     Data(String),
@@ -178,8 +179,8 @@ impl From<IngestError> for CliError {
     }
 }
 
-impl From<ParseModelError> for CliError {
-    fn from(e: ParseModelError) -> Self {
+impl From<DecodeError> for CliError {
+    fn from(e: DecodeError) -> Self {
         CliError::Model(e)
     }
 }
@@ -402,7 +403,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
 /// covers and the front-end state saved beside the tracker, if any.
 struct LogResume {
     covered: Day,
-    section: Option<String>,
+    section: Option<Vec<u8>>,
 }
 
 /// Reads `--logs` through the one read path, `ingest_reader_from`: from
@@ -427,7 +428,7 @@ fn read_log(
     let (mut collector, start) = match resume {
         None => (LogCollector::new(), LogPosition::START),
         Some(LogResume { covered, section }) => {
-            match section.as_deref().map(LogCollector::decode_state) {
+            match section.as_deref().map(LogCollector::from_state_bytes) {
                 Some(Ok(mut collector)) => {
                     let (start, unchanged) = collector
                         .resume_log(&mut file, Some(covered))
@@ -450,7 +451,7 @@ fn read_log(
                 }
                 undecodable => {
                     let why = match undecodable {
-                        Some(Err(e)) => e.to_string(),
+                        Some(Err(e)) => format!("front-end state: {e}"),
                         _ => "the checkpoint carries no front-end state".to_owned(),
                     };
                     eprintln!("warning: {why}; reading the log from byte 0");
@@ -582,7 +583,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     let snapshot = DaySnapshot::build(&input, &config);
     let model = Segugio::train(&snapshot, collector.activity(), &config)?;
     // Atomic: a crash mid-save leaves the previous model, never a torn one.
-    write_atomic(Path::new(&save), model.save_to_string().as_bytes())
+    write_atomic(Path::new(&save), &model.to_bytes())
         .map_err(|e| CliError::io(format!("writing {save}"), std::io::Error::other(e)))?;
     println!("trained on {day} and saved the model to {save}");
     Ok(())
@@ -615,9 +616,8 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
     let model = match flags.get("model") {
         Some(path) => {
             // Deploy a previously trained (possibly cross-network) model.
-            let text =
-                fs::read_to_string(path).map_err(|e| CliError::io(format!("reading {path}"), e))?;
-            let model = segugio_core::SegugioModel::load_from_str(&text)?;
+            let bytes = fs::read(path).map_err(|e| CliError::io(format!("reading {path}"), e))?;
+            let model = segugio_core::SegugioModel::from_bytes(&bytes)?;
             eprintln!("loaded model from {path}; testing on {test_day}");
             model
         }
@@ -716,12 +716,22 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
     // ones) and only replays the days the checkpoint does not cover.
     let mut tracker = match &checkpoint_dir {
         Some(dir) => {
-            let tracker = Tracker::resume(dir)?;
+            let mut tracker = Tracker::resume(dir)?;
             if let Some(day) = tracker.last_day() {
                 eprintln!(
                     "resumed from checkpoint: {} days processed, last {day}",
                     tracker.days_processed()
                 );
+            } else if !tracker.noted_degradations().is_empty() {
+                // Every generation was discarded — damaged, or written by
+                // another version: the whole log is tracked again.
+                eprintln!(
+                    "warning: no checkpoint generation in {} could be read; reading the log from byte 0",
+                    dir.display()
+                );
+                tracker.note_degradation(Degradation::LogReread {
+                    ids_restored: false,
+                });
             }
             tracker
         }
@@ -746,7 +756,7 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
     }
     if checkpoint_dir.is_some() {
         // Encoded once; every generation this run saves carries it.
-        tracker.attach_front_end(collector.encode_state());
+        tracker.attach_front_end(collector.state_bytes());
     }
 
     let config = TrackerConfig::default();

@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use segugio_model::container::{self, Tag, Writer};
+
 /// Unique scratch directory, removed on drop.
 struct ScratchDir(PathBuf);
 
@@ -129,35 +131,80 @@ fn ingest_errors_exit_4() {
     assert_eq!(exit_code(&out), 4, "malformed logs: {out:?}");
 }
 
+/// Runs `detect --model model` on the corpus `logs`.
+fn detect_with_model(logs: &Path, model: &Path) -> Output {
+    let logs = logs.to_str().unwrap();
+    segugio(&[
+        "detect",
+        "--logs",
+        logs,
+        "--blacklist",
+        &format!("{logs}.blacklist"),
+        "--whitelist",
+        &format!("{logs}.whitelist"),
+        "--model",
+        model.to_str().unwrap(),
+    ])
+}
+
 #[test]
 fn model_parse_errors_exit_5() {
     let scratch = ScratchDir::new("model");
     let logs = simulate_corpus(&scratch, 1);
-    let model = scratch.file("corrupt.model");
     let logs_s = logs.to_str().unwrap();
+    let model = scratch.file("corrupt.model");
+    let saved = scratch.file("saved.model");
+    let out = segugio(&[
+        "train",
+        "--logs",
+        logs_s,
+        "--blacklist",
+        &format!("{logs_s}.blacklist"),
+        "--whitelist",
+        &format!("{logs_s}.whitelist"),
+        "--save",
+        saved.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 0, "train: {out:?}");
+    let good = fs::read(&saved).unwrap();
+    assert_eq!(exit_code(&detect_with_model(&logs, &saved)), 0);
+
+    // Three logistic weights against two columns: refused at load, not a
+    // panic at the first scored row.
+    let mut w = Writer::new();
+    w.put(14u32);
+    w.put(150u32);
+    w.array(&[0u32, 1]);
+    w.put(1u8);
+    w.array(&[1.0f64; 3]);
+    w.put(0.0f64);
+    w.array(&[0.0f64; 3]);
+    w.array(&[1.0f64; 3]);
+    let wide_logistic = container::encode(&[(container::MODEL, &w.into_bytes())]);
+    let mut flipped = good.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x01;
+    for (what, bytes) in [
+        ("nonsense", b"segugio-model v999 nonsense\n".to_vec()),
+        ("trailing bytes", [&good[..], b"\n"].concat()),
+        ("one flipped byte", flipped),
+        ("truncated", good[..good.len() - 1].to_vec()),
+        ("logistic arity", wide_logistic),
+    ] {
+        fs::write(&model, bytes).unwrap();
+        let out = detect_with_model(&logs, &model);
+        assert_eq!(exit_code(&out), 5, "{what}: {out:?}");
+    }
+    // The text formats before the container ask for a retrain.
     for text in [
-        "segugio-model v999 nonsense\n",
-        // A model file from before the forest layout changed.
         "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\
          forest 1\ntree 2 3\nS 0 0.5 1 2\nL 0.1\nL 0.9\n",
-        // Three logistic weights against two columns: refused at load, not
-        // a panic at the first scored row.
-        "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nlogistic 3\n\
-         weights 1 1 1\nbias 0\nmean 0 0 0\ninv_std 1 1 1\n",
+        "segugio-model v2\nfeatures 14 150\ncolumns 0 1\nforest 1 11\ntree 1\nL 0.5\n",
     ] {
         fs::write(&model, text).unwrap();
-        let out = segugio(&[
-            "detect",
-            "--logs",
-            logs_s,
-            "--blacklist",
-            &format!("{logs_s}.blacklist"),
-            "--whitelist",
-            &format!("{logs_s}.whitelist"),
-            "--model",
-            model.to_str().unwrap(),
-        ]);
-        assert_eq!(exit_code(&out), 5, "corrupt model file {text:?}: {out:?}");
+        let out = detect_with_model(&logs, &model);
+        assert_eq!(exit_code(&out), 5, "{text:?}: {out:?}");
+        assert!(stderr(&out).contains("retrain"), "{out:?}");
     }
 }
 
@@ -454,9 +501,9 @@ impl Cron {
     }
 }
 
-/// Rewrites the newest generation in `dir`: `edit` maps its payload, and
-/// the header is made to fit the result again.
-fn rewrite_newest_generation(dir: &Path, edit: impl Fn(&str) -> String) {
+/// Rewrites the newest generation in `dir`: `edit` changes its sections,
+/// and each section's frame is made to fit the result again.
+fn rewrite_newest_generation(dir: &Path, edit: impl Fn(&mut Vec<(Tag, Vec<u8>)>)) {
     let newest = fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -466,14 +513,15 @@ fn rewrite_newest_generation(dir: &Path, edit: impl Fn(&str) -> String) {
             day.strip_suffix(".seg").unwrap().parse::<u32>().unwrap()
         })
         .expect("a generation");
-    let text = fs::read_to_string(&newest).unwrap();
-    let payload = edit(text.split_once('\n').expect("a header line").1);
-    let header = format!(
-        "segugio-checkpoint v1 {} {:08x}\n",
-        payload.len(),
-        segugio_core::crc32(payload.as_bytes())
-    );
-    fs::write(&newest, header + &payload).unwrap();
+    let bytes = fs::read(&newest).unwrap();
+    let mut sections: Vec<(Tag, Vec<u8>)> = container::decode(&bytes)
+        .unwrap()
+        .into_iter()
+        .map(|(tag, payload)| (tag, payload.to_vec()))
+        .collect();
+    edit(&mut sections);
+    let sections: Vec<(Tag, &[u8])> = sections.iter().map(|(t, p)| (*t, &p[..])).collect();
+    fs::write(&newest, container::encode(&sections)).unwrap();
 }
 
 #[test]
@@ -516,17 +564,16 @@ fn morning_reads_on_from_the_checkpoint_and_degrades_typed_when_it_cannot() {
     let edited = String::from_utf8(cron.grown())
         .unwrap()
         .replace("# end of day\n", "# end of dax\n");
-    let future = |dir: &Path| {
-        rewrite_newest_generation(dir, |payload| {
-            assert!(payload.contains("\nsegugio-frontend v1\n"));
-            payload.replace("\nsegugio-frontend v1\n", "\nsegugio-frontend v9\n")
+    let undecodable = |dir: &Path| {
+        rewrite_newest_generation(dir, |sections| {
+            let (tag, front_end) = sections.last_mut().unwrap();
+            assert_eq!(*tag, container::FRONT_END);
+            front_end.pop();
         })
     };
     let parent_written = |dir: &Path| {
-        rewrite_newest_generation(dir, |payload| {
-            let end = payload.find("\nend-tracker\n").unwrap() + "\nend-tracker\n".len();
-            assert!(payload[end..].starts_with("front-end "));
-            payload[..end].to_owned()
+        rewrite_newest_generation(dir, |sections| {
+            assert_eq!(sections.pop().unwrap().0, container::FRONT_END);
         })
     };
     let untouched = |_: &Path| {};
@@ -542,7 +589,12 @@ fn morning_reads_on_from_the_checkpoint_and_degrades_typed_when_it_cannot() {
             &untouched,
             "ids-restored",
         ),
-        ("future-version", cron.grown(), &future, "ids-from-log"),
+        (
+            "undecodable-state",
+            cron.grown(),
+            &undecodable,
+            "ids-from-log",
+        ),
         (
             "parent-written",
             cron.grown(),
@@ -609,4 +661,55 @@ fn a_last_line_still_being_written_is_read_again_once_complete() {
     );
     assert_eq!(day_lines(&morning), day_lines(&cron.reference)[3..]);
     assert_eq!(totals(&morning), totals(&cron.reference));
+}
+
+/// An upgrade: the checkpoint directory holds a generation of the text
+/// format before the container. It is discarded, the whole log is read
+/// and tracked again, and the run prints what a run without checkpoints
+/// prints, the fallback named on the first day line.
+#[test]
+fn a_parent_format_generation_is_discarded_and_the_log_reread() {
+    let scratch = ScratchDir::new("ckpt-upgrade");
+    let logs = simulate_corpus(&scratch, 3);
+    let reference = segugio(
+        &track_args(&logs)
+            .iter()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+    );
+    assert_eq!(exit_code(&reference), 0, "{reference:?}");
+
+    let checkpoints = scratch.file("checkpoints");
+    fs::create_dir_all(&checkpoints).unwrap();
+    let payload = "tracker v2\nflagged 0\nconfirmed 0\ndays-processed 2\n\
+                   last-day 1 1\npending 0\nmodel 0\nend-tracker\n";
+    let parent = format!(
+        "segugio-checkpoint v1 {} {:08x}\n{payload}",
+        payload.len(),
+        container::crc32(payload.as_bytes())
+    );
+    fs::write(checkpoints.join("checkpoint-1.seg"), parent).unwrap();
+    let mut args = track_args(&logs);
+    args.push("--checkpoint-dir".to_owned());
+    args.push(checkpoints.to_str().unwrap().to_owned());
+    let upgraded = segugio(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(exit_code(&upgraded), 0, "{upgraded:?}");
+
+    let said = stderr(&upgraded);
+    assert!(!said.contains("resumed from checkpoint"), "{said}");
+    assert!(said.contains("warning: no checkpoint generation"), "{said}");
+    // The fallback records go first among the day's notes.
+    let mut want = day_lines(&reference);
+    let notes = "checkpoint-discarded[day 1] log-reread[ids-from-log]";
+    want[0] = match want[0].split_once("  (") {
+        Some((line, others)) => format!("{line}  ({notes} {others}"),
+        None => format!("{}  ({notes})", want[0]),
+    };
+    assert_eq!(day_lines(&upgraded), want);
+    assert_eq!(totals(&upgraded), totals(&reference));
+    // Its own generations replaced the parent's.
+    for entry in fs::read_dir(&checkpoints).unwrap() {
+        let bytes = fs::read(entry.unwrap().path()).unwrap();
+        assert!(container::decode(&bytes).is_ok());
+    }
 }

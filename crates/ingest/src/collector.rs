@@ -41,10 +41,11 @@ pub struct IngestedDay {
 /// and their ids, machine names, both history stores, the days seen and
 /// where each first appears, how far the log was read and a fingerprint
 /// of the bytes just before that point — is the collector's *durable
-/// state*: [`encode_state`](Self::encode_state) writes it as text,
-/// [`decode_state`](Self::decode_state) rebuilds a collector with the same
-/// ids from it, [`resume_log`](Self::resume_log) checks that text against
-/// the log as it is now and says where to read on, and
+/// state*: [`state_bytes`](Self::state_bytes) writes it as the
+/// front-end section of a checkpoint container,
+/// [`from_state_bytes`](Self::from_state_bytes) rebuilds a collector with
+/// the same ids from it, [`resume_log`](Self::resume_log) checks that
+/// state against the log as it is now and says where to read on, and
 /// [`ingest_reader_from`](Self::ingest_reader_from) reads on from there.
 /// A daily run then costs the new day, not the age of the log.
 #[derive(Debug, Clone, Default)]
@@ -134,7 +135,7 @@ impl LogCollector {
     /// returns `None` for them.
     ///
     /// This is the resume of a run that has nothing but the log. One that
-    /// kept the [state](Self::encode_state) of its last read does not
+    /// kept the [state](Self::state_bytes) of its last read does not
     /// read the covered days at all: see [`resume_log`](Self::resume_log).
     pub fn resuming_after(last_covered: Day) -> Self {
         Self {
@@ -235,7 +236,7 @@ impl LogCollector {
     /// [`ingest_reader_from`](Self::ingest_reader_from) the top of the
     /// log, for a reader that cannot seek: it moves
     /// [`consumed`](Self::consumed) like that one but leaves no
-    /// fingerprint, so [state](Self::encode_state) taken after it resumes
+    /// fingerprint, so [state](Self::state_bytes) taken after it resumes
     /// by reading its log again.
     ///
     /// # Errors
@@ -253,7 +254,7 @@ impl LogCollector {
     /// the one read path: a first run is the [top](LogPosition::START) of
     /// the log into an empty collector, a later run is the place
     /// [`resume_log`](Self::resume_log) names into a
-    /// [decoded](Self::decode_state) one. Line numbers in errors count
+    /// [decoded](Self::from_state_bytes) one. Line numbers in errors count
     /// from the top of the log either way.
     ///
     /// A pass that succeeds moves [`consumed`](Self::consumed) to the end
@@ -328,7 +329,7 @@ impl LogCollector {
         self.consumed
     }
 
-    /// Prepares a [decoded](Self::decode_state) collector to read on in
+    /// Prepares a [decoded](Self::from_state_bytes) collector to read on in
     /// `log` for a run that resumes after `last_covered`, and says where.
     ///
     /// When the bytes before [`consumed`](Self::consumed) still carry the
@@ -471,7 +472,7 @@ impl LogCollector {
     }
 
     /// Days the logs read so far carry traffic for, ascending — read by
-    /// this collector or by the one whose [state](Self::decode_state) it
+    /// this collector or by the one whose [state](Self::from_state_bytes) it
     /// was decoded from.
     pub fn days(&self) -> Vec<Day> {
         self.days.keys().map(|&d| Day(d)).collect()

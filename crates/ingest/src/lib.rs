@@ -34,14 +34,16 @@
 //! the new day. What a read of the log builds, apart from the traffic
 //! itself, is small — the names and their ids, both history stores, which
 //! days start where, how far the read got — and
-//! [`LogCollector::encode_state`] writes it as text for the caller to keep
-//! (`segugio track` keeps it in the tracker's checkpoint). The next run
-//! [decodes](LogCollector::decode_state) it, has
+//! [`LogCollector::state_bytes`] writes it as the front-end section of
+//! the one persistence container, for the caller to keep (`segugio track`
+//! keeps it in the tracker's checkpoint). The next run
+//! [decodes](LogCollector::from_state_bytes) it, has
 //! [`LogCollector::resume_log`] check it against the log as it now is,
 //! and [reads on](LogCollector::ingest_reader_from) from there: the
 //! collector it ends up with is the one a read of the whole log builds
 //! (`tests/prop_ingest.rs` holds it to that at every line boundary). The
-//! [`state`] module documents the format.
+//! [`state`] module says what the state holds;
+//! `segugio_model::container` writes down its bytes.
 //!
 //! # Example
 //!
@@ -96,5 +98,4 @@ pub use error::{IngestError, ParseLogError};
 pub use export::export_day;
 pub use parser::{LogPosition, LogRecord};
 pub use quarantine::{IngestStats, QuarantinePolicy};
-pub use state::DecodeStateError;
 pub use zeek::{ZeekReader, ZeekStats};

@@ -635,14 +635,14 @@ proptest! {
             .collect();
         for covered in (0..4).map(Day) {
             let whole = read_whole(LogCollector::resuming_after(covered), &text);
-            let want = whole.encode_state();
+            let want = whole.state_bytes();
 
             for &split in &boundaries {
                 let before = read_whole(LogCollector::new(), &text[..split]);
                 prop_assert_eq!(before.consumed().offset, split as u64);
-                let state = before.encode_state();
-                let mut resumed = LogCollector::decode_state(&state).unwrap();
-                prop_assert_eq!(resumed.encode_state(), state, "decode → encode");
+                let state = before.state_bytes();
+                let mut resumed = LogCollector::from_state_bytes(&state).unwrap();
+                prop_assert_eq!(resumed.state_bytes(), state, "decode → encode");
 
                 let mut log = std::io::Cursor::new(text.as_bytes());
                 let (start, unchanged) = resumed.resume_log(&mut log, Some(covered)).unwrap();
@@ -658,7 +658,7 @@ proptest! {
                         "log order"
                     );
                 }
-                prop_assert_eq!(resumed.encode_state(), want.as_str());
+                prop_assert_eq!(&resumed.state_bytes(), &want);
             }
         }
     }
@@ -689,7 +689,7 @@ proptest! {
             },
         };
 
-        let mut resumed = LogCollector::decode_state(&old.encode_state()).unwrap();
+        let mut resumed = LogCollector::from_state_bytes(&old.state_bytes()).unwrap();
         let mut log = std::io::Cursor::new(changed.as_bytes());
         let (start, unchanged) = resumed.resume_log(&mut log, Some(Day(covered))).unwrap();
         prop_assert_eq!(unchanged, changed == text);
@@ -733,17 +733,18 @@ proptest! {
     /// The state decoder is total: arbitrary bytes and every strict
     /// prefix of a valid state fail typed, never panic.
     #[test]
-    fn decode_state_never_panics(bytes in hostile_bytes(), text in repetitive_log()) {
-        let _ = LogCollector::decode_state(&String::from_utf8_lossy(&bytes));
+    fn state_decoder_never_panics(bytes in hostile_bytes(), text in repetitive_log()) {
+        let _ = LogCollector::from_state_bytes(&bytes);
 
-        let state = read_whole(LogCollector::new(), &text).encode_state();
-        for cut in (0..state.len()).filter(|&cut| state.is_char_boundary(cut)) {
-            prop_assert!(LogCollector::decode_state(&state[..cut]).is_err(), "prefix {}", cut);
+        let whole = read_whole(LogCollector::new(), &text);
+        let state = whole.state_bytes();
+        for cut in 0..state.len() {
+            prop_assert!(LogCollector::from_state_bytes(&state[..cut]).is_err(), "prefix {}", cut);
         }
-        // Valid up to the last line, then hostile.
-        let mut spliced = state.trim_end_matches("end-frontend\n").to_owned();
-        spliced.push_str(&String::from_utf8_lossy(&bytes));
-        let _ = LogCollector::decode_state(&spliced);
+        // Valid up to the pDNS block, then hostile.
+        let pdns = 4 + 8 * whole.pdns().days().count() + 8 * whole.pdns().len();
+        let spliced = [&state[..state.len() - pdns], &bytes[..]].concat();
+        let _ = LogCollector::from_state_bytes(&spliced);
     }
 
     /// The same observations written as a Zeek `dns.log` and as the TSV

@@ -9,8 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::persist::{self, ParseModelError};
-use crate::Classifier;
+use crate::{Classifier, ParseModelError};
 
 /// Hyperparameters for [`GradientBoosting::fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -44,45 +43,56 @@ impl Default for BoostingConfig {
     }
 }
 
-/// A regression tree node (arena storage).
-#[derive(Debug, Clone)]
-enum RNode {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: u16,
-        threshold: f32,
-        left: u32,
-        right: u32,
-    },
+/// Marks a leaf in a [`BoostingParts`] child array.
+const LEAF: u32 = u32::MAX;
+
+/// A boosted model's regression trees as flat node arrays: what a
+/// [`GradientBoosting`] holds and walks, [`GradientBoosting::to_parts`]
+/// copies out and [`GradientBoosting::from_parts`] checks back in. Child
+/// ids count from their tree's root.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoostingParts {
+    /// Log-odds prior.
+    pub base: f64,
+    /// Shrinkage applied to each tree's output.
+    pub learning_rate: f64,
+    /// First node of each tree; a tree's nodes run to the next root.
+    pub roots: Vec<u32>,
+    /// Per-node split feature; 0 on leaves.
+    pub feature: Vec<u16>,
+    /// Per-node split threshold; 0 on leaves.
+    pub threshold: Vec<f32>,
+    /// Per-node left child, or `u32::MAX` on a leaf.
+    pub left: Vec<u32>,
+    /// Per-node right child, or `u32::MAX` on a leaf.
+    pub right: Vec<u32>,
+    /// Per-node leaf value; 0 on splits.
+    pub value: Vec<f64>,
 }
 
-#[derive(Debug, Clone)]
-struct RegressionTree {
-    nodes: Vec<RNode>,
-}
-
-impl RegressionTree {
-    fn predict(&self, x: &[f32]) -> f64 {
-        let mut i = 0u32;
+impl BoostingParts {
+    /// The leaf value the tree rooted at node `root` gives `x`.
+    fn predict(&self, root: usize, x: &[f32]) -> f64 {
+        let mut i = root;
         loop {
-            match self.nodes[i as usize] {
-                RNode::Leaf { value } => return value,
-                RNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if x[feature as usize] <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
+            let child = match self.left[i] {
+                LEAF => return self.value[i],
+                left if x[self.feature[i] as usize] <= self.threshold[i] => left,
+                _ => self.right[i],
+            };
+            i = root + child as usize;
         }
+    }
+
+    /// Appends a leaf to the tree rooted at node `root`; returns its id in
+    /// that tree.
+    fn push_leaf(&mut self, root: usize, value: f64) -> u32 {
+        self.feature.push(0);
+        self.threshold.push(0.0);
+        self.left.push(LEAF);
+        self.right.push(LEAF);
+        self.value.push(value);
+        (self.left.len() - 1 - root) as u32
     }
 }
 
@@ -107,9 +117,7 @@ impl RegressionTree {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GradientBoosting {
-    base: f64,
-    learning_rate: f64,
-    trees: Vec<RegressionTree>,
+    nodes: BoostingParts,
 }
 
 impl GradientBoosting {
@@ -131,7 +139,16 @@ impl GradientBoosting {
         let base = (p0 / (1.0 - p0)).ln();
 
         let mut margins = vec![base; n];
-        let mut trees = Vec::with_capacity(config.n_rounds);
+        let mut nodes = BoostingParts {
+            base,
+            learning_rate: config.learning_rate,
+            roots: Vec::with_capacity(config.n_rounds),
+            feature: Vec::new(),
+            threshold: Vec::new(),
+            left: Vec::new(),
+            right: Vec::new(),
+            value: Vec::new(),
+        };
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut residuals = vec![0.0f64; n];
         let mut hessians = vec![0.0f64; n];
@@ -144,7 +161,7 @@ impl GradientBoosting {
                 hessians[i] = (p * (1.0 - p)).max(1e-6);
             }
             // Row subsample.
-            let rows: Vec<u32> = if config.subsample >= 1.0 {
+            let mut rows: Vec<u32> = if config.subsample >= 1.0 {
                 (0..n as u32).collect()
             } else {
                 (0..n as u32)
@@ -154,149 +171,98 @@ impl GradientBoosting {
             if rows.is_empty() {
                 continue;
             }
-            let mut tree = RegressionTree { nodes: Vec::new() };
-            let mut work = rows.clone();
-            grow(&mut tree, data, &residuals, &hessians, &mut work, 0, config);
+            let root = nodes.left.len();
+            nodes.roots.push(root as u32);
+            grow(
+                &mut nodes, root, data, &residuals, &hessians, &mut rows, 0, config,
+            );
             // Update margins with the shrunken tree output.
             for (i, margin) in margins.iter_mut().enumerate() {
-                *margin += config.learning_rate * tree.predict(data.row(i));
+                *margin += config.learning_rate * nodes.predict(root, data.row(i));
             }
-            trees.push(tree);
         }
-        GradientBoosting {
-            base,
-            learning_rate: config.learning_rate,
-            trees,
-        }
+        GradientBoosting { nodes }
     }
 
     /// Minimum feature-row width this model can score: one past the
     /// highest feature index any split references.
     ///
-    /// The boosting format does not carry an arity header, so a loader
-    /// that knows the expected row width should check it against this
-    /// bound — scoring a narrower row would index out of bounds.
+    /// The parts carry no row width, so a loader that knows the expected
+    /// width should check it against this bound — scoring a narrower row
+    /// would index out of bounds.
     pub fn n_features(&self) -> usize {
-        self.trees
-            .iter()
-            .flat_map(|t| &t.nodes)
-            .map(|node| match *node {
-                RNode::Leaf { .. } => 0,
-                RNode::Split { feature, .. } => feature as usize + 1,
-            })
+        let nodes = &self.nodes;
+        let splits = nodes.feature.iter().zip(&nodes.left);
+        splits
+            .filter(|&(_, &left)| left != LEAF)
+            .map(|(&feature, _)| feature as usize + 1)
             .max()
             .unwrap_or(0)
     }
 
-    /// Serializes the model into the line-oriented persistence format.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "boosting {} {} {}",
-            self.trees.len(),
-            self.base,
-            self.learning_rate
-        );
-        for tree in &self.trees {
-            let _ = writeln!(out, "rtree {}", tree.nodes.len());
-            for node in &tree.nodes {
-                match *node {
-                    RNode::Leaf { value } => {
-                        let _ = writeln!(out, "L {value}");
-                    }
-                    RNode::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    } => {
-                        let _ = writeln!(out, "S {feature} {threshold} {left} {right}");
-                    }
-                }
-            }
-        }
+    /// The trees' node arrays, copied out for a writer to persist.
+    pub fn to_parts(&self) -> BoostingParts {
+        self.nodes.clone()
     }
 
-    /// Reads a model from the persistence format.
+    /// A model from node arrays a reader decoded.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseModelError`] on malformed input.
-    pub fn read_text<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<Self, ParseModelError> {
-        let header = persist::next_line(lines, "boosting header")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("boosting") {
-            return Err(ParseModelError::new("expected `boosting` header"));
+    /// [`ParseModelError`] unless the arrays agree in length and form
+    /// trees: each tree has nodes, the first starts at node 0 and the
+    /// others follow in order, every child is inside its tree, and every
+    /// node is reached from its root exactly once.
+    pub fn from_parts(parts: BoostingParts) -> Result<Self, ParseModelError> {
+        let n = parts.left.len();
+        let lengths = [
+            parts.feature.len(),
+            parts.threshold.len(),
+            parts.right.len(),
+            parts.value.len(),
+        ];
+        if lengths != [n; 4] {
+            return Err(ParseModelError::new("boosting arrays differ in length"));
         }
-        let n: usize = persist::field(parts.next(), "boosting round count")?;
-        let base: f64 = persist::field(parts.next(), "boosting base")?;
-        let learning_rate: f64 = persist::field(parts.next(), "boosting learning rate")?;
-        // Caps below keep a hostile header's claimed counts from driving a
-        // giant up-front allocation; the loops still error on missing lines.
-        let mut trees = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            let th = persist::next_line(lines, "rtree header")?;
-            let mut parts = th.split_whitespace();
-            if parts.next() != Some("rtree") {
-                return Err(ParseModelError::new("expected `rtree` header"));
-            }
-            let n_nodes: usize = persist::field(parts.next(), "rtree node count")?;
-            if n_nodes == 0 {
-                return Err(ParseModelError::new("rtree must have nodes"));
-            }
-            let mut nodes = Vec::with_capacity(n_nodes.min(1 << 16));
-            for _ in 0..n_nodes {
-                let line = persist::next_line(lines, "rtree node")?;
-                let mut parts = line.split_whitespace();
-                match parts.next() {
-                    Some("L") => nodes.push(RNode::Leaf {
-                        value: persist::field(parts.next(), "leaf value")?,
-                    }),
-                    Some("S") => nodes.push(RNode::Split {
-                        feature: persist::field(parts.next(), "split feature")?,
-                        threshold: persist::field(parts.next(), "split threshold")?,
-                        left: persist::field(parts.next(), "split left")?,
-                        right: persist::field(parts.next(), "split right")?,
-                    }),
-                    _ => return Err(ParseModelError::new("expected rtree node line")),
-                }
-            }
-            for node in &nodes {
-                if let RNode::Split { left, right, .. } = *node {
-                    if left as usize >= nodes.len() || right as usize >= nodes.len() {
-                        return Err(ParseModelError::new("rtree child index out of range"));
-                    }
-                }
-            }
-            validate_topology(&nodes).map_err(|e| e.context("rtree"))?;
-            trees.push(RegressionTree { nodes });
+        if parts.roots.first().map_or(n != 0, |&first| first != 0) {
+            return Err(ParseModelError::new("the first rtree must start at node 0"));
         }
-        Ok(GradientBoosting {
-            base,
-            learning_rate,
-            trees,
-        })
+        for (tree, &root) in parts.roots.iter().enumerate() {
+            let start = root as usize;
+            let end = parts.roots.get(tree + 1).map_or(n, |&next| next as usize);
+            if start >= end || end > n {
+                return Err(ParseModelError::new(
+                    "rtree must have nodes, rtrees in order",
+                ));
+            }
+            validate_topology(&parts.left[start..end], &parts.right[start..end])?;
+        }
+        Ok(GradientBoosting { nodes: parts })
     }
 }
 
 impl Classifier for GradientBoosting {
     fn score(&self, features: &[f32]) -> f32 {
-        let mut margin = self.base;
-        for tree in &self.trees {
-            margin += self.learning_rate * tree.predict(features);
+        let nodes = &self.nodes;
+        let mut margin = nodes.base;
+        for &root in &nodes.roots {
+            margin += nodes.learning_rate * nodes.predict(root as usize, features);
         }
         sigmoid(margin) as f32
     }
 }
 
-/// Grows a variance-reducing regression subtree over `rows`; returns the
-/// node id. Leaf values are Newton steps for the logistic loss:
-/// `Σ grad / Σ hess`, clipped for stability.
+/// Grows a variance-reducing regression subtree over `rows` into the tree
+/// rooted at node `root`; returns the subtree's id in that tree. Leaf
+/// values are Newton steps for the logistic loss: `Σ grad / Σ hess`,
+/// clipped for stability.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursion's state: the tree, the rows and their gradients"
+)]
 fn grow(
-    tree: &mut RegressionTree,
+    nodes: &mut BoostingParts,
+    root: usize,
     data: &Dataset,
     targets: &[f64],
     hessians: &[f64],
@@ -310,8 +276,7 @@ fn grow(
     let leaf_value = (sum / hess_sum.max(1e-9)).clamp(-4.0, 4.0);
 
     if depth >= config.max_depth || n < 2 * config.min_samples_leaf {
-        tree.nodes.push(RNode::Leaf { value: leaf_value });
-        return (tree.nodes.len() - 1) as u32;
+        return nodes.push_leaf(root, leaf_value);
     }
 
     // Best variance-reduction split across all features.
@@ -352,48 +317,47 @@ fn grow(
         }
     }
     let Some((feature, threshold, _)) = best else {
-        tree.nodes.push(RNode::Leaf { value: leaf_value });
-        return (tree.nodes.len() - 1) as u32;
+        return nodes.push_leaf(root, leaf_value);
     };
 
     let mid = partition(rows, |&i| {
         data.row(i as usize)[feature as usize] <= threshold
     });
     debug_assert!(mid > 0 && mid < n);
-    let node_idx = tree.nodes.len() as u32;
-    tree.nodes.push(RNode::Leaf { value: 0.0 });
+    let node = nodes.push_leaf(root, 0.0);
     let (l, r) = rows.split_at_mut(mid);
-    let left = grow(tree, data, targets, hessians, l, depth + 1, config);
-    let right = grow(tree, data, targets, hessians, r, depth + 1, config);
-    tree.nodes[node_idx as usize] = RNode::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    node_idx
+    let left = grow(nodes, root, data, targets, hessians, l, depth + 1, config);
+    let right = grow(nodes, root, data, targets, hessians, r, depth + 1, config);
+    let at = root + node as usize;
+    nodes.feature[at] = feature;
+    nodes.threshold[at] = threshold;
+    (nodes.left[at], nodes.right[at]) = (left, right);
+    node
 }
 
-/// Checks that every node is reachable from node 0 exactly once, i.e. the
-/// arena encodes a proper tree. Rejects cycles (`S 0 0.5 0 0` would make
-/// scoring loop forever), shared children, and orphaned nodes.
-fn validate_topology(nodes: &[RNode]) -> Result<(), ParseModelError> {
-    let mut seen = vec![false; nodes.len()];
+/// Checks that every node of one tree's child arrays is reachable from
+/// node 0 exactly once. Rejects children out of range, cycles (a split
+/// that is its own child would make scoring loop forever), shared
+/// children, and orphaned nodes.
+fn validate_topology(left: &[u32], right: &[u32]) -> Result<(), ParseModelError> {
+    let mut seen = vec![false; left.len()];
     let mut stack = vec![0u32];
     while let Some(i) = stack.pop() {
-        let slot = &mut seen[i as usize];
+        let i = i as usize;
+        let Some(slot) = seen.get_mut(i) else {
+            return Err(ParseModelError::new("rtree child index out of range"));
+        };
         if *slot {
             return Err(ParseModelError::new(
                 "node reachable more than once (cycle or shared child)",
             ));
         }
         *slot = true;
-        if let RNode::Split { left, right, .. } = nodes[i as usize] {
-            stack.push(left);
-            stack.push(right);
+        if left[i] != LEAF {
+            stack.extend([left[i], right[i]]);
         }
     }
-    if seen.iter().any(|&v| !v) {
+    if seen.contains(&false) {
         return Err(ParseModelError::new("unreachable nodes"));
     }
     Ok(())
@@ -437,7 +401,7 @@ mod tests {
                 ..BoostingConfig::default()
             },
         );
-        assert_eq!(m.trees.len(), 30, "one tree per boosting round");
+        assert_eq!(m.nodes.roots.len(), 30, "one tree per boosting round");
         assert!(m.score(&[0.9, 0.0]) > 0.9);
         assert!(m.score(&[0.1, 0.0]) < 0.1);
     }
@@ -495,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn boosting_text_round_trip() {
+    fn boosting_parts_round_trip() {
         let data = separable(80);
         let m = GradientBoosting::fit(
             &data,
@@ -504,29 +468,51 @@ mod tests {
                 ..BoostingConfig::default()
             },
         );
-        let mut text = String::new();
-        m.write_text(&mut text);
-        let m2 = GradientBoosting::read_text(&mut text.lines()).unwrap();
+        let m2 = GradientBoosting::from_parts(m.to_parts()).unwrap();
+        assert_eq!(m2.to_parts(), m.to_parts());
         for i in 0..data.len() {
             assert_eq!(m.score(data.row(i)), m2.score(data.row(i)));
         }
-        assert!(GradientBoosting::read_text(&mut "garbage".lines()).is_err());
+    }
+
+    /// One rtree from `(feature, threshold, left, right, value)` nodes.
+    fn one_rtree(nodes: &[(u16, f32, u32, u32, f64)]) -> BoostingParts {
+        BoostingParts {
+            base: 0.0,
+            learning_rate: 0.1,
+            roots: vec![0],
+            feature: nodes.iter().map(|n| n.0).collect(),
+            threshold: nodes.iter().map(|n| n.1).collect(),
+            left: nodes.iter().map(|n| n.2).collect(),
+            right: nodes.iter().map(|n| n.3).collect(),
+            value: nodes.iter().map(|n| n.4).collect(),
+        }
     }
 
     #[test]
-    fn read_text_rejects_cyclic_and_empty_rtrees() {
-        // Self-loop: used to parse, then `predict` looped forever.
-        assert!(GradientBoosting::read_text(
-            &mut "boosting 1 0.0 0.1\nrtree 1\nS 0 0.5 0 0".lines()
-        )
-        .is_err());
-        // Zero-node rtree: `predict` would index out of bounds.
-        assert!(GradientBoosting::read_text(&mut "boosting 1 0.0 0.1\nrtree 0".lines()).is_err());
-        // Orphaned node.
-        assert!(GradientBoosting::read_text(
-            &mut "boosting 1 0.0 0.1\nrtree 4\nS 0 0.5 1 2\nL 0.2\nL 0.8\nL 0.9".lines()
-        )
-        .is_err());
+    fn from_parts_rejects_cyclic_empty_and_orphaned_rtrees() {
+        let leaf = |v: f64| (0, 0.0, LEAF, LEAF, v);
+        for nodes in [
+            // Self-loop: used to load, then `predict` looped forever.
+            vec![(0, 0.5, 0, 0, 0.0)],
+            // Zero-node rtree: `predict` would index out of bounds.
+            vec![],
+            // Child out of range.
+            vec![(0, 0.5, 1, 7, 0.0), leaf(0.2)],
+            // Orphaned node.
+            vec![(0, 0.5, 1, 2, 0.0), leaf(0.2), leaf(0.8), leaf(0.9)],
+        ] {
+            assert!(
+                GradientBoosting::from_parts(one_rtree(&nodes)).is_err(),
+                "{nodes:?}"
+            );
+        }
+        let mut ragged = one_rtree(&[leaf(0.2)]);
+        ragged.value.push(0.0);
+        assert!(GradientBoosting::from_parts(ragged).is_err());
+        let split = [(0, 0.5, 2, 1, 0.0), leaf(0.8), leaf(0.2)];
+        let m = GradientBoosting::from_parts(one_rtree(&split)).unwrap();
+        assert!(m.score(&[0.0]) < m.score(&[1.0]));
     }
 
     #[test]

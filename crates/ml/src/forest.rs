@@ -6,9 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::persist::{self, ParseModelError};
 use crate::tree::{grow_tree, TreeConfig};
-use crate::Classifier;
+use crate::{Classifier, ParseModelError};
 
 /// How each tree's training sample is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,7 +74,8 @@ const SCORE_BLOCK: usize = 64;
 /// child (the right child is always `left + 1`; `u32::MAX` flags a leaf).
 /// The grower writes these arrays directly, one contiguous run of nodes
 /// per tree with each split's children appended as a pair in depth-first
-/// order, and the same arrays are walked for scoring and written to disk.
+/// order, and the same arrays are walked for scoring and, as
+/// [`ForestParts`], persisted.
 ///
 /// # Example
 ///
@@ -103,6 +103,23 @@ pub struct RandomForest {
     pub(crate) roots: Vec<u32>,
     /// Width of the feature rows this forest scores.
     n_features: usize,
+}
+
+/// A forest's node arrays, as [`RandomForest::to_parts`] copies them out
+/// and [`RandomForest::from_parts`] checks them back in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForestParts {
+    /// Width of the feature rows the forest scores.
+    pub n_features: usize,
+    /// First node of each tree; a tree's nodes run to the next root.
+    pub roots: Vec<u32>,
+    /// Per-node split feature; 0 on leaves.
+    pub feature_idx: Vec<u16>,
+    /// Per-node split threshold; the leaf probability on leaves.
+    pub threshold: Vec<f32>,
+    /// Per-node left child (the right one is the next node), or
+    /// `u32::MAX` on a leaf.
+    pub children: Vec<u32>,
 }
 
 /// The name the benchmark harness under `benchmark/` uses for the scorer.
@@ -259,139 +276,90 @@ impl RandomForest {
         forest.clone()
     }
 
-    /// Serializes the forest into the line-oriented persistence format:
-    /// a `forest <trees> <features>` header, then per tree a `tree <nodes>`
-    /// line and its nodes in array order, `S <feature> <threshold> <left>`
-    /// or `L <probability>`, with `left` counted from the tree's root.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "forest {} {}", self.roots.len(), self.n_features);
-        for tree in 0..self.roots.len() {
-            let nodes = self.tree_nodes(tree);
-            let root = nodes.start as u32;
-            let _ = writeln!(out, "tree {}", nodes.len());
-            for i in nodes {
-                let (feature, threshold) = (self.feature_idx[i], self.threshold[i]);
-                match self.children[i] {
-                    LEAF => {
-                        let _ = writeln!(out, "L {threshold}");
-                    }
-                    left => {
-                        let _ = writeln!(out, "S {feature} {threshold} {}", left - root);
-                    }
-                }
-            }
+    /// The node arrays, copied out for a writer to persist.
+    pub fn to_parts(&self) -> ForestParts {
+        ForestParts {
+            n_features: self.n_features,
+            roots: self.roots.clone(),
+            feature_idx: self.feature_idx.clone(),
+            threshold: self.threshold.clone(),
+            children: self.children.clone(),
         }
     }
 
-    /// Reads a forest from the persistence format.
+    /// A forest from node arrays a reader decoded.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseModelError`] on malformed input: a wrong header or
-    /// node count, a split feature outside the row width, or child links
-    /// that do not form a tree — each split's pair must come after it and
-    /// inside the tree, and every node but the root must be some split's
-    /// child exactly once. Parent-before-child rules out cycles, so every
-    /// forest that parses can be walked to a leaf.
-    pub fn read_text<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<Self, ParseModelError> {
-        let header = persist::next_line(lines, "forest header")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("forest") {
-            return Err(ParseModelError::new("expected `forest` header"));
+    /// [`ParseModelError`] unless the arrays form trees: they agree in
+    /// length; there is a tree, each has nodes, the first starts at node 0
+    /// and the others follow in order; node ids fit a `u32`; the row width
+    /// is in the `u16` feature range and every feature below it; and each
+    /// split's child pair comes after the split and inside its tree, every
+    /// node but a root being some split's child exactly once.
+    /// Parent-before-child rules out cycles, so every forest that loads
+    /// can be walked to a leaf.
+    pub fn from_parts(parts: ForestParts) -> Result<Self, ParseModelError> {
+        let ForestParts {
+            n_features,
+            roots,
+            feature_idx,
+            threshold,
+            children,
+        } = parts;
+        let n = children.len();
+        let fail = |message: &str| Err(ParseModelError::new(message));
+        if feature_idx.len() != n || threshold.len() != n {
+            return fail("node arrays differ in length");
         }
-        let n_trees: usize = persist::field(parts.next(), "forest tree count")?;
-        let n_features: usize = persist::field(parts.next(), "forest feature count")?;
-        if n_trees == 0 {
-            return Err(ParseModelError::new("forest must contain trees"));
+        if n >= LEAF as usize {
+            return fail("forest too large for u32 node ids");
         }
         if n_features == 0 || n_features > u16::MAX as usize + 1 {
-            return Err(ParseModelError::new("forest feature count out of range"));
+            return fail("forest feature count out of range");
         }
-        let mut forest = Self::empty(n_features);
-        let mut reached = Vec::new();
-        for _ in 0..n_trees {
-            forest
-                .read_tree(lines, &mut reached)
-                .map_err(|e| e.context("tree"))?;
+        if feature_idx.iter().any(|&f| usize::from(f) >= n_features) {
+            return fail("split feature out of range");
         }
-        Ok(forest)
-    }
-
-    /// Reads one `tree` block and appends it; `reached` is scratch for the
-    /// one-parent-per-node check.
-    fn read_tree<'a>(
-        &mut self,
-        lines: &mut impl Iterator<Item = &'a str>,
-        reached: &mut Vec<bool>,
-    ) -> Result<(), ParseModelError> {
-        let header = persist::next_line(lines, "tree header")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("tree") {
-            return Err(ParseModelError::new("expected `tree` header"));
+        if roots.first() != Some(&0) {
+            return fail("forest must contain trees, the first at node 0");
         }
-        let n_nodes: usize = persist::field(parts.next(), "tree node count")?;
-        if n_nodes == 0 {
-            return Err(ParseModelError::new("tree must have nodes"));
-        }
-        if self.children.len() + n_nodes >= LEAF as usize {
-            return Err(ParseModelError::new("forest too large for u32 node ids"));
-        }
-        let root = self.children.len() as u32;
-        self.roots.push(root);
-        for i in 0..n_nodes {
-            let line = persist::next_line(lines, "tree node")?;
-            let mut parts = line.split_whitespace();
-            let (feature, threshold, child) = match parts.next() {
-                Some("L") => (0, persist::field(parts.next(), "leaf probability")?, LEAF),
-                Some("S") => {
-                    let feature: u16 = persist::field(parts.next(), "split feature")?;
-                    let threshold = persist::field(parts.next(), "split threshold")?;
-                    let left: usize = persist::field(parts.next(), "split left child")?;
-                    if feature as usize >= self.n_features {
-                        return Err(ParseModelError::new("split feature out of range"));
-                    }
-                    if left <= i {
-                        return Err(ParseModelError::new("child does not come after its parent"));
-                    }
-                    if left + 1 >= n_nodes {
-                        return Err(ParseModelError::new("node child index out of range"));
-                    }
-                    (feature, threshold, root + left as u32)
-                }
-                _ => {
-                    return Err(ParseModelError::new(
-                        "expected node line `L ...` or `S ...`",
-                    ))
-                }
-            };
-            if parts.next().is_some() {
-                return Err(ParseModelError::new("trailing field on node line"));
+        let mut reached = vec![false; n];
+        for (tree, &root) in roots.iter().enumerate() {
+            let start = root as usize;
+            let end = roots.get(tree + 1).map_or(n, |&next| next as usize);
+            if start >= end || end > n {
+                return fail("tree must have nodes, trees in order");
             }
-            self.feature_idx.push(feature);
-            self.threshold.push(threshold);
-            self.children.push(child);
-        }
-        // Sized only now: `n_nodes` lines have actually been read.
-        reached.clear();
-        reached.resize(n_nodes, false);
-        for &child in &self.children[root as usize..] {
-            if child != LEAF {
-                let left = (child - root) as usize;
+            for (i, &child) in children.iter().enumerate().take(end).skip(start) {
+                if child == LEAF {
+                    continue;
+                }
+                let left = child as usize;
+                if left <= i {
+                    return fail("child does not come after its parent");
+                }
+                if left + 1 >= end {
+                    return fail("node child index out of range");
+                }
                 if reached[left] || reached[left + 1] {
-                    return Err(ParseModelError::new("node is the child of two splits"));
+                    return fail("node is the child of two splits");
                 }
                 reached[left] = true;
                 reached[left + 1] = true;
             }
+            // The root is nobody's child; every other node must be somebody's.
+            if reached[start + 1..end].contains(&false) {
+                return fail("unreachable nodes");
+            }
         }
-        // The root is nobody's child; every other node must be somebody's.
-        if reached[1..].contains(&false) {
-            return Err(ParseModelError::new("unreachable nodes"));
-        }
-        Ok(())
+        Ok(RandomForest {
+            feature_idx,
+            threshold,
+            children,
+            roots,
+            n_features,
+        })
     }
 
     /// Number of trees.
@@ -407,16 +375,6 @@ impl RandomForest {
     /// Width of the feature rows this forest scores.
     pub fn n_features(&self) -> usize {
         self.n_features
-    }
-
-    /// The node ids of tree `tree`.
-    fn tree_nodes(&self, tree: usize) -> Range<usize> {
-        let start = self.roots[tree] as usize;
-        let end = self
-            .roots
-            .get(tree + 1)
-            .map_or(self.children.len(), |&next| next as usize);
-        start..end
     }
 
     #[inline]
@@ -623,12 +581,9 @@ mod tests {
                 },
             )
         };
-        let mut serial = String::new();
-        forest(1).write_text(&mut serial);
+        let serial = forest(1).to_parts();
         for threads in [3, 4] {
-            let mut parallel = String::new();
-            forest(threads).write_text(&mut parallel);
-            assert_eq!(serial, parallel, "threads {threads}");
+            assert_eq!(serial, forest(threads).to_parts(), "threads {threads}");
         }
     }
 
@@ -664,18 +619,25 @@ mod tests {
         assert!(fit(&d, 3).score(&[5.0]) < 0.1);
     }
 
+    /// One tree over rows of `n_features`, from `(feature, threshold,
+    /// left)` nodes; `LEAF` marks a leaf whose threshold is its probability.
+    fn one_tree(n_features: usize, nodes: &[(u16, f32, u32)]) -> ForestParts {
+        ForestParts {
+            n_features,
+            roots: vec![0],
+            feature_idx: nodes.iter().map(|n| n.0).collect(),
+            threshold: nodes.iter().map(|n| n.1).collect(),
+            children: nodes.iter().map(|n| n.2).collect(),
+        }
+    }
+
     #[test]
-    fn forest_text_round_trip() {
+    fn parts_round_trip() {
         let data = separable(80);
         let f = fit(&data, 6);
-        let mut text = String::new();
-        f.write_text(&mut text);
-        let f2 = RandomForest::read_text(&mut text.lines()).unwrap();
+        let f2 = RandomForest::from_parts(f.to_parts()).unwrap();
         assert_eq!(f2.tree_count(), 6);
-        assert_eq!(f2.node_count(), f.node_count());
-        let mut text2 = String::new();
-        f2.write_text(&mut text2);
-        assert_eq!(text, text2);
+        assert_eq!(f2.to_parts(), f.to_parts());
         for i in 0..data.len() {
             assert_eq!(
                 f.score(data.row(i)).to_bits(),
@@ -685,52 +647,69 @@ mod tests {
     }
 
     #[test]
-    fn read_text_rejects_garbage() {
-        for text in [
-            "nope",
-            "forest 0 2",
-            // v1: no feature count on the forest line, two per tree line.
-            "forest 1\ntree 2 1\nL 0.5",
-            "forest 1 0\ntree 1\nL 0.5",
-            "forest 1 65537\ntree 1\nL 0.5",
-            "forest 1 2\ntree 1\nX 1",
-            "forest 1 2\ntree 2\nL 0.5",
-            "forest 1 2\ntree 3\nS 9 1.0 1\nL 0.5\nL 0.5",
-            // v1 split lines carry the right child too.
-            "forest 1 2\ntree 3\nS 0 1.0 1 2\nL 0.5\nL 0.5",
-            "forest 2 2\ntree 1\nL 0.5",
+    fn from_parts_rejects_garbage() {
+        let leaf = (0, 0.5, LEAF);
+        let mut no_trees = one_tree(2, &[leaf]);
+        no_trees.roots.clear();
+        let mut ragged = one_tree(2, &[leaf]);
+        ragged.threshold.push(0.5);
+        let mut empty_tree = one_tree(2, &[leaf]);
+        empty_tree.roots.push(0);
+        let mut past_end = one_tree(2, &[leaf]);
+        past_end.roots.push(5);
+        for parts in [
+            no_trees,
+            ragged,
+            empty_tree,
+            past_end,
+            one_tree(0, &[leaf]),
+            one_tree(65537, &[leaf]),
+            one_tree(2, &[]),
+            one_tree(2, &[(9, 1.0, 1), leaf, leaf]),
         ] {
             assert!(
-                RandomForest::read_text(&mut text.lines()).is_err(),
-                "{text:?}"
+                RandomForest::from_parts(parts.clone()).is_err(),
+                "{parts:?}"
             );
         }
     }
 
     #[test]
-    fn read_text_rejects_non_trees() {
-        for text in [
+    fn from_parts_rejects_non_trees() {
+        let leaf = |p: f32| (0, p, LEAF);
+        for nodes in [
             // Self-loop: a child at or before its parent.
-            "forest 1 2\ntree 3\nS 0 0.5 0\nL 0.2\nL 0.8",
+            vec![(0, 0.5, 0), leaf(0.2), leaf(0.8)],
             // Back-edge to the root from a later split.
-            "forest 1 2\ntree 5\nS 0 0.5 1\nL 0.2\nS 1 0.5 0\nL 0.1\nL 0.9",
+            vec![(0, 0.5, 1), leaf(0.2), (1, 0.5, 0), leaf(0.1), leaf(0.9)],
             // Pair out of range.
-            "forest 1 2\ntree 3\nS 0 0.5 2\nL 0.2\nL 0.8",
+            vec![(0, 0.5, 2), leaf(0.2), leaf(0.8)],
             // Shared child: node 2 is in both pairs.
-            "forest 1 2\ntree 5\nS 0 0.5 1\nS 1 0.5 2\nL 0.2\nL 0.1\nL 0.9",
+            vec![(0, 0.5, 1), (1, 0.5, 2), leaf(0.2), leaf(0.1), leaf(0.9)],
             // Orphans: nodes 3 and 4 are nobody's children.
-            "forest 1 2\ntree 5\nS 0 0.5 1\nL 0.2\nL 0.8\nL 0.1\nL 0.9",
+            vec![(0, 0.5, 1), leaf(0.2), leaf(0.8), leaf(0.1), leaf(0.9)],
         ] {
             assert!(
-                RandomForest::read_text(&mut text.lines()).is_err(),
-                "{text:?}"
+                RandomForest::from_parts(one_tree(2, &nodes)).is_err(),
+                "{nodes:?}"
             );
         }
+        // A pair may not reach into the next tree.
+        let mut two = one_tree(2, &[(0, 0.5, 1), leaf(0.2), leaf(0.8)]);
+        two.roots.push(2);
+        assert!(RandomForest::from_parts(two).is_err());
         // Pairs need not be in depth-first order: a breadth-first layout
         // is a tree too.
-        let bfs = "forest 1 2\ntree 7\nS 0 0.5 1\nS 1 0.5 5\nS 1 0.5 3\n\
-                   L 0.3\nL 0.4\nL 0.1\nL 0.2";
-        let f = RandomForest::read_text(&mut bfs.lines()).unwrap();
+        let bfs = [
+            (0, 0.5, 1),
+            (1, 0.5, 5),
+            (1, 0.5, 3),
+            leaf(0.3),
+            leaf(0.4),
+            leaf(0.1),
+            leaf(0.2),
+        ];
+        let f = RandomForest::from_parts(one_tree(2, &bfs)).unwrap();
         assert_eq!(f.score(&[0.0, 0.0]), 0.1);
         assert_eq!(f.score(&[0.0, 1.0]), 0.2);
         assert_eq!(f.score(&[1.0, 0.0]), 0.3);
@@ -738,17 +717,18 @@ mod tests {
     }
 
     #[test]
-    fn path_shaped_trees_parse_and_score() {
+    fn path_shaped_trees_load_and_score() {
         // A comb: each split's left child is a leaf and its right child the
-        // next split. Parsing and scoring are iterative, so depth is
+        // next split. Validation and scoring are iterative, so depth is
         // bounded only by the node count, not by the call stack.
-        let depth = 100_000;
-        let mut text = format!("forest 1 1\ntree {}\n", 2 * depth + 1);
+        let depth = 100_000u32;
+        let mut nodes = Vec::new();
         for i in 0..depth {
-            text.push_str(&format!("S 0 {i} {}\nL 0.25\n", 2 * i + 1));
+            nodes.push((0, i as f32, 2 * i + 1));
+            nodes.push((0, 0.25, LEAF));
         }
-        text.push_str("L 0.75\n");
-        let f = RandomForest::read_text(&mut text.lines()).unwrap();
+        nodes.push((0, 0.75, LEAF));
+        let f = RandomForest::from_parts(one_tree(1, &nodes)).unwrap();
         // Always greater than every threshold: walks the full comb.
         assert_eq!(f.score(&[1e9]), 0.75);
         assert_eq!(f.score(&[-1.0]), 0.25);

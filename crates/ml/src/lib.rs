@@ -9,8 +9,8 @@
 //! - [`RandomForest`] — bagged CART trees (Gini impurity, depth/leaf
 //!   limits, per-node feature subsampling, optional class-balanced
 //!   bootstrap), grown in parallel straight into one struct-of-arrays node
-//!   store that is also what blocked batch scoring walks and what the text
-//!   codec persists;
+//!   store that is also what blocked batch scoring walks and, as
+//!   [`ForestParts`], what a model file holds;
 //! - [`LogisticRegression`] — L2-regularized SGD on standardized features;
 //! - [`RocCurve`] — exact ROC from scored samples, with `TPR @ FPR`,
 //!   threshold selection, AUC and partial AUC;
@@ -42,19 +42,42 @@ pub mod folds;
 pub mod forest;
 pub mod importance;
 pub mod logistic;
-pub mod persist;
 pub mod tree;
 
-pub use boosting::{BoostingConfig, GradientBoosting};
+pub use boosting::{BoostingConfig, BoostingParts, GradientBoosting};
 pub use dataset::Dataset;
 pub use eval::RocCurve;
 #[doc(hidden)]
 pub use forest::FlatForest;
-pub use forest::{BootstrapMode, ForestConfig, RandomForest};
+pub use forest::{BootstrapMode, ForestConfig, ForestParts, RandomForest};
 pub use importance::{permutation_importance, permutation_importance_by};
-pub use logistic::{LogisticConfig, LogisticRegression};
-pub use persist::ParseModelError;
+pub use logistic::{LogisticConfig, LogisticParts, LogisticRegression};
 pub use tree::TreeConfig;
+
+/// Returned when a model's parts do not form a model: arrays of unequal
+/// length, child links that are not trees, features out of range. Each
+/// backend's `from_parts` checks what its scorer relies on; `segugio-core`
+/// writes and reads the bytes the parts travel in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseModelError {
+    message: String,
+}
+
+impl ParseModelError {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
+        ParseModelError {
+            message: message.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for ParseModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid model data: {}", self.message)
+    }
+}
+
+impl std::error::Error for ParseModelError {}
 
 /// A trained binary scorer: maps a feature vector to a malware score in
 /// `[0, 1]`.

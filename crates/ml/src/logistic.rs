@@ -6,8 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
-use crate::persist::{self, ParseModelError};
-use crate::Classifier;
+use crate::{Classifier, ParseModelError};
 
 /// Hyperparameters for [`LogisticRegression::fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +37,20 @@ impl Default for LogisticConfig {
             seed: 0x10615,
         }
     }
+}
+
+/// A logistic model's arrays, as [`LogisticRegression::to_parts`] copies
+/// them out and [`LogisticRegression::from_parts`] checks them back in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogisticParts {
+    /// Weights in standardized feature space, one per column.
+    pub weights: Vec<f64>,
+    /// The intercept.
+    pub bias: f64,
+    /// Per-column mean subtracted before weighting.
+    pub mean: Vec<f64>,
+    /// Per-column inverse standard deviation (0 for a constant column).
+    pub inv_std: Vec<f64>,
 }
 
 /// A trained logistic-regression scorer.
@@ -150,77 +163,37 @@ impl LogisticRegression {
         }
     }
 
-    /// Serializes the model into the line-oriented persistence format.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "logistic {}", self.weights.len());
-        let join = |v: &[f64]| v.iter().map(f64::to_string).collect::<Vec<_>>().join(" ");
-        let _ = writeln!(out, "weights {}", join(&self.weights));
-        let _ = writeln!(out, "bias {}", self.bias);
-        let _ = writeln!(out, "mean {}", join(&self.mean));
-        let _ = writeln!(out, "inv_std {}", join(&self.inv_std));
+    /// The fitted arrays, copied out for a writer to persist.
+    pub fn to_parts(&self) -> LogisticParts {
+        LogisticParts {
+            weights: self.weights.clone(),
+            bias: self.bias,
+            mean: self.mean.clone(),
+            inv_std: self.inv_std.clone(),
+        }
     }
 
-    /// Reads a model from the persistence format.
+    /// A model from arrays a reader decoded.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseModelError`] on malformed input.
-    pub fn read_text<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<Self, ParseModelError> {
-        let header = persist::next_line(lines, "logistic header")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("logistic") {
-            return Err(ParseModelError::new("expected `logistic` header"));
+    /// [`ParseModelError`] when the arrays differ in length.
+    pub fn from_parts(parts: LogisticParts) -> Result<Self, ParseModelError> {
+        let LogisticParts {
+            weights,
+            bias,
+            mean,
+            inv_std,
+        } = parts;
+        if mean.len() != weights.len() || inv_std.len() != weights.len() {
+            return Err(ParseModelError::new("logistic arrays differ in length"));
         }
-        let k: usize = persist::field(parts.next(), "logistic feature count")?;
-        fn vector<'a, I: Iterator<Item = &'a str>>(
-            lines: &mut I,
-            key: &str,
-            k: usize,
-        ) -> Result<Vec<f64>, ParseModelError> {
-            let line = persist::next_line(lines, key)?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some(key) {
-                return Err(ParseModelError::new(format!("expected `{key}` line")));
-            }
-            let v: Vec<f64> = parts
-                .map(|p| {
-                    p.parse()
-                        .map_err(|_| ParseModelError::new(format!("malformed {key} value")))
-                })
-                .collect::<Result<_, _>>()?;
-            if v.len() != k {
-                return Err(ParseModelError::new(format!("{key} length mismatch")));
-            }
-            Ok(v)
-        }
-        let weights = vector(lines, "weights", k)?;
-        let bias_line = persist::next_line(lines, "bias")?;
-        let mut parts = bias_line.split_whitespace();
-        if parts.next() != Some("bias") {
-            return Err(ParseModelError::new("expected `bias` line"));
-        }
-        let bias: f64 = persist::field(parts.next(), "bias value")?;
-        let mean = vector(lines, "mean", k)?;
-        let inv_std = vector(lines, "inv_std", k)?;
         Ok(LogisticRegression {
             weights,
             bias,
             mean,
             inv_std,
         })
-    }
-
-    /// The learned weights in standardized feature space.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The learned intercept.
-    pub fn bias(&self) -> f64 {
-        self.bias
     }
 }
 
@@ -286,25 +259,20 @@ mod tests {
     }
 
     #[test]
-    fn logistic_text_round_trip() {
+    fn logistic_parts_round_trip() {
         let mut d = Dataset::new(2);
         for i in 0..80 {
             d.push(&[i as f32, (i % 9) as f32], i >= 40);
         }
         let m = LogisticRegression::fit(&d, &LogisticConfig::default());
-        let mut text = String::new();
-        m.write_text(&mut text);
-        let m2 = LogisticRegression::read_text(&mut text.lines()).unwrap();
+        let m2 = LogisticRegression::from_parts(m.to_parts()).unwrap();
+        assert_eq!(m2.to_parts(), m.to_parts());
         for i in 0..d.len() {
             assert_eq!(m.score(d.row(i)), m2.score(d.row(i)));
         }
-        assert!(LogisticRegression::read_text(&mut "bogus".lines()).is_err());
-        assert!(LogisticRegression::read_text(
-            &mut "logistic 2
-weights 1"
-                .lines()
-        )
-        .is_err());
+        let mut short = m.to_parts();
+        short.mean.pop();
+        assert!(LogisticRegression::from_parts(short).is_err());
     }
 
     #[test]
@@ -317,6 +285,6 @@ weights 1"
         let a = LogisticRegression::fit(&d, &cfg);
         let b = LogisticRegression::fit(&d, &cfg);
         assert_eq!(a.score(&[30.0]), b.score(&[30.0]));
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.to_parts(), b.to_parts());
     }
 }

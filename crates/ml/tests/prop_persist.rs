@@ -1,17 +1,16 @@
-//! Property-based tests for model persistence and blocked scoring.
+//! Property-based tests for model parts and blocked scoring.
 //!
 //! Three groups:
 //!
-//! 1. **Hostile input** — grammar-biased token soup fed to the
-//!    `read_text` parsers must either parse or return a typed
-//!    [`ParseModelError`]; it must never panic, hang, or over-allocate.
-//!    Whatever parses must also `score()` to completion (the topology
-//!    validation at parse time is what makes traversal termination safe
-//!    to promise), and a parsed forest writes back text that reads again.
+//! 1. **Hostile input** — arrays biased toward almost-trees fed to the
+//!    `from_parts` constructors must either load or return a typed
+//!    [`ParseModelError`]; they must never panic, hang, or over-allocate.
+//!    Whatever loads must also `score()` to completion (the topology
+//!    validation at load time is what makes traversal termination safe to
+//!    promise), and a loaded forest's parts load again to the same scorer.
 //! 2. **Round-trips** — randomly shaped forests whose thresholds and leaf
 //!    probabilities include NaN, infinities and `-0.0` must round-trip
-//!    through the text format bit-for-bit (NaN-aware: Display collapses
-//!    NaN payloads to the one canonical quiet NaN the parser returns).
+//!    through their parts bit-for-bit.
 //! 3. **Blocked scoring** — [`RandomForest::score_rows`] scores random
 //!    trained forests bit-identically to per-row `score()`.
 //!
@@ -19,48 +18,68 @@
 
 use proptest::prelude::*;
 
-use segugio_ml::{Classifier, Dataset, ForestConfig, GradientBoosting, RandomForest};
+use segugio_ml::{
+    BoostingParts, Classifier, Dataset, ForestConfig, ForestParts, GradientBoosting, RandomForest,
+};
 
 // ---------------------------------------------------------------------------
 // Group 1: hostile input.
 
-/// Tokens biased toward the persistence grammar so generated soup reaches
-/// deep parser states (node loops, child validation, topology checks)
-/// instead of dying at the first header.
-fn token() -> impl Strategy<Value = String> {
-    (0u32..20, 0u32..40, -2.0f32..2.0).prop_map(|(kind, n, x)| match kind {
-        0 => "tree".to_string(),
-        1 => "forest".to_string(),
-        2 => "boosting".to_string(),
-        3 => "rtree".to_string(),
-        4 => "logistic".to_string(),
-        5 => "L".to_string(),
-        6 => "S".to_string(),
-        7 => "NaN".to_string(),
-        8 => "inf".to_string(),
-        9 => "-inf".to_string(),
-        // Newlines are weighted up: the parsers are line-oriented, so soup
-        // without line breaks never leaves the header.
-        10..=13 => "\n".to_string(),
-        // Parses as usize but would be a ~1 TiB allocation if the readers
-        // trusted it for `Vec::with_capacity`.
-        14 => "68719476736".to_string(),
-        // Overflows usize on 64-bit: must surface as a malformed field.
-        15 => "99999999999999999999".to_string(),
-        16 => format!("{x}"),
-        17 => format!("-{n}"),
-        _ => n.to_string(),
+/// A node id biased toward small in-range values, with the leaf marker
+/// and out-of-range ids mixed in.
+fn node_id() -> impl Strategy<Value = u32> {
+    (0u32..10, 0u32..12).prop_map(|(kind, n)| match kind {
+        0..=2 => u32::MAX,
+        3 => u32::MAX - 1,
+        4 => 1 << 31,
+        _ => n,
     })
 }
 
-fn hostile_text() -> impl Strategy<Value = String> {
-    proptest::collection::vec(token(), 0..150).prop_map(|tokens| tokens.join(" "))
+/// Arrays of nearly equal lengths, so most cases reach the tree checks.
+fn hostile_forest() -> impl Strategy<Value = ForestParts> {
+    (
+        0usize..8,
+        proptest::collection::vec(node_id(), 0..4),
+        proptest::collection::vec((0u16..9, weird_f32(), node_id()), 0..14),
+        0u8..8,
+    )
+        .prop_map(|(n_features, roots, nodes, ragged)| {
+            let mut parts = ForestParts {
+                n_features,
+                roots,
+                feature_idx: nodes.iter().map(|n| n.0).collect(),
+                threshold: nodes.iter().map(|n| n.1).collect(),
+                children: nodes.iter().map(|n| n.2).collect(),
+            };
+            if ragged == 0 {
+                parts.threshold.push(0.5);
+            }
+            parts
+        })
+}
+
+fn hostile_boosting() -> impl Strategy<Value = BoostingParts> {
+    (
+        proptest::collection::vec(node_id(), 0..4),
+        proptest::collection::vec((any::<u16>(), weird_f32(), node_id(), node_id()), 0..14),
+    )
+        .prop_map(|(roots, nodes)| BoostingParts {
+            base: 0.0,
+            learning_rate: 0.1,
+            roots,
+            feature: nodes.iter().map(|n| n.0).collect(),
+            threshold: nodes.iter().map(|n| n.1).collect(),
+            left: nodes.iter().map(|n| n.2).collect(),
+            right: nodes.iter().map(|n| n.3).collect(),
+            value: nodes.iter().map(|n| f64::from(n.1)).collect(),
+        })
 }
 
 // ---------------------------------------------------------------------------
 // Group 2: round-trips.
 
-/// f32 values weighted toward the edge cases the text format must keep.
+/// f32 values weighted toward the edge cases the parts must keep.
 fn weird_f32() -> impl Strategy<Value = f32> {
     (0u32..12, -1e6f32..1e6).prop_map(|(kind, v)| match kind {
         6 => f32::NAN,
@@ -101,30 +120,51 @@ fn shapes() -> impl Strategy<Value = Vec<Shape>> {
     proptest::collection::vec(shape, 1..4)
 }
 
-/// Writes `shape` into node slot `at` of `lines`, the way the grower lays
+/// Writes `shape` into node slot `at` of `parts`, the way the grower lays
 /// a tree out: a split's children are appended as a pair, and the left
 /// subtree is laid out before the right one.
-fn emit(shape: &Shape, at: usize, lines: &mut Vec<String>) {
-    match shape {
-        Shape::Leaf(p) => lines[at] = format!("L {p}"),
-        Shape::Split(feature, threshold, left, right) => {
-            let pair = lines.len();
-            lines.resize(pair + 2, String::new());
-            lines[at] = format!("S {feature} {threshold} {pair}");
-            emit(left, pair, lines);
-            emit(right, pair + 1, lines);
-        }
+fn emit(shape: &Shape, at: usize, parts: &mut ForestParts) {
+    let pair = parts.children.len();
+    let (feature, threshold, child) = match shape {
+        Shape::Leaf(p) => (0, *p, u32::MAX),
+        Shape::Split(feature, threshold, ..) => (*feature, *threshold, pair as u32),
+    };
+    parts.feature_idx[at] = feature;
+    parts.threshold[at] = threshold;
+    parts.children[at] = child;
+    if let Shape::Split(_, _, left, right) = shape {
+        parts.feature_idx.resize(pair + 2, 0);
+        parts.threshold.resize(pair + 2, 0.0);
+        parts.children.resize(pair + 2, u32::MAX);
+        emit(left, pair, parts);
+        emit(right, pair + 1, parts);
     }
 }
 
-fn forest_text(shapes: &[Shape]) -> String {
-    let mut text = format!("forest {} {}\n", shapes.len(), SHAPE_FEATURES);
+fn forest_parts(shapes: &[Shape]) -> ForestParts {
+    let mut parts = ForestParts {
+        n_features: SHAPE_FEATURES as usize,
+        roots: Vec::new(),
+        feature_idx: Vec::new(),
+        threshold: Vec::new(),
+        children: Vec::new(),
+    };
     for shape in shapes {
-        let mut lines = vec![String::new()];
-        emit(shape, 0, &mut lines);
-        text.push_str(&format!("tree {}\n{}\n", lines.len(), lines.join("\n")));
+        let root = parts.children.len();
+        parts.roots.push(root as u32);
+        parts.feature_idx.push(0);
+        parts.threshold.push(0.0);
+        parts.children.push(u32::MAX);
+        emit(shape, root, &mut parts);
     }
-    text
+    parts
+}
+
+/// Equal arrays, thresholds compared by their bits.
+fn same_parts(a: &ForestParts, b: &ForestParts) -> bool {
+    let bits = |p: &ForestParts| p.threshold.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    (a.n_features, &a.roots, &a.feature_idx, &a.children, bits(a))
+        == (b.n_features, &b.roots, &b.feature_idx, &b.children, bits(b))
 }
 
 fn bits_match(a: f32, b: f32) -> bool {
@@ -149,48 +189,49 @@ fn labeled_rows() -> impl Strategy<Value = Vec<(Vec<f32>, bool)>> {
 }
 
 proptest! {
-    /// Token soup never panics or hangs any of the parsers, and whatever
-    /// parses can be traversed: `score()` terminates because parse-time
+    /// Hostile arrays never panic or hang either constructor, and whatever
+    /// loads can be traversed: `score()` terminates because load-time
     /// validation rejected every child placed before its parent.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
-    fn hostile_text_is_rejected_or_usable(text in hostile_text()) {
-        if let Ok(forest) = RandomForest::read_text(&mut text.lines()) {
-            let row = vec![0.25f32; forest.n_features()];
-            let score = forest.score(&row);
-            // What parsed writes back as text that parses to the same.
-            let mut written = String::new();
-            forest.write_text(&mut written);
-            let again = RandomForest::read_text(&mut written.lines())
-                .expect("written forest parses");
+    fn hostile_parts_are_rejected_or_usable(
+        forest in hostile_forest(),
+        boosting in hostile_boosting(),
+    ) {
+        if let Ok(loaded) = RandomForest::from_parts(forest.clone()) {
+            let row = vec![0.25f32; loaded.n_features()];
+            let score = loaded.score(&row);
+            // What loaded hands back its parts unchanged, and they load to
+            // the same scorer.
+            let parts = loaded.to_parts();
+            prop_assert!(same_parts(&parts, &forest));
+            let again = RandomForest::from_parts(parts).expect("loaded parts load again");
             prop_assert!(bits_match(again.score(&row), score));
         }
-        if let Ok(boosting) = GradientBoosting::read_text(&mut text.lines()) {
-            // The format carries no arity header, so score with the widest
-            // row a u16 split feature can reference.
+        if let Ok(boosting) = GradientBoosting::from_parts(boosting) {
+            // The parts carry no arity, so score with the widest row a u16
+            // split feature can reference.
             let row = vec![0.25f32; u16::MAX as usize + 1];
             prop_assert!(boosting.n_features() <= row.len());
             let _ = boosting.score(&row);
         }
     }
 
-    /// Structurally valid forests with NaN / ±inf / -0.0 payloads parse,
-    /// and one write/read cycle is a fixed point: the re-serialized text
-    /// is byte-identical and scores are bit-identical (NaN-aware).
+    /// Structurally valid forests with NaN / ±inf / -0.0 payloads load,
+    /// and their parts come back bit for bit: a save → load → save of the
+    /// arrays is a fixed point, and scores are bit-identical (NaN-aware).
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn nonfinite_payloads_round_trip(
         shapes in shapes(),
         probe in proptest::collection::vec(-10.0f32..10.0, SHAPE_FEATURES as usize),
     ) {
-        let text1 = forest_text(&shapes);
-        let forest1 = RandomForest::read_text(&mut text1.lines())
-            .expect("structurally valid forest parses");
-        let mut text2 = String::new();
-        forest1.write_text(&mut text2);
-        prop_assert_eq!(&text1, &text2, "write is the identity on parsed text");
-        let forest2 = RandomForest::read_text(&mut text2.lines())
-            .expect("round-tripped forest parses");
+        let parts1 = forest_parts(&shapes);
+        let forest1 = RandomForest::from_parts(parts1.clone())
+            .expect("structurally valid forest loads");
+        let parts2 = forest1.to_parts();
+        prop_assert!(same_parts(&parts1, &parts2), "parts bit for bit");
+        let forest2 = RandomForest::from_parts(parts2).expect("round-tripped forest loads");
         prop_assert_eq!(forest1.node_count(), forest2.node_count());
         prop_assert!(
             bits_match(forest1.score(&probe), forest2.score(&probe)),

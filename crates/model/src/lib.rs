@@ -13,7 +13,9 @@
 //! - [`DomainTable`] / [`DomainId`] / [`MachineId`] — compact interned
 //!   identifiers so that the ISP-scale graph code never touches strings;
 //! - [`Blacklist`] and [`Whitelist`] — the ground-truth seed lists used to
-//!   label graph nodes.
+//!   label graph nodes;
+//! - [`container`] — the one checksummed section format every persisted
+//!   model, checkpoint and front-end state is written in.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes
 )]
+pub mod container;
 pub mod domain;
 pub mod error;
 pub mod ids;

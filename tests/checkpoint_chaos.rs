@@ -135,7 +135,7 @@ fn run_baseline(cfg: &IspConfig, width: usize) -> Baseline {
         tracker
             .save_checkpoint(scratch.path(), KEEP)
             .expect("checkpoint save");
-        baseline.docs.push(tracker.save_to_string().into_bytes());
+        baseline.docs.push(tracker.to_bytes());
         baseline.listings.push(dir_listing(scratch.path()));
     }
     baseline

@@ -9,11 +9,14 @@ use segugio_core::{
 };
 use segugio_traffic::{IspConfig, IspNetwork};
 
+/// What [`run_day`] returns: model file, detections, training rows, scores.
+type DayRun = (Vec<u8>, Vec<(u32, f32)>, usize, Vec<f32>);
+
 /// One full day: snapshot → measured rows → model → detections, at a given
 /// parallelism. Returns the serialized model, every scored detection (from
 /// the measured rows and from the snapshot), the training-row count and the
 /// training rows' scores.
-fn run_day(parallelism: Option<usize>) -> (String, Vec<(u32, f32)>, usize, Vec<f32>) {
+fn run_day(parallelism: Option<usize>) -> DayRun {
     let mut isp = IspNetwork::new(IspConfig::tiny(77));
     isp.warm_up(16);
     let traffic = isp.next_day();
@@ -55,7 +58,7 @@ fn run_day(parallelism: Option<usize>) -> (String, Vec<(u32, f32)>, usize, Vec<f
         .map(|i| model.score_features(day.train.row(i)))
         .collect();
     (
-        model.save_to_string(),
+        model.to_bytes(),
         detections,
         day.train_ids.len(),
         train_scores,
