@@ -12,25 +12,22 @@ use segugio_graph::BehaviorGraph;
 use segugio_model::{DomainId, Label};
 
 /// Scores every `unknown` domain of `graph` by malware co-occurrence,
-/// sorted by descending score (ties broken by domain id).
+/// sorted by descending score (ties broken by domain id). The infected
+/// queriers are counted in one pass over the machine side.
 pub fn cooccurrence_scores(graph: &BehaviorGraph) -> Vec<(DomainId, f32)> {
+    let mut infected = vec![0u32; graph.domain_count()];
+    for m in graph.machine_indices() {
+        if graph.machine_label(m) == Label::Malware {
+            for d in graph.domains_of(m) {
+                infected[d.index()] += 1;
+            }
+        }
+    }
     let mut out: Vec<(DomainId, f32)> = graph
         .domain_indices()
         .filter(|&d| graph.domain_label(d) == Label::Unknown)
         .map(|d| {
-            let mut total = 0u32;
-            let mut infected = 0u32;
-            for m in graph.machines_of(d) {
-                total += 1;
-                if graph.machine_label(m) == Label::Malware {
-                    infected += 1;
-                }
-            }
-            let score = if total == 0 {
-                0.0
-            } else {
-                infected as f32 / total as f32
-            };
+            let score = infected[d.index()] as f32 / graph.domain_degree(d) as f32;
             (graph.domain_id(d), score)
         })
         .collect();

@@ -14,7 +14,8 @@
 //! | 9 | F3 IP abuse | resolved IPs used by unknown domains in the window |
 //! | 10 | F3 IP abuse | resolved /24s used by unknown domains in the window |
 
-use segugio_graph::{BehaviorGraph, DomainIdx, HiddenLabelView, MachineIdx};
+use segugio_graph::hiding::querier_label;
+use segugio_graph::{BehaviorGraph, DomainIdx};
 use segugio_model::Label;
 use segugio_pdns::{AbuseIndex, ActivityStore};
 
@@ -93,17 +94,20 @@ impl Default for FeatureConfig {
 }
 
 /// Measures feature vectors for domains of one day snapshot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct FeatureExtractor<'a> {
     graph: &'a BehaviorGraph,
     activity: &'a ActivityStore,
     abuse: &'a AbuseIndex,
     config: FeatureConfig,
+    /// F1's infected and unknown querier counts per domain.
+    queriers: Vec<[u32; 2]>,
 }
 
 impl<'a> FeatureExtractor<'a> {
     /// Creates an extractor over one day's labeled graph and its history
-    /// stores.
+    /// stores, counting every domain's F1 queriers in one pass over the
+    /// machine side.
     pub fn new(
         graph: &'a BehaviorGraph,
         activity: &'a ActivityStore,
@@ -115,41 +119,20 @@ impl<'a> FeatureExtractor<'a> {
             activity,
             abuse,
             config,
+            queriers: querier_counts(graph),
         }
     }
 
-    /// Features of an *unknown* (to-be-classified) domain, using the
-    /// graph's labels as they stand.
+    /// The features of domain `d`. An unknown (to-be-classified) domain is
+    /// measured with the graph's labels as they stand; a known (training)
+    /// domain with its own label hidden, cascading to the machines that
+    /// depended on it, so its ground truth cannot leak into the vector.
     pub fn measure(&self, d: DomainIdx) -> [f32; FEATURE_COUNT] {
-        self.measure_with(d, |m| self.graph.machine_label(m))
-    }
-
-    /// Features of a *known* (training) domain, measured under the
-    /// label-hiding view so its own ground truth cannot leak into the
-    /// vector. F1 iterates exactly the hidden domain's queriers, so each
-    /// label is the view's O(1) querier rule, never a search.
-    pub fn measure_hidden(&self, view: &HiddenLabelView<'_>) -> [f32; FEATURE_COUNT] {
-        self.measure_with(view.hidden_domain(), |m| view.querier_label(m))
-    }
-
-    fn measure_with<F>(&self, d: DomainIdx, machine_label: F) -> [f32; FEATURE_COUNT]
-    where
-        F: Fn(MachineIdx) -> Label,
-    {
         let mut out = [0.0f32; FEATURE_COUNT];
 
         // --- F1: machine behavior ---
-        let mut total = 0u32;
-        let mut infected = 0u32;
-        let mut unknown = 0u32;
-        for m in self.graph.machines_of(d) {
-            total += 1;
-            match machine_label(m) {
-                Label::Malware => infected += 1,
-                Label::Unknown => unknown += 1,
-                Label::Benign => {}
-            }
-        }
+        let [infected, unknown] = self.queriers[d.index()];
+        let total = self.graph.domain_degree(d) as u32;
         if total > 0 {
             out[0] = infected as f32 / total as f32;
             out[1] = unknown as f32 / total as f32;
@@ -197,6 +180,28 @@ impl<'a> FeatureExtractor<'a> {
 
         out
     }
+}
+
+/// Each domain's infected and unknown queriers, from one pass over every
+/// edge `(m, d)`: `m` counts with its graph label when `d` is unknown, and
+/// with the hidden-label rule [`querier_label`] when `d` is known.
+fn querier_counts(graph: &BehaviorGraph) -> Vec<[u32; 2]> {
+    let mut counts = vec![[0u32; 2]; graph.domain_count()];
+    for m in graph.machine_indices() {
+        let (label, malware_degree) = (graph.machine_label(m), graph.machine_malware_degree(m));
+        for d in graph.domains_of(m) {
+            let seen = match graph.domain_label(d) {
+                Label::Unknown => label,
+                known => querier_label(label, malware_degree, known),
+            };
+            match seen {
+                Label::Malware => counts[d.index()][0] += 1,
+                Label::Unknown => counts[d.index()][1] += 1,
+                Label::Benign => {}
+            }
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -299,12 +304,9 @@ mod tests {
         let (g, act, abuse) = setup();
         let ex = FeatureExtractor::new(&g, &act, &abuse, FeatureConfig::default());
         let d10 = g.domain_idx(DomainId(10)).unwrap();
-        // Unhidden, d10's queriers are all malware (because of d10 itself).
-        let raw = ex.measure(d10);
-        assert_eq!(raw[0], 1.0);
-        // Hidden, both M1 and M2 lose their only malware domain.
-        let view = HiddenLabelView::new(&g, d10);
-        let hid = ex.measure_hidden(&view);
+        // Both queriers of d10 are malware only because of d10 itself:
+        // hidden, M1 and M2 lose their only malware domain.
+        let hid = ex.measure(d10);
         assert_eq!(hid[0], 0.0);
         assert_eq!(hid[1], 1.0, "both queriers become unknown");
     }

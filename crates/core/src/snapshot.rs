@@ -80,19 +80,24 @@ impl DaySnapshot {
     }
 
     /// The machines implicated by `detections`: every machine of the pruned
-    /// graph that queried at least one detected domain, sorted and
-    /// deduplicated (Section VI: "Segugio can detect both malware-control
-    /// domains and the infected machines that query them at the same
-    /// time").
+    /// graph that queried at least one detected domain, ascending (Section
+    /// VI: "Segugio can detect both malware-control domains and the
+    /// infected machines that query them at the same time"). One pass over
+    /// the machine side against a bitmap of the detected domains.
     pub fn implicated_machines(&self, detections: &[Detection]) -> Vec<MachineId> {
-        let mut machines: Vec<MachineId> = detections
+        let graph = &self.graph;
+        let mut detected = vec![false; graph.domain_count()];
+        for d in detections
             .iter()
-            .filter_map(|det| self.graph.domain_idx(det.domain))
-            .flat_map(|d| self.graph.machines_of(d).map(|m| self.graph.machine_id(m)))
-            .collect();
-        machines.sort_unstable();
-        machines.dedup();
-        machines
+            .filter_map(|det| graph.domain_idx(det.domain))
+        {
+            detected[d.index()] = true;
+        }
+        graph
+            .machine_indices()
+            .filter(|&m| graph.domains_of(m).any(|d| detected[d.index()]))
+            .map(|m| graph.machine_id(m))
+            .collect()
     }
 
     /// Builds the snapshot: graph construction, annotation, labeling,

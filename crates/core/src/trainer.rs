@@ -1,6 +1,6 @@
 //! Feature measurement and model training (paper Section II-A3).
 
-use segugio_graph::{DomainIdx, HiddenLabelView};
+use segugio_graph::DomainIdx;
 use segugio_ml::{Dataset, ForestConfig, GradientBoosting, LogisticRegression, RandomForest};
 use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
@@ -58,12 +58,7 @@ pub fn measure_day(
             .filter(|&d| measure(graph.domain_label(d))),
     );
     let rows = parallel_map_indexed(selected.len(), resolve_parallelism(parallelism), |i| {
-        let d = selected[i];
-        if graph.domain_label(d) == Label::Unknown {
-            extractor.measure(d)
-        } else {
-            extractor.measure_hidden(&HiddenLabelView::new(graph, d))
-        }
+        extractor.measure(selected[i])
     });
 
     let unknown = selected
@@ -224,6 +219,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureGroup;
     use crate::model::Detection;
+    use segugio_graph::HiddenLabelView;
     use segugio_model::{Blacklist, Day, DomainName, DomainTable, Ipv4, MachineId, Whitelist};
     use segugio_pdns::PassiveDns;
     use segugio_traffic::{IspConfig, IspNetwork};
@@ -427,11 +423,12 @@ mod tests {
         assert!(s.is_finite());
     }
 
-    /// Every row `measure_day` emits equals the extractor's own measurement
-    /// of that domain — under the label-hiding view for a known domain,
-    /// directly for an unknown one — for every label selection at widths 1
-    /// and 4, day after day; and `score_rows` equals a per-row
-    /// `score_features` followed by the (score desc, id) sort.
+    /// Every row `measure_day` emits equals the extractor's measurement of
+    /// that domain for every label selection at widths 1 and 4, day after
+    /// day, and its F1 columns equal an independent oracle: each querier's
+    /// label under the label-hiding view of the domain, one domain at a
+    /// time. `score_rows` equals a per-row `score_features` followed by the
+    /// (score desc, id) sort.
     #[test]
     #[cfg_attr(miri, ignore = "multi-day ISP simulation is too slow under Miri")]
     fn measure_day_matches_the_extractor_and_scoring() {
@@ -455,16 +452,35 @@ mod tests {
             let graph = &snap.graph;
             let extractor =
                 FeatureExtractor::new(graph, isp.activity(), &snap.abuse, config.features);
+            // Each domain's queriers: the machines whose lists name it.
+            let mut queriers = vec![Vec::new(); graph.domain_count()];
+            for m in graph.machine_indices() {
+                for d in graph.domains_of(m) {
+                    queriers[d.index()].push(m);
+                }
+            }
             // The oracle, one domain at a time in domain-index order:
             // (id, row, is malware) per known domain, (id, row) per unknown.
             let mut known = Vec::new();
             let mut unknown = Vec::new();
             for d in graph.domain_indices() {
                 let (id, label) = (graph.domain_id(d), graph.domain_label(d));
+                let row = extractor.measure(d);
+                let view = HiddenLabelView::new(graph, d);
+                let (mut infected, mut unknowns) = (0u32, 0u32);
+                for &m in &queriers[d.index()] {
+                    match view.machine_label(m) {
+                        Label::Malware => infected += 1,
+                        Label::Unknown => unknowns += 1,
+                        Label::Benign => {}
+                    }
+                }
+                let total = queriers[d.index()].len() as f32;
+                let f1 = [infected as f32 / total, unknowns as f32 / total, total];
+                assert_eq!(row[..3], f1, "{id:?}, {label:?}");
                 if label == Label::Unknown {
-                    unknown.push((id, extractor.measure(d)));
+                    unknown.push((id, row));
                 } else {
-                    let row = extractor.measure_hidden(&HiddenLabelView::new(graph, d));
                     known.push((id, row.to_vec(), label == Label::Malware));
                 }
             }

@@ -8,6 +8,7 @@
 //! code in this crate that turns edges into CSR arrays.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
@@ -75,22 +76,14 @@ fn flatten(resolutions: &[(DomainId, Vec<Ipv4>)]) -> Vec<(DomainId, Ipv4)> {
     pairs
 }
 
-/// Bytes of `d_adj` one pass of the domain-side scatter may write: the
-/// transpose makes as few passes as keep each within this budget. Chosen
-/// by a sweep on a 1M-machine day (134 MB of `d_adj`), where two or three
-/// blocks beat one by about 10 % and eight lost it again (DESIGN §5.11).
-const TRANSPOSE_BLOCK_BYTES: usize = 64 << 20;
-
-/// The crate's only pairs → CSR constructor: a counting sort on each side.
+/// The crate's only pairs → CSR constructor: a counting sort by machine.
 ///
 /// `stored` holds the day's pairs in any order and with repeats, machine
 /// ids within `machines_span` (`None` for no pairs). [`group_by_machine`]
-/// builds the machine side. The domain side runs over memory: a counter
-/// over the domain id span becomes dense ranks and offsets by prefix sum,
-/// and `m_adj` is remapped to ranks in place. `d_adj` is then scattered
-/// one block of domain ranks at a time, blocks balanced by edge count, so
-/// each pass writes a slice of `d_adj` small enough to stay in cache;
-/// every list is ascending because machines are visited in order.
+/// builds the machine side. A counter over the domain id span then gives
+/// each queried domain its degree and its dense rank, in ascending raw-id
+/// order, and `m_adj` is remapped to ranks in place, so every list stays
+/// ascending.
 ///
 /// `e2ld_of` is consulted once per queried domain; `ip_pairs` may arrive
 /// in any order with repeats, and pairs of unqueried domains are dropped.
@@ -124,24 +117,22 @@ where
     // Repeats were dropped in place; give the unused tail back.
     m_adj.shrink_to_fit();
 
-    // Dense domain ranks in ascending raw-id order and offsets by prefix
-    // sum; the degree array, indexed by raw id minus the smallest, is
-    // reused as the raw-id -> rank map.
+    // Dense domain ranks in ascending raw-id order, with their degrees;
+    // the degree array, indexed by raw id minus the smallest, is reused as
+    // the raw-id -> rank map.
     let (d_lo, d_hi) = domain_span.unwrap_or((0, 0));
     let mut d_rank = vec![0u32; domain_span.map_or(0, |_| (d_hi - d_lo) as usize + 1)];
     for &d in &m_adj {
         d_rank[(d - d_lo) as usize] += 1;
     }
     let mut domains: Vec<DomainId> = Vec::new();
-    let mut d_off: Vec<u32> = vec![0];
-    let mut d_total = 0u32;
+    let mut domain_degree: Vec<u32> = Vec::new();
     for (i, slot) in d_rank.iter_mut().enumerate() {
         let deg = *slot;
         if deg > 0 {
             *slot = domains.len() as u32;
             domains.push(DomainId(d_lo + i as u32));
-            d_total += deg;
-            d_off.push(d_total);
+            domain_degree.push(deg);
         }
     }
 
@@ -150,8 +141,6 @@ where
         *slot = d_rank[(*slot - d_lo) as usize];
     }
     drop(d_rank);
-
-    let d_adj = transpose(&m_off, &m_adj, &d_off, TRANSPOSE_BLOCK_BYTES);
 
     // Annotations: e2LD per queried domain, and a flat IP pool of
     // per-domain sorted deduped segments delimited by `ip_off` (one
@@ -185,11 +174,11 @@ where
         ip_pool,
         m_off,
         m_adj,
-        d_off,
-        d_adj,
+        domain_degree,
         domain_labels: vec![Label::Unknown; n_d],
         machine_labels: vec![Label::Unknown; n_m],
         machine_malware_degree: vec![0; n_m],
+        queriers: OnceLock::new(),
     };
     // Every structural invariant is checked on debug builds (tests,
     // proptests); release builds skip the O(edges) pass.
@@ -198,34 +187,6 @@ where
         unreachable!("constructor produced an invalid graph: {violation}");
     }
     Ok(graph)
-}
-
-/// The domain side's adjacency: each domain's machine ranks, ascending,
-/// from the machine side's `m_off` and rank-valued `m_adj`.
-///
-/// Blocks of domain ranks, balanced by edge count through `d_off`, are
-/// scattered one per pass over the machines in order: as few blocks as
-/// keep each block's slice of the output within `block_bytes`.
-fn transpose(m_off: &[u32], m_adj: &[u32], d_off: &[u32], block_bytes: usize) -> Vec<u32> {
-    let (edges, n_d) = (m_adj.len(), d_off.len() - 1);
-    let blocks = (edges * 4).div_ceil(block_bytes).max(1);
-    let mut d_adj = vec![0u32; edges];
-    let mut cursor: Vec<u32> = d_off[..n_d].to_vec();
-    let mut lo = 0u32;
-    for block in 1..=blocks {
-        let edge_goal = (edges as u64 * block as u64 / blocks as u64) as u32;
-        let hi = d_off.partition_point(|&off| off < edge_goal).min(n_d) as u32;
-        for (mi, span) in m_off.windows(2).enumerate() {
-            for &dr in &m_adj[span[0] as usize..span[1] as usize] {
-                if dr.wrapping_sub(lo) < hi - lo {
-                    d_adj[cursor[dr as usize] as usize] = mi as u32;
-                    cursor[dr as usize] += 1;
-                }
-            }
-        }
-        lo = hi;
-    }
-    d_adj
 }
 
 impl GraphBuilder {
@@ -411,8 +372,7 @@ mod tests {
         assert_eq!(a.ip_pool, b.ip_pool);
         assert_eq!(a.m_off, b.m_off);
         assert_eq!(a.m_adj, b.m_adj);
-        assert_eq!(a.d_off, b.d_off);
-        assert_eq!(a.d_adj, b.d_adj);
+        assert_eq!(a.domain_degree, b.domain_degree);
         assert_eq!(a.domain_labels, b.domain_labels);
         assert_eq!(a.machine_labels, b.machine_labels);
         assert_eq!(a.machine_malware_degree, b.machine_malware_degree);
@@ -496,33 +456,6 @@ mod tests {
         for cap in [2, 1 << 20] {
             check_entry_points_agree(&queries, &resolutions, &e2ld, cap);
         }
-    }
-
-    /// Any block budget, down to one edge per block, gives the one-block
-    /// transpose; a budget of one edge leaves blocks of a single domain
-    /// that span several budgets' worth of edges.
-    #[test]
-    fn transpose_blocks_agree_with_one_pass() {
-        let mut b = GraphBuilder::new(Day(0));
-        for m in 0..40u32 {
-            for d in 0..(m % 7 + 1) {
-                b.add_query(MachineId(m * 3), DomainId((m * 5 + d * 11) % 23));
-            }
-            b.add_query(MachineId(m * 3), DomainId(99));
-        }
-        let g = b.build();
-        let edges = g.edge_count();
-        let whole = transpose(&g.m_off, &g.m_adj, &g.d_off, usize::MAX);
-        assert_eq!(whole, g.d_adj);
-        for block_bytes in [4, 8, 12, 4 * edges / 3, 4 * edges - 1, 4 * edges] {
-            assert_eq!(
-                transpose(&g.m_off, &g.m_adj, &g.d_off, block_bytes),
-                whole,
-                "block budget {block_bytes}"
-            );
-        }
-        let empty = transpose(&[0], &[], &[0], 4);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The compact bipartite graph representation.
 
+use std::sync::OnceLock;
+
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
 /// Internal dense index of a machine node within one [`BehaviorGraph`].
@@ -24,8 +26,14 @@ impl DomainIdx {
     }
 }
 
-/// One day of "who is querying what", in CSR form in both directions, with
-/// domain annotations and node labels.
+/// One day of "who is querying what", with domain annotations and node
+/// labels.
+///
+/// Edges are stored once, as a CSR from each machine to the domains it
+/// queried, ascending. The domain side keeps only each domain's degree:
+/// every per-domain count the pipeline needs (F1, R3, R4, implicated
+/// machines) is one pass over the machine lists scattering into
+/// per-domain counters.
 ///
 /// Build with [`GraphBuilder`](crate::GraphBuilder); label with
 /// [`labeling::apply_seed_labels`](crate::labeling::apply_seed_labels);
@@ -47,14 +55,17 @@ pub struct BehaviorGraph {
     // CSR adjacency, machine -> domains.
     pub(crate) m_off: Vec<u32>,
     pub(crate) m_adj: Vec<u32>,
-    // CSR adjacency, domain -> machines.
-    pub(crate) d_off: Vec<u32>,
-    pub(crate) d_adj: Vec<u32>,
+    // Per domain: the number of machines that queried it.
+    pub(crate) domain_degree: Vec<u32>,
     // Labels.
     pub(crate) domain_labels: Vec<Label>,
     pub(crate) machine_labels: Vec<Label>,
     /// Per machine: number of adjacent domains currently labeled malware.
     pub(crate) machine_malware_degree: Vec<u32>,
+    /// [`machines_of`](Self::machines_of)'s querier index, as domain
+    /// offsets and machine indices, built on its first call; any change to
+    /// the edges must reset it.
+    pub(crate) queriers: OnceLock<(Vec<u32>, Vec<u32>)>,
 }
 
 impl BehaviorGraph {
@@ -134,11 +145,36 @@ impl BehaviorGraph {
         self.m_adj[lo..hi].iter().map(|&d| DomainIdx(d))
     }
 
-    /// The machines that queried domain `d`.
+    /// The machines that queried domain `d`, ascending.
+    ///
+    /// A tool and test convenience, not part of the day pipeline, which
+    /// never pays for it: the graph stores only the machine side, so the
+    /// first call builds a querier index of every domain in O(edges)
+    /// (4 B per edge) and keeps it; later calls are O(degree).
     pub fn machines_of(&self, d: DomainIdx) -> impl Iterator<Item = MachineIdx> + '_ {
-        let lo = self.d_off[d.index()] as usize;
-        let hi = self.d_off[d.index() + 1] as usize;
-        self.d_adj[lo..hi].iter().map(|&m| MachineIdx(m))
+        let (off, adj) = self.queriers.get_or_init(|| self.querier_index());
+        let lo = off[d.index()] as usize;
+        let hi = off[d.index() + 1] as usize;
+        adj[lo..hi].iter().map(|&m| MachineIdx(m))
+    }
+
+    /// Every domain's queriers, ascending: offsets by prefix sum over the
+    /// degrees, then one scatter over the machines in order.
+    fn querier_index(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut off = Vec::with_capacity(self.domain_degree.len() + 1);
+        off.push(0u32);
+        for &degree in &self.domain_degree {
+            off.push(off[off.len() - 1] + degree);
+        }
+        let mut cursor = off[..self.domain_degree.len()].to_vec();
+        let mut adj = vec![0u32; self.m_adj.len()];
+        for (m, span) in self.m_off.windows(2).enumerate() {
+            for &d in &self.m_adj[span[0] as usize..span[1] as usize] {
+                adj[cursor[d as usize] as usize] = m as u32;
+                cursor[d as usize] += 1;
+            }
+        }
+        (off, adj)
     }
 
     /// Degree of machine `m` (number of distinct domains it queried).
@@ -148,7 +184,7 @@ impl BehaviorGraph {
 
     /// Degree of domain `d` (number of distinct machines that queried it).
     pub fn domain_degree(&self, d: DomainIdx) -> usize {
-        (self.d_off[d.index() + 1] - self.d_off[d.index()]) as usize
+        self.domain_degree[d.index()] as usize
     }
 
     /// The current label of domain `d`.

@@ -9,17 +9,33 @@
 //! reverts to unknown, because from its point of view it now queries an
 //! unknown domain.
 //!
-//! [`HiddenLabelView`] computes these effective labels without rebuilding
-//! the graph. For a querier of the hidden domain —
-//! [`querier_label`](HiddenLabelView::querier_label), the case feature
-//! measurement iterates — it is O(1) from the precomputed per-machine
-//! malware degree; for an arbitrary machine,
+//! For a querier of the hidden domain the effective label is the O(1) rule
+//! [`querier_label`], from the machine's label, its precomputed malware
+//! degree and the hidden domain's label. Feature measurement applies it to
+//! every edge of a known domain in one pass over the machine side.
+//! [`HiddenLabelView`] applies it to one hidden domain without rebuilding
+//! the graph; for an arbitrary machine,
 //! [`machine_label`](HiddenLabelView::machine_label) first binary-searches
 //! the machine's adjacency for the hidden domain.
 
 use segugio_model::Label;
 
 use crate::graph::{BehaviorGraph, DomainIdx, MachineIdx};
+
+/// The effective label of a machine that queried a domain whose label
+/// `hidden` is hidden, from the machine's own `label` and `malware_degree`:
+/// - machine was malware, the hidden domain was its *only* known malware
+///   domain → unknown;
+/// - machine was benign and the hidden (benign) domain is now unknown →
+///   unknown;
+/// - otherwise unchanged.
+pub fn querier_label(label: Label, malware_degree: u32, hidden: Label) -> Label {
+    match (label, hidden) {
+        (Label::Malware, Label::Malware) if malware_degree == 1 => Label::Unknown,
+        (Label::Benign, _) => Label::Unknown,
+        (label, _) => label,
+    }
+}
 
 /// A read-only view of a [`BehaviorGraph`] in which one domain's label (and
 /// its consequences for machine labels) is hidden.
@@ -63,21 +79,6 @@ impl<'g> HiddenLabelView<'g> {
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g BehaviorGraph {
-        self.graph
-    }
-
-    /// The domain whose label is hidden.
-    pub fn hidden_domain(&self) -> DomainIdx {
-        self.hidden
-    }
-
-    /// The hidden domain's true label (the training target).
-    pub fn hidden_original_label(&self) -> Label {
-        self.hidden_original
-    }
-
     /// The effective label of `d` under hiding.
     pub fn domain_label(&self, d: DomainIdx) -> Label {
         if d == self.hidden {
@@ -99,29 +100,17 @@ impl<'g> HiddenLabelView<'g> {
     }
 
     /// The effective label of `m`, which must be a querier of the hidden
-    /// domain, in O(1) from its original label, the hidden label and its
-    /// malware degree:
-    /// - machine was malware, hidden domain was its *only* known malware
-    ///   domain → unknown;
-    /// - machine was benign and the hidden (benign) domain is now unknown →
-    ///   unknown;
-    /// - otherwise unchanged.
+    /// domain: the O(1) rule [`querier_label`](crate::hiding::querier_label).
     ///
     /// For a machine that did not query the hidden domain the answer is
     /// meaningless; use [`machine_label`](Self::machine_label).
     pub fn querier_label(&self, m: MachineIdx) -> Label {
         debug_assert!(self.queried_hidden(m), "{m:?} is not a querier");
-        match (self.graph.machine_label(m), self.hidden_original) {
-            (Label::Malware, Label::Malware) => {
-                if self.graph.machine_malware_degree(m) == 1 {
-                    Label::Unknown
-                } else {
-                    Label::Malware
-                }
-            }
-            (Label::Benign, _) => Label::Unknown,
-            (label, _) => label,
-        }
+        querier_label(
+            self.graph.machine_label(m),
+            self.graph.machine_malware_degree(m),
+            self.hidden_original,
+        )
     }
 
     fn queried_hidden(&self, m: MachineIdx) -> bool {
@@ -178,7 +167,7 @@ mod tests {
         assert_eq!(view.machine_label(m1), Label::Unknown);
         // Machine 2 still queries malware domain 11 → stays malware.
         assert_eq!(view.machine_label(m2), Label::Malware);
-        assert_eq!(view.hidden_original_label(), Label::Malware);
+        assert_eq!(view.hidden_original, Label::Malware);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!
 //! The crate provides:
 //!
-//! - [`GraphBuilder`] / [`BehaviorGraph`] — compact CSR storage in both
-//!   directions, built by one counting sort per side from unordered pairs,
-//!   whichever entry point ([`GraphBuilder::build`],
-//!   [`GraphBuilder::from_queries`], [`GraphBuilder::from_runs`]) feeds it;
+//! - [`GraphBuilder`] / [`BehaviorGraph`] — compact CSR storage of the
+//!   machine → domains direction plus each domain's degree, built by one
+//!   counting sort from unordered pairs, whichever entry point
+//!   ([`GraphBuilder::build`], [`GraphBuilder::from_queries`],
+//!   [`GraphBuilder::from_runs`]) feeds it; per-domain counts are passes
+//!   over the machine side;
 //! - [`EdgeRuns`] — bounded-memory pair accumulation in deduplicated runs
 //!   grouped by machine, spilled to disk at about 4 B per pair and read
 //!   back unmerged by [`GraphBuilder::from_runs`];
@@ -20,8 +22,9 @@
 //! - [`pruning`] — the conservative filtering rules R1–R4 with the paper's
 //!   two exceptions (infected machines survive R1; known malware domains
 //!   survive R3);
-//! - [`hiding`] — the label-hiding view used when measuring features for
-//!   known (training) domains without leaking their own ground truth.
+//! - [`hiding`] — the label-hiding rule and view used when measuring
+//!   features for known (training) domains without leaking their own
+//!   ground truth.
 
 #![warn(missing_docs)]
 // Library code returns typed errors; a panic site needs a reasoned

@@ -8,16 +8,19 @@
 //! serialization dependencies, deterministic output, and a loader that
 //! never panics on hostile bytes.
 //!
-//! Only the machine-side CSR is written; the domain-side CSR is
-//! reconstructed on load by a prefix sum + ascending-machine scatter, so
-//! the two directions can never disagree in a well-formed file. `machine_malware_degree` is likewise recomputed from
-//! the loaded labels. Every load ends with [`BehaviorGraph::validate`], so
-//! a graph that parses but violates a structural invariant is rejected with
-//! a typed error instead of corrupting downstream phases.
+//! Only the machine-side CSR is written; each domain's degree and each
+//! machine's malware degree are recomputed on load from the edges and the
+//! loaded labels. Every load ends with [`BehaviorGraph::validate`], so a
+//! graph that parses but violates a structural invariant (machine labels
+//! that disagree with its edges among them) is rejected with a typed error
+//! instead of corrupting downstream phases.
+
+use std::sync::OnceLock;
 
 use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
 use crate::graph::BehaviorGraph;
+use crate::labeling::machine_label;
 
 /// Serializes `graph` as deterministic text lines appended to `out`.
 ///
@@ -123,10 +126,10 @@ pub fn read_graph<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Behav
         return Err("expected `end-graph` terminator".to_owned());
     }
 
-    // Pre-checks the domain-CSR scatter depends on (everything else is
-    // caught by `validate` below): the machine offsets must be a
-    // well-formed partition of `m_adj`, and every adjacency entry must name
-    // an existing domain.
+    // Pre-checks the recomputations below depend on (everything else is
+    // caught by `validate`): the machine offsets must be a well-formed
+    // partition of `m_adj`, and every adjacency entry must name an existing
+    // domain.
     if m_off.first() != Some(&0) {
         return Err("m-off must start at 0".to_owned());
     }
@@ -140,38 +143,14 @@ pub fn read_graph<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Behav
         return Err("m-adj references a domain index out of bounds".to_owned());
     }
 
-    // Domain CSR: count degrees, prefix-sum, then scatter by walking
-    // machines in ascending order so each domain's querier list comes out
-    // sorted.
-    let mut d_off: Vec<u32> = vec![0; nd as usize + 1];
+    let mut domain_degree: Vec<u32> = vec![0; nd as usize];
     for &d in &m_adj {
-        d_off[d as usize + 1] += 1;
+        domain_degree[d as usize] += 1;
     }
-    for i in 0..nd as usize {
-        d_off[i + 1] += d_off[i];
-    }
-    let mut cursor: Vec<u32> = d_off[..nd as usize].to_vec();
-    let mut d_adj: Vec<u32> = vec![0; m_adj.len()];
-    for mi in 0..nm as usize {
-        let lo = m_off[mi] as usize;
-        let hi = m_off[mi + 1] as usize;
-        for &d in &m_adj[lo..hi] {
-            d_adj[cursor[d as usize] as usize] = mi as u32;
-            cursor[d as usize] += 1;
-        }
-    }
-
-    // Malware degrees are a pure function of labels + adjacency; recompute
-    // rather than trust the file.
-    let mut machine_malware_degree: Vec<u32> = vec![0; nm as usize];
-    for mi in 0..nm as usize {
-        let lo = m_off[mi] as usize;
-        let hi = m_off[mi + 1] as usize;
-        machine_malware_degree[mi] = m_adj[lo..hi]
-            .iter()
-            .filter(|&&d| domain_labels[d as usize] == Label::Malware)
-            .count() as u32;
-    }
+    let machine_malware_degree: Vec<u32> = m_off
+        .windows(2)
+        .map(|span| machine_label(&m_adj[span[0] as usize..span[1] as usize], &domain_labels).1)
+        .collect();
 
     let graph = BehaviorGraph {
         day: Day(day),
@@ -182,11 +161,11 @@ pub fn read_graph<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Behav
         ip_pool,
         m_off,
         m_adj,
-        d_off,
-        d_adj,
+        domain_degree,
         domain_labels,
         machine_labels,
         machine_malware_degree,
+        queriers: OnceLock::new(),
     };
     graph
         .validate()
@@ -305,8 +284,7 @@ mod tests {
         assert_eq!(a.ip_pool, b.ip_pool);
         assert_eq!(a.m_off, b.m_off);
         assert_eq!(a.m_adj, b.m_adj);
-        assert_eq!(a.d_off, b.d_off);
-        assert_eq!(a.d_adj, b.d_adj);
+        assert_eq!(a.domain_degree, b.domain_degree);
         assert_eq!(a.domain_labels, b.domain_labels);
         assert_eq!(a.machine_labels, b.machine_labels);
         assert_eq!(a.machine_malware_degree, b.machine_malware_degree);
@@ -357,6 +335,8 @@ mod tests {
             "graph v1 0 1 1 1 0\nmachines 1\ndomains 5\ne2ld 0\nip-off 0 0\nip-pool\nm-off 0 1\nm-adj 9\nd-labels U\nm-labels U\nend-graph",
             // Offsets that do not cover the edge list.
             "graph v1 0 1 1 1 0\nmachines 1\ndomains 5\ne2ld 0\nip-off 0 0\nip-pool\nm-off 0 0\nm-adj 0\nd-labels U\nm-labels U\nend-graph",
+            // A machine labeled benign that queries an unknown domain.
+            "graph v1 0 1 1 1 0\nmachines 1\ndomains 5\ne2ld 0\nip-off 0 0\nip-pool\nm-off 0 1\nm-adj 0\nd-labels U\nm-labels B\nend-graph",
             // Unsorted node list survives parsing but fails validation.
             "graph v1 0 2 1 0 0\nmachines 5 3\ndomains 7\ne2ld 0\nip-off 0 0\nip-pool\nm-off 0 0 0\nm-adj\nd-labels U\nm-labels UU\nend-graph",
         ] {

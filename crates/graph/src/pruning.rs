@@ -11,6 +11,8 @@
 //!   `popular_fraction` of all machines in the network (θ_m): such
 //!   very-popular domains are overwhelmingly unlikely to be malware-control.
 
+use std::sync::OnceLock;
+
 use segugio_model::Label;
 
 use crate::graph::BehaviorGraph;
@@ -135,65 +137,67 @@ impl BehaviorGraph {
         }
 
         // R3: each domain's degree over kept machines.
-        let kept_domain_degree = self.kept_degrees(&keep_machine);
+        let mut kept_domain_degree = self.kept_degrees(&keep_machine);
 
-        // R4: each e2LD's count of distinct kept machines, over domains
-        // grouped by e2LD (sorted by `(e2ld, domain)` — no hash maps). A
-        // machine is counted once per group by stamping it with the group's
-        // ordinal: no sort, no dedup. The group's kept degree bounds that
-        // count, so only groups it lets reach θ_m are walked.
+        // R4: each e2LD's count of distinct kept machines. Domains are
+        // grouped by e2LD (sorted by `(e2ld, domain)`, no hash maps), and a
+        // group's kept degree bounds that count, so only the groups it lets
+        // reach θ_m are candidates. One pass over the kept machines counts
+        // a machine once per candidate it queries by stamping the candidate
+        // with the machine: no sort, no dedup. Any other edge costs one
+        // lookup.
         let theta_m = ((self.machine_count() as f64) * config.popular_fraction).ceil() as usize;
         stats.theta_m = theta_m;
         let mut by_e2ld: Vec<(u32, u32)> = (0..self.domain_count() as u32)
             .map(|di| (self.domain_e2ld[di as usize].0, di))
             .collect();
         by_e2ld.sort_unstable();
-        let mut popular_domain = vec![false; self.domain_count()];
-        let mut stamp = vec![u32::MAX; self.machine_count()];
-        for (ordinal, group) in by_e2ld.chunk_by(|a, b| a.0 == b.0).enumerate() {
+        let mut candidate_of = vec![u32::MAX; self.domain_count()];
+        let mut candidates = 0u32;
+        for group in by_e2ld.chunk_by(|a, b| a.0 == b.0) {
             let bound = group
                 .iter()
                 .map(|&(_, di)| kept_domain_degree[di as usize] as usize);
-            if theta_m == 0 || bound.sum::<usize>() < theta_m {
-                continue;
+            if theta_m > 0 && bound.sum::<usize>() >= theta_m {
+                for &(_, di) in group {
+                    candidate_of[di as usize] = candidates;
+                }
+                candidates += 1;
             }
-            let ordinal = ordinal as u32;
-            let mut distinct = 0usize;
-            for &(_, di) in group {
-                let di = di as usize;
-                let lo = self.d_off[di] as usize;
-                let hi = self.d_off[di + 1] as usize;
-                for &m in &self.d_adj[lo..hi] {
-                    let m = m as usize;
-                    if keep_machine[m] && stamp[m] != ordinal {
-                        stamp[m] = ordinal;
-                        distinct += 1;
+        }
+        drop(by_e2ld);
+        let mut distinct = vec![0usize; candidates as usize];
+        if candidates > 0 {
+            let mut stamp = vec![u32::MAX; candidates as usize];
+            for (mi, span) in self.m_off.windows(2).enumerate() {
+                if !keep_machine[mi] {
+                    continue;
+                }
+                for &di in &self.m_adj[span[0] as usize..span[1] as usize] {
+                    let c = candidate_of[di as usize];
+                    if c != u32::MAX && stamp[c as usize] != mi as u32 {
+                        stamp[c as usize] = mi as u32;
+                        distinct[c as usize] += 1;
                     }
                 }
             }
-            if distinct >= theta_m {
-                for &(_, di) in group {
-                    popular_domain[di as usize] = true;
-                }
-            }
         }
 
-        let mut keep_domain = vec![true; self.domain_count()];
-        for (di, keep) in keep_domain.iter_mut().enumerate() {
-            if popular_domain[di] {
-                *keep = false;
+        // A dropped domain's degree becomes 0. So does, already, a
+        // known-malware domain whose every querier was pruned: it can no
+        // longer contribute evidence and is dropped too.
+        for (di, degree) in kept_domain_degree.iter_mut().enumerate() {
+            let c = candidate_of[di];
+            if c != u32::MAX && distinct[c as usize] >= theta_m {
+                *degree = 0;
                 stats.r4_popular_domains += 1;
-            } else if kept_domain_degree[di] <= 1 && self.domain_labels[di] != Label::Malware {
-                *keep = false;
+            } else if *degree <= 1 && self.domain_labels[di] != Label::Malware {
+                *degree = 0;
                 stats.r3_single_machine_domains += 1;
-            } else if kept_domain_degree[di] == 0 {
-                // Known-malware domain whose every querier was pruned: it can
-                // no longer contribute evidence; drop it too.
-                *keep = false;
             }
         }
 
-        let pruned = self.compact(&keep_machine, &keep_domain);
+        let pruned = self.compact(&keep_machine, &kept_domain_degree);
 
         stats.machines_after = pruned.machine_count();
         stats.domains_after = pruned.domain_count();
@@ -229,44 +233,47 @@ impl BehaviorGraph {
         }
         // A domain survives with every non-prober that queried it, and every
         // non-prober keeps all its edges.
-        let keep_domain: Vec<bool> = self
-            .kept_degrees(&keep_machine)
-            .iter()
-            .map(|&degree| degree > 0)
-            .collect();
-        (self.compact(&keep_machine, &keep_domain), removed)
+        let kept_degree = self.kept_degrees(&keep_machine);
+        (self.compact(&keep_machine, &kept_degree), removed)
     }
 
-    /// Each domain's degree over the kept machines.
+    /// Each domain's degree over the kept machines, in one pass over their
+    /// lists.
     fn kept_degrees(&self, keep_machine: &[bool]) -> Vec<u32> {
-        let degree = |span: &[u32]| {
-            let queriers = &self.d_adj[span[0] as usize..span[1] as usize];
-            queriers
-                .iter()
-                .filter(|&&m| keep_machine[m as usize])
-                .count() as u32
-        };
-        self.d_off.windows(2).map(degree).collect()
+        let mut degree = vec![0u32; self.domain_count()];
+        for (span, _) in self
+            .m_off
+            .windows(2)
+            .zip(keep_machine)
+            .filter(|(_, &keep)| keep)
+        {
+            for &di in &self.m_adj[span[0] as usize..span[1] as usize] {
+                degree[di as usize] += 1;
+            }
+        }
+        degree
     }
 
     /// Compacts the graph in place to the edges between kept machines and
-    /// kept domains, dropping each machine left with no edge. Each kept
-    /// domain must keep every edge to a kept machine, and have at least one,
-    /// so the domain side is settled before any edge is read. Every write
-    /// lands at or behind its read cursor, so all vectors are reused.
-    fn compact(mut self, keep_machine: &[bool], keep_domain: &[bool]) -> BehaviorGraph {
+    /// kept domains, dropping each machine left with no edge. A domain is
+    /// kept when its `kept_degree` is not 0, and then keeps every edge to a
+    /// kept machine, `kept_degree` of them, so the domain side is settled
+    /// before any edge is read. Every write lands at or behind its read
+    /// cursor, so all vectors are reused.
+    fn compact(mut self, keep_machine: &[bool], kept_degree: &[u32]) -> BehaviorGraph {
         // Domain columns. `ip_off[kept]` is always already rewritten (it
         // starts at 0), and `ip_off[di + 1]` is read before any write to it.
         let mut d_remap = vec![u32::MAX; self.domains.len()];
         let mut kept = 0;
         let mut lo = 0;
-        for (di, &keep) in keep_domain.iter().enumerate() {
+        for (di, &degree) in kept_degree.iter().enumerate() {
             let hi = self.ip_off[di + 1] as usize;
-            if keep {
+            if degree > 0 {
                 d_remap[di] = kept as u32;
                 self.domains[kept] = self.domains[di];
                 self.domain_e2ld[kept] = self.domain_e2ld[di];
                 self.domain_labels[kept] = self.domain_labels[di];
+                self.domain_degree[kept] = degree;
                 let start = self.ip_off[kept] as usize;
                 self.ip_pool.copy_within(lo..hi, start);
                 self.ip_off[kept + 1] = (start + hi - lo) as u32;
@@ -277,6 +284,7 @@ impl BehaviorGraph {
         self.domains.truncate(kept);
         self.domain_e2ld.truncate(kept);
         self.domain_labels.truncate(kept);
+        self.domain_degree.truncate(kept);
         self.ip_off.truncate(kept + 1);
         self.ip_pool.truncate(self.ip_off[kept] as usize);
 
@@ -313,31 +321,9 @@ impl BehaviorGraph {
         self.m_off.truncate(kept + 1);
         self.m_adj.truncate(self.m_off[kept] as usize);
 
-        // Domain side: no kept domain loses its last edge, so `d_remap` is
-        // already the row index each list is written to.
-        let mut lo = 0;
-        for (di, &new) in d_remap.iter().enumerate() {
-            let hi = self.d_off[di + 1] as usize;
-            if new != u32::MAX {
-                let new = new as usize;
-                let mut end = self.d_off[new] as usize;
-                for pos in lo..hi {
-                    let m = m_remap[self.d_adj[pos] as usize];
-                    if m != u32::MAX {
-                        self.d_adj[end] = m;
-                        end += 1;
-                    }
-                }
-                self.d_off[new + 1] = end as u32;
-            }
-            lo = hi;
-        }
-        let domains = self.domains.len();
-        self.d_off.truncate(domains + 1);
-        self.d_adj.truncate(self.d_off[domains] as usize);
         // The adjacency is the graph's bulk: give the pruned tail back.
         self.m_adj.shrink_to_fit();
-        self.d_adj.shrink_to_fit();
+        self.queriers = OnceLock::new();
 
         #[cfg(debug_assertions)]
         if let Err(violation) = self.validate() {
@@ -547,7 +533,14 @@ mod tests {
             .copied()
             .filter(|&(m, d)| keep_machine[m as usize] && keep_domain[d as usize])
             .collect();
-        let compacted = build(&edges).compact(&keep_machine, &keep_domain);
+        let graph = build(&edges);
+        let mut kept_degree = graph.kept_degrees(&keep_machine);
+        for (degree, &keep) in kept_degree.iter_mut().zip(&keep_domain) {
+            if !keep {
+                *degree = 0;
+            }
+        }
+        let compacted = graph.compact(&keep_machine, &kept_degree);
         assert_eq!(format!("{compacted:?}"), format!("{:?}", build(&survivors)));
         assert_eq!(compacted.machine_count(), 2);
         assert_eq!(compacted.domain_ips(DomainIdx(2)), &[ip(4, 0), ip(4, 1)]);

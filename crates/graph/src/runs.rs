@@ -774,7 +774,8 @@ mod tests {
 
     /// `from_runs` builds the CSR `from_queries` builds over the pushes.
     fn assert_builds_like_queries(runs: &EdgeRuns, queries: &[(MachineId, DomainId)]) {
-        let csr = |g: crate::BehaviorGraph| (g.machines, g.m_off, g.m_adj, g.domains, g.d_adj);
+        let csr =
+            |g: crate::BehaviorGraph| (g.machines, g.m_off, g.m_adj, g.domains, g.domain_degree);
         let want = GraphBuilder::from_queries(Day(1), queries, &[], |d| E2ldId(d.0));
         let got = GraphBuilder::from_runs(Day(1), runs, &[], |d| E2ldId(d.0)).expect("replay");
         assert_eq!(csr(got), csr(want));

@@ -1,16 +1,17 @@
 //! Structural validation of the CSR bipartite representation.
 //!
 //! [`BehaviorGraph::validate`] checks every representation invariant the
-//! rest of the crate relies on — sorted node id vectors, well-formed CSR
-//! offset arrays, in-bounds sorted adjacency, edge symmetry between the two
-//! directions, and consistent annotation/label vector lengths. The builder
-//! runs it under `debug_assertions` after every build, and the property
-//! tests run it against arbitrary inputs; production paths can call it
-//! after deserializing or hand-assembling a graph.
-
-use segugio_model::Label;
+//! rest of the crate relies on — sorted node id vectors, a well-formed
+//! machine-side CSR with in-bounds sorted adjacency, domain degrees that
+//! agree with it, no edgeless node, machine labels and malware degrees
+//! that follow from the edges, and consistent annotation/label vector
+//! lengths. The builder runs it under `debug_assertions` after every
+//! build, and the property tests run it against arbitrary inputs;
+//! production paths can call it after deserializing or hand-assembling a
+//! graph.
 
 use crate::graph::BehaviorGraph;
+use crate::labeling;
 
 impl BehaviorGraph {
     /// Checks every structural invariant of the representation.
@@ -23,15 +24,15 @@ impl BehaviorGraph {
     ///   `machine_labels`, `machine_malware_degree`) has exactly one entry
     ///   per node, and the flat IP pool offsets (`ip_off`) have `n + 1`
     ///   nondecreasing entries starting at 0 and ending at the pool length;
-    /// - both CSR offset arrays have `n + 1` entries, start at 0, are
-    ///   nondecreasing, and end at the edge count;
-    /// - both adjacency arrays have the same length (each edge appears in
-    ///   both directions), all entries are in bounds, and each node's
-    ///   neighbor list is strictly ascending (sorted, duplicate-free);
-    /// - the two directions describe the same edge set: every `(m, d)` edge
-    ///   of the machine CSR is present in domain `d`'s machine list;
-    /// - `machine_malware_degree[m]` equals the number of `m`'s neighbors
-    ///   currently labeled [`Label::Malware`].
+    /// - the machine-side CSR offset array has `n + 1` entries, starts at
+    ///   0, is nondecreasing, and ends at the edge count; every adjacency
+    ///   entry is in bounds, and each machine's domain list is strictly
+    ///   ascending (sorted, duplicate-free);
+    /// - no machine and no domain is edgeless;
+    /// - `domain_degree[d]` equals the number of machine lists naming `d`
+    ///   (so the degrees sum to the edge count);
+    /// - each machine's label and `machine_malware_degree` equal
+    ///   [`labeling`]'s derivation from its list and the domain labels.
     ///
     /// # Errors
     ///
@@ -66,59 +67,46 @@ impl BehaviorGraph {
             n_m,
         )?;
 
-        if self.m_adj.len() != self.d_adj.len() {
-            return Err(format!(
-                "edge-count asymmetry: {} machine-side edges vs {} domain-side edges",
-                self.m_adj.len(),
-                self.d_adj.len()
-            ));
-        }
+        check_len("domain_degree", self.domain_degree.len(), n_d)?;
         check_csr("m_off/m_adj", &self.m_off, &self.m_adj, n_m, n_d)?;
-        check_csr("d_off/d_adj", &self.d_off, &self.d_adj, n_d, n_m)?;
 
-        // Edge symmetry: each machine-side edge must exist on the domain
-        // side. Both adjacency arrays have equal length and per-node lists
-        // are strictly ascending, so one-directional containment implies
-        // the edge sets are identical.
-        for mi in 0..n_m {
-            let lo = self.m_off[mi] as usize;
-            let hi = self.m_off[mi + 1] as usize;
-            for &di in &self.m_adj[lo..hi] {
-                let d_lo = self.d_off[di as usize] as usize;
-                let d_hi = self.d_off[di as usize + 1] as usize;
-                if self.d_adj[d_lo..d_hi].binary_search(&u32_from(mi)).is_err() {
-                    return Err(format!(
-                        "edge asymmetry: machine {mi} -> domain {di} has no reverse edge"
-                    ));
-                }
+        let mut degree = vec![0u32; n_d];
+        for (mi, span) in self.m_off.windows(2).enumerate() {
+            let domains = &self.m_adj[span[0] as usize..span[1] as usize];
+            if domains.is_empty() {
+                return Err(format!("machine {mi} has no edge"));
+            }
+            for &di in domains {
+                degree[di as usize] += 1;
+            }
+            // Labels and the malware-degree cache follow from the edges.
+            let (label, malware_degree) = labeling::machine_label(domains, &self.domain_labels);
+            let cached = self.machine_malware_degree[mi];
+            if cached != malware_degree {
+                return Err(format!(
+                    "machine {mi}: cached malware degree {cached} != actual {malware_degree}"
+                ));
+            }
+            if self.machine_labels[mi] != label {
+                return Err(format!(
+                    "machine {mi}: label {:?} != {label:?} derived from its domains",
+                    self.machine_labels[mi]
+                ));
             }
         }
-
-        // Malware-degree cache consistency.
-        for mi in 0..n_m {
-            let lo = self.m_off[mi] as usize;
-            let hi = self.m_off[mi + 1] as usize;
-            let actual = self.m_adj[lo..hi]
-                .iter()
-                .filter(|&&di| self.domain_labels[di as usize] == Label::Malware)
-                .count();
-            let cached = self.machine_malware_degree[mi] as usize;
-            if cached != actual {
+        for (di, (&stored, &counted)) in self.domain_degree.iter().zip(&degree).enumerate() {
+            if counted == 0 {
+                return Err(format!("domain {di} has no edge"));
+            }
+            if stored != counted {
                 return Err(format!(
-                    "machine {mi}: cached malware degree {cached} != actual {actual}"
+                    "domain {di}: stored degree {stored} != {counted} machine lists naming it"
                 ));
             }
         }
 
         Ok(())
     }
-}
-
-/// `usize` node index to the `u32` stored in adjacency arrays. Node counts
-/// are bounded by the `u32` id space by construction; saturate rather than
-/// panic if that is ever violated (the comparison will then fail loudly).
-fn u32_from(i: usize) -> u32 {
-    u32::try_from(i).unwrap_or(u32::MAX)
 }
 
 fn check_len(name: &str, got: usize, want: usize) -> Result<(), String> {
@@ -193,7 +181,7 @@ fn check_csr(
 mod tests {
     use crate::builder::GraphBuilder;
     use crate::graph::BehaviorGraph;
-    use segugio_model::{Day, DomainId, Label, MachineId};
+    use segugio_model::{Day, DomainId, E2ldId, Label, MachineId};
 
     fn sample() -> BehaviorGraph {
         let mut b = GraphBuilder::new(Day(3));
@@ -247,7 +235,7 @@ mod tests {
         assert!(err.contains("offsets"), "{err}");
 
         let mut g = sample();
-        *g.d_off.last_mut().unwrap() += 1;
+        *g.m_off.last_mut().unwrap() += 1;
         let err = g.validate().unwrap_err();
         assert!(err.contains("last offset"), "{err}");
     }
@@ -270,16 +258,46 @@ mod tests {
     }
 
     #[test]
-    fn detects_edge_asymmetry() {
+    fn detects_stale_domain_degree() {
         let mut g = sample();
         // Rewire machine 30's single edge from domain 100 to domain 200
-        // without touching the domain-side CSR. Lengths still agree.
+        // without touching the degrees: lists stay sorted and in bounds.
         let last = g.m_adj.len() - 1;
         g.m_adj[last] = 1;
-        // Keep the domain-side edge count identical (it already is), so
-        // only the symmetry check can catch this.
         let err = g.validate().unwrap_err();
-        assert!(err.contains("asymmetry"), "{err}");
+        assert!(err.contains("stored degree"), "{err}");
+    }
+
+    #[test]
+    fn detects_edgeless_domain() {
+        let mut g = sample();
+        // Domain 300 is named by no machine list and claims no querier.
+        g.domains.push(DomainId(300));
+        g.domain_e2ld.push(E2ldId(300));
+        g.ip_off.push(*g.ip_off.last().unwrap());
+        g.domain_labels.push(Label::Unknown);
+        g.domain_degree.push(0);
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("domain 2 has no edge"), "{err}");
+    }
+
+    #[test]
+    fn detects_edgeless_machine() {
+        let mut g = sample();
+        g.machines.push(MachineId(40));
+        g.m_off.push(*g.m_off.last().unwrap());
+        g.machine_labels.push(Label::Unknown);
+        g.machine_malware_degree.push(0);
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("machine 3 has no edge"), "{err}");
+    }
+
+    #[test]
+    fn detects_stale_machine_label() {
+        let mut g = sample();
+        g.machine_labels[0] = Label::Benign;
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("derived from its domains"), "{err}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! `GraphBuilder::build`, the closure-annotated `GraphBuilder::from_queries`
 //! that `segugio-core` uses, and `GraphBuilder::from_runs` at a run capacity
 //! small enough that runs seal, spill and merge. Under duplicate-heavy
-//! random streams the CSR must match the deduplicated edge set in both
-//! directions, annotations must match a `BTreeMap`/`BTreeSet` model, and
-//! `validate()` must accept the graph.
+//! random streams the machine-side CSR must match the deduplicated edge
+//! set, each domain's degree its querier count, annotations must match a
+//! `BTreeMap`/`BTreeSet` model, and `validate()` must accept the graph.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,7 +89,7 @@ fn check_against_oracle(name: &str, g: &BehaviorGraph, obs: &Observations) -> Re
         return fail(format!("domain ids {got_domains:?}"));
     }
 
-    // Both CSR directions list exactly the reference edges, ascending.
+    // Each machine lists exactly its reference edges, ascending.
     for m in g.machine_indices() {
         let mid = g.machine_id(m).0;
         let got: Vec<u32> = g.domains_of(m).map(|d| g.domain_id(d).0).collect();
@@ -106,10 +106,12 @@ fn check_against_oracle(name: &str, g: &BehaviorGraph, obs: &Observations) -> Re
     }
     for d in g.domain_indices() {
         let id = g.domain_id(d);
-        let got: Vec<u32> = g.machines_of(d).map(|m| g.machine_id(m).0).collect();
-        let want: Vec<u32> = edges.iter().filter(|e| e.1 == id.0).map(|e| e.0).collect();
-        if got != want {
-            return fail(format!("domain {id} adjacency {got:?}, want {want:?}"));
+        let want = edges.iter().filter(|e| e.1 == id.0).count();
+        if g.domain_degree(d) != want {
+            return fail(format!(
+                "domain {id} degree {}, want {want}",
+                g.domain_degree(d)
+            ));
         }
         // Annotations: registered e2LD or the sentinel; sorted, deduped IPs.
         if g.domain_e2ld(d) != obs.e2ld_of(id) {

@@ -7,9 +7,10 @@
 //! two domains of the same e2LD — the case where R4 must count the machine
 //! once for the e2LD, not once per domain. `PruneStats` must be equal, and
 //! the compacted graph must validate and say, through its public API,
-//! exactly what a naive model of the surviving edges says: both adjacency
-//! directions, each domain's e2LD, IPs and label, and each machine's label
-//! and malware degree.
+//! exactly what a naive model of the surviving edges says: each machine's
+//! domains, label and malware degree, and each domain's degree, e2LD, IPs
+//! and label. The querier index behind `machines_of`, built before pruning,
+//! must describe the pruned graph after it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,9 +91,9 @@ fn day_case() -> impl Strategy<Value = Day0> {
 }
 
 /// Everything a graph says, keyed by external id: per machine its domains,
-/// label and malware degree; per domain its machines, e2LD, IPs and label.
+/// label and malware degree; per domain its degree, e2LD, IPs and label.
 type MachineView = BTreeMap<u32, (Vec<u32>, Label, u32)>;
-type DomainView = BTreeMap<u32, (Vec<u32>, u32, Vec<Ipv4>, Label)>;
+type DomainView = BTreeMap<u32, (usize, u32, Vec<Ipv4>, Label)>;
 
 fn view_of(g: &BehaviorGraph) -> (MachineView, DomainView) {
     let machines = g
@@ -106,9 +107,8 @@ fn view_of(g: &BehaviorGraph) -> (MachineView, DomainView) {
     let domains = g
         .domain_indices()
         .map(|d| {
-            let queriers = g.machines_of(d).map(|m| g.machine_id(m).0).collect();
             let row = (
-                queriers,
+                g.domain_degree(d),
                 g.domain_e2ld(d).0,
                 g.domain_ips(d).to_vec(),
                 g.domain_label(d),
@@ -148,7 +148,7 @@ fn naive_view(edges: &BTreeSet<(u32, u32)>, day: &Day0) -> (MachineView, DomainV
         .into_iter()
         .map(|(d, machines)| {
             let ips = day.ips.get(&d).into_iter().flatten().copied().collect();
-            (d, (machines, day.e2ld[&d], ips, day.label(d)))
+            (d, (machines.len(), day.e2ld[&d], ips, day.label(d)))
         })
         .collect();
     (machines, domains)
@@ -249,11 +249,27 @@ proptest! {
             (0usize..8, 0.5f64..1.0, 0.05f64..0.7),
     ) {
         let config = PruneConfig { min_machine_degree, proxy_percentile, popular_fraction };
-        let (pruned, stats) = day.graph().prune(&config);
+        let graph = day.graph();
+        // Builds the lazy querier index, which pruning must not leave stale.
+        let before: usize = graph.domain_indices().map(|d| graph.machines_of(d).count()).sum();
+        prop_assert_eq!(before, day.edges.len());
+        let (pruned, stats) = graph.prune(&config);
         let (want_stats, want_edges) = oracle(&day, &config);
         prop_assert_eq!(stats, want_stats);
         prop_assert_eq!(pruned.validate(), Ok(()));
         prop_assert_eq!(view_of(&pruned), naive_view(&want_edges, &day));
+        let mut want_queriers: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for &(m, d) in &want_edges {
+            want_queriers.entry(d).or_default().push(m);
+        }
+        let got_queriers: BTreeMap<u32, Vec<u32>> = pruned
+            .domain_indices()
+            .map(|d| {
+                let queriers = pruned.machines_of(d).map(|m| pruned.machine_id(m).0);
+                (pruned.domain_id(d).0, queriers.collect())
+            })
+            .collect();
+        prop_assert_eq!(got_queriers, want_queriers);
     }
 
     /// The probe filter drops every machine that queried at least
