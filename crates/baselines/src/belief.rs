@@ -1,5 +1,5 @@
 //! Loopy belief propagation over the machine–domain bipartite graph
-//! (Manadhata et al., ESORICS 2014 [6]; Polonium [17] on files).
+//! (Manadhata et al., ESORICS 2014 \[6\]; Polonium \[17\] on files).
 //!
 //! Each node carries a two-state (benign/malware) marginal. Seed labels set
 //! node potentials; a homophilic edge potential couples neighbors; messages

@@ -1,4 +1,4 @@
-//! Query co-occurrence scoring (Sato et al., LEET 2010 [21]).
+//! Query co-occurrence scoring (Sato et al., LEET 2010 \[21\]).
 //!
 //! A domain is scored by how strongly its querier population co-occurs
 //! with known-malicious queries: `score(d) = |queriers of d that also

@@ -46,10 +46,6 @@ fn bench(c: &mut Criterion) {
             "logistic regression",
             ClassifierKind::Logistic(Default::default()),
         ),
-        (
-            "gradient boosting",
-            ClassifierKind::Boosting(segugio_ml::BoostingConfig::default()),
-        ),
     ];
     for (name, classifier) in backends {
         let config = SegugioConfig {

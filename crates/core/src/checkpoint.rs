@@ -205,12 +205,12 @@ fn list_generations(dir: &Path) -> Result<Vec<(Day, PathBuf)>, CheckpointError> 
 }
 
 impl Tracker {
-    /// The complete tracker state as a checkpoint generation: a
-    /// [container](segugio_model::container) holding the [`TRACKER`]
-    /// section, the retained model's [`MODEL`] section if there is one,
-    /// and the [attached](Self::attach_front_end) [`FRONT_END`] section
-    /// if there is one. [`from_bytes`](Self::from_bytes) of the result
-    /// saves back to these exact bytes.
+    /// The complete tracker state as a checkpoint generation: a [container]
+    /// holding the [`TRACKER`] section, the retained model's [`MODEL`]
+    /// section if there is one, and the [attached](Self::attach_front_end)
+    /// [`FRONT_END`] section if there is one.
+    /// [`from_bytes`](Self::from_bytes) of the result saves back to these
+    /// exact bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.with_pieces(|pieces| pieces.concat())
     }
@@ -679,10 +679,10 @@ mod tests {
     }
 
     /// A generation of the text format before the container — here a
-    /// literal `segugio-checkpoint v1` file with a correct header — and a
-    /// generation from a later container version are refused, not
-    /// mis-parsed: resume discards them and falls back to the generation
-    /// before.
+    /// literal `segugio-checkpoint v1` file with a correct header — a
+    /// generation from a later container version and one whose retained
+    /// model is of the retired backend kind 2 are refused, not mis-parsed:
+    /// resume discards them and falls back to the generation before.
     #[test]
     #[cfg_attr(miri, ignore = "filesystem checkpoints are not available under Miri")]
     fn other_format_generations_are_discarded_not_misparsed() {
@@ -695,6 +695,29 @@ mod tests {
         );
         let mut future = Tracker::new().to_bytes();
         future[8] = 2;
+        let mut state = Tracker::new();
+        state.last_day = Some(Day(4));
+        state.days_processed = 5;
+        let mut tracker = state.section();
+        // Set the retained-model flag, then its threshold and training day.
+        let last = tracker.len() - 1;
+        tracker[last] = 1;
+        tracker.extend_from_slice(&[0; 8]);
+        // A model of the retired backend kind 2, one leaf in its layout.
+        let mut model = Writer::new();
+        model.put(14u32);
+        model.put(150u32);
+        model.array(&[0u32, 1]);
+        model.put(2u8);
+        model.put(0.0f64);
+        model.put(0.1f64);
+        model.array(&[0u32]);
+        model.array(&[0u16]);
+        model.array(&[0.0f32]);
+        model.array(&[u32::MAX]);
+        model.array(&[u32::MAX]);
+        model.array(&[0.0f64]);
+        let retired = container::encode(&[(TRACKER, &tracker), (MODEL, &model.into_bytes())]);
 
         let scratch = ScratchDir::new("other-format");
         fs::create_dir_all(scratch.path()).expect("mkdir");
@@ -702,6 +725,7 @@ mod tests {
         kept.last_day = Some(Day(3));
         kept.days_processed = 4;
         fs::write(scratch.path().join("checkpoint-3.seg"), kept.to_bytes()).expect("seed");
+        fs::write(scratch.path().join("checkpoint-4.seg"), retired).expect("seed retired");
         fs::write(scratch.path().join("checkpoint-5.seg"), parent).expect("seed parent");
         fs::write(scratch.path().join("checkpoint-6.seg"), future).expect("seed future");
         let resumed = Tracker::resume(scratch.path()).expect("resume degrades, not errors");
@@ -711,6 +735,7 @@ mod tests {
             vec![
                 Degradation::CheckpointDiscarded { day: Day(6) },
                 Degradation::CheckpointDiscarded { day: Day(5) },
+                Degradation::CheckpointDiscarded { day: Day(4) },
                 Degradation::RestoredFromCheckpoint { day: Day(3) },
             ]
         );

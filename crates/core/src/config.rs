@@ -1,7 +1,7 @@
 //! Top-level Segugio configuration.
 
 use segugio_graph::PruneConfig;
-use segugio_ml::{BoostingConfig, ForestConfig, LogisticConfig};
+use segugio_ml::{ForestConfig, LogisticConfig};
 
 use crate::features::FeatureConfig;
 
@@ -13,8 +13,6 @@ pub enum ClassifierKind {
     Forest(ForestConfig),
     /// L2-regularized logistic regression.
     Logistic(LogisticConfig),
-    /// Gradient-boosted trees (logistic loss).
-    Boosting(BoostingConfig),
 }
 
 impl Default for ClassifierKind {

@@ -11,7 +11,7 @@
 //!    pass, hiding each known domain's label while it is measured so it
 //!    becomes an honest training row ([`measure_day`], paper Fig. 5);
 //! 3. trains a statistical classifier (Random Forest by default, logistic
-//!    regression or boosting as alternatives) into a [`SegugioModel`]
+//!    regression as the alternative) into a [`SegugioModel`]
 //!    ([`Segugio::train_prepared`]);
 //! 4. picks the operating threshold on the training rows' scores for a
 //!    target false-positive rate ([`calibrate`]);

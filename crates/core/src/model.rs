@@ -1,8 +1,7 @@
 //! The trained model, its scorer and the threshold calibrator.
 
 use segugio_ml::{
-    BoostingParts, Classifier, Dataset, ForestParts, GradientBoosting, LogisticParts,
-    LogisticRegression, RandomForest, RocCurve,
+    Classifier, Dataset, ForestParts, LogisticParts, LogisticRegression, RandomForest, RocCurve,
 };
 use segugio_model::container::{self, DecodeError, Reader, Writer, MODEL};
 use segugio_model::{DomainId, Label};
@@ -20,8 +19,6 @@ pub enum ModelBackend {
     Forest(RandomForest),
     /// Logistic regression.
     Logistic(LogisticRegression),
-    /// Gradient-boosted trees.
-    Boosting(GradientBoosting),
 }
 
 impl ModelBackend {
@@ -29,7 +26,6 @@ impl ModelBackend {
         match self {
             ModelBackend::Forest(f) => f.score(features),
             ModelBackend::Logistic(l) => l.score(features),
-            ModelBackend::Boosting(b) => b.score(features),
         }
     }
 }
@@ -82,7 +78,7 @@ impl ScoreBuffer {
 /// and column projection they were trained with — so a model trained on one
 /// network can be deployed on another (the paper's cross-network result).
 /// A forest backend has the projection baked into its split features and
-/// scores full rows directly; the other backends project each row.
+/// scores full rows directly; a logistic backend projects each row.
 #[derive(Debug, Clone)]
 pub struct SegugioModel {
     backend: ModelBackend,
@@ -128,10 +124,10 @@ impl SegugioModel {
         &self.columns
     }
 
-    /// The model file: one [`MODEL`] section of the
-    /// [container](segugio_model::container), so a model trained on one
-    /// network can be shipped to another (the paper's cross-network
-    /// deployment). Loading it back and saving again gives these bytes.
+    /// The model file: one [`MODEL`] section of the [container], so a model
+    /// trained on one network can be shipped to another (the paper's
+    /// cross-network deployment). Loading it back and saving again gives
+    /// these bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         container::encode(&[(MODEL, &self.section())])
     }
@@ -180,18 +176,6 @@ impl SegugioModel {
                 w.put(p.bias);
                 w.array(&p.mean);
                 w.array(&p.inv_std);
-            }
-            ModelBackend::Boosting(b) => {
-                let p = b.to_parts();
-                w.put(2u8);
-                w.put(p.base);
-                w.put(p.learning_rate);
-                w.array(&p.roots);
-                w.array(&p.feature);
-                w.array(&p.threshold);
-                w.array(&p.left);
-                w.array(&p.right);
-                w.array(&p.value);
             }
         }
         w.into_bytes()
@@ -243,27 +227,6 @@ impl SegugioModel {
                 }
                 ModelBackend::Logistic(LogisticRegression::from_parts(parts).map_err(invalid)?)
             }
-            2 => {
-                let parts = BoostingParts {
-                    base: r.get("base")?,
-                    learning_rate: r.get("learning rate")?,
-                    roots: r.array("rtree roots")?,
-                    feature: r.array("split features")?,
-                    threshold: r.array("thresholds")?,
-                    left: r.array("left children")?,
-                    right: r.array("right children")?,
-                    value: r.array("leaf values")?,
-                };
-                let boosting = GradientBoosting::from_parts(parts).map_err(invalid)?;
-                // The parts carry no arity, so bound-check the split
-                // features against the column projection.
-                if boosting.n_features() > columns.len() {
-                    return Err(DecodeError::new(
-                        "boosting backend references features beyond the columns",
-                    ));
-                }
-                ModelBackend::Boosting(boosting)
-            }
             other => return Err(DecodeError::new(format!("unknown backend kind {other}"))),
         };
         r.finish("model section")?;
@@ -277,7 +240,7 @@ impl SegugioModel {
             // A forest has the column remap baked into its nodes.
             self.backend.score(features)
         } else {
-            // Stack-array projection for the non-forest backends: the
+            // Stack-array projection for the logistic backend: the
             // projection is at most the full row, so no heap traffic.
             let mut projected = [0.0f32; FEATURE_COUNT];
             for (slot, &c) in projected.iter_mut().zip(&self.columns) {

@@ -1,7 +1,7 @@
 //! Feature measurement and model training (paper Section II-A3).
 
 use segugio_graph::DomainIdx;
-use segugio_ml::{Dataset, ForestConfig, GradientBoosting, LogisticRegression, RandomForest};
+use segugio_ml::{Dataset, ForestConfig, LogisticRegression, RandomForest};
 use segugio_model::{DomainId, Label};
 use segugio_pdns::ActivityStore;
 
@@ -205,9 +205,6 @@ impl Segugio {
             ClassifierKind::Logistic(cfg) => {
                 ModelBackend::Logistic(LogisticRegression::fit(&projected, cfg))
             }
-            ClassifierKind::Boosting(cfg) => {
-                ModelBackend::Boosting(GradientBoosting::fit(&projected, cfg))
-            }
         };
         Ok(SegugioModel::new(backend, columns, config.features)
             .with_parallelism(config.parallelism))
@@ -379,37 +376,6 @@ mod tests {
         let min_pos = pos.iter().copied().fold(f32::INFINITY, f32::min);
         let max_neg = neg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert!(min_pos > max_neg, "logistic model must rank malware higher");
-    }
-
-    #[test]
-    fn boosting_backend_also_works() {
-        let (snap, activity, mut config) = fixture();
-        // The fixture has only 8 training rows; allow tiny leaves.
-        config.classifier = ClassifierKind::Boosting(segugio_ml::BoostingConfig {
-            n_rounds: 25,
-            min_samples_leaf: 1,
-            subsample: 1.0,
-            ..Default::default()
-        });
-        let model = Segugio::train(&snap, &activity, &config).expect("fixture has both classes");
-        let data = training_set(&snap, &activity);
-        let pos: Vec<f32> = (0..data.len())
-            .filter(|&i| data.label(i))
-            .map(|i| model.score_features(data.row(i)))
-            .collect();
-        let neg: Vec<f32> = (0..data.len())
-            .filter(|&i| !data.label(i))
-            .map(|i| model.score_features(data.row(i)))
-            .collect();
-        let min_pos = pos.iter().copied().fold(f32::INFINITY, f32::min);
-        let max_neg = neg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        assert!(min_pos > max_neg, "boosting must rank malware higher");
-        // And it persists.
-        let loaded = crate::model::SegugioModel::from_bytes(&model.to_bytes()).unwrap();
-        assert_eq!(
-            loaded.score_features(data.row(0)),
-            model.score_features(data.row(0))
-        );
     }
 
     #[test]

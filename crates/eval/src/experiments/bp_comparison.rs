@@ -1,5 +1,5 @@
 //! E13: the Section I pilot comparison against loopy belief propagation
-//! (Manadhata et al. [6], run on GraphLab in the paper).
+//! (Manadhata et al. \[6\], run on GraphLab in the paper).
 //!
 //! Both systems consume the same labeled day graph with the same test
 //! domains hidden. Expected shapes: Segugio is substantially more accurate

@@ -195,6 +195,29 @@ fn model_parse_errors_exit_5() {
         let out = detect_with_model(&logs, &model);
         assert_eq!(exit_code(&out), 5, "{what}: {out:?}");
     }
+    // The retired backend kind 2 is refused like any unknown kind, even
+    // when its arrays form a valid one-leaf tree in that kind's layout.
+    let mut w = Writer::new();
+    w.put(14u32);
+    w.put(150u32);
+    w.array(&[0u32, 1]);
+    w.put(2u8);
+    w.put(0.0f64);
+    w.put(0.1f64);
+    w.array(&[0u32]);
+    w.array(&[0u16]);
+    w.array(&[0.0f32]);
+    w.array(&[u32::MAX]);
+    w.array(&[u32::MAX]);
+    w.array(&[0.0f64]);
+    fs::write(
+        &model,
+        container::encode(&[(container::MODEL, &w.into_bytes())]),
+    )
+    .unwrap();
+    let out = detect_with_model(&logs, &model);
+    assert_eq!(exit_code(&out), 5, "retired kind: {out:?}");
+    assert!(stderr(&out).contains("unknown backend kind 2"), "{out:?}");
     // The text formats before the container ask for a retrain.
     for text in [
         "segugio-model v1\nfeatures 14 150\ncolumns 0 1\n\

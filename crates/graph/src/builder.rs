@@ -1,11 +1,11 @@
 //! Construction of a [`BehaviorGraph`]: one counting-sort CSR constructor
 //! behind every entry point.
 //!
-//! Whatever the source — an in-memory query list or spilled
-//! [`EdgeRuns`](crate::EdgeRuns) — the day's `(machine, domain)` pairs
-//! reach [`csr_from_pairs`] in any order, with repeats (as loose pairs or
-//! as runs already grouped by machine), and that function is the only
-//! code in this crate that turns edges into CSR arrays.
+//! Whatever the source — an in-memory query list or spilled [`EdgeRuns`]
+//! — the day's `(machine, domain)` pairs reach `csr_from_pairs` in any
+//! order, with repeats (as loose pairs or as runs already grouped by
+//! machine), and that function is the only code in this crate that turns
+//! edges into CSR arrays.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

@@ -100,7 +100,7 @@ impl<'g> HiddenLabelView<'g> {
     }
 
     /// The effective label of `m`, which must be a querier of the hidden
-    /// domain: the O(1) rule [`querier_label`](crate::hiding::querier_label).
+    /// domain: the O(1) rule [`querier_label`].
     ///
     /// For a machine that did not query the hidden domain the answer is
     /// meaningless; use [`machine_label`](Self::machine_label).

@@ -3,7 +3,7 @@
 //!
 //! A paper-scale day observes hundreds of millions of machine↔domain
 //! query pairs. [`EdgeRuns`] keeps one fixed-capacity *run* of them in
-//! RAM; when it fills, [`group_by_machine`] deduplicates it by machine and
+//! RAM; when it fills, `group_by_machine` deduplicates it by machine and
 //! it is appended to an anonymous scratch file in the grouped form the
 //! kernel leaves: one *head* per machine present (its gap from the
 //! previous head's machine and its count, as LEB128 varints), then every

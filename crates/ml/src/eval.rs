@@ -138,64 +138,6 @@ impl RocCurve {
         }
         area / max_fpr
     }
-
-    /// Samples the curve at the given FPR grid, returning `(fpr, tpr)`
-    /// pairs — convenient for printing figure series.
-    pub fn sample_at(&self, fpr_grid: &[f64]) -> Vec<(f64, f64)> {
-        fpr_grid.iter().map(|&f| (f, self.tpr_at_fpr(f))).collect()
-    }
-}
-
-/// Counts of binary-classification outcomes at a fixed threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Confusion {
-    /// True positives.
-    pub tp: usize,
-    /// False positives.
-    pub fp: usize,
-    /// True negatives.
-    pub tn: usize,
-    /// False negatives.
-    pub fn_: usize,
-}
-
-impl Confusion {
-    /// Tallies outcomes for `score >= threshold` ⇒ positive.
-    pub fn at_threshold(scores: &[f32], labels: &[bool], threshold: f32) -> Self {
-        let mut c = Confusion::default();
-        for (&s, &l) in scores.iter().zip(labels) {
-            match (s >= threshold, l) {
-                (true, true) => c.tp += 1,
-                (true, false) => c.fp += 1,
-                (false, false) => c.tn += 1,
-                (false, true) => c.fn_ += 1,
-            }
-        }
-        c
-    }
-
-    /// True-positive rate (recall).
-    pub fn tpr(&self) -> f64 {
-        ratio(self.tp, self.tp + self.fn_)
-    }
-
-    /// False-positive rate.
-    pub fn fpr(&self) -> f64 {
-        ratio(self.fp, self.fp + self.tn)
-    }
-
-    /// Precision.
-    pub fn precision(&self) -> f64 {
-        ratio(self.tp, self.tp + self.fp)
-    }
-}
-
-fn ratio(num: usize, den: usize) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 #[cfg(test)]
@@ -246,16 +188,20 @@ mod tests {
         let scores = [0.9, 0.7, 0.6, 0.4, 0.3, 0.1];
         let labels = [true, true, false, true, false, false];
         let roc = RocCurve::from_scores(&scores, &labels);
-        let thr = roc.threshold_for_fpr(0.0);
-        let c = Confusion::at_threshold(&scores, &labels, thr);
-        assert_eq!(c.fp, 0);
-        assert_eq!(c.tp, 2);
-        assert!((c.tpr() - 2.0 / 3.0).abs() < 1e-9);
-
-        let thr2 = roc.threshold_for_fpr(0.34);
-        let c2 = Confusion::at_threshold(&scores, &labels, thr2);
-        assert_eq!(c2.fp, 1);
-        assert_eq!(c2.tp, 3);
+        // (true positives, false positives) among scores at or above `thr`.
+        let flagged = |thr: f32| {
+            let (mut tp, mut fp) = (0, 0);
+            for (&s, &l) in scores.iter().zip(&labels) {
+                if s >= thr && l {
+                    tp += 1;
+                } else if s >= thr {
+                    fp += 1;
+                }
+            }
+            (tp, fp)
+        };
+        assert_eq!(flagged(roc.threshold_for_fpr(0.0)), (2, 0));
+        assert_eq!(flagged(roc.threshold_for_fpr(0.34)), (3, 1));
     }
 
     #[test]
@@ -268,30 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_grid() {
-        let scores = [0.9, 0.1];
-        let labels = [true, false];
-        let roc = RocCurve::from_scores(&scores, &labels);
-        let s = roc.sample_at(&[0.0, 0.5, 1.0]);
-        assert_eq!(s, vec![(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one positive")]
     fn single_class_panics() {
         RocCurve::from_scores(&[0.5, 0.4], &[false, false]);
-    }
-
-    #[test]
-    fn confusion_rates() {
-        let c = Confusion {
-            tp: 8,
-            fp: 2,
-            tn: 88,
-            fn_: 2,
-        };
-        assert!((c.tpr() - 0.8).abs() < 1e-9);
-        assert!((c.fpr() - 2.0 / 90.0).abs() < 1e-9);
-        assert!((c.precision() - 0.8).abs() < 1e-9);
     }
 }

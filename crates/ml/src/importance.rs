@@ -9,8 +9,9 @@ use crate::eval::RocCurve;
 use crate::Classifier;
 
 /// Measures permutation importance: for each feature column, the drop in
-/// ROC AUC when that column's values are shuffled across samples. Larger
-/// drops mean the model leans harder on the feature.
+/// `metric` (e.g. ROC AUC, or partial AUC at the low-FP operating range,
+/// where full AUC saturates) when that column's values are shuffled across
+/// samples. Larger drops mean the model leans harder on the feature.
 ///
 /// Returns one importance per column (may be slightly negative for
 /// irrelevant features, from shuffle noise).
@@ -22,8 +23,7 @@ use crate::Classifier;
 /// # Example
 ///
 /// ```
-/// use segugio_ml::{Dataset, ForestConfig, RandomForest};
-/// use segugio_ml::importance::permutation_importance;
+/// use segugio_ml::{permutation_importance_by, Dataset, ForestConfig, RandomForest};
 ///
 /// let mut data = Dataset::new(2);
 /// for i in 0..100 {
@@ -31,19 +31,9 @@ use crate::Classifier;
 ///     data.push(&[i as f32, (i % 7) as f32], i >= 50);
 /// }
 /// let forest = RandomForest::fit(&data, &ForestConfig { n_trees: 10, ..Default::default() });
-/// let imp = permutation_importance(&forest, &data, 1);
+/// let imp = permutation_importance_by(&forest, &data, 1, |roc| roc.auc());
 /// assert!(imp[0] > imp[1]);
 /// ```
-pub fn permutation_importance<C: Classifier>(model: &C, data: &Dataset, seed: u64) -> Vec<f64> {
-    permutation_importance_by(model, data, seed, |roc| roc.auc())
-}
-
-/// Like [`permutation_importance`] but with a caller-chosen metric (e.g.
-/// partial AUC at the low-FP operating range, where full AUC saturates).
-///
-/// # Panics
-///
-/// Panics if `data` is empty or contains only one class.
 pub fn permutation_importance_by<C, M>(model: &C, data: &Dataset, seed: u64, metric: M) -> Vec<f64>
 where
     C: Classifier,
@@ -98,7 +88,7 @@ mod tests {
     #[test]
     fn signal_column_dominates() {
         let (forest, data) = model_and_data();
-        let imp = permutation_importance(&forest, &data, 7);
+        let imp = permutation_importance_by(&forest, &data, 7, RocCurve::auc);
         assert_eq!(imp.len(), 3);
         assert!(imp[1] > imp[0], "signal {} vs noise {}", imp[1], imp[0]);
         assert!(imp[1] > imp[2]);
@@ -109,8 +99,8 @@ mod tests {
     fn importance_is_deterministic() {
         let (forest, data) = model_and_data();
         assert_eq!(
-            permutation_importance(&forest, &data, 3),
-            permutation_importance(&forest, &data, 3)
+            permutation_importance_by(&forest, &data, 3, RocCurve::auc),
+            permutation_importance_by(&forest, &data, 3, RocCurve::auc)
         );
     }
 }

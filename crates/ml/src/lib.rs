@@ -1,7 +1,7 @@
 //! From-scratch statistical-learning substrate for Segugio.
 //!
-//! The paper trains its behavior-based classifier with Random Forest [9] or
-//! Logistic Regression (liblinear) [10] and reports ROC trade-offs at very
+//! The paper trains its behavior-based classifier with Random Forest \[9\] or
+//! Logistic Regression (liblinear) \[10\] and reports ROC trade-offs at very
 //! low false-positive rates. Offline, no suitable Rust ML crates are
 //! available, so this crate implements the required pieces directly:
 //!
@@ -35,7 +35,6 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes
 )]
-pub mod boosting;
 pub mod dataset;
 pub mod eval;
 pub mod folds;
@@ -44,13 +43,12 @@ pub mod importance;
 pub mod logistic;
 pub mod tree;
 
-pub use boosting::{BoostingConfig, BoostingParts, GradientBoosting};
 pub use dataset::Dataset;
 pub use eval::RocCurve;
 #[doc(hidden)]
 pub use forest::FlatForest;
 pub use forest::{BootstrapMode, ForestConfig, ForestParts, RandomForest};
-pub use importance::{permutation_importance, permutation_importance_by};
+pub use importance::permutation_importance_by;
 pub use logistic::{LogisticConfig, LogisticParts, LogisticRegression};
 pub use tree::TreeConfig;
 

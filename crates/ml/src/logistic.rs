@@ -1,5 +1,5 @@
 //! L2-regularized logistic regression trained with mini-batch SGD on
-//! standardized features (the paper's liblinear alternative [10]).
+//! standardized features (the paper's liblinear alternative \[10\]).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -2,8 +2,8 @@
 //!
 //! Three groups:
 //!
-//! 1. **Hostile input** — arrays biased toward almost-trees fed to the
-//!    `from_parts` constructors must either load or return a typed
+//! 1. **Hostile input** — arrays biased toward almost-trees fed to
+//!    `RandomForest::from_parts` must either load or return a typed
 //!    [`ParseModelError`]; they must never panic, hang, or over-allocate.
 //!    Whatever loads must also `score()` to completion (the topology
 //!    validation at load time is what makes traversal termination safe to
@@ -18,9 +18,7 @@
 
 use proptest::prelude::*;
 
-use segugio_ml::{
-    BoostingParts, Classifier, Dataset, ForestConfig, ForestParts, GradientBoosting, RandomForest,
-};
+use segugio_ml::{Classifier, Dataset, ForestConfig, ForestParts, RandomForest};
 
 // ---------------------------------------------------------------------------
 // Group 1: hostile input.
@@ -56,23 +54,6 @@ fn hostile_forest() -> impl Strategy<Value = ForestParts> {
                 parts.threshold.push(0.5);
             }
             parts
-        })
-}
-
-fn hostile_boosting() -> impl Strategy<Value = BoostingParts> {
-    (
-        proptest::collection::vec(node_id(), 0..4),
-        proptest::collection::vec((any::<u16>(), weird_f32(), node_id(), node_id()), 0..14),
-    )
-        .prop_map(|(roots, nodes)| BoostingParts {
-            base: 0.0,
-            learning_rate: 0.1,
-            roots,
-            feature: nodes.iter().map(|n| n.0).collect(),
-            threshold: nodes.iter().map(|n| n.1).collect(),
-            left: nodes.iter().map(|n| n.2).collect(),
-            right: nodes.iter().map(|n| n.3).collect(),
-            value: nodes.iter().map(|n| f64::from(n.1)).collect(),
         })
 }
 
@@ -189,14 +170,13 @@ fn labeled_rows() -> impl Strategy<Value = Vec<(Vec<f32>, bool)>> {
 }
 
 proptest! {
-    /// Hostile arrays never panic or hang either constructor, and whatever
+    /// Hostile arrays never panic or hang the constructor, and whatever
     /// loads can be traversed: `score()` terminates because load-time
     /// validation rejected every child placed before its parent.
     #[test]
     #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
     fn hostile_parts_are_rejected_or_usable(
         forest in hostile_forest(),
-        boosting in hostile_boosting(),
     ) {
         if let Ok(loaded) = RandomForest::from_parts(forest.clone()) {
             let row = vec![0.25f32; loaded.n_features()];
@@ -207,13 +187,6 @@ proptest! {
             prop_assert!(same_parts(&parts, &forest));
             let again = RandomForest::from_parts(parts).expect("loaded parts load again");
             prop_assert!(bits_match(again.score(&row), score));
-        }
-        if let Ok(boosting) = GradientBoosting::from_parts(boosting) {
-            // The parts carry no arity, so score with the widest row a u16
-            // split feature can reference.
-            let row = vec![0.25f32; u16::MAX as usize + 1];
-            prop_assert!(boosting.n_features() <= row.len());
-            let _ = boosting.score(&row);
         }
     }
 

@@ -43,10 +43,7 @@
 //!                left child (u32::MAX on a leaf): array<u32>
 //!   1 logistic   weights: array<f64>, bias f64, mean: array<f64>,
 //!                inv_std: array<f64>
-//!   2 boosting   base f64, learning rate f64, roots: array<u32>,
-//!                feature: array<u16>, threshold: array<f32>,
-//!                left: array<u32> (u32::MAX on a leaf), right:
-//!                array<u32>, leaf value: array<f64>
+//!   2            retired (gradient boosting); refused like any unknown kind
 //! TRACKER    flagged: u32 n, n × (domain u32, day u32), ascending;
 //!            confirmed: u32 n, n × (domain u32, flagged on u32,
 //!            confirmed on u32), ascending; days processed u64;
