@@ -75,9 +75,12 @@ pub struct SegugioConfig {
     /// filter (the paper's default deployments did not need it).
     pub probe_filter: Option<u32>,
     /// Worker threads for the per-day hot path (training-set extraction,
-    /// forest training, and unknown-domain scoring; graph building is
-    /// serial). `None` uses every available core; `Some(1)` forces the
-    /// exact serial path. Output is bit-for-bit identical at every setting.
+    /// forest training, unknown-domain scoring, and the abuse index built
+    /// beside labeling and pruning). `None` uses every available core;
+    /// `Some(1)` forces the exact serial path. Output is bit-for-bit
+    /// identical at every setting. Graph building ignores it: its one
+    /// worker seals [`EdgeRuns`](segugio_graph::EdgeRuns) as a fixed
+    /// pipeline stage.
     pub parallelism: Option<usize>,
     /// Retired — nothing reads it; remove with the `trace` binary's
     /// reference-route setting in the next `[benchmark]` PR.

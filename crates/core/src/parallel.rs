@@ -10,8 +10,11 @@
 /// Resolves a `parallelism` knob to a concrete worker count.
 ///
 /// `None` means "use every available core"; `Some(n)` pins the count
-/// (clamped to at least 1). `Some(1)` is the exact serial path — no
-/// threads are spawned at all.
+/// (clamped to at least 1). `Some(1)` is the exact serial path: neither
+/// these helpers nor the snapshot's abuse-index overlap spawn a thread.
+/// The one thread it does not govern is `EdgeRuns`'s seal worker in
+/// `segugio-graph`, a fixed stage of edge accumulation whose result does
+/// not depend on when it runs.
 pub fn resolve_parallelism(knob: Option<usize>) -> usize {
     match knob {
         Some(n) => n.max(1),

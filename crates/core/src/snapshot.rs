@@ -137,8 +137,13 @@ impl DaySnapshot {
     /// chunked path above, or a caller streaming its own accumulation):
     /// abuse index, labeling, optional probe filter, and pruning — the
     /// second half of [`build`](Self::build).
+    ///
+    /// The abuse index reads only the pDNS store and the seed labels, never
+    /// the graph, so with more than one worker
+    /// ([`effective_parallelism`](SegugioConfig::effective_parallelism))
+    /// it is built on a second thread while this one labels and prunes.
     pub fn from_unpruned_graph(
-        mut graph: BehaviorGraph,
+        graph: BehaviorGraph,
         input: &SnapshotInput<'_>,
         config: &SegugioConfig,
     ) -> Self {
@@ -147,8 +152,29 @@ impl DaySnapshot {
         let window = input
             .day
             .lookback_exclusive(config.features.abuse_window_days);
-        let abuse = AbuseIndex::build(input.pdns, window, |d| input.seed_label(d));
+        let build_abuse = || AbuseIndex::build(input.pdns, window, |d| input.seed_label(d));
+        if config.effective_parallelism() == 1 {
+            let abuse = build_abuse();
+            return Self::label_and_prune(graph, input, config, || abuse);
+        }
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(build_abuse);
+            Self::label_and_prune(graph, input, config, || {
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+        })
+    }
 
+    /// Labeling, the optional probe filter and pruning; then `abuse`
+    /// hands over the abuse index.
+    fn label_and_prune(
+        mut graph: BehaviorGraph,
+        input: &SnapshotInput<'_>,
+        config: &SegugioConfig,
+        abuse: impl FnOnce() -> AbuseIndex,
+    ) -> Self {
         // Labeling (with hidden-set override).
         apply_labels_with(&mut graph, |id, e2ld| {
             if input.hidden.is_some_and(|h| h.contains(&id)) {
@@ -180,7 +206,7 @@ impl DaySnapshot {
 
         DaySnapshot {
             graph,
-            abuse,
+            abuse: abuse(),
             prune_stats,
             unpruned_counts,
             unpruned_domain_labels,

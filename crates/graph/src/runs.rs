@@ -15,6 +15,14 @@
 //! whose scatter pass copies each head's slice of the column into its
 //! machine's bucket, whatever the number of runs.
 //!
+//! A full run is sealed on a worker thread while pushes fill the next
+//! one: the worker groups it, spills it and drops its pairs, so at most
+//! two runs' pairs are resident — the open one and the one in flight.
+//! Only one run is ever in flight; the next seal, and every reader of
+//! the value, first waits for it. Where it lands does not depend on when
+//! the worker finishes, so every result equals sealing on the pushing
+//! thread.
+//!
 //! The scratch file is unlinked right after creation, so the OS reclaims
 //! it when the value is dropped, even on abnormal exit. If the scratch
 //! disk fails, sealed runs stay in memory in the same grouped form:
@@ -22,11 +30,16 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::OnceLock;
+use std::thread::{self, JoinHandle};
 
 use segugio_model::{DomainId, MachineId};
 
-/// Default per-run pair capacity: 4Mi pairs ≈ 32 MiB resident. A
+/// Default per-run pair capacity: 4Mi pairs, 32 MiB per run buffer and
+/// at most two resident (the open run and the one being sealed). A
 /// paper-scale day of ~320M observations seals ~80 runs; since runs are
 /// read back unmerged, their number adds no work per edge.
 pub const DEFAULT_RUN_CAPACITY: usize = 4 << 20;
@@ -92,13 +105,6 @@ impl Stored for [(MachineId, DomainId)] {
 )]
 static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// The unlinked scratch file: `bytes` of sealed runs from offset 0.
-#[derive(Debug)]
-struct Spill {
-    file: File,
-    bytes: u64,
-}
-
 /// One sealed run: the machines it holds and where its heads and domain
 /// column live.
 #[derive(Debug, Clone)]
@@ -114,6 +120,16 @@ struct Run {
     place: Place,
 }
 
+impl Run {
+    /// Bytes the run takes in the scratch file, or 0 when resident.
+    fn spilled_bytes(&self) -> u64 {
+        match self.place {
+            Place::Spilled(_) => (self.head_bytes + self.ids * ID_BYTES) as u64,
+            Place::Resident { .. } => 0,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Place {
     /// At this offset of the scratch file: the heads, then the column.
@@ -122,20 +138,88 @@ enum Place {
     Resident { heads: Vec<u8>, column: Vec<u32> },
 }
 
+/// A full run a worker thread is sealing while the next one fills.
+struct InFlight {
+    /// The sealed run, once a reader has waited for it.
+    landed: OnceLock<Run>,
+    /// The worker's sealed run, or its panic.
+    result: Receiver<thread::Result<Run>>,
+    /// Joined on drop, so no worker outlives its run.
+    worker: Option<JoinHandle<()>>,
+}
+
+impl InFlight {
+    /// Runs `seal` on a new worker thread.
+    fn spawn(seal: impl FnOnce() -> Run + Send + 'static) -> Self {
+        let (done, result) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            // `Drop` joins the worker before the receiver goes, so the
+            // send cannot fail.
+            let _ = done.send(panic::catch_unwind(AssertUnwindSafe(seal)));
+        });
+        InFlight {
+            landed: OnceLock::new(),
+            result,
+            worker: Some(worker),
+        }
+    }
+
+    /// The sealed run, waiting for the worker if it is still sealing.
+    /// A worker panic resumes on the caller.
+    fn run(&self) -> &Run {
+        self.landed.get_or_init(|| self.wait())
+    }
+
+    /// The sealed run, by value.
+    fn into_run(mut self) -> Run {
+        match self.landed.take() {
+            Some(run) => run,
+            None => self.wait(),
+        }
+    }
+
+    /// Receives the worker's run; its panic resumes here.
+    #[expect(
+        clippy::panic,
+        reason = "a reader already resumed the worker's panic; its run is lost and no result may be built without it"
+    )]
+    fn wait(&self) -> Run {
+        match self.result.recv() {
+            Ok(Ok(run)) => run,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("edge runs: the seal worker panicked and its run is lost"),
+        }
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            // A panic was caught on the worker and lives in `result`.
+            let _ = worker.join();
+        }
+    }
+}
+
 /// Fixed-capacity deduplicated edge runs, spillable to disk.
 ///
 /// Push every `(machine, domain)` query observation of a day (duplicates
 /// welcome), then hand the whole value to
 /// [`GraphBuilder::from_runs`](crate::GraphBuilder::from_runs), or
 /// [`collect_merged`](Self::collect_merged) the deduplicated edge list.
+///
+/// The value is `Send` but not `Sync`: its readers take `&self` and may
+/// have to wait for the run a worker is sealing.
 pub struct EdgeRuns {
     capacity: usize,
     /// The one mutable in-RAM run; in push order until sealed.
     current: Vec<(MachineId, DomainId)>,
     /// Sealed runs in seal order, spilled or (after a scratch-file
-    /// failure) resident.
+    /// failure) resident; the one in flight follows them.
     sealed: Vec<Run>,
-    spill: Option<Spill>,
+    in_flight: Option<InFlight>,
+    /// The unlinked scratch file the spilled runs fill from offset 0.
+    spill: Option<File>,
     /// Total observations pushed (pre-dedup), for telemetry.
     observations: u64,
 }
@@ -154,6 +238,7 @@ impl EdgeRuns {
             capacity: capacity.clamp(1, u32::MAX as usize),
             current: Vec::new(),
             sealed: Vec::new(),
+            in_flight: None,
             spill: None,
             observations: 0,
         }
@@ -171,29 +256,36 @@ impl EdgeRuns {
 
     /// Number of sealed runs that live in the scratch file.
     pub fn spilled_runs(&self) -> usize {
-        self.sealed
-            .iter()
+        self.runs()
             .filter(|run| matches!(run.place, Place::Spilled(_)))
             .count()
     }
 
     /// Bytes currently held by the scratch file.
     pub fn spilled_bytes(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.bytes)
+        self.runs().map(Run::spilled_bytes).sum()
+    }
+
+    /// Every sealed run in seal order, the one in flight last once its
+    /// worker has finished it.
+    fn runs(&self) -> impl Iterator<Item = &Run> {
+        self.sealed
+            .iter()
+            .chain(self.in_flight.as_ref().map(InFlight::run))
     }
 
     /// Smallest and largest raw machine ids pushed, or `None` when empty:
     /// the sealed runs' recorded spans and a scan of the open run.
     pub(crate) fn machine_span(&self) -> Option<(u32, u32)> {
-        self.sealed
-            .iter()
+        self.runs()
             .map(|run| (run.first, run.last))
             .chain(machine_span(&self.current))
             .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
     }
 
-    /// Records one query observation. Never fails: if the scratch disk is
-    /// unusable the sealed run stays resident in memory instead.
+    /// Records one query observation. No I/O error fails it: if the
+    /// scratch disk is unusable the sealed run stays resident in memory
+    /// instead.
     pub fn push(&mut self, machine: MachineId, domain: DomainId) {
         if self.current.len() >= self.capacity {
             self.seal();
@@ -214,63 +306,31 @@ impl EdgeRuns {
     pub fn clear(&mut self) {
         self.current.clear();
         self.sealed.clear();
+        self.in_flight = None;
         self.spill = None;
         self.observations = 0;
     }
 
-    /// Groups and dedups the open run, then moves it out of RAM (spill
-    /// file first, resident in grouped form as the no-disk fallback).
+    /// Hands the open run to a worker that groups, dedups and spills it
+    /// (resident in grouped form as the no-disk fallback), after the run
+    /// in flight before it has landed. Pushes continue into a new buffer.
     fn seal(&mut self) {
-        let Some((first, last)) = machine_span(&self.current) else {
+        let Some(span) = machine_span(&self.current) else {
             return;
         };
-        let (ends, column) = match group_by_machine((first, last), self.current.as_slice()) {
-            Ok((ends, column, _)) => (ends, column),
-            Err(err) => unreachable!("a run of at most u32::MAX pairs always groups: {err}"),
-        };
-        self.current.clear();
-        let heads = encode_heads(first, &ends);
-        drop(ends);
-        let (head_bytes, ids) = (heads.len(), column.len());
-        let place = match self.try_spill(&heads, &column) {
-            Ok(offset) => Place::Spilled(offset),
-            Err(_) => Place::Resident { heads, column },
-        };
-        self.sealed.push(Run {
-            first,
-            last,
-            head_bytes,
-            ids,
-            place,
-        });
-    }
-
-    /// Appends one grouped run to the scratch file, returning its offset.
-    fn try_spill(&mut self, heads: &[u8], column: &[u32]) -> io::Result<u64> {
+        if let Some(previous) = self.in_flight.take() {
+            self.sealed.push(previous.into_run());
+        }
         if self.spill.is_none() {
-            self.spill = Some(Spill {
-                file: create_scratch_file()?,
-                bytes: 0,
-            });
+            self.spill = create_scratch_file().ok();
         }
-        // The `?` early-returns leave `bytes` unrecorded, so a torn append
-        // is overwritten by the next successful one.
-        let Some(spill) = self.spill.as_mut() else {
-            return Err(io::Error::other("spill state vanished"));
-        };
-        let offset = spill.bytes;
-        spill.file.seek(SeekFrom::Start(offset))?;
-        spill.file.write_all(heads)?;
-        let mut buf = vec![0u8; CHUNK_BYTES.min(column.len() * ID_BYTES)];
-        for ids in column.chunks(CHUNK_BYTES / ID_BYTES) {
-            let bytes = &mut buf[..ids.len() * ID_BYTES];
-            for (le, &d) in bytes.chunks_exact_mut(ID_BYTES).zip(ids) {
-                le.copy_from_slice(&d.to_le_bytes());
-            }
-            spill.file.write_all(bytes)?;
-        }
-        spill.bytes += (heads.len() + column.len() * ID_BYTES) as u64;
-        Ok(offset)
+        // The worker writes through its own handle, after the last run
+        // spilled: a failed append is recorded nowhere, so the next one
+        // overwrites it.
+        let file = self.spill.as_ref().and_then(|file| file.try_clone().ok());
+        let offset = self.spilled_bytes();
+        let pairs = std::mem::take(&mut self.current);
+        self.in_flight = Some(InFlight::spawn(move || seal_run(span, pairs, file, offset)));
     }
 
     /// A sealed run's encoded heads: in memory, or read from the scratch
@@ -290,9 +350,8 @@ impl EdgeRuns {
 
     /// The scratch file every spilled run lives in.
     fn spill_file(&self) -> io::Result<&File> {
-        let spill = self.spill.as_ref();
-        spill
-            .map(|s| &s.file)
+        self.spill
+            .as_ref()
             .ok_or_else(|| corrupt("a spilled run without its scratch file"))
     }
 
@@ -313,41 +372,91 @@ impl EdgeRuns {
         Ok(grouped_pairs(span.0, &ends, &column).collect())
     }
 
-    /// Copies the accumulated state, duplicating the scratch file.
+    /// Copies the accumulated state, duplicating the scratch file; the
+    /// run in flight lands in both first.
     fn try_clone(&self) -> io::Result<Self> {
-        let spill = match &self.spill {
+        let sealed: Vec<Run> = self.runs().cloned().collect();
+        let spill = match self.spill.as_ref() {
             None => None,
-            Some(spill) => {
+            Some(mut src) => {
+                let bytes = self.spilled_bytes();
                 let mut file = create_scratch_file()?;
-                let mut src = &spill.file;
                 src.seek(SeekFrom::Start(0))?;
-                let copied = io::copy(&mut src.take(spill.bytes), &mut file)?;
-                if copied != spill.bytes {
+                let copied = io::copy(&mut src.take(bytes), &mut file)?;
+                if copied != bytes {
                     return Err(io::Error::other("scratch file truncated during clone"));
                 }
-                Some(Spill { file, ..*spill })
+                Some(file)
             }
         };
         Ok(EdgeRuns {
             capacity: self.capacity,
             current: self.current.clone(),
-            sealed: self.sealed.clone(),
+            sealed,
+            in_flight: None,
             spill,
             observations: self.observations,
         })
     }
 
-    /// Number of sealed runs (resident + spilled), excluding the open one.
+    /// Number of sealed runs (resident + spilled, in flight or landed),
+    /// excluding the open one.
     #[cfg(test)]
     fn sealed_runs(&self) -> usize {
-        self.sealed.len()
+        self.runs().count()
     }
 
     /// Stored pairs over all sealed runs: the ids their columns hold.
     #[cfg(test)]
     fn sealed_ids_total(&self) -> usize {
-        self.sealed.iter().map(|run| run.ids).sum()
+        self.runs().map(|run| run.ids).sum()
     }
+}
+
+/// Seals a full run: groups and dedups `pairs` (machine ids in `span`),
+/// drops them, then appends the grouped run to `file` at `offset`, or
+/// keeps it resident when there is no file or the append fails.
+fn seal_run(
+    (first, last): (u32, u32),
+    pairs: Vec<(MachineId, DomainId)>,
+    file: Option<File>,
+    offset: u64,
+) -> Run {
+    let (ends, column) = match group_by_machine((first, last), pairs.as_slice()) {
+        Ok((ends, column, _)) => (ends, column),
+        Err(err) => unreachable!("a run of at most u32::MAX pairs always groups: {err}"),
+    };
+    drop(pairs);
+    let heads = encode_heads(first, &ends);
+    drop(ends);
+    let (head_bytes, ids) = (heads.len(), column.len());
+    let place = match file.map(|file| spill_at(file, offset, &heads, &column)) {
+        Some(Ok(())) => Place::Spilled(offset),
+        _ => Place::Resident { heads, column },
+    };
+    Run {
+        first,
+        last,
+        head_bytes,
+        ids,
+        place,
+    }
+}
+
+/// Writes one grouped run at `offset` of the scratch file: the heads,
+/// then the column as little-endian ids.
+fn spill_at(mut file: File, offset: u64, heads: &[u8], column: &[u32]) -> io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(heads)?;
+    let mut buf = vec![0u8; CHUNK_BYTES.min(column.len() * ID_BYTES)];
+    for ids in column.chunks(CHUNK_BYTES / ID_BYTES) {
+        let bytes = &mut buf[..ids.len() * ID_BYTES];
+        for (le, &d) in bytes.chunks_exact_mut(ID_BYTES).zip(ids) {
+            le.copy_from_slice(&d.to_le_bytes());
+        }
+        file.write_all(bytes)?;
+    }
+    Ok(())
 }
 
 /// Sealed runs head by head (count) or slice by slice (scatter), then the
@@ -355,7 +464,7 @@ impl EdgeRuns {
 impl Stored for EdgeRuns {
     fn count(&self, mut sink: impl FnMut(Counted<'_>)) -> io::Result<()> {
         let mut buf = Vec::new();
-        for run in &self.sealed {
+        for run in self.runs() {
             for_each_head(run, self.heads(run, &mut buf)?, |machine, count| {
                 sink(Counted::Head(machine, count));
                 Ok(())
@@ -368,7 +477,7 @@ impl Stored for EdgeRuns {
     fn scatter(&self, mut sink: impl FnMut(Scattered<'_>)) -> io::Result<()> {
         let mut buf = Vec::new();
         let mut chunk = Column::default();
-        for run in &self.sealed {
+        for run in self.runs() {
             let heads = self.heads(run, &mut buf)?;
             match &run.place {
                 Place::Resident { column, .. } => {
@@ -475,7 +584,7 @@ impl std::fmt::Debug for EdgeRuns {
             .field("capacity", &self.capacity)
             .field("observations", &self.observations)
             .field("open_pairs", &self.current.len())
-            .field("sealed_runs", &self.sealed.len())
+            .field("sealed_runs", &self.runs().count())
             .field("spilled_runs", &self.spilled_runs())
             .field("spilled_bytes", &self.spilled_bytes())
             .finish()
@@ -786,8 +895,7 @@ mod tests {
     /// scratch-file open, the runs stay resident and nothing spills.
     fn grouped_bytes(runs: &EdgeRuns) -> u64 {
         let bytes = runs
-            .sealed
-            .iter()
+            .runs()
             .map(|run| (run.head_bytes + run.ids * ID_BYTES) as u64)
             .sum();
         assert!(runs.spilled_bytes() == bytes || runs.spilled_runs() == 0);
@@ -959,6 +1067,94 @@ mod tests {
             .collect_merged()
             .expect("merge")
             .contains(&pair(100, 100)));
+    }
+
+    /// Reads (merge and CSR build) with a seal in flight, then pushes more
+    /// (the next seal lands the read run) and reads again.
+    #[test]
+    fn reads_wait_for_the_run_in_flight() {
+        let mut pushed: Vec<_> = (0..2000u32).map(|i| pair(i * 7 % 300, i % 90)).collect();
+        let mut runs = EdgeRuns::with_run_capacity(1500);
+        runs.extend(pushed.iter().copied());
+        assert!(runs.in_flight.is_some() && runs.sealed.is_empty());
+        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
+        assert_builds_like_queries(&runs, &pushed);
+        let more: Vec<_> = (0..1500u32).map(|i| pair(i % 400 + 100, i % 70)).collect();
+        runs.extend(more.iter().copied());
+        pushed.extend(more);
+        assert!(runs.in_flight.is_some() && runs.sealed.len() == 1);
+        assert_eq!(runs.sealed_runs(), 2);
+        assert_eq!(runs.collect_merged().expect("merge"), reference(&pushed));
+        assert_builds_like_queries(&runs, &pushed);
+    }
+
+    /// A clone taken with a spilled run in flight holds that run's bytes in
+    /// its own scratch file, and outlives the original.
+    #[test]
+    fn clone_copies_the_run_in_flight() {
+        let pushed: Vec<_> = (0..900u32).map(|i| pair(i % 50, i % 13)).collect();
+        let mut runs = EdgeRuns::with_run_capacity(400);
+        runs.extend(pushed.iter().copied());
+        assert!(runs.in_flight.is_some() && runs.sealed.len() == 1);
+        let copy = runs.clone();
+        assert!(copy.in_flight.is_none() && copy.sealed.len() == 2);
+        assert_eq!(copy.spilled_runs(), runs.spilled_runs());
+        assert_eq!(copy.spilled_bytes(), runs.spilled_bytes());
+        assert!(cfg!(miri) || copy.spilled_runs() == 2, "{copy:?}");
+        drop(runs);
+        assert_eq!(copy.collect_merged().expect("merge"), reference(&pushed));
+        assert_builds_like_queries(&copy, &pushed);
+    }
+
+    /// Right after the last push the run in flight already counts as
+    /// spilled, as the benchmark's trace reads it.
+    #[test]
+    fn spill_counts_include_the_run_in_flight() {
+        let capacity = 16;
+        let pushed: Vec<_> = (0..9 * capacity as u32 + 1)
+            .map(|i| pair(i % 37, i % 11))
+            .collect();
+        let mut runs = EdgeRuns::with_run_capacity(capacity);
+        runs.extend(pushed.iter().copied());
+        assert!(runs.in_flight.is_some());
+        let spilled = if cfg!(miri) { 0 } else { 9 };
+        assert_eq!(runs.spilled_runs(), spilled);
+        assert_eq!(runs.sealed_runs(), 9);
+        let bytes = grouped_bytes(&runs);
+        assert_eq!(runs.spilled_bytes(), if cfg!(miri) { 0 } else { bytes });
+        assert_eq!(format!("{runs:?}").matches("sealed_runs: 9").count(), 1);
+    }
+
+    /// Dropping the accumulator with a seal in flight waits for the
+    /// worker: nothing it holds outlives the drop. The pass does not
+    /// depend on timing; the worker's sleep only keeps a drop that did
+    /// not join from finishing after the worker.
+    #[test]
+    fn drop_joins_the_seal_worker() {
+        let mut runs = EdgeRuns::with_run_capacity(8);
+        let pushed: Vec<_> = (0..9u32).map(|i| pair(i, i)).collect();
+        runs.extend(pushed.iter().copied());
+        assert!(runs.in_flight.is_some());
+        let held = std::sync::Arc::new(());
+        let on_worker = std::sync::Arc::clone(&held);
+        runs.in_flight = Some(InFlight::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(on_worker);
+            seal_run((0, 7), pushed[..8].to_vec(), None, 0)
+        }));
+        drop(runs);
+        assert_eq!(std::sync::Arc::strong_count(&held), 1);
+    }
+
+    /// A worker's panic resumes on the reader that waits for it, and any
+    /// later reader panics too instead of waiting forever.
+    #[test]
+    fn a_seal_worker_panic_reaches_its_readers() {
+        let flight = InFlight::spawn(|| panic!("seal failed"));
+        let read = || panic::catch_unwind(AssertUnwindSafe(|| flight.run().ids));
+        let payload = read().unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"seal failed"));
+        assert!(read().is_err());
     }
 
     /// One machine stores more distinct domains in a run than a column

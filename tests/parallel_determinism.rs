@@ -1,12 +1,14 @@
 //! The parallel pipeline's contract: output is bit-for-bit identical at
 //! every `parallelism` setting — serial `Some(1)`, pinned `Some(2)` /
-//! `Some(4)`, and the auto default — across snapshot building, training,
-//! and scoring, and across a multi-day [`Tracker`] deployment.
+//! `Some(4)`, and the auto default — across snapshot building (in memory,
+//! and from edge runs sealed on their worker thread), training, and
+//! scoring, and across a multi-day [`Tracker`] deployment.
 
 use segugio_core::{
     measure_day, DayReport, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
     Tracker, TrackerConfig,
 };
+use segugio_graph::EdgeRuns;
 use segugio_traffic::{IspConfig, IspNetwork};
 
 /// What [`run_day`] returns: model file, detections, training rows, scores.
@@ -92,6 +94,47 @@ fn parallel_pipeline_is_bit_identical_to_serial() {
     }
 }
 
+/// Every field of two snapshots, through the graph's public accessors.
+fn assert_same_snapshot(got: &DaySnapshot, want: &DaySnapshot, what: &str) {
+    let (g, w) = (&got.graph, &want.graph);
+    assert_eq!(g.day(), w.day(), "{what}: day");
+    assert_eq!(g.machine_count(), w.machine_count(), "{what}: machines");
+    assert_eq!(g.domain_count(), w.domain_count(), "{what}: domains");
+    assert_eq!(g.edge_count(), w.edge_count(), "{what}: edges");
+    for m in w.machine_indices() {
+        assert_eq!(g.machine_id(m), w.machine_id(m), "{what}: machine id");
+        assert_eq!(
+            g.machine_label(m),
+            w.machine_label(m),
+            "{what}: machine label"
+        );
+        assert_eq!(
+            g.machine_malware_degree(m),
+            w.machine_malware_degree(m),
+            "{what}: malware degree"
+        );
+        assert!(
+            g.domains_of(m).eq(w.domains_of(m)),
+            "{what}: machine adjacency"
+        );
+    }
+    for d in w.domain_indices() {
+        assert_eq!(g.domain_id(d), w.domain_id(d), "{what}: domain id");
+        assert_eq!(g.domain_e2ld(d), w.domain_e2ld(d), "{what}: e2LD");
+        assert_eq!(g.domain_ips(d), w.domain_ips(d), "{what}: resolved IPs");
+        assert_eq!(g.domain_degree(d), w.domain_degree(d), "{what}: degree");
+        assert_eq!(g.domain_label(d), w.domain_label(d), "{what}: domain label");
+    }
+    assert!(got.abuse == want.abuse, "{what}: abuse index");
+    assert_eq!(got.prune_stats, want.prune_stats, "{what}: prune stats");
+    assert_eq!(got.unpruned_counts, want.unpruned_counts, "{what}");
+    assert_eq!(got.unpruned_domain_labels, want.unpruned_domain_labels);
+    assert_eq!(got.unpruned_machine_labels, want.unpruned_machine_labels);
+}
+
+/// The in-memory build at every width, and the runs-based build at every
+/// width with a run capacity that seals dozens of runs (each on the seal
+/// worker, beside the next one filling), equal the serial in-memory build.
 #[test]
 fn snapshot_build_is_identical_at_any_parallelism() {
     let mut isp = IspNetwork::new(IspConfig::tiny(78));
@@ -107,38 +150,24 @@ fn snapshot_build_is_identical_at_any_parallelism() {
         whitelist: isp.whitelist(),
         hidden: None,
     };
-    let serial = DaySnapshot::build(
-        &input,
-        &SegugioConfig {
-            parallelism: Some(1),
-            ..SegugioConfig::default()
-        },
-    );
+    let at = |threads| SegugioConfig {
+        parallelism: Some(threads),
+        ..SegugioConfig::default()
+    };
+    let serial = DaySnapshot::build(&input, &at(1));
     for threads in [2usize, 4, 8] {
-        let parallel = DaySnapshot::build(
-            &input,
-            &SegugioConfig {
-                parallelism: Some(threads),
-                ..SegugioConfig::default()
-            },
-        );
-        assert_eq!(parallel.graph.machine_count(), serial.graph.machine_count());
-        assert_eq!(parallel.graph.domain_count(), serial.graph.domain_count());
-        assert_eq!(parallel.graph.edge_count(), serial.graph.edge_count());
-        for d in serial.graph.domain_indices() {
-            assert_eq!(
-                parallel.graph.machines_of(d).collect::<Vec<_>>(),
-                serial.graph.machines_of(d).collect::<Vec<_>>(),
-                "domain adjacency differs at {threads} threads"
-            );
-        }
-        for m in serial.graph.machine_indices() {
-            assert_eq!(
-                parallel.graph.domains_of(m).collect::<Vec<_>>(),
-                serial.graph.domains_of(m).collect::<Vec<_>>(),
-                "machine adjacency differs at {threads} threads"
-            );
-        }
+        let parallel = DaySnapshot::build(&input, &at(threads));
+        assert_same_snapshot(&parallel, &serial, &format!("in memory at {threads}"));
+    }
+    // The tiny day's ~9k observations seal in 36 runs.
+    let run_capacity = 256;
+    assert!(traffic.queries.len() >= 24 * run_capacity);
+    for threads in [1usize, 2, 4, 8] {
+        let mut runs = EdgeRuns::with_run_capacity(run_capacity);
+        runs.extend(traffic.queries.iter().copied());
+        let streamed = DaySnapshot::build_from_runs(&input, &runs, &at(threads))
+            .expect("the scratch file reads back");
+        assert_same_snapshot(&streamed, &serial, &format!("from runs at {threads}"));
     }
 }
 

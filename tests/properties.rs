@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests: invariants that must hold for *any*
 //! input, checked with proptest-generated data.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use segugio_graph::labeling::apply_seed_labels;
@@ -8,8 +10,9 @@ use segugio_graph::{GraphBuilder, PruneConfig};
 use segugio_model::{Day, DomainId, E2ldId, Label, MachineId};
 
 proptest! {
-    /// Graph building: adjacency is symmetric — m lists d iff d lists m —
-    /// and edge counts agree in both directions.
+    /// Graph building: the machine side lists exactly the distinct input
+    /// edges, each domain's degree is its distinct queriers in the input,
+    /// and the degrees sum to the edge count.
     #[test]
     fn graph_adjacency_is_symmetric(
         edges in proptest::collection::vec((0u32..40, 0u32..60), 1..300)
@@ -19,15 +22,22 @@ proptest! {
             b.add_query(MachineId(m), DomainId(d));
         }
         let g = b.build();
-        let forward: usize = g.machine_indices().map(|m| g.domains_of(m).count()).sum();
-        let backward: usize = g.domain_indices().map(|d| g.machines_of(d).count()).sum();
-        prop_assert_eq!(forward, g.edge_count());
-        prop_assert_eq!(backward, g.edge_count());
-        for m in g.machine_indices() {
-            for d in g.domains_of(m) {
-                prop_assert!(g.machines_of(d).any(|mm| mm == m));
-            }
+        let distinct: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+        let listed: BTreeSet<(u32, u32)> = g
+            .machine_indices()
+            .flat_map(|m| g.domains_of(m).map(move |d| (m, d)))
+            .map(|(m, d)| (g.machine_id(m).0, g.domain_id(d).0))
+            .collect();
+        prop_assert_eq!(&listed, &distinct);
+        let mut degree_sum = 0;
+        for d in g.domain_indices() {
+            let id = g.domain_id(d).0;
+            let queriers = distinct.iter().filter(|&&(_, dd)| dd == id).count();
+            prop_assert_eq!(g.domain_degree(d), queriers);
+            degree_sum += g.domain_degree(d);
         }
+        prop_assert_eq!(degree_sum, g.edge_count());
+        prop_assert_eq!(distinct.len(), g.edge_count());
     }
 
     /// Pruning never increases any count, and the stats always reconcile
