@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
-use segugio_bench::parse_section;
+use segugio_bench::CeilingSection;
 use segugio_core::{
     calibrate, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
 };
@@ -203,22 +203,16 @@ fn main() {
     // --- Enforce the checked-in budget: every measured phase within its
     //     ceiling, every phase budgeted, every entry a measured phase. ---
     let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("alloc-budget.toml");
-    let text = std::fs::read_to_string(&budget_path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", budget_path.display()));
-    let budget = parse_section(&text, "alloc-budget");
+    let budget =
+        CeilingSection::read(&budget_path, "alloc-budget").unwrap_or_else(|e| panic!("{e}"));
     let mut drift = Vec::new();
     for (name, c) in &phases {
-        match budget.get(*name) {
-            Some(&ceiling) if c.allocs > ceiling => drift.push(format!(
-                "phase `{name}`: {} allocations exceed the budgeted {ceiling}",
-                c.allocs
-            )),
-            Some(_) => {}
-            None => drift.push(format!("phase `{name}` is measured but unbudgeted")),
+        if let Err(e) = budget.check(name, c.allocs) {
+            drift.push(format!("phase `{name}` allocations: {e}"));
         }
     }
     for name in budget.keys() {
-        if !phases.contains_key(name.as_str()) {
+        if !phases.contains_key(name) {
             drift.push(format!("budget entry `{name}` is stale: no such phase"));
         }
     }

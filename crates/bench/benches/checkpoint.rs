@@ -14,15 +14,15 @@
 //! `SEGUGIO_BENCH_SCALE=ci` runs a reduced population. The checked-in
 //! ceilings live in `crates/bench/checkpoint-ceiling.toml`; the run
 //! fails if the newest generation's on-disk bytes or the per-iteration
-//! save/restore allocation counts exceed the mode's ceilings.
+//! save/restore allocation counts exceed the mode's ceilings, and if a
+//! ceiling is missing or not a plain integer.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
-use segugio_bench::parse_section;
+use segugio_bench::CeilingSection;
 use segugio_core::{Tracker, TrackerConfig};
 use segugio_traffic::{DayTraffic, IspConfig, IspNetwork};
 
@@ -55,24 +55,6 @@ impl ScratchDir {
 impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Asserts `value <= ceiling[mode]` for one section of the ceiling file.
-fn gate(ceilings: &BTreeMap<String, u64>, section: &str, mode: &str, value: u64, path: &Path) {
-    match ceilings.get(mode) {
-        Some(&ceiling) => {
-            assert!(
-                value <= ceiling,
-                "{section} {value} exceeds the `{mode}` ceiling {ceiling} in {}",
-                path.display()
-            );
-            eprintln!("{section} {value} within `{mode}` ceiling {ceiling}");
-        }
-        None => eprintln!(
-            "warning: no `{mode}` entry under [{section}] in {}; unchecked",
-            path.display()
-        ),
     }
 }
 
@@ -223,33 +205,14 @@ fn main() {
 
     // --- Enforce the checked-in shrink-only ceilings. ---
     let ceiling_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("checkpoint-ceiling.toml");
-    match fs::read_to_string(&ceiling_path) {
-        Ok(text) => {
-            gate(
-                &parse_section(&text, "checkpoint_bytes"),
-                "checkpoint_bytes",
-                mode,
-                checkpoint_bytes,
-                &ceiling_path,
-            );
-            gate(
-                &parse_section(&text, "save_allocs"),
-                "save_allocs",
-                mode,
-                save_allocs_per_iter,
-                &ceiling_path,
-            );
-            gate(
-                &parse_section(&text, "restore_allocs"),
-                "restore_allocs",
-                mode,
-                restore_allocs_per_iter,
-                &ceiling_path,
-            );
-        }
-        Err(_) => eprintln!(
-            "no ceiling file at {}; skipping ceiling checks",
-            ceiling_path.display()
-        ),
+    for (section, value) in [
+        ("checkpoint_bytes", checkpoint_bytes),
+        ("save_allocs", save_allocs_per_iter),
+        ("restore_allocs", restore_allocs_per_iter),
+    ] {
+        let ceiling = CeilingSection::read(&ceiling_path, section)
+            .and_then(|ceilings| ceilings.check(mode, value))
+            .unwrap_or_else(|e| panic!("{e}"));
+        eprintln!("{section} {value} within `{mode}` ceiling {ceiling}");
     }
 }

@@ -13,13 +13,14 @@
 //! to also write it to a file. `SEGUGIO_BENCH_SCALE=ci` runs a reduced
 //! population (CI gates the same memory ceiling at that scale). The
 //! checked-in ceilings live in `crates/bench/scale-ceiling.toml`; the run
-//! fails if its overall peak exceeds the mode's ceiling.
+//! fails if its overall peak exceeds the mode's ceiling, and if that
+//! ceiling is missing or not a plain integer.
 
 use std::path::Path;
 use std::time::Instant;
 
 use segugio_alloc_probe::{measure, CountingAlloc, PhaseCounts};
-use segugio_bench::parse_section;
+use segugio_bench::CeilingSection;
 use segugio_core::{
     calibrate, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
 };
@@ -216,30 +217,11 @@ fn main() {
 
     // --- Enforce the checked-in peak-memory ceiling. ---
     let ceiling_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scale-ceiling.toml");
-    if let Ok(text) = std::fs::read_to_string(&ceiling_path) {
-        let ceilings = parse_section(&text, "peak_bytes");
-        match ceilings.get(mode) {
-            Some(&ceiling) => {
-                assert!(
-                    overall_peak <= ceiling,
-                    "peak live bytes {overall_peak} exceed the `{mode}` ceiling {ceiling} \
-                     in {}",
-                    ceiling_path.display()
-                );
-                eprintln!(
-                    "peak {overall_peak} bytes within `{mode}` ceiling {ceiling} ({})",
-                    ceiling_path.display()
-                );
-            }
-            None => eprintln!(
-                "warning: no `{mode}` entry in {}; peak unchecked",
-                ceiling_path.display()
-            ),
-        }
-    } else {
-        eprintln!(
-            "no ceiling file at {}; skipping peak check",
-            ceiling_path.display()
-        );
-    }
+    let ceiling = CeilingSection::read(&ceiling_path, "peak_bytes")
+        .and_then(|ceilings| ceilings.check(mode, overall_peak))
+        .unwrap_or_else(|e| panic!("peak live bytes: {e}"));
+    eprintln!(
+        "peak {overall_peak} bytes within `{mode}` ceiling {ceiling} ({})",
+        ceiling_path.display()
+    );
 }

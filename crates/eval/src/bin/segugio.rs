@@ -5,7 +5,7 @@
 //!     run a reproduction experiment and print its table/figure
 //!     names: dataset, crossday, ablation, crossfamily, fp-analysis,
 //!            public-blacklist, early-detection, performance, notos,
-//!            bp, robustness, all
+//!            bp, robustness, seed-sensitivity, design-ablations, all
 //!
 //! segugio simulate --out FILE [--machines N] [--days D] [--seed S]
 //!     generate synthetic resolver logs (TSV) plus ground-truth sidecar
@@ -61,7 +61,7 @@
 //! | 0    | success                                             |
 //! | 2    | usage error (bad command, flag, or value)           |
 //! | 3    | I/O error (file missing/unreadable/unwritable)      |
-//! | 4    | ingest error (malformed logs, quarantine exceeded)  |
+//! | 4    | ingest error (a malformed log line, a read failure) |
 //! | 5    | model parse error (corrupt/incompatible model file) |
 //! | 6    | data error (no traffic, insufficient seeds)         |
 //! | 7    | checkpoint error (unusable dir, unwritable state)   |
@@ -89,8 +89,9 @@ use segugio_core::{
     SnapshotInput, Tracker, TrackerConfig, TrainError, DEFAULT_KEEP_GENERATIONS,
 };
 use segugio_eval::experiments::{
-    ablation, bp_comparison, crossday, crossfamily, dataset, early_detection, fp_analysis,
-    notos_comparison, performance, public_blacklist, robustness, seed_sensitivity, Scale,
+    ablation, bp_comparison, crossday, crossfamily, dataset, design_ablations, early_detection,
+    fp_analysis, notos_comparison, performance, public_blacklist, robustness, seed_sensitivity,
+    Scale,
 };
 use segugio_ingest::{export_day, IngestError, IngestedDay, LogCollector, LogPosition};
 use segugio_model::container::DecodeError;
@@ -107,7 +108,8 @@ enum CliError {
         what: String,
         source: std::io::Error,
     },
-    /// Resolver logs failed to ingest (parse errors, quarantine).
+    /// Resolver logs failed to ingest: a line did not parse or the read
+    /// failed. The CLI reads fail-fast, so the first bad line ends it.
     Ingest(IngestError),
     /// A persisted model file failed to decode.
     Model(DecodeError),
@@ -237,7 +239,7 @@ USAGE:
 
 Experiments: dataset crossday ablation crossfamily fp-analysis
              public-blacklist early-detection performance notos bp
-             robustness seed-sensitivity all
+             robustness seed-sensitivity design-ablations all
 ";
 
 /// Parses `--key value` flags into a map, rejecting unknown keys.
@@ -311,6 +313,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), CliError> {
                     seed_sensitivity::run(scale, &[0.1, 0.25, 0.5, 0.75, 1.0])
                 );
             }
+            "design-ablations" => println!("{}", design_ablations::run(scale)),
             other => {
                 return Err(CliError::usage(format!(
                     "unknown experiment `{other}`\n\n{USAGE}"
@@ -334,6 +337,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), CliError> {
             "bp",
             "robustness",
             "seed-sensitivity",
+            "design-ablations",
         ] {
             println!("==================== {exp} ====================");
             run_one(exp, &scale)?;

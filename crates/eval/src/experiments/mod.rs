@@ -5,6 +5,7 @@ pub mod bp_comparison;
 pub mod crossday;
 pub mod crossfamily;
 pub mod dataset;
+pub mod design_ablations;
 pub mod early_detection;
 pub mod fp_analysis;
 pub mod notos_comparison;
@@ -62,7 +63,8 @@ impl Scale {
     }
 
     /// Paper-shaped scale: the `ISP1`/`ISP2` presets (tens of thousands of
-    /// machines). Used by the benches and examples.
+    /// machines). Used by `segugio experiment --scale paper` and the
+    /// examples.
     pub fn paper() -> Self {
         Scale {
             isp1: IspConfig::isp1(1001),

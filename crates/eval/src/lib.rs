@@ -20,6 +20,7 @@
 //! | [`experiments::bp_comparison`] | Section I loopy-BP pilot comparison |
 //! | [`experiments::robustness`] | Section VI: DHCP churn, scanner noise, infection enumeration |
 //! | [`experiments::seed_sensitivity`] | extension: blacklist-coverage sweep |
+//! | [`experiments::design_ablations`] | DESIGN §6: forest size, backend, pruning, activity window |
 
 #![warn(missing_docs)]
 // Hash-set/map iteration order differs per process, so it must not reach

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 
 use segugio_graph::EdgeRuns;
-use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId, ParseDomainError};
+use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId};
 use segugio_pdns::{ActivityStore, PassiveDns};
 
 use crate::error::{IngestError, ParseLogError};
@@ -162,32 +162,19 @@ impl LogCollector {
         let raw = RawRecord::split(payload, at.line_number())?;
         // The IPs are parsed before the qname is interned, so a line that
         // fails leaves no trace in the table.
-        match raw.parse_ips(ips) {
-            Ok(()) => self
-                .ingest_fields(raw.day, raw.client, raw.qname, ips, at)
-                .map_err(|e| raw.bad_domain(e)),
-            Err(ip_error) => {
-                // A bad qname outranks a bad IP list (field order).
-                DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
-                Err(ip_error)
-            }
+        if let Err(ip_error) = raw.parse_ips(ips) {
+            // A bad qname outranks a bad IP list (field order).
+            DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
+            return Err(ip_error);
         }
-    }
-
-    /// Ingests one record from borrowed fields, looking every id up before
-    /// anything is allocated — where the line-oriented readers end.
-    /// Nothing is touched when `qname` is new and invalid.
-    pub(crate) fn ingest_fields(
-        &mut self,
-        day: Day,
-        client: &str,
-        qname: &str,
-        ips: &[Ipv4],
-        at: LogPosition,
-    ) -> Result<(), ParseDomainError> {
-        let domain = self.table.intern_str(qname)?;
-        let machine = self.intern_machine(client);
-        self.commit(day, machine, domain, ips, at);
+        // Every id is looked up before anything is allocated; nothing is
+        // touched when the qname is new and invalid.
+        let domain = self
+            .table
+            .intern_str(raw.qname)
+            .map_err(|e| raw.bad_domain(e))?;
+        let machine = self.intern_machine(raw.client);
+        self.commit(raw.day, machine, domain, ips, at);
         Ok(())
     }
 
@@ -311,7 +298,7 @@ impl LogCollector {
                         ),
                     })
                 }
-                Line::Skipped(_) => {}
+                Line::Skipped => {}
                 Line::Payload(payload) => {
                     self.ingest_line(payload, at, &mut ips)
                         .map_err(IngestError::Parse)?;
@@ -404,7 +391,7 @@ impl LogCollector {
         scan_lines(reader, LogPosition::START, |at, line| {
             match line {
                 Line::BadEncoding => stats.bad_encoding += 1,
-                Line::Skipped(_) => stats.skipped_comments += 1,
+                Line::Skipped => stats.skipped_comments += 1,
                 Line::Payload(payload) => match LogRecord::parse(payload, at.line_number()) {
                     Ok(record) => parsed.push(record),
                     Err(e) => stats.note_parse(e.kind()),

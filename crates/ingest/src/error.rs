@@ -66,9 +66,8 @@ impl Error for ParseLogError {
 }
 
 /// Errors from reader-level ingestion
-/// ([`LogCollector::ingest_reader`](crate::LogCollector::ingest_reader),
-/// [`LogCollector::ingest_quarantined`](crate::LogCollector::ingest_quarantined)
-/// and the Zeek reader).
+/// ([`LogCollector::ingest_reader`](crate::LogCollector::ingest_reader)
+/// and [`LogCollector::ingest_quarantined`](crate::LogCollector::ingest_quarantined)).
 #[derive(Debug)]
 pub enum IngestError {
     /// A line failed to parse (fail-fast mode only; quarantined ingestion
@@ -80,13 +79,6 @@ pub enum IngestError {
         line: u64,
         /// The underlying I/O failure.
         source: std::io::Error,
-    },
-    /// A Zeek `dns.log` stream had a missing or unusable `#fields` header.
-    BadHeader {
-        /// 1-based line number of the offending (or first data) line.
-        line: u64,
-        /// What was wrong with the header.
-        message: String,
     },
     /// Quarantined ingestion rejected the whole file as too noisy; nothing
     /// was committed to the collector.
@@ -107,9 +99,6 @@ impl fmt::Display for IngestError {
             IngestError::Io { line, source } => {
                 write!(f, "log line {line}: i/o error: {source}")
             }
-            IngestError::BadHeader { line, message } => {
-                write!(f, "dns.log line {line}: {message}")
-            }
             IngestError::QuarantineExceeded {
                 errors,
                 considered,
@@ -128,7 +117,7 @@ impl Error for IngestError {
         match self {
             IngestError::Parse(e) => Some(e),
             IngestError::Io { source, .. } => Some(source),
-            IngestError::BadHeader { .. } | IngestError::QuarantineExceeded { .. } => None,
+            IngestError::QuarantineExceeded { .. } => None,
         }
     }
 }

@@ -91,11 +91,9 @@ pub mod export;
 pub mod parser;
 pub mod quarantine;
 pub mod state;
-pub mod zeek;
 
 pub use collector::{IngestedDay, LogCollector};
 pub use error::{IngestError, ParseLogError};
 pub use export::export_day;
 pub use parser::{LogPosition, LogRecord};
 pub use quarantine::{IngestStats, QuarantinePolicy};
-pub use zeek::{ZeekReader, ZeekStats};

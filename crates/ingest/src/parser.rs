@@ -220,7 +220,7 @@ pub(crate) enum Line<'a> {
     /// The line's bytes are not valid UTF-8.
     BadEncoding,
     /// A blank line or a `#` comment, line terminator stripped.
-    Skipped(&'a str),
+    Skipped,
     /// A candidate record, line terminator stripped. Only `\n` and `\r`
     /// are stripped: a trailing tab is significant (it delimits an empty
     /// IP list).
@@ -284,7 +284,7 @@ pub(crate) fn scan_lines<R: Read>(
                     .trim_end_matches('\r');
                 let content = payload.trim_start();
                 if content.is_empty() || content.starts_with('#') {
-                    Line::Skipped(payload)
+                    Line::Skipped
                 } else {
                     Line::Payload(payload)
                 }

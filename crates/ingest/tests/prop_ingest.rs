@@ -2,17 +2,16 @@
 //! export → ingest round trip with nothing lost or invented, the streamed
 //! line path builds exactly the collector the owned-record reference
 //! builds, a collector decoded from its state and read on from the resume
-//! point equals one pass over the whole log, the Zeek and TSV readers
-//! build equal collectors from the same records, and the parsers and the
-//! state decoder never panic on hostile bytes (non-UTF-8, oversized lines,
-//! garbled headers, truncated state) — they fail typed or quarantine.
+//! point equals one pass over the whole log, and the parser and the state
+//! decoder never panic on hostile bytes (non-UTF-8, oversized lines,
+//! truncated state) — they fail typed or quarantine.
 
 use proptest::prelude::*;
 
 use segugio_ingest::error::ParseLogErrorKind;
 use segugio_ingest::{
     export_day, IngestError, IngestStats, LogCollector, LogPosition, LogRecord, ParseLogError,
-    QuarantinePolicy, ZeekReader,
+    QuarantinePolicy,
 };
 use segugio_model::{Day, DomainName, DomainTable, Ipv4, MachineId};
 
@@ -158,42 +157,6 @@ proptest! {
             }
             Err(_) => {}
         }
-    }
-
-    /// The Zeek reader — including its private `#fields` header parser —
-    /// survives arbitrary bytes without panicking.
-    #[test]
-    fn zeek_ingest_never_panics(bytes in hostile_bytes()) {
-        let mut collector = LogCollector::new();
-        let _ = ZeekReader::new().ingest(bytes.as_slice(), &mut collector);
-        let mut collector = LogCollector::new();
-        let _ = ZeekReader::new().ingest_quarantined(
-            bytes.as_slice(),
-            &mut collector,
-            &QuarantinePolicy::default(),
-        );
-    }
-
-    /// Fuzzes the `#fields` header line directly: arbitrary column names
-    /// (unicode, duplicates, empties) followed by fuzzed data rows must
-    /// parse, error typed, or quarantine — never panic.
-    #[test]
-    fn zeek_header_parser_never_panics(
-        columns in proptest::collection::vec("[\t -~]{0,24}", 0..12),
-        rows in proptest::collection::vec("[\t -~]{0,64}", 0..8),
-    ) {
-        let mut log = String::from("#fields");
-        for col in &columns {
-            log.push('\t');
-            log.push_str(col);
-        }
-        log.push('\n');
-        for row in &rows {
-            log.push_str(row);
-            log.push('\n');
-        }
-        let mut collector = LogCollector::new();
-        let _ = ZeekReader::new().ingest(log.as_bytes(), &mut collector);
     }
 }
 
@@ -745,50 +708,5 @@ proptest! {
         let pdns = 4 + 8 * whole.pdns().days().count() + 8 * whole.pdns().len();
         let spliced = [&state[..state.len() - pdns], &bytes[..]].concat();
         let _ = LogCollector::from_state_bytes(&spliced);
-    }
-
-    /// The same observations written as a Zeek `dns.log` and as the TSV
-    /// format build equal collectors: both readers end in the same
-    /// borrowed-field commit.
-    #[test]
-    fn zeek_and_tsv_readers_build_equal_collectors(
-        observations in proptest::collection::vec(observation(), 0..60),
-    ) {
-        let mut tsv = String::new();
-        let mut zeek = String::from(
-            "#separator \\x09\n#fields\tts\tuid\tid.orig_h\tquery\tqtype_name\trcode_name\tanswers\n",
-        );
-        for (i, o) in observations.iter().enumerate() {
-            tsv.push_str(&format!(
-                "{}\thost-{}\t{}\t{}\n",
-                o.day, o.client, o.qname, o.ips.join(",")
-            ));
-            let answers = if o.ips.is_empty() { "-".to_owned() } else { o.ips.join(",") };
-            zeek.push_str(&format!(
-                "{}.25\tC{i}\thost-{}\t{}\tA\tNOERROR\t{answers}\n",
-                u64::from(o.day) * 86_400 + 17,
-                o.client,
-                o.qname,
-            ));
-            // What the Zeek reader filters must leave no trace.
-            zeek.push_str(&format!(
-                "{}.25\tD{i}\thost-9\tother.example.net\tAAAA\tNOERROR\t::1\n",
-                u64::from(o.day) * 86_400 + 18,
-            ));
-        }
-        let mut from_tsv = LogCollector::new();
-        prop_assert_eq!(from_tsv.ingest_reader(tsv.as_bytes()).unwrap(), observations.len());
-        let mut from_zeek = LogCollector::new();
-        let stats = ZeekReader::new().ingest(zeek.as_bytes(), &mut from_zeek).unwrap();
-        prop_assert_eq!(stats.ingested, observations.len());
-        prop_assert_eq!(stats.skipped_non_a, observations.len());
-        prop_assert_eq!(stats.errors, 0);
-        assert_same_collector(&from_zeek, &from_tsv)?;
-        for day in from_tsv.days() {
-            prop_assert_eq!(
-                from_zeek.pdns().records_on(day),
-                from_tsv.pdns().records_on(day)
-            );
-        }
     }
 }

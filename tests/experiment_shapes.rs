@@ -2,7 +2,7 @@
 //! quantities the paper reports must land in the right regimes.
 
 use segugio_core::SegugioConfig;
-use segugio_eval::experiments::{dataset, Scale};
+use segugio_eval::experiments::{dataset, design_ablations, Scale};
 use segugio_traffic::IspConfig;
 
 #[test]
@@ -53,4 +53,39 @@ fn performance_classification_is_cheaper_than_learning() {
     for day in &report.days {
         assert!(day.unknown_domains > 100);
     }
+}
+
+#[test]
+fn design_ablations_cover_every_knob() {
+    let report = design_ablations::run(&Scale::tiny());
+    assert_eq!(report.forest_sizes.len(), 4);
+    assert_eq!(report.backends.len(), 2);
+    assert_eq!(report.pruning.len(), 2);
+    assert_eq!(report.windows.len(), 4);
+
+    let accuracies = report
+        .forest_sizes
+        .iter()
+        .map(|(_, a)| a)
+        .chain(report.backends.iter().map(|(_, a)| a))
+        .chain(report.pruning.iter().map(|row| &row.accuracy))
+        .chain(report.windows.iter().map(|(_, a)| a));
+    for a in accuracies {
+        assert!((0.0..=1.0).contains(&a.tpr), "TPR {} outside [0, 1]", a.tpr);
+    }
+
+    let [pruned, unpruned] = [&report.pruning[0], &report.pruning[1]];
+    assert_eq!((pruned.name, unpruned.name), ("pruned", "unpruned"));
+    assert!(
+        pruned.domains < unpruned.domains,
+        "pruning kept {} of {} domains",
+        pruned.domains,
+        unpruned.domains
+    );
+    assert!(
+        pruned.edges < unpruned.edges,
+        "pruning kept {} of {} edges",
+        pruned.edges,
+        unpruned.edges
+    );
 }
