@@ -2,8 +2,9 @@
 //!
 //! Runs ONE full ISP day at the paper's deployment scale (1M machines,
 //! tens of millions of query events) end to end — streamed generation →
-//! chunk-run accumulation → streamed counting-sort CSR build → snapshot →
-//! features → train → calibrate → score — and records per-phase wall time
+//! chunk-run accumulation → snapshot (the counting-sort CSR build that
+//! labels and prunes as it goes, and the abuse index) → features → train
+//! → calibrate → score — and records per-phase wall time
 //! plus [`segugio_alloc_probe`] counters. `peak_bytes` (the high-water
 //! mark of live heap bytes) is the RSS proxy: the point of the chunked
 //! pipeline is that it is bounded by the configured run capacity and the
@@ -24,7 +25,7 @@ use segugio_bench::CeilingSection;
 use segugio_core::{
     calibrate, measure_day, DaySnapshot, ScoreBuffer, Segugio, SegugioConfig, SnapshotInput,
 };
-use segugio_graph::{EdgeRuns, GraphBuilder, DEFAULT_RUN_CAPACITY};
+use segugio_graph::{EdgeRuns, DEFAULT_RUN_CAPACITY};
 use segugio_traffic::{IspConfig, IspNetwork};
 
 #[global_allocator]
@@ -106,18 +107,9 @@ fn main() {
         "the day must take the spill route: {observations} observations at {run_capacity} pairs per run"
     );
 
-    // --- Counting-sort CSR build from the runs, grouped by machine. ---
-    let mut graph_out = None;
-    bracket("csr_build", &mut phases, &mut || {
-        let g = GraphBuilder::from_runs(day, &runs, &resolutions, |d| isp.table().e2ld_of(d))
-            .expect("scratch-file replay");
-        graph_out = Some(g);
-    });
-    let graph = graph_out.expect("csr_build phase ran");
-    let (unpruned_machines, unpruned_edges) = (graph.machine_count(), graph.edge_count());
-    drop(runs); // the runs (and their scratch file) are dead past the CSR
-
-    // --- Labeling, pruning, abuse index. ---
+    // --- The snapshot, as the day builds it: the CSR grouped from the
+    //     runs, labeled and pruned in the same passes, and the abuse
+    //     index. ---
     let input = SnapshotInput {
         day,
         queries: &[],
@@ -129,12 +121,14 @@ fn main() {
         hidden: None,
     };
     let mut snap_out = None;
-    let mut graph_in = Some(graph);
     bracket("snapshot", &mut phases, &mut || {
-        let g = graph_in.take().expect("graph built");
-        snap_out = Some(DaySnapshot::from_unpruned_graph(g, &input, &config));
+        let snap =
+            DaySnapshot::build_from_runs(&input, &runs, &config).expect("scratch-file replay");
+        snap_out = Some(snap);
     });
     let snap = snap_out.expect("snapshot phase ran");
+    let (unpruned_machines, _, unpruned_edges) = snap.unpruned_counts;
+    drop(runs); // the runs (and their scratch file) are dead past the snapshot
 
     // --- Features, training, calibration, scoring (alloc.rs phases). ---
     let mut features_out = None;

@@ -3,8 +3,10 @@
 use std::collections::HashSet;
 
 use segugio_graph::labeling::apply_labels_with;
-use segugio_graph::{BehaviorGraph, EdgeRuns, GraphBuilder, PruneStats};
-use segugio_model::{Blacklist, Day, DomainId, DomainTable, Ipv4, Label, MachineId, Whitelist};
+use segugio_graph::{BehaviorGraph, DayRules, EdgeRuns, GraphBuilder, PruneStats, PrunedDay};
+use segugio_model::{
+    Blacklist, Day, DomainId, DomainTable, E2ldId, Ipv4, Label, MachineId, Whitelist,
+};
 use segugio_pdns::{AbuseIndex, PassiveDns};
 
 use crate::config::SegugioConfig;
@@ -42,16 +44,29 @@ impl<'a> SnapshotInput<'a> {
     /// Returns the label the seed lists assign to `domain` on this day,
     /// honoring the hidden set.
     pub fn seed_label(&self, domain: DomainId) -> Label {
+        self.label(domain, self.table.e2ld_of(domain))
+    }
+
+    /// [`seed_label`](Self::seed_label) of `domain`, whose e2LD is `e2ld`.
+    fn label(&self, domain: DomainId, e2ld: E2ldId) -> Label {
         if self.hidden.is_some_and(|h| h.contains(&domain)) {
-            return Label::Unknown;
+            Label::Unknown
+        } else if self.blacklist.contains_as_of(domain, self.day) {
+            Label::Malware
+        } else if self.whitelist.contains(e2ld) {
+            Label::Benign
+        } else {
+            Label::Unknown
         }
-        if self.blacklist.contains_as_of(domain, self.day) {
-            return Label::Malware;
-        }
-        if self.whitelist.contains(self.table.e2ld_of(domain)) {
-            return Label::Benign;
-        }
-        Label::Unknown
+    }
+}
+
+/// The probe filter and R1–R4 as `config` sets them, at its parallelism.
+fn day_rules(config: &SegugioConfig) -> DayRules<'_> {
+    DayRules {
+        prune: &config.prune,
+        probe_filter: config.probe_filter,
+        workers: config.effective_parallelism(),
     }
 }
 
@@ -100,13 +115,16 @@ impl DaySnapshot {
             .collect()
     }
 
-    /// Builds the snapshot: graph construction, annotation, labeling,
-    /// pruning, and the abuse index.
+    /// Builds the snapshot: the graph, annotated, labeled and pruned as it
+    /// is built (the unpruned graph never exists), and the abuse index.
     pub fn build(input: &SnapshotInput<'_>, config: &SegugioConfig) -> Self {
-        let graph = GraphBuilder::from_queries(input.day, input.queries, input.resolutions, |d| {
-            input.table.e2ld_of(d)
+        let (built, abuse) = Self::beside_abuse(input, config, || {
+            let (e2ld_of, label_of) = (|d| input.table.e2ld_of(d), |d, e| input.label(d, e));
+            let (day, queries, resolutions) = (input.day, input.queries, input.resolutions);
+            let rules = day_rules(config);
+            GraphBuilder::pruned_from_queries(day, queries, resolutions, e2ld_of, label_of, rules)
         });
-        Self::from_unpruned_graph(graph, input, config)
+        Self::from_parts(built, abuse)
     }
 
     /// Builds the snapshot from an already-accumulated chunk-run edge set,
@@ -127,91 +145,70 @@ impl DaySnapshot {
         runs: &EdgeRuns,
         config: &SegugioConfig,
     ) -> std::io::Result<Self> {
-        let graph = GraphBuilder::from_runs(input.day, runs, input.resolutions, |d| {
-            input.table.e2ld_of(d)
-        })?;
-        Ok(Self::from_unpruned_graph(graph, input, config))
+        let (built, abuse) = Self::beside_abuse(input, config, || {
+            let (e2ld_of, label_of) = (|d| input.table.e2ld_of(d), |d, e| input.label(d, e));
+            let (day, resolutions, rules) = (input.day, input.resolutions, day_rules(config));
+            GraphBuilder::pruned_from_runs(day, runs, resolutions, e2ld_of, label_of, rules)
+        });
+        Ok(Self::from_parts(built?, abuse))
     }
 
-    /// Finishes a snapshot around an unpruned graph built elsewhere (the
-    /// chunked path above, or a caller streaming its own accumulation):
-    /// abuse index, labeling, optional probe filter, and pruning — the
-    /// second half of [`build`](Self::build).
-    ///
-    /// The abuse index reads only the pDNS store and the seed labels, never
-    /// the graph, so with more than one worker
-    /// ([`effective_parallelism`](SegugioConfig::effective_parallelism))
-    /// it is built on a second thread while this one labels and prunes.
+    /// Finishes a snapshot around an unpruned graph built elsewhere:
+    /// feeds its edges back through the fused build's labeling, probe
+    /// filter and pruning ([`BehaviorGraph::pruned`]), beside the abuse
+    /// index. Equal to [`build`](Self::build) over the same edges.
+    #[doc(hidden)]
     pub fn from_unpruned_graph(
         graph: BehaviorGraph,
         input: &SnapshotInput<'_>,
         config: &SegugioConfig,
     ) -> Self {
-        // IP-abuse index over the W days preceding the snapshot day,
-        // labeled with the same (hidden-aware) seed labels.
+        let (built, abuse) = Self::beside_abuse(input, config, || {
+            let mut graph = graph;
+            apply_labels_with(&mut graph, |d, e2ld| input.label(d, e2ld));
+            graph.pruned(day_rules(config))
+        });
+        Self::from_parts(built, abuse)
+    }
+
+    fn from_parts(built: PrunedDay, abuse: AbuseIndex) -> Self {
+        DaySnapshot {
+            graph: built.graph,
+            abuse,
+            prune_stats: built.stats,
+            unpruned_counts: built.unpruned_counts,
+            unpruned_domain_labels: built.unpruned_domain_labels,
+            unpruned_machine_labels: built.unpruned_machine_labels,
+        }
+    }
+
+    /// Runs `build` and builds the abuse index over the `W` days
+    /// preceding the snapshot day, labeled with the same (hidden-aware)
+    /// seed labels. The index reads only the pDNS store and the seed
+    /// labels, never the graph, so with more than one worker
+    /// ([`effective_parallelism`](SegugioConfig::effective_parallelism))
+    /// it is built on a second thread, started before `build`.
+    fn beside_abuse<T>(
+        input: &SnapshotInput<'_>,
+        config: &SegugioConfig,
+        build: impl FnOnce() -> T,
+    ) -> (T, AbuseIndex) {
         let window = input
             .day
             .lookback_exclusive(config.features.abuse_window_days);
         let build_abuse = || AbuseIndex::build(input.pdns, window, |d| input.seed_label(d));
         if config.effective_parallelism() == 1 {
-            let abuse = build_abuse();
-            return Self::label_and_prune(graph, input, config, || abuse);
+            let built = build();
+            return (built, build_abuse());
         }
         std::thread::scope(|scope| {
             let worker = scope.spawn(build_abuse);
-            Self::label_and_prune(graph, input, config, || {
-                worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
+            let built = build();
+            let abuse = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (built, abuse)
         })
-    }
-
-    /// Labeling, the optional probe filter and pruning; then `abuse`
-    /// hands over the abuse index.
-    fn label_and_prune(
-        mut graph: BehaviorGraph,
-        input: &SnapshotInput<'_>,
-        config: &SegugioConfig,
-        abuse: impl FnOnce() -> AbuseIndex,
-    ) -> Self {
-        // Labeling (with hidden-set override).
-        apply_labels_with(&mut graph, |id, e2ld| {
-            if input.hidden.is_some_and(|h| h.contains(&id)) {
-                Label::Unknown
-            } else if input.blacklist.contains_as_of(id, input.day) {
-                Label::Malware
-            } else if input.whitelist.contains(e2ld) {
-                Label::Benign
-            } else {
-                Label::Unknown
-            }
-        });
-        let unpruned_counts = (
-            graph.machine_count(),
-            graph.domain_count(),
-            graph.edge_count(),
-        );
-        let unpruned_domain_labels = graph.domain_label_counts();
-        let unpruned_machine_labels = graph.machine_label_counts();
-
-        // Optional anti-scanner filter (Section VI heuristic).
-        let graph = match config.probe_filter {
-            Some(max_degree) => graph.without_probing_machines(max_degree).0,
-            None => graph,
-        };
-
-        // Pruning.
-        let (graph, prune_stats) = graph.prune(&config.prune);
-
-        DaySnapshot {
-            graph,
-            abuse: abuse(),
-            prune_stats,
-            unpruned_counts,
-            unpruned_domain_labels,
-            unpruned_machine_labels,
-        }
     }
 }
 

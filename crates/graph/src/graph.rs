@@ -35,9 +35,12 @@ impl DomainIdx {
 /// machines) is one pass over the machine lists scattering into
 /// per-domain counters.
 ///
-/// Build with [`GraphBuilder`](crate::GraphBuilder); label with
-/// [`labeling::apply_seed_labels`](crate::labeling::apply_seed_labels);
-/// prune with [`BehaviorGraph::prune`].
+/// Build with [`GraphBuilder`](crate::GraphBuilder): the day pipeline
+/// builds it labeled and pruned in one go
+/// ([`GraphBuilder::pruned_from_runs`](crate::GraphBuilder::pruned_from_runs),
+/// [`pruned_from_queries`](crate::GraphBuilder::pruned_from_queries));
+/// an unpruned graph can be labeled with
+/// [`labeling::apply_seed_labels`](crate::labeling::apply_seed_labels).
 #[derive(Debug, Clone)]
 pub struct BehaviorGraph {
     pub(crate) day: Day,
@@ -219,14 +222,19 @@ impl BehaviorGraph {
 
 fn label_counts(labels: &[Label]) -> (usize, usize, usize) {
     let mut counts = (0, 0, 0);
-    for l in labels {
-        match l {
-            Label::Malware => counts.0 += 1,
-            Label::Benign => counts.1 += 1,
-            Label::Unknown => counts.2 += 1,
-        }
+    for &l in labels {
+        tally(&mut counts, l);
     }
     counts
+}
+
+/// Adds one `label` to `(malware, benign, unknown)` counts.
+pub(crate) fn tally(counts: &mut (usize, usize, usize), label: Label) {
+    match label {
+        Label::Malware => counts.0 += 1,
+        Label::Benign => counts.1 += 1,
+        Label::Unknown => counts.2 += 1,
+    }
 }
 
 #[cfg(test)]

@@ -54,33 +54,35 @@ where
         let lo = graph.m_off[mi] as usize;
         let hi = graph.m_off[mi + 1] as usize;
         (graph.machine_labels[mi], graph.machine_malware_degree[mi]) =
-            machine_label(&graph.m_adj[lo..hi], &graph.domain_labels);
+            machine_label(&graph.m_adj[lo..hi], |d| graph.domain_labels[d as usize]);
     }
 }
 
-/// The label and malware degree of a machine that queried `domains`
-/// (indices into `domain_labels`).
-pub(crate) fn machine_label(domains: &[u32], domain_labels: &[Label]) -> (Label, u32) {
-    let mut malware_degree = 0u32;
-    let mut all_benign = true;
+/// The label and malware degree of a machine that queried `domains`,
+/// each labeled `label(domain)`.
+pub(crate) fn machine_label(domains: &[u32], label: impl Fn(u32) -> Label) -> (Label, u32) {
+    // Counted without branching on each label: domain labels come in no
+    // predictable order.
+    let (mut malware, mut benign) = (0u32, 0usize);
     for &di in domains {
-        match domain_labels[di as usize] {
-            Label::Malware => {
-                malware_degree += 1;
-                all_benign = false;
-            }
-            Label::Unknown => all_benign = false,
-            Label::Benign => {}
-        }
+        let l = label(di);
+        malware += u32::from(l == Label::Malware);
+        benign += usize::from(l == Label::Benign);
     }
-    let label = if malware_degree > 0 {
+    (derived_label(malware, benign, domains.len()), malware)
+}
+
+/// The label of a machine that queried `domains` domains, `malware` of
+/// them labeled malware and `benign` benign: malware if it queried any
+/// malware domain, benign if it queried only benign ones, else unknown.
+pub(crate) fn derived_label(malware: u32, benign: usize, domains: usize) -> Label {
+    if malware > 0 {
         Label::Malware
-    } else if all_benign && !domains.is_empty() {
+    } else if benign == domains && domains > 0 {
         Label::Benign
     } else {
         Label::Unknown
-    };
-    (label, malware_degree)
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,10 @@
 //!   machine → domains direction plus each domain's degree, built by one
 //!   counting sort from unordered pairs, whichever entry point
 //!   ([`GraphBuilder::build`], [`GraphBuilder::from_queries`],
-//!   [`GraphBuilder::from_runs`]) feeds it; per-domain counts are passes
+//!   [`GraphBuilder::from_runs`]) feeds it, and labeled and pruned in the
+//!   same passes by the day pipeline's entry points
+//!   ([`GraphBuilder::pruned_from_queries`],
+//!   [`GraphBuilder::pruned_from_runs`]); per-domain counts are passes
 //!   over the machine side;
 //! - [`EdgeRuns`] — bounded-memory pair accumulation in deduplicated runs
 //!   grouped by machine, spilled to disk at about 4 B per pair and read
@@ -21,7 +24,7 @@
 //! - [`labeling`] — seed-label application and machine-label propagation;
 //! - [`pruning`] — the conservative filtering rules R1–R4 with the paper's
 //!   two exceptions (infected machines survive R1; known malware domains
-//!   survive R3);
+//!   survive R3), and the optional probe filter before them;
 //! - [`hiding`] — the label-hiding rule and view used when measuring
 //!   features for known (training) domains without leaking their own
 //!   ground truth.
@@ -59,5 +62,5 @@ pub use graph::{BehaviorGraph, DomainIdx, MachineIdx};
 pub use hiding::HiddenLabelView;
 #[doc(hidden)]
 pub use persist::{read_graph, write_graph};
-pub use pruning::{PruneConfig, PruneStats};
+pub use pruning::{DayRules, PruneConfig, PruneStats, PrunedDay};
 pub use runs::{EdgeRuns, DEFAULT_RUN_CAPACITY};

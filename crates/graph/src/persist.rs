@@ -147,9 +147,10 @@ pub fn read_graph<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Behav
     for &d in &m_adj {
         domain_degree[d as usize] += 1;
     }
+    let label = |d: u32| domain_labels[d as usize];
     let machine_malware_degree: Vec<u32> = m_off
         .windows(2)
-        .map(|span| machine_label(&m_adj[span[0] as usize..span[1] as usize], &domain_labels).1)
+        .map(|span| machine_label(&m_adj[span[0] as usize..span[1] as usize], label).1)
         .collect();
 
     let graph = BehaviorGraph {

@@ -10,15 +10,20 @@
 //! - **R4** — drop domains whose e2LD is queried by at least
 //!   `popular_fraction` of all machines in the network (θ_m): such
 //!   very-popular domains are overwhelmingly unlikely to be malware-control.
+//!
+//! The rules need only each machine's bucket size and label, one label
+//! per domain and per-domain counts, so the CSR constructor decides them
+//! as it builds ([`GraphBuilder::pruned_from_runs`],
+//! [`GraphBuilder::pruned_from_queries`]): the unpruned graph of a day is
+//! never materialised.
+//!
+//! [`GraphBuilder::pruned_from_runs`]: crate::GraphBuilder::pruned_from_runs
+//! [`GraphBuilder::pruned_from_queries`]: crate::GraphBuilder::pruned_from_queries
 
-use std::sync::OnceLock;
-
-use segugio_model::Label;
-
+use crate::builder::{annotate, fuse};
 use crate::graph::BehaviorGraph;
-use crate::labeling;
 
-/// Tunable thresholds for [`BehaviorGraph::prune`].
+/// Tunable thresholds of R1–R4.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PruneConfig {
     /// R1: machines with degree ≤ this are dropped (paper: 5).
@@ -95,247 +100,114 @@ fn reduction(before: usize, after: usize) -> f64 {
     }
 }
 
-impl BehaviorGraph {
-    /// Applies pruning rules R1–R4 and returns the pruned graph (labels
-    /// preserved and machine labels re-propagated) plus statistics.
+/// What the fused build applies besides labeling: the optional probe
+/// filter, then R1–R4.
+#[derive(Debug, Clone, Copy)]
+pub struct DayRules<'a> {
+    /// R1–R4's thresholds.
+    pub prune: &'a PruneConfig,
+    /// Drops every machine that queried at least this many known-malware
+    /// domains, before R1–R4: θ_d, θ_m and the counts before pruning are
+    /// over the machines it keeps, and a domain only probers queried is
+    /// not in the graph R1–R4 see.
     ///
-    /// Machine rules (R1, R2) are evaluated on the input graph; domain rules
-    /// (R3, R4) are evaluated on the machine-filtered subgraph, which is the
-    /// conservative order (a domain never loses its known-malware survivors).
-    ///
-    /// Consumes the graph and compacts it in place, so no second graph is
-    /// allocated; clone first to keep the unpruned one. The result equals a
-    /// rebuild from the surviving edges: nodes keep their ids, annotations
-    /// and domain labels, nodes left with no edge are dropped, and both
-    /// remaps are monotone, so every list stays ascending.
-    pub fn prune(self, config: &PruneConfig) -> (BehaviorGraph, PruneStats) {
-        let mut stats = PruneStats {
-            machines_before: self.machine_count(),
-            domains_before: self.domain_count(),
-            edges_before: self.edge_count(),
-            ..PruneStats::default()
-        };
-
-        // θ_d from the degree distribution.
-        let mut degrees: Vec<usize> = (0..self.machine_count())
-            .map(|mi| (self.m_off[mi + 1] - self.m_off[mi]) as usize)
-            .collect();
-        let theta_d = percentile(&mut degrees, config.proxy_percentile).max(1);
-        stats.theta_d = theta_d;
-
-        let mut keep_machine = vec![true; self.machine_count()];
-        for (mi, keep) in keep_machine.iter_mut().enumerate() {
-            let deg = (self.m_off[mi + 1] - self.m_off[mi]) as usize;
-            if deg > theta_d && theta_d > config.min_machine_degree {
-                *keep = false;
-                stats.r2_proxy_machines += 1;
-            } else if deg <= config.min_machine_degree && self.machine_labels[mi] != Label::Malware
-            {
-                *keep = false;
-                stats.r1_inactive_machines += 1;
-            }
-        }
-
-        // R3: each domain's degree over kept machines.
-        let mut kept_domain_degree = self.kept_degrees(&keep_machine);
-
-        // R4: each e2LD's count of distinct kept machines. Domains are
-        // grouped by e2LD (sorted by `(e2ld, domain)`, no hash maps), and a
-        // group's kept degree bounds that count, so only the groups it lets
-        // reach θ_m are candidates. One pass over the kept machines counts
-        // a machine once per candidate it queries by stamping the candidate
-        // with the machine: no sort, no dedup. Any other edge costs one
-        // lookup.
-        let theta_m = ((self.machine_count() as f64) * config.popular_fraction).ceil() as usize;
-        stats.theta_m = theta_m;
-        let mut by_e2ld: Vec<(u32, u32)> = (0..self.domain_count() as u32)
-            .map(|di| (self.domain_e2ld[di as usize].0, di))
-            .collect();
-        by_e2ld.sort_unstable();
-        let mut candidate_of = vec![u32::MAX; self.domain_count()];
-        let mut candidates = 0u32;
-        for group in by_e2ld.chunk_by(|a, b| a.0 == b.0) {
-            let bound = group
-                .iter()
-                .map(|&(_, di)| kept_domain_degree[di as usize] as usize);
-            if theta_m > 0 && bound.sum::<usize>() >= theta_m {
-                for &(_, di) in group {
-                    candidate_of[di as usize] = candidates;
-                }
-                candidates += 1;
-            }
-        }
-        drop(by_e2ld);
-        let mut distinct = vec![0usize; candidates as usize];
-        if candidates > 0 {
-            let mut stamp = vec![u32::MAX; candidates as usize];
-            for (mi, span) in self.m_off.windows(2).enumerate() {
-                if !keep_machine[mi] {
-                    continue;
-                }
-                for &di in &self.m_adj[span[0] as usize..span[1] as usize] {
-                    let c = candidate_of[di as usize];
-                    if c != u32::MAX && stamp[c as usize] != mi as u32 {
-                        stamp[c as usize] = mi as u32;
-                        distinct[c as usize] += 1;
-                    }
-                }
-            }
-        }
-
-        // A dropped domain's degree becomes 0. So does, already, a
-        // known-malware domain whose every querier was pruned: it can no
-        // longer contribute evidence and is dropped too.
-        for (di, degree) in kept_domain_degree.iter_mut().enumerate() {
-            let c = candidate_of[di];
-            if c != u32::MAX && distinct[c as usize] >= theta_m {
-                *degree = 0;
-                stats.r4_popular_domains += 1;
-            } else if *degree <= 1 && self.domain_labels[di] != Label::Malware {
-                *degree = 0;
-                stats.r3_single_machine_domains += 1;
-            }
-        }
-
-        let pruned = self.compact(&keep_machine, &kept_domain_degree);
-
-        stats.machines_after = pruned.machine_count();
-        stats.domains_after = pruned.domain_count();
-        stats.edges_after = pruned.edge_count();
-        (pruned, stats)
-    }
-}
-
-impl BehaviorGraph {
-    /// Removes machines that look like security scanners / blacklist
-    /// probers: machines querying at least `max_malware_degree` known
-    /// malware domains in one day.
-    ///
+    /// Such machines look like security scanners or blacklist probers.
     /// Real infections query a handful of control domains per day (Fig. 3:
     /// practically never more than twenty), while monitoring clients probe
     /// *hundreds* of blacklisted names. The paper mentions using heuristics
     /// to verify the filtered graphs contained no such clients (Section
-    /// VI); this is that heuristic, applied before feature measurement when
-    /// a deployment expects probing clients.
-    ///
-    /// Consumes the graph: returned as is when no machine probes, otherwise
-    /// compacted in place as by [`prune`](Self::prune), dropping each domain
-    /// left with no querier.
-    pub fn without_probing_machines(self, max_malware_degree: u32) -> (BehaviorGraph, usize) {
-        let keep_machine: Vec<bool> = self
-            .machine_malware_degree
+    /// VI); this is that heuristic, for deployments expecting probers.
+    pub probe_filter: Option<u32>,
+    /// Threads for the build's passes over the edges (at least one). The
+    /// result does not depend on it.
+    pub workers: usize,
+}
+
+/// A day built labeled and pruned, with what the build counted before the
+/// probe filter and pruning (the paper's Table I counts).
+#[derive(Debug, Clone)]
+pub struct PrunedDay {
+    /// The labeled, pruned graph.
+    pub graph: BehaviorGraph,
+    /// What the probe filter kept and pruning removed.
+    pub stats: PruneStats,
+    /// `(machines, domains, edges)` before the probe filter and pruning.
+    pub unpruned_counts: (usize, usize, usize),
+    /// Domain label counts before the probe filter and pruning, as
+    /// `(malware, benign, unknown)`.
+    pub unpruned_domain_labels: (usize, usize, usize),
+    /// Machine label counts before the probe filter and pruning, as
+    /// `(malware, benign, unknown)`.
+    pub unpruned_machine_labels: (usize, usize, usize),
+}
+
+impl BehaviorGraph {
+    /// Applies R1–R4 to this graph under its current labels; see
+    /// [`pruned`](Self::pruned).
+    #[doc(hidden)]
+    pub fn prune(self, config: &PruneConfig) -> (BehaviorGraph, PruneStats) {
+        let rules = DayRules {
+            prune: config,
+            probe_filter: None,
+            workers: 1,
+        };
+        let day = self.pruned(rules);
+        (day.graph, day.stats)
+    }
+
+    /// Feeds this graph's adjacency, already grouped by machine, and its
+    /// current labels back through the fused build's rules: what
+    /// [`GraphBuilder::pruned_from_queries`](crate::GraphBuilder::pruned_from_queries)
+    /// returns for the same edges labeled the same way. For callers that
+    /// hold an unpruned graph; the day pipeline never builds one.
+    #[doc(hidden)]
+    pub fn pruned(self, rules: DayRules<'_>) -> PrunedDay {
+        let BehaviorGraph {
+            day,
+            machines,
+            domains,
+            domain_e2ld,
+            ip_off,
+            ip_pool,
+            m_off,
+            m_adj,
+            domain_labels,
+            domain_degree,
+            machine_labels,
+            machine_malware_degree,
+            queriers,
+        } = self;
+        drop((
+            domain_degree,
+            machine_labels,
+            machine_malware_degree,
+            queriers,
+        ));
+        let mut built = fuse(
+            day,
+            &m_off[1..],
+            m_adj,
+            domains.len(),
+            |k| domain_e2ld[k as usize],
+            |k, _| domain_labels[k as usize],
+            Some(rules),
+        );
+        let ip_pairs = domains
             .iter()
-            .map(|&degree| degree < max_malware_degree)
-            .collect();
-        let removed = keep_machine.iter().filter(|&&keep| !keep).count();
-        if removed == 0 {
-            return (self, 0);
-        }
-        // A domain survives with every non-prober that queried it, and every
-        // non-prober keeps all its edges.
-        let kept_degree = self.kept_degrees(&keep_machine);
-        (self.compact(&keep_machine, &kept_degree), removed)
-    }
-
-    /// Each domain's degree over the kept machines, in one pass over their
-    /// lists.
-    fn kept_degrees(&self, keep_machine: &[bool]) -> Vec<u32> {
-        let mut degree = vec![0u32; self.domain_count()];
-        for (span, _) in self
-            .m_off
-            .windows(2)
-            .zip(keep_machine)
-            .filter(|(_, &keep)| keep)
-        {
-            for &di in &self.m_adj[span[0] as usize..span[1] as usize] {
-                degree[di as usize] += 1;
-            }
-        }
-        degree
-    }
-
-    /// Compacts the graph in place to the edges between kept machines and
-    /// kept domains, dropping each machine left with no edge. A domain is
-    /// kept when its `kept_degree` is not 0, and then keeps every edge to a
-    /// kept machine, `kept_degree` of them, so the domain side is settled
-    /// before any edge is read. Every write lands at or behind its read
-    /// cursor, so all vectors are reused.
-    fn compact(mut self, keep_machine: &[bool], kept_degree: &[u32]) -> BehaviorGraph {
-        // Domain columns. `ip_off[kept]` is always already rewritten (it
-        // starts at 0), and `ip_off[di + 1]` is read before any write to it.
-        let mut d_remap = vec![u32::MAX; self.domains.len()];
-        let mut kept = 0;
-        let mut lo = 0;
-        for (di, &degree) in kept_degree.iter().enumerate() {
-            let hi = self.ip_off[di + 1] as usize;
-            if degree > 0 {
-                d_remap[di] = kept as u32;
-                self.domains[kept] = self.domains[di];
-                self.domain_e2ld[kept] = self.domain_e2ld[di];
-                self.domain_labels[kept] = self.domain_labels[di];
-                self.domain_degree[kept] = degree;
-                let start = self.ip_off[kept] as usize;
-                self.ip_pool.copy_within(lo..hi, start);
-                self.ip_off[kept + 1] = (start + hi - lo) as u32;
-                kept += 1;
-            }
-            lo = hi;
-        }
-        self.domains.truncate(kept);
-        self.domain_e2ld.truncate(kept);
-        self.domain_labels.truncate(kept);
-        self.domain_degree.truncate(kept);
-        self.ip_off.truncate(kept + 1);
-        self.ip_pool.truncate(self.ip_off[kept] as usize);
-
-        // Machine side, with the same cursor discipline on `m_off`.
-        let mut m_remap = vec![u32::MAX; self.machines.len()];
-        let mut kept = 0;
-        let mut lo = 0;
-        for (mi, &keep) in keep_machine.iter().enumerate() {
-            let hi = self.m_off[mi + 1] as usize;
-            let start = self.m_off[kept] as usize;
-            let mut end = start;
-            if keep {
-                for pos in lo..hi {
-                    let d = d_remap[self.m_adj[pos] as usize];
-                    if d != u32::MAX {
-                        self.m_adj[end] = d;
-                        end += 1;
-                    }
-                }
-            }
-            if end > start {
-                m_remap[mi] = kept as u32;
-                self.machines[kept] = self.machines[mi];
-                (self.machine_labels[kept], self.machine_malware_degree[kept]) =
-                    labeling::machine_label(&self.m_adj[start..end], &self.domain_labels);
-                self.m_off[kept + 1] = end as u32;
-                kept += 1;
-            }
-            lo = hi;
-        }
-        self.machines.truncate(kept);
-        self.machine_labels.truncate(kept);
-        self.machine_malware_degree.truncate(kept);
-        self.m_off.truncate(kept + 1);
-        self.m_adj.truncate(self.m_off[kept] as usize);
-
-        // The adjacency is the graph's bulk: give the pruned tail back.
-        self.m_adj.shrink_to_fit();
-        self.queriers = OnceLock::new();
-
-        #[cfg(debug_assertions)]
-        if let Err(violation) = self.validate() {
-            unreachable!("in-place compaction produced an invalid graph: {violation}");
-        }
-        self
+            .zip(ip_off.windows(2))
+            .flat_map(|(&d, span)| {
+                let ips = &ip_pool[span[0] as usize..span[1] as usize];
+                ips.iter().map(move |&ip| (d, ip))
+            });
+        let (machine, domain) = (|s: u32| machines[s as usize], |k: u32| domains[k as usize]);
+        annotate(&mut built.graph, machine, domain, ip_pairs);
+        built
     }
 }
 
 /// The value at `pct` (in `[0,1]`) of the sorted distribution, selected in
 /// O(n) without sorting; `data` is reordered in place.
-fn percentile(data: &mut [usize], pct: f64) -> usize {
+pub(crate) fn percentile(data: &mut [usize], pct: f64) -> usize {
     if data.is_empty() {
         return 0;
     }
@@ -349,7 +221,7 @@ mod tests {
     use crate::builder::GraphBuilder;
     use crate::graph::DomainIdx;
     use crate::labeling::apply_seed_labels;
-    use segugio_model::{Day, DomainId, E2ldId, Ipv4, MachineId};
+    use segugio_model::{Day, DomainId, E2ldId, Ipv4, Label, MachineId};
 
     /// Builds a graph with:
     /// - machines 0..10 querying 8 ordinary domains each (active, kept)
@@ -476,74 +348,126 @@ mod tests {
         assert!(stats.edge_reduction() > 0.0);
     }
 
-    #[test]
-    fn probing_machines_are_removed() {
-        let mut b = GraphBuilder::new(Day(0));
-        // 40 malware domains, each with two ordinary victims.
-        for d in 0..40u32 {
-            b.add_query(MachineId(0), DomainId(d));
-            b.add_query(MachineId(1), DomainId(d));
-            b.set_e2ld(DomainId(d), E2ldId(d));
-        }
-        // An ordinary infected machine querying 3 of them.
-        for d in 0..3u32 {
-            b.add_query(MachineId(2), DomainId(d));
-        }
-        let mut g = b.build();
-        apply_seed_labels(&mut g, |_| true, |_| false);
-        // Machines 0 and 1 query 40 known malware domains: probers.
-        let (filtered, removed) = g.without_probing_machines(21);
-        assert_eq!(removed, 2);
-        assert!(filtered.machine_idx(MachineId(0)).is_none());
-        assert!(filtered.machine_idx(MachineId(2)).is_some());
-        // No probers: graph unchanged.
-        let before = format!("{filtered:?}");
-        let (same, zero) = filtered.without_probing_machines(21);
-        assert_eq!(zero, 0);
-        assert_eq!(format!("{same:?}"), before);
+    /// The fused build over `queries`, with every IP of `ips` and the
+    /// sentinel e2LDs, labeled by `label_of`.
+    fn fused(
+        queries: &[(MachineId, DomainId)],
+        e2ld: impl Fn(DomainId) -> E2ldId,
+        label_of: impl Fn(DomainId, E2ldId) -> Label,
+        rules: DayRules<'_>,
+    ) -> PrunedDay {
+        let ips: Vec<(DomainId, Vec<Ipv4>)> = (0..8u32)
+            .map(|d| (DomainId(d), (0..d % 3).map(|k| ip(d, k)).collect()))
+            .collect();
+        GraphBuilder::pruned_from_queries(Day(4), queries, &ips, e2ld, label_of, rules)
     }
 
-    /// In-place compaction dropping machines and domains at the front, in
-    /// the middle and at the end, one kept machine left with no edge, and
-    /// domains with zero, one and two IPs: equal to a rebuild from the
-    /// surviving edges.
+    fn ip(d: u32, k: u32) -> Ipv4 {
+        Ipv4::from_octets(10, 0, d as u8, k as u8)
+    }
+
     #[test]
-    fn compaction_equals_a_rebuild_of_the_survivors() {
-        let ip = |d: u32, k: u32| Ipv4::from_octets(10, 0, d as u8, k as u8);
-        let build = |edges: &[(u32, u32)]| {
-            let mut b = GraphBuilder::new(Day(4));
-            for &(m, d) in edges {
-                b.add_query(MachineId(m), DomainId(d));
-                b.set_e2ld(DomainId(d), E2ldId(d % 3));
-                for k in 0..(d + 1) % 3 {
-                    b.add_resolution(DomainId(d), ip(d, k));
-                }
-            }
-            let mut g = b.build();
-            apply_seed_labels(&mut g, |d| d == DomainId(3), |e| e == E2ldId(1));
-            g
+    fn probing_machines_are_removed() {
+        // 40 malware domains, each with two ordinary victims, and an
+        // ordinary infected machine querying 3 of them.
+        let mut queries = Vec::new();
+        for d in 0..40u32 {
+            queries.push((MachineId(0), DomainId(d)));
+            queries.push((MachineId(1), DomainId(d)));
+        }
+        for d in 0..3u32 {
+            queries.push((MachineId(2), DomainId(d)));
+        }
+        let config = PruneConfig {
+            min_machine_degree: 0,
+            proxy_percentile: 1.0,
+            popular_fraction: 2.0,
         };
-        // Machines 0..5 query domains 0..5; machine 5 queries only domain 5.
-        let mut edges: Vec<(u32, u32)> = (0..5).flat_map(|m| (0..5).map(move |d| (m, d))).collect();
-        edges.push((5, 5));
-        let keep_machine = [false, true, false, true, false, true];
-        let keep_domain = [false, true, false, true, true, false];
-        let survivors: Vec<(u32, u32)> = edges
+        let rules = |probe_filter| DayRules {
+            prune: &config,
+            probe_filter,
+            workers: 1,
+        };
+        let malware = |_, _| Label::Malware;
+        // Machines 0 and 1 query 40 known malware domains: probers. The
+        // counts before pruning are over machine 2 alone.
+        let day = fused(&queries, |d| E2ldId(d.0), malware, rules(Some(21)));
+        assert!(day.graph.machine_idx(MachineId(0)).is_none());
+        assert!(day.graph.machine_idx(MachineId(2)).is_some());
+        assert_eq!(day.unpruned_counts, (3, 40, 83));
+        assert_eq!(day.unpruned_machine_labels, (3, 0, 0));
+        let stats = day.stats;
+        assert_eq!((stats.machines_before, stats.domains_before), (1, 3));
+        assert_eq!((stats.edges_before, stats.edges_after), (3, 3));
+        // No probe filter: all three stay.
+        let day = fused(&queries, |d| E2ldId(d.0), malware, rules(None));
+        assert_eq!(day.graph.machine_count(), 3);
+        assert_eq!(day.stats.machines_before, 3);
+    }
+
+    /// The fused build, every rule firing and domain 3's blacklisting
+    /// hidden, equals an unpruned build of the edges the rules keep,
+    /// labeled the same way, at any width.
+    #[test]
+    fn fused_build_equals_a_build_of_the_survivors() {
+        // Machines 0..5 query e2LD 10's domains 0, 1 and 2 (R4 at θ_m =
+        // 5); 0 and 1 query hidden domain 3, 2 and 3 whitelisted domain 4;
+        // machine 4 alone queries malware domain 5 (kept by R3's
+        // exception) and domain 6 (R3); machine 5 queries only domain 7
+        // (R1, and then R3).
+        let mut edges: Vec<(u32, u32)> = (0..5).flat_map(|m| (0..3).map(move |d| (m, d))).collect();
+        edges.extend([(0, 3), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7)]);
+        let queries: Vec<_> = edges
             .iter()
-            .copied()
-            .filter(|&(m, d)| keep_machine[m as usize] && keep_domain[d as usize])
+            .map(|&(m, d)| (MachineId(m), DomainId(d)))
             .collect();
-        let graph = build(&edges);
-        let mut kept_degree = graph.kept_degrees(&keep_machine);
-        for (degree, &keep) in kept_degree.iter_mut().zip(&keep_domain) {
-            if !keep {
-                *degree = 0;
+        let e2ld = |d: DomainId| E2ldId(if d.0 < 3 { 10 } else { 8 + d.0 });
+        let label_of = |d: DomainId, e: E2ldId| match (d.0, e.0) {
+            (3, _) => Label::Unknown,
+            (5, _) => Label::Malware,
+            (_, 12) => Label::Benign,
+            _ => Label::Unknown,
+        };
+        let config = PruneConfig {
+            min_machine_degree: 1,
+            proxy_percentile: 1.0,
+            popular_fraction: 0.8,
+        };
+        let survivors = [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5)];
+        let mut b = GraphBuilder::new(Day(4));
+        for (m, d) in survivors {
+            b.add_query(MachineId(m), DomainId(d));
+            b.set_e2ld(DomainId(d), e2ld(DomainId(d)));
+            for k in 0..d % 3 {
+                b.add_resolution(DomainId(d), ip(d, k));
             }
         }
-        let compacted = graph.compact(&keep_machine, &kept_degree);
-        assert_eq!(format!("{compacted:?}"), format!("{:?}", build(&survivors)));
-        assert_eq!(compacted.machine_count(), 2);
-        assert_eq!(compacted.domain_ips(DomainIdx(2)), &[ip(4, 0), ip(4, 1)]);
+        let mut want = b.build();
+        crate::labeling::apply_labels_with(&mut want, label_of);
+        for workers in 1..=3 {
+            let rules = DayRules {
+                prune: &config,
+                probe_filter: None,
+                workers,
+            };
+            let day = fused(&queries, e2ld, label_of, rules);
+            assert_eq!(format!("{:?}", day.graph), format!("{want:?}"));
+            let stats = day.stats;
+            assert_eq!(
+                (stats.r1_inactive_machines, stats.r2_proxy_machines),
+                (1, 0)
+            );
+            assert_eq!(
+                (stats.r3_single_machine_domains, stats.r4_popular_domains),
+                (2, 3)
+            );
+            assert_eq!((stats.theta_d, stats.theta_m), (5, 5));
+            assert_eq!((stats.edges_before, stats.edges_after), (22, 5));
+            assert_eq!(day.unpruned_counts, (6, 8, 22));
+            assert_eq!(day.unpruned_domain_labels, (1, 1, 6));
+            assert_eq!(day.unpruned_machine_labels, (1, 0, 5));
+        }
+        assert_eq!(want.domain_ips(DomainIdx(1)), &[ip(4, 0)]);
     }
 
     #[test]

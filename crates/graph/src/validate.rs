@@ -80,7 +80,8 @@ impl BehaviorGraph {
                 degree[di as usize] += 1;
             }
             // Labels and the malware-degree cache follow from the edges.
-            let (label, malware_degree) = labeling::machine_label(domains, &self.domain_labels);
+            let (label, malware_degree) =
+                labeling::machine_label(domains, |d| self.domain_labels[d as usize]);
             let cached = self.machine_malware_degree[mi];
             if cached != malware_degree {
                 return Err(format!(

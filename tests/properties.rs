@@ -138,8 +138,13 @@ proptest! {
                 }
             }
             // The O(1) rule feature measurement uses for queriers agrees
-            // with the searching one.
-            for m in g.machines_of(hidden) {
+            // with the searching one. The queriers come from the input
+            // edges, not from the graph.
+            let id = g.domain_id(hidden).0;
+            let queriers: BTreeSet<u32> =
+                edges.iter().filter(|&&(_, d)| d == id).map(|&(m, _)| m).collect();
+            for m in queriers {
+                let m = g.machine_idx(MachineId(m)).expect("a querier is in the graph");
                 prop_assert_eq!(view.querier_label(m), view.machine_label(m));
             }
         }
