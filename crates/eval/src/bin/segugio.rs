@@ -422,9 +422,13 @@ struct LogResume {
 /// by. With no state to decode the collector starts empty and the whole
 /// log is read for ids and history, as before there was any. Both detours
 /// come back as the [`Degradation`] to note.
+///
+/// The log is parsed `width` blocks at a time: the pipeline's resolved
+/// parallelism, so the front end uses the cores the day's stages use.
 fn read_log(
     logs_path: &str,
     resume: Option<LogResume>,
+    width: usize,
 ) -> Result<(LogCollector, Option<Degradation>), CliError> {
     let mut file =
         fs::File::open(logs_path).map_err(|e| CliError::io(format!("opening {logs_path}"), e))?;
@@ -467,6 +471,7 @@ fn read_log(
             }
         }
     };
+    collector.set_read_width(width);
     let n = collector.ingest_reader_from(&mut file, start)?;
     eprintln!(
         "ingested {n} records: {} machines, days {:?}",
@@ -480,9 +485,10 @@ fn read_log(
 /// remapped onto its table.
 fn load_inputs(
     flags: &HashMap<String, String>,
+    config: &SegugioConfig,
 ) -> Result<(LogCollector, Blacklist, Whitelist), CliError> {
     let paths = InputPaths::from_flags(flags)?;
-    let (collector, _) = read_log(paths.logs, None)?;
+    let (collector, _) = read_log(paths.logs, None, config.effective_parallelism())?;
     let (blacklist, whitelist) = load_seed_lists(&paths, &collector)?;
     Ok((collector, blacklist, whitelist))
 }
@@ -564,7 +570,8 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         .get("save")
         .ok_or_else(|| CliError::usage("--save FILE is required"))?
         .clone();
-    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
+    let config = SegugioConfig::default();
+    let (collector, blacklist, whitelist) = load_inputs(&flags, &config)?;
     let days = collector.days();
     let day = match flags.get("day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --day"))?),
@@ -573,7 +580,6 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError::data("log file contains no traffic"))?,
     };
     let train = day_traffic(collector.try_day(day), day)?;
-    let config = SegugioConfig::default();
     let input = SnapshotInput {
         day,
         queries: &train.queries,
@@ -607,7 +613,8 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         ],
     )?;
     let top: usize = parse_or(&flags, "top", 20)?;
-    let (collector, blacklist, whitelist) = load_inputs(&flags)?;
+    let config = SegugioConfig::default();
+    let (collector, blacklist, whitelist) = load_inputs(&flags, &config)?;
     let days = collector.days();
     let test_day = match flags.get("test-day") {
         Some(d) => Day(d.parse().map_err(|_| CliError::usage("bad --test-day"))?),
@@ -616,7 +623,6 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError::data("log file contains no traffic"))?,
     };
 
-    let config = SegugioConfig::default();
     let model = match flags.get("model") {
         Some(path) => {
             // Deploy a previously trained (possibly cross-network) model.
@@ -749,7 +755,9 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
         covered,
         section: tracker.take_front_end(),
     });
-    let (collector, degraded) = read_log(paths.logs, resume)?;
+    let config = TrackerConfig::default();
+    let (collector, degraded) =
+        read_log(paths.logs, resume, config.segugio.effective_parallelism())?;
     if let Some(record) = degraded {
         tracker.note_degradation(record);
     }
@@ -763,7 +771,6 @@ fn cmd_track(args: &[String]) -> Result<(), CliError> {
         tracker.attach_front_end(collector.state_bytes());
     }
 
-    let config = TrackerConfig::default();
     let mut processed = 0usize;
     for &day in &days {
         if tracker.last_day().is_some_and(|last| day <= last) {

@@ -1,4 +1,16 @@
 //! Accumulating parsed logs into pipeline inputs.
+//!
+//! Every reader pass goes through one block pipeline. The cutter
+//! (`parser::BlockCutter`) hands out blocks of whole lines, `width` of
+//! them at a time — a *group*. Workers walk each block with the one line
+//! loop (`parser::BlockLines`), parse its lines and look their clients
+//! and names up in the table as it stood when the group began; a line
+//! whose client or name the table does not hold carries it as a miss. The calling thread then interns the group's misses in line
+//! order, so every id is the one a line-by-line read assigns, and records
+//! the group's lines in line order while the workers parse the next group.
+//! The table is only read while workers run and only written between
+//! groups, so scoped threads and two phases are all the synchronisation
+//! there is.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -9,7 +21,7 @@ use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId};
 use segugio_pdns::{ActivityStore, PassiveDns};
 
 use crate::error::{IngestError, ParseLogError};
-use crate::parser::{scan_lines, Line, LogPosition, LogRecord, RawRecord, Scanned};
+use crate::parser::{BlockCutter, BlockLine, BlockLines, Line, LogPosition, LogRecord, RawRecord};
 use crate::quarantine::{IngestStats, QuarantinePolicy};
 use crate::state::LogGuard;
 
@@ -32,8 +44,18 @@ pub struct IngestedDay {
 /// A resolver log repeats itself — millions of lines name a few tens of
 /// thousands of domains and clients — so every step looks an id up first
 /// and allocates, validates or touches a history store only for what it
-/// has not seen: a repeated line costs two hash probes, one dense-`Vec`
+/// has not seen. A repeated line costs one pass over its bytes to find its
+/// end and its fields, a name probe (a client that repeats the line
+/// before's costs a byte comparison), and, once recorded, one dense-`Vec`
 /// memo check and one query-edge push.
+///
+/// # Reading on several threads
+///
+/// [`set_read_width`](Self::set_read_width) sets how many blocks of the
+/// log are parsed at once, each on its own scoped thread; at width 1 (the
+/// default) the same kernel runs on the calling thread and none is
+/// spawned. Every id, every store, every error and every byte of
+/// [state](Self::state_bytes) comes out the same at every width.
 ///
 /// # Continuing an append-only log
 ///
@@ -51,10 +73,27 @@ pub struct IngestedDay {
 #[derive(Debug, Clone, Default)]
 pub struct LogCollector {
     pub(crate) table: DomainTable,
-    pub(crate) activity: ActivityStore,
-    pub(crate) pdns: PassiveDns,
     pub(crate) machines: Vec<String>,
     machine_ids: HashMap<String, MachineId>,
+    // Everything a group's lines are recorded into: written while the
+    // next group's workers read the table and the machine ids.
+    pub(crate) recorder: Recorder,
+    // How far the last successful reader pass got, and the fingerprint of
+    // the bytes just before that point — `None` when that pass read a
+    // stream it could not seek back in.
+    pub(crate) consumed: LogPosition,
+    pub(crate) guard: Option<LogGuard>,
+    // Blocks parsed at once; 0 reads as 1.
+    width: usize,
+    // `None` = [`block_bytes`] at `width`.
+    block_bytes: Option<usize>,
+}
+
+/// The stores a committed line updates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Recorder {
+    pub(crate) activity: ActivityStore,
+    pub(crate) pdns: PassiveDns,
     pub(crate) days: BTreeMap<u32, DayAccumulator>,
     // `None` = [`EdgeRuns`] default capacity.
     run_capacity: Option<usize>,
@@ -62,11 +101,6 @@ pub struct LogCollector {
     seen: Vec<Seen>,
     // Days up to this one feed ids and history but retain no traffic.
     covered_through: Option<Day>,
-    // How far the last successful reader pass got, and the fingerprint of
-    // the bytes just before that point — `None` when that pass read a
-    // stream it could not seek back in.
-    pub(crate) consumed: LogPosition,
-    pub(crate) guard: Option<LogGuard>,
 }
 
 /// First-seen memo of one domain: what the history stores already hold
@@ -107,6 +141,268 @@ impl DayAccumulator {
     }
 }
 
+/// Block size up to width 4: large enough that a group's thread spawns
+/// and hand-offs are paid once per ~20,000 lines.
+const BLOCK_BYTES: usize = 1 << 20;
+/// What one group's blocks may hold together at any width. The per-line
+/// records of two groups come to about as much again, so a read keeps
+/// about 8 MiB in flight.
+const GROUP_BYTES: usize = 4 << 20;
+
+/// The block size a read cuts at `width`.
+fn block_bytes(width: usize) -> usize {
+    BLOCK_BYTES.min(GROUP_BYTES / width.max(1))
+}
+
+/// What a pass of the line loop leaves behind.
+#[derive(Debug, Clone, Copy)]
+struct Scanned {
+    /// The end of the last line that ended in `\n`. A final line without
+    /// one is ingested like any other but is not counted here: the writer
+    /// may still be in the middle of it, so the next pass has to read it
+    /// again from its first byte.
+    end: LogPosition,
+    /// Bytes of that last line, terminator included; 0 when the pass
+    /// counted no line.
+    last_line_bytes: u64,
+}
+
+/// One payload line of a block, parsed and looked up: 16 bytes, its day
+/// in the run of [`DayStart`] it is in, its IPs in the block's shared pool.
+#[derive(Debug, Clone, Copy)]
+struct Parsed {
+    // Ids; a miss holds a placeholder until its group is settled.
+    machine: u32,
+    domain: u32,
+    // The line's IPs end here in the pool; they start where the previous
+    // line's end.
+    ips_end: usize,
+}
+
+/// A line on which a new run of one day starts within its block.
+#[derive(Debug, Clone, Copy)]
+struct DayStart {
+    // Index into the block's records.
+    record: usize,
+    day: Day,
+    // Where the line starts, relative to the block.
+    offset: usize,
+    line: u64,
+}
+
+/// A name the table did not hold when the block's group began.
+#[derive(Debug)]
+enum Missed {
+    Domain(DomainName),
+    Machine(String),
+    // The client of the machine miss before it in the block.
+    SameMachine,
+}
+
+#[derive(Debug)]
+struct Miss {
+    record: usize,
+    missed: Missed,
+}
+
+/// Why a block's line loop stopped: a line that does not parse, or one
+/// that is not UTF-8.
+#[derive(Debug)]
+enum Fault {
+    Parse(ParseLogError),
+    BadEncoding { line: u64 },
+}
+
+/// What a worker made of one block.
+#[derive(Debug, Default)]
+struct ParsedBlock {
+    records: Vec<Parsed>,
+    ips: Vec<Ipv4>,
+    day_starts: Vec<DayStart>,
+    misses: Vec<Miss>,
+    // `\n`-terminated lines, the bytes through the last of them, and that
+    // line's length.
+    lines: u64,
+    terminated: usize,
+    last_line_bytes: usize,
+    // Set when the loop stopped early: every record before the failing
+    // line stands, and no miss of that line was noted.
+    fault: Option<Fault>,
+    // The block's place in the log, once its group is settled.
+    base: LogPosition,
+}
+
+/// How one line's client was found: an id, or the miss noted for it.
+#[derive(Debug, Clone, Copy)]
+enum Client {
+    Known(MachineId),
+    Missed,
+}
+
+impl ParsedBlock {
+    fn clear(&mut self) {
+        self.records.clear();
+        self.ips.clear();
+        self.day_starts.clear();
+        self.misses.clear();
+        self.lines = 0;
+        self.terminated = 0;
+        self.last_line_bytes = 0;
+        self.fault = None;
+    }
+
+    /// The strict kernel: parses and looks up every line of `block`
+    /// against `table` and `machine_ids`, stopping at the first line that
+    /// fails. Lines are numbered from the block's start.
+    fn parse(
+        &mut self,
+        block: &[u8],
+        table: &DomainTable,
+        machine_ids: &HashMap<String, MachineId>,
+    ) {
+        self.clear();
+        // A line holds at least this many bytes of log, in practice, and
+        // names fewer than two IPs for each 16 of them.
+        self.records.reserve(block.len() / 32);
+        self.ips.reserve(block.len() / 8);
+        let mut previous_client: Option<(&str, Client)> = None;
+        for line in BlockLines::new(block) {
+            let outcome = match line.line {
+                Line::Skipped => Ok(()),
+                Line::BadEncoding => Err(Fault::BadEncoding { line: line.index }),
+                Line::Payload(payload) => self
+                    .parse_payload(payload, &line, table, machine_ids, &mut previous_client)
+                    .map_err(Fault::Parse),
+            };
+            if let Err(fault) = outcome {
+                self.fault = Some(fault);
+                return;
+            }
+            self.count(&line);
+        }
+    }
+
+    fn count(&mut self, line: &BlockLine<'_>) {
+        if line.terminated {
+            self.lines += 1;
+            self.terminated = line.start + line.len;
+            self.last_line_bytes = line.len;
+        }
+    }
+
+    /// One payload line, checked in the order a line-by-line read checks
+    /// it: fields, then IPs (a bad qname outranks a bad IP list), then the
+    /// qname. A line that fails notes no miss.
+    fn parse_payload<'b>(
+        &mut self,
+        payload: &'b str,
+        line: &BlockLine<'_>,
+        table: &DomainTable,
+        machine_ids: &HashMap<String, MachineId>,
+        previous_client: &mut Option<(&'b str, Client)>,
+    ) -> Result<(), ParseLogError> {
+        let raw = RawRecord::split_at_tabs(payload, &line.tabs, line.index + 1)?;
+        let ips_from = self.ips.len();
+        if let Err(ip_error) = raw.parse_ips(&mut self.ips) {
+            self.ips.truncate(ips_from);
+            DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
+            return Err(ip_error);
+        }
+        let record = self.records.len();
+        let domain = match table.get_str(raw.qname) {
+            Some(id) => id.0,
+            None => match DomainName::parse(raw.qname) {
+                Ok(name) => {
+                    self.misses.push(Miss {
+                        record,
+                        missed: Missed::Domain(name),
+                    });
+                    0
+                }
+                Err(e) => {
+                    self.ips.truncate(ips_from);
+                    return Err(raw.bad_domain(e));
+                }
+            },
+        };
+        let machine = match *previous_client {
+            Some((spelling, Client::Known(id))) if spelling == raw.client => id.0,
+            Some((spelling, Client::Missed)) if spelling == raw.client => {
+                self.misses.push(Miss {
+                    record,
+                    missed: Missed::SameMachine,
+                });
+                0
+            }
+            _ => match machine_ids.get(raw.client) {
+                Some(&id) => {
+                    *previous_client = Some((raw.client, Client::Known(id)));
+                    id.0
+                }
+                None => {
+                    self.misses.push(Miss {
+                        record,
+                        missed: Missed::Machine(raw.client.to_owned()),
+                    });
+                    *previous_client = Some((raw.client, Client::Missed));
+                    0
+                }
+            },
+        };
+        self.push(record, &raw, line, machine, domain);
+        Ok(())
+    }
+
+    fn push(
+        &mut self,
+        record: usize,
+        raw: &RawRecord<'_>,
+        line: &BlockLine<'_>,
+        machine: u32,
+        domain: u32,
+    ) {
+        if self.day_starts.last().map(|start| start.day) != Some(raw.day) {
+            self.day_starts.push(DayStart {
+                record,
+                day: raw.day,
+                offset: line.start,
+                line: line.index,
+            });
+        }
+        self.records.push(Parsed {
+            machine,
+            domain,
+            ips_end: self.ips.len(),
+        });
+    }
+}
+
+/// Runs `parse` on every block, each on a scoped worker of its own while
+/// `alongside` runs on the calling thread — or all of it on the calling
+/// thread, spawning nothing, at width 1.
+fn parse_group<T: Send>(
+    blocks: &[Vec<u8>],
+    outs: &mut [T],
+    width: usize,
+    parse: impl Fn(&[u8], &mut T) + Sync,
+    alongside: impl FnOnce(),
+) {
+    if width <= 1 {
+        alongside();
+        for (block, out) in blocks.iter().zip(outs.iter_mut()) {
+            parse(block, out);
+        }
+        return;
+    }
+    std::thread::scope(|scope| {
+        let parse = &parse;
+        for (block, out) in blocks.iter().zip(outs.iter_mut()) {
+            scope.spawn(move || parse(block, out));
+        }
+        alongside();
+    });
+}
+
 impl LogCollector {
     /// Creates an empty collector.
     pub fn new() -> Self {
@@ -117,10 +413,9 @@ impl LogCollector {
     /// (and spill to a scratch file) every `capacity` observations,
     /// bounding resident memory for arbitrarily large days.
     pub fn with_run_capacity(capacity: usize) -> Self {
-        Self {
-            run_capacity: Some(capacity),
-            ..Self::default()
-        }
+        let mut collector = Self::default();
+        collector.recorder.run_capacity = Some(capacity);
+        collector
     }
 
     /// Creates an empty collector for a run that resumes after
@@ -138,84 +433,39 @@ impl LogCollector {
     /// kept the [state](Self::state_bytes) of its last read does not
     /// read the covered days at all: see [`resume_log`](Self::resume_log).
     pub fn resuming_after(last_covered: Day) -> Self {
-        Self {
-            covered_through: Some(last_covered),
-            ..Self::default()
-        }
+        let mut collector = Self::default();
+        collector.recorder.covered_through = Some(last_covered);
+        collector
+    }
+
+    /// Sets how many blocks of a log every later reader pass parses at
+    /// once, each on a scoped thread of its own, while the calling thread
+    /// records the blocks before them; 0 reads as 1. At width 1, the
+    /// default, nothing is spawned. The width changes how fast a log is
+    /// read, nothing it builds.
+    pub fn set_read_width(&mut self, width: usize) {
+        self.width = width.max(1);
+    }
+
+    /// Sets the size of the blocks a reader pass cuts the log into; lines
+    /// are never split, so a block holds at least one line whatever the
+    /// size. The default is 1 MiB, less above width 4, so that a read
+    /// keeps about 8 MiB of log in flight. Like the width, the size
+    /// changes nothing a read builds.
+    pub fn set_block_bytes(&mut self, bytes: usize) {
+        self.block_bytes = Some(bytes.max(1));
     }
 
     /// Ingests one parsed record.
     pub fn ingest(&mut self, record: LogRecord) {
-        let machine = self.intern_machine(&record.client);
+        let machine = self.intern_machine(record.client);
         let domain = self.table.intern(&record.qname);
-        self.commit(record.day, machine, domain, &record.ips, LogPosition::START);
-    }
-
-    /// Parses and ingests one payload line without building an owned
-    /// record; `ips` is the caller's scratch for the line's IP list.
-    fn ingest_line(
-        &mut self,
-        payload: &str,
-        at: LogPosition,
-        ips: &mut Vec<Ipv4>,
-    ) -> Result<(), ParseLogError> {
-        let raw = RawRecord::split(payload, at.line_number())?;
-        // The IPs are parsed before the qname is interned, so a line that
-        // fails leaves no trace in the table.
-        if let Err(ip_error) = raw.parse_ips(ips) {
-            // A bad qname outranks a bad IP list (field order).
-            DomainName::parse(raw.qname).map_err(|e| raw.bad_domain(e))?;
-            return Err(ip_error);
-        }
-        // Every id is looked up before anything is allocated; nothing is
-        // touched when the qname is new and invalid.
-        let domain = self
-            .table
-            .intern_str(raw.qname)
-            .map_err(|e| raw.bad_domain(e))?;
-        let machine = self.intern_machine(raw.client);
-        self.commit(raw.day, machine, domain, ips, at);
-        Ok(())
-    }
-
-    /// The id-level update every record shape ends in; `at` is the line
-    /// the record stands on.
-    fn commit(
-        &mut self,
-        day: Day,
-        machine: MachineId,
-        domain: DomainId,
-        ips: &[Ipv4],
-        at: LogPosition,
-    ) {
-        let capacity = self.run_capacity;
-        let acc = self
-            .days
-            .entry(day.0)
-            .or_insert_with(|| DayAccumulator::new(capacity, at));
-        let retained = self.covered_through.is_none_or(|last| day > last);
-        if retained {
-            acc.queries.push(machine, domain);
-        }
-        if self.seen.len() <= domain.index() {
-            self.seen.resize_with(self.table.len(), Seen::default);
-        }
-        let seen = &mut self.seen[domain.index()];
-        if seen.day != Some(day) {
-            seen.day = Some(day);
-            seen.ips.clear();
-            self.activity
-                .record(domain, self.table.e2ld_of(domain), day);
-        }
-        for &ip in ips {
-            if let Err(pos) = seen.ips.binary_search(&ip) {
-                seen.ips.insert(pos, ip);
-                self.pdns.record(domain, ip, day);
-                if retained {
-                    acc.resolutions.entry(domain).or_default().push(ip);
-                }
-            }
-        }
+        self.recorder.commit_run(
+            &self.table,
+            record.day,
+            LogPosition::START,
+            std::iter::once((machine, domain, record.ips.as_slice())),
+        );
     }
 
     /// Parses and ingests every line of a stream read from its first byte
@@ -231,7 +481,7 @@ impl LogCollector {
     /// Returns the first parse or I/O failure, with its line number;
     /// everything before the failing line has been ingested.
     pub fn ingest_reader<R: Read>(&mut self, reader: R) -> Result<usize, IngestError> {
-        let (ingested, scanned) = self.ingest_lines(reader, LogPosition::START)?;
+        let (ingested, scanned) = self.read_blocks(reader, LogPosition::START)?;
         self.consumed = scanned.end;
         self.guard = None;
         Ok(ingested)
@@ -267,7 +517,7 @@ impl LogCollector {
         };
         log.seek(SeekFrom::Start(start.offset))
             .map_err(|e| io(start, e))?;
-        let (ingested, scanned) = self.ingest_lines(&mut *log, start)?;
+        let (ingested, scanned) = self.read_blocks(&mut *log, start)?;
         // A pass that counted no line leaves the fingerprint of the bytes
         // before `start` standing.
         if scanned.end != start || self.guard.is_none() {
@@ -279,35 +529,127 @@ impl LogCollector {
         Ok(ingested)
     }
 
-    /// The line loop behind both readers.
-    fn ingest_lines<R: Read>(
+    /// The block pipeline behind both strict readers (see the
+    /// [module documentation](self)): `reader` is positioned at `start`.
+    fn read_blocks<R: Read>(
         &mut self,
         reader: R,
         start: LogPosition,
     ) -> Result<(usize, Scanned), IngestError> {
+        let width = self.width.max(1);
+        let target = self.block_bytes.unwrap_or_else(|| block_bytes(width));
+        let mut cutter = BlockCutter::new(reader);
+        let mut blocks: Vec<Vec<u8>> = (0..width).map(|_| Vec::new()).collect();
+        let lanes = |n: usize| (0..n).map(|_| ParsedBlock::default()).collect::<Vec<_>>();
+        // A serial read records each group before it parses the next into
+        // the same records; only a wider read needs a second set.
+        let mut settling = lanes(if width == 1 { 0 } else { width });
+        let mut parsing = lanes(width);
+        let mut scanned = Scanned {
+            end: start,
+            last_line_bytes: 0,
+        };
         let mut ingested = 0usize;
-        let mut ips = Vec::new();
-        let scanned = scan_lines(reader, start, |at, line| {
-            match line {
-                Line::BadEncoding => {
-                    return Err(IngestError::Io {
-                        line: at.line_number(),
-                        source: std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "stream did not contain valid UTF-8",
-                        ),
-                    })
+
+        let mut filled = cutter.fill(&mut blocks, target);
+        let (table, machine_ids) = (&self.table, &self.machine_ids);
+        let kernel = |block: &[u8], out: &mut ParsedBlock| out.parse(block, table, machine_ids);
+        parse_group(&blocks[..filled], &mut parsing, width, kernel, || {});
+        loop {
+            std::mem::swap(&mut settling, &mut parsing);
+            let group = filled;
+            if let Err((kept, fault)) = self.settle(&mut settling[..group], &mut scanned) {
+                for block in &settling[..kept] {
+                    self.recorder.commit_block(&self.table, block);
                 }
-                Line::Skipped => {}
-                Line::Payload(payload) => {
-                    self.ingest_line(payload, at, &mut ips)
-                        .map_err(IngestError::Parse)?;
-                    ingested += 1;
+                return Err(fault);
+            }
+            if group == 0 {
+                // A read error ends the stream on the line after the last
+                // whole one.
+                return match cutter.take_error() {
+                    Some(source) => Err(IngestError::Io {
+                        line: scanned.end.line_number(),
+                        source,
+                    }),
+                    None => Ok((ingested, scanned)),
+                };
+            }
+            // The group's records no longer need its bytes: the next group
+            // is read into them and parsed while the group is recorded.
+            filled = cutter.fill(&mut blocks, target);
+            let (table, machine_ids, recorder) =
+                (&self.table, &self.machine_ids, &mut self.recorder);
+            let kernel = |block: &[u8], out: &mut ParsedBlock| out.parse(block, table, machine_ids);
+            let mut record = || {
+                for block in &settling[..group] {
+                    ingested += recorder.commit_block(table, block);
+                }
+            };
+            if width == 1 {
+                record();
+                std::mem::swap(&mut settling, &mut parsing);
+                parse_group(&blocks[..filled], &mut parsing, width, kernel, || {});
+            } else {
+                parse_group(&blocks[..filled], &mut parsing, width, kernel, record);
+            }
+        }
+    }
+
+    /// Places a parsed group in the log and interns its misses in line
+    /// order, patching their ids into the records. Stops at the first
+    /// block that faulted: `Err` says how many blocks to record — the
+    /// faulted one's records are all before its failing line — and the
+    /// error to return after them.
+    fn settle(
+        &mut self,
+        group: &mut [ParsedBlock],
+        scanned: &mut Scanned,
+    ) -> Result<(), (usize, IngestError)> {
+        for (i, block) in group.iter_mut().enumerate() {
+            // Every block but the stream's last ends in `\n`.
+            block.base = scanned.end;
+            let mut last_machine = MachineId(0);
+            for miss in block.misses.drain(..) {
+                let Some(record) = block.records.get_mut(miss.record) else {
+                    continue;
+                };
+                match miss.missed {
+                    Missed::Domain(name) => record.domain = self.table.intern_owned(name).0,
+                    Missed::Machine(client) => {
+                        last_machine = self.intern_machine(client);
+                        record.machine = last_machine.0;
+                    }
+                    Missed::SameMachine => record.machine = last_machine.0,
                 }
             }
-            Ok(())
-        })?;
-        Ok((ingested, scanned))
+            let lines = block.base.lines;
+            match block.fault.take() {
+                Some(Fault::Parse(e)) => {
+                    return Err((i + 1, IngestError::Parse(e.lines_down(lines))));
+                }
+                Some(Fault::BadEncoding { line }) => {
+                    let source = std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    );
+                    let line = lines.saturating_add(line).saturating_add(1);
+                    return Err((i + 1, IngestError::Io { line, source }));
+                }
+                None => {}
+            }
+            let offset = |bytes: usize| u64::try_from(bytes).map_or(u64::MAX, |b| b);
+            if block.lines > 0 {
+                *scanned = Scanned {
+                    end: LogPosition {
+                        offset: block.base.offset.saturating_add(offset(block.terminated)),
+                        lines: block.base.lines.saturating_add(block.lines),
+                    },
+                    last_line_bytes: offset(block.last_line_bytes),
+                };
+            }
+        }
+        Ok(())
     }
 
     /// How far the last successful reader pass got: the end of the last
@@ -344,19 +686,20 @@ impl LogCollector {
         log: &mut R,
         last_covered: Option<Day>,
     ) -> std::io::Result<(LogPosition, bool)> {
-        self.covered_through = last_covered;
+        self.recorder.covered_through = last_covered;
         let unchanged = match self.guard {
             Some(guard) => guard.matches(log, self.consumed.offset)?,
             None => false,
         };
         let start = if unchanged {
-            self.days
+            self.recorder
+                .days
                 .iter()
                 .filter(|(&day, _)| last_covered.is_none_or(|last| Day(day) > last))
                 .map(|(_, acc)| acc.first_at)
                 .fold(self.consumed, LogPosition::min)
         } else {
-            self.days.clear();
+            self.recorder.days.clear();
             self.consumed = LogPosition::START;
             self.guard = None;
             LogPosition::START
@@ -386,19 +729,32 @@ impl LogCollector {
         reader: R,
         policy: &QuarantinePolicy,
     ) -> Result<IngestStats, IngestError> {
+        let width = self.width.max(1);
+        let target = self.block_bytes.unwrap_or_else(|| block_bytes(width));
+        let mut cutter = BlockCutter::new(reader);
+        let mut blocks: Vec<Vec<u8>> = (0..width).map(|_| Vec::new()).collect();
+        let mut staged: Vec<Staged> = (0..width).map(|_| Staged::default()).collect();
         let mut stats = IngestStats::default();
         let mut parsed: Vec<LogRecord> = Vec::new();
-        scan_lines(reader, LogPosition::START, |at, line| {
-            match line {
-                Line::BadEncoding => stats.bad_encoding += 1,
-                Line::Skipped => stats.skipped_comments += 1,
-                Line::Payload(payload) => match LogRecord::parse(payload, at.line_number()) {
-                    Ok(record) => parsed.push(record),
-                    Err(e) => stats.note_parse(e.kind()),
-                },
+        let mut lines = 0u64;
+        loop {
+            let filled = cutter.fill(&mut blocks, target);
+            if filled == 0 {
+                break;
             }
-            Ok(())
-        })?;
+            parse_group(&blocks[..filled], &mut staged, width, Staged::parse, || {});
+            for block in &mut staged[..filled] {
+                stats.add(&block.stats);
+                parsed.append(&mut block.records);
+                lines = lines.saturating_add(block.lines);
+            }
+        }
+        if let Some(source) = cutter.take_error() {
+            return Err(IngestError::Io {
+                line: lines.saturating_add(1),
+                source,
+            });
+        }
         stats.ingested = u64::try_from(parsed.len()).map_or(u64::MAX, |n| n);
         if policy.exceeded(&stats) {
             return Err(IngestError::QuarantineExceeded {
@@ -413,8 +769,14 @@ impl LogCollector {
         Ok(stats)
     }
 
-    pub(crate) fn intern_machine(&mut self, client: &str) -> MachineId {
-        if let Some(&id) = self.machine_ids.get(client) {
+    /// Makes room for `additional` more clients.
+    pub(crate) fn reserve_machines(&mut self, additional: usize) {
+        self.machines.reserve(additional);
+        self.machine_ids.reserve(additional);
+    }
+
+    pub(crate) fn intern_machine(&mut self, client: String) -> MachineId {
+        if let Some(&id) = self.machine_ids.get(&client) {
             return id;
         }
         let next = u32::try_from(self.machines.len());
@@ -423,8 +785,8 @@ impl LogCollector {
             reason = "exhausting the 32-bit machine-id space cannot be recovered mid-ingest; aborting is the only sane response"
         )]
         let id = MachineId(next.expect("more than u32::MAX client machines"));
-        self.machines.push(client.to_owned());
-        self.machine_ids.insert(client.to_owned(), id);
+        self.machines.push(client.clone());
+        self.machine_ids.insert(client, id);
         id
     }
 
@@ -435,12 +797,12 @@ impl LogCollector {
 
     /// The accumulated activity store (feature group F2 input).
     pub fn activity(&self) -> &ActivityStore {
-        &self.activity
+        &self.recorder.activity
     }
 
     /// The accumulated passive-DNS store (feature group F3 input).
     pub fn pdns(&self) -> &PassiveDns {
-        &self.pdns
+        &self.recorder.pdns
     }
 
     /// Number of distinct client machines seen.
@@ -462,7 +824,7 @@ impl LogCollector {
     /// this collector or by the one whose [state](Self::from_state_bytes) it
     /// was decoded from.
     pub fn days(&self) -> Vec<Day> {
-        self.days.keys().map(|&d| Day(d)).collect()
+        self.recorder.days.keys().map(|&d| Day(d)).collect()
     }
 
     /// The ingested traffic of `day`, if any, as snapshot-ready lists.
@@ -489,10 +851,14 @@ impl LogCollector {
     /// Returns any I/O error from re-reading query runs that were spilled
     /// to the scratch file.
     pub fn try_day(&self, day: Day) -> std::io::Result<Option<IngestedDay>> {
-        if self.covered_through.is_some_and(|last| day <= last) {
+        if self
+            .recorder
+            .covered_through
+            .is_some_and(|last| day <= last)
+        {
             return Ok(None);
         }
-        let Some(acc) = self.days.get(&day.0) else {
+        let Some(acc) = self.recorder.days.get(&day.0) else {
             return Ok(None);
         };
         let queries = acc.queries.collect_merged()?;
@@ -510,6 +876,110 @@ impl LogCollector {
             queries,
             resolutions,
         }))
+    }
+}
+
+impl Recorder {
+    /// Records one block's lines, in line order; returns how many.
+    fn commit_block(&mut self, table: &DomainTable, block: &ParsedBlock) -> usize {
+        let mut committed = 0;
+        let mut ips_from = 0;
+        let mut starts = block.day_starts.iter().peekable();
+        while let Some(start) = starts.next() {
+            let end = starts
+                .peek()
+                .map_or(block.records.len(), |next| next.record);
+            let Some(run) = block.records.get(start.record..end) else {
+                continue;
+            };
+            let at = LogPosition {
+                offset: block
+                    .base
+                    .offset
+                    .saturating_add(u64::try_from(start.offset).map_or(u64::MAX, |o| o)),
+                lines: block.base.lines.saturating_add(start.line),
+            };
+            let lines = run.iter().map(|parsed| {
+                let ips = block.ips.get(ips_from..parsed.ips_end).unwrap_or(&[]);
+                ips_from = parsed.ips_end;
+                (MachineId(parsed.machine), DomainId(parsed.domain), ips)
+            });
+            committed += self.commit_run(table, start.day, at, lines);
+        }
+        committed
+    }
+
+    /// Records a run of lines of one `day`, the first of which stands at
+    /// `at`; returns how many.
+    fn commit_run<'r>(
+        &mut self,
+        table: &DomainTable,
+        day: Day,
+        at: LogPosition,
+        lines: impl Iterator<Item = (MachineId, DomainId, &'r [Ipv4])>,
+    ) -> usize {
+        let capacity = self.run_capacity;
+        let acc = self
+            .days
+            .entry(day.0)
+            .or_insert_with(|| DayAccumulator::new(capacity, at));
+        let retained = self.covered_through.is_none_or(|last| day > last);
+        let mut committed = 0;
+        for (machine, domain, ips) in lines {
+            committed += 1;
+            if retained {
+                acc.queries.push(machine, domain);
+            }
+            if self.seen.len() <= domain.index() {
+                self.seen.resize_with(table.len(), Seen::default);
+            }
+            let Some(seen) = self.seen.get_mut(domain.index()) else {
+                continue;
+            };
+            if seen.day != Some(day) {
+                seen.day = Some(day);
+                seen.ips.clear();
+                self.activity.record(domain, table.e2ld_of(domain), day);
+            }
+            for &ip in ips {
+                if let Err(pos) = seen.ips.binary_search(&ip) {
+                    seen.ips.insert(pos, ip);
+                    self.pdns.record(domain, ip, day);
+                    if retained {
+                        acc.resolutions.entry(domain).or_default().push(ip);
+                    }
+                }
+            }
+        }
+        committed
+    }
+}
+
+/// What a quarantined read made of one block: its good records and its
+/// counts, the damage recorded, not raised.
+#[derive(Debug, Default)]
+struct Staged {
+    records: Vec<LogRecord>,
+    stats: IngestStats,
+    lines: u64,
+}
+
+impl Staged {
+    fn parse(block: &[u8], out: &mut Staged) {
+        out.records.clear();
+        out.stats = IngestStats::default();
+        out.lines = 0;
+        for line in BlockLines::new(block) {
+            match line.line {
+                Line::BadEncoding => out.stats.bad_encoding += 1,
+                Line::Skipped => out.stats.skipped_comments += 1,
+                Line::Payload(payload) => match LogRecord::parse(payload, line.index + 1) {
+                    Ok(record) => out.records.push(record),
+                    Err(e) => out.stats.note_parse(e.kind()),
+                },
+            }
+            out.lines += u64::from(line.terminated);
+        }
     }
 }
 
@@ -707,6 +1177,42 @@ mod tests {
         }
         // The good line before the failure was ingested.
         assert_eq!(c.machine_count(), 1);
+    }
+
+    /// A reader that fails once its bytes are handed out.
+    struct FailsAfter<'a>(&'a [u8]);
+
+    impl Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_names_the_line_it_struck_at_every_width() {
+        let text = b"0\ta\tx.com\t1.1.1.1\n0\tb\ty.com\t1.1.1.2\n0\tc\tz.c";
+        for width in [1, 2, 3] {
+            for block in [1, 7, 1 << 20] {
+                let mut c = LogCollector::new();
+                c.set_read_width(width);
+                c.set_block_bytes(block);
+                match c.ingest_reader(FailsAfter(text)) {
+                    Err(IngestError::Io { line, .. }) => assert_eq!(line, 3),
+                    other => panic!("expected an i/o error, got {other:?}"),
+                }
+                // The whole lines before it were ingested.
+                assert_eq!(c.machine_count(), 2, "width {width}, block {block}");
+                let quarantined =
+                    c.ingest_quarantined(FailsAfter(text), &QuarantinePolicy::default());
+                assert!(matches!(quarantined, Err(IngestError::Io { line: 3, .. })));
+            }
+        }
     }
 
     #[test]

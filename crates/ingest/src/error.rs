@@ -32,6 +32,13 @@ impl ParseLogError {
         ParseLogError { line, kind }
     }
 
+    /// The same error `lines` lines further down: a block's lines are
+    /// numbered from its start until the block finds its place in the log.
+    pub(crate) fn lines_down(mut self, lines: u64) -> Self {
+        self.line = self.line.saturating_add(lines);
+        self
+    }
+
     /// 1-based line number the error occurred on.
     pub fn line(&self) -> u64 {
         self.line

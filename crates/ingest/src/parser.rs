@@ -1,11 +1,11 @@
-//! Line-level parsing of the TSV log format: the one line loop and the
-//! one field parser every reader mode shares.
+//! Line-level parsing of the TSV log format: the block cutter, the one
+//! line loop and the one field parser every reader mode shares.
 
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 
 use segugio_model::{Day, DomainName, Ipv4, ParseDomainError};
 
-use crate::error::{IngestError, ParseLogError, ParseLogErrorKind};
+use crate::error::{ParseLogError, ParseLogErrorKind};
 
 /// One parsed log line: a client's query and the answer's resolved IPs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,26 +80,74 @@ impl<'a> RawRecord<'a> {
         })
     }
 
+    /// [`split`](Self::split) for a line the line loop has already found
+    /// the tabs of. A line of plain fields — a day of digits, client and
+    /// qname with nothing to trim — is cut at those tabs; any other goes
+    /// through `split`, so the fields and errors are that function's.
+    pub(crate) fn split_at_tabs(
+        line: &'a str,
+        tabs: &Tabs,
+        line_no: u64,
+    ) -> Result<Self, ParseLogError> {
+        match Self::plain(line, tabs, line_no) {
+            Some(raw) => Ok(raw),
+            None => Self::split(line, line_no),
+        }
+    }
+
+    fn plain(line: &'a str, tabs: &Tabs, line_no: u64) -> Option<Self> {
+        let [day_end, client_end, qname_end, fourth] = tabs.at;
+        let ips_end = match tabs.count {
+            4 => fourth,
+            3 => line.len(),
+            _ => return None,
+        };
+        let day = line.as_bytes().get(..day_end)?;
+        // Nine digits always fit a `u32`.
+        if day.is_empty() || day.len() > 9 || !day.iter().all(u8::is_ascii_digit) {
+            return None;
+        }
+        let day = day
+            .iter()
+            .fold(0u32, |value, digit| value * 10 + u32::from(digit - b'0'));
+        let untrimmed = |field: &str| {
+            let bytes = field.as_bytes();
+            matches!((bytes.first(), bytes.last()), (Some(first), Some(last))
+                if first.is_ascii_graphic() && last.is_ascii_graphic())
+        };
+        let client = line.get(day_end + 1..client_end).filter(|f| untrimmed(f))?;
+        let qname = line
+            .get(client_end + 1..qname_end)
+            .filter(|f| untrimmed(f))?;
+        Some(RawRecord {
+            day: Day(day),
+            client,
+            qname,
+            ips_field: Some(line.get(qname_end + 1..ips_end)?),
+            line_no,
+        })
+    }
+
     /// This line's "invalid qname" error.
     pub(crate) fn bad_domain(&self, error: ParseDomainError) -> ParseLogError {
         ParseLogError::new(self.line_no, ParseLogErrorKind::BadDomain(error))
     }
 
-    /// Parses the IP list into `out`, replacing what it held.
+    /// Parses the IP list onto the end of `out`; on an error, some of the
+    /// list may have been appended.
     pub(crate) fn parse_ips(&self, out: &mut Vec<Ipv4>) -> Result<(), ParseLogError> {
-        out.clear();
         let field = self.ips_field.ok_or_else(|| {
             ParseLogError::new(self.line_no, ParseLogErrorKind::MissingField("ips"))
         })?;
+        let start = out.len();
+        if parse_canonical_list(field.as_bytes(), out) {
+            return Ok(());
+        }
+        out.truncate(start);
         for part in SplitByte::new(trim(field), b',') {
-            if part.is_empty() {
-                continue;
+            if !part.is_empty() {
+                out.push(parse_ip(part, self.line_no)?);
             }
-            let ip = match parse_canonical_ip(part.as_bytes()) {
-                Some(ip) => ip,
-                None => parse_ip(part, self.line_no)?,
-            };
-            out.push(ip);
         }
         Ok(())
     }
@@ -151,28 +199,55 @@ fn trim(field: &str) -> &str {
     }
 }
 
-/// Parses a dotted quad in the spelling resolvers write — four runs of
-/// digits, nothing else. `None` decides nothing: [`parse_ip`] then
-/// accepts or rejects the rarer spellings (sign, padding).
-fn parse_canonical_ip(s: &[u8]) -> Option<Ipv4> {
+/// Parses an IP list in the spelling resolvers write — dotted quads of
+/// digit runs, joined by single commas, nothing else — onto `out`, in one
+/// pass over its bytes. `false` decides nothing (and may leave part of the
+/// list appended): the general route then accepts or rejects the rarer
+/// spellings (signs, padding, empty entries).
+fn parse_canonical_list(field: &[u8], out: &mut Vec<Ipv4>) -> bool {
     let mut octets = [0u8; 4];
-    let mut at = 0;
-    for (k, octet) in octets.iter_mut().enumerate() {
-        if k > 0 {
-            if s.get(at) != Some(&b'.') {
-                return None;
+    let mut k = 0;
+    let mut value = 0u8;
+    let mut digits = false;
+    for &b in field {
+        match b {
+            b'0'..=b'9' => {
+                let Some(next) = value.checked_mul(10).and_then(|v| v.checked_add(b - b'0')) else {
+                    return false;
+                };
+                value = next;
+                digits = true;
             }
-            at += 1;
+            b'.' | b',' if digits => {
+                let Some(octet) = octets.get_mut(k) else {
+                    return false;
+                };
+                *octet = value;
+                k += 1;
+                value = 0;
+                digits = false;
+                if b == b',' {
+                    if k != 4 {
+                        return false;
+                    }
+                    out.push(Ipv4::from(octets));
+                    k = 0;
+                } else if k == 4 {
+                    return false;
+                }
+            }
+            _ => return false,
         }
-        let mut value: Option<u8> = None;
-        while let Some(digit) = s.get(at).filter(|b| b.is_ascii_digit()) {
-            let so_far = value.unwrap_or(0).checked_mul(10)?;
-            value = Some(so_far.checked_add(digit - b'0')?);
-            at += 1;
-        }
-        *octet = value?;
     }
-    (at == s.len()).then(|| Ipv4::from(octets))
+    match (k, digits) {
+        (0, false) => field.is_empty(),
+        (3, true) => {
+            octets[3] = value;
+            out.push(Ipv4::from(octets));
+            true
+        }
+        _ => false,
+    }
 }
 
 fn parse_ip(s: &str, line_no: u64) -> Result<Ipv4, ParseLogError> {
@@ -214,7 +289,7 @@ impl LogPosition {
     }
 }
 
-/// What the line loop found on one line of a reader.
+/// What the line loop found on one line of a block.
 #[derive(Debug)]
 pub(crate) enum Line<'a> {
     /// The line's bytes are not valid UTF-8.
@@ -227,81 +302,265 @@ pub(crate) enum Line<'a> {
     Payload(&'a str),
 }
 
-/// What one pass of the line loop leaves behind.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Scanned {
-    /// The end of the last line that ended in `\n`. A final line without
-    /// one is handed to the callback like any other but is not counted
-    /// here: the writer may still be in the middle of it, so the next
-    /// pass has to read it again from its first byte.
-    pub(crate) end: LogPosition,
-    /// Bytes of that last line, terminator included; 0 when the pass
-    /// counted no line.
-    pub(crate) last_line_bytes: u64,
+/// Where the first tabs of a line are — enough to cut its four fields
+/// without a second pass over them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tabs {
+    at: [usize; 4],
+    count: usize,
 }
 
-// Large enough that a read syscall is paid once per ~1,400 lines.
-const READ_BUFFER_BYTES: usize = 64 * 1024;
+/// One line of a block, as the line loop hands it on.
+#[derive(Debug)]
+pub(crate) struct BlockLine<'a> {
+    /// 0-based index of the line in its block.
+    pub(crate) index: u64,
+    /// Offset of the line's first byte in its block.
+    pub(crate) start: usize,
+    /// Bytes of the line, `\n` included when it has one.
+    pub(crate) len: usize,
+    /// Whether the line ends in `\n`. Only the last line of a stream can
+    /// lack one, and the writer may still be in the middle of it.
+    pub(crate) terminated: bool,
+    pub(crate) line: Line<'a>,
+    pub(crate) tabs: Tabs,
+}
 
-/// Hands every line of `reader` to `on_line` with the place it starts at,
-/// counting from `start` (where the caller has positioned `reader`) and
-/// reading into one reused buffer. UTF-8 is checked per line, so damaged
-/// bytes cost that line only and the stream stays usable.
+/// The one line loop: every line of a block of whole lines, classified,
+/// with its tabs found in the same pass that finds its end.
 ///
-/// # Errors
-///
-/// [`IngestError::Io`] with the line number when reading fails, or the
-/// first error `on_line` returns.
-pub(crate) fn scan_lines<R: Read>(
-    reader: R,
-    start: LogPosition,
-    mut on_line: impl FnMut(LogPosition, Line<'_>) -> Result<(), IngestError>,
-) -> Result<Scanned, IngestError> {
-    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
-    let mut buf = Vec::new();
-    let mut scanned = Scanned {
-        end: start,
-        last_line_bytes: 0,
-    };
-    loop {
-        buf.clear();
-        let at = scanned.end;
-        let read = reader
-            .read_until(b'\n', &mut buf)
-            .map_err(|source| IngestError::Io {
-                line: at.line_number(),
-                source,
-            })?;
-        if read == 0 {
-            return Ok(scanned);
+/// UTF-8 is checked once for the whole block; only a block that fails
+/// goes back to checking line by line, so damaged bytes cost the line
+/// they are on and nothing else.
+pub(crate) struct BlockLines<'a> {
+    block: &'a [u8],
+    // The whole block, when it is valid UTF-8.
+    text: Option<&'a str>,
+    at: usize,
+    index: u64,
+}
+
+impl<'a> BlockLines<'a> {
+    pub(crate) fn new(block: &'a [u8]) -> Self {
+        BlockLines {
+            block,
+            text: std::str::from_utf8(block).ok(),
+            at: 0,
+            index: 0,
         }
-        let line = match std::str::from_utf8(&buf) {
-            Err(_) => Line::BadEncoding,
-            Ok(text) => {
-                let payload = text
-                    .strip_suffix('\n')
-                    .unwrap_or(text)
-                    .trim_end_matches('\r');
-                let content = payload.trim_start();
-                if content.is_empty() || content.starts_with('#') {
-                    Line::Skipped
-                } else {
-                    Line::Payload(payload)
+    }
+}
+
+impl<'a> Iterator for BlockLines<'a> {
+    type Item = BlockLine<'a>;
+
+    fn next(&mut self) -> Option<BlockLine<'a>> {
+        let start = self.at;
+        let rest = self.block.get(start..).filter(|rest| !rest.is_empty())?;
+        let (end, tabs) = scan_line(rest);
+        let terminated = end < rest.len();
+        let len = end + usize::from(terminated);
+        // A `\n` is never part of a longer UTF-8 sequence, so the line's
+        // ends are character boundaries of a valid block.
+        let text = match self.text {
+            Some(text) => text.get(start..start + end),
+            None => rest
+                .get(..end)
+                .and_then(|raw| std::str::from_utf8(raw).ok()),
+        };
+        let line = match text {
+            None => Line::BadEncoding,
+            Some(text) => classify(text),
+        };
+        let found = BlockLine {
+            index: self.index,
+            start,
+            len,
+            terminated,
+            line,
+            tabs,
+        };
+        self.at = start + len;
+        self.index += 1;
+        Some(found)
+    }
+}
+
+/// The end of the line at the head of `bytes` (the index of its `\n`, or
+/// the length when it has none) and its first tabs, in one pass.
+///
+/// The pass reads eight bytes at a time and stops only on the bytes that
+/// are a tab or a newline — a handful per line.
+fn scan_line(bytes: &[u8]) -> (usize, Tabs) {
+    let mut tabs = Tabs::default();
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in words.by_ref() {
+        let word = u64::from_le_bytes(word.try_into().unwrap_or([0; 8]));
+        let mut hits = zero_bytes(word ^ NEWLINES) | zero_bytes(word ^ TABS);
+        while hits != 0 {
+            let i = base + (hits.trailing_zeros() / 8) as usize;
+            if bytes.get(i) == Some(&b'\n') {
+                return (i, tabs);
+            }
+            tabs.note(i);
+            hits &= hits - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        match b {
+            b'\n' => return (base + i, tabs),
+            b'\t' => tabs.note(base + i),
+            _ => {}
+        }
+    }
+    (bytes.len(), tabs)
+}
+
+const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+const TABS: u64 = u64::from_ne_bytes([b'\t'; 8]);
+const LOW_SEVEN: u64 = u64::from_ne_bytes([0x7f; 8]);
+
+/// The high bit of every byte of `word` that is zero, and no other bit:
+/// `(b & 0x7f) + 0x7f` sets a byte's high bit for any nonzero low seven
+/// bits and cannot carry into the next byte.
+fn zero_bytes(word: u64) -> u64 {
+    !(((word & LOW_SEVEN) + LOW_SEVEN) | word | LOW_SEVEN)
+}
+
+impl Tabs {
+    fn note(&mut self, at: usize) {
+        if let Some(slot) = self.at.get_mut(self.count) {
+            *slot = at;
+            self.count += 1;
+        }
+    }
+}
+
+/// A line's kind, `\n` already stripped.
+fn classify(text: &str) -> Line<'_> {
+    let payload = if text.ends_with('\r') {
+        text.trim_end_matches('\r')
+    } else {
+        text
+    };
+    let plain_start = payload
+        .as_bytes()
+        .first()
+        .is_some_and(|&b| b.is_ascii_graphic() && b != b'#');
+    if plain_start {
+        return Line::Payload(payload);
+    }
+    let content = payload.trim_start();
+    if content.is_empty() || content.starts_with('#') {
+        Line::Skipped
+    } else {
+        Line::Payload(payload)
+    }
+}
+
+/// Cuts a stream into blocks of whole lines, each about a target size,
+/// for the line loop to walk.
+///
+/// A block ends at the last `\n` in the bytes read; what follows it opens
+/// the next block. A line longer than the target makes its block longer,
+/// never cut. The last block of a stream may end in a line without `\n`.
+/// A read error ends the stream after the whole lines read before it; the
+/// line it struck is dropped and [`take_error`](Self::take_error) returns
+/// the error.
+pub(crate) struct BlockCutter<R> {
+    reader: R,
+    // The head of a line the previous block could not hold.
+    carry: Vec<u8>,
+    eof: bool,
+    error: Option<std::io::Error>,
+}
+
+// Read at least this much per call when a line outgrows its block.
+const MIN_READ_BYTES: usize = 64 * 1024;
+
+impl<R: Read> BlockCutter<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        BlockCutter {
+            reader,
+            carry: Vec::new(),
+            eof: false,
+            error: None,
+        }
+    }
+
+    /// Fills one block of `blocks` after another, in stream order, and
+    /// says how many it filled — fewer than all only at the end of the
+    /// stream.
+    pub(crate) fn fill(&mut self, blocks: &mut [Vec<u8>], target: usize) -> usize {
+        let mut filled = 0;
+        for block in blocks.iter_mut() {
+            if !self.next_block(block, target) {
+                break;
+            }
+            filled += 1;
+        }
+        filled
+    }
+
+    /// Replaces `block` with the next block; `false` when the stream has
+    /// nothing left.
+    fn next_block(&mut self, block: &mut Vec<u8>, target: usize) -> bool {
+        block.clear();
+        block.append(&mut self.carry);
+        let target = target.max(1);
+        // Where the search for a `\n` resumes: the carry holds none.
+        let mut searched = block.len();
+        loop {
+            if block.len() >= target || self.eof || self.error.is_some() {
+                let cut = block
+                    .get(searched..)
+                    .and_then(|fresh| fresh.iter().rposition(|&b| b == b'\n'))
+                    .map(|at| searched + at + 1);
+                match cut {
+                    Some(cut) => {
+                        if let Some(tail) = block.get(cut..) {
+                            self.carry.extend_from_slice(tail);
+                        }
+                        block.truncate(cut);
+                        return true;
+                    }
+                    // The stream's last line, without `\n`.
+                    None if self.eof => return !block.is_empty(),
+                    // The line a read error struck.
+                    None if self.error.is_some() => {
+                        block.clear();
+                        return false;
+                    }
+                    // One line longer than the target: read on.
+                    None => searched = block.len(),
                 }
             }
-        };
-        on_line(at, line)?;
-        if buf.last() != Some(&b'\n') {
-            return Ok(scanned);
+            let filled = block.len();
+            let room = target.saturating_sub(filled).max(MIN_READ_BYTES);
+            block.resize(filled + room, 0);
+            let read = block
+                .get_mut(filled..)
+                .map_or(Ok(0), |space| self.reader.read(space));
+            match read {
+                Ok(0) => {
+                    block.truncate(filled);
+                    self.eof = true;
+                }
+                Ok(n) => block.truncate(filled + n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => block.truncate(filled),
+                Err(e) => {
+                    block.truncate(filled);
+                    self.error = Some(e);
+                }
+            }
         }
-        let read = u64::try_from(read).unwrap_or(u64::MAX);
-        scanned = Scanned {
-            end: LogPosition {
-                offset: at.offset.saturating_add(read),
-                lines: at.lines.saturating_add(1),
-            },
-            last_line_bytes: read,
-        };
+    }
+
+    /// The read error that ended the stream, if one did.
+    pub(crate) fn take_error(&mut self) -> Option<std::io::Error> {
+        self.error.take()
     }
 }
 
@@ -397,8 +656,127 @@ mod tests {
     }
 
     #[test]
-    fn canonical_ip_parser_agrees_with_the_general_one() {
-        for text in [
+    fn line_scan_finds_what_a_byte_loop_finds() {
+        let texts = [
+            "",
+            "\n",
+            "a",
+            "0\thost\twww.example.com\t1.2.3.4\n",
+            "0\thost\twww.example.com\t1.2.3.4\tx\ty\n\t\n",
+            "\t\t\t\t\t\t\t\t\t\t",
+            "0123456\t89abcdef\n",
+            "caf\u{e9}\tx\r\n",
+            "\u{2003}\u{2003}\t\u{0}\u{b}\u{8}\u{89}\n",
+        ];
+        for text in texts {
+            for from in 0..text.len() {
+                let bytes = &text.as_bytes()[from..];
+                let end = bytes
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(bytes.len());
+                let tabs: Vec<usize> = bytes[..end]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\t')
+                    .map(|(i, _)| i)
+                    .take(4)
+                    .collect();
+                let (got_end, got) = scan_line(bytes);
+                assert_eq!(got_end, end, "{text:?} from {from}");
+                assert_eq!(&got.at[..got.count], &tabs[..], "{text:?} from {from}");
+            }
+        }
+    }
+
+    #[test]
+    fn tab_split_agrees_with_the_general_split() {
+        for line in [
+            "3\thost-1\twww.example.com\t1.2.3.4",
+            "3\thost-1\twww.example.com\t1.2.3.4\textra",
+            "3\thost-1\twww.example.com\t",
+            "3\thost-1\twww.example.com",
+            "+3\thost-1\tx.com\t",
+            "0003\thost-1\tx.com\t",
+            "4294967295\th\tx.com\t",
+            "4294967296\th\tx.com\t",
+            " 3\t host \t x.com \t 1.2.3.4 ",
+            "3\t\tx.com\t",
+            "3\th\t\t",
+            "\t\t\t",
+            "3\tcaf\u{e9}\tx.com\t",
+            "3\th\u{2003}\tx.com\t",
+        ] {
+            let (_, tabs) = scan_line(line.as_bytes());
+            let fast = RawRecord::split_at_tabs(line, &tabs, 7);
+            let general = RawRecord::split(line, 7);
+            match (fast, general) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(
+                        (a.day, a.client, a.qname, a.ips_field),
+                        (b.day, b.client, b.qname, b.ips_field),
+                        "{line:?}"
+                    );
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{line:?}"),
+                (a, b) => panic!("{line:?}: {a:?} against {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_are_whole_lines_whatever_the_target() {
+        let text = "a\nbb\n\nccc\r\nlonger line here\nlast";
+        for target in 1..text.len() + 2 {
+            let mut cutter = BlockCutter::new(text.as_bytes());
+            let mut blocks = vec![Vec::new(); 3];
+            let mut joined = Vec::new();
+            loop {
+                let filled = cutter.fill(&mut blocks, target);
+                for block in &blocks[..filled] {
+                    assert!(!block.is_empty());
+                    let whole = block.last() == Some(&b'\n');
+                    // Only the stream's end may be an unterminated line.
+                    assert!(whole || joined.len() + block.len() == text.len());
+                    joined.extend_from_slice(block);
+                }
+                if filled < blocks.len() {
+                    break;
+                }
+            }
+            assert_eq!(joined, text.as_bytes(), "target {target}");
+            assert!(cutter.take_error().is_none());
+        }
+    }
+
+    /// A reader that fails after handing out its bytes.
+    struct FailsAfter<'a>(&'a [u8]);
+
+    impl Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_drops_the_line_it_struck() {
+        let mut cutter = BlockCutter::new(FailsAfter(b"one\ntwo\nthr"));
+        let mut blocks = vec![Vec::new(); 4];
+        let filled = cutter.fill(&mut blocks, 5);
+        let read: Vec<u8> = blocks[..filled].concat();
+        assert_eq!(read, b"one\ntwo\n");
+        assert!(cutter.take_error().is_some());
+    }
+
+    #[test]
+    fn canonical_list_parser_agrees_with_the_general_one() {
+        let quads = [
             "1.2.3.4",
             "0.0.0.0",
             "255.255.255.255",
@@ -415,20 +793,34 @@ mod tests {
             "1.2.3.4 ",
             "1.2.3.x",
             "",
-        ] {
-            let general = parse_ip(text, 1).ok();
-            if let Some(ip) = parse_canonical_ip(text.as_bytes()) {
-                assert_eq!(Some(ip), general, "{text:?}");
+        ];
+        let mut lists: Vec<String> = quads.iter().map(|q| q.to_string()).collect();
+        for a in quads {
+            for b in ["1.2.3.4", "", "9.9.9.999", "5.6.7.8,"] {
+                lists.push(format!("{a},{b}"));
+            }
+        }
+        for text in &lists {
+            let general: Result<Vec<Ipv4>, _> = text
+                .split(',')
+                .filter(|p| !p.is_empty())
+                .map(|p| parse_ip(p, 1))
+                .collect();
+            let mut fast = vec![Ipv4::from_octets(9, 9, 9, 9)];
+            if parse_canonical_list(text.as_bytes(), &mut fast) {
+                assert_eq!(Ok(fast[1..].to_vec()), general, "{text:?}");
             }
             let record = LogRecord::parse(&format!("0\tc\texample.com\t{text}"), 1);
             match general {
-                Some(ip) => assert_eq!(record.unwrap().ips, vec![ip], "{text:?}"),
-                None if text.is_empty() => assert!(record.unwrap().ips.is_empty()),
-                None => assert!(record.is_err(), "{text:?}"),
+                Ok(ips) => assert_eq!(record.unwrap().ips, ips, "{text:?}"),
+                Err(_) => assert!(record.is_err(), "{text:?}"),
             }
         }
-        // The plain spelling must take the fast route.
-        assert!(parse_canonical_ip(b"93.184.216.34").is_some());
+        // The plain spellings must take the fast route.
+        let mut out = Vec::new();
+        assert!(parse_canonical_list(b"93.184.216.34,10.0.0.1", &mut out));
+        assert_eq!(out.len(), 2);
+        assert!(parse_canonical_list(b"", &mut out));
     }
 
     #[test]

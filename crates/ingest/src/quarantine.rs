@@ -65,6 +65,18 @@ impl IngestStats {
         self.errors() as f64 / considered as f64
     }
 
+    /// Adds another pass's counts to these.
+    pub(crate) fn add(&mut self, other: &IngestStats) {
+        self.ingested += other.ingested;
+        self.skipped_comments += other.skipped_comments;
+        self.missing_field += other.missing_field;
+        self.bad_day += other.bad_day;
+        self.bad_client += other.bad_client;
+        self.bad_domain += other.bad_domain;
+        self.bad_ip += other.bad_ip;
+        self.bad_encoding += other.bad_encoding;
+    }
+
     /// Records one parse failure under its kind.
     pub(crate) fn note_parse(&mut self, kind: &crate::error::ParseLogErrorKind) {
         use crate::error::ParseLogErrorKind as K;

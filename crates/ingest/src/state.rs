@@ -19,7 +19,7 @@
 use std::io::{Read, Seek, SeekFrom};
 
 use segugio_model::container::{DecodeError, Reader, Writer};
-use segugio_model::{Day, DomainId, Ipv4};
+use segugio_model::{Day, DomainId, DomainName, Ipv4};
 
 use crate::collector::{DayAccumulator, LogCollector};
 use crate::parser::LogPosition;
@@ -97,6 +97,30 @@ fn hash_before<R: Read + Seek>(log: &mut R, end: u64, len: u64) -> std::io::Resu
     Ok(Some(hash))
 }
 
+/// How many pDNS records the rest of `r` holds for each of `domains`
+/// domains, as far as it reads as pDNS days; a record naming another
+/// domain is left to the decoder to refuse.
+fn pdns_per_domain(mut r: Reader<'_>, domains: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; domains];
+    let Ok(days) = r.count("pdns day count") else {
+        return counts;
+    };
+    for _ in 0..days {
+        let (Ok(_), Ok(records)) = (r.get::<u32>("pdns day"), r.count("pdns record count")) else {
+            break;
+        };
+        for _ in 0..records {
+            let (Ok(domain), Ok(_)) = (r.get::<u32>("pdns domain"), r.get::<u32>("pdns ip")) else {
+                return counts;
+            };
+            if let Some(count) = usize::try_from(domain).ok().and_then(|d| counts.get_mut(d)) {
+                *count = count.saturating_add(1);
+            }
+        }
+    }
+    counts
+}
+
 /// Ids must come strictly ascending: `next` after `previous`.
 fn ascending(previous: &mut Option<u32>, next: u32, what: &str) -> Result<(), DecodeError> {
     if previous.is_some_and(|p| p >= next) {
@@ -119,8 +143,9 @@ impl LogCollector {
             .map(|d| self.table.name(d).as_str().len() + 4)
             .sum();
         let machines: usize = self.machines.iter().map(|m| m.len() + 4).sum();
-        let history = 24 * self.activity.tracked_fqds() + 8 * self.pdns.len();
-        let mut w = Writer::with_capacity(names + machines + history + 20 * self.days.len() + 64);
+        let history = 24 * self.recorder.activity.tracked_fqds() + 8 * self.recorder.pdns.len();
+        let mut w =
+            Writer::with_capacity(names + machines + history + 20 * self.recorder.days.len() + 64);
 
         let LogPosition { offset, lines } = self.consumed;
         w.put(offset);
@@ -139,17 +164,17 @@ impl LogCollector {
         for name in &self.machines {
             w.str(name);
         }
-        w.count(self.days.len());
-        for (&day, acc) in &self.days {
+        w.count(self.recorder.days.len());
+        for (&day, acc) in &self.recorder.days {
             w.put(day);
             w.put(acc.first_at.offset);
             w.put(acc.first_at.lines);
         }
 
-        w.count(self.activity.tracked_fqds());
+        w.count(self.recorder.activity.tracked_fqds());
         let mut words: Vec<u64> = Vec::new();
         for id in self.table.ids() {
-            let mut days = self.activity.fqd_days(id).peekable();
+            let mut days = self.recorder.activity.fqd_days(id).peekable();
             let Some(first) = days.peek() else {
                 continue;
             };
@@ -167,9 +192,9 @@ impl LogCollector {
             w.array(&words);
         }
 
-        w.count(self.pdns.days().count());
-        for day in self.pdns.days() {
-            let records = self.pdns.records_on(day);
+        w.count(self.recorder.pdns.days().count());
+        for day in self.recorder.pdns.days() {
+            let records = self.recorder.pdns.records_on(day);
             w.put(day.0);
             w.count(records.len());
             for &(domain, ip) in records {
@@ -203,23 +228,28 @@ impl LogCollector {
             });
         }
 
-        for index in 0..r.count("domain count")? {
+        // Every name takes at least its length and one byte: the bytes
+        // left bound the room made, whatever the count says.
+        let domains = r.count("domain count")?;
+        collector.table.reserve(domains.min(r.remaining() / 5));
+        for index in 0..domains {
             let name = r.str("domain name")?;
             // A name that is already there, or is spelled some other way
             // than the table spells it, would shift every id after it.
-            let id = collector
-                .table
-                .intern_str(name)
+            let parsed = DomainName::parse(name)
                 .map_err(|e| DecodeError::new(format!("domain {index}: {e}")))?;
-            if id.index() != index || collector.table.name(id).as_str() != name {
+            let canonical = parsed.as_str() == name;
+            if !canonical || collector.table.intern_owned(parsed).index() != index {
                 return Err(DecodeError::new(format!(
                     "domain {index} {name:?} repeats or is not in canonical spelling"
                 )));
             }
         }
-        for index in 0..r.count("machine count")? {
+        let machines = r.count("machine count")?;
+        collector.reserve_machines(machines.min(r.remaining() / 4));
+        for index in 0..machines {
             let name = r.str("machine name")?;
-            if collector.intern_machine(name).index() != index {
+            if collector.intern_machine(name.to_owned()).index() != index {
                 return Err(DecodeError::new(format!(
                     "machine {index} {name:?} repeats"
                 )));
@@ -235,6 +265,7 @@ impl LogCollector {
                 lines: r.get("day line count")?,
             };
             collector
+                .recorder
                 .days
                 .insert(day, DayAccumulator::new(None, first_at));
         }
@@ -249,34 +280,63 @@ impl LogCollector {
                 )))
             }
         };
+        // Each domain's days a word at a time, through one buffer.
+        let mut words: Vec<u64> = Vec::new();
         let mut previous = None;
         for _ in 0..r.count("activity count")? {
             let id: u32 = r.get("activity domain")?;
             ascending(&mut previous, id, "activity domain")?;
             let domain = known(id, "activity")?;
-            let e2ld = collector.table.e2ld_of(domain);
             let skipped: u32 = r.get("skipped word count")?;
-            let words = r.count("activity words")?;
-            for word in (u64::from(skipped)..).take(words) {
-                let bits: u64 = r.get("activity word")?;
-                for bit in (0..64u64).filter(|bit| bits & (1 << bit) != 0) {
-                    let day = u32::try_from(word * 64 + bit).map_err(|_| {
-                        DecodeError::new(format!("activity of domain {id} past the last day"))
-                    })?;
-                    collector.activity.record(domain, e2ld, Day(day));
-                }
+            words.clear();
+            for _ in 0..r.count("activity words")? {
+                words.push(r.get("activity word")?);
             }
+            let Some(last) = words.iter().rposition(|&word| word != 0) else {
+                continue;
+            };
+            // The last day set is the top bit of the last word set; every
+            // day must fit a `u32`.
+            let last_word =
+                u64::try_from(last).map_or(u64::MAX, |w| w.saturating_add(u64::from(skipped)));
+            let last_day = last_word
+                .saturating_mul(64)
+                .saturating_add(63 - u64::from(words[last].leading_zeros()));
+            let (Ok(first_word), true) =
+                (usize::try_from(skipped), last_day <= u64::from(u32::MAX))
+            else {
+                return Err(DecodeError::new(format!(
+                    "activity of domain {id} past the last day"
+                )));
+            };
+            let e2ld = collector.table.e2ld_of(domain);
+            collector
+                .recorder
+                .activity
+                .record_words(domain, e2ld, first_word, &words);
         }
 
+        // Each domain's list is sized once, from a first pass over the
+        // records; the second decodes them, errors included.
+        collector
+            .recorder
+            .pdns
+            .reserve_per_domain(&pdns_per_domain(r.clone(), domains));
+        // Each pDNS day replayed as one batch, through one buffer.
+        let mut records: Vec<(DomainId, Ipv4)> = Vec::new();
         let mut previous = None;
         for _ in 0..r.count("pdns day count")? {
             let day: u32 = r.get("pdns day")?;
             ascending(&mut previous, day, "pdns day")?;
-            for _ in 0..r.count("pdns record count")? {
+            let count = r.count("pdns record count")?;
+            records.clear();
+            records.reserve(count.min(r.remaining() / 8));
+            for _ in 0..count {
                 let domain = known(r.get("pdns domain")?, "pdns")?;
                 let ip: u32 = r.get("pdns ip")?;
-                collector.pdns.record(domain, Ipv4(ip), Day(day));
+                records.push((domain, Ipv4(ip)));
             }
+            collector.recorder.pdns.record_day(Day(day), &records);
         }
         r.finish("front-end state")?;
         Ok(collector)
@@ -384,6 +444,26 @@ mod tests {
         assert!(LogCollector::from_state_bytes(&repeated).is_err());
         let trailing = [&bytes[..], b"x"].concat();
         assert!(LogCollector::from_state_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn activity_past_the_last_day_is_refused() {
+        let mut c = LogCollector::new();
+        c.ingest(LogRecord {
+            day: Day(1),
+            client: "m".to_owned(),
+            qname: DomainName::parse("a.com").unwrap(),
+            ips: Vec::new(),
+        });
+        let mut bytes = c.state_bytes();
+        // The state ends in one activity entry — domain, skipped words,
+        // one word — and an empty pDNS day count.
+        let skipped = bytes.len() - 4 - 8 - 4 - 4;
+        assert_eq!(bytes[skipped..skipped + 4], 0u32.to_le_bytes());
+        assert_eq!(bytes[skipped + 8..skipped + 16], 2u64.to_le_bytes());
+        bytes[skipped..skipped + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let error = LogCollector::from_state_bytes(&bytes).unwrap_err();
+        assert!(error.to_string().contains("past the last day"), "{error}");
     }
 
     #[test]

@@ -419,10 +419,10 @@ fn repetitive_log() -> impl Strategy<Value = String> {
     })
 }
 
-/// Mostly valid lines with each kind of damage mixed in, so that the
-/// ingest and the error branches both run within one file.
-fn damaged_log() -> impl Strategy<Value = Vec<u8>> {
-    let line = (0u8..16, log_line()).prop_map(|(pick, line)| match pick {
+/// One line of a damaged log: now and then a line with one kind of
+/// damage, otherwise a [`log_line`].
+fn damaged_line() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..16, log_line()).prop_map(|(pick, line)| match pick {
         0 => b"3\thost-1".to_vec(),
         1 => b"x\thost-1\twww.example.com\t10.0.0.1".to_vec(),
         2 => b"3\t \twww.example.com\t10.0.0.1".to_vec(),
@@ -431,14 +431,23 @@ fn damaged_log() -> impl Strategy<Value = Vec<u8>> {
         5 => b"3\thost-1\tnew.example.org".to_vec(),
         6 => b"3\thost-\xFF\twww.example.com\t10.0.0.1".to_vec(),
         _ => line.into_bytes(),
-    });
-    (proptest::collection::vec(line, 0..40), any::<bool>()).prop_map(|(lines, final_newline)| {
-        let mut bytes = lines.join(&b'\n');
-        if final_newline {
-            bytes.push(b'\n');
-        }
-        bytes
     })
+}
+
+/// Mostly valid lines with each kind of damage mixed in, so that the
+/// ingest and the error branches both run within one file.
+fn damaged_log() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(damaged_line(), 0..40),
+        any::<bool>(),
+    )
+        .prop_map(|(lines, final_newline)| {
+            let mut bytes = lines.join(&b'\n');
+            if final_newline {
+                bytes.push(b'\n');
+            }
+            bytes
+        })
 }
 
 /// Either flavour of bad input: raw hostile bytes or a damaged log.
@@ -708,5 +717,121 @@ proptest! {
         let pdns = 4 + 8 * whole.pdns().days().count() + 8 * whole.pdns().len();
         let spliced = [&state[..state.len() - pdns], &bytes[..]].concat();
         let _ = LogCollector::from_state_bytes(&spliced);
+    }
+}
+
+/// A valid line in a spelling resolvers rarely write, which the reader
+/// must take through its general route: padded fields, signed and
+/// zero-padded numbers, stray carriage returns, empty list entries, a
+/// fifth field.
+fn rare_line() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..7, observation()).prop_map(|(pick, o)| {
+        let (day, client, qname) = (o.day, o.client, o.qname);
+        let ips = o.ips.join(",");
+        let line = match pick {
+            0 => format!(" {day} \t host-{client} \t {qname} \t {ips} "),
+            1 => format!("+{day}\thost-{client}\t{qname}\t+10.0.0.1,001.000.0.0002"),
+            2 => format!("000{day}\thost-{client}\t{qname}\t{ips}\r\r"),
+            3 => format!("{day}\thost-{client}\t{qname}\t,{ips},,"),
+            4 => format!("{day}\thost-{client}\t{qname}\t{ips}\tfifth field"),
+            5 => format!("{day}\thost-{client}\u{e9}\t{qname}\t {ips}"),
+            _ => format!("\t{day}\thost-{client}\t{qname}\t{ips}"),
+        };
+        line.into_bytes()
+    })
+}
+
+/// A log of every kind of line — common, rare, damaged (invalid UTF-8
+/// among them) — that may end without a newline.
+fn varied_log() -> impl Strategy<Value = Vec<u8>> {
+    let line = (0u8..10, log_line(), rare_line(), damaged_line()).prop_map(
+        |(pick, common, rare, damaged)| match pick {
+            0..=5 => common.into_bytes(),
+            6..=8 => rare,
+            _ => damaged,
+        },
+    );
+    (proptest::collection::vec(line, 0..80), any::<bool>()).prop_map(|(lines, final_newline)| {
+        let mut bytes = lines.join(&b'\n');
+        if final_newline {
+            bytes.push(b'\n');
+        }
+        bytes
+    })
+}
+
+/// A failed read as its line (or counts) and kind.
+fn failure(error: IngestError) -> (u64, String) {
+    match error {
+        IngestError::Parse(e) => (e.line(), format!("{:?}", e.kind())),
+        IngestError::Io { line, source } => (line, format!("io {:?}", source.kind())),
+        IngestError::QuarantineExceeded {
+            errors, considered, ..
+        } => (errors, format!("quarantine {considered}")),
+    }
+}
+
+/// Everything one reader pass leaves: its result, the durable state, the
+/// traffic of every day and how far it counts the log consumed.
+#[derive(Debug, PartialEq)]
+struct Pass<T> {
+    result: Result<T, (u64, String)>,
+    state: Vec<u8>,
+    days: Vec<(Day, Option<segugio_ingest::IngestedDay>)>,
+    consumed: LogPosition,
+}
+
+fn pass<T>(
+    bytes: &[u8],
+    width: usize,
+    block: Option<usize>,
+    read: impl FnOnce(&mut LogCollector, &[u8]) -> Result<T, IngestError>,
+) -> Pass<T> {
+    let mut collector = LogCollector::new();
+    collector.set_read_width(width);
+    if let Some(block) = block {
+        collector.set_block_bytes(block);
+    }
+    let result = read(&mut collector, bytes).map_err(failure);
+    Pass {
+        result,
+        state: collector.state_bytes(),
+        days: collector
+            .days()
+            .into_iter()
+            .map(|day| (day, collector.try_day(day).unwrap()))
+            .collect(),
+        consumed: collector.consumed(),
+    }
+}
+
+proptest! {
+    /// Neither the width nor where the blocks are cut changes anything a
+    /// read builds or reports: strict reads of a file and of a stream
+    /// stop on the same line with the same error having built the same
+    /// state, and a quarantined read counts the same lines the same way —
+    /// against the width-1 read in one block, with blocks from a byte up
+    /// so that their boundaries fall everywhere.
+    #[test]
+    fn width_and_block_size_change_nothing(bytes in varied_log(), block in 1usize..160) {
+        let file = |c: &mut LogCollector, b: &[u8]| {
+            c.ingest_reader_from(&mut std::io::Cursor::new(b), LogPosition::START)
+        };
+        let stream = |c: &mut LogCollector, b: &[u8]| c.ingest_reader(b);
+        let quarantined = |c: &mut LogCollector, b: &[u8]| {
+            c.ingest_quarantined(b, &QuarantinePolicy::default())
+        };
+        let want = (
+            pass(&bytes, 1, None, file),
+            pass(&bytes, 1, None, stream),
+            pass(&bytes, 1, None, quarantined),
+        );
+        for width in [1, 2, 3, 8] {
+            for block in [block, 7 * block + 3] {
+                prop_assert_eq!(&pass(&bytes, width, Some(block), file), &want.0, "file, width {}, block {}", width, block);
+                prop_assert_eq!(&pass(&bytes, width, Some(block), stream), &want.1, "stream, width {}, block {}", width, block);
+                prop_assert_eq!(&pass(&bytes, width, Some(block), quarantined), &want.2, "quarantine, width {}, block {}", width, block);
+            }
+        }
     }
 }

@@ -324,6 +324,12 @@ impl<'a> Reader<'a> {
         Ok(taken)
     }
 
+    /// How many bytes are left to read: a bound on how many entries the
+    /// rest can hold, whatever a count in it declares.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
     /// One fixed-width value.
     pub fn get<T: Scalar>(&mut self, what: &str) -> Result<T, DecodeError> {
         self.take(T::WIDTH, what).map(T::get)

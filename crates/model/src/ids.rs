@@ -11,7 +11,6 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::domain::DomainName;
-use crate::error::ParseDomainError;
 
 /// Identifier of a client machine in the monitored network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,31 +102,21 @@ impl DomainTable {
         }
     }
 
-    /// Interns a raw spelling (any case, optional trailing dot), looking
-    /// it up before anything is allocated or validated: a name the table
-    /// already holds costs one normalising copy onto the stack and one
-    /// hash probe. Only a miss runs [`DomainName::parse`], so the names
-    /// accepted and the errors returned are exactly that function's.
-    ///
-    /// ```
-    /// use segugio_model::DomainTable;
-    ///
-    /// let mut table = DomainTable::new();
-    /// let id = table.intern_str("www.example.com").unwrap();
-    /// assert_eq!(table.intern_str("WWW.Example.COM."), Ok(id));
-    /// assert!(table.intern_str("not a domain").is_err());
-    /// assert_eq!(table.len(), 1);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseDomainError`] when `raw` is new to the table and is
-    /// not a valid domain name.
-    pub fn intern_str(&mut self, raw: &str) -> Result<DomainId, ParseDomainError> {
-        match self.get_str(raw) {
-            Some(id) => Ok(id),
-            None => Ok(self.push_new(DomainName::parse(raw)?)),
+    /// Interns an owned `name`, returning its id; the name is moved into
+    /// the table when it is new, not copied.
+    pub fn intern_owned(&mut self, name: DomainName) -> DomainId {
+        match self.by_name.get(&name) {
+            Some(&id) => id,
+            None => self.push_new(name),
         }
+    }
+
+    /// Makes room for `additional` more names without growing the table's
+    /// columns and maps one doubling at a time.
+    pub fn reserve(&mut self, additional: usize) {
+        self.names.reserve(additional);
+        self.by_name.reserve(additional);
+        self.e2ld_of.reserve(additional);
     }
 
     /// Appends a name the table does not hold yet.
@@ -161,7 +150,26 @@ impl DomainTable {
     /// ASCII-lowercased — which is the form every interned name has, so a
     /// hit is a valid name by construction and mixed-case (DNS-0x20)
     /// spellings all land on the one entry.
+    ///
+    /// A spelling that is already in that form — no ASCII uppercase, no
+    /// trailing dot, as resolvers nearly always log it — is probed as it
+    /// is; only the others are normalised through a copy on the stack. A
+    /// miss says nothing about whether `raw` is a valid name:
+    /// [`DomainName::parse`] decides that.
+    ///
+    /// ```
+    /// use segugio_model::{DomainName, DomainTable};
+    ///
+    /// let mut table = DomainTable::new();
+    /// let id = table.intern_owned(DomainName::parse("www.example.com").unwrap());
+    /// assert_eq!(table.get_str("WWW.Example.COM."), Some(id));
+    /// assert_eq!(table.get_str("not a domain"), None);
+    /// ```
     pub fn get_str(&self, raw: &str) -> Option<DomainId> {
+        let bytes = raw.as_bytes();
+        if bytes.last() != Some(&b'.') && !bytes.iter().any(u8::is_ascii_uppercase) {
+            return self.by_name.get(raw).copied();
+        }
         let trimmed = raw.strip_suffix('.').unwrap_or(raw);
         // Longer than any valid name: it cannot be interned.
         let mut buf = [0u8; DomainName::MAX_LEN];
@@ -260,12 +268,18 @@ mod tests {
         let mut t = DomainTable::new();
         let a = t.intern(&dn("www.example.com"));
         assert_eq!(t.get_str("WWW.EXAMPLE.COM"), Some(a));
+        // Probed as it is, and through the normalising copy.
+        assert_eq!(t.get_str("www.example.com"), Some(a));
+        assert_eq!(t.get_str("www.example.com."), Some(a));
+        assert_eq!(t.get_str("www.example.com.."), None);
+        assert_eq!(t.intern_owned(dn("www.example.com")), a);
+        assert_eq!(t.len(), 1);
         assert_eq!(t.get_str("missing.example.com"), None);
         assert_eq!(t.get_str("not a domain"), None);
     }
 
     #[test]
-    fn intern_str_agrees_with_parse_then_intern() {
+    fn get_str_finds_what_parse_then_intern_interned() {
         let spellings = [
             "www.example.com",
             "WWW.Example.COM",
@@ -283,23 +297,16 @@ mod tests {
         ];
         let long_label = format!("{}.com", "a".repeat(64));
         let long_name = format!("{}com", "a.".repeat(130));
-        let mut by_str = DomainTable::new();
-        let mut by_name = DomainTable::new();
+        let mut table = DomainTable::new();
         for raw in spellings
             .iter()
             .copied()
             .chain([long_label.as_str(), long_name.as_str()])
         {
-            let expected = DomainName::parse(raw).map(|n| by_name.intern(&n));
-            assert_eq!(by_str.intern_str(raw), expected, "{raw:?}");
-            assert_eq!(by_str.get_str(raw), expected.ok(), "{raw:?}");
+            let expected = DomainName::parse(raw).map(|n| table.intern_owned(n));
+            assert_eq!(table.get_str(raw), expected.ok(), "{raw:?}");
         }
-        assert_eq!(by_str.len(), 3);
-        assert_eq!(by_str.e2ld_count(), by_name.e2ld_count());
-        for id in by_name.ids() {
-            assert_eq!(by_str.name(id), by_name.name(id));
-            assert_eq!(by_str.e2ld_of(id), by_name.e2ld_of(id));
-        }
+        assert_eq!(table.len(), 3);
     }
 
     #[test]

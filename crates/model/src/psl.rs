@@ -139,43 +139,29 @@ pub fn is_known_free_hosting(e2ld: &str) -> bool {
 /// name is itself a public suffix, or has a single label, the whole name is
 /// returned (offset 0).
 pub(crate) fn e2ld_offset(name: &str) -> usize {
-    // Walk label boundaries from the right; find the longest public suffix,
-    // then extend by one label.
-    let mut boundaries: Vec<usize> = vec![0];
-    for (i, b) in name.bytes().enumerate() {
-        if b == b'.' {
-            boundaries.push(i + 1);
-        }
-    }
-    // boundaries[k] = start offset of the k-th label.
-    // Find smallest k such that &name[boundaries[k]..] is a public suffix.
+    // Walk label starts from the left; the first that begins a public
+    // suffix is the longest one, and the label before it starts the e2LD.
     // A matched exception rule (`!www.ck`) is itself the registrable name
     // (PSL: "the public suffix is the exception with the leftmost label
     // removed").
-    let mut suffix_idx = None;
-    for (k, &off) in boundaries.iter().enumerate() {
-        if WILDCARD_EXCEPTIONS.contains(&&name[off..]) {
-            return off;
+    let starts = std::iter::once(0).chain(name.match_indices('.').map(|(at, _)| at + 1));
+    // The two label starts before the one in hand; the last two once
+    // the walk is over.
+    let (mut second_last, mut last) = (None, None);
+    for start in starts {
+        let suffix = &name[start..];
+        if WILDCARD_EXCEPTIONS.contains(&suffix) {
+            return start;
         }
-        if is_public_suffix(&name[off..]) {
-            suffix_idx = Some(k);
-            break;
+        if is_public_suffix(suffix) {
+            // One label before the suffix, if there is one; the entire
+            // name when it is a suffix itself (e.g. querying "com").
+            return last.unwrap_or(0);
         }
+        (second_last, last) = (last, Some(start));
     }
-    match suffix_idx {
-        // One label before the suffix, if there is one.
-        Some(k) if k > 0 => boundaries[k - 1],
-        // The entire name is a suffix (e.g. querying "com" directly).
-        Some(_) => 0,
-        // No recognized suffix: fall back to the last two labels.
-        None => {
-            if boundaries.len() >= 2 {
-                boundaries[boundaries.len() - 2]
-            } else {
-                0
-            }
-        }
-    }
+    // No recognized suffix: fall back to the last two labels.
+    second_last.unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -31,6 +31,17 @@ impl DayBitmap {
         self.words[w] |= mask;
     }
 
+    /// ORs `words` in from word `from` on.
+    fn or_words(&mut self, from: usize, words: &[u64]) {
+        let end = from + words.len();
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        for (word, &bits) in self.words[from..end].iter_mut().zip(words) {
+            *word |= bits;
+        }
+    }
+
     fn get(&self, day: Day) -> bool {
         let (w, mask) = bit(day);
         self.words.get(w).is_some_and(|word| word & mask != 0)
@@ -103,6 +114,24 @@ impl ActivityStore {
         slot(&mut self.e2ld, e2ld.index()).set_word(w, mask);
     }
 
+    /// Records every day set in `words` as a day `fqd` (whose e2LD is
+    /// `e2ld`) was queried on: bit `b` of `words[i]` is day
+    /// `64 * (first_word + i) + b`. The store ends up as one
+    /// [`record`](Self::record) per set bit leaves it, a word at a time —
+    /// how a front end replays the days it persisted.
+    pub fn record_words(&mut self, fqd: DomainId, e2ld: E2ldId, first_word: usize, words: &[u64]) {
+        let Some(last) = words.iter().rposition(|&word| word != 0) else {
+            return;
+        };
+        let words = &words[..=last];
+        let fqd = slot(&mut self.fqd, fqd.index());
+        if fqd.words.is_empty() {
+            self.tracked_fqds += 1;
+        }
+        fqd.or_words(first_word, words);
+        slot(&mut self.e2ld, e2ld.index()).or_words(first_word, words);
+    }
+
     /// Whether `fqd` was seen active on `day`.
     pub fn fqd_active_on(&self, fqd: DomainId, day: Day) -> bool {
         self.fqd.get(fqd.index()).is_some_and(|b| b.get(day))
@@ -168,6 +197,38 @@ impl ActivityStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn words_recorded_at_once_equal_their_days_one_by_one() {
+        let entries: [(u32, u32, usize, Vec<u64>); 4] = [
+            (0, 0, 0, vec![0b1011, 0, 1 << 63]),
+            (3, 0, 2, vec![0, 1]),
+            (4, 1, 1, vec![0, 0]),
+            (0, 0, 1, vec![1 << 5]),
+        ];
+        let (mut words, mut bits) = (ActivityStore::new(), ActivityStore::new());
+        for (fqd, e2ld, first, set) in &entries {
+            let (fqd, e2ld) = (DomainId(*fqd), E2ldId(*e2ld));
+            words.record_words(fqd, e2ld, *first, set);
+            for (i, &word) in set.iter().enumerate() {
+                for bit in (0..64).filter(|b| word & (1 << b) != 0) {
+                    bits.record(fqd, e2ld, Day(((first + i) * 64 + bit) as u32));
+                }
+            }
+        }
+        assert_eq!(words.tracked_fqds(), bits.tracked_fqds());
+        for fqd in 0..5 {
+            let days: Vec<Day> = bits.fqd_days(DomainId(fqd)).collect();
+            assert_eq!(words.fqd_days(DomainId(fqd)).collect::<Vec<_>>(), days);
+        }
+        let window = Day(200).lookback(200);
+        for e2ld in 0..2 {
+            assert_eq!(
+                words.e2ld_active_days(E2ldId(e2ld), window),
+                bits.e2ld_active_days(E2ldId(e2ld), window)
+            );
+        }
+    }
 
     #[test]
     fn bitmap_basics() {

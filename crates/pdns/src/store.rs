@@ -52,6 +52,50 @@ impl PassiveDns {
     /// they arrive in: per-domain entries are kept strictly `(day, ip)`-
     /// sorted, so a repeat is found by binary search.
     pub fn record(&mut self, domain: DomainId, ip: Ipv4, day: Day) {
+        if self.insert(domain, ip, day) {
+            self.by_day.entry(day).or_default().push((domain, ip));
+        }
+    }
+
+    /// Records a day's `(domain, ip)` records, in order: the store ends up
+    /// as one [`record`](Self::record) per entry leaves it, duplicates
+    /// collapsed — how a front end replays the days it persisted, with the
+    /// day's list and the per-domain lists grown once for the batch.
+    pub fn record_day(&mut self, day: Day, records: &[(DomainId, Ipv4)]) {
+        let Some(top) = records.iter().map(|&(domain, _)| domain.index()).max() else {
+            return;
+        };
+        if top >= self.by_domain.len() {
+            self.by_domain.resize_with(top + 1, Vec::new);
+        }
+        let mut on_day = self.by_day.remove(&day).unwrap_or_default();
+        on_day.reserve(records.len());
+        for &(domain, ip) in records {
+            if self.insert(domain, ip, day) {
+                on_day.push((domain, ip));
+            }
+        }
+        if !on_day.is_empty() {
+            self.by_day.insert(day, on_day);
+        }
+    }
+
+    /// Makes room for `additional[i]` more records of domain `i`, so that
+    /// a replay of known records grows each domain's list once.
+    pub fn reserve_per_domain(&mut self, additional: &[u32]) {
+        if additional.len() > self.by_domain.len() {
+            self.by_domain.resize_with(additional.len(), Vec::new);
+        }
+        for (entries, &n) in self.by_domain.iter_mut().zip(additional) {
+            entries.reserve(n as usize);
+        }
+    }
+
+    /// Adds `(day, ip)` to `domain`'s records; `false` when it was there.
+    ///
+    /// Per-domain entries are kept strictly `(day, ip)`-sorted, so a
+    /// repeat is found by binary search.
+    fn insert(&mut self, domain: DomainId, ip: Ipv4, day: Day) -> bool {
         let i = domain.index();
         if i >= self.by_domain.len() {
             self.by_domain.resize_with(i + 1, Vec::new);
@@ -65,13 +109,13 @@ impl PassiveDns {
             entries.len()
         } else {
             match entries.binary_search(&(day, ip)) {
-                Ok(_) => return,
+                Ok(_) => return false,
                 Err(pos) => pos,
             }
         };
         entries.insert(pos, (day, ip));
-        self.by_day.entry(day).or_default().push((domain, ip));
         self.records += 1;
+        true
     }
 
     /// The per-domain records inside `window`, as a day-sorted slice.
@@ -174,6 +218,47 @@ mod tests {
 
     fn ip(n: u8) -> Ipv4 {
         Ipv4::from_octets(10, 0, 0, n)
+    }
+
+    #[test]
+    fn a_day_recorded_at_once_equals_its_records_one_by_one() {
+        let days = [
+            (
+                Day(3),
+                vec![
+                    (DomainId(2), ip(1)),
+                    (DomainId(0), ip(2)),
+                    (DomainId(2), ip(1)),
+                ],
+            ),
+            (Day(1), vec![(DomainId(2), ip(3))]),
+            (Day(3), vec![(DomainId(5), ip(1)), (DomainId(0), ip(2))]),
+            (Day(4), vec![(DomainId(0), ip(2))]),
+            (Day(4), vec![]),
+        ];
+        let (mut batched, mut single) = (PassiveDns::new(), PassiveDns::new());
+        for (day, records) in &days {
+            batched.record_day(*day, records);
+            for &(domain, address) in records {
+                single.record(domain, address, *day);
+            }
+        }
+        assert_eq!(batched.len(), single.len());
+        assert_eq!(batched.domain_count(), single.domain_count());
+        assert_eq!(
+            batched.days().collect::<Vec<_>>(),
+            single.days().collect::<Vec<_>>()
+        );
+        for day in single.days() {
+            assert_eq!(batched.records_on(day), single.records_on(day));
+        }
+        for d in 0..6 {
+            let window = Day(5).lookback(5);
+            assert_eq!(
+                batched.records_of(DomainId(d), window),
+                single.records_of(DomainId(d), window)
+            );
+        }
     }
 
     #[test]
