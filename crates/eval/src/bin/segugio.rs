@@ -81,6 +81,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -369,17 +370,18 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         ..IspConfig::small(seed)
     });
     isp.warm_up(warmup);
-    let mut log = String::new();
+    // Each day goes to the file as it is generated: the log is never
+    // held whole.
+    let writing = |e| CliError::io(format!("writing {out}"), e);
+    let mut log = BufWriter::new(fs::File::create(out).map_err(writing)?);
+    let mut lines = 0;
     for _ in 0..days {
         let day = isp.next_day();
-        log.push_str(&export_day(
-            isp.table(),
-            day.day.0,
-            &day.queries,
-            &day.resolutions,
-        ));
+        let text = export_day(isp.table(), day.day.0, &day.queries, &day.resolutions);
+        log.write_all(text.as_bytes()).map_err(writing)?;
+        lines += day.queries.len();
     }
-    fs::write(out, &log).map_err(|e| CliError::io(format!("writing {out}"), e))?;
+    log.flush().map_err(writing)?;
 
     // Ground-truth sidecars in the formats `segugio detect` reads.
     let mut bl = String::new();
@@ -396,10 +398,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     fs::write(format!("{out}.whitelist"), wl)
         .map_err(|e| CliError::io(format!("writing {out}.whitelist"), e))?;
 
-    println!(
-        "wrote {} log lines to {out} (+ {out}.blacklist, {out}.whitelist)",
-        log.lines().count()
-    );
+    println!("wrote {lines} log lines to {out} (+ {out}.blacklist, {out}.whitelist)");
     Ok(())
 }
 

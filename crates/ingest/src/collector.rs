@@ -95,8 +95,6 @@ pub(crate) struct Recorder {
     pub(crate) activity: ActivityStore,
     pub(crate) pdns: PassiveDns,
     pub(crate) days: BTreeMap<u32, DayAccumulator>,
-    // `None` = [`EdgeRuns`] default capacity.
-    run_capacity: Option<usize>,
     // Dense by `DomainId`.
     seen: Vec<Seen>,
     // Days up to this one feed ids and history but retain no traffic.
@@ -132,9 +130,9 @@ pub(crate) struct DayAccumulator {
 }
 
 impl DayAccumulator {
-    pub(crate) fn new(capacity: Option<usize>, first_at: LogPosition) -> Self {
+    pub(crate) fn new(first_at: LogPosition) -> Self {
         Self {
-            queries: capacity.map_or_else(EdgeRuns::new, EdgeRuns::with_run_capacity),
+            queries: EdgeRuns::new(),
             resolutions: BTreeMap::new(),
             first_at,
         }
@@ -407,15 +405,6 @@ impl LogCollector {
     /// Creates an empty collector.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty collector whose per-day query accumulators seal
-    /// (and spill to a scratch file) every `capacity` observations,
-    /// bounding resident memory for arbitrarily large days.
-    pub fn with_run_capacity(capacity: usize) -> Self {
-        let mut collector = Self::default();
-        collector.recorder.run_capacity = Some(capacity);
-        collector
     }
 
     /// Creates an empty collector for a run that resumes after
@@ -918,11 +907,10 @@ impl Recorder {
         at: LogPosition,
         lines: impl Iterator<Item = (MachineId, DomainId, &'r [Ipv4])>,
     ) -> usize {
-        let capacity = self.run_capacity;
         let acc = self
             .days
             .entry(day.0)
-            .or_insert_with(|| DayAccumulator::new(capacity, at));
+            .or_insert_with(|| DayAccumulator::new(at));
         let retained = self.covered_through.is_none_or(|last| day > last);
         let mut committed = 0;
         for (machine, domain, ips) in lines {
@@ -1039,23 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn spilled_days_match_resident_days() {
-        // Capacity 2 forces day 0 (three observations) through the
-        // seal-and-spill path; output must be identical either way.
-        let mut resident = LogCollector::new();
-        let mut spilled = LogCollector::with_run_capacity(2);
-        resident.ingest_reader(SAMPLE.as_bytes()).unwrap();
-        spilled.ingest_reader(SAMPLE.as_bytes()).unwrap();
-        assert_eq!(resident.days(), spilled.days());
-        for day in resident.days() {
-            assert_eq!(
-                resident.try_day(day).unwrap(),
-                spilled.try_day(day).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn resumed_collector_keeps_ids_and_history_but_not_covered_traffic() {
         let full = collected();
         let mut resumed = LogCollector::resuming_after(Day(0));
@@ -1112,7 +1083,7 @@ mod tests {
         assert_eq!(c.table().len(), 1);
         let cdn = c.table().get_str("cdn.example.com").unwrap();
         assert_eq!(c.pdns().len(), 3);
-        assert_eq!(c.pdns().records_on(Day(3)).len(), 2);
+        assert_eq!(c.pdns().records_of(cdn, Day(3).lookback(1)).len(), 2);
         let d3 = c.day(Day(3)).unwrap();
         assert_eq!(d3.queries.len(), 4);
         assert_eq!(

@@ -16,10 +16,12 @@
 //! before they get here; a version change of the container refuses the
 //! whole generation before then.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
 
 use segugio_model::container::{DecodeError, Reader, Writer};
 use segugio_model::{Day, DomainId, DomainName, Ipv4};
+use segugio_pdns::PassiveDns;
 
 use crate::collector::{DayAccumulator, LogCollector};
 use crate::parser::LogPosition;
@@ -121,6 +123,27 @@ fn pdns_per_domain(mut r: Reader<'_>, domains: usize) -> Vec<u32> {
     counts
 }
 
+/// Every pDNS record, by day ascending and within a day by
+/// `(domain, ip)`. The store walks its records `(domain, day, ip)`-
+/// ascending, so dealing them out to their days in that order keeps it
+/// within each day; each day's list is sized from a first walk.
+fn pdns_days(pdns: &PassiveDns) -> BTreeMap<Day, Vec<(DomainId, Ipv4)>> {
+    let mut counts: BTreeMap<Day, usize> = BTreeMap::new();
+    for (_, day, _) in pdns.records() {
+        *counts.entry(day).or_default() += 1;
+    }
+    let mut days: BTreeMap<Day, Vec<(DomainId, Ipv4)>> = counts
+        .into_iter()
+        .map(|(day, n)| (day, Vec::with_capacity(n)))
+        .collect();
+    for (domain, day, ip) in pdns.records() {
+        if let Some(records) = days.get_mut(&day) {
+            records.push((domain, ip));
+        }
+    }
+    days
+}
+
 /// Ids must come strictly ascending: `next` after `previous`.
 fn ascending(previous: &mut Option<u32>, next: u32, what: &str) -> Result<(), DecodeError> {
     if previous.is_some_and(|p| p >= next) {
@@ -192,9 +215,9 @@ impl LogCollector {
             w.array(&words);
         }
 
-        w.count(self.recorder.pdns.days().count());
-        for day in self.recorder.pdns.days() {
-            let records = self.recorder.pdns.records_on(day);
+        let days = pdns_days(&self.recorder.pdns);
+        w.count(days.len());
+        for (day, records) in &days {
             w.put(day.0);
             w.count(records.len());
             for &(domain, ip) in records {
@@ -267,7 +290,7 @@ impl LogCollector {
             collector
                 .recorder
                 .days
-                .insert(day, DayAccumulator::new(None, first_at));
+                .insert(day, DayAccumulator::new(first_at));
         }
 
         let domains = collector.table.len();
@@ -322,21 +345,16 @@ impl LogCollector {
             .recorder
             .pdns
             .reserve_per_domain(&pdns_per_domain(r.clone(), domains));
-        // Each pDNS day replayed as one batch, through one buffer.
-        let mut records: Vec<(DomainId, Ipv4)> = Vec::new();
+        // A day's records may come in any order; the store sorts them.
         let mut previous = None;
         for _ in 0..r.count("pdns day count")? {
             let day: u32 = r.get("pdns day")?;
             ascending(&mut previous, day, "pdns day")?;
-            let count = r.count("pdns record count")?;
-            records.clear();
-            records.reserve(count.min(r.remaining() / 8));
-            for _ in 0..count {
+            for _ in 0..r.count("pdns record count")? {
                 let domain = known(r.get("pdns domain")?, "pdns")?;
                 let ip: u32 = r.get("pdns ip")?;
-                records.push((domain, Ipv4(ip)));
+                collector.recorder.pdns.record(domain, Ipv4(ip), Day(day));
             }
-            collector.recorder.pdns.record_day(Day(day), &records);
         }
         r.finish("front-end state")?;
         Ok(collector)
@@ -393,6 +411,64 @@ mod tests {
         assert_eq!(decoded.pdns().len(), original.pdns().len());
         // The traffic is not part of the state.
         assert!(decoded.day(Day(3)).unwrap().queries.is_empty());
+    }
+
+    #[test]
+    fn pdns_days_in_log_order_decode_to_the_canonical_state() {
+        // Day 2's records come in log order — (b, .9), (b, .7), (a, .3) —
+        // as the day-major copy of earlier builds wrote them; the state
+        // writes them by (domain, ip).
+        let log = "\
+1\thost-a\ta.example.com\t10.0.0.1
+1\thost-a\tb.example.com\t10.0.0.5
+2\thost-b\tb.example.com\t10.0.0.9,10.0.0.7
+2\thost-a\ta.example.com\t10.0.0.3
+";
+        let canonical = collected(log).state_bytes();
+        let (a, b, ip) = (0u32, 1u32, |n| Ipv4::from_octets(10, 0, 0, n).0);
+        let days = [
+            (1u32, vec![(a, ip(1)), (b, ip(5))]),
+            (2, vec![(b, ip(9)), (b, ip(7)), (a, ip(3))]),
+        ];
+        let mut pdns = Writer::new();
+        pdns.count(days.len());
+        for (day, records) in &days {
+            pdns.put(*day);
+            pdns.count(records.len());
+            for &(domain, ip) in records {
+                pdns.put(domain);
+                pdns.put(ip);
+            }
+        }
+        let pdns = pdns.into_bytes();
+        let head = &canonical[..canonical.len() - pdns.len()];
+        let in_log_order = [head, &pdns[..]].concat();
+        assert_ne!(in_log_order, canonical);
+
+        let from_log_order = LogCollector::from_state_bytes(&in_log_order).unwrap();
+        let from_canonical = LogCollector::from_state_bytes(&canonical).unwrap();
+        assert_eq!(from_log_order.state_bytes(), canonical);
+        assert_eq!(
+            from_log_order.pdns().records().collect::<Vec<_>>(),
+            from_canonical.pdns().records().collect::<Vec<_>>()
+        );
+        assert_eq!(from_log_order.pdns().domain_count(), 2);
+    }
+
+    #[test]
+    fn a_record_on_the_last_day_is_written() {
+        // Straight into the store: a logged line would also mark the day
+        // in the activity bitmaps, which span every day before it.
+        let mut c = collected(LOG);
+        let www = c.table().get_str("www.example.com").unwrap();
+        let ip = Ipv4::from_octets(10, 0, 0, 1);
+        c.recorder.pdns.record(www, ip, Day(u32::MAX));
+        let bytes = c.state_bytes();
+        let decoded = LogCollector::from_state_bytes(&bytes).unwrap();
+        assert_eq!(decoded.state_bytes(), bytes);
+        let records: Vec<_> = decoded.pdns().records().collect();
+        assert_eq!(records, c.pdns().records().collect::<Vec<_>>());
+        assert!(records.contains(&(www, Day(u32::MAX), ip)));
     }
 
     #[test]

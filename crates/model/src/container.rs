@@ -59,7 +59,8 @@
 //!            line u64), ascending; activity: u32 n, n × (domain u32,
 //!            skipped words u32, days: array<u64> bitmap words),
 //!            ascending; pdns: u32 n, n × (day u32, records u32 m,
-//!            m × (domain u32, ip u32)), days ascending, log order within
+//!            m × (domain u32, ip u32)), days ascending, (domain, ip)
+//!            ascending within a day; any order is read
 //! ```
 //!
 //! The tracker writes the front-end section as the bytes it was handed

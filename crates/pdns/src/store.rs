@@ -1,15 +1,15 @@
 //! Historical domain-to-IP resolution store.
 
-use std::collections::BTreeMap;
-
 use segugio_model::{Day, DayWindow, DomainId, Ipv4};
 
 /// A passive-DNS database: the history of authoritative domain→IP
 /// resolutions observed over time.
 ///
 /// The store is append-only and day-granular, mirroring how a pDNS archive
-/// accumulates. Per-domain records are kept sorted by day so window queries
-/// are range scans.
+/// accumulates. It keeps each record once, in its domain's list, and each
+/// list sorted by `(day, ip)`: window queries are range scans, and a
+/// day-major view (what a front end's saved state writes) is one pass
+/// over [`records`](Self::records).
 ///
 /// Records are indexed by [`DomainId::index`], so domain ids must come from
 /// a [`DomainTable`](segugio_model::DomainTable): dense, starting at zero.
@@ -33,9 +33,6 @@ pub struct PassiveDns {
     // Per-domain records, indexed by id; an id without history holds an
     // empty list. Walking it in index order is ascending-id order.
     by_domain: Vec<Vec<(Day, Ipv4)>>,
-    // Day-major view of the same records in arrival order, behind
-    // `records_on` and `days` (what ingest's saved front-end state writes).
-    by_day: BTreeMap<Day, Vec<(DomainId, Ipv4)>>,
     records: usize,
     domains: usize,
 }
@@ -52,50 +49,6 @@ impl PassiveDns {
     /// they arrive in: per-domain entries are kept strictly `(day, ip)`-
     /// sorted, so a repeat is found by binary search.
     pub fn record(&mut self, domain: DomainId, ip: Ipv4, day: Day) {
-        if self.insert(domain, ip, day) {
-            self.by_day.entry(day).or_default().push((domain, ip));
-        }
-    }
-
-    /// Records a day's `(domain, ip)` records, in order: the store ends up
-    /// as one [`record`](Self::record) per entry leaves it, duplicates
-    /// collapsed — how a front end replays the days it persisted, with the
-    /// day's list and the per-domain lists grown once for the batch.
-    pub fn record_day(&mut self, day: Day, records: &[(DomainId, Ipv4)]) {
-        let Some(top) = records.iter().map(|&(domain, _)| domain.index()).max() else {
-            return;
-        };
-        if top >= self.by_domain.len() {
-            self.by_domain.resize_with(top + 1, Vec::new);
-        }
-        let mut on_day = self.by_day.remove(&day).unwrap_or_default();
-        on_day.reserve(records.len());
-        for &(domain, ip) in records {
-            if self.insert(domain, ip, day) {
-                on_day.push((domain, ip));
-            }
-        }
-        if !on_day.is_empty() {
-            self.by_day.insert(day, on_day);
-        }
-    }
-
-    /// Makes room for `additional[i]` more records of domain `i`, so that
-    /// a replay of known records grows each domain's list once.
-    pub fn reserve_per_domain(&mut self, additional: &[u32]) {
-        if additional.len() > self.by_domain.len() {
-            self.by_domain.resize_with(additional.len(), Vec::new);
-        }
-        for (entries, &n) in self.by_domain.iter_mut().zip(additional) {
-            entries.reserve(n as usize);
-        }
-    }
-
-    /// Adds `(day, ip)` to `domain`'s records; `false` when it was there.
-    ///
-    /// Per-domain entries are kept strictly `(day, ip)`-sorted, so a
-    /// repeat is found by binary search.
-    fn insert(&mut self, domain: DomainId, ip: Ipv4, day: Day) -> bool {
         let i = domain.index();
         if i >= self.by_domain.len() {
             self.by_domain.resize_with(i + 1, Vec::new);
@@ -109,13 +62,23 @@ impl PassiveDns {
             entries.len()
         } else {
             match entries.binary_search(&(day, ip)) {
-                Ok(_) => return false,
+                Ok(_) => return,
                 Err(pos) => pos,
             }
         };
         entries.insert(pos, (day, ip));
         self.records += 1;
-        true
+    }
+
+    /// Makes room for `additional[i]` more records of domain `i`, so that
+    /// a replay of known records grows each domain's list once.
+    pub fn reserve_per_domain(&mut self, additional: &[u32]) {
+        if additional.len() > self.by_domain.len() {
+            self.by_domain.resize_with(additional.len(), Vec::new);
+        }
+        for (entries, &n) in self.by_domain.iter_mut().zip(additional) {
+            entries.reserve(n as usize);
+        }
     }
 
     /// The per-domain records inside `window`, as a day-sorted slice.
@@ -141,18 +104,6 @@ impl PassiveDns {
         (0..self.by_domain.len() as u32)
             .map(move |i| (DomainId(i), self.records_of(DomainId(i), window)))
             .filter(|(_, records)| !records.is_empty())
-    }
-
-    /// All `(domain, ip)` records observed on exactly `day`, duplicate-free,
-    /// in the order they were recorded — one day of the store, as a log
-    /// reader's saved state writes it out.
-    pub fn records_on(&self, day: Day) -> &[(DomainId, Ipv4)] {
-        self.by_day.get(&day).map_or(&[], Vec::as_slice)
-    }
-
-    /// The days the store holds records for, ascending.
-    pub fn days(&self) -> impl Iterator<Item = Day> + '_ {
-        self.by_day.keys().copied()
     }
 
     /// All distinct IPs `domain` resolved to within `window`.
@@ -196,6 +147,15 @@ impl PassiveDns {
             .flat_map(|(dom, records)| records.iter().map(move |&(d, ip)| (dom, d, ip)))
     }
 
+    /// Iterates over every `(domain, day, ip)` record, by ascending domain
+    /// id, then day, then IP — whatever its day, `u32::MAX` included,
+    /// which no [`DayWindow`] reaches.
+    pub fn records(&self) -> impl Iterator<Item = (DomainId, Day, Ipv4)> + '_ {
+        (0u32..)
+            .zip(&self.by_domain)
+            .flat_map(|(i, entries)| entries.iter().map(move |&(d, ip)| (DomainId(i), d, ip)))
+    }
+
     /// Total number of stored records.
     pub fn len(&self) -> usize {
         self.records
@@ -218,47 +178,6 @@ mod tests {
 
     fn ip(n: u8) -> Ipv4 {
         Ipv4::from_octets(10, 0, 0, n)
-    }
-
-    #[test]
-    fn a_day_recorded_at_once_equals_its_records_one_by_one() {
-        let days = [
-            (
-                Day(3),
-                vec![
-                    (DomainId(2), ip(1)),
-                    (DomainId(0), ip(2)),
-                    (DomainId(2), ip(1)),
-                ],
-            ),
-            (Day(1), vec![(DomainId(2), ip(3))]),
-            (Day(3), vec![(DomainId(5), ip(1)), (DomainId(0), ip(2))]),
-            (Day(4), vec![(DomainId(0), ip(2))]),
-            (Day(4), vec![]),
-        ];
-        let (mut batched, mut single) = (PassiveDns::new(), PassiveDns::new());
-        for (day, records) in &days {
-            batched.record_day(*day, records);
-            for &(domain, address) in records {
-                single.record(domain, address, *day);
-            }
-        }
-        assert_eq!(batched.len(), single.len());
-        assert_eq!(batched.domain_count(), single.domain_count());
-        assert_eq!(
-            batched.days().collect::<Vec<_>>(),
-            single.days().collect::<Vec<_>>()
-        );
-        for day in single.days() {
-            assert_eq!(batched.records_on(day), single.records_on(day));
-        }
-        for d in 0..6 {
-            let window = Day(5).lookback(5);
-            assert_eq!(
-                batched.records_of(DomainId(d), window),
-                single.records_of(DomainId(d), window)
-            );
-        }
     }
 
     #[test]
@@ -293,17 +212,7 @@ mod tests {
             p.record(DomainId(1), ip(2), Day(3));
         }
         assert_eq!(p.len(), 2);
-        assert_eq!(p.records_on(Day(3)).len(), 2);
         assert_eq!(p.records_of(DomainId(1), Day(3).lookback(1)).len(), 2);
-    }
-
-    #[test]
-    fn days_lists_each_recorded_day_once_ascending() {
-        let mut p = PassiveDns::new();
-        p.record(DomainId(1), ip(1), Day(9));
-        p.record(DomainId(2), ip(2), Day(2));
-        p.record(DomainId(1), ip(3), Day(9));
-        assert_eq!(p.days().collect::<Vec<_>>(), vec![Day(2), Day(9)]);
     }
 
     #[test]
@@ -357,20 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn records_on_day_collapse_duplicates() {
-        let mut p = PassiveDns::new();
-        p.record(DomainId(1), ip(1), Day(3));
-        p.record(DomainId(2), ip(2), Day(3));
-        p.record(DomainId(1), ip(1), Day(3)); // duplicate, collapsed
-        p.record(DomainId(1), ip(1), Day(4));
-        let mut got = p.records_on(Day(3)).to_vec();
-        got.sort_unstable();
-        assert_eq!(got, vec![(DomainId(1), ip(1)), (DomainId(2), ip(2))]);
-        assert_eq!(p.records_on(Day(4)), &[(DomainId(1), ip(1))]);
-        assert!(p.records_on(Day(9)).is_empty());
-    }
-
-    #[test]
     fn records_in_window() {
         let mut p = PassiveDns::new();
         p.record(DomainId(1), ip(1), Day(1));
@@ -382,6 +277,24 @@ mod tests {
         assert_eq!(
             got,
             vec![(DomainId(1), Day(1), ip(1)), (DomainId(2), Day(4), ip(2))]
+        );
+    }
+
+    #[test]
+    fn every_record_is_walked_whatever_its_day() {
+        let mut p = PassiveDns::new();
+        p.record(DomainId(2), ip(1), Day(u32::MAX));
+        p.record(DomainId(0), ip(4), Day(9));
+        p.record(DomainId(2), ip(2), Day(0));
+        p.record(DomainId(0), ip(3), Day(9));
+        assert_eq!(
+            p.records().collect::<Vec<_>>(),
+            vec![
+                (DomainId(0), Day(9), ip(3)),
+                (DomainId(0), Day(9), ip(4)),
+                (DomainId(2), Day(0), ip(2)),
+                (DomainId(2), Day(u32::MAX), ip(1)),
+            ]
         );
     }
 }

@@ -49,27 +49,28 @@ fn activity_case() -> impl Strategy<Value = (Vec<(u32, u32)>, u32, u32)> {
 proptest! {
     /// The id-indexed PassiveDns against a plain `BTreeMap` model, fed
     /// out of order, with duplicates and with dense or sparse ids: the
-    /// per-domain and per-day views, the order `records_in` walks, and
+    /// per-domain views, the order `records` and `records_in` walk, and
     /// the counters.
     #[test]
     fn pdns_matches_btreemap_model((records, start, len) in pdns_case()) {
         let mut pdns = PassiveDns::new();
         let mut model: BTreeMap<u32, BTreeSet<(Day, Ipv4)>> = BTreeMap::new();
-        // Each day's records in the order they first arrived.
-        let mut by_day: BTreeMap<Day, Vec<(DomainId, Ipv4)>> = BTreeMap::new();
         for &(dom, ip, day) in &records {
             let (ip, day) = (Ipv4::from_octets(10, 0, 0, ip), Day(day));
             pdns.record(DomainId(dom), ip, day);
-            if model.entry(dom).or_default().insert((day, ip)) {
-                by_day.entry(day).or_default().push((DomainId(dom), ip));
-            }
+            model.entry(dom).or_default().insert((day, ip));
         }
         prop_assert_eq!(pdns.len(), model.values().map(BTreeSet::len).sum::<usize>());
         prop_assert_eq!(pdns.domain_count(), model.len());
-        prop_assert_eq!(pdns.days().collect::<Vec<_>>(), by_day.keys().copied().collect::<Vec<_>>());
-        for (&day, want) in &by_day {
-            prop_assert_eq!(pdns.records_on(day), want.as_slice());
-        }
+        // Ascending id, then day, then IP: every record, and one day of
+        // them through a one-day window.
+        let all: Vec<(DomainId, Day, Ipv4)> = model
+            .iter()
+            .flat_map(|(&id, entries)| entries.iter().map(move |&(d, ip)| (DomainId(id), d, ip)))
+            .collect();
+        prop_assert_eq!(pdns.records().collect::<Vec<_>>(), all.clone());
+        let on_start: Vec<_> = all.iter().copied().filter(|&(_, d, _)| d == Day(start)).collect();
+        prop_assert_eq!(pdns.records_in(Day(start).lookback(1)).collect::<Vec<_>>(), on_start);
         let window = DayWindow::new(Day(start), Day(start + len));
         for id in PROBE_IDS {
             let want: Vec<(Day, Ipv4)> = model
